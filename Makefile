@@ -15,9 +15,11 @@ test:
 # SAT race coverage while skipping the hour-long exhaustive sweeps). The
 # second test run drives the sharded QuickExact search and the parallel
 # operational-domain sweep — the two many-goroutine hot paths — through
-# their full (non-short) tests under the race detector. staticcheck runs
-# when installed (CI installs it; locally: go install
-# honnef.co/go/tools/cmd/staticcheck@latest).
+# their full (non-short) tests under the race detector. The last step runs
+# the benchmark module's own tests (cmd/bench is a nested module, so
+# ./... never reaches it); its toy run boots the service in-process and
+# checks every answer. staticcheck runs when installed (CI installs it;
+# locally: go install honnef.co/go/tools/cmd/staticcheck@latest).
 check:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -29,6 +31,7 @@ check:
 	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|TestParallelMatchesSerial|TestSweepMetrics' \
 		./internal/sim/quickexact ./internal/opdomain
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
+	cd cmd/bench && $(GO) test .
 
 # race runs the complete suite under the race detector (slow).
 race:

@@ -91,7 +91,7 @@ func main() {
 		queueDepth = flag.Int("queue-depth", 0, "queued-job bound (default 4*workers); full queue returns 429")
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "default per-job deadline (0 = none); requests may shorten it via timeout_ms")
 		cacheSize  = flag.Int64("cache-size", 64, "in-memory result cache bound in MiB")
-		cacheDir   = flag.String("cache-dir", "", "directory for the persistent flow-artifact cache (empty = memory only)")
+		cacheDir   = flag.String("cache-dir", "", "directory for the persistent cache tier: flow artifacts, ground states and gate validations (empty = memory only)")
 		journalDir = flag.String("journal-dir", "", "directory for the write-ahead job journal (empty = jobs are lost on crash)")
 		recovMode  = flag.String("recover", "fail", "what to do with jobs the journal shows queued/running at crash: fail (surface as error_kind interrupted) or resubmit (re-enqueue from journaled request bytes)")
 		solver     = flag.String("solver", "", "default ground-state solver: "+strings.Join(sim.SolverNames(), ", ")+" (default auto)")

@@ -1,13 +1,11 @@
 package cache
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
-	"repro/internal/gatelib"
 	"repro/internal/lattice"
 	"repro/internal/logic/bench"
 	"repro/internal/sidb"
@@ -116,83 +114,6 @@ func TestSimKeyPermutationInvariance(t *testing.T) {
 		t.Fatal("physical parameters not part of the key")
 	}
 	_ = perm
-}
-
-// TestCachedSolverRemapsCharges: a result computed for one insertion order
-// and served warm to the other must index charges by the consumer's dot
-// order and match a direct solve bit for bit.
-func TestCachedSolverRemapsCharges(t *testing.T) {
-	la, lb, perm := twoLayouts()
-	ea := sim.NewEngine(la, sim.ParamsFig5)
-	eb := sim.NewEngine(lb, sim.ParamsFig5)
-
-	inner, err := sim.Lookup("exgs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := &CachedSolver{Inner: inner, Cache: NewLRU(1 << 20)}
-
-	cold, err := cs.Solve(ea, sim.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := cs.Solve(eb, sim.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := cs.Cache.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("expected 1 hit + 1 miss, got %+v", st)
-	}
-	if warm.EnergyEV != cold.EnergyEV {
-		t.Fatalf("warm energy %v != cold energy %v", warm.EnergyEV, cold.EnergyEV)
-	}
-	// Layout b's dot j is layout a's dot perm[j].
-	for j := range warm.Charges {
-		if warm.Charges[j] != cold.Charges[perm[j]] {
-			t.Fatalf("charge remap wrong at dot %d: warm %v, cold[perm] %v",
-				j, warm.Charges[j], cold.Charges[perm[j]])
-		}
-	}
-	direct, err := inner.Solve(eb, sim.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.EnergyEV != warm.EnergyEV {
-		t.Fatalf("warm energy %v != direct energy %v", warm.EnergyEV, direct.EnergyEV)
-	}
-}
-
-// TestCachedValidate memoizes a full standalone gate validation.
-func TestCachedValidate(t *testing.T) {
-	lib := gatelib.NewLibrary()
-	keys := lib.Variants()
-	if len(keys) == 0 {
-		t.Fatal("empty library")
-	}
-	d, f, ok := lib.Design(keys[0])
-	if !ok {
-		t.Fatalf("Design(%q) not found", keys[0])
-	}
-	lru := NewLRU(1 << 20)
-	truth := gatelib.TruthOf(f)
-	v1, hit1, err := CachedValidate(context.Background(), lru, nil, d, truth, sim.ParamsFig5, gatelib.ValidateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit1 {
-		t.Fatal("first validation reported a cache hit")
-	}
-	v2, hit2, err := CachedValidate(context.Background(), lru, nil, d, truth, sim.ParamsFig5, gatelib.ValidateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit2 {
-		t.Fatal("second validation missed the cache")
-	}
-	if v1.OK != v2.OK || v1.MinGapEV != v2.MinGapEV || len(v1.Outputs) != len(v2.Outputs) {
-		t.Fatalf("cached validation differs: %+v vs %+v", v1, v2)
-	}
 }
 
 // TestLRUBounds: the byte budget is enforced by eviction and oversize

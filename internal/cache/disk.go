@@ -14,9 +14,10 @@ import (
 	"repro/internal/obs/obslog"
 )
 
-// Disk is an optional persistent layer for flow-level artifacts. Entries
-// are plain files addressed by key, fanned out over 256 two-hex-digit
-// subdirectories. Durability discipline:
+// Disk is the optional persistent tier for every cached result kind: flow
+// artifacts, ground states and gate validations. Entries are plain files
+// addressed by key, fanned out over 256 two-hex-digit subdirectories.
+// Durability discipline:
 //
 //   - Put writes a temp file, fsyncs it, renames it into place, and
 //     fsyncs the parent directory — a crash at any point leaves either

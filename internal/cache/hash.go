@@ -59,7 +59,7 @@ func (h *hasher) key(tag string) Key {
 // (then by pinned flag), so two engines over the same physical layout hash
 // identically regardless of the order dots were inserted. Charge vectors
 // must be permuted through the same order when stored or restored (see
-// packCharges/unpackCharges).
+// EncodeSolution/DecodeSolution).
 func SimKey(e *sim.Engine, solverName string) (Key, []int) {
 	n := e.NumDots()
 	order := make([]int, n)
@@ -160,9 +160,9 @@ func HashXAG(x *network.XAG) Key {
 // FlowKey returns the content address of a whole flow run: the
 // specification network plus every option that can change the produced
 // artifacts, including whether the SiQAD file and the run report were
-// requested. Callers must not use flow caching with a custom gate library
-// or rewrite database (their content is not addressable); see
-// FlowCache.Run, which bypasses the cache in that case.
+// requested. Callers must not cache flows run with a custom gate library
+// or rewrite database (their content is not addressable): such runs pass
+// an empty key to Tiers.Do, which bypasses the cache.
 func FlowKey(spec *network.XAG, opts core.Options, withSQD, withReport bool) Key {
 	h := newHasher()
 	hashXAGInto(h, spec)

@@ -1,9 +1,9 @@
 // Package cache provides content-addressed result caching for the
 // Bestagon design service: deterministic canonical hashing of simulation,
 // validation, and whole-flow inputs (hash.go), a sharded byte-bounded
-// in-memory LRU (this file), an optional disk layer for flow-level
-// artifacts (disk.go), and memoization wrappers for the sim ground-state
-// solvers, gatelib validation, and core flow runs.
+// in-memory LRU (this file), an optional persistent disk layer (disk.go),
+// and the tier stack that walks memory, disk and fleet peers for every
+// cached result kind (tiers.go).
 //
 // Keys are content addresses: two requests hash to the same key iff their
 // canonical encodings are identical, independent of insertion order, map

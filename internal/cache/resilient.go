@@ -21,10 +21,6 @@ type Layer interface {
 	Put(ctx context.Context, key Key, val []byte) error
 }
 
-// DiskLayer is the historical name for Layer, kept for the persistent
-// tier's call sites.
-type DiskLayer = Layer
-
 // BreakerState is the circuit breaker's position.
 type BreakerState int32
 
@@ -100,16 +96,6 @@ type Resilient struct {
 	stateGauge                            *obs.Gauge
 	trips, retries, ioErrors, shortCircts *obs.Counter
 	log                                   *obslog.Logger
-}
-
-// ResilientDisk is the historical name for Resilient, from when the disk
-// was the only wrappable tier.
-type ResilientDisk = Resilient
-
-// NewResilientDisk wraps the persistent tier (Name "disk").
-func NewResilientDisk(inner Layer, opts ResilientOptions) *Resilient {
-	opts.Name = "disk"
-	return NewResilient(inner, opts)
 }
 
 // NewResilient wraps inner. Metrics are registered immediately so the
@@ -243,7 +229,7 @@ func (r *Resilient) backoff(n int) time.Duration {
 }
 
 // Get reads through the breaker with retries. While the breaker is open
-// it reports a miss so the flow cache silently degrades to memory-only.
+// it reports a miss so the cache silently degrades to its other tiers.
 func (r *Resilient) Get(ctx context.Context, key Key) ([]byte, bool, error) {
 	if !r.allow() {
 		r.shortCircts.Inc()

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// fakeDisk is a scriptable DiskLayer: it fails while failing is set and
+// fakeDisk is a scriptable Layer: it fails while failing is set and
 // otherwise stores entries in a map.
 type fakeDisk struct {
 	failing bool
@@ -38,10 +38,10 @@ func (f *fakeDisk) Put(_ context.Context, key Key, val []byte) error {
 	return nil
 }
 
-// newTestResilient wires a ResilientDisk with instant sleeps and a
+// newTestResilient wires a Resilient with instant sleeps and a
 // controllable clock.
-func newTestResilient(inner DiskLayer, opts ResilientOptions) (*ResilientDisk, *time.Time) {
-	r := NewResilientDisk(inner, opts)
+func newTestResilient(inner Layer, opts ResilientOptions) (*Resilient, *time.Time) {
+	r := NewResilient(inner, opts)
 	now := time.Unix(1000, 0)
 	r.now = func() time.Time { return now }
 	r.sleep = func(time.Duration) {}
@@ -69,7 +69,7 @@ func TestResilientRetriesTransientFailure(t *testing.T) {
 
 // flakyDisk fails the first failFirst operations, then delegates.
 type flakyDisk struct {
-	inner     DiskLayer
+	inner     Layer
 	failFirst int
 	attempts  *int
 }

@@ -1,100 +1,20 @@
 package cache
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// CachedSolver memoizes a ground-state solver through a content-addressed
-// LRU. The cache key covers the physical problem (sites, pinned dots,
-// parameters) and the backend name; charge vectors are stored in canonical
-// site order and remapped on the way out, so layouts built with different
-// dot insertion orders share entries and still receive correctly-indexed
-// results. Only successful solves are cached — errors (including context
-// cancellation) always reach the caller and leave no entry behind.
-type CachedSolver struct {
-	Inner sim.GroundStateSolver
-	Cache *LRU
-	// Tracer, when set, records cache-miss solve durations into the
-	// sim_solve_seconds{solver="..."} histogram — the service points this
-	// at its process-lifetime tracer so /metrics exposes the latency
-	// distribution of actual ground-state computation, separated from the
-	// (near-free) cache-hit path.
-	Tracer *obs.Tracer
-	// Peer is nil outside a fleet; when set, a local miss consults the
-	// key's owner replica before solving, and non-degraded cold results
-	// are pushed to the owner.
-	Peer Layer
-}
-
-var _ sim.GroundStateSolver = (*CachedSolver)(nil)
-
-// Name returns the inner backend's name.
-func (c *CachedSolver) Name() string { return c.Inner.Name() }
-
-// IsExact reports whether the inner backend proves minimality.
-func (c *CachedSolver) IsExact() bool { return c.Inner.IsExact() }
-
-// Solve returns the memoized ground state, or delegates to the inner
-// backend and stores the result.
-func (c *CachedSolver) Solve(e *sim.Engine, opts sim.SolveOptions) (sim.Solution, error) {
-	sol, _, err := c.SolveTrack(e, opts)
-	return sol, err
-}
-
-// SolveTrack is Solve plus a hit indicator (true when the result was
-// served from the cache), used by the service layer's X-Cache header.
-func (c *CachedSolver) SolveTrack(e *sim.Engine, opts sim.SolveOptions) (sim.Solution, bool, error) {
-	key, order := SimKey(e, c.Inner.Name())
-	if b, ok := c.Cache.Get(key); ok {
-		if sol, err := decodeSolution(b, order); err == nil {
-			return sol, true, nil
-		}
-		// A decode failure means a corrupted or incompatible entry; fall
-		// through and recompute (the Put below overwrites it).
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if c.Peer != nil {
-		// Peer errors fall through to a local solve, same as a miss.
-		if b, ok, err := c.Peer.Get(ctx, key); err == nil && ok {
-			if sol, err := decodeSolution(b, order); err == nil {
-				c.Cache.Put(key, b)
-				return sol, true, nil
-			}
-		}
-	}
-	start := time.Now()
-	sol, err := c.Inner.Solve(e, opts)
-	if err != nil {
-		return sol, false, err
-	}
-	c.Tracer.Histogram(obs.Labeled("sim/solve_seconds", "solver", sol.Solver), obs.DefBuckets...).
-		Observe(time.Since(start).Seconds())
-	if !sol.Degraded {
-		// A degraded solution reflects this call's deadline pressure, not
-		// the problem content; caching it would hand reduced-quality answers
-		// to well-budgeted future callers under the same key.
-		enc := encodeSolution(sol, order)
-		c.Cache.Put(key, enc)
-		if c.Peer != nil {
-			_ = c.Peer.Put(ctx, key, enc)
-		}
-	}
-	return sol, false, nil
-}
-
-// encodeSolution serializes a solution with its charge vector permuted
-// into canonical site order (canonical bit k = Charges[order[k]]).
-func encodeSolution(sol sim.Solution, order []int) []byte {
+// EncodeSolution serializes a ground-state solution as a cache entry, with
+// its charge vector permuted into the canonical site order SimKey returns
+// (canonical bit k = Charges[order[k]]). Layouts built with different dot
+// insertion orders therefore share entries, and DecodeSolution hands each
+// of them correctly-indexed charges. The Degraded marker is not stored:
+// degraded solutions are never cached.
+func EncodeSolution(sol sim.Solution, order []int) []byte {
 	n := len(sol.Charges)
 	b := make([]byte, 0, 8+1+2+len(sol.Solver)+4+(n+7)/8)
 	var f [8]byte
@@ -119,9 +39,9 @@ func encodeSolution(sol sim.Solution, order []int) []byte {
 	return append(b, bits...)
 }
 
-// decodeSolution is the inverse of encodeSolution: canonical bit k is
+// DecodeSolution is the inverse of EncodeSolution: canonical bit k is
 // written back to Charges[order[k]].
-func decodeSolution(b []byte, order []int) (sim.Solution, error) {
+func DecodeSolution(b []byte, order []int) (sim.Solution, error) {
 	var sol sim.Solution
 	if len(b) < 8+1+2 {
 		return sol, fmt.Errorf("cache: short solution entry")

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/defects"
 	"repro/internal/obs"
 )
@@ -40,9 +41,10 @@ type batchItemResult struct {
 	Status    string `json:"status"` // "ok" | "error"
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
-	// Cache is the sub-result's source: mem, disk, peer, hit, miss,
-	// bypass, coalesced, or dedup (answered by an identical item in this
-	// same batch).
+	// Cache is the sub-result's source: the cache tier that served it
+	// (mem, disk, peer), miss (computed and cached), bypass (computed, not
+	// cacheable), coalesced (shared another request's execution), or dedup
+	// (answered by an identical item in this same batch).
 	Cache    string          `json:"cache,omitempty"`
 	Degraded bool            `json:"degraded,omitempty"`
 	Result   json.RawMessage `json:"result,omitempty"`
@@ -54,39 +56,6 @@ type batchResponse struct {
 	// Deduplicated is how many items shared another item's execution.
 	Unique       int `json:"unique"`
 	Deduplicated int `json:"deduplicated"`
-}
-
-// prepareBatchItem parses one sub-request through the same prepare path
-// as its single-request endpoint.
-func (s *Server) prepareBatchItem(it batchItem) (*preparedOp, error) {
-	switch it.Op {
-	case "flow":
-		var req flowRequest
-		if err := json.Unmarshal(it.Request, &req); err != nil {
-			return nil, fmt.Errorf("bad flow request: %w", err)
-		}
-		if req.Async {
-			return nil, errors.New("async is not supported inside a batch")
-		}
-		return s.prepareFlow(&req)
-	case "simulate":
-		var req simulateRequest
-		if err := json.Unmarshal(it.Request, &req); err != nil {
-			return nil, fmt.Errorf("bad simulate request: %w", err)
-		}
-		if req.Async {
-			return nil, errors.New("async is not supported inside a batch")
-		}
-		return s.prepareSimulate(&req)
-	case "validate":
-		var req validateRequest
-		if err := json.Unmarshal(it.Request, &req); err != nil {
-			return nil, fmt.Errorf("bad validate request: %w", err)
-		}
-		return s.prepareValidate(&req)
-	default:
-		return nil, fmt.Errorf("unknown op %q (want flow, simulate, or validate)", it.Op)
-	}
 }
 
 // batchClass is the admission class of the whole batch: its most
@@ -132,14 +101,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Parse and canonicalize every item up front; shape errors are
-	// per-item results, not batch failures.
+	// Parse and canonicalize every item up front, through its endpoint's
+	// row of opRoutes; shape errors are per-item results, not batch
+	// failures.
 	n := len(req.Items)
 	ops := make([]*preparedOp, n)
 	results := make([]batchItemResult, n)
 	for i, it := range req.Items {
 		results[i] = batchItemResult{Index: i}
-		op, err := s.prepareBatchItem(it)
+		var op *preparedOp
+		err := fmt.Errorf("unknown op %q (want flow, simulate, or validate)", it.Op)
+		if rt := findRoute(func(rt *opRoute) bool { return rt.batch && rt.kind == it.Op }); rt != nil {
+			op, err = rt.prepare(s, it.Request)
+		}
+		if err == nil && op.async {
+			err = errors.New("async is not supported inside a batch")
+		}
 		if err != nil {
 			results[i].Status = "error"
 			results[i].Error = err.Error()
@@ -282,7 +259,7 @@ func allHits(results []batchItemResult) bool {
 			continue
 		}
 		switch r.Cache {
-		case "mem", "disk", "peer", "hit", "coalesced", "dedup":
+		case cache.SourceMem, cache.SourceDisk, cache.SourcePeer, sourceCoalesced, "dedup":
 		default:
 			return false
 		}

@@ -202,7 +202,7 @@ func (s *Server) forwardTimeout(timeoutMS int64) time.Duration {
 	return t + forwardSlack
 }
 
-// safeExec runs op.exec with panic isolation, converting a panic into
+// safeExec runs execOp with panic isolation, converting a panic into
 // the queue's PanicError so it surfaces as error_kind "panic" instead of
 // killing the process. Two execution paths run outside safeRun's
 // worker-scoped recover and depend on this guard: single-flight runs
@@ -227,10 +227,10 @@ func (s *Server) safeExec(ctx context.Context, op *preparedOp, jtr *obs.Tracer) 
 	if faults.Should("service.exec.panic") {
 		panic("injected fault: service.exec.panic")
 	}
-	return op.exec(ctx, jtr)
+	return s.execOp(ctx, op, jtr)
 }
 
-// runCoalesced executes op.exec through the fleet single-flight group
+// runCoalesced executes the op through the fleet single-flight group
 // when the op has a cache key: concurrent identical executions — from
 // direct requests, forwarded requests, and batch items alike — collapse
 // onto one run whose result every participant shares byte for byte. A
@@ -281,36 +281,6 @@ func (s *Server) runCoalesced(ctx context.Context, op *preparedOp, jtr *obs.Trac
 // execution; cacheHeader reports it as a hit (no local work was done).
 const sourceCoalesced = "coalesced"
 
-// tracedPeer wraps the peer cache tier so each cross-replica fetch shows
-// up as a span ("peer_fetch") on the per-job tracer — and therefore in
-// job traces and the flight recorder. Returns nil outside a fleet.
-func (s *Server) tracedPeer(jtr *obs.Tracer) cache.Layer {
-	if s.peer == nil {
-		return nil
-	}
-	return &tracedLayer{inner: s.peer, jtr: jtr}
-}
-
-type tracedLayer struct {
-	inner cache.Layer
-	jtr   *obs.Tracer
-}
-
-func (t *tracedLayer) Get(ctx context.Context, key cache.Key) ([]byte, bool, error) {
-	sp := t.jtr.Start("peer_fetch")
-	defer sp.End()
-	b, ok, err := t.inner.Get(ctx, key)
-	sp.SetAttr("hit", ok)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	return b, ok, err
-}
-
-func (t *tracedLayer) Put(ctx context.Context, key cache.Key, val []byte) error {
-	return t.inner.Put(ctx, key, val)
-}
-
 // ---- /internal/cache/{key}: the peer-cache protocol endpoint ----
 
 // validCacheKey checks the canonical key shape (tag:hex64) so the
@@ -344,10 +314,9 @@ func (s *Server) authorizeInternal(r *http.Request) bool {
 	return cluster.AuthorizeInternal(r, secret)
 }
 
-// handleInternalCacheGet serves raw cache entries to peers. It reads
-// through Peek (no LRU promotion, no hit/miss counters) so cross-replica
-// traffic doesn't distort local cache telemetry, falling back to the disk
-// layer for flow artifacts that aged out of memory.
+// handleInternalCacheGet serves raw cache entries to peers from the local
+// tiers (see cache.Tiers.Peek): memory without promotion, then disk, so
+// entries that aged out of memory or predate a restart still serve.
 func (s *Server) handleInternalCacheGet(w http.ResponseWriter, r *http.Request) {
 	if !s.authorizeInternal(r) {
 		writeErr(w, http.StatusForbidden, "cluster secret required")
@@ -358,13 +327,7 @@ func (s *Server) handleInternalCacheGet(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, "malformed cache key")
 		return
 	}
-	k := cache.Key(key)
-	b, ok := s.lru.Peek(k)
-	if !ok && s.flow.Disk != nil && strings.HasPrefix(key, "flow:") {
-		if db, dok, err := s.flow.Disk.Get(r.Context(), k); err == nil && dok {
-			b, ok = db, true
-		}
-	}
+	b, ok := s.tiers.Peek(r.Context(), cache.Key(key))
 	if !ok {
 		writeErrKind(w, http.StatusNotFound, ErrKindNotFound, "no cache entry")
 		return
@@ -377,10 +340,10 @@ func (s *Server) handleInternalCacheGet(w http.ResponseWriter, r *http.Request) 
 // maxInternalEntryBytes bounds one pushed cache entry.
 const maxInternalEntryBytes = 8 << 20
 
-// handleInternalCachePut accepts a pushed cache entry from a peer. Peers
-// only push non-degraded results (the cache wrappers refuse to store
-// degraded ones at the source), so nothing accepted here can serve a
-// reduced-quality answer.
+// handleInternalCachePut stores a pushed cache entry from a peer in the
+// local tiers. Peers only push non-degraded results (the tiers never
+// store degraded ones at the source), so nothing accepted here can serve
+// a reduced-quality answer.
 func (s *Server) handleInternalCachePut(w http.ResponseWriter, r *http.Request) {
 	if !s.authorizeInternal(r) {
 		writeErr(w, http.StatusForbidden, "cluster secret required")
@@ -405,10 +368,6 @@ func (s *Server) handleInternalCachePut(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	k := cache.Key(key)
-	s.lru.Put(k, b)
-	if s.flow.Disk != nil && strings.HasPrefix(key, "flow:") {
-		_ = s.flow.Disk.Put(r.Context(), k, b)
-	}
+	s.tiers.PutLocal(r.Context(), cache.Key(key), b)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -586,13 +586,13 @@ func TestRunCoalescedRerunsAfterLeaderDeadline(t *testing.T) {
 	var calls atomic.Int32
 	started := make(chan struct{})
 	op := &preparedOp{kind: "simulate", key: "sim:deadline-test"}
-	op.exec = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error) {
+	op.compute = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, []byte, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 			<-ctx.Done() // burn the starter's whole (short) budget
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
-		return &jobResult{body: []byte("ok"), source: "miss"}, nil
+		return &jobResult{body: []byte("ok")}, nil, nil
 	}
 
 	leaderErr := make(chan error, 1)

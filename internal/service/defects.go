@@ -2,11 +2,8 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 
-	"repro/internal/cache"
 	"repro/internal/defects"
 	"repro/internal/defects/sweep"
 	"repro/internal/lattice"
@@ -121,59 +118,15 @@ func (s *Server) prepareSweep(req *sweepRequest) (*preparedOp, error) {
 	if _, err := sim.Lookup(cfg.Solver); err != nil {
 		return nil, err
 	}
-	op := &preparedOp{kind: "sweep", timeoutMS: req.TimeoutMS}
-	op.exec = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error) {
-		sp := jtr.Start("defect_sweep")
-		defer sp.End()
-		sp.SetAttr("densities", len(cfg.Densities))
-		sp.SetAttr("seeds", cfg.Seeds)
+	op := &preparedOp{kind: "sweep", timeoutMS: req.TimeoutMS, async: req.Async, span: "defect_sweep",
+		attrs: []obs.Attr{{Key: "densities", Value: len(cfg.Densities)}, {Key: "seeds", Value: cfg.Seeds}}}
+	op.compute = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, []byte, error) {
 		res, err := sweep.Run(ctx, cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		s.coldSolve("sweep")
-		body, err := json.Marshal(res)
-		if err != nil {
-			return nil, err
-		}
-		return &jobResult{body: append(body, '\n'), source: cache.SourceBypass}, nil
+		jr, err := jsonResult(res)
+		return jr, nil, err
 	}
 	return op, nil
-}
-
-// handleDefectSweep runs a yield sweep as a (cancellable) job. Sweeps are
-// billed as flow-class work by admission control: they hold a worker for
-// longer than any other job kind.
-func (s *Server) handleDefectSweep(w http.ResponseWriter, r *http.Request) {
-	s.tr.Counter("http/defect_sweep").Inc()
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req sweepRequest
-	if !unmarshalBody(w, body, &req) {
-		return
-	}
-	op, err := s.prepareSweep(&req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.admit(w, "flow") {
-		return
-	}
-	rid := obs.RequestIDFromContext(r.Context())
-	jtr := s.newJobTracer()
-	j, ok := s.submit(w, "sweep", rid, jtr,
-		&JobMeta{Path: "/v1/defects/sweep", Body: body, TimeoutMS: op.timeoutMS},
-		s.jobFn(op, rid, obs.HopFromContext(r.Context()), jtr))
-	if !ok {
-		return
-	}
-	if req.Async {
-		w.Header().Set("Location", "/v1/jobs/"+j.ID)
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
-		return
-	}
-	s.await(w, r, j)
 }

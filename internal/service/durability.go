@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -246,16 +245,20 @@ func (s *Server) recoverJob(rec *journal.JobRecord, mode string) string {
 }
 
 // resubmitRecovered re-enqueues one stranded job from its journaled
-// request bytes, under its pre-crash id. Returns false (caller falls back
-// to interrupted) when the body cannot be re-prepared — an endpoint with
-// no recovery support, a library that changed across the restart — or the
-// queue refuses it.
+// request bytes, under its pre-crash id, re-preparing them through the
+// endpoint's row of opRoutes. Returns false (caller falls back to
+// interrupted) when the body cannot be re-prepared — a batch, a library
+// that changed across the restart — or the queue refuses it.
 func (s *Server) resubmitRecovered(rec *journal.JobRecord) bool {
 	sub := &rec.Submitted
 	if sub.Path == "" || len(sub.Body) == 0 {
 		return false
 	}
-	op, err := s.prepareFromPath(sub.Path, sub.Body)
+	var op *preparedOp
+	err := fmt.Errorf("service: no recovery for %s", sub.Path)
+	if rt := findRoute(func(rt *opRoute) bool { return rt.path == sub.Path }); rt != nil {
+		op, err = rt.prepare(s, sub.Body)
+	}
 	if err != nil {
 		s.log.Warn("journal_resubmit_unpreparable",
 			obslog.F("job_id", sub.JobID),
@@ -290,34 +293,6 @@ func (s *Server) resubmitRecovered(rec *journal.JobRecord) bool {
 		s.idem.claim(sub.IdemKey, j.ID)
 	}
 	return true
-}
-
-// prepareFromPath re-prepares a journaled request body under its original
-// endpoint. Only the single-op compute endpoints are resubmittable; batch
-// and sweep jobs recover as interrupted.
-func (s *Server) prepareFromPath(path string, body []byte) (*preparedOp, error) {
-	switch path {
-	case "/v1/flow":
-		var req flowRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return s.prepareFlow(&req)
-	case "/v1/simulate":
-		var req simulateRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return s.prepareSimulate(&req)
-	case "/v1/gates/validate":
-		var req validateRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return s.prepareValidate(&req)
-	default:
-		return nil, fmt.Errorf("service: no recovery for %s", path)
-	}
 }
 
 // drainRetryAfterSeconds estimates when a draining replica's replacement

@@ -240,35 +240,52 @@ func TestIdempotencyKeyReattach(t *testing.T) {
 }
 
 // TestIdempotencyKeyAsync: an async retry reattaches with a 202 pointing
-// at the original job.
+// at the original job, for every compute endpoint that accepts async
+// requests (sweeps included: they share the one compute handler).
 func TestIdempotencyKeyAsync(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	req := map[string]any{"bench": "xor2", "engine": "ortho", "async": true}
-	hdrs := map[string]string{"Idempotency-Key": "async-key-1"}
-	resp1, b1 := postJSONHeaders(t, ts.URL+"/v1/flow", req, hdrs)
-	if resp1.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit: %d %s", resp1.StatusCode, b1)
-	}
-	var st1 Status
-	if err := json.Unmarshal(b1, &st1); err != nil {
-		t.Fatal(err)
-	}
-	resp2, b2 := postJSONHeaders(t, ts.URL+"/v1/flow", req, hdrs)
-	if resp2.StatusCode != http.StatusAccepted {
-		t.Fatalf("async replay: %d %s", resp2.StatusCode, b2)
-	}
-	if resp2.Header.Get("X-Idempotent-Replay") != "true" {
-		t.Fatal("async replay not marked")
-	}
-	var st2 Status
-	if err := json.Unmarshal(b2, &st2); err != nil {
-		t.Fatal(err)
-	}
-	if st1.ID != st2.ID {
-		t.Fatalf("async retry got a different job: %q vs %q", st1.ID, st2.ID)
-	}
-	if loc := resp2.Header.Get("Location"); loc != "/v1/jobs/"+st1.ID {
-		t.Fatalf("replay Location = %q", loc)
+	for _, c := range []struct {
+		kind, path string
+		req        map[string]any
+	}{
+		{"flow", "/v1/flow", map[string]any{"bench": "xor2", "engine": "ortho", "async": true}},
+		{"sweep", "/v1/defects/sweep", map[string]any{"densities": []float64{0.5, 1, 2, 4}, "seeds": 8, "async": true}},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Workers: 1})
+			hdrs := map[string]string{"Idempotency-Key": "async-key-1"}
+			resp1, b1 := postJSONHeaders(t, ts.URL+c.path, c.req, hdrs)
+			if resp1.StatusCode != http.StatusAccepted {
+				t.Fatalf("async submit: %d %s", resp1.StatusCode, b1)
+			}
+			var st1 Status
+			if err := json.Unmarshal(b1, &st1); err != nil {
+				t.Fatal(err)
+			}
+			// Cancel on the way out: the sweep runs far longer than the test.
+			del, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st1.ID, nil)
+			t.Cleanup(func() {
+				if r, err := http.DefaultClient.Do(del); err == nil {
+					r.Body.Close()
+				}
+			})
+			resp2, b2 := postJSONHeaders(t, ts.URL+c.path, c.req, hdrs)
+			if resp2.StatusCode != http.StatusAccepted {
+				t.Fatalf("async replay: %d %s", resp2.StatusCode, b2)
+			}
+			if resp2.Header.Get("X-Idempotent-Replay") != "true" {
+				t.Fatal("async replay not marked")
+			}
+			var st2 Status
+			if err := json.Unmarshal(b2, &st2); err != nil {
+				t.Fatal(err)
+			}
+			if st1.ID != st2.ID {
+				t.Fatalf("async retry got a different job: %q vs %q", st1.ID, st2.ID)
+			}
+			if loc := resp2.Header.Get("Location"); loc != "/v1/jobs/"+st1.ID {
+				t.Fatalf("replay Location = %q", loc)
+			}
+		})
 	}
 }
 

@@ -69,21 +69,17 @@ func routeLabel(path string) string {
 }
 
 // costClass maps a normalized route onto its SLO objective: the compute
-// endpoints each carry their own latency budget, everything else is a
-// cheap read.
+// endpoints carry their admission class's latency budget, everything else
+// is a cheap read.
 func costClass(route string) string {
-	switch route {
-	case "/v1/flow", "/v1/batch", "/v1/defects/sweep":
-		// A batch is billed at its most expensive possible class, and a
-		// sweep holds a worker at least as long as a flow.
+	if route == "/v1/batch" {
+		// A batch is billed at its most expensive possible class.
 		return "flow"
-	case "/v1/simulate":
-		return "simulate"
-	case "/v1/gates/validate":
-		return "validate"
-	default:
-		return "read"
 	}
+	if rt := findRoute(func(rt *opRoute) bool { return rt.path == route }); rt != nil {
+		return rt.class
+	}
+	return "read"
 }
 
 // newRequestID returns a fresh 16-hex-char request ID.

@@ -41,7 +41,8 @@ type Config struct {
 	JobTimeout time.Duration
 	// CacheBytes bounds the in-memory result cache (default 64 MiB).
 	CacheBytes int64
-	// CacheDir, when set, enables the persistent flow-artifact layer.
+	// CacheDir, when set, enables the persistent cache tier: flow
+	// artifacts, ground states and gate validations all survive restarts.
 	CacheDir string
 	// Solver is the default ground-state solver name ("" = automatic
 	// dispatch; see sim.SolverNames).
@@ -110,7 +111,7 @@ type Server struct {
 	log       *obslog.Logger
 	queue     *Queue
 	lru       *cache.LRU
-	flow      *cache.FlowCache
+	tiers     *cache.Tiers
 	lib       *gatelib.Library
 	mux       *http.ServeMux
 	handler   http.Handler
@@ -121,12 +122,10 @@ type Server struct {
 	slo       *slo.Engine
 	inFlight  atomic.Int64
 
-	// Fleet state: nil node means single-replica operation. peer is the
-	// resilient-wrapped peer cache tier handed to the cache wrappers;
-	// single coalesces identical in-flight executions; admission applies
+	// Fleet state: nil node means single-replica operation. single
+	// coalesces identical in-flight executions; admission applies
 	// cost-class load shedding.
 	node      *cluster.Node
-	peer      cache.Layer
 	single    cluster.Group
 	admission *admission
 	// overview aggregates the fleet's /internal/stats snapshots in the
@@ -202,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 	s.slo = slo.New(defaultObjectives(), cfg.SLOWindows...)
 	s.flight = flight.NewRecorder(flight.Options{Tracer: s.tr})
 	s.lru.Instrument(s.tr, "cache/mem")
-	s.flow = &cache.FlowCache{Mem: s.lru}
+	s.tiers = &cache.Tiers{Mem: s.lru}
 	if cfg.CacheDir != "" {
 		d, err := cache.NewDisk(cfg.CacheDir)
 		if err != nil {
@@ -212,7 +211,7 @@ func New(cfg Config) (*Server, error) {
 		// The resilient wrapper retries transient I/O and trips a breaker
 		// to memory-only caching when the disk keeps failing, so cache
 		// storage trouble degrades throughput instead of availability.
-		s.flow.Disk = cache.NewResilientDisk(d, cache.ResilientOptions{
+		s.tiers.Disk = cache.NewResilient(d, cache.ResilientOptions{
 			MaxRetries: cfg.MaxRetries,
 			Tracer:     s.tr,
 			Logger:     s.log,
@@ -235,13 +234,12 @@ func New(cfg Config) (*Server, error) {
 		// no in-layer retries (the probe loop removes dead peers from the
 		// ring within about a second anyway), and repeated failures trip
 		// the breaker so a sick fleet degrades to independent replicas.
-		s.peer = cache.NewResilient(cluster.NewPeerLayer(node), cache.ResilientOptions{
+		s.tiers.Peer = cache.NewResilient(cluster.NewPeerLayer(node), cache.ResilientOptions{
 			Name:       "peer",
 			MaxRetries: -1,
 			Tracer:     s.tr,
 			Logger:     s.log,
 		})
-		s.flow.Peer = s.peer
 		node.Start()
 	}
 	s.admission = newAdmission(s.tr)
@@ -276,11 +274,10 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/flow", s.handleFlow)
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/gates/validate", s.handleValidate)
+	for i := range opRoutes {
+		s.mux.HandleFunc("POST "+opRoutes[i].path, s.handleOp(&opRoutes[i]))
+	}
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/defects/sweep", s.handleDefectSweep)
 	s.mux.HandleFunc("GET /internal/cache/{key}", s.handleInternalCacheGet)
 	s.mux.HandleFunc("PUT /internal/cache/{key}", s.handleInternalCachePut)
 	s.mux.HandleFunc("GET /internal/stats", s.handleInternalStats)
@@ -332,26 +329,41 @@ func (s *Server) Drain(ctx context.Context) error {
 // response body plus where it came from. Serving the stored bytes verbatim
 // is what makes warm responses byte-identical to cold ones.
 type jobResult struct {
-	body   []byte
-	source string // cache.SourceMem, cache.SourceDisk, "miss", "bypass"
+	body []byte
+	// source is a cache.Source* tier label, sourceCoalesced, or a batch's
+	// aggregate "hit"/"miss".
+	source string
 	// degraded mirrors the artifact's degraded marker so the queue can
 	// tag the job with ErrorKind "degraded" (the body carries the full
 	// detail; this drives the X-Degraded header and job snapshots).
 	degraded bool
+	// solver names the ground-state backend that produced a simulate
+	// result, labeling its sim_solve_seconds observation.
+	solver string
 }
 
 // DegradedResult implements the queue's DegradedResult interface.
 func (r *jobResult) DegradedResult() bool { return r.degraded }
 
+// cacheHeader is the X-Cache value: "miss" when this replica computed the
+// result, "hit" otherwise. A peer hit or a coalesced ride-along did no
+// local solving; from the client's perspective both are fleet cache hits.
 func (r *jobResult) cacheHeader() string {
 	switch r.source {
-	case cache.SourceMem, cache.SourceDisk, cache.SourcePeer, "hit", sourceCoalesced:
-		// A peer hit or a coalesced ride-along did no local solving; from
-		// the client's perspective both are fleet cache hits.
-		return "hit"
-	default:
+	case cache.SourceMiss, cache.SourceBypass:
 		return "miss"
+	default:
+		return "hit"
 	}
+}
+
+// jsonResult renders v as a job response body.
+func jsonResult(v any) (*jobResult, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return &jobResult{body: append(b, '\n')}, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -407,34 +419,164 @@ func unmarshalBody(w http.ResponseWriter, body []byte, v any) bool {
 	return true
 }
 
-// decodeJSON reads and decodes a bounded request body into v (see
-// readBody; kept for handlers that never forward).
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return false
-	}
-	return unmarshalBody(w, body, v)
-}
-
-// preparedOp is a parsed, validated compute request: its canonical cache
-// key (empty when the request is not content-addressable — nocache or a
-// custom library) drives cluster routing and single-flight coalescing,
-// and exec performs the work under the given context and per-job tracer.
-// prepare* functions do all request-shape validation up front, so exec
-// can only fail for compute reasons.
+// preparedOp is a parsed, validated compute request. Its canonical cache
+// key (empty when the request is not content-addressable: nocache, or a
+// sweep) drives cluster routing, single-flight coalescing and the cache
+// tiers. prepare* functions do all request-shape validation up front, so
+// compute can only fail for compute reasons.
 type preparedOp struct {
-	kind      string // "flow", "simulate", "validate"
+	kind      string // "flow", "simulate", "validate", "sweep"
 	key       cache.Key
 	timeoutMS int64
-	exec      func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error)
+	async     bool
+	// span names the job-trace span execOp wraps the op in, annotated with
+	// attrs; empty for the flow, which opens its own "flow" span.
+	span  string
+	attrs []obs.Attr
+	// compute runs the op cold. It returns the response and the cache
+	// entry to store, nil when the result must not be cached.
+	compute func(ctx context.Context, jtr *obs.Tracer) (*jobResult, []byte, error)
+	// replay renders a cached entry as the response; an error makes the
+	// entry a miss. Keyless ops never replay.
+	replay func(entry []byte) (*jobResult, error)
 }
 
-// coldSolve counts a genuinely local computation (no cache tier and no
-// coalescing served it) — the number the fleet bench sums across replicas
-// to prove single-flight works.
-func (s *Server) coldSolve(kind string) {
-	s.tr.Counter(obs.Labeled("jobs/cold_solves_total", "kind", kind)).Inc()
+// opRoute is one compute endpoint: every row of opRoutes is served by
+// handleOp, and the same row prepares batch items and journaled requests.
+type opRoute struct {
+	path    string
+	kind    string
+	class   string // admission class
+	counter string // request counter
+	batch   bool   // allowed as a /v1/batch item
+	prepare func(s *Server, body []byte) (*preparedOp, error)
+}
+
+var opRoutes = []opRoute{
+	{"/v1/flow", "flow", "flow", "http/flow", true, decodeThen((*Server).prepareFlow)},
+	{"/v1/simulate", "simulate", "simulate", "http/simulate", true, decodeThen((*Server).prepareSimulate)},
+	{"/v1/gates/validate", "validate", "validate", "http/validate", true, decodeThen((*Server).prepareValidate)},
+	// Sweeps are billed as flow-class work: they hold a worker for longer
+	// than any other job kind.
+	{"/v1/defects/sweep", "sweep", "flow", "http/defect_sweep", false, decodeThen((*Server).prepareSweep)},
+}
+
+// findRoute returns the first opRoutes row matching, or nil.
+func findRoute(match func(*opRoute) bool) *opRoute {
+	for i := range opRoutes {
+		if match(&opRoutes[i]) {
+			return &opRoutes[i]
+		}
+	}
+	return nil
+}
+
+// decodeThen adapts a typed prepare function to raw request bodies.
+func decodeThen[R any](prepare func(*Server, *R) (*preparedOp, error)) func(*Server, []byte) (*preparedOp, error) {
+	return func(s *Server, body []byte) (*preparedOp, error) {
+		var req R
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, fmt.Errorf("bad request: %w", err)
+		}
+		return prepare(s, &req)
+	}
+}
+
+// handleOp serves one compute endpoint: prepare, Idempotency-Key replay,
+// fleet routing, admission, then a queued job (answered when done, or 202
+// for async requests).
+func (s *Server) handleOp(rt *opRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.tr.Counter(rt.counter).Inc()
+		body, ok := s.readBody(w, r)
+		if !ok {
+			return
+		}
+		op, err := rt.prepare(s, body)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		// An Idempotency-Key that matches an earlier submission reattaches to
+		// that job; otherwise a miss forwards WITH the key, so the mapping
+		// lands on the key's owner replica, where every retry converges.
+		ik := idempotencyKey(r)
+		if s.idempotentReplay(w, r, ik, op.async) {
+			return
+		}
+		// Async jobs are polled on the replica that accepted them, so they
+		// must run (and be admitted) locally rather than forwarded.
+		if !op.async && s.routeCluster(w, r, op, body) {
+			return
+		}
+		if !s.admit(w, rt.class) {
+			return
+		}
+		rid := obs.RequestIDFromContext(r.Context())
+		jtr := s.newJobTracer()
+		j, ok := s.submit(w, op.kind, rid, jtr,
+			&JobMeta{Path: rt.path, Body: body, Key: string(op.key), IdemKey: ik, TimeoutMS: op.timeoutMS},
+			s.jobFn(op, rid, obs.HopFromContext(r.Context()), jtr))
+		if !ok {
+			return
+		}
+		if op.async {
+			w.Header().Set("Location", "/v1/jobs/"+j.ID)
+			writeJSON(w, http.StatusAccepted, j.Snapshot())
+			return
+		}
+		s.await(w, r, j)
+	}
+}
+
+// execOp runs a prepared op through the cache tiers. It is the one place
+// that counts cold solves, times ground-state solves, and records in the
+// job trace which tier served the result (a "cache" span with a source
+// attribute).
+func (s *Server) execOp(ctx context.Context, op *preparedOp, jtr *obs.Tracer) (*jobResult, error) {
+	if op.span != "" {
+		sp := jtr.Start(op.span)
+		defer sp.End()
+		if rid := obs.RequestIDFromContext(ctx); rid != "" {
+			sp.SetAttr("request_id", rid)
+		}
+		for _, a := range op.attrs {
+			sp.SetAttr(a.Key, a.Value)
+		}
+	}
+	var jr *jobResult
+	source, err := s.tiers.Do(ctx, op.key,
+		func(entry []byte) (err error) {
+			jr, err = op.replay(entry)
+			return err
+		},
+		func() ([]byte, error) {
+			start := time.Now()
+			res, entry, err := op.compute(ctx, jtr)
+			if err != nil {
+				return nil, err
+			}
+			if res.solver != "" {
+				s.tr.Histogram(obs.Labeled("sim/solve_seconds", "solver", res.solver), obs.DefBuckets...).
+					Observe(time.Since(start).Seconds())
+			}
+			jr = res
+			return entry, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	sp := jtr.Start("cache")
+	sp.SetAttr("source", source)
+	sp.End()
+	if source == cache.SourceMiss || source == cache.SourceBypass {
+		// A genuinely local computation (no cache tier and no coalescing
+		// served it): the number the fleet bench sums across replicas to
+		// prove single-flight works.
+		s.tr.Counter(obs.Labeled("jobs/cold_solves_total", "kind", op.kind)).Inc()
+	}
+	jr.source = source
+	return jr, nil
 }
 
 // jobFn adapts a preparedOp into the queue's JobFunc, threading the
@@ -667,85 +809,36 @@ func (s *Server) prepareFlow(req *flowRequest) (*preparedOp, error) {
 	if !req.NoCache {
 		key = cache.FlowKey(spec, baseOpts, req.SQD, req.Report)
 	}
-	sqd, report, nocache := req.SQD, req.Report, req.NoCache
-	op := &preparedOp{kind: "flow", key: key, timeoutMS: req.TimeoutMS}
-	op.exec = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error) {
+	sqd, report := req.SQD, req.Report
+	op := &preparedOp{kind: "flow", key: key, timeoutMS: req.TimeoutMS, async: req.Async}
+	op.compute = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, []byte, error) {
 		opts := baseOpts
 		opts.Tracer = jtr
-		var art *cache.FlowArtifact
-		source := cache.SourceBypass
-		var err error
-		if nocache {
-			art, err = cache.RunFlow(ctx, spec, opts, sqd, report)
-		} else {
-			art, source, err = s.flow.Run(ctx, spec, opts, sqd, report)
-		}
+		art, err := cache.RunFlow(ctx, spec, opts, sqd, report)
 		if err != nil {
+			return nil, nil, err
+		}
+		entry, err := json.Marshal(art)
+		if err != nil {
+			return nil, nil, err
+		}
+		jr := &jobResult{body: append(entry, '\n'), degraded: art.Degraded}
+		if art.Degraded {
+			// A degraded artifact reflects this request's deadline, not the
+			// problem content; caching it would serve reduced-quality results
+			// to well-budgeted future requests.
+			return jr, nil, nil
+		}
+		return jr, entry, nil
+	}
+	op.replay = func(entry []byte) (*jobResult, error) {
+		var art cache.FlowArtifact
+		if err := json.Unmarshal(entry, &art); err != nil {
 			return nil, err
 		}
-		switch source {
-		case cache.SourceMiss, cache.SourceBypass:
-			s.coldSolve("flow")
-		case cache.SourcePeer:
-			// Surface the cross-replica fetch in the job trace so the
-			// flight recorder shows where the artifact came from.
-			sp := jtr.Start("peer_fetch")
-			sp.SetAttr("source", "peer")
-			sp.End()
-		}
-		body, err := json.Marshal(art)
-		if err != nil {
-			return nil, err
-		}
-		return &jobResult{body: append(body, '\n'), source: source, degraded: art.Degraded}, nil
+		return jsonResult(&art)
 	}
 	return op, nil
-}
-
-func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
-	s.tr.Counter("http/flow").Inc()
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req flowRequest
-	if !unmarshalBody(w, body, &req) {
-		return
-	}
-	op, err := s.prepareFlow(&req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// An Idempotency-Key that matches an earlier submission reattaches to
-	// that job; otherwise a miss forwards WITH the key, so the mapping
-	// lands on the key's owner replica, where every retry converges.
-	ik := idempotencyKey(r)
-	if s.idempotentReplay(w, r, ik, req.Async) {
-		return
-	}
-	// Async jobs are polled on the replica that accepted them, so they
-	// must run (and be admitted) locally rather than forwarded.
-	if !req.Async && s.routeCluster(w, r, op, body) {
-		return
-	}
-	if !s.admit(w, "flow") {
-		return
-	}
-	rid := obs.RequestIDFromContext(r.Context())
-	jtr := s.newJobTracer()
-	j, ok := s.submit(w, "flow", rid, jtr,
-		&JobMeta{Path: "/v1/flow", Body: body, Key: string(op.key), IdemKey: ik, TimeoutMS: op.timeoutMS},
-		s.jobFn(op, rid, obs.HopFromContext(r.Context()), jtr))
-	if !ok {
-		return
-	}
-	if req.Async {
-		w.Header().Set("Location", "/v1/jobs/"+j.ID)
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
-		return
-	}
-	s.await(w, r, j)
 }
 
 // ---- /v1/simulate ----
@@ -856,49 +949,22 @@ func (s *Server) prepareSimulate(req *simulateRequest) (*preparedOp, error) {
 		return nil, err
 	}
 	// Cache outside the ladder: warm hits skip the degradation logic
-	// entirely, and the cache layer refuses to store degraded solutions,
-	// so cached entries are always full-quality.
+	// entirely, and degraded solutions are never stored, so cached entries
+	// are always full-quality.
 	degrading := &sim.Degrading{Inner: inner, Margin: s.cfg.DegradeMargin, Tracer: s.tr}
 	keyEng := sim.NewEngineOn(layout, params, surf)
-	key, _ := cache.SimKey(keyEng, degrading.Name())
-
-	op := &preparedOp{kind: "simulate", key: key, timeoutMS: req.TimeoutMS}
-	op.exec = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error) {
-		cached := &cache.CachedSolver{
-			Inner:  degrading,
-			Cache:  s.lru,
-			Tracer: s.tr,
-			Peer:   s.tracedPeer(jtr),
-		}
-		sp := jtr.Start("simulate")
-		defer sp.End()
-		if rid := obs.RequestIDFromContext(ctx); rid != "" {
-			sp.SetAttr("request_id", rid)
-		}
-		eng := sim.NewEngineOn(layout, params, surf)
-		sp.SetAttr("dots", eng.NumDots())
-		if n := eng.NumDots() - eng.NumLayoutDots(); n > 0 {
-			sp.SetAttr("defect_dots", n)
-		}
-		sol, hit, err := cached.SolveTrack(eng, sim.SolveOptions{Ctx: ctx, Tracer: jtr})
-		if err != nil {
-			return nil, err
-		}
-		sp.SetAttr("solver", sol.Solver)
-		sp.SetAttr("cache_hit", hit)
-		if !hit {
-			s.coldSolve("simulate")
-		}
-		// Report layout dots only: defect pseudo-dots sit past index
-		// NumLayoutDots-1 and are an implementation detail of the engine.
-		nl := eng.NumLayoutDots()
+	key, order := cache.SimKey(keyEng, degrading.Name())
+	// Report layout dots only: defect pseudo-dots sit past index
+	// NumLayoutDots-1 and are an implementation detail of the engine.
+	nl, defectDots, freeDots := keyEng.NumLayoutDots(), keyEng.NumDots()-keyEng.NumLayoutDots(), len(keyEng.FreeIndices())
+	respond := func(sol sim.Solution) (*jobResult, error) {
 		resp := simulateResponse{
 			Solver:   sol.Solver,
 			Exact:    sol.Exact,
 			Dots:     nl,
-			FreeDots: len(eng.FreeIndices()),
+			FreeDots: freeDots,
 			EnergyEV: sol.EnergyEV,
-			Defects:  eng.NumDots() - nl,
+			Defects:  defectDots,
 			Degraded: sol.Degraded,
 			Charges:  make([]int, nl),
 		}
@@ -907,58 +973,40 @@ func (s *Server) prepareSimulate(req *simulateRequest) (*preparedOp, error) {
 				resp.Charges[i] = 1
 			}
 		}
-		body, err := json.Marshal(resp)
+		jr, err := jsonResult(resp)
 		if err != nil {
 			return nil, err
 		}
-		source := "miss"
-		if hit {
-			source = "hit"
+		jr.degraded, jr.solver = sol.Degraded, sol.Solver
+		return jr, nil
+	}
+
+	op := &preparedOp{kind: "simulate", key: key, timeoutMS: req.TimeoutMS, async: req.Async, span: "simulate",
+		attrs: []obs.Attr{{Key: "dots", Value: keyEng.NumDots()}}}
+	if defectDots > 0 {
+		op.attrs = append(op.attrs, obs.Attr{Key: "defect_dots", Value: defectDots})
+	}
+	op.compute = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, []byte, error) {
+		sol, err := degrading.Solve(sim.NewEngineOn(layout, params, surf), sim.SolveOptions{Ctx: ctx, Tracer: jtr})
+		if err != nil {
+			return nil, nil, err
 		}
-		return &jobResult{body: append(body, '\n'), source: source, degraded: sol.Degraded}, nil
+		jr, err := respond(sol)
+		if err != nil || sol.Degraded {
+			// A degraded solution reflects this call's deadline pressure, not
+			// the problem content: served, never cached.
+			return jr, nil, err
+		}
+		return jr, cache.EncodeSolution(sol, order), nil
+	}
+	op.replay = func(entry []byte) (*jobResult, error) {
+		sol, err := cache.DecodeSolution(entry, order)
+		if err != nil {
+			return nil, err
+		}
+		return respond(sol)
 	}
 	return op, nil
-}
-
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.tr.Counter("http/simulate").Inc()
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req simulateRequest
-	if !unmarshalBody(w, body, &req) {
-		return
-	}
-	op, err := s.prepareSimulate(&req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ik := idempotencyKey(r)
-	if s.idempotentReplay(w, r, ik, req.Async) {
-		return
-	}
-	if !req.Async && s.routeCluster(w, r, op, body) {
-		return
-	}
-	if !s.admit(w, "simulate") {
-		return
-	}
-	rid := obs.RequestIDFromContext(r.Context())
-	jtr := s.newJobTracer()
-	j, ok := s.submit(w, "simulate", rid, jtr,
-		&JobMeta{Path: "/v1/simulate", Body: body, Key: string(op.key), IdemKey: ik, TimeoutMS: op.timeoutMS},
-		s.jobFn(op, rid, obs.HopFromContext(r.Context()), jtr))
-	if !ok {
-		return
-	}
-	if req.Async {
-		w.Header().Set("Location", "/v1/jobs/"+j.ID)
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
-		return
-	}
-	s.await(w, r, j)
 }
 
 // ---- /v1/gates and /v1/gates/validate ----
@@ -1016,78 +1064,38 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 	truth := gatelib.TruthOf(f)
 	key := cache.ValidationKey(d, truth, params, solverName, surf)
 	gate := req.Gate
-
-	op := &preparedOp{kind: "validate", key: key, timeoutMS: req.TimeoutMS}
-	op.exec = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error) {
-		sp := jtr.Start("validate")
-		defer sp.End()
-		if rid := obs.RequestIDFromContext(ctx); rid != "" {
-			sp.SetAttr("request_id", rid)
-		}
-		sp.SetAttr("gate", gate)
-		v, hit, err := cache.CachedValidate(ctx, s.lru, s.tracedPeer(jtr), d, truth, params,
-			gatelib.ValidateOptions{Solver: solverName, Surface: surf})
-		if err != nil {
-			return nil, err
-		}
-		sp.SetAttr("cache_hit", hit)
-		if !hit {
-			s.coldSolve("validate")
-		}
-		if v.DefectBlocked {
-			sp.SetAttr("fail_kind", v.FailKind)
-		}
-		body, err := json.Marshal(validateResponse{
+	respond := func(v gatelib.Validation) (*jobResult, error) {
+		return jsonResult(validateResponse{
 			Gate: gate, OK: v.OK, Outputs: v.Outputs,
 			MinGapEV: v.MinGapEV, Method: v.Method,
 			FailKind: v.FailKind, DefectBlocked: v.DefectBlocked,
 		})
+	}
+
+	op := &preparedOp{kind: "validate", key: key, timeoutMS: req.TimeoutMS, span: "validate",
+		attrs: []obs.Attr{{Key: "gate", Value: gate}}}
+	op.compute = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, []byte, error) {
+		v, err := gatelib.ValidateWith(d, truth, params, gatelib.ValidateOptions{Solver: solverName, Surface: surf})
 		if err != nil {
+			return nil, nil, err
+		}
+		jr, err := respond(v)
+		if err != nil {
+			return nil, nil, err
+		}
+		// The cached value is the full Validation, including the
+		// per-pattern outputs and the minimum energy gap.
+		entry, err := json.Marshal(v)
+		return jr, entry, err
+	}
+	op.replay = func(entry []byte) (*jobResult, error) {
+		var v gatelib.Validation
+		if err := json.Unmarshal(entry, &v); err != nil {
 			return nil, err
 		}
-		source := "miss"
-		if hit {
-			source = "hit"
-		}
-		return &jobResult{body: append(body, '\n'), source: source}, nil
+		return respond(v)
 	}
 	return op, nil
-}
-
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	s.tr.Counter("http/validate").Inc()
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req validateRequest
-	if !unmarshalBody(w, body, &req) {
-		return
-	}
-	op, err := s.prepareValidate(&req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ik := idempotencyKey(r)
-	if s.idempotentReplay(w, r, ik, false) {
-		return
-	}
-	if s.routeCluster(w, r, op, body) {
-		return
-	}
-	if !s.admit(w, "validate") {
-		return
-	}
-	rid := obs.RequestIDFromContext(r.Context())
-	jtr := s.newJobTracer()
-	j, ok := s.submit(w, "validate", rid, jtr,
-		&JobMeta{Path: "/v1/gates/validate", Body: body, Key: string(op.key), IdemKey: ik, TimeoutMS: op.timeoutMS},
-		s.jobFn(op, rid, obs.HopFromContext(r.Context()), jtr))
-	if !ok {
-		return
-	}
-	s.await(w, r, j)
 }
 
 func (s *Server) handleGates(w http.ResponseWriter, r *http.Request) {
@@ -1506,10 +1514,10 @@ func (s *Server) statsSnapshot() overview.Stats {
 		st.RingMembers = s.node.Status().RingMembers
 	}
 	st.Cache["mem"] = overview.CacheTier{HitRate: s.lru.Stats().HitRate()}
-	if r, ok := s.flow.Disk.(*cache.Resilient); ok {
+	if r, ok := s.tiers.Disk.(*cache.Resilient); ok {
 		st.Cache["disk"] = overview.CacheTier{BreakerState: r.State().String()}
 	}
-	if r, ok := s.peer.(*cache.Resilient); ok {
+	if r, ok := s.tiers.Peer.(*cache.Resilient); ok {
 		st.Cache["peer"] = overview.CacheTier{BreakerState: r.State().String()}
 	}
 	return st

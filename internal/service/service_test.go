@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	_ "repro/internal/sim/quickexact" // register the pruned exact backend
 )
 
@@ -115,22 +116,52 @@ func TestFlowWarmCacheByteIdentical(t *testing.T) {
 	}
 }
 
-func TestFlowDiskCacheSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
-	req := map[string]any{"bench": "xor2", "engine": "ortho"}
-	resp1, body1 := postJSON(t, ts.URL+"/v1/flow", req)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("cold flow: %d %s", resp1.StatusCode, body1)
-	}
-	// A fresh server over the same cache dir must hit the disk layer.
-	_, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
-	resp2, body2 := postJSON(t, ts2.URL+"/v1/flow", req)
-	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Fatalf("restarted server X-Cache = %q", got)
-	}
-	if !bytes.Equal(body1, body2) {
-		t.Fatal("disk-replayed body differs")
+// TestDiskCacheSurvivesRestart: every cached result kind is written
+// through to the disk tier, so a fresh server over the same cache dir
+// serves it warm — to clients, and to fleet peers over the
+// /internal/cache protocol before anything has reloaded it into memory.
+func TestDiskCacheSurvivesRestart(t *testing.T) {
+	for _, c := range []struct {
+		kind, path string
+		req        map[string]any
+	}{
+		{"flow", "/v1/flow", map[string]any{"bench": "xor2", "engine": "ortho"}},
+		{"simulate", "/v1/simulate", fourDots()},
+		{"validate", "/v1/gates/validate", map[string]any{"gate": "wire:iNE:oSW"}},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+			resp1, body1 := postJSON(t, ts1.URL+c.path, c.req)
+			if resp1.StatusCode != http.StatusOK || resp1.Header.Get("X-Cache") != "miss" {
+				t.Fatalf("cold: %d X-Cache %q: %s", resp1.StatusCode, resp1.Header.Get("X-Cache"), body1)
+			}
+			raw, _ := json.Marshal(c.req)
+			op, err := findRoute(func(rt *opRoute) bool { return rt.path == c.path }).prepare(s1, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry, ok := s1.lru.Peek(op.key)
+			if !ok {
+				t.Fatalf("cold result not cached under %s", op.key)
+			}
+
+			s2, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+			r, b := getURL(t, ts2.URL+"/internal/cache/"+string(op.key))
+			if r.StatusCode != http.StatusOK || !bytes.Equal(b, entry) {
+				t.Fatalf("peer read after restart: %d, entry matches %v", r.StatusCode, bytes.Equal(b, entry))
+			}
+			resp2, body2 := postJSON(t, ts2.URL+c.path, c.req)
+			if got := resp2.Header.Get("X-Cache"); got != "hit" {
+				t.Fatalf("restarted server X-Cache = %q", got)
+			}
+			if !bytes.Equal(body1, body2) {
+				t.Fatal("disk-replayed body differs")
+			}
+			if n := s2.tr.Counter(obs.Labeled("jobs/cold_solves_total", "kind", c.kind)).Value(); n != 0 {
+				t.Fatalf("restarted server solved %d times; want 0", n)
+			}
+		})
 	}
 }
 

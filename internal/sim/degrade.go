@@ -31,7 +31,7 @@ const DefaultDegradeMargin = 250 * time.Millisecond
 // Mechanically, the inner solver runs under a sub-deadline that reserves
 // Margin of the caller's budget; if it fails while the caller's context is
 // still alive, the annealer runs on what remains and the solution is
-// marked Degraded (never cached, see cache.CachedSolver). When the
+// marked Degraded (never cached, see cache.Tiers). When the
 // remaining budget is already below Margin the exact attempt is skipped
 // outright. An inner annealer is returned unwrapped — there is no cheaper
 // rung to fall to.

@@ -21,11 +21,13 @@ import (
 //   - default recovery: every pre-crash job id still answers on
 //     /v1/jobs/{id}; jobs the kill stranded surface as failed with
 //     error_kind "interrupted" and journal_recovered_total counts them,
-//   - -recover resubmit: a stranded flow re-runs from its journaled
-//     request bytes under its pre-crash id and completes,
+//   - -recover resubmit: stranded jobs re-run from their journaled
+//     request bytes under their pre-crash ids; the resubmitted sweep is
+//     cancelled and the flows queued behind it complete,
 //   - disk-cache integrity: a cache entry truncated while the daemon is
-//     down is quarantined as a clean miss on restart, and the re-solve
-//     answers byte-identically to the original.
+//     down is quarantined as a clean miss on restart (X-Cache: miss and
+//     one more cold flow solve), and the re-solve answers byte-identically
+//     to the original.
 func durabilityScenario(bin string) {
 	tmp, err := os.MkdirTemp("", "chaos-durability-*")
 	if err != nil {
@@ -91,8 +93,24 @@ func durabilityScenario(bin string) {
 
 	d4 := durStart(bin, addr2, journalB, "", "resubmit")
 	fleetWaitHealthy(target2, 30*time.Second)
+	// The sweep resubmits like every compute job, but it runs far longer
+	// than this smoke: cancel it so the flows queued behind it get the
+	// worker.
+	sweepID := ids2[0]
+	if st := durJob(target2, sweepID); st.State != "queued" && st.State != "running" {
+		fatal(fmt.Errorf("durability: stranded sweep recovered as %q/%q; want resubmitted", st.State, st.ErrorKind))
+	}
+	req, _ := http.NewRequest(http.MethodDelete, target2+"/v1/jobs/"+sweepID, nil)
+	if resp, err := http.DefaultClient.Do(req); err != nil {
+		fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+	if st := durWaitTerminal(target2, sweepID, 30*time.Second); st.State != "canceled" {
+		fatal(fmt.Errorf("durability: cancelled resubmitted sweep ended %q", st.State))
+	}
 	resubmitDone := 0
-	for _, id := range ids2 {
+	for _, id := range ids2[1:] {
 		st := durWaitTerminal(target2, id, 60*time.Second)
 		if st.State == "done" {
 			resubmitDone++
@@ -106,8 +124,8 @@ func durabilityScenario(bin string) {
 		fatal(fmt.Errorf("durability: journal_recovered_total{outcome=\"resubmitted\"} not exported"))
 	}
 	durStop(d4)
-	fmt.Printf("chaos-smoke: durability: resubmit recovery completed %d/%d pre-crash jobs\n",
-		resubmitDone, len(ids2))
+	fmt.Printf("chaos-smoke: durability: resubmit recovery re-ran the sweep and completed %d/%d pre-crash flows\n",
+		resubmitDone, len(ids2)-1)
 
 	// ---- phase 3: corrupted disk-cache entry -> quarantined clean miss ----
 
@@ -143,17 +161,22 @@ func durabilityScenario(bin string) {
 
 	d6 := durStart(bin, addr3, "", cacheDir, "fail")
 	fleetWaitHealthy(target3, 30*time.Second)
+	const coldFlows = `jobs_cold_solves_total{kind="flow"}`
+	coldBefore := max(0, metricValue(durRawGet(target3), coldFlows))
 	code, hdr, warm := durPost(target3, "/v1/flow", flowReq)
 	if code != http.StatusOK {
 		fatal(fmt.Errorf("durability: post-corruption flow: status %d: %s", code, warm))
 	}
-	if hdr.Get("X-Cache") == "disk" {
-		fatal(fmt.Errorf("durability: corrupt disk entry served as a hit"))
+	if got := hdr.Get("X-Cache"); got != "miss" {
+		fatal(fmt.Errorf("durability: corrupt disk entry answered X-Cache %q; want miss", got))
 	}
 	if !bytes.Equal(cold, warm) {
 		fatal(fmt.Errorf("durability: re-solve after corruption differs from original\ncold: %s\nwarm: %s", cold, warm))
 	}
 	m3 := durRawGet(target3)
+	if v := metricValue(m3, coldFlows); v != coldBefore+1 {
+		fatal(fmt.Errorf("durability: %s = %v after the re-solve; want %v", coldFlows, v, coldBefore+1))
+	}
 	if v := metricValue(m3, "cache_disk_corrupt_total"); v < 1 {
 		fatal(fmt.Errorf("durability: cache_disk_corrupt_total = %v; want >= 1", v))
 	}
@@ -248,32 +271,38 @@ type durStatus struct {
 	ErrorKind string `json:"error_kind"`
 }
 
-// durWaitTerminal polls /v1/jobs/{id} until the job is terminal. A 404
-// is an immediate failure: journaled ids must never be lost.
+// durJob reads a job's status. A 404 is an immediate failure: journaled
+// ids must never be lost.
+func durJob(target, id string) durStatus {
+	resp, err := http.Get(target + "/v1/jobs/" + id)
+	if err != nil {
+		fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		fatal(fmt.Errorf("durability: GET /v1/jobs/%s = %d (%s); pre-crash id lost", id, resp.StatusCode, body))
+	}
+	var out struct {
+		Job durStatus `json:"job"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		fatal(fmt.Errorf("durability: job %s: %w", id, err))
+	}
+	return out.Job
+}
+
+// durWaitTerminal polls /v1/jobs/{id} until the job is terminal.
 func durWaitTerminal(target, id string, timeout time.Duration) durStatus {
 	deadline := time.Now().Add(timeout)
 	for {
-		resp, err := http.Get(target + "/v1/jobs/" + id)
-		if err != nil {
-			fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			fatal(fmt.Errorf("durability: GET /v1/jobs/%s = %d (%s); pre-crash id lost", id, resp.StatusCode, body))
-		}
-		var out struct {
-			Job durStatus `json:"job"`
-		}
-		if err := json.Unmarshal(body, &out); err != nil {
-			fatal(fmt.Errorf("durability: job %s: %w", id, err))
-		}
-		switch out.Job.State {
+		st := durJob(target, id)
+		switch st.State {
 		case "done", "failed", "canceled":
-			return out.Job
+			return st
 		}
 		if time.Now().After(deadline) {
-			fatal(fmt.Errorf("durability: job %s still %q after %s", id, out.Job.State, timeout))
+			fatal(fmt.Errorf("durability: job %s still %q after %s", id, st.State, timeout))
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
