@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-sim bench-cache bench-service bench-fleet bench-diff bench-pnr bench-engines bench-defects table1 serve serve-smoke chaos-smoke clean
+.PHONY: all build test check race bench bench-sim bench-cache bench-service bench-fleet bench-diff bench-pnr bench-engines bench-defects table1 npn-table serve serve-smoke chaos-smoke clean
 
 all: build
 
@@ -98,6 +98,12 @@ bench-defects:
 
 table1:
 	$(GO) run ./cmd/table1
+
+# npn-table regenerates internal/logic/npn/table.go, the exact NPN database
+# rewriting reads: SAT exact synthesis of all 243 NPN classes of up to four
+# inputs (a few minutes of CPU; the output does not depend on core count).
+npn-table:
+	$(GO) generate ./internal/logic/npn
 
 # serve runs the design-service daemon on :8711.
 serve:

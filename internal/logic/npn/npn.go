@@ -1,6 +1,9 @@
-// Package npn implements NPN canonicalization and SAT-based exact synthesis
-// of minimal XAG structures, forming the "exact NPN database" that flow step
-// (2) of the Bestagon paper uses for cut-based logic rewriting [38].
+// Package npn implements NPN canonicalization and the "exact NPN database"
+// that flow step (2) of the Bestagon paper uses for cut-based logic
+// rewriting [38]: one minimal XAG structure per NPN class of up to four
+// inputs. SAT-based exact synthesis (Synthesizer) finds the structures
+// once, ahead of time; gentable writes them to table.go, and Database
+// answers lookups from that static table.
 //
 // Two functions are NPN-equivalent if one can be obtained from the other by
 // Negating inputs, Permuting inputs, and/or Negating the output. Rewriting
@@ -11,6 +14,7 @@ package npn
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/logic/tt"
 )
@@ -130,19 +134,32 @@ func Canonize(f tt.TT) (canon tt.TT, tr Transform) {
 	return best, bestTr.Inverse()
 }
 
-// ClassCount enumerates the number of distinct NPN classes among all
-// functions of n ≤ 4 variables; exposed for validation (n=2: 4, n=3: 14,
-// n=4: 222).
-func ClassCount(n int) int {
-	seen := make(map[uint64]bool)
+// Classes returns the canon of every NPN class of n ≤ 4 variables in
+// ascending truth-table order (1, 2, 4, 14 and 222 classes for n = 0..4).
+// It walks all 2^(2^n) functions, canonizes the first member of each new
+// class and marks the class's whole orbit, so each class is canonized once.
+func Classes(n int) []tt.TT {
 	total := 1 << (1 << n)
+	member := make([]bool, total)
+	var out []tt.TT
 	for v := 0; v < total; v++ {
+		if member[v] {
+			continue
+		}
 		f := tt.New(n)
 		for i := 0; i < f.Bits(); i++ {
 			f.Set(i, v>>i&1 == 1)
 		}
-		c, _ := Canonize(f)
-		seen[c.Word()] = true
+		canon, _ := Canonize(f)
+		for _, perm := range permutations(n) {
+			for flip := uint32(0); flip < 1<<n; flip++ {
+				for _, neg := range []bool{false, true} {
+					member[Transform{Perm: perm, FlipIn: flip, FlipOut: neg}.Apply(canon).Word()] = true
+				}
+			}
+		}
+		out = append(out, canon)
 	}
-	return len(seen)
+	sort.Slice(out, func(i, j int) bool { return out[i].Word() < out[j].Word() })
+	return out
 }

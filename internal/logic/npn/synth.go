@@ -1,7 +1,6 @@
 package npn
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/logic/tt"
@@ -80,13 +79,6 @@ func NewSynthesizer() *Synthesizer {
 // Synthesize returns a minimal (up to budget cut-offs) XAG structure
 // computing f, trying gate counts from a trivial lower bound upward.
 func (sy *Synthesizer) Synthesize(f tt.TT) (Structure, error) {
-	return sy.SynthesizeContext(context.Background(), f)
-}
-
-// SynthesizeContext is Synthesize under a context: cancellation or
-// deadline expiry interrupts the SAT searches and returns the context's
-// error. A nil context behaves like context.Background.
-func (sy *Synthesizer) SynthesizeContext(ctx context.Context, f tt.TT) (Structure, error) {
 	n := f.NumVars()
 	// Trivial cases: constants and (complemented) projections.
 	if isConst, val := f.IsConst(); isConst {
@@ -102,7 +94,7 @@ func (sy *Synthesizer) SynthesizeContext(ctx context.Context, f tt.TT) (Structur
 		}
 	}
 	for r := 1; r <= sy.MaxGates; r++ {
-		st, status := sy.trySize(ctx, f, r)
+		st, status := sy.trySize(f, r)
 		switch status {
 		case sat.Sat:
 			// Sanity check: reject miscompiled structures outright.
@@ -111,9 +103,6 @@ func (sy *Synthesizer) SynthesizeContext(ctx context.Context, f tt.TT) (Structur
 			}
 			return st, nil
 		case sat.Unsat, sat.Unknown:
-			if ctx != nil && ctx.Err() != nil {
-				return Structure{}, fmt.Errorf("npn: synthesis canceled: %w", ctx.Err())
-			}
 			continue
 		}
 	}
@@ -121,7 +110,7 @@ func (sy *Synthesizer) SynthesizeContext(ctx context.Context, f tt.TT) (Structur
 }
 
 // trySize asks the SAT solver whether an r-gate XAG computing f exists.
-func (sy *Synthesizer) trySize(ctx context.Context, f tt.TT, r int) (Structure, sat.Status) {
+func (sy *Synthesizer) trySize(f tt.TT, r int) (Structure, sat.Status) {
 	n := f.NumVars()
 	rows := f.Bits()
 	s := sat.New()
@@ -230,7 +219,7 @@ func (sy *Synthesizer) trySize(ctx context.Context, f tt.TT, r int) (Structure, 
 		s.AddClause(uses...)
 	}
 
-	status := s.SolveContext(ctx)
+	status := s.Solve()
 	if status != sat.Sat {
 		return Structure{}, status
 	}

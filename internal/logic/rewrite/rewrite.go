@@ -26,7 +26,8 @@ type Options struct {
 	CutsPerNode int
 	// MaxIterations bounds the greedy replacement loop (default 50).
 	MaxIterations int
-	// DB is the exact NPN database; nil allocates a fresh one.
+	// DB is the exact NPN database; nil allocates one over the generated
+	// table (a database only tracks which classes it has served).
 	DB *npn.Database
 }
 
@@ -55,10 +56,8 @@ func Rewrite(x *network.XAG, opts Options) *network.XAG {
 }
 
 // RewriteContext is Rewrite under a context: cancellation or deadline
-// expiry interrupts the exact-synthesis SAT searches and the greedy loop,
-// returning the context's error. The rewriting loop dominates the flow's
-// runtime on synthesis-heavy networks, so flow-wide cancellation depends
-// on this path aborting promptly. A nil context behaves like
+// expiry interrupts the greedy loop, which polls the context at every node,
+// and returns the context's error. A nil context behaves like
 // context.Background.
 func RewriteContext(ctx context.Context, x *network.XAG, opts Options) (*network.XAG, error) {
 	o := opts.withDefaults()
@@ -291,7 +290,7 @@ func rewriteOnce(ctx context.Context, x *network.XAG, o Options) (bool, *network
 			if !ok {
 				continue
 			}
-			st, ok := o.DB.LookupContext(ctx, f)
+			st, ok := o.DB.Lookup(f)
 			if !ok {
 				continue
 			}

@@ -6,13 +6,7 @@ import (
 
 	"repro/internal/logic/bench"
 	"repro/internal/logic/network"
-	"repro/internal/logic/npn"
 )
-
-// sharedDB caches exact synthesis results across tests to keep runtime low.
-var sharedDB = npn.NewDatabase(nil)
-
-func opts() Options { return Options{DB: sharedDB} }
 
 func checkSameFunction(t *testing.T, a, b *network.XAG) {
 	t.Helper()
@@ -36,7 +30,7 @@ func TestRewriteRedundantMux(t *testing.T) {
 	f := x.Or(t0, t1)
 	x.NewPO(f, "f")
 	before := x.NumGates()
-	y := Rewrite(x, opts())
+	y := Rewrite(x, Options{})
 	checkSameFunction(t, x, y)
 	if y.NumGates() > before {
 		t.Errorf("rewriting grew the network: %d -> %d", before, y.NumGates())
@@ -55,7 +49,7 @@ func TestRewriteCollapsesDuplicatedLogic(t *testing.T) {
 	x.NewPO(x1, "f1")
 	x.NewPO(x2, "f2")
 	before := x.NumGates()
-	y := Rewrite(x, opts())
+	y := Rewrite(x, Options{})
 	checkSameFunction(t, x, y)
 	if y.NumGates() >= before {
 		t.Errorf("expected shrink: %d -> %d", before, y.NumGates())
@@ -68,7 +62,7 @@ func TestRewriteAllBenchmarksPreserveFunction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y := Rewrite(x, opts())
+		y := Rewrite(x, Options{})
 		checkSameFunction(t, x, y)
 		if y.NumGates() > x.NumGates() {
 			t.Errorf("%s: rewriting grew the network %d -> %d", name, x.NumGates(), y.NumGates())
@@ -83,7 +77,7 @@ func TestRewriteXor5MajorityShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := Rewrite(x, opts())
+	y := Rewrite(x, Options{})
 	checkSameFunction(t, x, y)
 	if y.NumGates() > x.NumGates()/2 {
 		t.Errorf("expected strong reduction, got %d -> %d", x.NumGates(), y.NumGates())
@@ -95,8 +89,8 @@ func TestRewriteIdempotentOnOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := Rewrite(x, opts())
-	z := Rewrite(y, opts())
+	y := Rewrite(x, Options{})
+	z := Rewrite(y, Options{})
 	if z.NumGates() != y.NumGates() {
 		t.Errorf("second rewrite changed size: %d -> %d", y.NumGates(), z.NumGates())
 	}
@@ -123,7 +117,7 @@ func TestRewriteRandomNetworks(t *testing.T) {
 		x.NewPO(sigs[len(sigs)-1], "f")
 		x.NewPO(sigs[len(sigs)-2], "g")
 		xc := x.Cleanup()
-		y := Rewrite(xc, opts())
+		y := Rewrite(xc, Options{})
 		checkSameFunction(t, xc, y)
 		if y.NumGates() > xc.NumGates() {
 			t.Errorf("trial %d: grew %d -> %d", trial, xc.NumGates(), y.NumGates())

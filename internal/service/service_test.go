@@ -165,16 +165,44 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	}
 }
 
+// slowPNRNetlist is a fixed random 5-input, 14-gate netlist whose exact
+// placement and routing is a long SAT size search: 3.5–7 s cold to a 5×15
+// layout on a 2-core x86-64 host, while rewriting and mapping take
+// milliseconds.
+const slowPNRNetlist = `INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+INPUT(e)
+OUTPUT(f)
+OUTPUT(g)
+n0 = NAND(a, b)
+n1 = NAND(b, c)
+n2 = NAND(c, d)
+n3 = XOR(d, e)
+n4 = XOR(e, a)
+n5 = AND(n1, n3)
+n6 = AND(n2, e)
+n7 = AND(n3, c)
+n8 = NAND(n4, a)
+n9 = XOR(n5, n8)
+n10 = AND(n7, n0)
+n11 = NAND(n9, n5)
+g = OR(n11, n7)
+f = OR(n10, n1)
+`
+
 // TestFlowCancellation is the flow-wide cancellation acceptance test: the
-// exact engine on majority_5_r1 runs for several seconds cold (measured
-// ~5s), so a 200ms job deadline can only be met by the SAT search aborting
-// mid-run. The request must come back canceled well under the cold
-// runtime.
+// exact engine on slowPNRNetlist spends seconds cold in the P&R size
+// search. The request must come back canceled well under the cold
+// runtime, and the run itself, which single-flight detaches from the
+// request but which keeps its 200ms deadline, must abort that SAT search
+// mid-run: its pnr stage has to end far below the cold runtime too.
 func TestFlowCancellation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	start := time.Now()
 	resp, body := postJSON(t, ts.URL+"/v1/flow", map[string]any{
-		"bench":      "majority_5_r1",
+		"source":     slowPNRNetlist,
 		"engine":     "exact",
 		"timeout_ms": 200,
 	})
@@ -187,6 +215,15 @@ func TestFlowCancellation(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "canceled") {
 		t.Fatalf("body does not report cancellation: %s", body)
+	}
+	pnr := s.tr.Histogram(obs.Labeled("flow_stage_seconds", "stage", "pnr"), obs.DefBuckets...)
+	for stop := time.Now().Add(3 * time.Second); pnr.Count() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(stop) {
+			t.Fatal("the P&R search was still running 3s after the deadline")
+		}
+	}
+	if sec := pnr.Sum(); sec > 1.5 {
+		t.Fatalf("the P&R search ran %.2fs; it did not stop at the deadline", sec)
 	}
 }
 
