@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-sim bench-cache bench-service bench-fleet bench-diff bench-pnr bench-engines bench-defects table1 npn-table serve serve-smoke chaos-smoke clean
+.PHONY: all build test check race bench bench-sim bench-service bench-fleet bench-diff bench-pnr bench-engines bench-defects table1 npn-table serve serve-smoke chaos-smoke clean
 
 all: build
 
@@ -47,12 +47,6 @@ bench-sim:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-cache measures the bestagond result cache: cold vs warm latency
-# over the simulation and flow endpoints, with a byte-identity check
-# between cold and warm responses. Writes BENCH_cache.json.
-bench-cache:
-	$(GO) run ./cmd/benchcache
 
 # bench-service boots the real bestagond binary and measures end-to-end
 # service latency (throughput, p50/p90/p99, cache hit rate) under a mixed

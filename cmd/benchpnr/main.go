@@ -132,7 +132,7 @@ func runBench(name string, maxArea int, budget int64, timeout time.Duration) ben
 		}
 		row.Gates = len(g.Nodes)
 		opts := pnr.ExactOptions{MaxArea: maxArea, ConflictBudget: budget, Tracer: tr}
-		return pnr.ExactContext(ctx, g, opts)
+		return pnr.Exact(ctx, g, opts)
 	}()
 	row.TotalSeconds = time.Since(start).Seconds()
 	if err != nil {

@@ -18,7 +18,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/clocking"
@@ -216,7 +215,7 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 		layout, _, err = pnr.OrthoAvoiding(ctx, g, tr, blocker, 0)
 		res.EngineUsed = "ortho"
 	case EngineExact:
-		layout, err = pnr.ExactContext(ctx, g, ex)
+		layout, err = pnr.Exact(ctx, g, ex)
 		res.EngineUsed = "exact"
 	default:
 		// The auto engine is a degradation ladder: exact SAT-based P&R
@@ -240,7 +239,7 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 		}
 		deadlinePressure := skipExact
 		if !skipExact {
-			layout, err = pnr.ExactContext(exactCtx, g, ex)
+			layout, err = pnr.Exact(exactCtx, g, ex)
 			res.EngineUsed = "exact"
 			deadlinePressure = err != nil && exactCtx.Err() != nil
 		}
@@ -340,22 +339,14 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 			free := len(eng.FreeIndices())
 			sol, serr := solver.Solve(eng, sim.SolveOptions{Tracer: tr, Ctx: ctx})
 			if serr != nil {
+				// The ladder fails only once ctx is done: an exact backend
+				// that gives up with budget left is retried with annealing
+				// inside it.
+				sp.End()
 				if cerr := ctx.Err(); cerr != nil {
-					sp.End()
 					return res, fmt.Errorf("core: cell simulation canceled: %w", cerr)
 				}
-				// An exact backend that gives up (enumeration limit, node
-				// budget) degrades to annealing rather than failing the
-				// whole flow. The degrade is loud: exactness was requested
-				// but the result is no longer provably minimal.
-				tr.Counter("sim/degraded_to_anneal").Inc()
-				sim.ExhaustiveDegrades.Inc()
-				fmt.Fprintf(os.Stderr, "core: warning: cell simulation degraded to annealing (%v)\n", serr)
-				cfg := sim.DefaultAnnealConfig()
-				cfg.Tracer = tr
-				cfg.Ctx = ctx
-				gs, en := eng.Anneal(cfg)
-				sol = sim.Solution{Charges: gs, EnergyEV: en, Solver: "anneal"}
+				return res, fmt.Errorf("core: cell simulation: %w", serr)
 			}
 			res.CellSim = &CellSimResult{
 				Solver:   sol.Solver,

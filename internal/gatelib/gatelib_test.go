@@ -1,6 +1,7 @@
 package gatelib
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -159,7 +160,7 @@ func TestApplyProducesCellLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := pnr.Ortho(g, nil)
+	l, err := pnr.Ortho(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestApplyAllBenchmarksStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := pnr.Ortho(g, nil)
+		l, err := pnr.Ortho(context.Background(), g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func usedTiles(l interface{ Tiles() []hexgrid.Offset }) map[hexgrid.Offset]bool 
 // functionally equivalent.
 func TestExactAvoidsDefectTile(t *testing.T) {
 	g := expandBench(t, "xor2")
-	clean, err := Exact(g, ExactOptions{})
+	clean, err := Exact(context.Background(), g, ExactOptions{})
 	if err != nil {
 		t.Fatalf("clean exact failed: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestExactAvoidsDefectTile(t *testing.T) {
 		}
 	}
 	blocked := func(at hexgrid.Offset) bool { return at == target }
-	rerouted, err := Exact(g, ExactOptions{Blocked: blocked})
+	rerouted, err := Exact(context.Background(), g, ExactOptions{Blocked: blocked})
 	if err != nil {
 		// Honest failure is acceptable, but it must carry the sentinel.
 		if !errors.Is(err, defects.ErrBlocked) {
@@ -81,7 +81,7 @@ func TestExactAvoidsDefectTile(t *testing.T) {
 // makes every size UNSAT; the error must wrap defects.ErrBlocked.
 func TestExactUnsatWhenEverythingBlocked(t *testing.T) {
 	g := expandBench(t, "xor2")
-	_, err := Exact(g, ExactOptions{
+	_, err := Exact(context.Background(), g, ExactOptions{
 		MaxArea: 12, // keep the futile size sweep short
 		Blocked: func(hexgrid.Offset) bool { return true },
 	})

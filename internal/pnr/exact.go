@@ -58,18 +58,9 @@ func (o ExactOptions) withDefaults(g *RGraph) ExactOptions {
 // grid dimensions in order of increasing area and solving each with a SAT
 // encoding of the row-based hexagonal fabric — the paper's flow step (4)
 // following the exact method of [46], adjusted to hexagonal layouts and
-// the Bestagon library.
-func Exact(g *RGraph, opts ExactOptions) (*gatelayout.Layout, error) {
-	return ExactContext(context.Background(), g, opts)
-}
-
-// ExactContext is Exact under a context: cancellation or deadline expiry
-// interrupts the SAT search mid-solve and returns the context's error. A
-// nil context behaves like context.Background.
-func ExactContext(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layout, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// the Bestagon library. Cancellation or deadline expiry of ctx interrupts
+// the SAT search mid-solve and returns the context's error.
+func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layout, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,21 +128,24 @@ func ExactContext(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayou
 	return nil, fmt.Errorf("pnr: no exact layout within area %d for %s", o.MaxArea, g.Name)
 }
 
-// exactEncoder carries the SAT encoding state for one grid size.
+// exactEncoder carries the SAT encoding state for one grid size. The
+// variable tables are dense, indexed id*nT + tile, where id is a node for
+// x and an edge for the others; lFalse marks a tile outside the
+// variable's window. Clauses are emitted in id × tile order, so one graph
+// and one grid size always give the solver the same formula.
 type exactEncoder struct {
 	g       *RGraph
 	w, h    int
+	nT      int // w*h tiles
 	s       *sat.Solver
 	asap    []int
 	alap    []int
-	x       map[[2]int]sat.Lit // (nodeID, tileIdx) -> placement var
-	we      map[[2]int]sat.Lit // (edgeID, tileIdx) -> wire var
-	outSW   map[[2]int]sat.Lit
-	arrNW   map[[2]int]sat.Lit
-	arrNE   map[[2]int]sat.Lit
-	emit    map[[2]int]sat.Lit
-	nodeAt  []sat.Lit // tileIdx -> "tile hosts a node"
-	swapVar map[int]sat.Lit
+	x       []sat.Lit // node placed on the tile
+	we      []sat.Lit // edge wired through the tile
+	emit    []sat.Lit // tile emits the edge (as its wire or its source)
+	outSW   []sat.Lit // the emission leaves via SW (else SE)
+	arrNW   []sat.Lit // edge arrives from the NW neighbor
+	arrNE   []sat.Lit // edge arrives from the NE neighbor
 	lFalse  sat.Lit
 	blocked func(hexgrid.Offset) bool // defect-afflicted tiles; may be nil
 }
@@ -169,30 +163,33 @@ func (e *exactEncoder) inGrid(at hexgrid.Offset) bool {
 	return at.X >= 0 && at.X < e.w && at.Y >= 0 && at.Y < e.h
 }
 
-// nodeRows returns the allowed row window of a node.
-func (e *exactEncoder) nodeRows(n int) (int, int) {
-	nd := e.g.Nodes[n]
-	switch nd.Func {
+// nodeTiles returns the tile range [lo, hi) of a node's row window.
+func (e *exactEncoder) nodeTiles(n int) (int, int) {
+	lo, hi := max(e.asap[n], 1), min(e.alap[n], e.h-2)
+	switch e.g.Nodes[n].Func {
 	case gates.PI:
-		return 0, 0
+		lo, hi = 0, 0
 	case gates.PO:
-		return e.h - 1, e.h - 1
-	default:
-		lo, hi := e.asap[n], e.alap[n]
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > e.h-2 {
-			hi = e.h - 2
-		}
-		return lo, hi
+		lo, hi = e.h-1, e.h-1
 	}
+	return lo * e.w, (hi + 1) * e.w
 }
 
-// edgeRows returns the wire row window of an edge.
-func (e *exactEncoder) edgeRows(eid int) (int, int) {
+// edgeTiles returns the tile range [lo, hi) of an edge's wire rows: strictly
+// between its source's earliest and its destination's latest row, which
+// keeps wires off the PI and PO rows.
+func (e *exactEncoder) edgeTiles(eid int) (int, int) {
 	ed := e.g.Edges[eid]
-	return e.asap[ed.Src] + 1, e.alap[ed.Dst] - 1
+	return (e.asap[ed.Src] + 1) * e.w, e.alap[ed.Dst] * e.w
+}
+
+// table returns a variable table for ids × tiles with every entry lFalse.
+func (e *exactEncoder) table(ids int) []sat.Lit {
+	t := make([]sat.Lit, ids*e.nT)
+	for i := range t {
+		t[i] = e.lFalse
+	}
+	return t
 }
 
 // solveSize attempts one grid size, recording the (w, h) attempt and its
@@ -233,13 +230,8 @@ func solveSize(ctx context.Context, g *RGraph, w, h int, o ExactOptions) (layout
 	}
 
 	enc := &exactEncoder{
-		g: g, w: w, h: h, s: sat.New(),
+		g: g, w: w, h: h, nT: w * h, s: sat.New(),
 		asap: asap, alap: alap,
-		x:     map[[2]int]sat.Lit{},
-		we:    map[[2]int]sat.Lit{},
-		outSW: map[[2]int]sat.Lit{}, arrNW: map[[2]int]sat.Lit{},
-		arrNE: map[[2]int]sat.Lit{}, emit: map[[2]int]sat.Lit{},
-		swapVar: map[int]sat.Lit{},
 		blocked: o.Blocked,
 	}
 	enc.s.MaxConflicts = o.ConflictBudget
@@ -280,29 +272,21 @@ func solveSize(ctx context.Context, g *RGraph, w, h int, o ExactOptions) (layout
 	return l, sat.Sat
 }
 
-// litOrFalse returns the mapped literal or constant false.
-func litOrFalse(m map[[2]int]sat.Lit, key [2]int, f sat.Lit) sat.Lit {
-	if l, ok := m[key]; ok {
-		return l
-	}
-	return f
-}
-
 // build emits the whole encoding.
 func (e *exactEncoder) build() {
-	g, s := e.g, e.s
+	g, s, nT := e.g, e.s, e.nT
+	e.x = e.table(len(g.Nodes))
+	e.we, e.emit, e.outSW = e.table(len(g.Edges)), e.table(len(g.Edges)), e.table(len(g.Edges))
+	e.arrNW, e.arrNE = e.table(len(g.Edges)), e.table(len(g.Edges))
 
-	// Placement variables within row windows.
+	// Placement variables within row windows: exactly one tile per node.
 	for n := range g.Nodes {
-		lo, hi := e.nodeRows(n)
+		lo, hi := e.nodeTiles(n)
 		var all []sat.Lit
-		for y := lo; y <= hi; y++ {
-			for xx := 0; xx < e.w; xx++ {
-				t := e.tileIdx(hexgrid.Offset{X: xx, Y: y})
-				v := s.NewVar()
-				e.x[[2]int{n, t}] = v
-				all = append(all, v)
-			}
+		for t := lo; t < hi; t++ {
+			v := s.NewVar()
+			e.x[n*nT+t] = v
+			all = append(all, v)
 		}
 		s.AddClause(all...) // at least one
 		for i := 0; i < len(all); i++ {
@@ -314,149 +298,38 @@ func (e *exactEncoder) build() {
 
 	// Wire variables within edge windows.
 	for eid := range g.Edges {
-		lo, hi := e.edgeRows(eid)
-		for y := lo; y <= hi; y++ {
-			if y < 1 || y > e.h-2 {
-				continue
-			}
-			for xx := 0; xx < e.w; xx++ {
-				t := e.tileIdx(hexgrid.Offset{X: xx, Y: y})
-				e.we[[2]int{eid, t}] = s.NewVar()
-			}
+		lo, hi := e.edgeTiles(eid)
+		for t := lo; t < hi; t++ {
+			e.we[eid*nT+t] = s.NewVar()
 		}
 	}
 
-	// emit / outSW / arrNW / arrNE variables where meaningful.
+	// Emission sites (the edge's wire tiles and its source's placement
+	// tiles) get emit/outSW; arrival sites (wire tiles and the
+	// destination's placement tiles) get arrNW/arrNE.
 	for eid, ed := range g.Edges {
-		// Emission sites: wire tiles of e plus placement tiles of src.
-		addEmit := func(t int) {
-			key := [2]int{eid, t}
-			if _, ok := e.emit[key]; ok {
-				return
+		for t := 0; t < nT; t++ {
+			i := eid*nT + t
+			if e.we[i] != e.lFalse || e.x[ed.Src*nT+t] != e.lFalse {
+				e.emit[i] = s.NewVar()
+				e.outSW[i] = s.NewVar()
 			}
-			e.emit[key] = s.NewVar()
-			e.outSW[key] = s.NewVar()
-		}
-		for key := range e.we {
-			if key[0] == eid {
-				addEmit(key[1])
-			}
-		}
-		lo, hi := e.nodeRows(ed.Src)
-		for y := lo; y <= hi; y++ {
-			for xx := 0; xx < e.w; xx++ {
-				addEmit(e.tileIdx(hexgrid.Offset{X: xx, Y: y}))
-			}
-		}
-		// Arrival sites: wire tiles plus placement tiles of dst.
-		addArr := func(t int) {
-			key := [2]int{eid, t}
-			if _, ok := e.arrNW[key]; ok {
-				return
-			}
-			e.arrNW[key] = s.NewVar()
-			e.arrNE[key] = s.NewVar()
-		}
-		for key := range e.we {
-			if key[0] == eid {
-				addArr(key[1])
-			}
-		}
-		lo, hi = e.nodeRows(ed.Dst)
-		for y := lo; y <= hi; y++ {
-			for xx := 0; xx < e.w; xx++ {
-				addArr(e.tileIdx(hexgrid.Offset{X: xx, Y: y}))
+			if e.we[i] != e.lFalse || e.x[ed.Dst*nT+t] != e.lFalse {
+				e.arrNW[i] = s.NewVar()
+				e.arrNE[i] = s.NewVar()
 			}
 		}
 	}
 
-	// emit semantics: emit[e,t] -> we[e,t] | x[src,t]; we -> emit; x -> emit.
-	for key, em := range e.emit {
-		eid, t := key[0], key[1]
-		ed := g.Edges[eid]
-		weL := litOrFalse(e.we, key, e.lFalse)
-		xL := litOrFalse(e.x, [2]int{ed.Src, t}, e.lFalse)
-		s.AddClause(em.Neg(), weL, xL)
-		if weL != e.lFalse {
-			s.AddClause(weL.Neg(), em)
-		}
-		if xL != e.lFalse {
-			s.AddClause(xL.Neg(), em)
-		}
-		// Fixed out sides for two-output sources: port 0 -> SW, port 1 -> SE.
-		if g.Nodes[ed.Src].Func.NumOuts() == 2 && xL != e.lFalse {
-			if ed.SrcPort == 0 {
-				s.AddClause(xL.Neg(), e.outSW[key])
-			} else {
-				s.AddClause(xL.Neg(), e.outSW[key].Neg())
+	for eid := range g.Edges {
+		for t := 0; t < nT; t++ {
+			if e.emit[eid*nT+t] != e.lFalse {
+				e.emission(eid, t)
+			}
+			if e.arrNW[eid*nT+t] != e.lFalse {
+				e.arrival(eid, t)
 			}
 		}
-	}
-
-	// Arrival semantics: arrNW[e,t] -> parentNW emits e via SE;
-	// arrNE[e,t] -> parentNE emits e via SW.
-	for key, aNW := range e.arrNW {
-		eid, t := key[0], key[1]
-		at := e.tileAt(t)
-		aNE := e.arrNE[key]
-		pNW := at.Neighbor(hexgrid.NorthWest)
-		pNE := at.Neighbor(hexgrid.NorthEast)
-		if !e.inGrid(pNW) {
-			s.AddClause(aNW.Neg())
-		} else {
-			pKey := [2]int{eid, e.tileIdx(pNW)}
-			em := litOrFalse(e.emit, pKey, e.lFalse)
-			s.AddClause(aNW.Neg(), em)
-			if em != e.lFalse {
-				s.AddClause(aNW.Neg(), e.outSW[pKey].Neg()) // SE emission
-			}
-		}
-		if !e.inGrid(pNE) {
-			s.AddClause(aNE.Neg())
-		} else {
-			pKey := [2]int{eid, e.tileIdx(pNE)}
-			em := litOrFalse(e.emit, pKey, e.lFalse)
-			s.AddClause(aNE.Neg(), em)
-			if em != e.lFalse {
-				s.AddClause(aNE.Neg(), e.outSW[pKey]) // SW emission
-			}
-		}
-	}
-
-	// Wire continuation.
-	for key, weL := range e.we {
-		s.AddClause(weL.Neg(), e.arrNW[key], e.arrNE[key])
-	}
-
-	// Forward consumption: every emission must be absorbed by the tile it
-	// points at (as a wire or as the destination node), otherwise the
-	// layout would contain dangling output ports.
-	for key, em := range e.emit {
-		eid, t := key[0], key[1]
-		ed := g.Edges[eid]
-		at := e.tileAt(t)
-		cSW := at.Neighbor(hexgrid.SouthWest)
-		cSE := at.Neighbor(hexgrid.SouthEast)
-		consume := func(child hexgrid.Offset) sat.Lit {
-			if !e.inGrid(child) {
-				return e.lFalse
-			}
-			ct := e.tileIdx(child)
-			weL := litOrFalse(e.we, [2]int{eid, ct}, e.lFalse)
-			xL := litOrFalse(e.x, [2]int{ed.Dst, ct}, e.lFalse)
-			if weL == e.lFalse && xL == e.lFalse {
-				return e.lFalse
-			}
-			// Aux literal: child consumes e.
-			aux := s.NewVar()
-			s.AddClause(aux.Neg(), weL, xL)
-			return aux
-		}
-		swC := consume(cSW)
-		seC := consume(cSE)
-		// emit & outSW -> swC ; emit & !outSW -> seC.
-		s.AddClause(em.Neg(), e.outSW[key].Neg(), swC)
-		s.AddClause(em.Neg(), e.outSW[key], seC)
 	}
 
 	// Consumer arrival with port-side assignment.
@@ -464,105 +337,29 @@ func (e *exactEncoder) build() {
 		if nd.Func.NumIns() == 0 {
 			continue
 		}
-		lo, hi := e.nodeRows(n)
 		var sw sat.Lit
 		if nd.Func.NumIns() == 2 {
 			sw = s.NewVar()
-			e.swapVar[n] = sw
 		}
-		for y := lo; y <= hi; y++ {
-			for xx := 0; xx < e.w; xx++ {
-				t := e.tileIdx(hexgrid.Offset{X: xx, Y: y})
-				xL := e.x[[2]int{n, t}]
-				if nd.Func.NumIns() == 1 {
-					eid := nd.In[0]
-					s.AddClause(xL.Neg(), e.arrNW[[2]int{eid, t}], e.arrNE[[2]int{eid, t}])
-					continue
-				}
-				e0, e1 := nd.In[0], nd.In[1]
-				// !sw: e0 via NW, e1 via NE; sw: e0 via NE, e1 via NW.
-				s.AddClause(xL.Neg(), sw, e.arrNW[[2]int{e0, t}])
-				s.AddClause(xL.Neg(), sw, e.arrNE[[2]int{e1, t}])
-				s.AddClause(xL.Neg(), sw.Neg(), e.arrNE[[2]int{e0, t}])
-				s.AddClause(xL.Neg(), sw.Neg(), e.arrNW[[2]int{e1, t}])
+		lo, hi := e.nodeTiles(n)
+		for t := lo; t < hi; t++ {
+			xL := e.x[n*nT+t]
+			if nd.Func.NumIns() == 1 {
+				i := nd.In[0]*nT + t
+				s.AddClause(xL.Neg(), e.arrNW[i], e.arrNE[i])
+				continue
 			}
+			i0, i1 := nd.In[0]*nT+t, nd.In[1]*nT+t
+			// !sw: e0 via NW, e1 via NE; sw: e0 via NE, e1 via NW.
+			s.AddClause(xL.Neg(), sw, e.arrNW[i0])
+			s.AddClause(xL.Neg(), sw, e.arrNE[i1])
+			s.AddClause(xL.Neg(), sw.Neg(), e.arrNE[i0])
+			s.AddClause(xL.Neg(), sw.Neg(), e.arrNW[i1])
 		}
 	}
 
-	// Tile capacity.
-	nTiles := e.w * e.h
-	e.nodeAt = make([]sat.Lit, nTiles)
-	for t := 0; t < nTiles; t++ {
-		e.nodeAt[t] = s.NewVar()
-	}
-	// Node placements exclude each other and imply nodeAt.
-	byTile := map[int][]sat.Lit{}
-	for key, xL := range e.x {
-		byTile[key[1]] = append(byTile[key[1]], xL)
-		s.AddClause(xL.Neg(), e.nodeAt[key[1]])
-	}
-	for t, lits := range byTile {
-		_ = t
-		for i := 0; i < len(lits); i++ {
-			for j := i + 1; j < len(lits); j++ {
-				s.AddClause(lits[i].Neg(), lits[j].Neg())
-			}
-		}
-	}
-	// Wires exclude nodes; at most two wires per tile (sequential counter).
-	wByTile := map[int][]int{}
-	for key := range e.we {
-		wByTile[key[1]] = append(wByTile[key[1]], key[0])
-	}
-	for t, eids := range wByTile {
-		sort.Ints(eids)
-		var lits []sat.Lit
-		for _, eid := range eids {
-			weL := e.we[[2]int{eid, t}]
-			s.AddClause(weL.Neg(), e.nodeAt[t].Neg())
-			lits = append(lits, weL)
-		}
-		atMostTwo(s, lits)
-		// Crossing consistency for co-located wire pairs.
-		for i := 0; i < len(eids); i++ {
-			for j := i + 1; j < len(eids); j++ {
-				k1 := [2]int{eids[i], t}
-				k2 := [2]int{eids[j], t}
-				w1, w2 := e.we[k1], e.we[k2]
-				// Input sides must differ.
-				s.AddClause(w1.Neg(), w2.Neg(), e.arrNW[k1].Neg(), e.arrNW[k2].Neg())
-				s.AddClause(w1.Neg(), w2.Neg(), e.arrNE[k1].Neg(), e.arrNE[k2].Neg())
-				// Straight crossing: NW in -> SE out; NE in -> SW out.
-				for _, k := range [][2]int{k1, k2} {
-					other := w2
-					if k == k2 {
-						other = w1
-					}
-					self := e.we[k]
-					s.AddClause(self.Neg(), other.Neg(), e.arrNW[k].Neg(), e.outSW[k].Neg())
-					s.AddClause(self.Neg(), other.Neg(), e.arrNE[k].Neg(), e.outSW[k])
-				}
-			}
-		}
-	}
-
-	// Defect blocking: afflicted tiles host neither nodes nor wires. Unit
-	// clauses let propagation kill them before any search.
-	if e.blocked != nil {
-		bl := make([]bool, nTiles)
-		for t := 0; t < nTiles; t++ {
-			bl[t] = e.blocked(e.tileAt(t))
-		}
-		for key, xL := range e.x {
-			if bl[key[1]] {
-				s.AddClause(xL.Neg())
-			}
-		}
-		for key, weL := range e.we {
-			if bl[key[1]] {
-				s.AddClause(weL.Neg())
-			}
-		}
+	for t := 0; t < nT; t++ {
+		e.capacity(t)
 	}
 
 	// PI and PO ordering along their rows (for positional EC).
@@ -572,8 +369,8 @@ func (e *exactEncoder) build() {
 				// id[a] must be strictly left of id[b].
 				for xa := 0; xa < e.w; xa++ {
 					for xb := 0; xb <= xa; xb++ {
-						la := e.x[[2]int{ids[a], e.tileIdx(hexgrid.Offset{X: xa, Y: row})}]
-						lb := e.x[[2]int{ids[b], e.tileIdx(hexgrid.Offset{X: xb, Y: row})}]
+						la := e.x[ids[a]*nT+row*e.w+xa]
+						lb := e.x[ids[b]*nT+row*e.w+xb]
 						s.AddClause(la.Neg(), lb.Neg())
 					}
 				}
@@ -582,6 +379,134 @@ func (e *exactEncoder) build() {
 	}
 	orderRow(g.PIs, 0)
 	orderRow(g.POs, e.h-1)
+}
+
+// emission encodes edge eid leaving tile t. The tile emits the edge
+// exactly when it carries the edge's wire or hosts its source; a
+// two-output source fixes the side by port (0 -> SW, 1 -> SE); and the
+// tile the emission points at must absorb it as a wire or as the
+// destination node, otherwise the layout would contain dangling output
+// ports.
+func (e *exactEncoder) emission(eid, t int) {
+	s, ed, i := e.s, e.g.Edges[eid], eid*e.nT+t
+	em, outSW := e.emit[i], e.outSW[i]
+	weL, xL := e.we[i], e.x[ed.Src*e.nT+t]
+	s.AddClause(em.Neg(), weL, xL)
+	if weL != e.lFalse {
+		s.AddClause(weL.Neg(), em)
+	}
+	if xL != e.lFalse {
+		s.AddClause(xL.Neg(), em)
+		if e.g.Nodes[ed.Src].Func.NumOuts() == 2 {
+			if ed.SrcPort == 0 {
+				s.AddClause(xL.Neg(), outSW)
+			} else {
+				s.AddClause(xL.Neg(), outSW.Neg())
+			}
+		}
+	}
+	at := e.tileAt(t)
+	swC := e.consume(eid, at.Neighbor(hexgrid.SouthWest))
+	seC := e.consume(eid, at.Neighbor(hexgrid.SouthEast))
+	// emit & outSW -> swC ; emit & !outSW -> seC.
+	s.AddClause(em.Neg(), outSW.Neg(), swC)
+	s.AddClause(em.Neg(), outSW, seC)
+}
+
+// consume returns an auxiliary literal implying that the child tile
+// absorbs edge eid, or lFalse when it cannot.
+func (e *exactEncoder) consume(eid int, child hexgrid.Offset) sat.Lit {
+	if !e.inGrid(child) {
+		return e.lFalse
+	}
+	ct := e.tileIdx(child)
+	weL, xL := e.we[eid*e.nT+ct], e.x[e.g.Edges[eid].Dst*e.nT+ct]
+	if weL == e.lFalse && xL == e.lFalse {
+		return e.lFalse
+	}
+	aux := e.s.NewVar()
+	e.s.AddClause(aux.Neg(), weL, xL)
+	return aux
+}
+
+// arrival encodes edge eid entering tile t: arrNW needs the NW parent to
+// emit the edge via SE, arrNE the NE parent via SW, and a wire continues
+// from one of the two.
+func (e *exactEncoder) arrival(eid, t int) {
+	s, i, at := e.s, eid*e.nT+t, e.tileAt(t)
+	from := func(arr sat.Lit, d hexgrid.Direction, viaSW bool) {
+		p := at.Neighbor(d)
+		if !e.inGrid(p) {
+			s.AddClause(arr.Neg())
+			return
+		}
+		pi := eid*e.nT + e.tileIdx(p)
+		s.AddClause(arr.Neg(), e.emit[pi])
+		if e.emit[pi] == e.lFalse {
+			return
+		}
+		if viaSW {
+			s.AddClause(arr.Neg(), e.outSW[pi])
+		} else {
+			s.AddClause(arr.Neg(), e.outSW[pi].Neg())
+		}
+	}
+	from(e.arrNW[i], hexgrid.NorthWest, false)
+	from(e.arrNE[i], hexgrid.NorthEast, true)
+	if weL := e.we[i]; weL != e.lFalse {
+		s.AddClause(weL.Neg(), e.arrNW[i], e.arrNE[i])
+	}
+}
+
+// capacity encodes what tile t may hold: at most one node, wires only
+// when it hosts no node, at most two wires (sequential counter), and two
+// co-located wires enter from different sides and cross straight. On an
+// afflicted tile unit clauses forbid every node and wire, so propagation
+// kills them before any search.
+func (e *exactEncoder) capacity(t int) {
+	s, nT := e.s, e.nT
+	nodeAt := s.NewVar()
+	var xs []sat.Lit
+	for n := range e.g.Nodes {
+		if xL := e.x[n*nT+t]; xL != e.lFalse {
+			s.AddClause(xL.Neg(), nodeAt)
+			xs = append(xs, xL)
+		}
+	}
+	for i := 0; i < len(xs); i++ {
+		for j := i + 1; j < len(xs); j++ {
+			s.AddClause(xs[i].Neg(), xs[j].Neg())
+		}
+	}
+	var ws []int // table indices of the edges with a wire variable here
+	var wLits []sat.Lit
+	for eid := range e.g.Edges {
+		if weL := e.we[eid*nT+t]; weL != e.lFalse {
+			s.AddClause(weL.Neg(), nodeAt.Neg())
+			ws = append(ws, eid*nT+t)
+			wLits = append(wLits, weL)
+		}
+	}
+	atMostTwo(s, wLits)
+	for i := 0; i < len(ws); i++ {
+		for j := i + 1; j < len(ws); j++ {
+			a, b := ws[i], ws[j]
+			w1, w2 := e.we[a], e.we[b]
+			// Input sides must differ.
+			s.AddClause(w1.Neg(), w2.Neg(), e.arrNW[a].Neg(), e.arrNW[b].Neg())
+			s.AddClause(w1.Neg(), w2.Neg(), e.arrNE[a].Neg(), e.arrNE[b].Neg())
+			// Straight crossing: NW in -> SE out; NE in -> SW out.
+			for _, k := range [2]int{a, b} {
+				s.AddClause(w1.Neg(), w2.Neg(), e.arrNW[k].Neg(), e.outSW[k].Neg())
+				s.AddClause(w1.Neg(), w2.Neg(), e.arrNE[k].Neg(), e.outSW[k])
+			}
+		}
+	}
+	if e.blocked != nil && e.blocked(e.tileAt(t)) {
+		for _, l := range append(xs, wLits...) {
+			s.AddClause(l.Neg())
+		}
+	}
 }
 
 // atMostTwo emits a sequential-counter encoding of sum(lits) <= 2.
@@ -609,99 +534,83 @@ func atMostTwo(s *sat.Solver, lits []sat.Lit) {
 	}
 }
 
-// decode reads the model into a layout.
+// decode reads the model into a layout. Absent variables are lFalse,
+// which every model sets false.
 func (e *exactEncoder) decode() (*gatelayout.Layout, error) {
-	g, s := e.g, e.s
+	g, s, nT := e.g, e.s, e.nT
 	l := gatelayout.New(g.Name, e.w, e.h, clocking.RowBased{})
 
-	type tileInfo struct {
-		node  int
-		wires []int
-	}
-	tiles := map[int]*tileInfo{}
-	info := func(t int) *tileInfo {
-		ti, ok := tiles[t]
-		if !ok {
-			ti = &tileInfo{node: -1}
-			tiles[t] = ti
-		}
-		return ti
-	}
-	for key, xL := range e.x {
-		if s.Value(xL) {
-			ti := info(key[1])
-			if ti.node != -1 {
-				return nil, fmt.Errorf("two nodes on one tile")
-			}
-			ti.node = key[0]
-		}
-	}
-	for key, weL := range e.we {
-		if s.Value(weL) {
-			info(key[1]).wires = append(info(key[1]).wires, key[0])
-		}
-	}
-
-	inDirOf := func(eid, t int) hexgrid.Direction {
-		if s.Value(e.arrNW[[2]int{eid, t}]) {
+	inDirOf := func(i int) hexgrid.Direction {
+		if s.Value(e.arrNW[i]) {
 			return hexgrid.NorthWest
 		}
 		return hexgrid.NorthEast
 	}
-	outDirOf := func(eid, t int) hexgrid.Direction {
-		if s.Value(e.outSW[[2]int{eid, t}]) {
+	outDirOf := func(i int) hexgrid.Direction {
+		if s.Value(e.outSW[i]) {
 			return hexgrid.SouthWest
 		}
 		return hexgrid.SouthEast
 	}
 
-	for t, ti := range tiles {
-		at := e.tileAt(t)
+	for t := 0; t < nT; t++ {
+		node := -1
+		for n := range g.Nodes {
+			if s.Value(e.x[n*nT+t]) {
+				if node != -1 {
+					return nil, fmt.Errorf("two nodes on one tile")
+				}
+				node = n
+			}
+		}
+		var wires []int // table indices of the edges wired through t
+		for eid := range g.Edges {
+			if s.Value(e.we[eid*nT+t]) {
+				wires = append(wires, eid*nT+t)
+			}
+		}
+		var tile gatelayout.Tile
 		switch {
-		case ti.node >= 0:
-			nd := g.Nodes[ti.node]
-			tile := gatelayout.Tile{Func: nd.Func, Name: nd.Name}
+		case node >= 0:
+			nd := g.Nodes[node]
+			tile = gatelayout.Tile{Func: nd.Func, Name: nd.Name}
 			switch nd.Func.NumIns() {
 			case 1:
-				tile.Ins = []hexgrid.Direction{inDirOf(nd.In[0], t)}
+				tile.Ins = []hexgrid.Direction{inDirOf(nd.In[0]*nT + t)}
 			case 2:
 				tile.Ins = []hexgrid.Direction{hexgrid.NorthWest, hexgrid.NorthEast}
 			}
 			switch nd.Func.NumOuts() {
 			case 1:
-				tile.Outs = []hexgrid.Direction{outDirOf(nd.Out[0], t)}
+				tile.Outs = []hexgrid.Direction{outDirOf(nd.Out[0]*nT + t)}
 			case 2:
 				tile.Outs = []hexgrid.Direction{hexgrid.SouthWest, hexgrid.SouthEast}
 			}
-			if err := l.Set(at, tile); err != nil {
-				return nil, err
-			}
-		case len(ti.wires) == 1:
-			eid := ti.wires[0]
-			in := inDirOf(eid, t)
-			out := outDirOf(eid, t)
+		case len(wires) == 0:
+			continue
+		case len(wires) == 1:
+			in, out := inDirOf(wires[0]), outDirOf(wires[0])
 			fn := gates.Wire
 			if (in == hexgrid.NorthWest && out == hexgrid.SouthWest) ||
 				(in == hexgrid.NorthEast && out == hexgrid.SouthEast) {
 				fn = gates.DiagWire
 			}
-			if err := l.Set(at, gatelayout.Tile{
+			tile = gatelayout.Tile{
 				Func: fn,
 				Ins:  []hexgrid.Direction{in},
 				Outs: []hexgrid.Direction{out},
-			}); err != nil {
-				return nil, err
 			}
-		case len(ti.wires) == 2:
-			if err := l.Set(at, gatelayout.Tile{
+		case len(wires) == 2:
+			tile = gatelayout.Tile{
 				Func: gates.Crossing,
 				Ins:  []hexgrid.Direction{hexgrid.NorthWest, hexgrid.NorthEast},
 				Outs: []hexgrid.Direction{hexgrid.SouthWest, hexgrid.SouthEast},
-			}); err != nil {
-				return nil, err
 			}
 		default:
-			return nil, fmt.Errorf("tile with %d wires", len(ti.wires))
+			return nil, fmt.Errorf("tile with %d wires", len(wires))
+		}
+		if err := l.Set(e.tileAt(t), tile); err != nil {
+			return nil, err
 		}
 	}
 	return l, nil

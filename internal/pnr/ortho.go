@@ -42,15 +42,9 @@ type ptile struct {
 
 // Ortho places and routes the graph with the greedy row-based fabric
 // router. The result uses the row-based clocking scheme; width and height
-// are whatever the greedy process needs. A nil tracer disables telemetry
-// at no cost.
-func Ortho(g *RGraph, tr *obs.Tracer) (*gatelayout.Layout, error) {
-	return OrthoContext(context.Background(), g, tr)
-}
-
-// OrthoContext is Ortho under a context: cancellation is checked between
-// fabric rows. A nil context behaves like context.Background.
-func OrthoContext(ctx context.Context, g *RGraph, tr *obs.Tracer) (*gatelayout.Layout, error) {
+// are whatever the greedy process needs. Cancellation of ctx is checked
+// between fabric rows. A nil tracer disables telemetry at no cost.
+func Ortho(ctx context.Context, g *RGraph, tr *obs.Tracer) (*gatelayout.Layout, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -67,7 +61,7 @@ func OrthoContext(ctx context.Context, g *RGraph, tr *obs.Tracer) (*gatelayout.L
 	return l, err
 }
 
-// OrthoAvoiding is OrthoContext on a defective surface: it routes
+// OrthoAvoiding is Ortho on a defective surface: it routes
 // greedily as usual, then legalizes the result against the tile blocker
 // by sliding the whole layout right until no used tile is afflicted
 // (the greedy router assigns absolute positions only at materialization,
@@ -77,7 +71,7 @@ func OrthoContext(ctx context.Context, g *RGraph, tr *obs.Tracer) (*gatelayout.L
 // wraps defects.ErrBlocked. maxShift <= 0 uses a default of 64 tiles.
 func OrthoAvoiding(ctx context.Context, g *RGraph, tr *obs.Tracer,
 	blocked func(hexgrid.Offset) bool, maxShift int) (*gatelayout.Layout, int, error) {
-	l, err := OrthoContext(ctx, g, tr)
+	l, err := Ortho(ctx, g, tr)
 	if err != nil || blocked == nil {
 		return l, 0, err
 	}
@@ -119,7 +113,7 @@ type orthoRouter struct {
 	rows       [][]*ptile
 	tracks     []track
 	tr         *obs.Tracer
-	ctx        context.Context // nil = never canceled
+	ctx        context.Context
 	peakTracks int
 }
 
@@ -141,10 +135,8 @@ func (r *orthoRouter) run() (*gatelayout.Layout, error) {
 		if rowIdx > maxRows {
 			return nil, fmt.Errorf("pnr: ortho router exceeded %d rows on %s (livelock?)", maxRows, g.Name)
 		}
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				return nil, fmt.Errorf("pnr: ortho router canceled: %w", err)
-			}
+		if err := r.ctx.Err(); err != nil {
+			return nil, fmt.Errorf("pnr: ortho router canceled: %w", err)
 		}
 		if len(r.tracks) > r.peakTracks {
 			r.peakTracks = len(r.tracks)

@@ -1,6 +1,7 @@
 package pnr
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gates"
@@ -91,7 +92,7 @@ func routeAndCheck(t *testing.T, name string) {
 	if err != nil {
 		t.Fatalf("%s: expand: %v", name, err)
 	}
-	l, err := Ortho(g, nil)
+	l, err := Ortho(context.Background(), g, nil)
 	if err != nil {
 		t.Fatalf("%s: ortho: %v", name, err)
 	}
@@ -133,7 +134,7 @@ func TestOrthoBalancedPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Ortho(g, nil)
+	l, err := Ortho(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestOrthoPOOrderMatchesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Ortho(g, nil)
+	l, err := Ortho(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestOrthoExtractNetworkEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Ortho(g, nil)
+	l, err := Ortho(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func exactAndCheck(t *testing.T, name string, opts ExactOptions) *RGraph {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	l, err := Exact(g, opts)
+	l, err := Exact(context.Background(), g, opts)
 	if err != nil {
 		t.Fatalf("%s: exact: %v", name, err)
 	}
@@ -221,11 +222,11 @@ func TestExactParGen(t *testing.T) { exactAndCheck(t, "par_gen", ExactOptions{})
 
 func TestExactBeatsOrthoOnArea(t *testing.T) {
 	g := exactAndCheck(t, "xor2", ExactOptions{})
-	le, err := Exact(g, ExactOptions{})
+	le, err := Exact(context.Background(), g, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := Ortho(g, nil)
+	lo, err := Ortho(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

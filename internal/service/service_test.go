@@ -116,6 +116,25 @@ func TestFlowWarmCacheByteIdentical(t *testing.T) {
 	}
 }
 
+// TestColdFlowDeterministic: two cold exact flows of one circuit, with
+// the cache bypassed, must return byte-identical bodies, so one flow
+// cache key always names one layout.
+func TestColdFlowDeterministic(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	req := map[string]any{"bench": "c17", "sqd": true, "nocache": true}
+	var bodies [2][]byte
+	for i := range bodies {
+		resp, body := postJSON(t, ts.URL+"/v1/flow", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cold flow %d: %d %s", i, resp.StatusCode, body)
+		}
+		bodies[i] = body
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("cold flow bodies differ:\n%.400s\n%.400s", bodies[0], bodies[1])
+	}
+}
+
 // TestDiskCacheSurvivesRestart: every cached result kind is written
 // through to the disk tier, so a fresh server over the same cache dir
 // serves it warm — to clients, and to fleet peers over the

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -164,7 +165,7 @@ func TestEquivalentLayoutAllBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		l, err := pnr.Ortho(g, nil)
+		l, err := pnr.Ortho(context.Background(), g, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -191,7 +192,7 @@ func TestEquivalentLayoutCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := pnr.Ortho(g, nil)
+	l, err := pnr.Ortho(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
