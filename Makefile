@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-sim bench-service bench-fleet bench-diff bench-pnr bench-engines bench-defects table1 npn-table serve serve-smoke chaos-smoke clean
+.PHONY: all build test check race bench bench-sim bench-service bench-fleet bench-diff bench-pnr bench-defects table1 npn-table serve serve-smoke chaos-smoke clean
 
 all: build
 
@@ -29,7 +29,7 @@ check:
 	fi
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|TestParallelMatchesSerial|TestSweepMetrics' \
-		./internal/sim/quickexact ./internal/opdomain
+		./internal/sim ./internal/opdomain
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	cd cmd/bench && $(GO) test .
 
@@ -76,12 +76,6 @@ bench-diff:
 # BENCHPNR_FLAGS="-benches xor2,mux21 -timeout 60s".
 bench-pnr:
 	$(GO) run ./cmd/benchpnr $(BENCHPNR_FLAGS)
-
-# bench-engines validates every library gate tile with each ground-state
-# backend (exgs, quickexact, anneal) and records accuracy vs time per
-# engine. Writes BENCH_engines.json. Reduce with BENCHENGINES_FLAGS="-limit 6".
-bench-engines:
-	$(GO) run ./cmd/benchengines $(BENCHENGINES_FLAGS)
 
 # bench-defects runs the defect yield sweep: random surfaces at each
 # density, the full gate library validated against each, plus small

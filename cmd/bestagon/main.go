@@ -33,9 +33,6 @@ import (
 	"repro/internal/logic/network"
 	"repro/internal/obs"
 	"repro/internal/sim"
-
-	// Register the pruned exact ground-state backend for -solver/-cellsim.
-	_ "repro/internal/sim/quickexact"
 )
 
 func main() {

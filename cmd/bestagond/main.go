@@ -79,9 +79,6 @@ import (
 	"repro/internal/obs/obslog"
 	"repro/internal/service"
 	"repro/internal/sim"
-
-	// Register the pruned exact ground-state backend for -solver.
-	_ "repro/internal/sim/quickexact"
 )
 
 func main() {

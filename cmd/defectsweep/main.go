@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/defects/sweep"
 	"repro/internal/obs"
-	_ "repro/internal/sim/quickexact" // register the pruned exact backend
 )
 
 type report struct {

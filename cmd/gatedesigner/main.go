@@ -19,9 +19,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/sidb"
 	"repro/internal/sim"
-
-	// Register the pruned exact ground-state backend for -solver.
-	_ "repro/internal/sim/quickexact"
 )
 
 func main() {

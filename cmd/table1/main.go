@@ -17,9 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pnr"
 	"repro/internal/sim"
-
-	// Register the pruned exact ground-state backend for -solver/-cellsim.
-	_ "repro/internal/sim/quickexact"
 )
 
 func main() {
@@ -102,7 +99,7 @@ func main() {
 	}
 	// A degraded simulation means some reported energy is best-found, not
 	// provably minimal — data that must not silently certify gate behavior.
-	if d := sim.ExhaustiveDegrades.Value() + sim.Degrades.Value(); d > 0 && !*allowDegraded {
+	if d := sim.Degrades.Value(); d > 0 && !*allowDegraded {
 		fmt.Fprintf(os.Stderr, "table1: %d simulation(s) degraded to annealing; results are not exact "+
 			"(rerun with -allow-degraded to accept best-found energies)\n", d)
 		os.Exit(1)

@@ -69,9 +69,7 @@ type Options struct {
 	// layout (flow step 7½) and records the outcome in Result.CellSim.
 	CellSim bool
 	// GroundSolver names the sim ground-state solver used by CellSim
-	// ("" = automatic dispatch; see sim.SolverNames). Pruned exact
-	// backends such as "quickexact" must be linked in (blank import) to
-	// be selectable.
+	// ("" = automatic dispatch; see sim.SolverNames).
 	GroundSolver string
 	// Surface holds the surface defects in global cell coordinates. When
 	// non-empty, both P&R engines place around afflicted tiles (the exact

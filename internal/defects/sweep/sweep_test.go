@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	_ "repro/internal/sim/quickexact" // register the pruned exact backend
 )
 
 // TestSweepDeterministicAcrossWorkers: the same config must produce the

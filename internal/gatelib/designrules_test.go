@@ -68,7 +68,7 @@ func TestIsolatedPairHoldsOneElectronInChain(t *testing.T) {
 	}
 	l.Add(OutputPerturber(d.Outs[0]), sidb.RolePerturber)
 	eng := sim.NewEngine(l, sim.ParamsFig5)
-	gs, _ := eng.Exhaustive()
+	gs, _ := exhaustive(t, eng)
 	for k := 0; k < len(ps); k++ {
 		b0, b1 := gs[2*k], gs[2*k+1]
 		if b0 == b1 {

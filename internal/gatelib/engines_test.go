@@ -1,12 +1,12 @@
 package gatelib
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/sidb"
 	"repro/internal/sim"
-	"repro/internal/sim/quickexact"
 )
 
 // freeDots counts the non-perturber dots of a layout.
@@ -32,7 +32,7 @@ func TestEnginesAgreeOnLibraryTiles(t *testing.T) {
 		eng := sim.NewEngine(l, sim.ParamsFig5)
 		free := freeDots(l)
 
-		gs, qe, st, err := quickexact.GroundState(eng, quickexact.Options{})
+		gs, qe, st, err := eng.QuickExact(sim.QuickExactOptions{})
 		if err != nil {
 			t.Errorf("%s: quickexact failed: %v", key, err)
 			continue
@@ -41,7 +41,7 @@ func TestEnginesAgreeOnLibraryTiles(t *testing.T) {
 			t.Errorf("%s: quickexact ground state not population stable", key)
 		}
 		if free <= sim.ExactLimit {
-			_, ex, err := eng.ExhaustiveChecked()
+			_, ex, err := eng.Exhaustive(context.Background())
 			if err != nil {
 				t.Errorf("%s: exhaustive failed on %d free dots: %v", key, free, err)
 				continue

@@ -1,6 +1,7 @@
 package gatelib
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gates"
@@ -9,6 +10,17 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sqd"
 )
+
+// exhaustive runs the enumerating ground-state search, failing the test on
+// error.
+func exhaustive(t *testing.T, e *sim.Engine) ([]bool, float64) {
+	t.Helper()
+	gs, en, err := e.Exhaustive(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gs, en
+}
 
 // TestSQDRoundTripPreservesGroundState exports a validated gate to SiQAD
 // format, re-imports it, and confirms the simulated ground state is
@@ -41,8 +53,8 @@ func TestSQDRoundTripPreservesGroundState(t *testing.T) {
 
 	e1 := sim.NewEngine(l, sim.ParamsFig5)
 	e2 := sim.NewEngine(back, sim.ParamsFig5)
-	g1, en1 := e1.Exhaustive()
-	g2, en2 := e2.Exhaustive()
+	g1, en1 := exhaustive(t, e1)
+	g2, en2 := exhaustive(t, e2)
 	if en1 != en2 {
 		t.Fatalf("ground-state energy changed: %v -> %v", en1, en2)
 	}
@@ -98,7 +110,7 @@ func TestClockedHandoffPropagates(t *testing.T) {
 		}
 		up.Add(OutputPerturber(d.Outs[0]), sidb.RolePerturber)
 		upEng := sim.NewEngine(up, sim.ParamsFig5)
-		upGS, _ := upEng.Exhaustive()
+		upGS, _ := exhaustive(t, upEng)
 
 		// Phase 2: upstream charges held; downstream tile relaxes. The
 		// held charges become fixed dots; the upstream's validation-only
@@ -116,7 +128,7 @@ func TestClockedHandoffPropagates(t *testing.T) {
 		down.Add(OutputPerturber(out2), sidb.RolePerturber)
 
 		downEng := sim.NewEngine(down, sim.ParamsFig5)
-		downGS, _ := downEng.Exhaustive()
+		downGS, _ := exhaustive(t, downEng)
 		idx := down.SiteIndex()
 		state, err := out2.BDL().State(idx, downGS)
 		if err != nil {

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-
-	_ "repro/internal/sim/quickexact"
 )
 
 // TestParallelMatchesSerial pins down the sweep's determinism guarantee:

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	_ "repro/internal/sim/quickexact" // register the pruned exact backend
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {

@@ -1,11 +1,11 @@
-package quickexact
+package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/sidb"
-	"repro/internal/sim"
 )
 
 // benchLayout builds a deterministic random layout of n free dots.
@@ -31,22 +31,22 @@ func benchLayout(n int, seed int64, span int) *sidb.Layout {
 // `make bench-sim`.
 
 func BenchmarkGroundStateExGS20(b *testing.B) {
-	eng := sim.NewEngine(benchLayout(20, 7, 40), sim.ParamsFig5)
+	eng := NewEngine(benchLayout(20, 7, 40), ParamsFig5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.ExhaustiveChecked(); err != nil {
+		if _, _, err := eng.Exhaustive(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkGroundStateQuickExact20(b *testing.B) {
-	eng := sim.NewEngine(benchLayout(20, 7, 40), sim.ParamsFig5)
+	eng := NewEngine(benchLayout(20, 7, 40), ParamsFig5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := GroundState(eng, Options{}); err != nil {
+		if _, _, _, err := eng.QuickExact(QuickExactOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,22 +55,22 @@ func BenchmarkGroundStateQuickExact20(b *testing.B) {
 // Beyond the enumeration limit: instances ExGS cannot touch at all.
 
 func BenchmarkGroundStateQuickExact30(b *testing.B) {
-	eng := sim.NewEngine(benchLayout(30, 7, 48), sim.ParamsFig5)
+	eng := NewEngine(benchLayout(30, 7, 48), ParamsFig5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := GroundState(eng, Options{}); err != nil {
+		if _, _, _, err := eng.QuickExact(QuickExactOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkGroundStateQuickExact40(b *testing.B) {
-	eng := sim.NewEngine(benchLayout(40, 7, 56), sim.ParamsFig5)
+	eng := NewEngine(benchLayout(40, 7, 56), ParamsFig5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := GroundState(eng, Options{}); err != nil {
+		if _, _, _, err := eng.QuickExact(QuickExactOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,10 +79,10 @@ func BenchmarkGroundStateQuickExact40(b *testing.B) {
 // The heuristic baseline at the same size, for context.
 
 func BenchmarkGroundStateAnneal20(b *testing.B) {
-	eng := sim.NewEngine(benchLayout(20, 7, 40), sim.ParamsFig5)
+	eng := NewEngine(benchLayout(20, 7, 40), ParamsFig5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Anneal(sim.DefaultAnnealConfig())
+		eng.Anneal(DefaultAnnealConfig())
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,8 +28,8 @@ func TestEngineOnPristineIdentity(t *testing.T) {
 		if e.NumDots() != a.NumDots() || e.NumLayoutDots() != a.NumDots() {
 			t.Fatalf("dot counts differ: %d/%d vs %d", e.NumDots(), e.NumLayoutDots(), a.NumDots())
 		}
-		ga, ea := a.Exhaustive()
-		gb, eb := e.Exhaustive()
+		ga, ea := exhaustive(t, a)
+		gb, eb := exhaustive(t, e)
 		if ea != eb {
 			t.Fatalf("pristine energies differ: %v vs %v", ea, eb)
 		}
@@ -46,7 +47,7 @@ func TestEngineOnPristineIdentity(t *testing.T) {
 func TestChargedDefectPerturbs(t *testing.T) {
 	l := pairLayout()
 	pristine := NewEngine(l, ParamsFig5)
-	_, e0 := pristine.Exhaustive()
+	_, e0 := exhaustive(t, pristine)
 
 	neg := defects.New()
 	neg.AddCell(4, 0, defects.DB) // -1, ~1.5 nm from dot 0
@@ -58,7 +59,7 @@ func TestChargedDefectPerturbs(t *testing.T) {
 	if en.NumDots() != 3 || en.NumLayoutDots() != 2 {
 		t.Fatalf("pseudo-dot bookkeeping wrong: %d/%d", en.NumDots(), en.NumLayoutDots())
 	}
-	gn, eNeg := en.Exhaustive()
+	gn, eNeg := exhaustive(t, en)
 	// DB- defect repels electrons: interaction with a charged dot is
 	// positive, so V[dot][pseudo] > 0.
 	if en.V[0][2] <= 0 {
@@ -86,7 +87,7 @@ func TestChargedDefectPerturbs(t *testing.T) {
 	neutral := defects.New()
 	neutral.AddCell(4, 0, defects.Siloxane)
 	enn := NewEngineOn(l, ParamsFig5, neutral)
-	_, eNeutral := enn.Exhaustive()
+	_, eNeutral := exhaustive(t, enn)
 	if eNeutral != e0 {
 		t.Fatalf("neutral defect changed energy: %v vs %v", eNeutral, e0)
 	}
@@ -95,7 +96,7 @@ func TestChargedDefectPerturbs(t *testing.T) {
 	}
 }
 
-// TestDefectSolverAgreement: exhaustive, anneal, and the registered auto
+// TestDefectSolverAgreement: exhaustive, anneal, and the auto
 // solver must agree on the defective ground state.
 func TestDefectSolverAgreement(t *testing.T) {
 	l := &sidb.Layout{Name: "chain"}
@@ -107,7 +108,7 @@ func TestDefectSolverAgreement(t *testing.T) {
 	surf.AddCell(3, -4, defects.Arsenic)
 	e := NewEngineOn(l, ParamsFig5, surf)
 
-	gx, ex, err := e.ExhaustiveChecked()
+	gx, ex, err := e.Exhaustive(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
-// Package quickexact implements a QuickExact-style exact ground-state
-// engine for SiDB charge configurations (after Drewniok et al., "The Need
-// for Speed: Efficient Exact Simulation of Silicon Dangling Bond Logic"):
-// a pruned branch-and-bound search over charge assignments that replaces
-// the blind 2^n enumeration of ExGS.
+package sim
+
+// QuickExact is a pruned exact ground-state search (after Drewniok et al.,
+// "The Need for Speed: Efficient Exact Simulation of Silicon Dangling Bond
+// Logic"): a branch-and-bound over charge assignments that replaces the
+// blind 2^n enumeration of ExGS.
 //
 // Three physically informed reductions shrink the search space. All follow
 // from the facts that the screened Coulomb potential is non-negative — a
@@ -32,12 +33,6 @@
 // GOMAXPROCS; workers share the incumbent energy through an atomic so a
 // good configuration found in one shard immediately tightens pruning in
 // all others, while per-shard results are merged in deterministic order.
-//
-// The package registers itself as the "quickexact" sim.GroundStateSolver;
-// blank import it to enable the backend:
-//
-//	import _ "repro/internal/sim/quickexact"
-package quickexact
 
 import (
 	"context"
@@ -51,7 +46,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // panicBox gives every recovered shard panic the same concrete type, so
@@ -59,22 +53,22 @@ import (
 type panicBox struct{ v any }
 
 const (
-	// stabEps matches sim.PopulationStable's tolerance: stability prunes
-	// fire only on strict violations so degenerate ground states survive.
+	// stabEps matches PopulationStable's tolerance: stability prunes fire
+	// only on strict violations so degenerate ground states survive.
 	stabEps = 1e-12
 	// pruneEps guards the bound prune and incumbent updates against the
 	// float drift of incremental energy accumulation along a search path.
 	pruneEps = 1e-12
 )
 
-// DefaultNodeBudget bounds the search of the registered solver (roughly a
-// few seconds of worst-case work); direct GroundState calls default to an
+// DefaultNodeBudget bounds the search of the "quickexact" solver (roughly
+// a few seconds of worst-case work); direct QuickExact calls default to an
 // unlimited search. An exhausted budget returns an error, which the
-// automatic dispatcher degrades to annealing.
+// automatic dispatcher degrades to exhaustive enumeration.
 const DefaultNodeBudget = 64 << 20
 
-// Options tune the search.
-type Options struct {
+// QuickExactOptions tune the search.
+type QuickExactOptions struct {
 	// Workers sizes the shard worker pool; <= 0 uses GOMAXPROCS.
 	Workers int
 	// ShardDepth is the number of top tree levels enumerated into shard
@@ -87,13 +81,13 @@ type Options struct {
 	// histograms — no spans); nil disables them at no cost.
 	Tracer *obs.Tracer
 	// Ctx interrupts the search when cancelled or past its deadline: every
-	// worker stops within ~1024 visited nodes and GroundState returns the
+	// worker stops within ~1024 visited nodes and QuickExact returns the
 	// context's error. Nil behaves like context.Background.
 	Ctx context.Context
 }
 
-// Stats describes one search.
-type Stats struct {
+// QuickExactStats describes one search.
+type QuickExactStats struct {
 	// FreeDots is the number of non-pinned dots.
 	FreeDots int
 	// PresolveCharged/PresolveNeutral count dots fixed before the search
@@ -117,48 +111,33 @@ type Stats struct {
 	WorkerSeconds []float64
 }
 
-// Solver adapts the engine to the sim.GroundStateSolver interface.
-type Solver struct {
-	Opts Options
+// quickExactSolver is the "quickexact" GroundStateSolver.
+type quickExactSolver struct {
+	opts QuickExactOptions
 }
 
-// Name implements sim.GroundStateSolver.
-func (Solver) Name() string { return "quickexact" }
+func (quickExactSolver) Name() string  { return "quickexact" }
+func (quickExactSolver) IsExact() bool { return true }
 
-// IsExact implements sim.GroundStateSolver.
-func (Solver) IsExact() bool { return true }
-
-// Solve implements sim.GroundStateSolver.
-func (s Solver) Solve(e *sim.Engine, opts sim.SolveOptions) (sim.Solution, error) {
-	o := s.Opts
-	if o.Tracer == nil {
-		o.Tracer = opts.Tracer
-	}
-	if o.Ctx == nil {
-		o.Ctx = opts.Ctx
-	}
-	gs, en, _, err := GroundState(e, o)
+func (s quickExactSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
+	o := s.opts
+	o.Tracer = opts.Tracer
+	o.Ctx = opts.Ctx
+	gs, en, _, err := e.QuickExact(o)
 	if err != nil {
-		return sim.Solution{}, err
+		return Solution{}, err
 	}
-	return sim.Solution{Charges: gs, EnergyEV: en, Solver: "quickexact", Exact: true}, nil
+	return Solution{Charges: gs, EnergyEV: en, Solver: "quickexact", Exact: true}, nil
 }
 
-func init() {
-	// The registered instance carries the default node budget so the
-	// automatic dispatcher can never hang on a pathological instance;
-	// direct GroundState calls choose their own budget.
-	sim.Register(Solver{Opts: Options{NodeBudget: DefaultNodeBudget}})
-}
-
-// GroundState finds a provably minimum-energy charge configuration of the
+// QuickExact finds a provably minimum-energy charge configuration of the
 // engine's layout. The result is deterministic for a fixed engine and
 // options (degenerate ground states are tie-broken canonically).
-func GroundState(e *sim.Engine, opts Options) ([]bool, float64, Stats, error) {
+func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExactStats, error) {
 	n := e.NumDots()
 	freeIdx := e.FreeIndices()
 	nf := len(freeIdx)
-	st := Stats{FreeDots: nf}
+	st := QuickExactStats{FreeDots: nf}
 
 	// Base configuration: perturbers pinned negative, free dots neutral.
 	full := make([]bool, n)
@@ -289,7 +268,7 @@ func GroundState(e *sim.Engine, opts Options) ([]bool, float64, Stats, error) {
 	// Incumbent: a short deterministic anneal seeds the upper bound so the
 	// bound prune bites from the very first node.
 	ctx := opts.Ctx
-	seedCfg, seedE := e.Anneal(sim.AnnealConfig{Seed: 1, Restarts: 2, Sweeps: 150, TStart: 0.3, TEnd: 0.001, Ctx: ctx})
+	seedCfg, seedE := e.Anneal(AnnealConfig{Seed: 1, Restarts: 2, Sweeps: 150, TStart: 0.3, TEnd: 0.001, Ctx: ctx})
 	st.SeedEnergyEV = seedE
 
 	workers := opts.Workers
@@ -467,7 +446,7 @@ func GroundState(e *sim.Engine, opts Options) ([]bool, float64, Stats, error) {
 
 // emit publishes search metrics to the tracer (counters/gauges/histograms
 // only — safe under concurrent solves sharing one tracer).
-func emit(tr *obs.Tracer, st *Stats) {
+func emit(tr *obs.Tracer, st *QuickExactStats) {
 	if tr == nil {
 		return
 	}

@@ -1,13 +1,14 @@
-package quickexact
+package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/sidb"
-	"repro/internal/sim"
 )
 
 func TestMatchesExhaustiveRandom(t *testing.T) {
@@ -31,16 +32,16 @@ func TestMatchesExhaustiveRandom(t *testing.T) {
 				}
 			}
 		}
-		params := sim.ParamsFig5
+		params := ParamsFig5
 		if seed%2 == 1 {
-			params = sim.ParamsFig1c
+			params = ParamsFig1c
 		}
-		eng := sim.NewEngine(l, params)
-		_, want, err := eng.ExhaustiveChecked()
+		eng := NewEngine(l, params)
+		_, want, err := eng.Exhaustive(context.Background())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		gs, got, st, err := GroundState(eng, Options{})
+		gs, got, st, err := eng.QuickExact(QuickExactOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -73,8 +74,8 @@ func TestLargeInstanceExact(t *testing.T) {
 			}
 		}
 	}
-	eng := sim.NewEngine(l, sim.ParamsFig5)
-	gs, en, st, err := GroundState(eng, Options{})
+	eng := NewEngine(l, ParamsFig5)
+	gs, en, st, err := eng.QuickExact(QuickExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestLargeInstanceExact(t *testing.T) {
 	if !eng.PopulationStable(gs) {
 		t.Error("ground state not population stable")
 	}
-	_, annealed := eng.Anneal(sim.DefaultAnnealConfig())
+	_, annealed := eng.Anneal(DefaultAnnealConfig())
 	if annealed < en-1e-9 {
 		t.Errorf("anneal %v beats quickexact %v — search is not exact", annealed, en)
 	}
@@ -106,11 +107,11 @@ func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
 			}
 		}
 	}
-	eng := sim.NewEngine(l, sim.ParamsFig5)
+	eng := NewEngine(l, ParamsFig5)
 	var cfgs [][]bool
 	var energies []float64
 	for _, w := range []int{1, 1, 4, 8} {
-		gs, en, _, err := GroundState(eng, Options{Workers: w})
+		gs, en, _, err := eng.QuickExact(QuickExactOptions{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,8 +136,8 @@ func TestPerturbersStayPinned(t *testing.T) {
 	l.AddCell(0, 0, sidb.RolePerturber)
 	l.AddCell(1, 1, sidb.RolePerturber)
 	l.AddCell(10, 10, sidb.RoleNormal)
-	eng := sim.NewEngine(l, sim.ParamsFig5)
-	gs, _, _, err := GroundState(eng, Options{})
+	eng := NewEngine(l, ParamsFig5)
+	gs, _, _, err := eng.QuickExact(QuickExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +150,8 @@ func TestAllFixedAndEmpty(t *testing.T) {
 	l := &sidb.Layout{}
 	l.AddCell(0, 0, sidb.RolePerturber)
 	l.AddCell(5, 5, sidb.RolePerturber)
-	eng := sim.NewEngine(l, sim.ParamsFig5)
-	gs, en, st, err := GroundState(eng, Options{})
+	eng := NewEngine(l, ParamsFig5)
+	gs, en, st, err := eng.QuickExact(QuickExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +162,8 @@ func TestAllFixedAndEmpty(t *testing.T) {
 		t.Error("all-fixed energy inconsistent")
 	}
 
-	empty := sim.NewEngine(&sidb.Layout{}, sim.ParamsFig5)
-	gs, en, _, err = GroundState(empty, Options{})
+	empty := NewEngine(&sidb.Layout{}, ParamsFig5)
+	gs, en, _, err = empty.QuickExact(QuickExactOptions{})
 	if err != nil || len(gs) != 0 || en != 0 {
 		t.Errorf("empty layout: gs=%v en=%v err=%v", gs, en, err)
 	}
@@ -184,21 +185,21 @@ func TestNodeBudgetExhaustion(t *testing.T) {
 			}
 		}
 	}
-	eng := sim.NewEngine(l, sim.ParamsFig5)
-	_, _, _, err := GroundState(eng, Options{NodeBudget: 1})
+	eng := NewEngine(l, ParamsFig5)
+	_, _, _, err := eng.QuickExact(QuickExactOptions{NodeBudget: 1})
 	if err == nil {
 		// The budget is only checked every 1024 nodes; an instance solved
 		// in fewer nodes legitimately succeeds. Verify the search stayed
 		// tiny in that case.
-		_, _, st, _ := GroundState(eng, Options{})
+		_, _, st, _ := eng.QuickExact(QuickExactOptions{})
 		if st.Nodes > 2048 {
 			t.Errorf("expected budget exhaustion error on %d-node search", st.Nodes)
 		}
 	}
 }
 
-func TestSolverRegistered(t *testing.T) {
-	s, err := sim.Lookup("quickexact")
+func TestLookupQuickExact(t *testing.T) {
+	s, err := Lookup("quickexact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,20 +209,19 @@ func TestSolverRegistered(t *testing.T) {
 	l := &sidb.Layout{}
 	l.AddCell(0, 0, sidb.RoleNormal)
 	l.AddCell(6, 0, sidb.RoleNormal)
-	eng := sim.NewEngine(l, sim.ParamsFig5)
-	sol, err := s.Solve(eng, sim.SolveOptions{})
+	eng := NewEngine(l, ParamsFig5)
+	sol, err := s.Solve(eng, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, _ := eng.ExhaustiveChecked()
+	_, want, _ := eng.Exhaustive(context.Background())
 	if math.Abs(sol.EnergyEV-want) > 1e-12 || sol.Solver != "quickexact" || !sol.Exact {
 		t.Errorf("solver solution wrong: %+v want energy %v", sol, want)
 	}
 
-	// With quickexact linked in, the automatic dispatcher must route exact
-	// instances through it.
-	auto, _ := sim.Lookup("auto")
-	sol, err = auto.Solve(eng, sim.SolveOptions{})
+	// The automatic dispatcher must route exact instances through it.
+	auto, _ := Lookup("auto")
+	sol, err = auto.Solve(eng, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +230,8 @@ func TestSolverRegistered(t *testing.T) {
 	}
 }
 
-func TestGroundStateRoutesThroughRegistry(t *testing.T) {
-	// Engine.GroundState must agree with the registered exact backend.
+func TestGroundStateRoutesThroughQuickExact(t *testing.T) {
+	// Engine.GroundState must agree with the exact backends.
 	rng := rand.New(rand.NewSource(21))
 	l := &sidb.Layout{}
 	seen := map[[2]int]bool{}
@@ -245,9 +245,16 @@ func TestGroundStateRoutesThroughRegistry(t *testing.T) {
 			}
 		}
 	}
-	eng := sim.NewEngine(l, sim.ParamsFig5)
-	_, en := eng.GroundState()
-	_, want, _ := eng.ExhaustiveChecked()
+	eng := NewEngine(l, ParamsFig5)
+	gs, en := eng.GroundState()
+	qs, qe, _, err := eng.QuickExact(QuickExactOptions{NodeBudget: DefaultNodeBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if en != qe || !slices.Equal(gs, qs) {
+		t.Errorf("GroundState (%v, %v) != QuickExact (%v, %v)", gs, en, qs, qe)
+	}
+	_, want, _ := eng.Exhaustive(context.Background())
 	if math.Abs(en-want) > 1e-9 {
 		t.Errorf("GroundState %v != exhaustive %v", en, want)
 	}
@@ -267,9 +274,9 @@ func TestStatsAndTracerMetrics(t *testing.T) {
 			}
 		}
 	}
-	eng := sim.NewEngine(l, sim.ParamsFig5)
+	eng := NewEngine(l, ParamsFig5)
 	tr := obs.New()
-	_, _, st, err := GroundState(eng, Options{Tracer: tr})
+	_, _, st, err := eng.QuickExact(QuickExactOptions{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
-// Package sim implements physical simulation of SiDB charge configurations:
-// an exhaustive ground-state finder (SiQAD's ExGS equivalent) and a
-// simulated-annealing ground-state finder (the SimAnneal engine of [30]
-// that the paper uses to validate the Bestagon library).
+// Package sim implements physical simulation of SiDB charge configurations
+// with three ground-state engines behind one fixed solver table (see
+// Lookup): an exhaustive finder (SiQAD's ExGS equivalent), a pruned exact
+// branch-and-bound (QuickExact), and a simulated-annealing finder (the
+// SimAnneal engine of [30] that the paper uses to validate the Bestagon
+// library).
 //
 // The model is the established two-state SiDB electrostatics of SiQAD:
 // every dangling bond is either neutral (DB0) or negatively charged (DB-);
@@ -18,8 +20,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"os"
 
 	"repro/internal/defects"
 	"repro/internal/lattice"
@@ -63,8 +65,8 @@ func (p Params) Potential(d float64) float64 {
 // Charged surface defects (see NewEngineOn) are represented as extra
 // pinned pseudo-dots appended after the layout's dots, with the pairwise
 // matrix V scaled by each defect's charge. Every solver — exhaustive
-// enumeration, annealing, and the registered exact backends, which all
-// work from IsFixed, V, Energy and flipDelta — therefore sees the defect
+// enumeration, QuickExact and annealing, which all work from IsFixed, V,
+// Energy and flipDelta — therefore sees the defect
 // perturbation without any defect-specific code, and the free-dot count
 // (the solve cost) is unchanged.
 type Engine struct {
@@ -248,9 +250,9 @@ func (e *Engine) PopulationStable(charged []bool) bool {
 }
 
 // GroundState finds a minimum-energy configuration. The search is routed
-// through the automatic solver dispatcher (see Auto): a registered pruned
-// exact engine when available, exhaustive enumeration up to ExactLimit free
-// dots, and simulated annealing with deterministic restarts beyond that.
+// through the automatic solver dispatcher (see Auto): QuickExact up to
+// ExactLimit free dots, exhaustive enumeration if QuickExact fails there,
+// and simulated annealing with deterministic restarts beyond that.
 func (e *Engine) GroundState() ([]bool, float64) {
 	if sol, err := Auto().Solve(e, SolveOptions{}); err == nil {
 		return sol.Charges, sol.EnergyEV
@@ -261,84 +263,92 @@ func (e *Engine) GroundState() ([]bool, float64) {
 // ExactLimit is the maximum number of free dots for exhaustive search.
 const ExactLimit = 22
 
-// ExhaustiveDegrades counts, process-wide, how often an exact Exhaustive
-// request silently degraded to simulated annealing because the instance
-// exceeded the 63-free-dot enumeration capability. The zero value is ready
-// to use; it is also mirrored onto any tracer passed to the solvers.
-var ExhaustiveDegrades obs.Counter
-
 // Exhaustive enumerates all charge configurations of the free dots and
-// returns a minimum-energy configuration (SiQAD's ExGS equivalent). When
-// the instance exceeds the 63-free-dot enumeration capability it degrades
-// to simulated annealing; the degrade increments ExhaustiveDegrades and
-// warns on stderr. Use ExhaustiveChecked to detect the case
-// programmatically.
-func (e *Engine) Exhaustive() ([]bool, float64) {
-	gs, en, err := e.ExhaustiveChecked()
-	if err != nil {
-		ExhaustiveDegrades.Inc()
-		fmt.Fprintf(os.Stderr, "sim: warning: %v; degrading exact request to simulated annealing (result no longer provably minimal)\n", err)
-		return e.Anneal(DefaultAnnealConfig())
-	}
-	return gs, en
+// returns a minimum-energy configuration (SiQAD's ExGS equivalent), or an
+// error when the instance exceeds the 63-free-dot enumeration capability.
+// Cancellation or deadline expiry of ctx aborts the enumeration with the
+// context's error.
+func (e *Engine) Exhaustive(ctx context.Context) ([]bool, float64, error) {
+	r, err := e.enumerate(ctx, nil)
+	return r.ground, r.groundE, err
 }
 
-// ExhaustiveChecked enumerates all charge configurations of the free dots
-// and returns a minimum-energy configuration, or an error when the
-// instance exceeds the enumeration capability.
+// ExhaustiveChecked is Exhaustive without a context. The benchmark module
+// (cmd/bench) calls it.
 func (e *Engine) ExhaustiveChecked() ([]bool, float64, error) {
-	return e.ExhaustiveContext(context.Background())
+	return e.Exhaustive(context.Background())
 }
 
-// ExhaustiveContext is ExhaustiveChecked under a context: cancellation or
-// deadline expiry aborts the enumeration with the context's error. A nil
-// context behaves like context.Background.
-func (e *Engine) ExhaustiveContext(ctx context.Context) ([]bool, float64, error) {
-	poll := ctx != nil && ctx.Done() != nil
-	n := len(e.Sites)
-	var freeIdx []int
-	for i := 0; i < n; i++ {
-		if !e.fixed[i] {
-			freeIdx = append(freeIdx, i)
+// enumeration is the outcome of one walk over all free-dot configurations.
+type enumeration struct {
+	ground    []bool
+	groundE   float64
+	groundKey uint64 // interest key of ground
+	// keyMin is the lowest energy seen per interest key (+Inf for keys no
+	// configuration reaches).
+	keyMin []float64
+}
+
+// enumerate walks all configurations of the free dots in Gray-code order,
+// updating the energy with one flipDelta per step. It keeps the first
+// configuration of minimum energy (a later one replaces it only when lower
+// by more than 1e-15) and, for every key of the dots of interest (bit b set
+// when dot interest[b] is charged), the lowest energy of any configuration
+// with that key.
+func (e *Engine) enumerate(ctx context.Context, interest []int) (enumeration, error) {
+	freeIdx := e.FreeIndices()
+	if len(freeIdx) > 63 {
+		return enumeration{}, fmt.Errorf("sim: %d free dots exceed exhaustive capability", len(freeIdx))
+	}
+	cur := append([]bool(nil), e.fixed...) // perturbers always charged
+	// flipKey[b] is the key change when free dot freeIdx[b] flips.
+	flipKey := make([]uint64, len(freeIdx))
+	var key uint64
+	for bit, i := range interest {
+		if cur[i] {
+			key |= 1 << bit
+		}
+		for b, f := range freeIdx {
+			if f == i {
+				flipKey[b] |= 1 << bit
+			}
 		}
 	}
-	if len(freeIdx) > 63 {
-		return nil, 0, fmt.Errorf("sim: %d free dots exceed exhaustive capability", len(freeIdx))
-	}
-	base := make([]bool, n)
-	for i := range base {
-		base[i] = e.fixed[i] // perturbers always charged
-	}
-	best := append([]bool(nil), base...)
-	// Incremental energy evaluation via gray-code flips.
-	cur := append([]bool(nil), base...)
 	curE := e.Energy(cur)
-	bestE := curE
+	r := enumeration{
+		ground:    append([]bool(nil), cur...),
+		groundE:   curE,
+		groundKey: key,
+		keyMin:    make([]float64, 1<<len(interest)),
+	}
+	for k := range r.keyMin {
+		r.keyMin[k] = math.Inf(1)
+	}
+	r.keyMin[key] = curE
+	poll := ctx.Done() != nil
 	total := uint64(1) << len(freeIdx)
-	prevGray := uint64(0)
 	for k := uint64(1); k < total; k++ {
 		if poll && k&0x3FFF == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, fmt.Errorf("sim: exhaustive search canceled: %w", err)
+				return enumeration{}, fmt.Errorf("sim: exhaustive search canceled: %w", err)
 			}
 		}
-		gray := k ^ (k >> 1)
-		diff := gray ^ prevGray
-		prevGray = gray
-		bit := 0
-		for diff>>1 != 0 {
-			diff >>= 1
-			bit++
-		}
+		// Step k of the Gray code flips bit ctz(k).
+		bit := bits.TrailingZeros64(k)
 		i := freeIdx[bit]
 		curE += e.flipDelta(cur, i)
 		cur[i] = !cur[i]
-		if curE < bestE-1e-15 {
-			bestE = curE
-			copy(best, cur)
+		key ^= flipKey[bit]
+		if curE < r.keyMin[key] {
+			r.keyMin[key] = curE
+		}
+		if curE < r.groundE-1e-15 {
+			r.groundE = curE
+			r.groundKey = key
+			copy(r.ground, cur)
 		}
 	}
-	return best, bestE, nil
+	return r, nil
 }
 
 // flipDelta returns the energy change of flipping dot i's charge.
@@ -505,56 +515,24 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 
 // DegeneracyGap returns the energy gap between the ground state and the
 // lowest configuration whose charges differ on the given dots of interest
-// (e.g. an output pair read differently). Exhaustive only; used to assess
-// how robustly a gate encodes its output.
+// (e.g. an output pair read differently). Exhaustive only, in the same
+// single enumeration that finds the ground state, which keeps one minimum
+// per charge pattern of the interest dots: 2^len(interest) of them, so
+// interest names a handful of dots. Used to assess how robustly a gate
+// encodes its output.
 func (e *Engine) DegeneracyGap(interest []int) (float64, error) {
-	n := len(e.Sites)
-	var freeIdx []int
-	for i := 0; i < n; i++ {
-		if !e.fixed[i] {
-			freeIdx = append(freeIdx, i)
+	if free := len(e.FreeIndices()); free > ExactLimit {
+		return 0, fmt.Errorf("sim: degeneracy gap needs exhaustive search (%d free dots)", free)
+	}
+	r, err := e.enumerate(context.Background(), interest)
+	if err != nil {
+		return 0, err
+	}
+	other := math.Inf(1)
+	for k, m := range r.keyMin {
+		if uint64(k) != r.groundKey && m < other {
+			other = m
 		}
 	}
-	if len(freeIdx) > ExactLimit {
-		return 0, fmt.Errorf("sim: degeneracy gap needs exhaustive search (%d free dots)", len(freeIdx))
-	}
-	ground, groundE := e.Exhaustive()
-	key := func(c []bool) uint64 {
-		var k uint64
-		for bit, i := range interest {
-			if c[i] {
-				k |= 1 << bit
-			}
-		}
-		return k
-	}
-	groundKey := key(ground)
-	bestOther := math.Inf(1)
-	cur := make([]bool, n)
-	for i := range cur {
-		cur[i] = e.fixed[i]
-	}
-	curE := e.Energy(cur)
-	total := uint64(1) << len(freeIdx)
-	prevGray := uint64(0)
-	if key(cur) != groundKey && curE < bestOther {
-		bestOther = curE
-	}
-	for k := uint64(1); k < total; k++ {
-		gray := k ^ (k >> 1)
-		diff := gray ^ prevGray
-		prevGray = gray
-		bit := 0
-		for diff>>1 != 0 {
-			diff >>= 1
-			bit++
-		}
-		i := freeIdx[bit]
-		curE += e.flipDelta(cur, i)
-		cur[i] = !cur[i]
-		if key(cur) != groundKey && curE < bestOther {
-			bestOther = curE
-		}
-	}
-	return bestOther - groundE, nil
+	return other - r.groundE, nil
 }

@@ -1,12 +1,23 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/sidb"
 )
+
+// exhaustive runs Exhaustive without a deadline, failing the test on error.
+func exhaustive(t testing.TB, e *Engine) ([]bool, float64) {
+	t.Helper()
+	gs, en, err := e.Exhaustive(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gs, en
+}
 
 func TestPotentialValues(t *testing.T) {
 	p := ParamsFig5
@@ -32,7 +43,7 @@ func TestIsolatedDotCharges(t *testing.T) {
 	l := &sidb.Layout{}
 	l.AddCell(0, 0, sidb.RoleNormal)
 	e := NewEngine(l, ParamsFig5)
-	gs, energy := e.Exhaustive()
+	gs, energy := exhaustive(t, e)
 	if !gs[0] {
 		t.Error("isolated DB must be negatively charged (mu < 0)")
 	}
@@ -48,7 +59,7 @@ func TestClosePairSharesOneElectron(t *testing.T) {
 	l.AddCell(0, 0, sidb.RoleNormal)
 	l.AddCell(1, 2, sidb.RoleNormal) // 0.86 nm
 	e := NewEngine(l, ParamsFig5)
-	gs, _ := e.Exhaustive()
+	gs, _ := exhaustive(t, e)
 	if !gs[0] || !gs[1] {
 		t.Error("0.86 nm pair should doubly charge in isolation at mu=-0.32")
 	}
@@ -57,7 +68,7 @@ func TestClosePairSharesOneElectron(t *testing.T) {
 	l2.AddCell(0, 0, sidb.RoleNormal)
 	l2.AddCell(1, 1, sidb.RoleNormal) // 0.445 nm
 	e2 := NewEngine(l2, ParamsFig5)
-	gs2, _ := e2.Exhaustive()
+	gs2, _ := exhaustive(t, e2)
 	if gs2[0] == gs2[1] {
 		t.Errorf("0.445 nm pair must hold exactly one electron, got %v", gs2)
 	}
@@ -68,7 +79,7 @@ func TestPerturberPinned(t *testing.T) {
 	l.AddCell(0, 0, sidb.RolePerturber)
 	l.AddCell(1, 1, sidb.RolePerturber)
 	e := NewEngine(l, ParamsFig5)
-	gs, _ := e.Exhaustive()
+	gs, _ := exhaustive(t, e)
 	if !gs[0] || !gs[1] {
 		t.Error("perturbers must stay charged regardless of energy")
 	}
@@ -114,7 +125,7 @@ func TestExhaustiveIsMinimum(t *testing.T) {
 			}
 		}
 		e := NewEngine(l, ParamsFig5)
-		_, bestE := e.Exhaustive()
+		_, bestE := exhaustive(t, e)
 		// Compare against brute-force enumeration with direct Energy calls.
 		min := math.Inf(1)
 		cfg := make([]bool, n)
@@ -148,7 +159,7 @@ func TestGroundStateIsPopulationStable(t *testing.T) {
 			}
 		}
 		e := NewEngine(l, ParamsFig5)
-		gs, _ := e.Exhaustive()
+		gs, _ := exhaustive(t, e)
 		if !e.PopulationStable(gs) {
 			t.Fatalf("trial %d: ground state not population stable", trial)
 		}
@@ -171,7 +182,7 @@ func TestAnnealMatchesExhaustive(t *testing.T) {
 			}
 		}
 		e := NewEngine(l, ParamsFig5)
-		_, exact := e.Exhaustive()
+		_, exact := exhaustive(t, e)
 		_, annealed := e.Anneal(DefaultAnnealConfig())
 		if annealed > exact+1e-9 {
 			t.Errorf("trial %d: anneal %v worse than exact %v", trial, annealed, exact)
@@ -207,7 +218,7 @@ func TestGroundStateAutoSelect(t *testing.T) {
 	}
 	e := NewEngine(l, ParamsFig5)
 	gs, energy := e.GroundState()
-	_, exact := e.Exhaustive()
+	_, exact := exhaustive(t, e)
 	if math.Abs(energy-exact) > 1e-12 {
 		t.Error("auto ground state must match exhaustive for small instances")
 	}

@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -46,11 +44,12 @@ func (o SolveOptions) Context() context.Context {
 	return context.Background()
 }
 
-// GroundStateSolver is a pluggable ground-state search backend.
-// Implementations must be safe for concurrent use by multiple goroutines
-// and deterministic for a fixed engine and options.
+// GroundStateSolver is a ground-state search backend. Implementations must
+// be safe for concurrent use by multiple goroutines and deterministic for a
+// fixed engine and options.
 type GroundStateSolver interface {
-	// Name is the registry key ("exgs", "quickexact", "anneal", "auto").
+	// Name is the solver's Lookup name ("exgs", "quickexact", "anneal",
+	// "auto").
 	Name() string
 	// IsExact reports whether the solver proves minimality of its result.
 	IsExact() bool
@@ -58,74 +57,41 @@ type GroundStateSolver interface {
 	Solve(e *Engine, opts SolveOptions) (Solution, error)
 }
 
-var (
-	solversMu sync.RWMutex
-	solvers   = map[string]GroundStateSolver{}
-)
+// solverNames is the fixed solver table Lookup resolves, sorted.
+var solverNames = []string{"anneal", "auto", "exgs", "quickexact"}
 
-// Register makes a solver selectable by name, replacing any previous
-// solver with the same name. Backend packages call it from init, so blank
-// importing a backend enables it (database/sql driver style):
-//
-//	import _ "repro/internal/sim/quickexact"
-func Register(s GroundStateSolver) {
-	solversMu.Lock()
-	defer solversMu.Unlock()
-	solvers[s.Name()] = s
-}
+// quickExact is the "quickexact" solver. Its node budget keeps it from
+// hanging on a pathological instance; direct QuickExact calls choose their
+// own budget.
+var quickExact = quickExactSolver{opts: QuickExactOptions{NodeBudget: DefaultNodeBudget}}
 
 // Lookup resolves a solver name; "" and "auto" yield the automatic
 // dispatcher.
 func Lookup(name string) (GroundStateSolver, error) {
-	if name == "" || name == "auto" {
+	switch name {
+	case "", "auto":
 		return Auto(), nil
+	case "exgs":
+		return exgsSolver{}, nil
+	case "quickexact":
+		return quickExact, nil
+	case "anneal":
+		return annealSolver{}, nil
 	}
-	solversMu.RLock()
-	defer solversMu.RUnlock()
-	if s, ok := solvers[name]; ok {
-		return s, nil
-	}
-	return nil, fmt.Errorf("sim: unknown ground-state solver %q (have %v)", name, solverNamesLocked())
+	return nil, fmt.Errorf("sim: unknown ground-state solver %q (have %v)", name, solverNames)
 }
 
-// SolverNames lists the registered solver names, sorted.
-func SolverNames() []string {
-	solversMu.RLock()
-	defer solversMu.RUnlock()
-	return solverNamesLocked()
-}
+// SolverNames lists the names Lookup resolves, sorted.
+func SolverNames() []string { return append([]string(nil), solverNames...) }
 
-func solverNamesLocked() []string {
-	out := make([]string, 0, len(solvers))
-	for n := range solvers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AutoQuickExactLimit is the largest free-dot count for which the
-// automatic dispatcher hands an instance to a registered pruned exact
-// engine ("quickexact") instead of annealing. It defaults to ExactLimit so
-// automatic dispatch keeps the historical exact/heuristic boundary: below
-// it results merely arrive faster, above it behavior is unchanged. The
-// pruned engine comfortably solves 30+ free dots — select it explicitly
-// (solver name "quickexact") or raise this limit to verify larger layouts
-// exactly. Note that exact results above the boundary can legitimately
-// differ from annealed ones: annealing may settle in a population-stable
-// metastable state above the true ground state.
-var AutoQuickExactLimit = ExactLimit
-
-// Auto returns the automatic dispatcher: it prefers a registered pruned
-// exact engine up to AutoQuickExactLimit free dots, falls back to
-// exhaustive enumeration up to ExactLimit, and anneals beyond that.
+// Auto returns the automatic dispatcher: QuickExact up to ExactLimit free
+// dots, exhaustive enumeration when QuickExact fails there, and annealing
+// beyond ExactLimit. The pruned engine comfortably solves 30+ free dots —
+// select "quickexact" explicitly to verify larger layouts exactly. Exact
+// results above the boundary can legitimately differ from annealed ones:
+// annealing may settle in a population-stable metastable state above the
+// true ground state.
 func Auto() GroundStateSolver { return autoSolver{} }
-
-func init() {
-	Register(exgsSolver{})
-	Register(annealSolver{})
-	Register(autoSolver{})
-}
 
 // exgsSolver is the brute-force exhaustive backend (SiQAD's ExGS).
 type exgsSolver struct{}
@@ -134,7 +100,7 @@ func (exgsSolver) Name() string  { return "exgs" }
 func (exgsSolver) IsExact() bool { return true }
 
 func (exgsSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
-	gs, en, err := e.ExhaustiveContext(opts.Context())
+	gs, en, err := e.Exhaustive(opts.Context())
 	if err != nil {
 		return Solution{}, err
 	}
@@ -164,26 +130,20 @@ func (annealSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 	return Solution{Charges: gs, EnergyEV: en, Solver: "anneal", Exact: false}, nil
 }
 
-// autoSolver dispatches by instance size and backend availability.
+// autoSolver dispatches by instance size.
 type autoSolver struct{}
 
 func (autoSolver) Name() string  { return "auto" }
 func (autoSolver) IsExact() bool { return false }
 
 func (autoSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
-	free := len(e.FreeIndices())
-	solversMu.RLock()
-	q := solvers["quickexact"]
-	solversMu.RUnlock()
-	if q != nil && free <= AutoQuickExactLimit {
-		if sol, err := q.Solve(e, opts); err == nil {
-			return sol, nil
-		}
-		// A backend failure (e.g. an exhausted node budget) degrades to
-		// the size-based fallbacks below.
+	if len(e.FreeIndices()) > ExactLimit {
+		return annealSolver{}.Solve(e, opts)
 	}
-	if free <= ExactLimit {
-		return exgsSolver{}.Solve(e, opts)
+	if sol, err := quickExact.Solve(e, opts); err == nil {
+		return sol, nil
 	}
-	return annealSolver{}.Solve(e, opts)
+	// A QuickExact failure (an exhausted node budget, a shard panic)
+	// falls back to enumeration.
+	return exgsSolver{}.Solve(e, opts)
 }
