@@ -13,7 +13,8 @@ test:
 # check is the pre-merge gate: static analysis plus the full test suite
 # under the race detector (short mode keeps the instrumented annealer and
 # SAT race coverage while skipping the hour-long exhaustive sweeps). The
-# second test run drives the sharded QuickExact search and the parallel
+# second test run drives the sharded QuickExact search (and the pinned
+# searches of the degeneracy gap, which share its core) and the parallel
 # operational-domain sweep — the two many-goroutine hot paths — through
 # their full (non-short) tests under the race detector. The last step runs
 # the benchmark module's own tests (cmd/bench is a nested module, so
@@ -28,7 +29,7 @@ check:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|TestParallelMatchesSerial|TestSweepMetrics' \
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestParallelMatchesSerial|TestSweepMetrics' \
 		./internal/sim ./internal/opdomain
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	cd cmd/bench && $(GO) test .
@@ -38,10 +39,11 @@ race:
 	$(GO) test -race ./...
 
 # bench-sim compares the ground-state engines (blind ExGS enumeration vs
-# pruned QuickExact branch-and-bound vs annealing) and records the raw
-# test2json event stream in BENCH_sim.json.
+# pruned QuickExact branch-and-bound vs annealing), times the pinned-search
+# degeneracy gap and records the raw test2json event stream in
+# BENCH_sim.json.
 bench-sim:
-	$(GO) test -run '^$$' -bench GroundState -benchmem -json ./internal/sim/... > BENCH_sim.json
+	$(GO) test -run '^$$' -bench 'GroundState|DegeneracyGap' -benchmem -json ./internal/sim/... > BENCH_sim.json
 	@grep -o '[^"]* ns/op[^"\\]*' BENCH_sim.json | sed 's/\\t/  /g' || true
 	@echo "wrote BENCH_sim.json"
 

@@ -3,6 +3,7 @@ package gatelib
 import (
 	"context"
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/sidb"
@@ -111,5 +112,99 @@ func TestUnknownSolverRejected(t *testing.T) {
 		ValidateOptions{Solver: "no-such-solver"})
 	if err == nil {
 		t.Fatal("unknown solver name must be rejected")
+	}
+}
+
+// enumeratedGap is the degeneracy gap by blind enumeration: one Gray-code
+// walk over the free dots keeps the ground state and, per key of the
+// interest dots, the lowest energy seen; the gap is the lowest energy of
+// any other key minus the ground energy.
+func enumeratedGap(e *sim.Engine, interest []int) float64 {
+	freeIdx := e.FreeIndices()
+	cur := make([]bool, e.NumDots())
+	for i := range cur {
+		cur[i] = e.IsFixed(i)
+	}
+	// key is the interest key of cur; flipping free dot freeIdx[b]
+	// toggles the key bits in flip[b].
+	key := 0
+	flip := make([]int, len(freeIdx))
+	for b, i := range interest {
+		if cur[i] {
+			key |= 1 << b
+		}
+		for f, j := range freeIdx {
+			if j == i {
+				flip[f] |= 1 << b
+			}
+		}
+	}
+	keyMin := make([]float64, 1<<len(interest))
+	for k := range keyMin {
+		keyMin[k] = math.Inf(1)
+	}
+	curE := e.Energy(cur)
+	groundE, groundKey := curE, key
+	keyMin[key] = curE
+	for k := uint64(1); k < 1<<len(freeIdx); k++ {
+		f := bits.TrailingZeros64(k)
+		i := freeIdx[f]
+		delta := e.Params.MuMinus + e.LocalPotential(cur, i)
+		if cur[i] {
+			delta = -delta
+		}
+		curE += delta
+		cur[i] = !cur[i]
+		key ^= flip[f]
+		keyMin[key] = min(keyMin[key], curE)
+		if curE < groundE-1e-15 {
+			groundE, groundKey = curE, key
+		}
+	}
+	other := math.Inf(1)
+	for k, m := range keyMin {
+		if k != groundKey {
+			other = min(other, m)
+		}
+	}
+	return other - groundE
+}
+
+// TestDegeneracyGapMatchesEnumeration checks the pinned-search degeneracy
+// gap against blind enumeration on the library's own validation layouts:
+// every input pattern of every variant with at most 18 free dots (the
+// fan-out tiles give 2-output, 16-key interest sets) and one 22-dot XNOR
+// pattern at the exact-gap limit.
+func TestDegeneracyGapMatchesEnumeration(t *testing.T) {
+	lib := NewLibrary()
+	var twoOutputs, limit bool // the coverage the test promises
+	for _, key := range lib.Variants() {
+		d := lib.designs[key]
+		for p := 0; p < 1<<len(d.Ins); p++ {
+			l := patternLayout(d, p)
+			xnor := key == "xnor:iNW:iNE:oSE" && p == 1
+			if freeDots(l) > 18 && !xnor {
+				continue
+			}
+			eng := sim.NewEngine(l, sim.ParamsFig5)
+			idx := l.SiteIndex()
+			var interest []int
+			for _, out := range d.Outs {
+				b := out.BDL()
+				interest = append(interest, idx[b.Bit0], idx[b.Bit1])
+			}
+			got, err := eng.DegeneracyGap(interest)
+			if err != nil {
+				t.Fatalf("%s pattern %d: %v", key, p, err)
+			}
+			if want := enumeratedGap(eng, interest); got != want && !(math.Abs(got-want) <= 1e-9) {
+				t.Errorf("%s pattern %d: gap %v, enumeration %v", key, p, got, want)
+			}
+			twoOutputs = twoOutputs || len(d.Outs) == 2
+			limit = limit || xnor && freeDots(l) == sim.ExactLimit
+		}
+	}
+	if !twoOutputs || !limit {
+		t.Errorf("coverage: 2-output layout %v, %d-dot xnor pattern %v", twoOutputs, sim.ExactLimit, limit)
 	}
 }

@@ -82,8 +82,8 @@ type Validation struct {
 	// state leaves an output pair undefined).
 	Outputs []int
 	// MinGapEV is the smallest energy gap between the ground state and the
-	// best differing-output configuration (exhaustive cases only; 0
-	// otherwise).
+	// best differing-output configuration (exact cases only, up to
+	// sim.ExactLimit free dots, by pinned exact search; 0 otherwise).
 	MinGapEV float64
 	// Method names the ground-state solver that produced the outputs
 	// ("exgs", "quickexact", "anneal", ...).
@@ -143,31 +143,7 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 		}
 	}
 	for p := 0; p < patterns; p++ {
-		l := d.Layout(0, 0)
-		for i, in := range d.Ins {
-			for _, site := range InputEmulation(in, p>>i&1 == 1) {
-				l.Add(site, sidb.RolePerturber)
-			}
-		}
-		have := l.SiteIndex()
-		for j, out := range d.Outs {
-			site := OutputPerturber(out)
-			if j < len(d.OutEmu) {
-				site = d.OutEmu[j]
-			}
-			// Designs with built-in read-out perturbers (PO tiles) already
-			// contain the emulation dot.
-			if _, dup := have[site]; dup {
-				continue
-			}
-			l.Add(site, sidb.RolePerturber)
-		}
-		// Extra downstream-emulation sites beyond one per output.
-		if len(d.OutEmu) > len(d.Outs) {
-			for _, site := range d.OutEmu[len(d.Outs):] {
-				l.Add(site, sidb.RolePerturber)
-			}
-		}
+		l := patternLayout(d, p)
 		free := 0
 		for _, dot := range l.Dots {
 			if dot.Role != sidb.RolePerturber {
@@ -247,6 +223,38 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 		}
 	}
 	return v, nil
+}
+
+// patternLayout is the design's standalone layout for input pattern p
+// (bit i is input i): the emulation perturbers of every input, one
+// read-out perturber per output and any extra downstream-emulation sites.
+func patternLayout(d *Design, p int) *sidb.Layout {
+	l := d.Layout(0, 0)
+	for i, in := range d.Ins {
+		for _, site := range InputEmulation(in, p>>i&1 == 1) {
+			l.Add(site, sidb.RolePerturber)
+		}
+	}
+	have := l.SiteIndex()
+	for j, out := range d.Outs {
+		site := OutputPerturber(out)
+		if j < len(d.OutEmu) {
+			site = d.OutEmu[j]
+		}
+		// Designs with built-in read-out perturbers (PO tiles) already
+		// contain the emulation dot.
+		if _, dup := have[site]; dup {
+			continue
+		}
+		l.Add(site, sidb.RolePerturber)
+	}
+	// Extra downstream-emulation sites beyond one per output.
+	if len(d.OutEmu) > len(d.Outs) {
+		for _, site := range d.OutEmu[len(d.Outs):] {
+			l.Add(site, sidb.RolePerturber)
+		}
+	}
+	return l
 }
 
 // blockedValidation is the result of an exclusion-zone fast-reject: no

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -84,5 +85,22 @@ func BenchmarkGroundStateAnneal20(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Anneal(DefaultAnnealConfig())
+	}
+}
+
+// The degeneracy gap at the exact limit: one pinned QuickExact search per
+// key of the interest dots (4 keys for one output pair, 16 for two).
+
+func BenchmarkDegeneracyGap22(b *testing.B) {
+	eng := NewEngine(benchLayout(22, 7, 44), ParamsFig5)
+	for _, interest := range [][]int{{0, 1}, {0, 1, 2, 3}} {
+		b.Run(fmt.Sprintf("interest%d", len(interest)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.DegeneracyGap(interest); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -134,42 +134,49 @@ func (s quickExactSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) 
 // engine's layout. The result is deterministic for a fixed engine and
 // options (degenerate ground states are tie-broken canonically).
 func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExactStats, error) {
+	return e.quickExact(opts, nil)
+}
+
+// quickExact is the reduce-and-search core of QuickExact and
+// DegeneracyGap. A non-nil pin, indexed like the dots, constrains the free
+// dots: 1 pins a dot charged (it folds into the on-site terms like a
+// perturber), 0 pins it neutral (it drops out), -1 leaves it to the
+// search. The pruning rules hold for the unpinned dots of a constrained
+// minimum too. A pinned search runs on the calling goroutine from an
+// infinite incumbent: the unconstrained anneal seed could undercut the
+// constrained minimum and prune every leaf.
+func (e *Engine) quickExact(opts QuickExactOptions, pin []int8) ([]bool, float64, QuickExactStats, error) {
 	n := e.NumDots()
-	freeIdx := e.FreeIndices()
+	// Base configuration: perturbers and charge pins charged, free dots
+	// neutral.
+	full := make([]bool, n)
+	var freeIdx []int
+	for i := 0; i < n; i++ {
+		switch {
+		case e.fixed[i]:
+			full[i] = true
+		case pin != nil && pin[i] >= 0:
+			full[i] = pin[i] == 1
+		default:
+			freeIdx = append(freeIdx, i)
+		}
+	}
 	nf := len(freeIdx)
 	st := QuickExactStats{FreeDots: nf}
-
-	// Base configuration: perturbers pinned negative, free dots neutral.
-	full := make([]bool, n)
-	for i := 0; i < n; i++ {
-		full[i] = e.IsFixed(i)
-	}
-	if nf == 0 {
-		en := e.Energy(full)
-		st.EnergyEV = en
-		emit(opts.Tracer, &st)
-		return full, en, st, nil
-	}
+	defer func() { emit(opts.Tracer, &st) }()
 
 	mu := e.Params.MuMinus
 	// Effective on-site energy of charging each free dot: μ_ plus the
-	// potential contributed by the pinned perturbers.
+	// potential contributed by the pinned charges.
 	onsite := make([]float64, nf)
 	for k, i := range freeIdx {
 		v := mu
 		for j := 0; j < n; j++ {
-			if e.IsFixed(j) {
+			if full[j] {
 				v += e.V[i][j]
 			}
 		}
 		onsite[k] = v
-	}
-	// Free-free interaction matrix, flattened row-major.
-	W := make([]float64, nf*nf)
-	for a, i := range freeIdx {
-		for b, j := range freeIdx {
-			W[a*nf+b] = e.V[i][j]
-		}
 	}
 
 	// Presolve: population bounds to a fixpoint. lo is the stability term
@@ -188,15 +195,15 @@ func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExact
 				continue
 			}
 			lo, hi := onsite[k], onsite[k]
-			row := W[k*nf : (k+1)*nf]
-			for j := 0; j < nf; j++ {
+			row := e.V[freeIdx[k]]
+			for j, i := range freeIdx {
 				switch {
 				case j == k:
 				case state[j] == 1:
-					lo += row[j]
-					hi += row[j]
+					lo += row[i]
+					hi += row[i]
 				case state[j] == -1:
-					hi += row[j]
+					hi += row[i]
 				}
 			}
 			if lo > stabEps {
@@ -229,9 +236,9 @@ func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExact
 	eff := make([]float64, nf)
 	for k := 0; k < nf; k++ {
 		v := onsite[k]
-		for j := 0; j < nf; j++ {
+		for j, i := range freeIdx {
 			if state[j] == 1 && j != k {
-				v += W[k*nf+j]
+				v += e.V[freeIdx[k]][i]
 			}
 		}
 		eff[k] = v
@@ -246,9 +253,8 @@ func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExact
 	nu := len(order)
 	st.Undecided = nu
 	if nu == 0 {
-		// The presolve proved every free dot's charge.
+		// No free dots, or the presolve proved every free dot's charge.
 		st.EnergyEV = eBase
-		emit(opts.Tracer, &st)
 		return full, eBase, st, nil
 	}
 
@@ -261,22 +267,80 @@ func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExact
 	WU := make([]float64, nu*nu)
 	for a, ka := range order {
 		for b, kb := range order {
-			WU[a*nu+b] = W[ka*nf+kb]
+			WU[a*nu+b] = e.V[freeIdx[ka]][freeIdx[kb]]
 		}
 	}
 
-	// Incumbent: a short deterministic anneal seeds the upper bound so the
-	// bound prune bites from the very first node.
 	ctx := opts.Ctx
-	seedCfg, seedE := e.Anneal(AnnealConfig{Seed: 1, Restarts: 2, Sweeps: 150, TStart: 0.3, TEnd: 0.001, Ctx: ctx})
-	st.SeedEnergyEV = seedE
+	var budget *int64
+	if opts.NodeBudget > 0 {
+		b := opts.NodeBudget
+		budget = &b
+	}
+	var best atomic.Uint64
+	var win []int8 // winning reduced assignment; nil when no leaf was recorded
+	var seedCfg []bool
+	if pin != nil {
+		best.Store(math.Float64bits(math.Inf(1)))
+		s := newSearcher(ctx, nu, ons, WU, eBase, &best, budget)
+		s.dfs(0)
+		st.Nodes, st.BoundPruned, st.StabilityPruned = s.nodes, s.boundPruned, s.stabPruned
+		if s.haveBest {
+			win = s.bestAssign
+		}
+	} else {
+		// Incumbent: a short deterministic anneal seeds the upper bound so
+		// the bound prune bites from the very first node.
+		seedCfg, st.SeedEnergyEV = e.Anneal(AnnealConfig{Seed: 1, Restarts: 2, Sweeps: 150, TStart: 0.3, TEnd: 0.001, Ctx: ctx})
+		best.Store(math.Float64bits(st.SeedEnergyEV))
+		var err error
+		if win, err = searchShards(opts, newSearcher(ctx, nu, ons, WU, eBase, &best, budget), &st); err != nil {
+			return nil, 0, st, err
+		}
+	}
 
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, st, fmt.Errorf("quickexact: search canceled after %d nodes (%d free dots): %w",
+				st.Nodes, nf, err)
+		}
+	}
+	if budget != nil && atomic.LoadInt64(budget) < 0 {
+		return nil, 0, st, fmt.Errorf("quickexact: node budget %d exhausted after %d nodes (%d free dots)",
+			opts.NodeBudget, st.Nodes, nf)
+	}
+	if win == nil {
+		// Defensive only: subtrees containing a minimum are never pruned
+		// (their lower bound cannot exceed the incumbent), so some leaf is
+		// always recorded. Fall back to the annealed seed; a pinned search
+		// has none.
+		if pin != nil {
+			return nil, 0, st, fmt.Errorf("quickexact: pinned search recorded no configuration (%d free dots)", nf)
+		}
+		copy(full, seedCfg)
+		st.EnergyEV = st.SeedEnergyEV
+		return full, st.SeedEnergyEV, st, nil
+	}
+	for u, k := range order {
+		full[freeIdx[k]] = win[u] == 1
+	}
+	// Canonical final energy: one clean summation instead of the drifting
+	// incremental accumulation along the winning search path.
+	st.EnergyEV = e.Energy(full)
+	return full, st.EnergyEV, st, nil
+}
+
+// searchShards runs the unpinned search on a worker pool: gen, a searcher
+// over the reduced problem, enumerates the top tree levels into shard
+// tasks, applying the pruning rules so dead prefixes never spawn work, and
+// each worker searches shards with its own copy of gen. It returns the
+// winning assignment (nil when no shard recorded a leaf), merged
+// deterministically, and fills st's pool and pruning statistics.
+func searchShards(opts QuickExactOptions, gen *searcher, st *QuickExactStats) ([]int8, error) {
+	nu := gen.nu
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	depth := opts.ShardDepth
 	if depth <= 0 {
@@ -285,23 +349,9 @@ func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExact
 			depth++
 		}
 	}
-	if depth > nu {
-		depth = nu
-	}
+	depth = min(depth, nu)
 	st.Workers = workers
 
-	var best atomic.Uint64
-	best.Store(math.Float64bits(seedE))
-	var budget *int64
-	if opts.NodeBudget > 0 {
-		b := opts.NodeBudget
-		budget = &b
-	}
-
-	// Enumerate the top levels into shard tasks, applying the same pruning
-	// rules so dead prefixes never spawn work.
-	gen := newSearcher(nu, ons, WU, eBase, &best, budget)
-	gen.ctx = ctx
 	gen.cutDepth = depth
 	var tasks [][]int8
 	gen.emit = func(prefix []int8) { tasks = append(tasks, prefix) }
@@ -343,9 +393,7 @@ func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExact
 					panic("injected fault: quickexact.shard.panic")
 				}
 				busy := time.Now()
-				s := newSearcher(nu, ons, WU, eBase, &best, budget)
-				s.ctx = ctx
-				s.cutDepth = nu
+				s := newSearcher(gen.ctx, nu, gen.ons, gen.W, gen.eBase, gen.best, gen.budget)
 				for ti := range next {
 					t0 := time.Now()
 					s.reset()
@@ -389,21 +437,7 @@ func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExact
 		// A shard panic poisons the merge (its results are missing), so the
 		// whole solve fails as an error the dispatch layer can degrade on;
 		// the worker pool itself survived.
-		emit(opts.Tracer, &st)
-		return nil, 0, st, fmt.Errorf("quickexact: shard worker panicked: %v", r.(panicBox).v)
-	}
-
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			emit(opts.Tracer, &st)
-			return nil, 0, st, fmt.Errorf("quickexact: search canceled after %d nodes (%d free dots): %w",
-				st.Nodes, nf, err)
-		}
-	}
-	if budget != nil && atomic.LoadInt64(budget) < 0 {
-		emit(opts.Tracer, &st)
-		return nil, 0, st, fmt.Errorf("quickexact: node budget %d exhausted after %d nodes (%d free dots)",
-			opts.NodeBudget, st.Nodes, nf)
+		return nil, fmt.Errorf("quickexact: shard worker panicked: %v", r.(panicBox).v)
 	}
 
 	// Deterministic merge: best energy first, then the canonically
@@ -424,24 +458,7 @@ func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExact
 			merged.assign = r.assign
 		}
 	}
-	if !merged.have {
-		// Defensive only: subtrees containing a minimum are never pruned
-		// (their lower bound cannot exceed the incumbent), so some shard
-		// always records a leaf. Fall back to the annealed seed.
-		copy(full, seedCfg)
-		st.EnergyEV = seedE
-		emit(opts.Tracer, &st)
-		return full, seedE, st, nil
-	}
-	for u, k := range order {
-		full[freeIdx[k]] = merged.assign[u] == 1
-	}
-	// Canonical final energy: one clean summation instead of the drifting
-	// incremental accumulation along the winning search path.
-	en := e.Energy(full)
-	st.EnergyEV = en
-	emit(opts.Tracer, &st)
-	return full, en, st, nil
+	return merged.assign, nil
 }
 
 // emit publishes search metrics to the tracer (counters/gauges/histograms
@@ -504,9 +521,10 @@ type searcher struct {
 	bestAssign []int8
 }
 
-func newSearcher(nu int, ons, W []float64, eBase float64, best *atomic.Uint64, budget *int64) *searcher {
+// newSearcher returns a traversal of the whole tree (cutDepth nu).
+func newSearcher(ctx context.Context, nu int, ons, W []float64, eBase float64, best *atomic.Uint64, budget *int64) *searcher {
 	return &searcher{
-		nu: nu, ons: ons, W: W, eBase: eBase, best: best, budget: budget,
+		nu: nu, ons: ons, W: W, eBase: eBase, best: best, budget: budget, ctx: ctx, cutDepth: nu,
 		assign:     make([]int8, nu),
 		pot:        make([]float64, nu),
 		charged:    make([]int, 0, nu),

@@ -266,89 +266,42 @@ const ExactLimit = 22
 // Exhaustive enumerates all charge configurations of the free dots and
 // returns a minimum-energy configuration (SiQAD's ExGS equivalent), or an
 // error when the instance exceeds the 63-free-dot enumeration capability.
-// Cancellation or deadline expiry of ctx aborts the enumeration with the
-// context's error.
+// The walk runs in Gray-code order, updating the energy with one flipDelta
+// per step, and keeps the first configuration of minimum energy (a later
+// one replaces it only when lower by more than 1e-15). Cancellation or
+// deadline expiry of ctx aborts the enumeration with the context's error.
 func (e *Engine) Exhaustive(ctx context.Context) ([]bool, float64, error) {
-	r, err := e.enumerate(ctx, nil)
-	return r.ground, r.groundE, err
+	freeIdx := e.FreeIndices()
+	if len(freeIdx) > 63 {
+		return nil, 0, fmt.Errorf("sim: %d free dots exceed exhaustive capability", len(freeIdx))
+	}
+	cur := append([]bool(nil), e.fixed...) // perturbers always charged
+	curE := e.Energy(cur)
+	ground, groundE := append([]bool(nil), cur...), curE
+	poll := ctx.Done() != nil
+	total := uint64(1) << len(freeIdx)
+	for k := uint64(1); k < total; k++ {
+		if poll && k&0x3FFF == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, fmt.Errorf("sim: exhaustive search canceled: %w", err)
+			}
+		}
+		// Step k of the Gray code flips bit ctz(k).
+		i := freeIdx[bits.TrailingZeros64(k)]
+		curE += e.flipDelta(cur, i)
+		cur[i] = !cur[i]
+		if curE < groundE-1e-15 {
+			groundE = curE
+			copy(ground, cur)
+		}
+	}
+	return ground, groundE, nil
 }
 
 // ExhaustiveChecked is Exhaustive without a context. The benchmark module
 // (cmd/bench) calls it.
 func (e *Engine) ExhaustiveChecked() ([]bool, float64, error) {
 	return e.Exhaustive(context.Background())
-}
-
-// enumeration is the outcome of one walk over all free-dot configurations.
-type enumeration struct {
-	ground    []bool
-	groundE   float64
-	groundKey uint64 // interest key of ground
-	// keyMin is the lowest energy seen per interest key (+Inf for keys no
-	// configuration reaches).
-	keyMin []float64
-}
-
-// enumerate walks all configurations of the free dots in Gray-code order,
-// updating the energy with one flipDelta per step. It keeps the first
-// configuration of minimum energy (a later one replaces it only when lower
-// by more than 1e-15) and, for every key of the dots of interest (bit b set
-// when dot interest[b] is charged), the lowest energy of any configuration
-// with that key.
-func (e *Engine) enumerate(ctx context.Context, interest []int) (enumeration, error) {
-	freeIdx := e.FreeIndices()
-	if len(freeIdx) > 63 {
-		return enumeration{}, fmt.Errorf("sim: %d free dots exceed exhaustive capability", len(freeIdx))
-	}
-	cur := append([]bool(nil), e.fixed...) // perturbers always charged
-	// flipKey[b] is the key change when free dot freeIdx[b] flips.
-	flipKey := make([]uint64, len(freeIdx))
-	var key uint64
-	for bit, i := range interest {
-		if cur[i] {
-			key |= 1 << bit
-		}
-		for b, f := range freeIdx {
-			if f == i {
-				flipKey[b] |= 1 << bit
-			}
-		}
-	}
-	curE := e.Energy(cur)
-	r := enumeration{
-		ground:    append([]bool(nil), cur...),
-		groundE:   curE,
-		groundKey: key,
-		keyMin:    make([]float64, 1<<len(interest)),
-	}
-	for k := range r.keyMin {
-		r.keyMin[k] = math.Inf(1)
-	}
-	r.keyMin[key] = curE
-	poll := ctx.Done() != nil
-	total := uint64(1) << len(freeIdx)
-	for k := uint64(1); k < total; k++ {
-		if poll && k&0x3FFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return enumeration{}, fmt.Errorf("sim: exhaustive search canceled: %w", err)
-			}
-		}
-		// Step k of the Gray code flips bit ctz(k).
-		bit := bits.TrailingZeros64(k)
-		i := freeIdx[bit]
-		curE += e.flipDelta(cur, i)
-		cur[i] = !cur[i]
-		key ^= flipKey[bit]
-		if curE < r.keyMin[key] {
-			r.keyMin[key] = curE
-		}
-		if curE < r.groundE-1e-15 {
-			r.groundE = curE
-			r.groundKey = key
-			copy(r.ground, cur)
-		}
-	}
-	return r, nil
 }
 
 // flipDelta returns the energy change of flipping dot i's charge.
@@ -406,17 +359,8 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 	var accepted, flipsTried int64
 	var energyTrace []float64 // best energy after each restart
 
-	n := len(e.Sites)
-	var freeIdx []int
-	for i := 0; i < n; i++ {
-		if !e.fixed[i] {
-			freeIdx = append(freeIdx, i)
-		}
-	}
-	best := make([]bool, n)
-	for i := range best {
-		best[i] = e.fixed[i]
-	}
+	freeIdx := e.FreeIndices()
+	best := append([]bool(nil), e.fixed...) // perturbers always charged
 	bestE := e.Energy(best)
 
 	for restart := 0; restart < cfg.Restarts; restart++ {
@@ -424,10 +368,7 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 			break
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(restart)*7919))
-		cur := make([]bool, n)
-		for i := range cur {
-			cur[i] = e.fixed[i]
-		}
+		cur := append([]bool(nil), e.fixed...)
 		// Random initial population of free dots.
 		for _, i := range freeIdx {
 			cur[i] = rng.Intn(2) == 1
@@ -515,24 +456,48 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 
 // DegeneracyGap returns the energy gap between the ground state and the
 // lowest configuration whose charges differ on the given dots of interest
-// (e.g. an output pair read differently). Exhaustive only, in the same
-// single enumeration that finds the ground state, which keeps one minimum
-// per charge pattern of the interest dots: 2^len(interest) of them, so
-// interest names a handful of dots. Used to assess how robustly a gate
-// encodes its output.
+// (e.g. an output pair read differently). Used to assess how robustly a
+// gate encodes its output. Exact, up to ExactLimit free dots: for every
+// key of the interest dots (bit b set when dot interest[b] is charged) one
+// pinned QuickExact search finds the lowest energy with that key, summed
+// canonically; a key a perturber or a repeated dot rules out stays +Inf.
+// The gap is the minimum over the non-ground keys minus the ground key's,
+// equal to the enumerated gap within float rounding. interest names a
+// handful of dots: each adds a factor of 2 to the searches.
 func (e *Engine) DegeneracyGap(interest []int) (float64, error) {
 	if free := len(e.FreeIndices()); free > ExactLimit {
-		return 0, fmt.Errorf("sim: degeneracy gap needs exhaustive search (%d free dots)", free)
+		return 0, fmt.Errorf("sim: degeneracy gap needs exact search (%d free dots)", free)
 	}
-	r, err := e.enumerate(context.Background(), interest)
-	if err != nil {
-		return 0, err
+	keyMin := make([]float64, 1<<len(interest))
+	pin := make([]int8, e.NumDots())
+	ground := 0
+keys:
+	for key := range keyMin {
+		keyMin[key] = math.Inf(1)
+		for i := range pin {
+			pin[i] = -1
+		}
+		for bit, i := range interest {
+			want := int8(key >> bit & 1)
+			if e.fixed[i] && want == 0 || pin[i] >= 0 && pin[i] != want {
+				continue keys // no configuration has this key
+			}
+			pin[i] = want
+		}
+		_, en, _, err := e.quickExact(QuickExactOptions{}, pin)
+		if err != nil {
+			return 0, err
+		}
+		keyMin[key] = en
+		if en < keyMin[ground] {
+			ground = key
+		}
 	}
 	other := math.Inf(1)
-	for k, m := range r.keyMin {
-		if uint64(k) != r.groundKey && m < other {
+	for k, m := range keyMin {
+		if k != ground && m < other {
 			other = m
 		}
 	}
-	return other - r.groundE, nil
+	return other - keyMin[ground], nil
 }
