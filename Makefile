@@ -16,7 +16,9 @@ test:
 # second test run drives the sharded QuickExact search (and the pinned
 # searches of the degeneracy gap, which share its core) and the parallel
 # operational-domain sweep — the two many-goroutine hot paths — through
-# their full (non-short) tests under the race detector. The last step runs
+# their full (non-short) tests under the race detector, together with
+# concurrent exact P&R calls (each reusing one solver across its size
+# search) and the solver's Reset-equals-New test. The last step runs
 # the benchmark module's own tests (cmd/bench is a nested module, so
 # ./... never reaches it); its toy run boots the service in-process and
 # checks every answer. staticcheck runs when installed (CI installs it;
@@ -29,8 +31,8 @@ check:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestParallelMatchesSerial|TestSweepMetrics' \
-		./internal/sim ./internal/opdomain
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestParallelMatchesSerial|TestSweepMetrics|TestExactConcurrent|TestResetMatchesFresh' \
+		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	cd cmd/bench && $(GO) test .
 

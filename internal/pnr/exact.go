@@ -3,6 +3,7 @@ package pnr
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -59,7 +60,9 @@ func (o ExactOptions) withDefaults(g *RGraph) ExactOptions {
 // encoding of the row-based hexagonal fabric — the paper's flow step (4)
 // following the exact method of [46], adjusted to hexagonal layouts and
 // the Bestagon library. Cancellation or deadline expiry of ctx interrupts
-// the SAT search mid-solve and returns the context's error.
+// the SAT search mid-solve and returns the context's error. One solver
+// and one encoder serve the whole size search: each size resets them and
+// builds its formula in the storage the previous size left.
 func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layout, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -110,8 +113,13 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 		return cands[i].h < cands[j].h
 	})
 	sp.SetAttr("candidates", len(cands))
+	enc := &exactEncoder{
+		g: g, s: sat.New(),
+		asap: lv, alap: make([]int, len(g.Nodes)),
+		blocked: o.Blocked,
+	}
 	for _, d := range cands {
-		l, status := solveSize(ctx, g, d.w, d.h, o)
+		l, status := enc.solveSize(ctx, d.w, d.h, o)
 		if status == sat.Sat {
 			sp.SetAttr("w", d.w)
 			sp.SetAttr("h", d.h)
@@ -128,11 +136,12 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 	return nil, fmt.Errorf("pnr: no exact layout within area %d for %s", o.MaxArea, g.Name)
 }
 
-// exactEncoder carries the SAT encoding state for one grid size. The
-// variable tables are dense, indexed id*nT + tile, where id is a node for
-// x and an edge for the others; lFalse marks a tile outside the
+// exactEncoder carries the SAT encoding state of the current grid size.
+// The variable tables are dense, indexed id*nT + tile, where id is a node
+// for x and an edge for the others; lFalse marks a tile outside the
 // variable's window. Clauses are emitted in id × tile order, so one graph
-// and one grid size always give the solver the same formula.
+// and one grid size always give the solver the same formula. The solver,
+// the tables and the scratch slices are reused from size to size.
 type exactEncoder struct {
 	g       *RGraph
 	w, h    int
@@ -148,6 +157,11 @@ type exactEncoder struct {
 	arrNE   []sat.Lit // edge arrives from the NE neighbor
 	lFalse  sat.Lit
 	blocked func(hexgrid.Offset) bool // defect-afflicted tiles; may be nil
+
+	// Scratch for one node's placement window, one tile's node and wire
+	// literals and wire table indices, and the at-most-two counter.
+	all, xs, wLits, cnt []sat.Lit
+	ws                  []int
 }
 
 // tileIdx flattens offset coordinates.
@@ -183,9 +197,10 @@ func (e *exactEncoder) edgeTiles(eid int) (int, int) {
 	return (e.asap[ed.Src] + 1) * e.w, e.alap[ed.Dst] * e.w
 }
 
-// table returns a variable table for ids × tiles with every entry lFalse.
-func (e *exactEncoder) table(ids int) []sat.Lit {
-	t := make([]sat.Lit, ids*e.nT)
+// table resizes t to ids × tiles with every entry lFalse, reusing its
+// storage.
+func (e *exactEncoder) table(t []sat.Lit, ids int) []sat.Lit {
+	t = slices.Grow(t[:0], ids*e.nT)[:ids*e.nT]
 	for i := range t {
 		t[i] = e.lFalse
 	}
@@ -194,8 +209,8 @@ func (e *exactEncoder) table(ids int) []sat.Lit {
 
 // solveSize attempts one grid size, recording the (w, h) attempt and its
 // SAT outcome as a size-search span.
-func solveSize(ctx context.Context, g *RGraph, w, h int, o ExactOptions) (layout *gatelayout.Layout, status sat.Status) {
-	tr := o.Tracer
+func (e *exactEncoder) solveSize(ctx context.Context, w, h int, o ExactOptions) (layout *gatelayout.Layout, status sat.Status) {
+	g, s, tr := e.g, e.s, o.Tracer
 	sp := tr.Start("pnr/exact/size")
 	defer func() {
 		sp.SetAttr("status", status.String())
@@ -205,9 +220,8 @@ func solveSize(ctx context.Context, g *RGraph, w, h int, o ExactOptions) (layout
 	sp.SetAttr("h", h)
 	tr.Counter("pnr/exact/sizes_tried").Inc()
 
-	// ASAP levels and ALAP levels for this height.
-	asap := g.Levels()
-	alap := make([]int, len(g.Nodes))
+	// ALAP levels for this height; the ASAP levels are the graph's.
+	asap, alap := e.asap, e.alap
 	for i := range alap {
 		alap[i] = h - 1
 	}
@@ -229,21 +243,18 @@ func solveSize(ctx context.Context, g *RGraph, w, h int, o ExactOptions) (layout
 		}
 	}
 
-	enc := &exactEncoder{
-		g: g, w: w, h: h, nT: w * h, s: sat.New(),
-		asap: asap, alap: alap,
-		blocked: o.Blocked,
-	}
-	enc.s.MaxConflicts = o.ConflictBudget
-	enc.lFalse = enc.s.NewVar()
-	enc.s.AddClause(enc.lFalse.Neg())
-	enc.build()
+	e.w, e.h, e.nT = w, h, w*h
+	s.Reset()
+	s.MaxConflicts = o.ConflictBudget
+	e.lFalse = s.NewVar()
+	s.AddClause(e.lFalse.Neg())
+	e.build()
 	solveStart := time.Now()
-	status = enc.s.SolveContext(ctx)
+	status = s.SolveContext(ctx)
 	solveSecs := time.Since(solveStart).Seconds()
-	m := enc.s.Metrics()
-	sp.SetAttr("vars", enc.s.NumVars())
-	sp.SetAttr("clauses", enc.s.NumClauses())
+	m := s.Metrics()
+	sp.SetAttr("vars", s.NumVars())
+	sp.SetAttr("clauses", s.NumClauses())
 	sp.SetAttr("conflicts", m.Conflicts)
 	sp.SetAttr("decisions", m.Decisions)
 	sp.SetAttr("propagations", m.Propagations)
@@ -264,7 +275,7 @@ func solveSize(ctx context.Context, g *RGraph, w, h int, o ExactOptions) (layout
 	if status != sat.Sat {
 		return nil, status
 	}
-	l, err := enc.decode()
+	l, err := e.decode()
 	if err != nil {
 		// An encoding bug would surface here; treat as failure.
 		return nil, sat.Unknown
@@ -275,19 +286,21 @@ func solveSize(ctx context.Context, g *RGraph, w, h int, o ExactOptions) (layout
 // build emits the whole encoding.
 func (e *exactEncoder) build() {
 	g, s, nT := e.g, e.s, e.nT
-	e.x = e.table(len(g.Nodes))
-	e.we, e.emit, e.outSW = e.table(len(g.Edges)), e.table(len(g.Edges)), e.table(len(g.Edges))
-	e.arrNW, e.arrNE = e.table(len(g.Edges)), e.table(len(g.Edges))
+	nE := len(g.Edges)
+	e.x = e.table(e.x, len(g.Nodes))
+	e.we, e.emit, e.outSW = e.table(e.we, nE), e.table(e.emit, nE), e.table(e.outSW, nE)
+	e.arrNW, e.arrNE = e.table(e.arrNW, nE), e.table(e.arrNE, nE)
 
 	// Placement variables within row windows: exactly one tile per node.
 	for n := range g.Nodes {
 		lo, hi := e.nodeTiles(n)
-		var all []sat.Lit
+		all := e.all[:0]
 		for t := lo; t < hi; t++ {
 			v := s.NewVar()
 			e.x[n*nT+t] = v
 			all = append(all, v)
 		}
+		e.all = all
 		s.AddClause(all...) // at least one
 		for i := 0; i < len(all); i++ {
 			for j := i + 1; j < len(all); j++ {
@@ -466,7 +479,7 @@ func (e *exactEncoder) arrival(eid, t int) {
 func (e *exactEncoder) capacity(t int) {
 	s, nT := e.s, e.nT
 	nodeAt := s.NewVar()
-	var xs []sat.Lit
+	xs := e.xs[:0]
 	for n := range e.g.Nodes {
 		if xL := e.x[n*nT+t]; xL != e.lFalse {
 			s.AddClause(xL.Neg(), nodeAt)
@@ -478,8 +491,8 @@ func (e *exactEncoder) capacity(t int) {
 			s.AddClause(xs[i].Neg(), xs[j].Neg())
 		}
 	}
-	var ws []int // table indices of the edges with a wire variable here
-	var wLits []sat.Lit
+	ws := e.ws[:0] // table indices of the edges with a wire variable here
+	wLits := e.wLits[:0]
 	for eid := range e.g.Edges {
 		if weL := e.we[eid*nT+t]; weL != e.lFalse {
 			s.AddClause(weL.Neg(), nodeAt.Neg())
@@ -487,7 +500,8 @@ func (e *exactEncoder) capacity(t int) {
 			wLits = append(wLits, weL)
 		}
 	}
-	atMostTwo(s, wLits)
+	e.xs, e.ws, e.wLits = xs, ws, wLits
+	e.atMostTwo(wLits)
 	for i := 0; i < len(ws); i++ {
 		for j := i + 1; j < len(ws); j++ {
 			a, b := ws[i], ws[j]
@@ -503,21 +517,24 @@ func (e *exactEncoder) capacity(t int) {
 		}
 	}
 	if e.blocked != nil && e.blocked(e.tileAt(t)) {
-		for _, l := range append(xs, wLits...) {
+		for _, l := range xs {
+			s.AddClause(l.Neg())
+		}
+		for _, l := range wLits {
 			s.AddClause(l.Neg())
 		}
 	}
 }
 
 // atMostTwo emits a sequential-counter encoding of sum(lits) <= 2.
-func atMostTwo(s *sat.Solver, lits []sat.Lit) {
-	n := len(lits)
+func (e *exactEncoder) atMostTwo(lits []sat.Lit) {
+	s, n := e.s, len(lits)
 	if n <= 2 {
 		return
 	}
 	// s1[i]: at least one of lits[0..i]; s2[i]: at least two.
-	s1 := make([]sat.Lit, n)
-	s2 := make([]sat.Lit, n)
+	e.cnt = slices.Grow(e.cnt[:0], 2*n)[:2*n]
+	s1, s2 := e.cnt[:n], e.cnt[n:]
 	for i := 0; i < n; i++ {
 		s1[i] = s.NewVar()
 		s2[i] = s.NewVar()

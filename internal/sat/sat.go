@@ -11,6 +11,7 @@ package sat
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/faults"
@@ -81,6 +82,61 @@ type clause struct {
 	activity float64
 }
 
+// Clause storage chunk sizes: literals and clause structs are handed out
+// from chunks of this many entries (a longer clause gets a chunk of its
+// own).
+const (
+	litChunk    = 1 << 13
+	clauseChunk = 1 << 10
+)
+
+// slab stores clauses in chunks that are never reallocated, so the clause
+// pointers and literal sub-slices already handed out stay valid while the
+// slab grows. reset rewinds it and every chunk is reused in order.
+type slab struct {
+	lits    [][]Lit // literal chunks; lits[li] is being filled
+	li      int
+	clauses [][]clause // clause chunks; clauses[ci] is being filled
+	ci      int
+}
+
+// newClause copies lits into the literal chunks and returns a clause
+// struct from the clause chunks.
+func (b *slab) newClause(lits []Lit, learnt bool, activity float64) *clause {
+	n := len(lits)
+	for b.li < len(b.lits) && cap(b.lits[b.li])-len(b.lits[b.li]) < n {
+		b.li++
+	}
+	if b.li == len(b.lits) {
+		b.lits = append(b.lits, make([]Lit, 0, max(litChunk, n)))
+	}
+	lc := b.lits[b.li]
+	at := len(lc)
+	lc = append(lc, lits...)
+	b.lits[b.li] = lc
+
+	for b.ci < len(b.clauses) && len(b.clauses[b.ci]) == cap(b.clauses[b.ci]) {
+		b.ci++
+	}
+	if b.ci == len(b.clauses) {
+		b.clauses = append(b.clauses, make([]clause, 0, clauseChunk))
+	}
+	cc := append(b.clauses[b.ci], clause{lits: lc[at : at+n : at+n], learnt: learnt, activity: activity})
+	b.clauses[b.ci] = cc
+	return &cc[len(cc)-1]
+}
+
+// reset empties every chunk, keeping its storage.
+func (b *slab) reset() {
+	for i := range b.lits {
+		b.lits[i] = b.lits[i][:0]
+	}
+	for i := range b.clauses {
+		b.clauses[i] = b.clauses[i][:0]
+	}
+	b.li, b.ci = 0, 0
+}
+
 // watcher records a clause watching a literal plus the blocking literal
 // optimization.
 type watcher struct {
@@ -93,6 +149,11 @@ type watcher struct {
 type Solver struct {
 	numVars  int
 	clauses  []*clause
+	nProblem int         // attached problem (non-learnt) clauses
+	store    slab        // backing storage of clauses
+	scratch  []Lit       // AddClause's normalisation buffer
+	learnt   []Lit       // analyze's learnt-clause buffer
+	toClear  []int       // analyze's seen-variable buffer
 	watches  [][]watcher // indexed by watchIdx(lit)
 	assign   []lbool     // indexed by variable (1-based; index 0 unused)
 	level    []int
@@ -153,22 +214,57 @@ func (m *Metrics) Add(o Metrics) {
 
 // New returns an empty solver.
 func New() *Solver {
-	s := &Solver{
-		watches:   make([][]watcher, 2),
-		varInc:    1.0,
-		claInc:    1.0,
-		maxLearnt: 3000,
-		ok:        true,
-	}
+	s := &Solver{}
 	s.order = &varHeap{solver: s}
-	// Variable index 0 is unused.
-	s.assign = append(s.assign, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, -1)
-	s.activity = append(s.activity, 0)
-	s.phase = append(s.phase, false)
-	s.seen = append(s.seen, false)
+	s.Reset()
 	return s
+}
+
+// Reset returns the solver to the state New returns — no variables or
+// clauses, fresh activities and increments, no model, no recorded error,
+// zero Metrics and MaxConflicts — while keeping every backing array, the
+// watch lists' included, so the next formula is built without regrowing
+// them. A reset solver behaves exactly like a new one on any sequence of
+// calls.
+func (s *Solver) Reset() {
+	s.numVars = 0
+	s.clauses = s.clauses[:0]
+	s.nProblem = 0
+	s.store.reset()
+	s.watches = s.watches[:0]
+	s.addWatchSlots()
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.varInc, s.claInc = 1.0, 1.0
+	s.order.heap = s.order.heap[:0]
+	s.order.pos = s.order.pos[:0]
+	s.model = s.model[:0]
+	s.ok = true
+	s.apiErr = nil
+	s.maxLearnt = 3000
+	s.m = Metrics{}
+	s.MaxConflicts = 0
+	// Variable index 0 is unused.
+	s.assign = append(s.assign[:0], lUndef)
+	s.level = append(s.level[:0], 0)
+	s.reason = append(s.reason[:0], -1)
+	s.activity = append(s.activity[:0], 0)
+	s.phase = append(s.phase[:0], false)
+	s.seen = append(s.seen[:0], false)
+}
+
+// addWatchSlots appends the two empty watch lists of one literal pair,
+// re-extending into retained lists (and their capacity) where it can.
+func (s *Solver) addWatchSlots() {
+	n := len(s.watches)
+	if cap(s.watches) < n+2 {
+		s.watches = append(s.watches, nil, nil)
+		return
+	}
+	s.watches = s.watches[:n+2]
+	s.watches[n] = s.watches[n][:0]
+	s.watches[n+1] = s.watches[n+1][:0]
 }
 
 // watchIdx maps a literal to its watch-list slot.
@@ -188,7 +284,7 @@ func (s *Solver) NewVar() Lit {
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.addWatchSlots()
 	s.order.push(s.numVars)
 	return Lit(s.numVars)
 }
@@ -196,16 +292,9 @@ func (s *Solver) NewVar() Lit {
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return s.numVars }
 
-// NumClauses returns the number of problem clauses added.
-func (s *Solver) NumClauses() int {
-	n := 0
-	for _, c := range s.clauses {
-		if !c.learnt {
-			n++
-		}
-	}
-	return n
-}
+// NumClauses returns the number of problem clauses added. Units, which
+// are assigned at once, and clauses that simplify away are not counted.
+func (s *Solver) NumClauses() int { return s.nProblem }
 
 // Metrics returns a snapshot of the search-effort counters.
 func (s *Solver) Metrics() Metrics { return s.m }
@@ -237,9 +326,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.apiErr = fmt.Errorf("sat: AddClause called during search")
 		return false
 	}
-	// Normalize: sort, dedupe, detect tautology, drop false literals.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// Normalize in the scratch buffer: sort, dedupe, detect tautology,
+	// drop false literals.
+	s.scratch = append(s.scratch[:0], lits...)
+	ls := s.scratch
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit
 	for _, l := range ls {
@@ -277,7 +368,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	s.attach(&clause{lits: append([]Lit(nil), out...)})
+	s.attach(s.store.newClause(out, false, 0))
 	return true
 }
 
@@ -285,6 +376,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 func (s *Solver) attach(c *clause) {
 	idx := len(s.clauses)
 	s.clauses = append(s.clauses, c)
+	if !c.learnt {
+		s.nProblem++
+	}
 	w0, w1 := watchIdx(c.lits[0].Neg()), watchIdx(c.lits[1].Neg())
 	s.watches[w0] = append(s.watches[w0], watcher{idx, c.lits[1]})
 	s.watches[w1] = append(s.watches[w1], watcher{idx, c.lits[0]})
@@ -423,16 +517,17 @@ func (s *Solver) bumpVar(v int) {
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (asserting literal first) and the backtrack level.
+// (asserting literal first) and the backtrack level. The clause lives in a
+// buffer the next call overwrites.
 func (s *Solver) analyze(confl int) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+	learnt := append(s.learnt[:0], 0) // slot 0 reserved for the asserting literal
 	seen := s.seen
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
 
 	c := s.clauses[confl]
-	var toClear []int
+	toClear := s.toClear[:0]
 	for {
 		if c.learnt {
 			s.bumpClause(c)
@@ -471,6 +566,7 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 	for _, v := range toClear {
 		seen[v] = false
 	}
+	s.learnt, s.toClear = learnt, toClear
 
 	// Compute backtrack level: second-highest level in the clause.
 	btLevel := 0
@@ -590,8 +686,7 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 					return Unsat
 				}
 			} else {
-				c := &clause{lits: learnt, learnt: true, activity: s.claInc}
-				s.attach(c)
+				s.attach(s.store.newClause(learnt, true, s.claInc))
 				s.m.Learned++
 				s.m.LearnedDB++
 				s.enqueue(learnt[0], len(s.clauses)-1)
