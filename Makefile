@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-sim bench-service bench-fleet bench-diff bench-pnr bench-defects table1 npn-table serve serve-smoke chaos-smoke clean
+.PHONY: all build test check race bench bench-sim bench-pnr bench-defects table1 npn-table serve serve-smoke chaos-smoke clean
 
 all: build
 
@@ -51,28 +51,6 @@ bench-sim:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-service boots the real bestagond binary and measures end-to-end
-# service latency (throughput, p50/p90/p99, cache hit rate) under a mixed
-# cold/warm workload from concurrent clients. Writes BENCH_service.json.
-bench-service:
-	$(GO) run ./cmd/benchserve
-
-# bench-fleet boots three mutually-peered bestagond replicas and measures
-# the cluster layer: a concurrent cold storm must collapse onto ~one solve
-# per unique key (consistent-hash ownership + fleet-wide single-flight)
-# and the fleet-wide warm hit rate must match a standalone replica's.
-# Writes BENCH_fleet.json and exits nonzero on either regression.
-bench-fleet:
-	$(GO) run ./cmd/benchserve -replicas 3 -o BENCH_fleet.json
-
-# bench-diff compares the working-tree BENCH_service.json/BENCH_fleet.json
-# against the baselines committed at HEAD and writes the per-metric delta
-# table to BENCH_diff.md. Informational by default (benchmarks on shared
-# runners are noisy); add BENCHDIFF_FLAGS="-gate" to fail on regressions
-# beyond the tolerance band, or "-tolerance 0.5" to widen it.
-bench-diff:
-	$(GO) run ./scripts/benchdiff $(BENCHDIFF_FLAGS)
 
 # bench-pnr records the exact P&R engine's per-aspect-ratio SAT solve
 # times (grid dims, SAT/UNSAT, conflicts/propagations/restarts) across the

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // Group coalesces concurrent calls with the same key onto one execution.
@@ -19,9 +20,10 @@ type Group struct {
 }
 
 type call struct {
-	done    chan struct{} // closed when fn returns
-	cancel  context.CancelFunc
-	waiters int // participants still waiting; guarded by Group.mu
+	done     chan struct{} // closed when fn returns
+	cancel   context.CancelFunc
+	deadline time.Time // the run's deadline (the starter's); zero if none
+	waiters  int       // participants still waiting; guarded by Group.mu
 
 	val any
 	err error
@@ -40,6 +42,13 @@ type Result struct {
 // returns ctx.Err() immediately; the execution continues for any other
 // waiters and is abandoned (its context canceled) only when the last
 // waiter leaves.
+//
+// A caller whose deadline expires no earlier than the run's is an
+// exception: the run's own deadline has passed too, so Do waits for fn
+// to return and hands over its outcome, exactly as if the caller had run
+// fn itself. Work that answers at its deadline (a degraded result rather
+// than an error) thus reaches the caller that paid for it. A joiner with
+// a shorter deadline still leaves at once.
 //
 // The run inherits the deadline of the caller that started it, and a
 // context deadline cannot be extended afterwards — so a joiner with a
@@ -65,12 +74,13 @@ func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context)
 		parent := context.WithoutCancel(ctx)
 		var runCtx context.Context
 		var cancel context.CancelFunc
-		if d, ok := ctx.Deadline(); ok {
+		d, hasDeadline := ctx.Deadline()
+		if hasDeadline {
 			runCtx, cancel = context.WithDeadline(parent, d)
 		} else {
 			runCtx, cancel = context.WithCancel(parent)
 		}
-		c = &call{done: make(chan struct{}), cancel: cancel}
+		c = &call{done: make(chan struct{}), cancel: cancel, deadline: d}
 		g.m[key] = c
 		go func() {
 			val, err := fn(runCtx)
@@ -91,11 +101,13 @@ func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context)
 
 	select {
 	case <-c.done:
-		g.mu.Lock()
-		c.waiters--
-		g.mu.Unlock()
-		return c.val, joined, c.err
 	case <-ctx.Done():
+		if c.sharesDeadline(ctx) {
+			// The run's deadline has passed too, so fn is about to return;
+			// its outcome is this caller's answer.
+			<-c.done
+			break
+		}
 		g.mu.Lock()
 		c.waiters--
 		last := c.waiters == 0
@@ -113,6 +125,20 @@ func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context)
 		}
 		return nil, joined, ctx.Err()
 	}
+	g.mu.Lock()
+	c.waiters--
+	g.mu.Unlock()
+	return c.val, joined, c.err
+}
+
+// sharesDeadline reports whether ctx ended at a deadline no earlier than
+// the run's, so that the run's context has expired as well.
+func (c *call) sharesDeadline(ctx context.Context) bool {
+	if c.deadline.IsZero() || ctx.Err() != context.DeadlineExceeded {
+		return false
+	}
+	d, _ := ctx.Deadline()
+	return !d.Before(c.deadline)
 }
 
 // InFlight reports whether an execution for key is currently running.

@@ -187,6 +187,23 @@ func TestSingleflightPreservesDeadline(t *testing.T) {
 	}
 }
 
+// TestSingleflightAnswerAtDeadline: work that answers right after its
+// deadline (a degradation ladder's cheap result) reaches the starter,
+// whose deadline the run shares, instead of a DeadlineExceeded.
+func TestSingleflightAnswerAtDeadline(t *testing.T) {
+	var g Group
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	v, _, err := g.Do(ctx, "k", func(runCtx context.Context) (any, error) {
+		<-runCtx.Done()
+		time.Sleep(20 * time.Millisecond) // finish just after the deadline
+		return "late answer", nil
+	})
+	if err != nil || v != "late answer" {
+		t.Fatalf("starter got (%v, %v); want the run's late answer", v, err)
+	}
+}
+
 // TestSingleflightDistinctKeys: different keys never coalesce.
 func TestSingleflightDistinctKeys(t *testing.T) {
 	var g Group

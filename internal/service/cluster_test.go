@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -622,6 +623,107 @@ func TestRunCoalescedRerunsAfterLeaderDeadline(t *testing.T) {
 	if got := s.tr.Counter("cluster/singleflight_rerun_total").Value(); got != 1 {
 		t.Fatalf("singleflight rerun count = %d; want 1", got)
 	}
+}
+
+// TestFleetColdStormCollapses boots three peered replicas and sends a
+// concurrent cold storm of identical simulate and validate requests,
+// spread round-robin over the replicas. Ring ownership plus fleet-wide
+// single-flight must collapse the storm onto about one solve per key,
+// and the fleet's warm hit rate must match a standalone replica's.
+func TestFleetColdStormCollapses(t *testing.T) {
+	servers, urls, _ := startPeeredServers(t, 3)
+	var ops []fleetOp
+	for _, path := range []string{"/v1/simulate", "/v1/gates/validate"} {
+		for _, g := range fleetGates {
+			ops = append(ops, fleetOp{path, g})
+		}
+	}
+	// Three clients per replica, so every replica sees simultaneous
+	// requests for the same key.
+	const clients, rounds = 9, 2
+
+	fleetPhase(t, urls, ops, clients, 1)
+	hits, total := fleetPhase(t, urls, ops, clients, rounds)
+	if t.Failed() {
+		return
+	}
+	// Cold solves are cumulative, so a warm-phase re-solve (a dedup
+	// failure) counts against the bound too. Timing skew lets a straggler
+	// re-solve a key now and then, so the bound is about one solve per key,
+	// not exactly one.
+	var solves int64
+	for _, s := range servers {
+		for _, kind := range []string{"simulate", "validate"} {
+			solves += s.tr.Counter(obs.Labeled("jobs/cold_solves_total", "kind", kind)).Value()
+		}
+	}
+	if float64(solves) > 1.5*float64(len(ops)) {
+		t.Errorf("%d cold solves for %d unique keys: fleet single-flight not deduplicating", solves, len(ops))
+	}
+
+	// Baseline: a sequential cold pass against one standalone replica, then
+	// the same warm phase; its hit rate is the bar the fleet must clear.
+	_, ts := newTestServer(t, Config{Workers: 2})
+	fleetPhase(t, []string{ts.URL}, ops, 1, 1)
+	soloHits, soloTotal := fleetPhase(t, []string{ts.URL}, ops, clients, rounds)
+	fleetRate := float64(hits) / float64(total)
+	soloRate := float64(soloHits) / float64(soloTotal)
+	t.Logf("%d cold solves for %d keys; warm hit rate %.2f (standalone %.2f)", solves, len(ops), fleetRate, soloRate)
+	if fleetRate < soloRate-0.05 {
+		t.Errorf("fleet warm hit rate %.2f below standalone %.2f", fleetRate, soloRate)
+	}
+}
+
+// fleetGates is the library subset the fleet storm requests: every
+// one-input tile plus two two-input gates, whose solves are long enough
+// that the storm's identical requests overlap in flight.
+var fleetGates = []string{
+	"wire:iNE:oSW", "wire:iNW:oSE", "diag:iNE:oSE", "diag:iNW:oSW",
+	"inv:iNE:oSE", "inv:iNE:oSW", "inv:iNW:oSE", "inv:iNW:oSW",
+	"fanout:iNE:oSW:oSE", "fanout:iNW:oSW:oSE",
+	"pi:oSE", "pi:oSW", "po:iNE", "po:iNW",
+	"nand:iNW:iNE:oSE", "nor:iNW:iNE:oSW",
+}
+
+type fleetOp struct{ path, gate string }
+
+// fleetPhase has clients concurrent clients each make rounds passes over
+// ops. Client c sends op i to urls[(c+i)%len(urls)], so each op reaches
+// different replicas from different clients at once. It returns the
+// X-Cache hits and the answers counted; any failed request fails the test.
+func fleetPhase(t *testing.T, urls []string, ops []fleetOp, clients, rounds int) (hits, total int) {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, op := range ops {
+					url := urls[(c+i)%len(urls)] + op.path
+					resp, err := http.Post(url, "application/json", strings.NewReader(`{"gate":"`+op.gate+`"}`))
+					if err != nil {
+						t.Errorf("POST %s %s: %v", url, op.gate, err)
+						continue
+					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("POST %s %s: %d %s", url, op.gate, resp.StatusCode, body)
+						continue
+					}
+					mu.Lock()
+					total++
+					if resp.Header.Get("X-Cache") == "hit" {
+						hits++
+					}
+					mu.Unlock()
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	return hits, total
 }
 
 type errorReader struct{}

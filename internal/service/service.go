@@ -571,8 +571,8 @@ func (s *Server) execOp(ctx context.Context, op *preparedOp, jtr *obs.Tracer) (*
 	sp.End()
 	if source == cache.SourceMiss || source == cache.SourceBypass {
 		// A genuinely local computation (no cache tier and no coalescing
-		// served it): the number the fleet bench sums across replicas to
-		// prove single-flight works.
+		// served it): TestFleetColdStormCollapses sums this counter across
+		// replicas to prove fleet-wide single-flight works.
 		s.tr.Counter(obs.Labeled("jobs/cold_solves_total", "kind", op.kind)).Inc()
 	}
 	jr.source = source

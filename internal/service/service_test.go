@@ -282,15 +282,18 @@ func TestSimulateDegradesUnderDeadline(t *testing.T) {
 		t.Fatalf("expected degraded anneal result, got %s", body)
 	}
 
-	// A degraded result must not poison the cache: the same request with a
-	// generous deadline must get the full-quality (exact-capable) path, not
-	// a warm copy of the degraded answer. 2^38 is still infeasible, so just
-	// assert the retry was a cache miss.
-	resp2, _ := postJSON(t, ts.URL+"/v1/simulate", map[string]any{
+	// A degraded result must not poison the cache: the same request again
+	// must get the full-quality (exact-capable) path, not a warm copy of
+	// the degraded answer. 2^38 is still infeasible, so the retry must be a
+	// cache miss that degrades again to a 200.
+	resp2, body2 := postJSON(t, ts.URL+"/v1/simulate", map[string]any{
 		"solver":     "exgs",
 		"dots":       dots,
 		"timeout_ms": 100,
 	})
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("retry: expected 200 degraded, got %d: %s", resp2.StatusCode, body2)
+	}
 	if got := resp2.Header.Get("X-Cache"); got != "miss" {
 		t.Fatalf("degraded result was cached: X-Cache = %q", got)
 	}
