@@ -17,7 +17,7 @@ test:
 # searches of the degeneracy gap, which share its core) and the parallel
 # operational-domain sweep — the two many-goroutine hot paths — through
 # their full (non-short) tests under the race detector, together with
-# concurrent exact P&R calls (each reusing one solver across its size
+# concurrent anneals on one shared engine, concurrent exact P&R calls (each reusing one solver across its size
 # search) and the solver's Reset-equals-New test. The last step runs
 # the benchmark module's own tests (cmd/bench is a nested module, so
 # ./... never reaches it); its toy run boots the service in-process and
@@ -31,7 +31,7 @@ check:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestParallelMatchesSerial|TestSweepMetrics|TestExactConcurrent|TestResetMatchesFresh' \
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestAnnealConcurrent|TestParallelMatchesSerial|TestSweepMetrics|TestExactConcurrent|TestResetMatchesFresh' \
 		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	cd cmd/bench && $(GO) test .

@@ -65,8 +65,8 @@ func (p Params) Potential(d float64) float64 {
 // Charged surface defects (see NewEngineOn) are represented as extra
 // pinned pseudo-dots appended after the layout's dots, with the pairwise
 // matrix V scaled by each defect's charge. Every solver — exhaustive
-// enumeration, QuickExact and annealing, which all work from IsFixed, V,
-// Energy and flipDelta — therefore sees the defect
+// enumeration, QuickExact and annealing, which all work from IsFixed, V
+// and Energy — therefore sees the defect
 // perturbation without any defect-specific code, and the free-dot count
 // (the solve cost) is unchanged.
 type Engine struct {
@@ -345,6 +345,14 @@ func DefaultAnnealConfig() AnnealConfig {
 // the best configuration found. Deterministic for a given config. A
 // cancelled cfg.Ctx stops the search between sweeps; the best state found
 // so far is returned (use the context's error to detect the early stop).
+// The returned energy is recomputed canonically (Energy of the returned
+// charges), not the walk's accumulated sum, so it does not depend on the
+// order of the flips that reached the configuration.
+//
+// Each restart keeps every dot's local potential in a vector: a proposal
+// costs O(1), and only an accepted flip pays O(n) to move its row of V
+// into or out of the vector. All state is local to the call, so one
+// Engine serves concurrent anneals.
 func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 	tr := cfg.Tracer
 	mt := cfg.Metrics
@@ -363,12 +371,41 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 	best := append([]bool(nil), e.fixed...) // perturbers always charged
 	bestE := e.Energy(best)
 
+	mu := e.Params.MuMinus
+	cur := make([]bool, len(best))
+	pot := make([]float64, len(best)) // pot[j] = LocalPotential(cur, j)
+	// delta is the energy change of flipping dot i (flipDelta from pot).
+	delta := func(i int) float64 {
+		if cur[i] {
+			return -(mu + pot[i])
+		}
+		return mu + pot[i]
+	}
+	// flip toggles dot i and adds its row of V to (now charged) or
+	// subtracts it from (now neutral) every other dot's potential.
+	flip := func(i int) {
+		cur[i] = !cur[i]
+		row := e.V[i]
+		p := pot[:len(row)]
+		own := p[i]
+		if cur[i] {
+			for j, v := range row {
+				p[j] += v
+			}
+		} else {
+			for j, v := range row {
+				p[j] -= v
+			}
+		}
+		p[i] = own
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	for restart := 0; restart < cfg.Restarts; restart++ {
 		if canceled() {
 			break
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(restart)*7919))
-		cur := append([]bool(nil), e.fixed...)
+		rng.Seed(cfg.Seed + int64(restart)*7919)
+		copy(cur, e.fixed)
 		// Random initial population of free dots.
 		for _, i := range freeIdx {
 			cur[i] = rng.Intn(2) == 1
@@ -381,6 +418,9 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 		if len(freeIdx) == 0 {
 			continue
 		}
+		for j := range pot {
+			pot[j] = e.LocalPotential(cur, j)
+		}
 		cool := math.Pow(cfg.TEnd/cfg.TStart, 1/float64(cfg.Sweeps))
 		temp := cfg.TStart
 		for sweep := 0; sweep < cfg.Sweeps; sweep++ {
@@ -389,12 +429,12 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 			}
 			for range freeIdx {
 				i := freeIdx[rng.Intn(len(freeIdx))]
-				delta := e.flipDelta(cur, i)
+				d := delta(i)
 				flipsTried++
-				if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
+				if d <= 0 || metropolis(rng.Float64(), d/temp) {
 					accepted++
-					cur[i] = !cur[i]
-					curE += delta
+					flip(i)
+					curE += d
 					if curE < bestE-1e-15 {
 						bestE = curE
 						copy(best, cur)
@@ -408,8 +448,8 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 		for improved && !canceled() {
 			improved = false
 			for _, i := range freeIdx {
-				if d := e.flipDelta(cur, i); d < -1e-15 {
-					cur[i] = !cur[i]
+				if d := delta(i); d < -1e-15 {
+					flip(i)
 					curE += d
 					improved = true
 				}
@@ -423,6 +463,7 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 			energyTrace = append(energyTrace, bestE)
 		}
 	}
+	bestE = e.Energy(best)
 	var acceptRate float64
 	if flipsTried > 0 {
 		acceptRate = float64(accepted) / float64(flipsTried)
@@ -452,6 +493,19 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 		}
 	}
 	return best, bestE
+}
+
+// metropolis reports whether a uniform draw u in [0, 1) accepts an uphill
+// move of x = delta/temperature > 0, i.e. u < exp(-x). Since exp(x) >=
+// 1+x+x²/2+x³/6 for x >= 0, a draw whose product with that polynomial
+// reaches 1+1e-9 (the margin absorbs its rounding) rejects without calling
+// Exp; every other draw gets the exact comparison, so each decision is the
+// one u < exp(-x) makes.
+func metropolis(u, x float64) bool {
+	if u*(1+x*(1+x*(0.5+x*(1.0/6)))) >= 1+1e-9 {
+		return false
+	}
+	return u < math.Exp(-x)
 }
 
 // DegeneracyGap returns the energy gap between the ground state and the

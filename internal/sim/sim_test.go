@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/sidb"
@@ -250,5 +251,60 @@ func TestFig1cParams(t *testing.T) {
 	}
 	if ParamsFig5.MuMinus != -0.32 {
 		t.Error("Fig 5 parameters wrong")
+	}
+}
+
+// TestAnnealConcurrent anneals one shared Engine from four goroutines at
+// once: every run must return the serial run's charges and energy, so the
+// annealer keeps no state on the Engine.
+func TestAnnealConcurrent(t *testing.T) {
+	l := &sidb.Layout{}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 18; i++ {
+		role := sidb.RoleNormal
+		if i%6 == 0 {
+			role = sidb.RolePerturber
+		}
+		l.AddCell(rng.Intn(40), rng.Intn(40), role)
+	}
+	e := NewEngine(l, ParamsFig5)
+	cfg := DefaultAnnealConfig()
+	cfg.Restarts = 2
+	want, wantE := e.Anneal(cfg)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, gotE := e.Anneal(cfg)
+			if gotE != wantE {
+				t.Errorf("concurrent energy %v, serial %v", gotE, wantE)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("concurrent charges differ from serial at dot %d", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAnnealAllocs: restarts reuse the call's RNG and state vectors, so
+// the allocations of an anneal do not grow with the restart count.
+func TestAnnealAllocs(t *testing.T) {
+	l := &sidb.Layout{}
+	for i := 0; i < 12; i++ {
+		l.AddCell(i*3, i%2*4, sidb.RoleNormal)
+	}
+	e := NewEngine(l, ParamsFig5)
+	allocs := func(restarts int) float64 {
+		cfg := DefaultAnnealConfig()
+		cfg.Restarts, cfg.Sweeps = restarts, 20
+		return testing.AllocsPerRun(20, func() { e.Anneal(cfg) })
+	}
+	if one, eight := allocs(1), allocs(8); eight > one {
+		t.Errorf("anneal allocates %v times with 8 restarts, %v with 1", eight, one)
 	}
 }
