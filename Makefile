@@ -10,9 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the pre-merge gate: static analysis plus the full test suite
-# under the race detector (short mode keeps the instrumented annealer and
-# SAT race coverage while skipping the hour-long exhaustive sweeps). The
+# check is the pre-merge gate: static analysis (vet, gofmt, staticcheck)
+# plus the full test suite under the race detector (short mode keeps the
+# instrumented annealer and SAT race coverage while skipping the hour-long exhaustive sweeps). The
 # second test run drives the sharded QuickExact search (and the pinned
 # searches of the degeneracy gap, which share its core) and the parallel
 # operational-domain sweep — the two many-goroutine hot paths — through
@@ -25,6 +25,7 @@ test:
 # locally: go install honnef.co/go/tools/cmd/staticcheck@latest).
 check:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo staticcheck ./...; staticcheck ./...; \
 	else \

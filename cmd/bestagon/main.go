@@ -32,7 +32,6 @@ import (
 	"repro/internal/logic/bench"
 	"repro/internal/logic/network"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -45,8 +44,6 @@ func main() {
 		noRewrite = flag.Bool("no-rewrite", false, "skip the logic rewriting step")
 		gateLevel = flag.Bool("gate-level", false, "stop after verification (no cell-level layout)")
 		list      = flag.Bool("list", false, "list built-in benchmarks and exit")
-		cellSim   = flag.Bool("cellsim", false, "ground-state simulate the final SiDB layout (flow step 7 1/2)")
-		solver    = flag.String("solver", "", "ground-state solver for -cellsim: "+strings.Join(sim.SolverNames(), ", ")+" (default auto)")
 		trace     = flag.Bool("trace", false, "print the per-stage timing tree to stderr")
 		report    = flag.String("report", "", "write a machine-readable JSON run report to FILE ('-' for stdout)")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to FILE")
@@ -85,21 +82,14 @@ func main() {
 		fatal(err)
 	}
 
+	eng, err := core.ParseEngine(*engine)
+	if err != nil {
+		fatal(err)
+	}
 	opts := core.Options{
+		Engine:        eng,
 		SkipRewrite:   *noRewrite,
 		SkipCellLevel: *gateLevel,
-		CellSim:       *cellSim,
-		GroundSolver:  *solver,
-	}
-	switch *engine {
-	case "auto":
-		opts.Engine = core.EngineAuto
-	case "exact":
-		opts.Engine = core.EngineExact
-	case "ortho":
-		opts.Engine = core.EngineOrtho
-	default:
-		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
 
 	// A tracer is only attached when telemetry was requested; library users
@@ -126,14 +116,6 @@ func main() {
 	fmt.Fprintf(msg, "area          : %.2f nm2 (%dx%d tiles)\n", res.AreaNM2, res.Layout.Width(), res.Layout.Height())
 	if res.CellLayout != nil {
 		fmt.Fprintf(msg, "SiDBs         : %d\n", res.SiDBs)
-	}
-	if res.CellSim != nil {
-		kind := "best-found"
-		if res.CellSim.Exact {
-			kind = "exact"
-		}
-		fmt.Fprintf(msg, "cell sim      : E = %.6f eV (%s, %s solver, %d free dots)\n",
-			res.CellSim.EnergyEV, kind, res.CellSim.Solver, res.CellSim.FreeDots)
 	}
 	counts := res.Layout.GateCounts()
 	var parts []string

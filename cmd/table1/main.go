@@ -16,37 +16,26 @@ import (
 	"repro/internal/logic/bench"
 	"repro/internal/obs"
 	"repro/internal/pnr"
-	"repro/internal/sim"
 )
 
 func main() {
 	var (
-		engine        = flag.String("engine", "auto", "physical design engine: auto, exact, ortho")
-		budget        = flag.Int64("budget", 0, "SAT conflict budget per exact attempt (0 = default)")
-		maxArea       = flag.Int("max-area", 0, "maximum explored tile area for exact search")
-		only          = flag.String("only", "", "run a single benchmark")
-		timings       = flag.Bool("timings", true, "print per-benchmark stage timings")
-		cellSim       = flag.Bool("cellsim", false, "ground-state simulate each final SiDB layout")
-		solver        = flag.String("solver", "", "ground-state solver for -cellsim: "+strings.Join(sim.SolverNames(), ", ")+" (default auto)")
-		allowDegraded = flag.Bool("allow-degraded", false, "tolerate simulations that silently degraded to annealing (otherwise exit nonzero: degraded data must not pass as exact gate validation)")
+		engine  = flag.String("engine", "auto", "physical design engine: auto, exact, ortho")
+		budget  = flag.Int64("budget", 0, "SAT conflict budget per exact attempt (0 = default)")
+		maxArea = flag.Int("max-area", 0, "maximum explored tile area for exact search")
+		only    = flag.String("only", "", "run a single benchmark")
+		timings = flag.Bool("timings", true, "print per-benchmark stage timings")
 	)
 	flag.Parse()
 
-	opts := core.Options{
-		Exact:        pnr.ExactOptions{ConflictBudget: *budget, MaxArea: *maxArea},
-		CellSim:      *cellSim,
-		GroundSolver: *solver,
-	}
-	switch *engine {
-	case "auto":
-		opts.Engine = core.EngineAuto
-	case "exact":
-		opts.Engine = core.EngineExact
-	case "ortho":
-		opts.Engine = core.EngineOrtho
-	default:
-		fmt.Fprintln(os.Stderr, "unknown engine", *engine)
+	eng, err := core.ParseEngine(*engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "table1:", err)
 		os.Exit(1)
+	}
+	opts := core.Options{
+		Engine: eng,
+		Exact:  pnr.ExactOptions{ConflictBudget: *budget, MaxArea: *maxArea},
 	}
 
 	fmt.Println("Table 1: generated layout data (this reproduction vs. paper)")
@@ -77,17 +66,6 @@ func main() {
 			l.Width(), l.Height(), l.Area(), res.SiDBs,
 			b.PaperW, b.PaperH, b.PaperW*b.PaperH, b.PaperSiDBs,
 			res.AreaNM2, b.PaperArea, res.EngineUsed)
-		if res.CellSim != nil {
-			kind := "best-found"
-			if res.CellSim.Exact {
-				kind = "exact"
-			}
-			if res.CellSim.Degraded {
-				kind = "best-found, DEGRADED"
-			}
-			fmt.Printf("      cell sim: E = %.6f eV (%s, %s solver, %d free dots)\n",
-				res.CellSim.EnergyEV, kind, res.CellSim.Solver, res.CellSim.FreeDots)
-		}
 		if tr != nil {
 			fmt.Printf("      %s\n", stageTimings(tr.Report(b.Name)))
 		}
@@ -95,13 +73,6 @@ func main() {
 	if len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "table1: %d benchmark(s) failed: %s\n",
 			len(failed), strings.Join(failed, ", "))
-		os.Exit(1)
-	}
-	// A degraded simulation means some reported energy is best-found, not
-	// provably minimal — data that must not silently certify gate behavior.
-	if d := sim.Degrades.Value(); d > 0 && !*allowDegraded {
-		fmt.Fprintf(os.Stderr, "table1: %d simulation(s) degraded to annealing; results are not exact "+
-			"(rerun with -allow-degraded to accept best-found energies)\n", d)
 		os.Exit(1)
 	}
 }

@@ -14,20 +14,18 @@ import (
 // design file and run report. Its JSON encoding is what the cache tiers
 // store, so a warm request replays the cold run's artifacts byte for byte.
 type FlowArtifact struct {
-	Name       string              `json:"name"`
-	EngineUsed string              `json:"engine_used"`
-	Width      int                 `json:"width"`
-	Height     int                 `json:"height"`
-	Gates      int                 `json:"gates"`
-	SiDBs      int                 `json:"sidbs"`
-	AreaNM2    float64             `json:"area_nm2"`
-	CellSim    *core.CellSimResult `json:"cellsim,omitempty"`
-	SQD        string              `json:"sqd,omitempty"`
-	Report     json.RawMessage     `json:"report,omitempty"`
-	// Degraded reports that deadline pressure forced a cheaper engine
-	// somewhere in the run (exact→ortho P&R, exact→anneal simulation).
-	// Degraded artifacts are never cached: a retry with more budget gets
-	// the full-quality result.
+	Name       string          `json:"name"`
+	EngineUsed string          `json:"engine_used"`
+	Width      int             `json:"width"`
+	Height     int             `json:"height"`
+	Gates      int             `json:"gates"`
+	SiDBs      int             `json:"sidbs"`
+	AreaNM2    float64         `json:"area_nm2"`
+	SQD        string          `json:"sqd,omitempty"`
+	Report     json.RawMessage `json:"report,omitempty"`
+	// Degraded reports that deadline pressure forced the exact P&R engine
+	// onto the ortho router. Degraded artifacts are never cached: a retry
+	// with more budget gets the full-quality result.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -50,7 +48,6 @@ func RunFlow(ctx context.Context, spec *network.XAG, opts core.Options, withSQD,
 		Gates:      res.Rewritten.NumGates(),
 		SiDBs:      res.SiDBs,
 		AreaNM2:    res.AreaNM2,
-		CellSim:    res.CellSim,
 		Degraded:   res.Degraded,
 	}
 	if withSQD {

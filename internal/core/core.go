@@ -50,6 +50,20 @@ const (
 	EngineOrtho
 )
 
+// ParseEngine maps an engine name ("", "auto", "exact" or "ortho") to its
+// Engine.
+func ParseEngine(name string) (Engine, error) {
+	switch name {
+	case "", "auto":
+		return EngineAuto, nil
+	case "exact":
+		return EngineExact, nil
+	case "ortho":
+		return EngineOrtho, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q (want auto, exact, or ortho)", name)
+}
+
 // Options configures a flow run.
 type Options struct {
 	// Engine selects the physical design algorithm (default EngineAuto).
@@ -63,47 +77,22 @@ type Options struct {
 	// SkipCellLevel stops after verification, without applying the gate
 	// library (useful for gate-level studies).
 	SkipCellLevel bool
-	// Library is the gate library to apply; nil uses the default library.
-	Library *gatelib.Library
-	// CellSim runs a ground-state simulation of the final cell-level SiDB
-	// layout (flow step 7½) and records the outcome in Result.CellSim.
-	CellSim bool
-	// GroundSolver names the sim ground-state solver used by CellSim
-	// ("" = automatic dispatch; see sim.SolverNames).
-	GroundSolver string
 	// Surface holds the surface defects in global cell coordinates. When
 	// non-empty, both P&R engines place around afflicted tiles (the exact
 	// engine blocks them in the SAT encoding, the ortho router slides its
-	// result clear during legalization) and the optional cell simulation
-	// includes the charged defects as fixed perturbers. Nil assumes a
-	// pristine surface.
+	// result clear during legalization). Nil assumes a pristine surface.
 	Surface *defects.Surface
 	// Tracer receives flow-wide telemetry (stage spans, engine metrics);
 	// nil disables instrumentation with zero overhead.
 	Tracer *obs.Tracer
 	// DegradeMargin is the budget the degradation ladder reserves for its
-	// cheaper fallback engines when the run has a deadline: the exact P&R
-	// engine and exact ground-state solvers run under (deadline − margin)
-	// so that, on expiry, the ortho router or annealer still has time to
-	// produce a best-effort result marked Degraded instead of a timeout
-	// (default sim.DefaultDegradeMargin; the margin does not enter cache
-	// keys because degraded results are never cached).
+	// cheaper fallback engine when the run has a deadline: the exact P&R
+	// engine runs under (deadline − margin) so that, on expiry, the ortho
+	// router still has time to produce a best-effort result marked
+	// Degraded instead of a timeout (default sim.DefaultDegradeMargin; the
+	// margin does not enter cache keys because degraded results are never
+	// cached).
 	DegradeMargin time.Duration
-}
-
-// CellSimResult is the whole-layout ground-state simulation outcome.
-type CellSimResult struct {
-	// Solver names the backend that produced the result.
-	Solver string
-	// Exact reports whether the energy is provably minimal.
-	Exact bool
-	// FreeDots is the number of non-pinned dots simulated.
-	FreeDots int
-	// EnergyEV is the ground-state (or best-found) energy.
-	EnergyEV float64
-	// Degraded reports that deadline pressure forced the simulation onto a
-	// cheaper engine than requested (see sim.Degrading).
-	Degraded bool `json:",omitempty"`
 }
 
 // Result collects every artifact of a flow run.
@@ -122,17 +111,14 @@ type Result struct {
 	// CellLayout is the dot-accurate SiDB layout (flow step 7); nil when
 	// SkipCellLevel is set.
 	CellLayout *sidb.Layout
-	// CellSim is the optional whole-layout ground-state simulation
-	// outcome; nil unless Options.CellSim was set.
-	CellSim *CellSimResult
 	// SiDBs counts the dangling bonds of the cell-level layout.
 	SiDBs int
 	// AreaNM2 is the Table 1 layout area.
 	AreaNM2 float64
-	// Degraded reports that deadline pressure forced some stage onto a
-	// cheaper engine (exact→ortho P&R, exact→anneal simulation). The
-	// result is usable but not the quality the options asked for; callers
-	// that cache artifacts must not cache degraded ones.
+	// Degraded reports that deadline pressure forced the exact P&R engine
+	// onto the ortho router. The result is usable but not the quality the
+	// options asked for; callers that cache artifacts must not cache
+	// degraded ones.
 	Degraded bool
 }
 
@@ -143,10 +129,9 @@ func Run(spec *network.XAG, opts Options) (*Result, error) {
 
 // RunContext executes the flow under a context. Cancellation (or a
 // deadline) propagates into every compute-heavy stage — the SAT searches
-// of exact physical design and verification, the ortho router's row loop,
-// and the ground-state solvers of the optional cell simulation — so an
-// abandoned run stops burning CPU mid-stage instead of running to
-// completion. A nil context behaves like context.Background.
+// of exact physical design and verification and the ortho router's row
+// loop — so an abandoned run stops burning CPU mid-stage instead of
+// running to completion. A nil context behaves like context.Background.
 func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -306,11 +291,7 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 
 	// (7) gate library application.
 	if !opts.SkipCellLevel {
-		lib := opts.Library
-		if lib == nil {
-			lib = gatelib.NewLibrary()
-		}
-		cell, err := gatelib.Apply(lib, layout, tr)
+		cell, err := gatelib.Apply(gatelib.NewLibrary(), layout, tr)
 		if err != nil {
 			return res, fmt.Errorf("core: library application: %w", err)
 		}
@@ -318,51 +299,6 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 		res.SiDBs = cell.NumDots()
 		tr.Gauge("flow/sidbs").Set(float64(res.SiDBs))
 		root.SetAttr("sidbs", res.SiDBs)
-
-		// (7½) optional whole-layout ground-state simulation.
-		if opts.CellSim {
-			inner, err := sim.Lookup(opts.GroundSolver)
-			if err != nil {
-				return res, fmt.Errorf("core: cell simulation: %w", err)
-			}
-			// The degradation ladder retries deadline-starved exact solves
-			// with annealing on the remaining budget (see sim.Degrading).
-			solver := sim.GroundStateSolver(&sim.Degrading{
-				Inner:  inner,
-				Margin: opts.DegradeMargin,
-				Tracer: tr,
-			})
-			sp = tr.Start("cellsim")
-			eng := sim.NewEngineOn(cell, sim.ParamsFig5, opts.Surface)
-			free := len(eng.FreeIndices())
-			sol, serr := solver.Solve(eng, sim.SolveOptions{Tracer: tr, Ctx: ctx})
-			if serr != nil {
-				// The ladder fails only once ctx is done: an exact backend
-				// that gives up with budget left is retried with annealing
-				// inside it.
-				sp.End()
-				if cerr := ctx.Err(); cerr != nil {
-					return res, fmt.Errorf("core: cell simulation canceled: %w", cerr)
-				}
-				return res, fmt.Errorf("core: cell simulation: %w", serr)
-			}
-			res.CellSim = &CellSimResult{
-				Solver:   sol.Solver,
-				Exact:    sol.Exact,
-				FreeDots: free,
-				EnergyEV: sol.EnergyEV,
-				Degraded: sol.Degraded,
-			}
-			if sol.Degraded {
-				res.Degraded = true
-			}
-			sp.SetAttr("solver", sol.Solver)
-			sp.SetAttr("exact", sol.Exact)
-			sp.SetAttr("free_dots", free)
-			sp.SetAttr("energy_ev", sol.EnergyEV)
-			sp.End()
-			tr.Gauge("flow/cellsim_energy_ev").Set(sol.EnergyEV)
-		}
 	}
 	return res, nil
 }

@@ -194,6 +194,27 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
+func TestParseEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Engine
+	}{
+		{"", EngineAuto},
+		{"auto", EngineAuto},
+		{"exact", EngineExact},
+		{"ortho", EngineOrtho},
+	} {
+		got, err := ParseEngine(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v, nil", tc.name, got, err, tc.want)
+		}
+	}
+	_, err := ParseEngine("sat")
+	if err == nil || err.Error() != `unknown engine "sat" (want auto, exact, or ortho)` {
+		t.Errorf("ParseEngine(\"sat\") error = %v", err)
+	}
+}
+
 func TestRunProgrammaticNetwork(t *testing.T) {
 	x := network.New()
 	x.Name = "majority_api"

@@ -385,10 +385,9 @@ func evalFlow(ctx context.Context, cfg Config, name string, it item) outcome {
 	region := lattice.Box{MinX: 0, MinY: 0, MaxX: n*gatelib.TileWidth - 1, MaxY: n*gatelib.TileHeight - 1}
 	surf := defects.Generate(itemSeed(cfg.Seed, it), region, scaleMix(cfg.Mix, cfg.Densities[it.di]))
 	_, err = core.RunContext(ctx, spec, core.Options{
-		Engine:       core.EngineOrtho,
-		GroundSolver: cfg.Solver,
-		Surface:      surf,
-		Tracer:       cfg.Tracer,
+		Engine:  core.EngineOrtho,
+		Surface: surf,
+		Tracer:  cfg.Tracer,
 	})
 	if err == nil {
 		return outcome{ok: true, defects: surf.Len()}

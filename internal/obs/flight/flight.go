@@ -123,7 +123,7 @@ type Recorder struct {
 	mu       sync.Mutex
 	rings    map[Class]*ring
 	byID     map[string]*Trace
-	byReq    map[string]*Trace // latest retained trace per request id
+	byReq    map[string]*Trace  // latest retained trace per request id
 	okWindow *obs.RollingWindow // recent OK latencies (slow threshold source)
 	okSeen   int64
 	fastSeen int64

@@ -719,10 +719,6 @@ type flowRequest struct {
 	Name   string `json:"name,omitempty"`
 	// Engine is "auto" (default), "exact", or "ortho".
 	Engine string `json:"engine,omitempty"`
-	// CellSim enables whole-layout ground-state simulation; Solver picks
-	// the backend for it.
-	CellSim bool   `json:"cellsim,omitempty"`
-	Solver  string `json:"solver,omitempty"`
 	// MaxArea / ConflictBudget tune the exact engine.
 	MaxArea        int   `json:"max_area,omitempty"`
 	ConflictBudget int64 `json:"conflict_budget,omitempty"`
@@ -759,37 +755,15 @@ func (s *Server) parseSpec(req *flowRequest) (*network.XAG, error) {
 	}
 }
 
-func parseEngine(name string) (core.Engine, error) {
-	switch name {
-	case "", "auto":
-		return core.EngineAuto, nil
-	case "exact":
-		return core.EngineExact, nil
-	case "ortho":
-		return core.EngineOrtho, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want auto, exact, or ortho)", name)
-	}
-}
-
 // prepareFlow validates a flow request and packages it as a preparedOp.
 func (s *Server) prepareFlow(req *flowRequest) (*preparedOp, error) {
 	spec, err := s.parseSpec(req)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := core.ParseEngine(req.Engine)
 	if err != nil {
 		return nil, err
-	}
-	solver := req.Solver
-	if solver == "" {
-		solver = s.cfg.Solver
-	}
-	if req.CellSim {
-		if _, err := sim.Lookup(solver); err != nil {
-			return nil, err
-		}
 	}
 	surf, err := req.Defects.surface()
 	if err != nil {
@@ -797,8 +771,6 @@ func (s *Server) prepareFlow(req *flowRequest) (*preparedOp, error) {
 	}
 	baseOpts := core.Options{
 		Engine:        engine,
-		CellSim:       req.CellSim,
-		GroundSolver:  solver,
 		DegradeMargin: s.cfg.DegradeMargin,
 		Surface:       surf,
 	}
@@ -1560,7 +1532,7 @@ var metricHelp = map[string]string{
 	"queue_running":                      "Jobs currently executing on the worker pool.",
 	"queue_wait_seconds":                 "Time jobs spent queued before a worker picked them up.",
 	"job_duration_seconds":               "Job execution time by kind (flow, simulate, validate).",
-	"flow_stage_seconds":                 "Per-stage latency aggregated across jobs (rewrite, pnr, verify, cellsim, simulate, ...).",
+	"flow_stage_seconds":                 "Per-stage latency aggregated across jobs (rewrite, pnr, verify, simulate, ...).",
 	"sim_solve_seconds":                  "Ground-state solve latency by solver backend (cache misses only).",
 	"cache_mem_hits":                     "In-memory result cache hits.",
 	"cache_mem_misses":                   "In-memory result cache misses.",

@@ -115,6 +115,40 @@ func TestFlowWarmCacheByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFlowIgnoresRetiredFields: "cellsim" and "solver" are no
+// longer /v1/flow fields, so a request that still sends them is the same
+// request as one without them: a memory hit with a byte-identical body.
+// The timeout (not part of the cache key) bounds the run should the fields
+// ever start a whole-layout simulation again.
+func TestFlowIgnoresRetiredFields(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	resp1, body1 := postJSON(t, ts.URL+"/v1/flow", map[string]any{"bench": "xor2", "engine": "ortho"})
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("cold flow: %d %s", resp1.StatusCode, body1)
+	}
+	memHits := s.lru.Stats().Hits
+	resp2, body2 := postJSON(t, ts.URL+"/v1/flow", map[string]any{
+		"bench": "xor2", "engine": "ortho", "cellsim": true, "solver": "exgs", "timeout_ms": 3000,
+	})
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("flow with retired fields: %d %s", resp2.StatusCode, body2)
+	}
+	if got := resp2.Header.Get("X-Cache"); got != "hit" || s.lru.Stats().Hits != memHits+1 {
+		t.Fatalf("X-Cache = %q, memory hits %d -> %d; want a memory hit",
+			got, memHits, s.lru.Stats().Hits)
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Fatalf("body differs:\n%s\n%s", body1, body2)
+	}
+	var art map[string]json.RawMessage
+	if err := json.Unmarshal(body2, &art); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := art["cellsim"]; ok {
+		t.Fatalf("response carries a cellsim key: %s", body2)
+	}
+}
+
 // TestColdFlowDeterministic: two cold exact flows of one circuit, with
 // the cache bypassed, must return byte-identical bodies, so one flow
 // cache key always names one layout.

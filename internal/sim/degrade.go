@@ -8,12 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Degrades counts, process-wide, how often the degradation ladder fell
-// back to a cheaper engine. cmd/table1 refuses to certify gate data that
-// silently rests on degraded (non-exact) validations unless the operator
-// passes -allow-degraded.
-var Degrades obs.Counter
-
 // DefaultDegradeMargin is the budget Degrading reserves for its anneal
 // fallback when no explicit margin is configured. It is calibrated
 // against the default deterministic anneal schedule on library-tile-sized
@@ -93,7 +87,6 @@ func (d *Degrading) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 		// injected fault): fall through to the anneal rung.
 	}
 
-	Degrades.Inc()
 	d.Tracer.Counter(obs.Labeled("sim/degraded_total", "from", d.Inner.Name(), "to", "anneal")).Inc()
 
 	cfg := DefaultAnnealConfig()

@@ -48,7 +48,6 @@ func TestDegradingPassesThroughSuccess(t *testing.T) {
 }
 
 func TestDegradingFallsBackOnInnerFailure(t *testing.T) {
-	before := Degrades.Value()
 	e := degradeTestEngine()
 	tr := obs.New()
 	d := &Degrading{Inner: failingSolver{}, Tracer: tr}
@@ -58,9 +57,6 @@ func TestDegradingFallsBackOnInnerFailure(t *testing.T) {
 	}
 	if !sol.Degraded || sol.Solver != "anneal" || sol.Exact {
 		t.Fatalf("expected degraded anneal solution, got %+v", sol)
-	}
-	if Degrades.Value() != before+1 {
-		t.Fatalf("Degrades counter = %d, want %d", Degrades.Value(), before+1)
 	}
 	if tr.Counter(obs.Labeled("sim/degraded_total", "from", "failing", "to", "anneal")).Value() != 1 {
 		t.Fatal("sim_degraded_total{from,to} not recorded")
