@@ -14,6 +14,7 @@ package npn
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/logic/tt"
@@ -70,68 +71,93 @@ func (tr Transform) String() string {
 	return fmt.Sprintf("perm=%v flipIn=%04b flipOut=%v", tr.Perm, tr.FlipIn, tr.FlipOut)
 }
 
-// identity returns the identity transform over n variables.
-func identity(n int) Transform {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
+// nextPerm steps p to the next permutation in lexicographic order and
+// reports false, leaving p as it is, when p is the last one.
+func nextPerm(p []int) bool {
+	i := len(p) - 2
+	for i >= 0 && p[i] > p[i+1] {
+		i--
 	}
-	return Transform{Perm: p}
+	if i < 0 {
+		return false
+	}
+	j := len(p) - 1
+	for p[j] < p[i] {
+		j--
+	}
+	p[i], p[j] = p[j], p[i]
+	for a, b := i+1, len(p)-1; a < b; a, b = a+1, b-1 {
+		p[a], p[b] = p[b], p[a]
+	}
+	return true
 }
 
-// permutations returns all permutations of 0..n-1.
-func permutations(n int) [][]int {
-	if n == 0 {
-		return [][]int{{}}
+// permRows returns, for every row i of an n-variable table, the row that
+// row i of the permuted table reads: it sets bit perm[v] for every set bit
+// v of i (new variable v reads old variable perm[v]).
+func permRows(perm []int) (rows [16]int) {
+	for i := 1; i < 1<<len(perm); i++ {
+		low := i & -i
+		rows[i] = rows[i&^low] | 1<<perm[bits.TrailingZeros(uint(low))]
 	}
-	var out [][]int
-	var rec func(cur []int, used uint32)
-	rec = func(cur []int, used uint32) {
-		if len(cur) == n {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for v := 0; v < n; v++ {
-			if used>>v&1 == 0 {
-				rec(append(cur, v), used|1<<v)
-			}
-		}
-	}
-	rec(nil, 0)
-	return out
+	return rows
 }
 
-// less compares two equal-arity truth tables lexicographically via their hex
-// encoding of the underlying words.
-func less(a, b tt.TT) bool {
-	// For up to 4 variables a single word suffices.
-	return a.Word() < b.Word()
+// transformed returns the word of Transform{Perm: perm, FlipIn: flip}
+// applied to the function with word w, where rows = permRows(perm): row i
+// of the result is row rows[i] XOR flip of w.
+func transformed(w uint64, rows *[16]int, n, flip int) uint64 {
+	var g uint64
+	for i := 0; i < 1<<n; i++ {
+		g |= (w >> uint(rows[i]^flip) & 1) << uint(i)
+	}
+	return g
+}
+
+// fromWord builds the n-variable truth table whose bits are w.
+func fromWord(n int, w uint64) tt.TT {
+	f := tt.New(n)
+	for i := 0; i < f.Bits(); i++ {
+		f.Set(i, w>>i&1 == 1)
+	}
+	return f
 }
 
 // Canonize returns the NPN class representative of f together with the
 // transform tr such that tr.Apply(canon) == f. Supported for up to 4
 // variables (the cut size used by the rewriting step).
+//
+// It walks the input permutations in lexicographic order, the input flips
+// in ascending order and then the output polarity, on the truth-table
+// word, and keeps the first transform reaching the smallest word.
 func Canonize(f tt.TT) (canon tt.TT, tr Transform) {
 	n := f.NumVars()
 	if n > 4 {
 		panic(fmt.Sprintf("npn: canonization supports up to 4 vars, got %d", n))
 	}
-	best := f
-	bestTr := identity(n) // transform f -> best
-	for _, perm := range permutations(n) {
-		for flip := uint32(0); flip < 1<<n; flip++ {
-			for _, out := range []bool{false, true} {
-				cand := Transform{Perm: perm, FlipIn: flip, FlipOut: out}
-				g := cand.Apply(f)
-				if less(g, best) {
-					best = g
-					bestTr = cand
-				}
+	w := f.Word()
+	mask := uint64(1)<<(1<<n) - 1
+	best, bestFlip, bestOut := w, 0, false
+	perm := [4]int{0, 1, 2, 3}
+	bestPerm := perm
+	for {
+		rows := permRows(perm[:n])
+		for flip := 0; flip < 1<<n; flip++ {
+			g := transformed(w, &rows, n, flip)
+			if g < best {
+				best, bestPerm, bestFlip, bestOut = g, perm, flip, false
+			}
+			if g = ^g & mask; g < best {
+				best, bestPerm, bestFlip, bestOut = g, perm, flip, true
 			}
 		}
+		if !nextPerm(perm[:n]) {
+			break
+		}
 	}
-	// bestTr maps f -> canon; the caller wants canon -> f.
-	return best, bestTr.Inverse()
+	// The transform found maps f to the canon; the caller wants canon -> f.
+	tr = Transform{Perm: bestPerm[:n], FlipIn: uint32(bestFlip), FlipOut: bestOut}.Inverse()
+	return fromWord(n, best), tr
 }
 
 // Classes returns the canon of every NPN class of n ≤ 4 variables in
@@ -140,22 +166,23 @@ func Canonize(f tt.TT) (canon tt.TT, tr Transform) {
 // class and marks the class's whole orbit, so each class is canonized once.
 func Classes(n int) []tt.TT {
 	total := 1 << (1 << n)
+	mask := uint64(total - 1)
 	member := make([]bool, total)
 	var out []tt.TT
 	for v := 0; v < total; v++ {
 		if member[v] {
 			continue
 		}
-		f := tt.New(n)
-		for i := 0; i < f.Bits(); i++ {
-			f.Set(i, v>>i&1 == 1)
-		}
-		canon, _ := Canonize(f)
-		for _, perm := range permutations(n) {
-			for flip := uint32(0); flip < 1<<n; flip++ {
-				for _, neg := range []bool{false, true} {
-					member[Transform{Perm: perm, FlipIn: flip, FlipOut: neg}.Apply(canon).Word()] = true
-				}
+		canon, _ := Canonize(fromWord(n, uint64(v)))
+		perm := [4]int{0, 1, 2, 3}
+		for {
+			rows := permRows(perm[:n])
+			for flip := 0; flip < 1<<n; flip++ {
+				g := transformed(canon.Word(), &rows, n, flip)
+				member[g], member[^g&mask] = true, true
+			}
+			if !nextPerm(perm[:n]) {
+				break
 			}
 		}
 		out = append(out, canon)

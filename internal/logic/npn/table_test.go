@@ -9,15 +9,6 @@ import (
 	"repro/internal/logic/tt"
 )
 
-// fromWord builds the n-variable truth table whose bits are w.
-func fromWord(n int, w uint64) tt.TT {
-	f := tt.New(n)
-	for i := 0; i < f.Bits(); i++ {
-		f.Set(i, w>>i&1 == 1)
-	}
-	return f
-}
-
 // wantFailed lists the 4-input classes exact synthesis cannot solve within
 // tableSynth's budget (MaxGates 7, ConflictBudget 30000). Rewriting skips
 // cuts of these classes, exactly as the lazily synthesizing database did.

@@ -19,7 +19,7 @@ import (
 
 // Lit is a literal: variable index (1-based) with sign. Positive values are
 // positive literals, negative values negated ones. 0 is invalid.
-type Lit int
+type Lit int32
 
 // Neg returns the negated literal.
 func (l Lit) Neg() Lit { return -l }
@@ -138,11 +138,29 @@ func (b *slab) reset() {
 }
 
 // watcher records a clause watching a literal plus the blocking literal
-// optimization.
+// optimization, in 8 bytes: cref is the clause index shifted left by one,
+// with the low bit set for a binary clause. A binary clause's blocker is
+// always its other literal, so propagation settles it without loading the
+// clause.
 type watcher struct {
-	clauseIdx int
-	blocker   Lit
+	cref    uint32
+	blocker Lit
 }
+
+// newWatcher returns the watcher of clause idx with the given blocker.
+func newWatcher(idx int, binary bool, blocker Lit) watcher {
+	w := watcher{cref: uint32(idx) << 1, blocker: blocker}
+	if binary {
+		w.cref |= 1
+	}
+	return w
+}
+
+// clauseIdx returns the index of the watched clause.
+func (w watcher) clauseIdx() int { return int(w.cref >> 1) }
+
+// binary reports whether the watched clause has two literals.
+func (w watcher) binary() bool { return w.cref&1 == 1 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; construct with
 // New.
@@ -155,7 +173,8 @@ type Solver struct {
 	learnt   []Lit       // analyze's learnt-clause buffer
 	toClear  []int       // analyze's seen-variable buffer
 	watches  [][]watcher // indexed by watchIdx(lit)
-	assign   []lbool     // indexed by variable (1-based; index 0 unused)
+	vals     []lbool     // literal values by watchIdx(lit); vals[2v] is variable v's
+	locked   []bool      // reduceDB's reason-clause marks, by clause index
 	level    []int
 	reason   []int // clause index that implied the variable, or -1
 	trail    []Lit
@@ -246,7 +265,7 @@ func (s *Solver) Reset() {
 	s.m = Metrics{}
 	s.MaxConflicts = 0
 	// Variable index 0 is unused.
-	s.assign = append(s.assign[:0], lUndef)
+	s.vals = append(s.vals[:0], lUndef, lUndef)
 	s.level = append(s.level[:0], 0)
 	s.reason = append(s.reason[:0], -1)
 	s.activity = append(s.activity[:0], 0)
@@ -267,18 +286,17 @@ func (s *Solver) addWatchSlots() {
 	s.watches[n+1] = s.watches[n+1][:0]
 }
 
-// watchIdx maps a literal to its watch-list slot.
+// watchIdx maps a literal to its watch-list and value slot: 2v for the
+// positive literal of variable v, 2v+1 for the negative one.
 func watchIdx(l Lit) int {
-	if l > 0 {
-		return 2 * int(l)
-	}
-	return 2*int(-l) + 1
+	m := int(l >> 31) // -1 for a negative literal, else 0
+	return (int(l)^m-m)<<1 | m&1
 }
 
 // NewVar allocates a fresh variable and returns its positive literal.
 func (s *Solver) NewVar() Lit {
 	s.numVars++
-	s.assign = append(s.assign, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
 	s.activity = append(s.activity, 0)
@@ -300,16 +318,7 @@ func (s *Solver) NumClauses() int { return s.nProblem }
 func (s *Solver) Metrics() Metrics { return s.m }
 
 // value returns the current assignment of a literal.
-func (s *Solver) value(l Lit) lbool {
-	v := s.assign[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Sign() == (v == lTrue) {
-		return lTrue
-	}
-	return lFalse
-}
+func (s *Solver) value(l Lit) lbool { return s.vals[watchIdx(l)] }
 
 // AddClause adds a clause; returns false if the formula became trivially
 // unsatisfiable. Literals must reference variables from NewVar: a clause
@@ -379,9 +388,10 @@ func (s *Solver) attach(c *clause) {
 	if !c.learnt {
 		s.nProblem++
 	}
+	binary := len(c.lits) == 2
 	w0, w1 := watchIdx(c.lits[0].Neg()), watchIdx(c.lits[1].Neg())
-	s.watches[w0] = append(s.watches[w0], watcher{idx, c.lits[1]})
-	s.watches[w1] = append(s.watches[w1], watcher{idx, c.lits[0]})
+	s.watches[w0] = append(s.watches[w0], newWatcher(idx, binary, c.lits[1]))
+	s.watches[w1] = append(s.watches[w1], newWatcher(idx, binary, c.lits[0]))
 }
 
 // decisionLevel returns the current decision level.
@@ -396,11 +406,8 @@ func (s *Solver) enqueue(l Lit, reason int) bool {
 		return false
 	}
 	v := l.Var()
-	if l.Sign() {
-		s.assign[v] = lTrue
-	} else {
-		s.assign[v] = lFalse
-	}
+	i := watchIdx(l) // l.Neg() has slot i^1
+	s.vals[i], s.vals[i^1] = lTrue, lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = reason
 	s.phase[v] = l.Sign()
@@ -415,6 +422,7 @@ func (s *Solver) propagate() int {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.m.Propagations++
+		notP := p.Neg()
 		wi := watchIdx(p)
 		ws := s.watches[wi]
 		kept := ws[:0]
@@ -424,16 +432,34 @@ func (s *Solver) propagate() int {
 				kept = append(kept, w)
 				continue
 			}
-			c := s.clauses[w.clauseIdx]
+			if w.binary() {
+				// The blocker is the clause's other literal: the clause
+				// is unit or conflicting.
+				kept = append(kept, w)
+				if s.value(w.blocker) == lFalse {
+					// Write the literals in the order a longer clause's
+					// swap leaves them (the false watch ¬p second), so
+					// analyze visits them in the same order.
+					lits := s.clauses[w.clauseIdx()].lits
+					lits[0], lits[1] = w.blocker, notP
+					kept = append(kept, ws[i+1:]...)
+					s.watches[wi] = kept
+					s.qhead = len(s.trail)
+					return w.clauseIdx()
+				}
+				s.enqueue(w.blocker, w.clauseIdx())
+				continue
+			}
+			c := s.clauses[w.clauseIdx()]
 			if c.deleted {
 				continue // drop watcher of a deleted clause
 			}
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Neg() {
+			if c.lits[0] == notP {
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
 			}
 			if s.value(c.lits[0]) == lTrue {
-				kept = append(kept, watcher{w.clauseIdx, c.lits[0]})
+				kept = append(kept, watcher{w.cref, c.lits[0]})
 				continue
 			}
 			// Look for a new watch.
@@ -442,7 +468,7 @@ func (s *Solver) propagate() int {
 				if s.value(c.lits[k]) != lFalse {
 					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
 					nw := watchIdx(c.lits[1].Neg())
-					s.watches[nw] = append(s.watches[nw], watcher{w.clauseIdx, c.lits[0]})
+					s.watches[nw] = append(s.watches[nw], watcher{w.cref, c.lits[0]})
 					found = true
 					break
 				}
@@ -457,9 +483,9 @@ func (s *Solver) propagate() int {
 				kept = append(kept, ws[i+1:]...)
 				s.watches[wi] = kept
 				s.qhead = len(s.trail)
-				return w.clauseIdx
+				return w.clauseIdx()
 			}
-			s.enqueue(c.lits[0], w.clauseIdx)
+			s.enqueue(c.lits[0], w.clauseIdx())
 		}
 		s.watches[wi] = kept
 	}
@@ -482,7 +508,9 @@ func (s *Solver) bumpClause(c *clause) {
 // reduceDB deletes the lower-activity half of the learnt clauses, keeping
 // binary clauses and clauses currently acting as reasons.
 func (s *Solver) reduceDB() {
-	locked := make(map[int]bool)
+	s.locked = slices.Grow(s.locked[:0], len(s.clauses))[:len(s.clauses)]
+	locked := s.locked
+	clear(locked)
 	for _, l := range s.trail {
 		if r := s.reason[l.Var()]; r >= 0 {
 			locked[r] = true
@@ -591,7 +619,7 @@ func (s *Solver) cancelUntil(level int) {
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
-		s.assign[v] = lUndef
+		s.vals[2*v], s.vals[2*v+1] = lUndef, lUndef
 		s.reason[v] = -1
 		s.order.pushIfAbsent(v)
 	}
@@ -733,7 +761,10 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 		// Pick the next decision variable.
 		v := s.pickBranchVar()
 		if v == 0 {
-			s.model = append(s.model[:0], s.assign...)
+			s.model = s.model[:0]
+			for v := 0; v <= s.numVars; v++ {
+				s.model = append(s.model, s.vals[2*v])
+			}
 			return Sat
 		}
 		s.m.Decisions++
@@ -770,7 +801,7 @@ func (s *Solver) assumptionSafeLevel(learnt []Lit, btLevel, numAssumptions int) 
 func (s *Solver) pickBranchVar() int {
 	for s.order.len() > 0 {
 		v := s.order.pop()
-		if s.assign[v] == lUndef {
+		if s.vals[2*v] == lUndef {
 			return v
 		}
 	}
