@@ -119,7 +119,10 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 		blocked: o.Blocked,
 	}
 	for _, d := range cands {
-		l, status := enc.solveSize(ctx, d.w, d.h, o)
+		l, status, err := enc.solveSize(ctx, d.w, d.h, o)
+		if err != nil {
+			return nil, fmt.Errorf("pnr: exact %dx%d for %s: %w", d.w, d.h, g.Name, err)
+		}
 		if status == sat.Sat {
 			sp.SetAttr("w", d.w)
 			sp.SetAttr("h", d.h)
@@ -136,6 +139,10 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 	return nil, fmt.Errorf("pnr: no exact layout within area %d for %s", o.MaxArea, g.Name)
 }
 
+// exitSides are the two sides a tile emits through; the index is the
+// out table's side and, for a two-output source, the output port.
+var exitSides = [2]hexgrid.Direction{hexgrid.SouthWest, hexgrid.SouthEast}
+
 // exactEncoder carries the SAT encoding state of the current grid size.
 // The variable tables are dense, indexed id*nT + tile, where id is a node
 // for x and an edge for the others; lFalse marks a tile outside the
@@ -149,19 +156,15 @@ type exactEncoder struct {
 	s       *sat.Solver
 	asap    []int
 	alap    []int
-	x       []sat.Lit // node placed on the tile
-	we      []sat.Lit // edge wired through the tile
-	emit    []sat.Lit // tile emits the edge (as its wire or its source)
-	outSW   []sat.Lit // the emission leaves via SW (else SE)
-	arrNW   []sat.Lit // edge arrives from the NW neighbor
-	arrNE   []sat.Lit // edge arrives from the NE neighbor
+	x       []sat.Lit    // node placed on the tile
+	we      []sat.Lit    // edge wired through the tile
+	out     [2][]sat.Lit // edge leaves the tile by exitSides[side]
 	lFalse  sat.Lit
 	blocked func(hexgrid.Offset) bool // defect-afflicted tiles; may be nil
 
-	// Scratch for one node's placement window, one tile's node and wire
-	// literals and wire table indices, and the at-most-two counter.
-	all, xs, wLits, cnt []sat.Lit
-	ws                  []int
+	// Scratch for one node's placement window or one tile's node, wire or
+	// side literals, and the at-most-two counter.
+	lits, cnt []sat.Lit
 }
 
 // tileIdx flattens offset coordinates.
@@ -207,10 +210,26 @@ func (e *exactEncoder) table(t []sat.Lit, ids int) []sat.Lit {
 	return t
 }
 
+// enter returns the literal "edge eid enters tile t from its parent in
+// direction d" (NorthWest or NorthEast): the parent's exit by the side
+// facing t. It is lFalse off the grid or where the parent cannot emit it.
+func (e *exactEncoder) enter(eid, t int, d hexgrid.Direction) sat.Lit {
+	p := e.tileAt(t).Neighbor(d)
+	if !e.inGrid(p) {
+		return e.lFalse
+	}
+	side := 1 // the NW parent reaches t through its SE side
+	if d == hexgrid.NorthEast {
+		side = 0
+	}
+	return e.out[side][eid*e.nT+e.tileIdx(p)]
+}
+
 // solveSize attempts one grid size, recording the (w, h) attempt and its
-// SAT outcome as a size-search span.
-func (e *exactEncoder) solveSize(ctx context.Context, w, h int, o ExactOptions) (layout *gatelayout.Layout, status sat.Status) {
-	g, s, tr := e.g, e.s, o.Tracer
+// SAT outcome as a size-search span. A model that does not decode into a
+// legal layout is an encoding bug and comes back as the error.
+func (e *exactEncoder) solveSize(ctx context.Context, w, h int, o ExactOptions) (layout *gatelayout.Layout, status sat.Status, err error) {
+	s, tr := e.s, o.Tracer
 	sp := tr.Start("pnr/exact/size")
 	defer func() {
 		sp.SetAttr("status", status.String())
@@ -220,35 +239,12 @@ func (e *exactEncoder) solveSize(ctx context.Context, w, h int, o ExactOptions) 
 	sp.SetAttr("h", h)
 	tr.Counter("pnr/exact/sizes_tried").Inc()
 
-	// ALAP levels for this height; the ASAP levels are the graph's.
-	asap, alap := e.asap, e.alap
-	for i := range alap {
-		alap[i] = h - 1
+	if !e.encode(w, h) {
+		tr.Counter("pnr/exact/sizes_pruned").Inc()
+		sp.SetAttr("pruned", true)
+		return nil, sat.Unsat, nil
 	}
-	// Iterate ALAP to fixpoint (reverse edges).
-	for changed := true; changed; {
-		changed = false
-		for _, ed := range g.Edges {
-			if alap[ed.Dst]-1 < alap[ed.Src] {
-				alap[ed.Src] = alap[ed.Dst] - 1
-				changed = true
-			}
-		}
-	}
-	for n := range g.Nodes {
-		if asap[n] > alap[n] {
-			tr.Counter("pnr/exact/sizes_pruned").Inc()
-			sp.SetAttr("pruned", true)
-			return nil, sat.Unsat
-		}
-	}
-
-	e.w, e.h, e.nT = w, h, w*h
-	s.Reset()
 	s.MaxConflicts = o.ConflictBudget
-	e.lFalse = s.NewVar()
-	s.AddClause(e.lFalse.Neg())
-	e.build()
 	solveStart := time.Now()
 	status = s.SolveContext(ctx)
 	solveSecs := time.Since(solveStart).Seconds()
@@ -273,40 +269,69 @@ func (e *exactEncoder) solveSize(ctx context.Context, w, h int, o ExactOptions) 
 	tr.Histogram(obs.Labeled("pnr/exact/size_solve_seconds", "status", status.String()),
 		obs.DefBuckets...).Observe(solveSecs)
 	if status != sat.Sat {
-		return nil, status
+		return nil, status, nil
 	}
-	l, err := e.decode()
+	l, err := e.decode(s.Value)
 	if err != nil {
-		// An encoding bug would surface here; treat as failure.
-		return nil, sat.Unknown
+		return nil, sat.Unknown, err
 	}
-	return l, sat.Sat
+	return l, sat.Sat, nil
 }
 
-// build emits the whole encoding.
+// encode resets the solver and builds the formula of the w×h grid. It
+// reports false, building nothing, when some node has no row left at this
+// height.
+func (e *exactEncoder) encode(w, h int) bool {
+	// ALAP levels for this height; the ASAP levels are the graph's.
+	asap, alap := e.asap, e.alap
+	for i := range alap {
+		alap[i] = h - 1
+	}
+	// Iterate ALAP to fixpoint (reverse edges).
+	for changed := true; changed; {
+		changed = false
+		for _, ed := range e.g.Edges {
+			if alap[ed.Dst]-1 < alap[ed.Src] {
+				alap[ed.Src] = alap[ed.Dst] - 1
+				changed = true
+			}
+		}
+	}
+	for n := range e.g.Nodes {
+		if asap[n] > alap[n] {
+			return false
+		}
+	}
+	e.w, e.h, e.nT = w, h, w*h
+	e.s.Reset()
+	e.lFalse = e.s.NewVar()
+	e.s.AddClause(e.lFalse.Neg())
+	e.build()
+	return true
+}
+
+// build emits the whole encoding. Every edge runs from its source to its
+// destination through a chain of tiles, one row per step: each carrier
+// (the source, then the edge's wires) leaves by exactly one side into the
+// next tile, which absorbs the edge as a wire or as the destination.
 func (e *exactEncoder) build() {
 	g, s, nT := e.g, e.s, e.nT
 	nE := len(g.Edges)
-	e.x = e.table(e.x, len(g.Nodes))
-	e.we, e.emit, e.outSW = e.table(e.we, nE), e.table(e.emit, nE), e.table(e.outSW, nE)
-	e.arrNW, e.arrNE = e.table(e.arrNW, nE), e.table(e.arrNE, nE)
+	e.x, e.we = e.table(e.x, len(g.Nodes)), e.table(e.we, nE)
+	e.out[0], e.out[1] = e.table(e.out[0], nE), e.table(e.out[1], nE)
 
 	// Placement variables within row windows: exactly one tile per node.
 	for n := range g.Nodes {
 		lo, hi := e.nodeTiles(n)
-		all := e.all[:0]
+		lits := e.lits[:0]
 		for t := lo; t < hi; t++ {
 			v := s.NewVar()
 			e.x[n*nT+t] = v
-			all = append(all, v)
+			lits = append(lits, v)
 		}
-		e.all = all
-		s.AddClause(all...) // at least one
-		for i := 0; i < len(all); i++ {
-			for j := i + 1; j < len(all); j++ {
-				s.AddClause(all[i].Neg(), all[j].Neg())
-			}
-		}
+		e.lits = lits
+		s.AddClause(lits...)
+		e.atMostOne(lits)
 	}
 
 	// Wire variables within edge windows.
@@ -317,35 +342,45 @@ func (e *exactEncoder) build() {
 		}
 	}
 
-	// Emission sites (the edge's wire tiles and its source's placement
-	// tiles) get emit/outSW; arrival sites (wire tiles and the
-	// destination's placement tiles) get arrNW/arrNE.
+	// Exit variables where the tile can carry the edge and the tile behind
+	// the side can absorb it.
 	for eid, ed := range g.Edges {
 		for t := 0; t < nT; t++ {
 			i := eid*nT + t
-			if e.we[i] != e.lFalse || e.x[ed.Src*nT+t] != e.lFalse {
-				e.emit[i] = s.NewVar()
-				e.outSW[i] = s.NewVar()
+			if e.we[i] == e.lFalse && e.x[ed.Src*nT+t] == e.lFalse {
+				continue
 			}
-			if e.we[i] != e.lFalse || e.x[ed.Dst*nT+t] != e.lFalse {
-				e.arrNW[i] = s.NewVar()
-				e.arrNE[i] = s.NewVar()
+			at := e.tileAt(t)
+			for side, d := range exitSides {
+				c := at.Neighbor(d)
+				if !e.inGrid(c) {
+					continue
+				}
+				ct := e.tileIdx(c)
+				if e.we[eid*nT+ct] != e.lFalse || e.x[ed.Dst*nT+ct] != e.lFalse {
+					e.out[side][i] = s.NewVar()
+				}
 			}
 		}
 	}
 
 	for eid := range g.Edges {
 		for t := 0; t < nT; t++ {
-			if e.emit[eid*nT+t] != e.lFalse {
-				e.emission(eid, t)
-			}
-			if e.arrNW[eid*nT+t] != e.lFalse {
-				e.arrival(eid, t)
-			}
+			e.exits(eid, t)
 		}
 	}
 
-	// Consumer arrival with port-side assignment.
+	// A wire arrives from one of its parents.
+	for eid := range g.Edges {
+		lo, hi := e.edgeTiles(eid)
+		for t := lo; t < hi; t++ {
+			s.AddClause(e.we[eid*nT+t].Neg(),
+				e.enter(eid, t, hexgrid.NorthWest), e.enter(eid, t, hexgrid.NorthEast))
+		}
+	}
+
+	// Each consumer port arrives from one parent, the two ports of a
+	// two-input node from different parents.
 	for n, nd := range g.Nodes {
 		if nd.Func.NumIns() == 0 {
 			continue
@@ -358,16 +393,16 @@ func (e *exactEncoder) build() {
 		for t := lo; t < hi; t++ {
 			xL := e.x[n*nT+t]
 			if nd.Func.NumIns() == 1 {
-				i := nd.In[0]*nT + t
-				s.AddClause(xL.Neg(), e.arrNW[i], e.arrNE[i])
+				in := nd.In[0]
+				s.AddClause(xL.Neg(), e.enter(in, t, hexgrid.NorthWest), e.enter(in, t, hexgrid.NorthEast))
 				continue
 			}
-			i0, i1 := nd.In[0]*nT+t, nd.In[1]*nT+t
+			in0, in1 := nd.In[0], nd.In[1]
 			// !sw: e0 via NW, e1 via NE; sw: e0 via NE, e1 via NW.
-			s.AddClause(xL.Neg(), sw, e.arrNW[i0])
-			s.AddClause(xL.Neg(), sw, e.arrNE[i1])
-			s.AddClause(xL.Neg(), sw.Neg(), e.arrNE[i0])
-			s.AddClause(xL.Neg(), sw.Neg(), e.arrNW[i1])
+			s.AddClause(xL.Neg(), sw, e.enter(in0, t, hexgrid.NorthWest))
+			s.AddClause(xL.Neg(), sw, e.enter(in1, t, hexgrid.NorthEast))
+			s.AddClause(xL.Neg(), sw.Neg(), e.enter(in0, t, hexgrid.NorthEast))
+			s.AddClause(xL.Neg(), sw.Neg(), e.enter(in1, t, hexgrid.NorthWest))
 		}
 	}
 
@@ -376,161 +411,143 @@ func (e *exactEncoder) build() {
 	}
 
 	// PI and PO ordering along their rows (for positional EC).
-	orderRow := func(ids []int, row int) {
-		for a := 0; a < len(ids); a++ {
-			for b := a + 1; b < len(ids); b++ {
-				// id[a] must be strictly left of id[b].
-				for xa := 0; xa < e.w; xa++ {
-					for xb := 0; xb <= xa; xb++ {
-						la := e.x[ids[a]*nT+row*e.w+xa]
-						lb := e.x[ids[b]*nT+row*e.w+xb]
-						s.AddClause(la.Neg(), lb.Neg())
-					}
-				}
-			}
-		}
-	}
-	orderRow(g.PIs, 0)
-	orderRow(g.POs, e.h-1)
+	e.orderRow(g.PIs, 0)
+	e.orderRow(g.POs, e.h-1)
 }
 
-// emission encodes edge eid leaving tile t. The tile emits the edge
-// exactly when it carries the edge's wire or hosts its source; a
-// two-output source fixes the side by port (0 -> SW, 1 -> SE); and the
-// tile the emission points at must absorb it as a wire or as the
-// destination node, otherwise the layout would contain dangling output
-// ports.
-func (e *exactEncoder) emission(eid, t int) {
+// exits encodes how edge eid leaves tile t. A carrier (the edge's wire or
+// its source) leaves by exactly one side, a two-output source by its
+// port's side (0 -> SW, 1 -> SE); an exit needs the carrier here and an
+// absorber (the edge's wire or its destination) behind that side, so no
+// output port dangles.
+func (e *exactEncoder) exits(eid, t int) {
 	s, ed, i := e.s, e.g.Edges[eid], eid*e.nT+t
-	em, outSW := e.emit[i], e.outSW[i]
 	weL, xL := e.we[i], e.x[ed.Src*e.nT+t]
-	s.AddClause(em.Neg(), weL, xL)
+	if weL == e.lFalse && xL == e.lFalse {
+		return
+	}
+	o := [2]sat.Lit{e.out[0][i], e.out[1][i]}
 	if weL != e.lFalse {
-		s.AddClause(weL.Neg(), em)
+		s.AddClause(weL.Neg(), o[0], o[1])
 	}
 	if xL != e.lFalse {
-		s.AddClause(xL.Neg(), em)
 		if e.g.Nodes[ed.Src].Func.NumOuts() == 2 {
-			if ed.SrcPort == 0 {
-				s.AddClause(xL.Neg(), outSW)
-			} else {
-				s.AddClause(xL.Neg(), outSW.Neg())
-			}
+			s.AddClause(xL.Neg(), o[ed.SrcPort])
+		} else {
+			s.AddClause(xL.Neg(), o[0], o[1])
 		}
+	}
+	if o[0] != e.lFalse && o[1] != e.lFalse {
+		s.AddClause(o[0].Neg(), o[1].Neg())
 	}
 	at := e.tileAt(t)
-	swC := e.consume(eid, at.Neighbor(hexgrid.SouthWest))
-	seC := e.consume(eid, at.Neighbor(hexgrid.SouthEast))
-	// emit & outSW -> swC ; emit & !outSW -> seC.
-	s.AddClause(em.Neg(), outSW.Neg(), swC)
-	s.AddClause(em.Neg(), outSW, seC)
-}
-
-// consume returns an auxiliary literal implying that the child tile
-// absorbs edge eid, or lFalse when it cannot.
-func (e *exactEncoder) consume(eid int, child hexgrid.Offset) sat.Lit {
-	if !e.inGrid(child) {
-		return e.lFalse
-	}
-	ct := e.tileIdx(child)
-	weL, xL := e.we[eid*e.nT+ct], e.x[e.g.Edges[eid].Dst*e.nT+ct]
-	if weL == e.lFalse && xL == e.lFalse {
-		return e.lFalse
-	}
-	aux := e.s.NewVar()
-	e.s.AddClause(aux.Neg(), weL, xL)
-	return aux
-}
-
-// arrival encodes edge eid entering tile t: arrNW needs the NW parent to
-// emit the edge via SE, arrNE the NE parent via SW, and a wire continues
-// from one of the two.
-func (e *exactEncoder) arrival(eid, t int) {
-	s, i, at := e.s, eid*e.nT+t, e.tileAt(t)
-	from := func(arr sat.Lit, d hexgrid.Direction, viaSW bool) {
-		p := at.Neighbor(d)
-		if !e.inGrid(p) {
-			s.AddClause(arr.Neg())
-			return
+	for side, oL := range o {
+		if oL == e.lFalse {
+			continue
 		}
-		pi := eid*e.nT + e.tileIdx(p)
-		s.AddClause(arr.Neg(), e.emit[pi])
-		if e.emit[pi] == e.lFalse {
-			return
-		}
-		if viaSW {
-			s.AddClause(arr.Neg(), e.outSW[pi])
-		} else {
-			s.AddClause(arr.Neg(), e.outSW[pi].Neg())
-		}
-	}
-	from(e.arrNW[i], hexgrid.NorthWest, false)
-	from(e.arrNE[i], hexgrid.NorthEast, true)
-	if weL := e.we[i]; weL != e.lFalse {
-		s.AddClause(weL.Neg(), e.arrNW[i], e.arrNE[i])
+		c := e.tileIdx(at.Neighbor(exitSides[side]))
+		s.AddClause(oL.Neg(), weL, xL)
+		s.AddClause(oL.Neg(), e.we[eid*e.nT+c], e.x[ed.Dst*e.nT+c])
 	}
 }
 
 // capacity encodes what tile t may hold: at most one node, wires only
-// when it hosts no node, at most two wires (sequential counter), and two
-// co-located wires enter from different sides and cross straight. On an
-// afflicted tile unit clauses forbid every node and wire, so propagation
-// kills them before any search.
+// when it hosts no node, at most two wires, and two co-located wires
+// cross straight. Each side of the tile carries at most one edge, so two
+// wires also enter from different sides. On an afflicted tile unit
+// clauses forbid every node and wire, so propagation kills them before
+// any search.
 func (e *exactEncoder) capacity(t int) {
 	s, nT := e.s, e.nT
-	nodeAt := s.NewVar()
-	xs := e.xs[:0]
+	xs := e.lits[:0]
 	for n := range e.g.Nodes {
 		if xL := e.x[n*nT+t]; xL != e.lFalse {
-			s.AddClause(xL.Neg(), nodeAt)
 			xs = append(xs, xL)
 		}
 	}
-	for i := 0; i < len(xs); i++ {
-		for j := i + 1; j < len(xs); j++ {
-			s.AddClause(xs[i].Neg(), xs[j].Neg())
-		}
-	}
-	ws := e.ws[:0] // table indices of the edges with a wire variable here
-	wLits := e.wLits[:0]
-	for eid := range e.g.Edges {
-		if weL := e.we[eid*nT+t]; weL != e.lFalse {
-			s.AddClause(weL.Neg(), nodeAt.Neg())
-			ws = append(ws, eid*nT+t)
-			wLits = append(wLits, weL)
-		}
-	}
-	e.xs, e.ws, e.wLits = xs, ws, wLits
-	e.atMostTwo(wLits)
-	for i := 0; i < len(ws); i++ {
-		for j := i + 1; j < len(ws); j++ {
-			a, b := ws[i], ws[j]
-			w1, w2 := e.we[a], e.we[b]
-			// Input sides must differ.
-			s.AddClause(w1.Neg(), w2.Neg(), e.arrNW[a].Neg(), e.arrNW[b].Neg())
-			s.AddClause(w1.Neg(), w2.Neg(), e.arrNE[a].Neg(), e.arrNE[b].Neg())
-			// Straight crossing: NW in -> SE out; NE in -> SW out.
-			for _, k := range [2]int{a, b} {
-				s.AddClause(w1.Neg(), w2.Neg(), e.arrNW[k].Neg(), e.outSW[k].Neg())
-				s.AddClause(w1.Neg(), w2.Neg(), e.arrNE[k].Neg(), e.outSW[k])
-			}
-		}
-	}
-	if e.blocked != nil && e.blocked(e.tileAt(t)) {
+	e.lits = xs
+	nodeAt := e.atMostOne(xs)
+	blocked := e.blocked != nil && e.blocked(e.tileAt(t))
+	if blocked {
 		for _, l := range xs {
 			s.AddClause(l.Neg())
 		}
+	}
+	wLits := e.lits[:0]
+	for eid := range e.g.Edges {
+		if weL := e.we[eid*nT+t]; weL != e.lFalse {
+			if nodeAt != e.lFalse {
+				s.AddClause(weL.Neg(), nodeAt.Neg())
+			}
+			wLits = append(wLits, weL)
+		}
+	}
+	e.lits = wLits
+	// A crossing: a wire from NW leaves SE, one from NE leaves SW.
+	if two := e.atMostTwo(wLits); two != e.lFalse {
+		for eid := range e.g.Edges {
+			i := eid*nT + t
+			weL := e.we[i]
+			if weL == e.lFalse {
+				continue
+			}
+			if inNW, o := e.enter(eid, t, hexgrid.NorthWest), e.out[0][i]; inNW != e.lFalse && o != e.lFalse {
+				s.AddClause(two.Neg(), weL.Neg(), inNW.Neg(), o.Neg())
+			}
+			if inNE, o := e.enter(eid, t, hexgrid.NorthEast), e.out[1][i]; inNE != e.lFalse && o != e.lFalse {
+				s.AddClause(two.Neg(), weL.Neg(), inNE.Neg(), o.Neg())
+			}
+		}
+	}
+	if blocked {
 		for _, l := range wLits {
 			s.AddClause(l.Neg())
 		}
 	}
+	for side := range exitSides {
+		sides := e.lits[:0]
+		for eid := range e.g.Edges {
+			if oL := e.out[side][eid*nT+t]; oL != e.lFalse {
+				sides = append(sides, oL)
+			}
+		}
+		e.lits = sides
+		e.atMostOne(sides)
+	}
 }
 
-// atMostTwo emits a sequential-counter encoding of sum(lits) <= 2.
-func (e *exactEncoder) atMostTwo(lits []sat.Lit) {
+// atMostOne emits a sequential-counter encoding of sum(lits) <= 1 and
+// returns a literal every true member implies ("some literal holds"):
+// lFalse for no literals, the literal itself for one.
+func (e *exactEncoder) atMostOne(lits []sat.Lit) sat.Lit {
+	if len(lits) == 0 {
+		return e.lFalse
+	}
+	s := e.s
+	// some: at least one of lits[0..i].
+	some := lits[0]
+	for _, l := range lits[1:] {
+		next := s.NewVar()
+		s.AddClause(some.Neg(), next)
+		s.AddClause(l.Neg(), next)
+		s.AddClause(l.Neg(), some.Neg())
+		some = next
+	}
+	return some
+}
+
+// atMostTwo emits a sequential-counter encoding of sum(lits) <= 2 and
+// returns a literal implied by any two true members ("two literals
+// hold"): lFalse for fewer than two literals.
+func (e *exactEncoder) atMostTwo(lits []sat.Lit) sat.Lit {
 	s, n := e.s, len(lits)
-	if n <= 2 {
-		return
+	switch {
+	case n < 2:
+		return e.lFalse
+	case n == 2:
+		two := s.NewVar()
+		s.AddClause(lits[0].Neg(), lits[1].Neg(), two)
+		return two
 	}
 	// s1[i]: at least one of lits[0..i]; s2[i]: at least two.
 	e.cnt = slices.Grow(e.cnt[:0], 2*n)[:2*n]
@@ -549,84 +566,162 @@ func (e *exactEncoder) atMostTwo(lits []sat.Lit) {
 		// Forbid a third: lits[i] with s2[i-1] already true.
 		s.AddClause(lits[i].Neg(), s2[i-1].Neg())
 	}
+	return s2[n-1]
 }
 
-// decode reads the model into a layout. Absent variables are lFalse,
-// which every model sets false.
-func (e *exactEncoder) decode() (*gatelayout.Layout, error) {
-	g, s, nT := e.g, e.s, e.nT
+// orderRow keeps the nodes ids strictly left to right along the row.
+func (e *exactEncoder) orderRow(ids []int, row int) {
+	base := row * e.w
+	for a := 0; a+1 < len(ids); a++ {
+		e.leftOf(e.x[ids[a]*e.nT+base:][:e.w], e.x[ids[a+1]*e.nT+base:][:e.w])
+	}
+}
+
+// leftOf emits "the column of a is strictly left of the column of b" for
+// two one-hot column vectors of equal length, as a ladder: r_c means "a
+// sits in column c or right of it", a_c implies r_c, r_c implies r_{c-1},
+// and b_c forbids r_c. Column 0 is closed to b, and r_{w-1} is a_{w-1}.
+func (e *exactEncoder) leftOf(a, b []sat.Lit) {
+	s, w := e.s, len(a)
+	s.AddClause(b[0].Neg())
+	if w < 2 {
+		return
+	}
+	r := a[w-1]
+	s.AddClause(b[w-1].Neg(), r.Neg())
+	for c := w - 2; c >= 1; c-- {
+		next := s.NewVar()
+		s.AddClause(a[c].Neg(), next)
+		s.AddClause(r.Neg(), next)
+		s.AddClause(b[c].Neg(), next.Neg())
+		r = next
+	}
+}
+
+// decode reads a model, given as the value of each literal, into a
+// layout. Absent variables are lFalse, which every model sets false. It
+// rejects a model that breaks a tile rule the encoding promises: one node
+// or up to two wires per tile, every carrier leaving by exactly one side
+// and every absorber entered from exactly one, two-input ports from
+// different sides, two-output ports by their own sides, and two wires
+// only as a straight NW→SE / NE→SW crossing.
+func (e *exactEncoder) decode(val func(sat.Lit) bool) (*gatelayout.Layout, error) {
+	g, nT := e.g, e.nT
 	l := gatelayout.New(g.Name, e.w, e.h, clocking.RowBased{})
 
-	inDirOf := func(i int) hexgrid.Direction {
-		if s.Value(e.arrNW[i]) {
-			return hexgrid.NorthWest
+	// oneOf names the side whose literal alone is true.
+	oneOf := func(what string, eid, t int, d0, d1 hexgrid.Direction, l0, l1 sat.Lit) (hexgrid.Direction, error) {
+		v0, v1 := val(l0), val(l1)
+		if v0 == v1 {
+			n := 0
+			if v0 {
+				n = 2
+			}
+			return 0, fmt.Errorf("edge %d %s tile %v by %d sides", eid, what, e.tileAt(t), n)
 		}
-		return hexgrid.NorthEast
+		if v0 {
+			return d0, nil
+		}
+		return d1, nil
 	}
-	outDirOf := func(i int) hexgrid.Direction {
-		if s.Value(e.outSW[i]) {
-			return hexgrid.SouthWest
-		}
-		return hexgrid.SouthEast
+	entry := func(eid, t int) (hexgrid.Direction, error) {
+		return oneOf("enters", eid, t, hexgrid.NorthWest, hexgrid.NorthEast,
+			e.enter(eid, t, hexgrid.NorthWest), e.enter(eid, t, hexgrid.NorthEast))
+	}
+	exit := func(eid, t int) (hexgrid.Direction, error) {
+		i := eid*nT + t
+		return oneOf("leaves", eid, t, exitSides[0], exitSides[1], e.out[0][i], e.out[1][i])
 	}
 
 	for t := 0; t < nT; t++ {
+		at := e.tileAt(t)
 		node := -1
 		for n := range g.Nodes {
-			if s.Value(e.x[n*nT+t]) {
+			if val(e.x[n*nT+t]) {
 				if node != -1 {
-					return nil, fmt.Errorf("two nodes on one tile")
+					return nil, fmt.Errorf("two nodes on tile %v", at)
 				}
 				node = n
 			}
 		}
-		var wires []int // table indices of the edges wired through t
+		var wires []int // edges wired through t
 		for eid := range g.Edges {
-			if s.Value(e.we[eid*nT+t]) {
-				wires = append(wires, eid*nT+t)
+			if val(e.we[eid*nT+t]) {
+				wires = append(wires, eid)
 			}
 		}
 		var tile gatelayout.Tile
 		switch {
+		case node >= 0 && len(wires) > 0:
+			return nil, fmt.Errorf("node and wire on tile %v", at)
 		case node >= 0:
 			nd := g.Nodes[node]
 			tile = gatelayout.Tile{Func: nd.Func, Name: nd.Name}
-			switch nd.Func.NumIns() {
-			case 1:
-				tile.Ins = []hexgrid.Direction{inDirOf(nd.In[0]*nT + t)}
-			case 2:
+			for _, eid := range nd.In {
+				d, err := entry(eid, t)
+				if err != nil {
+					return nil, err
+				}
+				tile.Ins = append(tile.Ins, d)
+			}
+			if len(tile.Ins) == 2 {
+				if tile.Ins[0] == tile.Ins[1] {
+					return nil, fmt.Errorf("both inputs of tile %v enter from %v", at, tile.Ins[0])
+				}
 				tile.Ins = []hexgrid.Direction{hexgrid.NorthWest, hexgrid.NorthEast}
 			}
-			switch nd.Func.NumOuts() {
-			case 1:
-				tile.Outs = []hexgrid.Direction{outDirOf(nd.Out[0]*nT + t)}
-			case 2:
-				tile.Outs = []hexgrid.Direction{hexgrid.SouthWest, hexgrid.SouthEast}
+			for port, eid := range nd.Out {
+				d, err := exit(eid, t)
+				if err != nil {
+					return nil, err
+				}
+				if len(nd.Out) == 2 && d != exitSides[port] {
+					return nil, fmt.Errorf("output port %d of tile %v leaves by %v", port, at, d)
+				}
+				tile.Outs = append(tile.Outs, d)
 			}
 		case len(wires) == 0:
 			continue
-		case len(wires) == 1:
-			in, out := inDirOf(wires[0]), outDirOf(wires[0])
-			fn := gates.Wire
-			if (in == hexgrid.NorthWest && out == hexgrid.SouthWest) ||
-				(in == hexgrid.NorthEast && out == hexgrid.SouthEast) {
-				fn = gates.DiagWire
+		case len(wires) <= 2:
+			var ins, outs [2]hexgrid.Direction
+			for k, eid := range wires {
+				var err error
+				if ins[k], err = entry(eid, t); err != nil {
+					return nil, err
+				}
+				if outs[k], err = exit(eid, t); err != nil {
+					return nil, err
+				}
 			}
-			tile = gatelayout.Tile{
-				Func: fn,
-				Ins:  []hexgrid.Direction{in},
-				Outs: []hexgrid.Direction{out},
+			straight := func(k int) bool {
+				return (ins[k] == hexgrid.NorthWest && outs[k] == hexgrid.SouthEast) ||
+					(ins[k] == hexgrid.NorthEast && outs[k] == hexgrid.SouthWest)
 			}
-		case len(wires) == 2:
+			if len(wires) == 1 {
+				fn := gates.Wire
+				if !straight(0) {
+					fn = gates.DiagWire
+				}
+				tile = gatelayout.Tile{
+					Func: fn,
+					Ins:  []hexgrid.Direction{ins[0]},
+					Outs: []hexgrid.Direction{outs[0]},
+				}
+				break
+			}
+			if !straight(0) || !straight(1) || ins[0] == ins[1] {
+				return nil, fmt.Errorf("wires on tile %v do not cross straight: %v->%v and %v->%v",
+					at, ins[0], outs[0], ins[1], outs[1])
+			}
 			tile = gatelayout.Tile{
 				Func: gates.Crossing,
 				Ins:  []hexgrid.Direction{hexgrid.NorthWest, hexgrid.NorthEast},
 				Outs: []hexgrid.Direction{hexgrid.SouthWest, hexgrid.SouthEast},
 			}
 		default:
-			return nil, fmt.Errorf("tile with %d wires", len(wires))
+			return nil, fmt.Errorf("tile %v with %d wires", at, len(wires))
 		}
-		if err := l.Set(e.tileAt(t), tile); err != nil {
+		if err := l.Set(at, tile); err != nil {
 			return nil, err
 		}
 	}

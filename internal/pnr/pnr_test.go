@@ -217,8 +217,13 @@ func exactAndCheck(t *testing.T, name string, opts ExactOptions) *RGraph {
 	return g
 }
 
-func TestExactXor2(t *testing.T)   { exactAndCheck(t, "xor2", ExactOptions{}) }
-func TestExactParGen(t *testing.T) { exactAndCheck(t, "par_gen", ExactOptions{}) }
+// TestExactAllBenchmarks places every Table 1 circuit with the exact
+// engine and checks each layout for DRC and, exhaustively, for function.
+func TestExactAllBenchmarks(t *testing.T) {
+	for _, name := range bench.Names() {
+		t.Run(name, func(t *testing.T) { exactAndCheck(t, name, ExactOptions{}) })
+	}
+}
 
 func TestExactBeatsOrthoOnArea(t *testing.T) {
 	g := exactAndCheck(t, "xor2", ExactOptions{})
@@ -241,5 +246,3 @@ func TestExactMux21(t *testing.T) {
 	}
 	exactAndCheck(t, "mux21", ExactOptions{})
 }
-
-func TestExactXnor2(t *testing.T) { exactAndCheck(t, "xnor2", ExactOptions{}) }
