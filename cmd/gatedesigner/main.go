@@ -16,8 +16,6 @@ import (
 
 	"repro/internal/designer"
 	"repro/internal/gatelib"
-	"repro/internal/lattice"
-	"repro/internal/sidb"
 	"repro/internal/sim"
 )
 
@@ -36,7 +34,7 @@ func main() {
 	params := sim.ParamsFig5
 	params.MuMinus = *mu
 
-	tpl, err := template(*gate, params)
+	d, truth, err := target(*gate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gatedesigner:", err)
 		os.Exit(2)
@@ -45,14 +43,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gatedesigner:", err)
 		os.Exit(2)
 	}
-	tpl.Solver = *solver
-	cands := designer.Grid(20, 12, 40, 32, 2, tpl.Fixed, 0.6)
+	cands := designer.Grid(20, 12, 40, 32, 2, d.Layout(0, 0).Dots, 0.6)
 	opts := designer.Options{
 		Seed: *seed, Restarts: *restarts, Iterations: *iterations,
-		MaxDots: *maxDots,
+		MaxDots: *maxDots, Solver: *solver,
 	}
 	fmt.Printf("searching %s over %d candidate sites (seed %d) ...\n", *gate, len(cands), *seed)
-	best, err := designer.Search(tpl, cands, opts)
+	best, err := designer.Search(d, truth, params, cands, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gatedesigner: %v\n", err)
 		os.Exit(1)
@@ -69,49 +66,45 @@ func main() {
 	fmt.Println("}")
 }
 
-// template builds the short-model search template for a target gate.
-func template(gate string, params sim.Params) (*designer.Template, error) {
-	mk := func(nIn int, outSW, outSE bool, truth func(uint32) uint32) *designer.Template {
-		return gatelib.SearchTemplate(nIn, outSW, outSE, truth, params)
+// target returns the short model and truth table of a target gate.
+func target(gate string) (*gatelib.Design, func(uint32) uint32, error) {
+	mk := func(nIn int, outSW, outSE bool, truth func(uint32) uint32) (*gatelib.Design, func(uint32) uint32, error) {
+		return gatelib.ShortModel(nIn, outSW, outSE), truth, nil
 	}
 	switch gate {
 	case "AND":
-		return mk(2, false, true, func(i uint32) uint32 { return i & (i >> 1) & 1 }), nil
+		return mk(2, false, true, func(i uint32) uint32 { return i & (i >> 1) & 1 })
 	case "OR":
 		return mk(2, false, true, func(i uint32) uint32 {
 			if i != 0 {
 				return 1
 			}
 			return 0
-		}), nil
+		})
 	case "NAND":
-		return mk(2, false, true, func(i uint32) uint32 { return (i & (i >> 1) & 1) ^ 1 }), nil
+		return mk(2, false, true, func(i uint32) uint32 { return (i & (i >> 1) & 1) ^ 1 })
 	case "NOR":
 		return mk(2, false, true, func(i uint32) uint32 {
 			if i == 0 {
 				return 1
 			}
 			return 0
-		}), nil
+		})
 	case "XOR":
-		return mk(2, false, true, func(i uint32) uint32 { return (i ^ i>>1) & 1 }), nil
+		return mk(2, false, true, func(i uint32) uint32 { return (i ^ i>>1) & 1 })
 	case "XNOR":
-		return mk(2, false, true, func(i uint32) uint32 { return ((i ^ i>>1) & 1) ^ 1 }), nil
+		return mk(2, false, true, func(i uint32) uint32 { return ((i ^ i>>1) & 1) ^ 1 })
 	case "INV":
-		return mk(1, false, true, func(i uint32) uint32 { return i ^ 1 }), nil
+		return mk(1, false, true, func(i uint32) uint32 { return i ^ 1 })
 	case "FANOUT":
-		return mk(1, true, true, func(i uint32) uint32 { return i * 3 }), nil
+		return mk(1, true, true, func(i uint32) uint32 { return i * 3 })
 	case "CROSS":
-		return mk(2, true, true, func(i uint32) uint32 { return (i>>1)&1 | (i&1)<<1 }), nil
+		return mk(2, true, true, func(i uint32) uint32 { return (i>>1)&1 | (i&1)<<1 })
 	case "HA":
 		return mk(2, true, true, func(i uint32) uint32 {
 			return (i^i>>1)&1 | (i&(i>>1)&1)<<1
-		}), nil
+		})
 	default:
-		return nil, fmt.Errorf("unknown gate %q", gate)
+		return nil, nil, fmt.Errorf("unknown gate %q", gate)
 	}
 }
-
-// silence potential unused imports in future edits.
-var _ = sidb.RoleNormal
-var _ = lattice.PitchX

@@ -195,7 +195,7 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 	var layout *gatelayout.Layout
 	switch opts.Engine {
 	case EngineOrtho:
-		layout, _, err = pnr.OrthoAvoiding(ctx, g, tr, blocker, 0)
+		layout, err = pnr.Ortho(ctx, g, tr, blocker)
 		res.EngineUsed = "ortho"
 	case EngineExact:
 		layout, err = pnr.Exact(ctx, g, ex)
@@ -228,7 +228,7 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 		}
 		cancel()
 		if (skipExact || err != nil) && ctx.Err() == nil {
-			layout, _, err = pnr.OrthoAvoiding(ctx, g, tr, blocker, 0)
+			layout, err = pnr.Ortho(ctx, g, tr, blocker)
 			res.EngineUsed = "ortho"
 			if err == nil && deadlinePressure {
 				res.Degraded = true

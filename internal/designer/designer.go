@@ -1,7 +1,7 @@
 // Package designer searches for dot-accurate SiDB gate implementations:
-// given a tile template with fixed I/O structures and a target truth table,
-// it places additional SiDBs in the logic design canvas and validates
-// candidates with ground-state simulation.
+// given a tile design with fixed I/O structures and a target truth table,
+// it places additional SiDBs in the logic design canvas and scores
+// candidates with the library's own check, gatelib.ValidateWith.
 //
 // The Bestagon paper designed its tiles "with the assistance of a
 // reinforcement learning agent [28] which is allowed to place SiDBs within
@@ -17,37 +17,12 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/gatelib"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/sidb"
 	"repro/internal/sim"
 )
-
-// Template describes the fixed part of a gate tile under design.
-type Template struct {
-	// Fixed dots (wire stubs, output perturbers) present for every input.
-	Fixed []sidb.Dot
-	// InputPerturbers returns the perturber dots encoding the given input
-	// pattern (bit i = input i; near placement for 1, far for 0).
-	InputPerturbers func(pattern uint32) []lattice.Site
-	// NumInputs is the number of logic inputs.
-	NumInputs int
-	// Outputs are the output BDL pairs (port order).
-	Outputs []sidb.BDLPair
-	// Target gives the expected output bits for each input pattern.
-	Target func(pattern uint32) uint32
-	// Params are the simulation parameters for validation.
-	Params sim.Params
-	// Solver names the sim ground-state solver used for evaluation
-	// ("" = automatic dispatch; see sim.SolverNames). UseAnneal overrides
-	// it.
-	Solver string
-	// UseAnneal forces simulated-annealing ground-state search during
-	// evaluation even when exhaustive search would be possible; used to
-	// keep large full-tile refinements fast (final designs are re-verified
-	// exhaustively).
-	UseAnneal bool
-}
 
 // Candidate is a scored canvas placement.
 type Candidate struct {
@@ -56,8 +31,8 @@ type Candidate struct {
 	Correct int
 	// Patterns is the total number of input patterns.
 	Patterns int
-	// MinGap is the smallest output degeneracy gap across patterns (eV);
-	// only meaningful when all patterns are correct.
+	// MinGap is the validation's MinGapEV when every pattern is correct
+	// (0 when the gap was not measured), else 0.
 	MinGap float64
 }
 
@@ -71,6 +46,9 @@ type Options struct {
 	Iterations int // local-move iterations per restart
 	MinDots    int // canvas dots to place (lower bound)
 	MaxDots    int
+	// Solver names the sim ground-state solver that scores candidates
+	// ("" = automatic dispatch; see sim.SolverNames).
+	Solver string
 	// Initial seeds the first restart with a known starting placement
 	// (e.g. a solution from a reduced model being refined).
 	Initial []lattice.Site
@@ -85,70 +63,27 @@ func DefaultOptions() Options {
 	return Options{Seed: 1, Restarts: 12, Iterations: 400, MinDots: 0, MaxDots: 4}
 }
 
-// Evaluate scores a canvas placement against the template.
-func Evaluate(t *Template, canvas []lattice.Site) Candidate {
-	patterns := 1 << t.NumInputs
-	cand := Candidate{Canvas: canvas, Patterns: patterns, MinGap: 1e9}
-	for p := 0; p < patterns; p++ {
-		l := &sidb.Layout{}
-		for _, d := range t.Fixed {
-			l.Dots = append(l.Dots, d)
-		}
-		for _, s := range t.InputPerturbers(uint32(p)) {
-			l.Add(s, sidb.RolePerturber)
-		}
-		for _, s := range canvas {
-			l.Add(s, sidb.RoleNormal)
-		}
-		idx := l.SiteIndex()
-		eng := sim.NewEngine(l, t.Params)
-		var gs []bool
-		if t.UseAnneal {
-			gs, _ = eng.Anneal(sim.DefaultAnnealConfig())
-		} else if solver, err := sim.Lookup(t.Solver); err == nil {
-			if sol, serr := solver.Solve(eng, sim.SolveOptions{}); serr == nil {
-				gs = sol.Charges
-			} else {
-				gs, _ = eng.Anneal(sim.DefaultAnnealConfig())
-			}
-		} else {
-			gs, _ = eng.GroundState()
-		}
-		want := t.Target(uint32(p))
-		ok := true
-		for port, pair := range t.Outputs {
-			state, err := pair.State(idx, gs)
-			if err != nil || state != (want>>port&1 == 1) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			cand.MinGap = 0
-			continue
-		}
-		cand.Correct++
-		// Gap assessment on exhaustive-capable instances only.
-		free := 0
-		for _, d := range l.Dots {
-			if d.Role != sidb.RolePerturber {
-				free++
-			}
-		}
-		if free <= sim.ExactLimit && !t.UseAnneal {
-			var interest []int
-			for _, pair := range t.Outputs {
-				interest = append(interest, idx[pair.Bit0], idx[pair.Bit1])
-			}
-			if gap, err := eng.DegeneracyGap(interest); err == nil && gap < cand.MinGap {
-				cand.MinGap = gap
-			}
+// Evaluate scores a canvas placement: it validates d with the canvas as
+// its Extra dots through gatelib.ValidateWith, the library's own tile
+// check, and counts the input patterns whose outputs are valid and match
+// truth. It fails only on an unknown solver name.
+func Evaluate(d *gatelib.Design, truth func(uint32) uint32, params sim.Params, canvas []lattice.Site, solver string) (Candidate, error) {
+	tile := *d
+	tile.Extra = canvas
+	v, err := gatelib.ValidateWith(&tile, truth, params, gatelib.ValidateOptions{Solver: solver})
+	if err != nil {
+		return Candidate{}, err
+	}
+	cand := Candidate{Canvas: canvas, Patterns: len(v.Outputs)}
+	for p, out := range v.Outputs {
+		if out >= 0 && uint32(out) == truth(uint32(p)) {
+			cand.Correct++
 		}
 	}
-	if cand.Correct < patterns {
-		cand.MinGap = 0
+	if cand.Works() {
+		cand.MinGap = v.MinGapEV
 	}
-	return cand
+	return cand, nil
 }
 
 // better orders candidates: more correct patterns first, then larger gap.
@@ -159,17 +94,25 @@ func better(a, b Candidate) bool {
 	return a.MinGap > b.MinGap
 }
 
-// Search looks for a canvas placement implementing the template's target.
+// Search looks for a canvas placement with which d implements truth.
 // Candidates are drawn from the given candidate sites; the search is
 // deterministic for fixed options.
-func Search(t *Template, candidates []lattice.Site, opts Options) (Candidate, error) {
+func Search(d *gatelib.Design, truth func(uint32) uint32, params sim.Params, candidates []lattice.Site, opts Options) (Candidate, error) {
+	if _, err := sim.Lookup(opts.Solver); err != nil {
+		return Candidate{}, err
+	}
 	tr := opts.Tracer
 	sp := tr.Start("designer/search")
 	defer sp.End()
-	if len(candidates) == 0 {
-		return Evaluate(t, nil), nil
-	}
 	evals := int64(0)
+	evaluate := func(canvas []lattice.Site) Candidate {
+		evals++
+		cand, _ := Evaluate(d, truth, params, canvas, opts.Solver) // solver checked above
+		return cand
+	}
+	if len(candidates) == 0 {
+		return evaluate(nil), nil
+	}
 	restartsUsed := 0
 	best := Candidate{MinGap: -1}
 	for restart := 0; restart < opts.Restarts; restart++ {
@@ -186,15 +129,13 @@ func Search(t *Template, candidates []lattice.Site, opts Options) (Candidate, er
 		} else {
 			cur = randomSubset(rng, candidates, k)
 		}
-		curScore := Evaluate(t, cur)
-		evals++
+		curScore := evaluate(cur)
 		if best.MinGap < 0 || better(curScore, best) {
 			best = curScore
 		}
 		for it := 0; it < opts.Iterations; it++ {
 			next := mutate(rng, cur, candidates, opts)
-			nextScore := Evaluate(t, next)
-			evals++
+			nextScore := evaluate(next)
 			if better(nextScore, curScore) || (!better(curScore, nextScore) && rng.Intn(4) == 0) {
 				cur, curScore = next, nextScore
 				if better(curScore, best) {

@@ -16,8 +16,8 @@ func chainOK(t *testing.T, steps [][2]int) bool {
 	d := &Design{Name: "chain", Pairs: ps}
 	d.Ins = []Pair{ps[0]}
 	d.Outs = []Pair{ps[len(ps)-1]}
-	v := Validate(d, func(i uint32) uint32 { return i }, sim.ParamsFig5)
-	return v.OK
+	v, err := ValidateWith(d, func(i uint32) uint32 { return i }, sim.ParamsFig5, ValidateOptions{})
+	return err == nil && v.OK
 }
 
 // TestValidatedPitchFamily pins the wire design rule discovered by the

@@ -160,7 +160,7 @@ func TestApplyProducesCellLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := pnr.Ortho(context.Background(), g, nil)
+	l, err := pnr.Ortho(context.Background(), g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestApplyAllBenchmarksStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := pnr.Ortho(context.Background(), g, nil)
+		l, err := pnr.Ortho(context.Background(), g, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +239,8 @@ func TestWireAndIOOperational(t *testing.T) {
 	for _, tc := range []struct {
 		d *Design
 	}{{wireDesign()}, {piDesign()}, {poDesign()}} {
-		v := Validate(tc.d, func(i uint32) uint32 { return i }, sim.ParamsFig5)
-		if !v.OK {
+		v, err := ValidateWith(tc.d, func(i uint32) uint32 { return i }, sim.ParamsFig5, ValidateOptions{})
+		if err != nil || !v.OK {
 			t.Errorf("%s: %v", tc.d.Name, v)
 		}
 	}

@@ -18,15 +18,10 @@ import (
 // upstream pair's forward dot sits (its electron at logic 1), the far site
 // where its back dot sits (logic 0); the output perturber emulates the
 // downstream pair.
-const (
-	// NearPerturb/FarPerturb are legacy diagonal distances kept for the
-	// design-space exploration tools.
-	NearPerturb = 2
-	FarPerturb  = 8
-	// OutPerturb is the diagonal distance of the standard output perturber
-	// behind an output pair's forward dot.
-	OutPerturb = 4
-)
+//
+// OutPerturb is the diagonal distance of the standard output perturber
+// behind an output pair's forward dot.
+const OutPerturb = 4
 
 // InputEmulation returns the perturber sites emulating the given logic
 // value on an input pair: the upstream stub approaches along the standard
@@ -50,12 +45,6 @@ func InputEmulation(p Pair, bit bool) []lattice.Site {
 		}
 	}
 	return out
-}
-
-// InputPerturber returns the primary (nearest) emulation site; legacy
-// helper for exploration tools.
-func InputPerturber(p Pair, bit bool) lattice.Site {
-	return InputEmulation(p, bit)[0]
 }
 
 // OutputPerturber returns the read-out perturber site behind an output
@@ -96,7 +85,7 @@ type Validation struct {
 	DefectBlocked bool `json:",omitempty"`
 }
 
-// ValidateOptions tunes Validate.
+// ValidateOptions tunes ValidateWith.
 type ValidateOptions struct {
 	// Solver names the sim ground-state solver ("" = automatic dispatch;
 	// see sim.SolverNames).
@@ -112,19 +101,11 @@ type ValidateOptions struct {
 	Surface *defects.Surface
 }
 
-// Validate simulates the design standalone for every input pattern and
-// compares the outputs with the truth function (bit i of the argument is
-// input i; bit j of the result is output j). The ground-state solver is
-// chosen automatically; use ValidateWith to select one explicitly.
-func Validate(d *Design, truth func(uint32) uint32, params sim.Params) Validation {
-	v, _ := ValidateWith(d, truth, params, ValidateOptions{})
-	return v
-}
-
-// ValidateWith is Validate with an explicit solver choice. It fails only
-// on an unknown solver name; a solver that cannot handle an instance
-// (e.g. ExGS beyond its enumeration limit) degrades to annealing for that
-// pattern.
+// ValidateWith simulates the design standalone for every input pattern
+// and compares the outputs with the truth function (bit i of the argument
+// is input i; bit j of the result is output j). It fails only on an
+// unknown solver name; a solver that cannot handle an instance (e.g. ExGS
+// beyond its enumeration limit) degrades to annealing for that pattern.
 func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts ValidateOptions) (Validation, error) {
 	solver, err := sim.Lookup(opts.Solver)
 	if err != nil {
@@ -282,7 +263,7 @@ func ValidateLibrary(params sim.Params) map[string]Validation {
 	for key, d := range lib.designs {
 		f := lib.funcs[key]
 		truth := TruthOf(f)
-		out[key] = Validate(d, truth, params)
+		out[key], _ = ValidateWith(d, truth, params, ValidateOptions{}) // auto always resolves
 	}
 	return out
 }

@@ -89,14 +89,19 @@ type Options struct {
 // Analyze sweeps the parameter grid for a tile design against its truth
 // function, evaluating parameter points in parallel with default options.
 func Analyze(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep) *Domain {
-	return AnalyzeOpts(d, truth, sweep, Options{})
+	dom, _ := AnalyzeOpts(d, truth, sweep, Options{}) // auto always resolves
+	return dom
 }
 
 // AnalyzeOpts is Analyze with an explicit worker pool size and solver
 // choice. Parameter points are evaluated concurrently by a bounded worker
 // pool, but the result ordering is deterministic: points appear in
-// row-major grid order (μ_ outer, ε_r inner) regardless of scheduling.
-func AnalyzeOpts(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep, opts Options) *Domain {
+// row-major grid order (μ_ outer, ε_r inner) regardless of scheduling. It
+// fails only on an unknown solver name.
+func AnalyzeOpts(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep, opts Options) (*Domain, error) {
+	if _, err := sim.Lookup(opts.Solver); err != nil {
+		return nil, err
+	}
 	grid := make([]sim.Params, 0, sweep.MuSteps*sweep.EpsSteps)
 	for i := 0; i < sweep.MuSteps; i++ {
 		mu := interp(sweep.MuMin, sweep.MuMax, i, sweep.MuSteps)
@@ -153,21 +158,17 @@ func AnalyzeOpts(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep, opts
 	}
 	opts.Tracer.Counter("opdomain/points").Add(int64(len(grid)))
 	opts.Tracer.Gauge("opdomain/last_workers").Set(float64(workers))
-	return dom
+	return dom, nil
 }
 
 // panicBox gives every recovered panic value the same concrete type, so
 // racing atomic.Value.CompareAndSwap calls never see mismatched types.
 type panicBox struct{ v any }
 
-// evaluatePoint validates the design at one parameter point.
+// evaluatePoint validates the design at one parameter point. AnalyzeOpts
+// has checked the solver name, the only way ValidateWith fails.
 func evaluatePoint(d *gatelib.Design, truth func(uint32) uint32, params sim.Params, opts Options) Point {
-	v, err := gatelib.ValidateWith(d, truth, params, gatelib.ValidateOptions{Solver: opts.Solver, Tracer: opts.Tracer})
-	if err != nil {
-		// Unknown solver: fall back to automatic dispatch rather than
-		// silently dropping the point.
-		v = gatelib.Validate(d, truth, params)
-	}
+	v, _ := gatelib.ValidateWith(d, truth, params, gatelib.ValidateOptions{Solver: opts.Solver, Tracer: opts.Tracer})
 	correct := 0
 	for p, out := range v.Outputs {
 		if out >= 0 && uint32(out) == truth(uint32(p)) {

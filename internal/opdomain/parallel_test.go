@@ -18,9 +18,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 		EpsMin: 5.2, EpsMax: 6.0, EpsSteps: 3,
 		LambdaTF: 5,
 	}
-	serial := AnalyzeOpts(d, truth, sweep, Options{Workers: 1})
+	serial, err := AnalyzeOpts(d, truth, sweep, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{2, 4, 8} {
-		par := AnalyzeOpts(d, truth, sweep, Options{Workers: workers})
+		par, err := AnalyzeOpts(d, truth, sweep, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(serial.Points, par.Points) {
 			t.Errorf("workers=%d: points differ from serial evaluation", workers)
 		}
@@ -38,19 +44,24 @@ func TestAnalyzeSolverOption(t *testing.T) {
 		EpsMin: 5.6, EpsMax: 5.6, EpsSteps: 1,
 		LambdaTF: 5,
 	}
-	auto := AnalyzeOpts(d, truth, sweep, Options{})
-	qe := AnalyzeOpts(d, truth, sweep, Options{Solver: "quickexact"})
+	auto, err := AnalyzeOpts(d, truth, sweep, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qe, err := AnalyzeOpts(d, truth, sweep, Options{Solver: "quickexact"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(auto.Points, qe.Points) {
 		t.Error("quickexact sweep disagrees with automatic dispatch")
 	}
 	if !qe.Points[0].Operational {
 		t.Error("wire must operate at its calibration point under quickexact")
 	}
-	// An unknown solver name must not drop points: evaluatePoint falls back
-	// to automatic dispatch.
-	bogus := AnalyzeOpts(d, truth, sweep, Options{Solver: "no-such-solver"})
-	if !reflect.DeepEqual(auto.Points, bogus.Points) {
-		t.Error("unknown solver must fall back to automatic dispatch")
+	// An unknown solver name is an error, not a silent switch to
+	// automatic dispatch.
+	if bogus, err := AnalyzeOpts(d, truth, sweep, Options{Solver: "no-such-solver"}); err == nil {
+		t.Errorf("unknown solver accepted (%d points)", len(bogus.Points))
 	}
 }
 
@@ -63,7 +74,9 @@ func TestSweepMetrics(t *testing.T) {
 		EpsMin: 5.5, EpsMax: 5.7, EpsSteps: 2,
 		LambdaTF: 5,
 	}
-	AnalyzeOpts(d, func(i uint32) uint32 { return i }, sweep, Options{Workers: 4, Tracer: tr})
+	if _, err := AnalyzeOpts(d, func(i uint32) uint32 { return i }, sweep, Options{Workers: 4, Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
 	rep := tr.Report("sweep")
 	if got := rep.Counter("opdomain/points"); got != 4 {
 		t.Errorf("points counter = %d, want 4", got)

@@ -99,18 +99,23 @@ func TestExactUnsatWhenEverythingBlocked(t *testing.T) {
 // ErrBlocked.
 func TestOrthoAvoidingShifts(t *testing.T) {
 	g := expandBench(t, "mux21")
-	clean, _, err := OrthoAvoiding(context.Background(), g, nil, nil, 0)
+	clean, err := Ortho(context.Background(), g, nil, nil)
 	if err != nil {
 		t.Fatalf("clean ortho failed: %v", err)
 	}
 	target := clean.Tiles()[0]
 	blocked := func(at hexgrid.Offset) bool { return at == target }
-	shifted, dx, err := OrthoAvoiding(context.Background(), g, nil, blocked, 0)
+	shifted, err := Ortho(context.Background(), g, nil, blocked)
 	if err != nil {
 		t.Fatalf("legalization failed: %v", err)
 	}
+	// The shift moves every tile by the same dx and widens the layout by it.
+	dx := shifted.Tiles()[0].X - clean.Tiles()[0].X
 	if dx <= 0 {
 		t.Fatalf("expected a positive shift, got %d", dx)
+	}
+	if got := shifted.Width() - clean.Width(); got != dx {
+		t.Fatalf("layout widened by %d, tiles moved by %d", got, dx)
 	}
 	if usedTiles(shifted)[target] {
 		t.Fatalf("shifted layout still uses afflicted tile %v", target)
@@ -125,8 +130,7 @@ func TestOrthoAvoidingShifts(t *testing.T) {
 		}
 	}
 
-	_, _, err = OrthoAvoiding(context.Background(), g, nil,
-		func(hexgrid.Offset) bool { return true }, 8)
+	_, err = Ortho(context.Background(), g, nil, func(hexgrid.Offset) bool { return true })
 	if err == nil || !errors.Is(err, defects.ErrBlocked) {
 		t.Fatalf("unescapable blocker: want ErrBlocked, got %v", err)
 	}

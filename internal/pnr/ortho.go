@@ -40,16 +40,27 @@ type ptile struct {
 	name string
 }
 
+// maxOrthoShift bounds how far Ortho slides a layout right to clear
+// afflicted tiles.
+const maxOrthoShift = 64
+
 // Ortho places and routes the graph with the greedy row-based fabric
 // router. The result uses the row-based clocking scheme; width and height
 // are whatever the greedy process needs. Cancellation of ctx is checked
 // between fabric rows. A nil tracer disables telemetry at no cost.
-func Ortho(ctx context.Context, g *RGraph, tr *obs.Tracer) (*gatelayout.Layout, error) {
+//
+// On a defective surface, blocked reports the afflicted tiles (nil on a
+// pristine one). Ortho then legalizes the routed layout by sliding it
+// right until no used tile is afflicted: the router assigns absolute
+// positions only at materialization, so a uniform x-shift preserves every
+// neighbor relation and the row-based clocking. When no shift up to
+// maxOrthoShift tiles clears the defects, the error wraps
+// defects.ErrBlocked.
+func Ortho(ctx context.Context, g *RGraph, tr *obs.Tracer, blocked func(hexgrid.Offset) bool) (*gatelayout.Layout, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	sp := tr.Start("pnr/ortho")
-	defer sp.End()
 	r := &orthoRouter{g: g, placed: make([]bool, len(g.Nodes)), tr: tr, ctx: ctx}
 	l, err := r.run()
 	if err == nil {
@@ -58,28 +69,12 @@ func Ortho(ctx context.Context, g *RGraph, tr *obs.Tracer) (*gatelayout.Layout, 
 		sp.SetAttr("h", l.Height())
 		sp.SetAttr("peak_tracks", r.peakTracks)
 	}
-	return l, err
-}
-
-// OrthoAvoiding is Ortho on a defective surface: it routes
-// greedily as usual, then legalizes the result against the tile blocker
-// by sliding the whole layout right until no used tile is afflicted
-// (the greedy router assigns absolute positions only at materialization,
-// so a uniform x-shift preserves every neighbor relation and the
-// row-based clocking). Returns the legalized layout and the shift
-// applied. When no shift up to maxShift clears the defects, the error
-// wraps defects.ErrBlocked. maxShift <= 0 uses a default of 64 tiles.
-func OrthoAvoiding(ctx context.Context, g *RGraph, tr *obs.Tracer,
-	blocked func(hexgrid.Offset) bool, maxShift int) (*gatelayout.Layout, int, error) {
-	l, err := Ortho(ctx, g, tr)
+	sp.End()
 	if err != nil || blocked == nil {
-		return l, 0, err
-	}
-	if maxShift <= 0 {
-		maxShift = 64
+		return l, err
 	}
 	tiles := l.Tiles()
-	for dx := 0; dx <= maxShift; dx++ {
+	for dx := 0; dx <= maxOrthoShift; dx++ {
 		clear := true
 		for _, at := range tiles {
 			if blocked(hexgrid.Offset{X: at.X + dx, Y: at.Y}) {
@@ -91,20 +86,20 @@ func OrthoAvoiding(ctx context.Context, g *RGraph, tr *obs.Tracer,
 			continue
 		}
 		if dx == 0 {
-			return l, 0, nil
+			return l, nil
 		}
 		shifted := gatelayout.New(l.Name, l.Width()+dx, l.Height(), clocking.RowBased{})
 		for _, at := range tiles {
 			tile, _ := l.At(at)
 			if err := shifted.Set(hexgrid.Offset{X: at.X + dx, Y: at.Y}, tile); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		tr.Counter("pnr/ortho/defect_shifts").Inc()
-		return shifted, dx, nil
+		return shifted, nil
 	}
-	return nil, 0, fmt.Errorf("pnr: ortho layout for %s cannot escape afflicted tiles within %d shifts: %w",
-		g.Name, maxShift, defects.ErrBlocked)
+	return nil, fmt.Errorf("pnr: ortho layout for %s cannot escape afflicted tiles within %d shifts: %w",
+		g.Name, maxOrthoShift, defects.ErrBlocked)
 }
 
 type orthoRouter struct {

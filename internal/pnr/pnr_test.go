@@ -92,7 +92,7 @@ func routeAndCheck(t *testing.T, name string) {
 	if err != nil {
 		t.Fatalf("%s: expand: %v", name, err)
 	}
-	l, err := Ortho(context.Background(), g, nil)
+	l, err := Ortho(context.Background(), g, nil, nil)
 	if err != nil {
 		t.Fatalf("%s: ortho: %v", name, err)
 	}
@@ -134,7 +134,7 @@ func TestOrthoBalancedPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Ortho(context.Background(), g, nil)
+	l, err := Ortho(context.Background(), g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestOrthoPOOrderMatchesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Ortho(context.Background(), g, nil)
+	l, err := Ortho(context.Background(), g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestOrthoExtractNetworkEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Ortho(context.Background(), g, nil)
+	l, err := Ortho(context.Background(), g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestExactBeatsOrthoOnArea(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := Ortho(context.Background(), g, nil)
+	lo, err := Ortho(context.Background(), g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func TestEquivalentLayoutAllBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		l, err := pnr.Ortho(context.Background(), g, nil)
+		l, err := pnr.Ortho(context.Background(), g, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -192,7 +192,7 @@ func TestEquivalentLayoutCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := pnr.Ortho(context.Background(), g, nil)
+	l, err := pnr.Ortho(context.Background(), g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
