@@ -12,13 +12,15 @@ test:
 
 # check is the pre-merge gate: static analysis (vet, gofmt, staticcheck)
 # plus the full test suite under the race detector (short mode keeps the
-# instrumented annealer and SAT race coverage while skipping the hour-long exhaustive sweeps). The
-# second test run drives the sharded QuickExact search (and the pinned
-# searches of the degeneracy gap, which share its core) and the parallel
-# operational-domain sweep — the two many-goroutine hot paths — through
-# their full (non-short) tests under the race detector, together with
-# concurrent anneals on one shared engine, concurrent exact P&R calls (each reusing one solver across its size
-# search) and the solver's Reset-equals-New test. The last step runs
+# instrumented annealer and SAT race coverage while skipping the hour-long
+# exhaustive sweeps). The next runs are race runs of the fan-outs that share
+# internal/pool: the pool's own tests, the sharded QuickExact search (and
+# the pinned searches of the degeneracy gap, which share its core), the
+# parallel operational-domain sweep (including its re-raised point panic)
+# and the parallel defect sweep, all through their full (non-short) tests,
+# together with concurrent anneals on one shared engine, concurrent exact
+# P&R calls (each reusing one solver across its size search) and the
+# solver's Reset-equals-New test. The last step runs
 # the benchmark module's own tests (cmd/bench is a nested module, so
 # ./... never reaches it); its toy run boots the service in-process and
 # checks every answer. staticcheck runs when installed (CI installs it;
@@ -32,7 +34,8 @@ check:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestAnnealConcurrent|TestParallelMatchesSerial|TestSweepMetrics|TestExactConcurrent|TestResetMatchesFresh' \
+	$(GO) test -race ./internal/pool
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestAnnealConcurrent|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh' \
 		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	cd cmd/bench && $(GO) test .

@@ -190,13 +190,6 @@ func (n *Node) Self() string { return n.cfg.Self }
 // Secret returns the shared cluster secret ("" when unset).
 func (n *Node) Secret() string { return n.cfg.Secret }
 
-// Authorize reports whether an incoming internal request may proceed:
-// the shared secret matches, or — when no secret is configured — the
-// remote is loopback.
-func (n *Node) Authorize(r *http.Request) bool {
-	return AuthorizeInternal(r, n.cfg.Secret)
-}
-
 // AuthorizeInternal is the guard behind /internal/cache: with a secret
 // configured the request must present it (constant-time compare); without
 // one, only loopback peers are trusted.

@@ -7,17 +7,16 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/defects"
-	"repro/internal/faults"
 	"repro/internal/gatelib"
 	"repro/internal/lattice"
 	"repro/internal/logic/bench"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -148,71 +147,11 @@ type outcome struct {
 // for flow bench k) at density di, trial t.
 type item struct{ di, si, t int }
 
-// panicBox gives every recovered panic value one concrete type so racing
-// atomic.Value.CompareAndSwap calls never see mismatched types.
-type panicBox struct{ v any }
-
-// runPool evaluates fn(i) for i in [0, n) on a bounded worker pool with
-// panic isolation (the opdomain pattern): the first recovered panic is
-// kept, the panicking worker keeps draining so the feeder never blocks on
-// a channel nobody reads, and the panic is re-raised on the caller's
-// goroutine after every worker has exited — where the service queue's
-// per-job recovery can convert it into a job error. Cancelling the
-// context stops the pool promptly (no leaked workers).
-func runPool(ctx context.Context, n, workers int, fn func(i int)) error {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	var panicked atomic.Value
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, panicBox{r})
-					for range next {
-					}
-				}
-			}()
-			if faults.Should("defectsweep.item.panic") {
-				panic("injected fault: defectsweep.item.panic")
-			}
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain fast after cancellation
-				}
-				fn(i)
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(r.(panicBox).v)
-	}
-	return ctx.Err()
-}
-
 // Run executes the sweep: a pristine baseline pass over the full library
 // first, then the defect evaluations over the baseline-functional gates.
 // Results are deterministic for a fixed Config regardless of scheduling.
+// Both passes run on pool.Run: a done ctx returns its error promptly, and
+// an evaluation's panic is re-raised on the caller's goroutine.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 5
@@ -236,7 +175,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Baseline: which variants validate standalone on a pristine surface?
 	baselineOK := make([]bool, len(allKeys))
-	err := runPool(ctx, len(allKeys), cfg.Workers, func(i int) {
+	err := pool.Run(ctx, len(allKeys), cfg.Workers, "defectsweep.item.panic", func(_, i int) {
 		d, f, ok := lib.Design(allKeys[i])
 		if !ok {
 			return
@@ -267,7 +206,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 	results := make([]outcome, len(items))
-	err = runPool(ctx, len(items), cfg.Workers, func(i int) {
+	err = pool.Run(ctx, len(items), cfg.Workers, "defectsweep.item.panic", func(_, i int) {
 		it := items[i]
 		if it.si < len(gateKeys) {
 			results[i] = evalGate(cfg, lib, gateKeys[it.si], it)
@@ -392,5 +331,5 @@ func evalFlow(ctx context.Context, cfg Config, name string, it item) outcome {
 	if err == nil {
 		return outcome{ok: true, defects: surf.Len()}
 	}
-	return outcome{blocked: isBlocked(err), defects: surf.Len()}
+	return outcome{blocked: errors.Is(err, defects.ErrBlocked), defects: surf.Len()}
 }

@@ -316,7 +316,7 @@ func TestAnnealMatchesReference(t *testing.T) {
 	check := func(name string, e *sim.Engine, cfg sim.AnnealConfig) {
 		t.Helper()
 		mt := obs.New()
-		cfg.Metrics = mt
+		cfg.Tracer = mt
 		got, gotE := e.Anneal(cfg)
 		want, wantE, tried, acc := annealReference(e, cfg)
 		for i := range want {

@@ -192,12 +192,6 @@ func (o Offset) DirectionTo(to Offset) (Direction, bool) {
 	return 0, false
 }
 
-// Adjacent reports whether a and b are neighboring hexagons.
-func (o Offset) Adjacent(b Offset) bool {
-	_, ok := o.DirectionTo(b)
-	return ok
-}
-
 // abs returns the absolute value of x.
 func abs(x int) int {
 	if x < 0 {

@@ -13,7 +13,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/logic/network"
@@ -283,15 +282,4 @@ func WriteBench(x *network.XAG) string {
 	}
 	sb.WriteString(body.String())
 	return sb.String()
-}
-
-// SortedSignalNames returns the deterministic sorted key list of a signal
-// map; exposed for tests.
-func SortedSignalNames(m map[string]network.Signal) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

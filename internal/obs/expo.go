@@ -250,7 +250,7 @@ type StageObserver struct {
 	Bounds []float64
 	// Attrs additionally folds numeric span attributes into their own
 	// labeled histograms, turning per-job solver-depth annotations (SAT
-	// conflict counts, annealer acceptance rates, ...) into service-wide
+	// conflict and decision counts, ...) into service-wide
 	// distributions without a second reporting path.
 	Attrs []AttrHistogram
 }

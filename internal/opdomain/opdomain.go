@@ -11,16 +11,14 @@
 package opdomain
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/faults"
 	"repro/internal/gatelib"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -111,59 +109,15 @@ func AnalyzeOpts(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep, opts
 		}
 	}
 	dom := &Domain{Design: d.Name, Points: make([]Point, len(grid))}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(grid) {
-		workers = len(grid)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	var panicked atomic.Value // first recovered panic, re-raised in the caller
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, panicBox{r})
-					// Keep draining so the feeder below never blocks on a
-					// send to a channel nobody reads — a panicking worker
-					// must not deadlock the sweep.
-					for range next {
-					}
-				}
-			}()
-			if faults.Should("opdomain.point.panic") {
-				panic("injected fault: opdomain.point.panic")
-			}
-			for i := range next {
-				dom.Points[i] = evaluatePoint(d, truth, grid[i], opts)
-			}
-		}()
-	}
-	for i := range grid {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		// Re-raise on the caller's goroutine, where the service queue's
-		// per-job recovery can convert it into a job error.
-		panic(r.(panicBox).v)
-	}
+	// Background is never done, so Run returns nil. A point's panic is
+	// re-raised here, on the caller's goroutine.
+	_ = pool.Run(context.Background(), len(grid), opts.Workers, "opdomain.point.panic", func(_, i int) {
+		dom.Points[i] = evaluatePoint(d, truth, grid[i], opts)
+	})
 	opts.Tracer.Counter("opdomain/points").Add(int64(len(grid)))
-	opts.Tracer.Gauge("opdomain/last_workers").Set(float64(workers))
+	opts.Tracer.Gauge("opdomain/last_workers").Set(float64(pool.Size(len(grid), opts.Workers)))
 	return dom, nil
 }
-
-// panicBox gives every recovered panic value the same concrete type, so
-// racing atomic.Value.CompareAndSwap calls never see mismatched types.
-type panicBox struct{ v any }
 
 // evaluatePoint validates the design at one parameter point. AnalyzeOpts
 // has checked the solver name, the only way ValidateWith fails.

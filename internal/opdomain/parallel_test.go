@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -80,5 +81,30 @@ func TestSweepMetrics(t *testing.T) {
 	rep := tr.Report("sweep")
 	if got := rep.Counter("opdomain/points"); got != 4 {
 		t.Errorf("points counter = %d, want 4", got)
+	}
+}
+
+// TestPointPanicReachesCaller arms the opdomain.point.panic fault point:
+// every worker panics before its first point, and AnalyzeOpts must
+// re-raise the panic on the caller's goroutine (a panic left on a worker
+// would kill the test binary) instead of hanging the feeder.
+func TestPointPanicReachesCaller(t *testing.T) {
+	d := wireVariant(t)
+	sweep := Sweep{
+		MuMin: -0.33, MuMax: -0.31, MuSteps: 3,
+		EpsMin: 5.5, EpsMax: 5.7, EpsSteps: 3,
+		LambdaTF: 5,
+	}
+	if err := faults.Arm("opdomain.point.panic=always", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faults.Disarm()
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		_, _ = AnalyzeOpts(d, func(i uint32) uint32 { return i }, sweep, Options{Workers: 2})
+		return nil
+	}()
+	if r != "injected fault: opdomain.point.panic" {
+		t.Fatalf("recovered %v, want the injected fault", r)
 	}
 }

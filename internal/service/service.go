@@ -182,9 +182,9 @@ func New(cfg Config) (*Server, error) {
 		Tracer: s.tr,
 		Family: "flow_stage_seconds",
 		// Solver-depth telemetry: numeric span attributes recorded by the
-		// SAT size search and the annealer are folded into server-wide
-		// histograms labeled by stage, so /metrics exposes search-effort
-		// distributions (how hard solves are, not just how long).
+		// SAT size search are folded into server-wide histograms labeled by
+		// stage, so /metrics exposes search-effort distributions (how hard
+		// solves are, not just how long).
 		Attrs: []obs.AttrHistogram{
 			{Key: "conflicts", Family: "sat_conflicts_per_solve",
 				Bounds: []float64{0, 10, 100, 1e3, 1e4, 1e5, 1e6}},
@@ -194,8 +194,6 @@ func New(cfg Config) (*Server, error) {
 				Bounds: []float64{0, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}},
 			{Key: "restarts", Family: "sat_restarts_per_solve",
 				Bounds: []float64{0, 1, 2, 5, 10, 20, 50, 100}},
-			{Key: "acceptance_rate", Family: "anneal_acceptance_rate",
-				Bounds: []float64{0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1}},
 		},
 	}
 	s.slo = slo.New(defaultObjectives(), cfg.SLOWindows...)
@@ -1559,8 +1557,7 @@ var metricHelp = map[string]string{
 	"sat_decisions_per_solve":            "SAT solver decisions per solve call, by stage.",
 	"sat_propagations_per_solve":         "SAT solver unit propagations per solve call, by stage.",
 	"sat_restarts_per_solve":             "SAT solver restarts per solve call, by stage.",
-	"anneal_acceptance_rate":             "Annealer move acceptance rate per run, by stage (from span attrs).",
-	"sim_anneal_acceptance_rate":         "Annealer move acceptance rate per run (span-free metrics path).",
+	"sim_anneal_acceptance_rate":         "Annealer move acceptance rate per run.",
 	"pnr_exact_size_solve_seconds":       "Exact P&R per-aspect-ratio SAT solve time, by SAT/UNSAT status.",
 	"sim_quickexact_prune_rate":          "QuickExact fraction of search nodes pruned (bound + stability).",
 	"sim_quickexact_presolve_fixed_frac": "QuickExact fraction of free dots fixed by presolve.",

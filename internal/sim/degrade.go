@@ -91,7 +91,7 @@ func (d *Degrading) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 
 	cfg := DefaultAnnealConfig()
 	cfg.Ctx = ctx
-	cfg.Metrics = opts.Tracer // span-free: the ladder can run on parallel workers
+	cfg.Tracer = opts.Tracer
 	gs, en := e.Anneal(cfg)
 	// Unlike the plain anneal backend, a deadline expiring mid-anneal
 	// still yields the best configuration found so far: the ladder's

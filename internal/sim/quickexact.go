@@ -29,28 +29,23 @@ package sim
 //
 // Dots are ordered by the magnitude of their effective local potential, so
 // the most physically constrained decisions sit near the root of the tree.
-// The top levels of the tree are sharded across a worker pool sized by
-// GOMAXPROCS; workers share the incumbent energy through an atomic so a
-// good configuration found in one shard immediately tightens pruning in
-// all others, while per-shard results are merged in deterministic order.
+// The top levels of the tree are sharded across a worker pool
+// (internal/pool) sized by GOMAXPROCS; workers share the incumbent energy
+// through an atomic so a good configuration found in one shard immediately
+// tightens pruning in all others, while per-shard results are merged in
+// deterministic order.
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
-
-// panicBox gives every recovered shard panic the same concrete type, so
-// racing atomic.Value.CompareAndSwap calls never see mismatched types.
-type panicBox struct{ v any }
 
 const (
 	// stabEps matches PopulationStable's tolerance: stability prunes fire
@@ -69,11 +64,9 @@ const DefaultNodeBudget = 64 << 20
 
 // QuickExactOptions tune the search.
 type QuickExactOptions struct {
-	// Workers sizes the shard worker pool; <= 0 uses GOMAXPROCS.
+	// Workers sizes the shard worker pool; <= 0 uses GOMAXPROCS. The
+	// shard depth is the least d with 2^d >= 4·Workers, at most 12.
 	Workers int
-	// ShardDepth is the number of top tree levels enumerated into shard
-	// tasks; <= 0 picks automatically from the worker count.
-	ShardDepth int
 	// NodeBudget caps the total visited nodes across all shards; 0 means
 	// unlimited. An exhausted budget aborts with an error.
 	NodeBudget int64
@@ -107,8 +100,6 @@ type QuickExactStats struct {
 	SeedEnergyEV float64
 	// EnergyEV is the proven ground-state energy.
 	EnergyEV float64
-	// WorkerSeconds is the per-worker busy time.
-	WorkerSeconds []float64
 }
 
 // quickExactSolver is the "quickexact" GroundStateSolver.
@@ -333,34 +324,23 @@ func (e *Engine) quickExact(opts QuickExactOptions, pin []int8) ([]bool, float64
 // searchShards runs the unpinned search on a worker pool: gen, a searcher
 // over the reduced problem, enumerates the top tree levels into shard
 // tasks, applying the pruning rules so dead prefixes never spawn work, and
-// each worker searches shards with its own copy of gen. It returns the
+// each worker searches shards with its own searcher. It returns the
 // winning assignment (nil when no shard recorded a leaf), merged
 // deterministically, and fills st's pool and pruning statistics.
 func searchShards(opts QuickExactOptions, gen *searcher, st *QuickExactStats) ([]int8, error) {
-	nu := gen.nu
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// The shard depth follows the requested pool size, before Size caps it
+	// at the shard count.
+	workers := pool.Size(math.MaxInt, opts.Workers)
+	depth := 0
+	for (1<<depth) < 4*workers && depth < 12 {
+		depth++
 	}
-	depth := opts.ShardDepth
-	if depth <= 0 {
-		depth = 0
-		for (1<<depth) < 4*workers && depth < 12 {
-			depth++
-		}
-	}
-	depth = min(depth, nu)
-	st.Workers = workers
-
-	gen.cutDepth = depth
+	gen.cutDepth = min(depth, gen.nu)
 	var tasks [][]int8
 	gen.emit = func(prefix []int8) { tasks = append(tasks, prefix) }
 	gen.dfs(0)
-	st.Nodes += gen.nodes
-	st.BoundPruned += gen.boundPruned
-	st.StabilityPruned += gen.stabPruned
-	pruneDepthSum, pruneEvents := gen.pruneDepthSum, gen.pruneEvents
 	st.Shards = len(tasks)
+	st.Workers = pool.Size(len(tasks), workers)
 
 	type shardResult struct {
 		have   bool
@@ -369,75 +349,60 @@ func searchShards(opts QuickExactOptions, gen *searcher, st *QuickExactStats) ([
 	}
 	results := make([]shardResult, len(tasks))
 	shardSeconds := opts.Tracer.Histogram("sim/quickexact/shard_seconds", 0.0001, 0.001, 0.01, 0.1, 1, 10)
-	st.WorkerSeconds = make([]float64, workers)
-
-	var shardPanic atomic.Value // first recovered shard panic, if any
-	if len(tasks) > 0 {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		var nodes, boundPruned, stabPruned, depthSum, events int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						shardPanic.CompareAndSwap(nil, panicBox{r})
-						// Drain so the feeder's send below can never block
-						// forever on a channel with no readers left.
-						for range next {
-						}
-					}
-				}()
-				if faults.Should("quickexact.shard.panic") {
-					panic("injected fault: quickexact.shard.panic")
+	// searchers[w] is pool worker w's traversal. Each worker allocates its
+	// own on first use: searchers allocated back to back by one goroutine
+	// share cache lines, and the workers' writes to them then slowed
+	// BenchmarkGroundStateQuickExact30 by about 30% on 2 cores.
+	searchers := make([]*searcher, st.Workers)
+	ctx := gen.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	panicked := func() (r any) {
+		defer func() { r = recover() }()
+		// A done ctx stops handing out shards; quickExact reports it.
+		_ = pool.Run(ctx, len(tasks), workers, "quickexact.shard.panic", func(w, ti int) {
+			t0 := time.Now()
+			s := searchers[w]
+			if s == nil {
+				s = newSearcher(gen.ctx, gen.nu, gen.ons, gen.W, gen.eBase, gen.best, gen.budget)
+				searchers[w] = s
+			}
+			s.reset()
+			for k, val := range tasks[ti] {
+				if val == 1 {
+					s.pushCharge(k)
+				} else {
+					s.assign[k] = 0
 				}
-				busy := time.Now()
-				s := newSearcher(gen.ctx, nu, gen.ons, gen.W, gen.eBase, gen.best, gen.budget)
-				for ti := range next {
-					t0 := time.Now()
-					s.reset()
-					for k, val := range tasks[ti] {
-						if val == 1 {
-							s.pushCharge(k)
-						} else {
-							s.assign[k] = 0
-						}
-					}
-					s.dfs(len(tasks[ti]))
-					if s.haveBest {
-						results[ti] = shardResult{have: true, energy: s.bestE, assign: append([]int8(nil), s.bestAssign...)}
-						s.haveBest = false
-					}
-					shardSeconds.Observe(time.Since(t0).Seconds())
-				}
-				atomic.AddInt64(&nodes, s.nodes)
-				atomic.AddInt64(&boundPruned, s.boundPruned)
-				atomic.AddInt64(&stabPruned, s.stabPruned)
-				atomic.AddInt64(&depthSum, s.pruneDepthSum)
-				atomic.AddInt64(&events, s.pruneEvents)
-				st.WorkerSeconds[w] = time.Since(busy).Seconds()
-			}(w)
+			}
+			s.dfs(len(tasks[ti]))
+			if s.haveBest {
+				results[ti] = shardResult{have: true, energy: s.bestE, assign: append([]int8(nil), s.bestAssign...)}
+				s.haveBest = false
+			}
+			shardSeconds.Observe(time.Since(t0).Seconds())
+		})
+		return nil
+	}()
+	var pruneDepthSum, pruneEvents int64
+	for _, s := range append(searchers, gen) {
+		if s == nil {
+			continue // a worker that ran no shard
 		}
-		for ti := range tasks {
-			next <- ti
-		}
-		close(next)
-		wg.Wait()
-		st.Nodes += nodes
-		st.BoundPruned += boundPruned
-		st.StabilityPruned += stabPruned
-		pruneDepthSum += depthSum
-		pruneEvents += events
+		st.Nodes += s.nodes
+		st.BoundPruned += s.boundPruned
+		st.StabilityPruned += s.stabPruned
+		pruneDepthSum += s.pruneDepthSum
+		pruneEvents += s.pruneEvents
 	}
 	if pruneEvents > 0 {
 		st.MeanFrontierDepth = float64(pruneDepthSum) / float64(pruneEvents)
 	}
-	if r := shardPanic.Load(); r != nil {
+	if panicked != nil {
 		// A shard panic poisons the merge (its results are missing), so the
-		// whole solve fails as an error the dispatch layer can degrade on;
-		// the worker pool itself survived.
-		return nil, fmt.Errorf("quickexact: shard worker panicked: %v", r.(panicBox).v)
+		// whole solve fails as an error the dispatch layer can degrade on.
+		return nil, fmt.Errorf("quickexact: shard worker panicked: %v", panicked)
 	}
 
 	// Deterministic merge: best energy first, then the canonically

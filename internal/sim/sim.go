@@ -320,15 +320,11 @@ type AnnealConfig struct {
 	Sweeps   int     // sweeps per restart
 	TStart   float64 // initial temperature in eV
 	TEnd     float64 // final temperature in eV
-	// Tracer receives annealing telemetry (restart/sweep/accepted-move
-	// counts and the best-energy trace); nil disables it at no cost.
+	// Tracer receives the annealing counters, gauges and histograms
+	// (restart/sweep/accepted-move counts, acceptance rate) but no span,
+	// so parallel solver workers can share one tracer; nil disables them
+	// at no cost.
 	Tracer *obs.Tracer
-	// Metrics receives the counter/gauge/histogram telemetry only — no
-	// spans — so parallel solver workers sharing one tracer can still
-	// report annealing effort (spans nest on a single implicit stack and
-	// are not safe for concurrent regions). When nil, Tracer (if any)
-	// receives the metrics as before.
-	Metrics *obs.Tracer
 	// Ctx interrupts the annealing when cancelled: Anneal stops between
 	// sweeps and returns the best configuration found so far. Nil behaves
 	// like context.Background.
@@ -354,18 +350,10 @@ func DefaultAnnealConfig() AnnealConfig {
 // into or out of the vector. All state is local to the call, so one
 // Engine serves concurrent anneals.
 func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
-	tr := cfg.Tracer
-	mt := cfg.Metrics
-	if mt == nil {
-		mt = tr
-	}
-	sp := tr.Start("sim/anneal")
-	defer sp.End()
 	canceled := func() bool {
 		return cfg.Ctx != nil && cfg.Ctx.Err() != nil
 	}
 	var accepted, flipsTried int64
-	var energyTrace []float64 // best energy after each restart
 
 	freeIdx := e.FreeIndices()
 	best := append([]bool(nil), e.fixed...) // perturbers always charged
@@ -459,37 +447,20 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 			bestE = curE
 			copy(best, cur)
 		}
-		if tr != nil {
-			energyTrace = append(energyTrace, bestE)
-		}
 	}
 	bestE = e.Energy(best)
-	var acceptRate float64
-	if flipsTried > 0 {
-		acceptRate = float64(accepted) / float64(flipsTried)
-	}
-	if tr != nil {
-		sp.SetAttr("restarts", cfg.Restarts)
-		sp.SetAttr("sweeps", cfg.Sweeps)
-		sp.SetAttr("free_dots", len(freeIdx))
-		sp.SetAttr("flips_tried", flipsTried)
-		sp.SetAttr("accepted", accepted)
-		sp.SetAttr("acceptance_rate", acceptRate)
-		sp.SetAttr("best_energy", bestE)
-		sp.SetAttr("energy_trace", energyTrace)
-	}
-	if mt != nil {
-		mt.Counter("sim/anneal/runs").Inc()
-		mt.Counter("sim/anneal/restarts").Add(int64(cfg.Restarts))
-		mt.Counter("sim/anneal/sweeps").Add(int64(cfg.Restarts * cfg.Sweeps))
-		mt.Counter("sim/anneal/flips_tried").Add(flipsTried)
-		mt.Counter("sim/anneal/accepted").Add(accepted)
-		mt.Gauge("sim/anneal/best_energy").Set(bestE)
+	if tr := cfg.Tracer; tr != nil {
+		tr.Counter("sim/anneal/runs").Inc()
+		tr.Counter("sim/anneal/restarts").Add(int64(cfg.Restarts))
+		tr.Counter("sim/anneal/sweeps").Add(int64(cfg.Restarts * cfg.Sweeps))
+		tr.Counter("sim/anneal/flips_tried").Add(flipsTried)
+		tr.Counter("sim/anneal/accepted").Add(accepted)
+		tr.Gauge("sim/anneal/best_energy").Set(bestE)
 		if flipsTried > 0 {
 			// The schedule's health signal: near 1 the walk is random (too
 			// hot for the instance), near 0 it is frozen (wasted sweeps).
-			mt.Histogram("sim/anneal/acceptance_rate",
-				0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1).Observe(acceptRate)
+			tr.Histogram("sim/anneal/acceptance_rate",
+				0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1).Observe(float64(accepted) / float64(flipsTried))
 		}
 	}
 	return best, bestE

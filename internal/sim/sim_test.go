@@ -4,9 +4,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
+	"repro/internal/pool"
 	"repro/internal/sidb"
 )
 
@@ -271,24 +271,18 @@ func TestAnnealConcurrent(t *testing.T) {
 	cfg := DefaultAnnealConfig()
 	cfg.Restarts = 2
 	want, wantE := e.Anneal(cfg)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, gotE := e.Anneal(cfg)
-			if gotE != wantE {
-				t.Errorf("concurrent energy %v, serial %v", gotE, wantE)
+	_ = pool.Run(context.Background(), 4, 4, "", func(_, _ int) {
+		got, gotE := e.Anneal(cfg)
+		if gotE != wantE {
+			t.Errorf("concurrent energy %v, serial %v", gotE, wantE)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("concurrent charges differ from serial at dot %d", i)
+				return
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("concurrent charges differ from serial at dot %d", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // TestAnnealAllocs: restarts reuse the call's RNG and state vectors, so

@@ -116,12 +116,9 @@ func (annealSolver) Name() string  { return "anneal" }
 func (annealSolver) IsExact() bool { return false }
 
 func (annealSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
-	// The anneal config's own tracer hook emits spans, which are not safe
-	// for parallel solver workers; the solver path routes the effort
-	// metrics (flip/acceptance counters) through the span-free sink.
 	cfg := DefaultAnnealConfig()
 	cfg.Ctx = opts.Ctx
-	cfg.Metrics = opts.Tracer
+	cfg.Tracer = opts.Tracer
 	gs, en := e.Anneal(cfg)
 	if err := opts.Context().Err(); err != nil {
 		return Solution{}, fmt.Errorf("sim: anneal canceled: %w", err)
