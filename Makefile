@@ -35,7 +35,7 @@ check:
 	fi
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pool
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestAnnealConcurrent|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh' \
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestAnnealConcurrent|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
 		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	cd cmd/bench && $(GO) test .

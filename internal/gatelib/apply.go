@@ -22,6 +22,9 @@ func Apply(lib *Library, l *gatelayout.Layout, tr *obs.Tracer) (*sidb.Layout, er
 	sp := tr.Start("gatelib/apply")
 	defer sp.End()
 	out := &sidb.Layout{Name: l.Name}
+	// Neighbouring tiles share the dots of their wire stubs; each site is
+	// placed once, by the first tile that has it.
+	seen := map[lattice.Site]bool{}
 	tiles := 0
 	for _, at := range l.Tiles() {
 		tile, _ := l.At(at)
@@ -34,7 +37,12 @@ func Apply(lib *Library, l *gatelayout.Layout, tr *obs.Tracer) (*sidb.Layout, er
 		}
 		ox, oy := TileOrigin(at)
 		before := out.NumDots()
-		out.Merge(d.Layout(ox, oy))
+		for _, dot := range d.Layout(ox, oy).Dots {
+			if !seen[dot.Site] {
+				seen[dot.Site] = true
+				out.Dots = append(out.Dots, dot)
+			}
+		}
 		tiles++
 		tr.Histogram("gatelib/dots_per_tile",
 			10, 20, 30, 40, 60, 80).Observe(float64(out.NumDots() - before))

@@ -66,7 +66,8 @@ func TestSQDRoundTripPreservesGroundState(t *testing.T) {
 }
 
 // TestAdjacentTilesShareNoDots stitches two wire tiles vertically (a ray
-// continuing across the border) and checks spacing plus dot counts.
+// continuing across the border) and checks spacing: Validate also reports
+// a site the two tiles share.
 func TestAdjacentTilesShareNoDots(t *testing.T) {
 	lib := NewLibrary()
 	d, err := lib.Get(gates.Wire,
@@ -78,11 +79,8 @@ func TestAdjacentTilesShareNoDots(t *testing.T) {
 	merged := &sidb.Layout{Name: "two_tiles"}
 	ox0, oy0 := TileOrigin(hexgrid.Offset{X: 0, Y: 0})
 	ox1, oy1 := TileOrigin(hexgrid.Offset{X: 0, Y: 1}) // SE neighbor of (0,0)
-	merged.Merge(d.Layout(ox0, oy0))
-	merged.Merge(d.Layout(ox1, oy1))
-	if merged.NumDots() != 2*d.NumDots() {
-		t.Fatalf("tile stitching changed dot count: %d vs %d", merged.NumDots(), 2*d.NumDots())
-	}
+	merged.Dots = append(merged.Dots, d.Layout(ox0, oy0).Dots...)
+	merged.Dots = append(merged.Dots, d.Layout(ox1, oy1).Dots...)
 	if v := merged.Validate(0.38); len(v) != 0 {
 		t.Fatalf("stitched tiles violate spacing: %v", v[0])
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clocking"
@@ -62,7 +63,8 @@ func (o ExactOptions) withDefaults(g *RGraph) ExactOptions {
 // the Bestagon library. Cancellation or deadline expiry of ctx interrupts
 // the SAT search mid-solve and returns the context's error. One solver
 // and one encoder serve the whole size search: each size resets them and
-// builds its formula in the storage the previous size left.
+// builds its formula in the storage the previous size left. The encoder
+// outlives the call in the idle slot, so the next call starts warm.
 func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layout, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -90,7 +92,6 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 		return nil, fmt.Errorf("pnr: degenerate graph")
 	}
 
-	type dims struct{ w, h int }
 	var cands []dims
 	maxW, maxH := o.MaxWidth, o.MaxHeight
 	if maxW == 0 {
@@ -113,31 +114,59 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 		return cands[i].h < cands[j].h
 	})
 	sp.SetAttr("candidates", len(cands))
-	enc := &exactEncoder{
-		g: g, s: sat.New(),
-		asap: lv, alap: make([]int, len(g.Nodes)),
-		blocked: o.Blocked,
+	enc := idle.Swap(nil)
+	if enc == nil { // first call, or another call holds the idle encoder
+		enc = &exactEncoder{s: sat.New()}
 	}
-	for _, d := range cands {
-		l, status, err := enc.solveSize(ctx, d.w, d.h, o)
-		if err != nil {
-			return nil, fmt.Errorf("pnr: exact %dx%d for %s: %w", d.w, d.h, g.Name, err)
-		}
-		if status == sat.Sat {
-			sp.SetAttr("w", d.w)
-			sp.SetAttr("h", d.h)
-			return l, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("pnr: exact search canceled: %w", err)
-		}
-	}
-	if o.Blocked != nil {
+	enc.g, enc.asap, enc.blocked = g, lv, o.Blocked
+	enc.alap = slices.Grow(enc.alap[:0], len(g.Nodes))[:len(g.Nodes)]
+	// A panic skips the release, so the idle slot never holds an encoder
+	// left in the middle of a formula.
+	l, d, err := enc.search(ctx, cands, o)
+	enc.g, enc.asap, enc.blocked = nil, nil, nil
+	idle.Store(enc)
+	switch {
+	case err != nil:
+		return nil, err
+	case l != nil:
+		sp.SetAttr("w", d.w)
+		sp.SetAttr("h", d.h)
+		return l, nil
+	case o.Blocked != nil:
 		return nil, fmt.Errorf("pnr: no exact layout within area %d for %s avoiding afflicted tiles: %w",
 			o.MaxArea, g.Name, defects.ErrBlocked)
 	}
 	return nil, fmt.Errorf("pnr: no exact layout within area %d for %s", o.MaxArea, g.Name)
 }
+
+// idle keeps the encoder, with its solver, of the last Exact call that
+// returned, so the next call builds its formulas in storage that is
+// already grown. One slot suffices for the common case of one exact
+// search at a time; a concurrent call builds its own encoder, and the
+// last to return keeps its encoder. A sync.Pool would be emptied by every
+// garbage collection.
+var idle atomic.Pointer[exactEncoder]
+
+// search tries the candidate sizes in order and returns the first layout
+// and its size. A nil layout with a nil error means no candidate fits.
+func (e *exactEncoder) search(ctx context.Context, cands []dims, o ExactOptions) (*gatelayout.Layout, dims, error) {
+	for _, d := range cands {
+		l, status, err := e.solveSize(ctx, d.w, d.h, o)
+		if err != nil {
+			return nil, d, fmt.Errorf("pnr: exact %dx%d for %s: %w", d.w, d.h, e.g.Name, err)
+		}
+		if status == sat.Sat {
+			return l, d, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, d, fmt.Errorf("pnr: exact search canceled: %w", err)
+		}
+	}
+	return nil, dims{}, nil
+}
+
+// dims is a candidate grid size.
+type dims struct{ w, h int }
 
 // exitSides are the two sides a tile emits through; the index is the
 // out table's side and, for a two-output source, the output port.

@@ -53,9 +53,9 @@ func TestReduceDBKeepsReasons(t *testing.T) {
 	// Five learnt 3-literal clauses with activities 1..5 and one learnt
 	// binary clause, which reduction always keeps.
 	for i := 0; i < 5; i++ {
-		s.attach(s.store.newClause([]Lit{v[i], v[i+1], v[i+2]}, true, float64(i+1)))
+		s.newClause([]Lit{v[i], v[i+1], v[i+2]}, true, float64(i+1))
 	}
-	s.attach(s.store.newClause([]Lit{v[6], v[7]}, true, 0))
+	s.newClause([]Lit{v[6], v[7]}, true, 0)
 	s.m.LearnedDB = 6
 	// The lowest-activity clause is the reason of v[0].
 	s.enqueue(v[0], 0)

@@ -150,10 +150,10 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSlabModelsVerify checks a formula spread over several literal and
-// clause chunks, on a new and on a reset solver: every model satisfies
-// every clause as the caller wrote it.
-func TestSlabModelsVerify(t *testing.T) {
+// TestArenaModelsVerify checks a formula whose literal arena and clause
+// store regrow many times, on a new and on a reset solver: every model
+// satisfies every clause as the caller wrote it.
+func TestArenaModelsVerify(t *testing.T) {
 	s := New()
 	for round := 0; round < 2; round++ {
 		s.Reset()

@@ -74,67 +74,13 @@ const (
 	lFalse
 )
 
-// clause is a disjunction of literals; learnt marks conflict clauses.
+// clause is a disjunction of literals; learnt marks conflict clauses. Its
+// n literals are arena[start:start+n] of the solver that holds it.
 type clause struct {
-	lits     []Lit
+	start, n uint32
 	learnt   bool
 	deleted  bool
 	activity float64
-}
-
-// Clause storage chunk sizes: literals and clause structs are handed out
-// from chunks of this many entries (a longer clause gets a chunk of its
-// own).
-const (
-	litChunk    = 1 << 13
-	clauseChunk = 1 << 10
-)
-
-// slab stores clauses in chunks that are never reallocated, so the clause
-// pointers and literal sub-slices already handed out stay valid while the
-// slab grows. reset rewinds it and every chunk is reused in order.
-type slab struct {
-	lits    [][]Lit // literal chunks; lits[li] is being filled
-	li      int
-	clauses [][]clause // clause chunks; clauses[ci] is being filled
-	ci      int
-}
-
-// newClause copies lits into the literal chunks and returns a clause
-// struct from the clause chunks.
-func (b *slab) newClause(lits []Lit, learnt bool, activity float64) *clause {
-	n := len(lits)
-	for b.li < len(b.lits) && cap(b.lits[b.li])-len(b.lits[b.li]) < n {
-		b.li++
-	}
-	if b.li == len(b.lits) {
-		b.lits = append(b.lits, make([]Lit, 0, max(litChunk, n)))
-	}
-	lc := b.lits[b.li]
-	at := len(lc)
-	lc = append(lc, lits...)
-	b.lits[b.li] = lc
-
-	for b.ci < len(b.clauses) && len(b.clauses[b.ci]) == cap(b.clauses[b.ci]) {
-		b.ci++
-	}
-	if b.ci == len(b.clauses) {
-		b.clauses = append(b.clauses, make([]clause, 0, clauseChunk))
-	}
-	cc := append(b.clauses[b.ci], clause{lits: lc[at : at+n : at+n], learnt: learnt, activity: activity})
-	b.clauses[b.ci] = cc
-	return &cc[len(cc)-1]
-}
-
-// reset empties every chunk, keeping its storage.
-func (b *slab) reset() {
-	for i := range b.lits {
-		b.lits[i] = b.lits[i][:0]
-	}
-	for i := range b.clauses {
-		b.clauses[i] = b.clauses[i][:0]
-	}
-	b.li, b.ci = 0, 0
 }
 
 // watcher records a clause watching a literal plus the blocking literal
@@ -166,9 +112,9 @@ func (w watcher) binary() bool { return w.cref&1 == 1 }
 // New.
 type Solver struct {
 	numVars  int
-	clauses  []*clause
+	clauses  []clause
+	arena    []Lit       // every clause's literals, in clause order
 	nProblem int         // attached problem (non-learnt) clauses
-	store    slab        // backing storage of clauses
 	scratch  []Lit       // AddClause's normalisation buffer
 	learnt   []Lit       // analyze's learnt-clause buffer
 	toClear  []int       // analyze's seen-variable buffer
@@ -248,8 +194,8 @@ func New() *Solver {
 func (s *Solver) Reset() {
 	s.numVars = 0
 	s.clauses = s.clauses[:0]
+	s.arena = s.arena[:0]
 	s.nProblem = 0
-	s.store.reset()
 	s.watches = s.watches[:0]
 	s.addWatchSlots()
 	s.trail = s.trail[:0]
@@ -377,21 +323,33 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	s.attach(s.store.newClause(out, false, 0))
+	s.newClause(out, false, 0)
 	return true
 }
 
-// attach registers the clause with the watch lists.
-func (s *Solver) attach(c *clause) {
+// newClause copies lits (at least two) into the arena, stores the clause
+// and registers it with the watch lists. It returns the clause index.
+func (s *Solver) newClause(lits []Lit, learnt bool, activity float64) int {
 	idx := len(s.clauses)
-	s.clauses = append(s.clauses, c)
-	if !c.learnt {
+	s.clauses = append(s.clauses, clause{
+		start: uint32(len(s.arena)), n: uint32(len(lits)),
+		learnt: learnt, activity: activity,
+	})
+	s.arena = append(s.arena, lits...)
+	if !learnt {
 		s.nProblem++
 	}
-	binary := len(c.lits) == 2
-	w0, w1 := watchIdx(c.lits[0].Neg()), watchIdx(c.lits[1].Neg())
-	s.watches[w0] = append(s.watches[w0], newWatcher(idx, binary, c.lits[1]))
-	s.watches[w1] = append(s.watches[w1], newWatcher(idx, binary, c.lits[0]))
+	binary := len(lits) == 2
+	w0, w1 := watchIdx(lits[0].Neg()), watchIdx(lits[1].Neg())
+	s.watches[w0] = append(s.watches[w0], newWatcher(idx, binary, lits[1]))
+	s.watches[w1] = append(s.watches[w1], newWatcher(idx, binary, lits[0]))
+	return idx
+}
+
+// lits returns the literals of clause c, which aliases the arena until
+// the next clause is stored.
+func (s *Solver) lits(c *clause) []Lit {
+	return s.arena[c.start : c.start+c.n : c.start+c.n]
 }
 
 // decisionLevel returns the current decision level.
@@ -440,8 +398,8 @@ func (s *Solver) propagate() int {
 					// Write the literals in the order a longer clause's
 					// swap leaves them (the false watch ¬p second), so
 					// analyze visits them in the same order.
-					lits := s.clauses[w.clauseIdx()].lits
-					lits[0], lits[1] = w.blocker, notP
+					at := s.clauses[w.clauseIdx()].start
+					s.arena[at], s.arena[at+1] = w.blocker, notP
 					kept = append(kept, ws[i+1:]...)
 					s.watches[wi] = kept
 					s.qhead = len(s.trail)
@@ -450,25 +408,26 @@ func (s *Solver) propagate() int {
 				s.enqueue(w.blocker, w.clauseIdx())
 				continue
 			}
-			c := s.clauses[w.clauseIdx()]
+			c := &s.clauses[w.clauseIdx()]
 			if c.deleted {
 				continue // drop watcher of a deleted clause
 			}
+			lits := s.lits(c)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == notP {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == notP {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == lTrue {
-				kept = append(kept, watcher{w.cref, c.lits[0]})
+			if s.value(lits[0]) == lTrue {
+				kept = append(kept, watcher{w.cref, lits[0]})
 				continue
 			}
 			// Look for a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nw := watchIdx(c.lits[1].Neg())
-					s.watches[nw] = append(s.watches[nw], watcher{w.cref, c.lits[0]})
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nw := watchIdx(lits[1].Neg())
+					s.watches[nw] = append(s.watches[nw], watcher{w.cref, lits[0]})
 					found = true
 					break
 				}
@@ -478,14 +437,14 @@ func (s *Solver) propagate() int {
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, w)
-			if s.value(c.lits[0]) == lFalse {
+			if s.value(lits[0]) == lFalse {
 				// Conflict: restore remaining watchers and report.
 				kept = append(kept, ws[i+1:]...)
 				s.watches[wi] = kept
 				s.qhead = len(s.trail)
 				return w.clauseIdx()
 			}
-			s.enqueue(c.lits[0], w.clauseIdx())
+			s.enqueue(lits[0], w.clauseIdx())
 		}
 		s.watches[wi] = kept
 	}
@@ -496,8 +455,8 @@ func (s *Solver) propagate() int {
 func (s *Solver) bumpClause(c *clause) {
 	c.activity += s.claInc
 	if c.activity > 1e100 {
-		for _, cl := range s.clauses {
-			if cl.learnt {
+		for i := range s.clauses {
+			if cl := &s.clauses[i]; cl.learnt {
 				cl.activity *= 1e-100
 			}
 		}
@@ -518,7 +477,7 @@ func (s *Solver) reduceDB() {
 	}
 	var cands []int
 	for i, c := range s.clauses {
-		if c.learnt && !c.deleted && len(c.lits) > 2 && !locked[i] {
+		if c.learnt && !c.deleted && c.n > 2 && !locked[i] {
 			cands = append(cands, i)
 		}
 	}
@@ -554,13 +513,13 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 	var p Lit
 	idx := len(s.trail) - 1
 
-	c := s.clauses[confl]
+	c := &s.clauses[confl]
 	toClear := s.toClear[:0]
 	for {
 		if c.learnt {
 			s.bumpClause(c)
 		}
-		for _, q := range c.lits {
+		for _, q := range s.lits(c) {
 			if q == p {
 				continue
 			}
@@ -588,7 +547,7 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 		if counter == 0 {
 			break
 		}
-		c = s.clauses[s.reason[p.Var()]]
+		c = &s.clauses[s.reason[p.Var()]]
 	}
 	learnt[0] = p.Neg()
 	for _, v := range toClear {
@@ -714,10 +673,9 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 					return Unsat
 				}
 			} else {
-				s.attach(s.store.newClause(learnt, true, s.claInc))
 				s.m.Learned++
 				s.m.LearnedDB++
-				s.enqueue(learnt[0], len(s.clauses)-1)
+				s.enqueue(learnt[0], s.newClause(learnt, true, s.claInc))
 			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -260,5 +261,52 @@ func TestHealthzLatencySnapshot(t *testing.T) {
 	}
 	if h.Latency.P99 < h.Latency.P50 {
 		t.Errorf("p99 %v < p50 %v", h.Latency.P99, h.Latency.P50)
+	}
+}
+
+// TestReadmeSolverMetricsExposed checks every sat_*, pnr_* and sim_*
+// family README's telemetry table names against /metrics, after one exact
+// flow, one simulation and one gate validation on a fresh server. A row
+// for a family the server never records fails here.
+func TestReadmeSolverMetricsExposed(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var families []string
+	for _, line := range strings.Split(string(readme), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		// The first cell names the families, each in backticks.
+		for _, f := range strings.Split(cells[1], "`") {
+			if strings.HasPrefix(f, "sat_") || strings.HasPrefix(f, "pnr_") || strings.HasPrefix(f, "sim_") {
+				families = append(families, f)
+			}
+		}
+	}
+	if len(families) == 0 {
+		t.Fatal("README names no sat_*, pnr_* or sim_* family")
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, req := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/flow", map[string]any{"bench": "c17", "engine": "exact"}},
+		{"/v1/simulate", fourDots()},
+		{"/v1/gates/validate", map[string]any{"gate": "wire:iNW:oSE"}},
+	} {
+		if resp, body := postJSON(t, ts.URL+req.path, req.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", req.path, resp.StatusCode, body)
+		}
+	}
+	_, body := scrapeMetrics(t, ts.URL)
+	for _, f := range families {
+		if !strings.Contains(body, "# TYPE "+f+" ") {
+			t.Errorf("README lists %s, /metrics has no such family", f)
+		}
 	}
 }

@@ -194,6 +194,7 @@ func New(cfg Config) (*Server, error) {
 				Bounds: []float64{0, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}},
 			{Key: "restarts", Family: "sat_restarts_per_solve",
 				Bounds: []float64{0, 1, 2, 5, 10, 20, 50, 100}},
+			{Key: "solve_seconds", Family: "pnr_exact_size_solve_seconds"},
 		},
 	}
 	s.slo = slo.New(defaultObjectives(), cfg.SLOWindows...)
@@ -1557,10 +1558,7 @@ var metricHelp = map[string]string{
 	"sat_decisions_per_solve":            "SAT solver decisions per solve call, by stage.",
 	"sat_propagations_per_solve":         "SAT solver unit propagations per solve call, by stage.",
 	"sat_restarts_per_solve":             "SAT solver restarts per solve call, by stage.",
-	"sim_anneal_acceptance_rate":         "Annealer move acceptance rate per run.",
-	"pnr_exact_size_solve_seconds":       "Exact P&R per-aspect-ratio SAT solve time, by SAT/UNSAT status.",
-	"sim_quickexact_prune_rate":          "QuickExact fraction of search nodes pruned (bound + stability).",
-	"sim_quickexact_presolve_fixed_frac": "QuickExact fraction of free dots fixed by presolve.",
+	"pnr_exact_size_solve_seconds":       "Exact P&R per-aspect-ratio SAT solve time, by stage.",
 	"cluster_peer_up":                    "Probed liveness per peer: 1 alive, 0 dead.",
 	"cluster_ring_members":               "Live members in the consistent-hash ring (including self).",
 	"cluster_probe_failures_total":       "Failed peer health probes.",

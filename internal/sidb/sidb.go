@@ -97,21 +97,6 @@ func (l *Layout) Translate(dx, dy int) *Layout {
 	return out
 }
 
-// Merge appends all dots of other into l, dropping exact duplicates (tiles
-// share border dots with their neighbors' wire stubs).
-func (l *Layout) Merge(other *Layout) {
-	seen := make(map[lattice.Site]bool, len(l.Dots))
-	for _, d := range l.Dots {
-		seen[d.Site] = true
-	}
-	for _, d := range other.Dots {
-		if !seen[d.Site] {
-			l.Dots = append(l.Dots, d)
-			seen[d.Site] = true
-		}
-	}
-}
-
 // Validate checks minimum-separation design rules: no two dots may share a
 // site, and dots closer than minNM violate fabrication limits (adjacent
 // same-dimer dots are allowed at DimerGap for pair definitions when minNM

@@ -36,19 +36,6 @@ func TestTranslate(t *testing.T) {
 	}
 }
 
-func TestMergeDropsDuplicates(t *testing.T) {
-	a := &Layout{}
-	a.AddCell(0, 0, RoleNormal)
-	a.AddCell(5, 5, RoleNormal)
-	b := &Layout{}
-	b.AddCell(5, 5, RoleNormal) // duplicate
-	b.AddCell(9, 9, RoleNormal)
-	a.Merge(b)
-	if a.NumDots() != 3 {
-		t.Errorf("merged count = %d, want 3", a.NumDots())
-	}
-}
-
 func TestValidateSpacing(t *testing.T) {
 	l := &Layout{}
 	l.AddCell(0, 0, RoleNormal)
