@@ -207,19 +207,7 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 		// still has budget when SAT exhausts its share; a fallback forced
 		// by deadline pressure (rather than an exceeded SAT node budget)
 		// marks the result Degraded.
-		margin := opts.DegradeMargin
-		if margin <= 0 {
-			margin = sim.DefaultDegradeMargin
-		}
-		exactCtx, cancel := ctx, context.CancelFunc(func() {})
-		skipExact := false
-		if deadline, ok := ctx.Deadline(); ok {
-			if time.Until(deadline) <= margin {
-				skipExact = true
-			} else {
-				exactCtx, cancel = context.WithDeadline(ctx, deadline.Add(-margin))
-			}
-		}
+		exactCtx, cancel, skipExact := sim.Reserve(ctx, opts.DegradeMargin)
 		deadlinePressure := skipExact
 		if !skipExact {
 			layout, err = pnr.Exact(exactCtx, g, ex)

@@ -1,6 +1,7 @@
 package gatelib
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gates"
@@ -99,13 +100,18 @@ type ValidateOptions struct {
 	// as FailDefectBlocked before any simulation; charged defects outside
 	// exclusion zones enter the electrostatics as fixed perturbers.
 	Surface *defects.Surface
+	// Ctx interrupts the validation when cancelled or past its deadline:
+	// every solve runs under it, and ValidateWith returns its error instead
+	// of finishing. Nil behaves like context.Background.
+	Ctx context.Context
 }
 
 // ValidateWith simulates the design standalone for every input pattern
 // and compares the outputs with the truth function (bit i of the argument
 // is input i; bit j of the result is output j). It fails only on an
-// unknown solver name; a solver that cannot handle an instance (e.g. ExGS
-// beyond its enumeration limit) degrades to annealing for that pattern.
+// unknown solver name or when opts.Ctx ends; a solver that cannot handle
+// an instance (e.g. ExGS beyond its enumeration limit) degrades to
+// annealing for that pattern.
 func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts ValidateOptions) (Validation, error) {
 	solver, err := sim.Lookup(opts.Solver)
 	if err != nil {
@@ -146,10 +152,14 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 		}
 		eng := sim.NewEngineOn(l, params, opts.Surface)
 		var gs []bool
-		if sol, serr := solver.Solve(eng, sim.SolveOptions{Tracer: opts.Tracer}); serr == nil {
+		sol, serr := solver.Solve(eng, sim.SolveOptions{Tracer: opts.Tracer, Ctx: opts.Ctx})
+		switch {
+		case serr == nil:
 			gs = sol.Charges
 			v.Method = sol.Solver
-		} else {
+		case opts.Ctx != nil && opts.Ctx.Err() != nil:
+			return Validation{}, fmt.Errorf("gatelib: validate pattern %d: %w", p, opts.Ctx.Err())
+		default:
 			gs, _ = eng.Anneal(sim.DefaultAnnealConfig())
 			v.Method = "anneal"
 		}
@@ -197,7 +207,11 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 		if !opts.Surface.Empty() {
 			pristine := opts
 			pristine.Surface = nil
-			if pv, perr := ValidateWith(d, truth, params, pristine); perr == nil && pv.OK {
+			pv, perr := ValidateWith(d, truth, params, pristine)
+			if perr != nil {
+				return Validation{}, perr
+			}
+			if pv.OK {
 				v.FailKind = FailDefectBlocked
 				v.DefectBlocked = true
 			}

@@ -1,6 +1,7 @@
 // Package pool runs indexed work items on a bounded set of goroutines with
-// panic isolation. QuickExact's shard search, the operational-domain sweep
-// and the defect-yield sweep all fan out through Run.
+// panic isolation. QuickExact's shard search, the operational-domain
+// sweep, the defect-yield sweep and the service's /v1/batch items all fan
+// out through Run.
 package pool
 
 import (

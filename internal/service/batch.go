@@ -6,11 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"repro/internal/cache"
-	"repro/internal/defects"
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // maxBatchItems bounds one batch so a single request cannot monopolize
@@ -78,10 +77,10 @@ func batchClass(ops []*preparedOp) string {
 
 // handleBatch canonicalizes, deduplicates, and fans out sub-requests
 // inside one job with a shared deadline. Duplicate items (same canonical
-// cache key) execute once and share the result; unique items run
-// concurrently (bounded), each through the fleet single-flight group, so
-// a batch coalesces with identical work from other requests and other
-// replicas too.
+// cache key) execute once and share the result; unique items run on
+// internal/pool (batchConcurrency at a time), each through the fleet
+// single-flight group, so a batch coalesces with identical work from other
+// requests and other replicas too.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.tr.Counter("http/batch").Inc()
 	body, ok := s.readBody(w, r)
@@ -149,27 +148,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, batchClass(ops)) {
 		return
 	}
-	rid := obs.RequestIDFromContext(r.Context())
-	hop := obs.HopFromContext(r.Context())
-	jtr := s.newJobTracer()
-
-	fn := func(ctx context.Context) (any, error) {
-		ctx = obs.ContextWithRequestID(ctx, rid)
-		// Re-attach the hop marker: the queue hands jobs a fresh context, so
-		// the fan-out's peer-cache operations would otherwise lose the
-		// forwarding replica's identity.
-		ctx = obs.ContextWithHop(ctx, hop)
+	run := func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error) {
 		sp := jtr.Start("batch")
 		sp.SetAttr("items", n)
 		sp.SetAttr("unique", len(leaders))
-		if hop.Forwarded {
-			sp.SetAttr("forwarded", true)
-			sp.SetAttr("peer", hop.Peer)
-			sp.SetAttr("hop", hop.Index)
-			if hop.ParentSpan != "" {
-				sp.SetAttr("parent_span", hop.ParentSpan)
-			}
-		}
+		setHopAttrs(sp, obs.HopFromContext(ctx))
 		defer sp.End()
 
 		type outcome struct {
@@ -177,19 +160,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			err error
 		}
 		outcomes := make([]outcome, n)
-		sem := make(chan struct{}, batchConcurrency)
-		var wg sync.WaitGroup
-		for _, i := range leaders {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				jr, err := s.runCoalesced(ctx, ops[i], jtr)
-				outcomes[i] = outcome{jr, err}
-			}(i)
-		}
-		wg.Wait()
+		// The pool's own context never ends: every leader runs, under the job's
+		// ctx, so a warm hit still answers after the deadline has passed.
+		pool.Run(context.Background(), len(leaders), batchConcurrency, "", func(_, k int) {
+			i := leaders[k]
+			jr, err := s.runCoalesced(ctx, ops[i], jtr)
+			outcomes[i] = outcome{jr, err}
+		})
 
 		degraded := false
 		okItems, errItems, deduped := 0, 0, 0
@@ -208,7 +185,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if o.err != nil {
 				results[i].Status = "error"
 				results[i].Error = o.err.Error()
-				results[i].ErrorKind = batchErrorKind(o.err)
+				results[i].ErrorKind = errorKind(o.err)
 				errItems++
 				continue
 			}
@@ -243,8 +220,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return &jobResult{body: append(body, '\n'), source: source, degraded: degraded}, nil
 	}
 
-	j, ok := s.submit(w, "batch", rid, jtr,
-		&JobMeta{Path: "/v1/batch", Body: body, TimeoutMS: req.TimeoutMS}, fn)
+	j, ok := s.submit(w, r, "batch", &JobMeta{Path: "/v1/batch", Body: body, TimeoutMS: req.TimeoutMS}, run)
 	if !ok {
 		return
 	}
@@ -265,22 +241,4 @@ func allHits(results []batchItemResult) bool {
 		}
 	}
 	return true
-}
-
-// batchErrorKind classifies a sub-request error with the jobs API's
-// taxonomy.
-func batchErrorKind(err error) string {
-	var pe *PanicError
-	switch {
-	case errors.As(err, &pe):
-		return ErrKindPanic
-	case errors.Is(err, context.DeadlineExceeded):
-		return ErrKindTimeout
-	case errors.Is(err, context.Canceled):
-		return ErrKindCanceled
-	case errors.Is(err, defects.ErrBlocked):
-		return ErrKindDefectBlocked
-	default:
-		return ErrKindError
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -186,16 +185,12 @@ func (s *Server) recordForward(op *preparedOp, owner, rid, fwdSpan, errKind stri
 var forwardSlack = 2 * time.Second
 
 // forwardTimeout returns the deadline budget for one forwarded request:
-// the effective job timeout the owner replica would apply (the request's
-// timeout_ms clamped to JobTimeout, exactly like submit) plus
+// the job timeout the owner replica would apply (jobTimeout) plus
 // forwardSlack. Zero means no bound is configured anywhere — the
 // operator ran the daemon without deadlines, and forwarding inherits
 // that choice.
 func (s *Server) forwardTimeout(timeoutMS int64) time.Duration {
-	t := time.Duration(timeoutMS) * time.Millisecond
-	if s.cfg.JobTimeout > 0 && (t <= 0 || t > s.cfg.JobTimeout) {
-		t = s.cfg.JobTimeout
-	}
+	t := s.jobTimeout(timeoutMS)
 	if t <= 0 {
 		return 0
 	}
@@ -206,19 +201,15 @@ func (s *Server) forwardTimeout(timeoutMS int64) time.Duration {
 // the queue's PanicError so it surfaces as error_kind "panic" instead of
 // killing the process. Two execution paths run outside safeRun's
 // worker-scoped recover and depend on this guard: single-flight runs
-// (group-owned goroutines) and batch fan-out (raw goroutines inside one
-// queue job) — including keyless items, which skip the group entirely.
+// (group-owned goroutines) and batch fan-out (internal/pool goroutines
+// inside one queue job, which would re-raise the panic and fail the whole
+// batch) — including keyless items, which skip the group entirely.
 func (s *Server) safeExec(ctx context.Context, op *preparedOp, jtr *obs.Tracer) (jr *jobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			pe := newPanicError(r)
-			jr, err = nil, pe
-			s.tr.Counter("jobs/panicked_total").Inc()
-			s.log.Error("job_panic",
+			jr, err = nil, recoverPanic(r, s.tr.Counter("jobs/panicked_total"), s.log,
 				obslog.F("kind", op.kind),
-				obslog.F("request_id", obs.RequestIDFromContext(ctx)),
-				obslog.F("panic", fmt.Sprint(r)),
-				obslog.F("stack", string(pe.Stack)))
+				obslog.F("request_id", obs.RequestIDFromContext(ctx)))
 		}
 	}()
 	// Stands in for any latent bug an exec path can tickle; chaos tests
@@ -239,8 +230,8 @@ func (s *Server) safeExec(ctx context.Context, op *preparedOp, jtr *obs.Tracer) 
 func (s *Server) runCoalesced(ctx context.Context, op *preparedOp, jtr *obs.Tracer) (*jobResult, error) {
 	if op.key == "" {
 		// Keyless ops (nocache, custom library) skip coalescing but still
-		// need the panic guard: batch fan-out reaches here on goroutines
-		// with no other recover between the panic and the runtime.
+		// need the panic guard: batch fan-out reaches here on pool
+		// goroutines, and one item's panic must not fail its siblings.
 		return s.safeExec(ctx, op, jtr)
 	}
 	fn := func(runCtx context.Context) (any, error) {

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,6 +125,52 @@ func TestBatchDedupAndFanout(t *testing.T) {
 	}
 	if got := s.tr.Counter("batch/deduped_total").Value(); got != 2 {
 		t.Fatalf("batch_deduped_total = %d; want 2", got)
+	}
+}
+
+// TestBatchItemsAfterDeadline pins what batch items answer once the
+// batch's shared deadline has passed. Slow exact flows hold every fan-out
+// slot past the deadline, so the last two items start after it: the warm
+// one still answers ok from memory, the cold one times out, and none is
+// skipped.
+func TestBatchItemsAfterDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	if resp, body := postJSON(t, ts.URL+"/v1/simulate", fourDots()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: %d %s", resp.StatusCode, body)
+	}
+	slow, _ := json.Marshal(map[string]any{"source": slowPNRNetlist, "engine": "exact", "nocache": true})
+	warm, _ := json.Marshal(fourDots())
+	cold := fourDots()
+	cold["dots"] = append(cold["dots"].([]map[string]any), map[string]any{"x": 6, "y": 0, "role": "perturber"})
+	coldReq, _ := json.Marshal(cold)
+	var items []map[string]any
+	for range batchConcurrency {
+		items = append(items, map[string]any{"op": "flow", "request": json.RawMessage(slow)})
+	}
+	items = append(items,
+		map[string]any{"op": "simulate", "request": json.RawMessage(warm)},
+		map[string]any{"op": "simulate", "request": json.RawMessage(coldReq)})
+	resp, body := postJSON(t, ts.URL+"/v1/batch", map[string]any{"items": items, "timeout_ms": 200})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, body)
+	}
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Items) != len(items) {
+		t.Fatalf("%d item results; want %d", len(br.Items), len(items))
+	}
+	for i, it := range br.Items[:batchConcurrency] {
+		if it.Status != "error" || it.ErrorKind != ErrKindTimeout {
+			t.Errorf("slow flow item %d: %+v; want a timeout", i, it)
+		}
+	}
+	if it := br.Items[batchConcurrency]; it.Status != "ok" || it.Cache != "mem" {
+		t.Errorf("warm item after the deadline: %+v; want ok from mem", it)
+	}
+	if it := br.Items[batchConcurrency+1]; it.Status != "error" || it.ErrorKind != ErrKindTimeout {
+		t.Errorf("cold item after the deadline: %+v; want a timeout", it)
 	}
 }
 
@@ -642,8 +689,8 @@ func TestFleetColdStormCollapses(t *testing.T) {
 	// requests for the same key.
 	const clients, rounds = 9, 2
 
-	fleetPhase(t, urls, ops, clients, 1)
-	hits, total := fleetPhase(t, urls, ops, clients, rounds)
+	fleetPhase(t, urls, ops, clients, 1, false)
+	hits, total := fleetPhase(t, urls, ops, clients, rounds, false)
 	if t.Failed() {
 		return
 	}
@@ -663,9 +710,13 @@ func TestFleetColdStormCollapses(t *testing.T) {
 
 	// Baseline: a sequential cold pass against one standalone replica, then
 	// the same warm phase; its hit rate is the bar the fleet must clear.
+	// Nine clients against two workers and depth 8 can fill the queue: a
+	// client gets its answer before the worker that served it takes the
+	// next job, so all nine can be queued while both workers sit idle. That
+	// 429 is the queue's contract, so these clients honour it.
 	_, ts := newTestServer(t, Config{Workers: 2})
-	fleetPhase(t, []string{ts.URL}, ops, 1, 1)
-	soloHits, soloTotal := fleetPhase(t, []string{ts.URL}, ops, clients, rounds)
+	fleetPhase(t, []string{ts.URL}, ops, 1, 1, false)
+	soloHits, soloTotal := fleetPhase(t, []string{ts.URL}, ops, clients, rounds, true)
 	fleetRate := float64(hits) / float64(total)
 	soloRate := float64(soloHits) / float64(soloTotal)
 	t.Logf("%d cold solves for %d keys; warm hit rate %.2f (standalone %.2f)", solves, len(ops), fleetRate, soloRate)
@@ -691,7 +742,9 @@ type fleetOp struct{ path, gate string }
 // ops. Client c sends op i to urls[(c+i)%len(urls)], so each op reaches
 // different replicas from different clients at once. It returns the
 // X-Cache hits and the answers counted; any failed request fails the test.
-func fleetPhase(t *testing.T, urls []string, ops []fleetOp, clients, rounds int) (hits, total int) {
+// With retryShed, a client that gets a 429 with Retry-After waits that
+// long and resends, up to maxShedRetries times, as a real client would.
+func fleetPhase(t *testing.T, urls []string, ops []fleetOp, clients, rounds int, retryShed bool) (hits, total int) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -701,13 +754,20 @@ func fleetPhase(t *testing.T, urls []string, ops []fleetOp, clients, rounds int)
 			for r := 0; r < rounds; r++ {
 				for i, op := range ops {
 					url := urls[(c+i)%len(urls)] + op.path
-					resp, err := http.Post(url, "application/json", strings.NewReader(`{"gate":"`+op.gate+`"}`))
+					resp, body, err := fleetPost(url, op.gate)
+					for try := 0; err == nil && retryShed && try < maxShedRetries && resp.StatusCode == http.StatusTooManyRequests; try++ {
+						secs, perr := strconv.Atoi(resp.Header.Get("Retry-After"))
+						if perr != nil {
+							break
+						}
+						t.Logf("POST %s %s shed; retrying after %ds", url, op.gate, secs)
+						time.Sleep(time.Duration(secs) * time.Second)
+						resp, body, err = fleetPost(url, op.gate)
+					}
 					if err != nil {
 						t.Errorf("POST %s %s: %v", url, op.gate, err)
 						continue
 					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
 					if resp.StatusCode != http.StatusOK {
 						t.Errorf("POST %s %s: %d %s", url, op.gate, resp.StatusCode, body)
 						continue
@@ -724,6 +784,21 @@ func fleetPhase(t *testing.T, urls []string, ops []fleetOp, clients, rounds int)
 	}
 	wg.Wait()
 	return hits, total
+}
+
+// maxShedRetries bounds how often a fleetPhase client resends a shed
+// request.
+const maxShedRetries = 3
+
+// fleetPost sends one gate request and reads the whole answer.
+func fleetPost(url, gate string) (*http.Response, []byte, error) {
+	resp, err := http.Post(url, "application/json", strings.NewReader(`{"gate":"`+gate+`"}`))
+	if err != nil {
+		return nil, nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, body, err
 }
 
 type errorReader struct{}
@@ -791,8 +866,13 @@ func startPeeredServers(t *testing.T, n int) (servers []*Server, urls, addrs []s
 		url := "http://" + addrs[i]
 		testListeners.Store(url, hs)
 		t.Cleanup(func() {
-			s.node.Stop()
 			hs.Close()
+			// Drain also stops the probe loop and the overview poller, which
+			// would otherwise keep polling closed peers for the rest of the
+			// test binary.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			s.Drain(ctx)
 		})
 		servers = append(servers, s)
 		urls = append(urls, url)

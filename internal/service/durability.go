@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -124,12 +123,7 @@ func (s *Server) idempotentReplay(w http.ResponseWriter, r *http.Request, key st
 	}
 	s.tr.Counter("idempotency/replayed_total").Inc()
 	w.Header().Set(idempotentReplayHeader, "true")
-	if async {
-		w.Header().Set("Location", "/v1/jobs/"+j.ID)
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
-		return true
-	}
-	s.await(w, r, j)
+	s.reply(w, r, j, async)
 	return true
 }
 
@@ -266,31 +260,20 @@ func (s *Server) resubmitRecovered(rec *journal.JobRecord) bool {
 			obslog.F("error", err.Error()))
 		return false
 	}
-	timeout := time.Duration(sub.TimeoutMS) * time.Millisecond
-	if s.cfg.JobTimeout > 0 && (timeout <= 0 || timeout > s.cfg.JobTimeout) {
-		timeout = s.cfg.JobTimeout
-	}
-	jtr := s.newJobTracer()
-	j, err := s.queue.SubmitWith(SubmitOptions{
+	_, err = s.enqueue(SubmitOptions{
 		Kind:      op.kind,
 		RequestID: sub.RequestID,
-		Tracer:    jtr,
-		Timeout:   timeout,
 		ID:        sub.JobID,
 		Meta: &JobMeta{
 			Path: sub.Path, Body: sub.Body, Key: string(op.key),
 			IdemKey: sub.IdemKey, TimeoutMS: sub.TimeoutMS,
 		},
-	}, s.jobFn(op, sub.RequestID, obs.Hop{}, jtr))
+	}, obs.Hop{}, s.opJob(op))
 	if err != nil {
 		s.log.Warn("journal_resubmit_rejected",
 			obslog.F("job_id", sub.JobID),
 			obslog.F("error", err.Error()))
 		return false
-	}
-	if sub.IdemKey != "" {
-		// The retrying client reattaches to the resubmitted run.
-		s.idem.claim(sub.IdemKey, j.ID)
 	}
 	return true
 }
@@ -313,10 +296,4 @@ func (s *Server) drainRetryAfterSeconds() int {
 		secs = 1
 	}
 	return secs
-}
-
-// retryAfterDrain stamps the drain Retry-After header (split out so the
-// 503 write stays in submit beside its siblings).
-func (s *Server) retryAfterDrain(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.drainRetryAfterSeconds()))
 }

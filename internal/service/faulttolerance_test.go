@@ -2,12 +2,16 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/defects"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
@@ -96,6 +100,58 @@ func TestErrorKindTaxonomy(t *testing.T) {
 		<-j.Done()
 		if got := j.ErrorKind(); got != tc.kind {
 			t.Errorf("%s: error kind = %q, want %q", tc.name, got, tc.kind)
+		}
+	}
+
+	// Every failure class reads the same whether a queue job or a batch
+	// item returns it. A test-only batch op "fail" returns errs[i] for the
+	// request body i.
+	errs := []struct {
+		err  error
+		kind string
+	}{
+		{fmt.Errorf("inner stage: %w", &PanicError{Value: "x"}), ErrKindPanic},
+		{fmt.Errorf("solve: %w", context.DeadlineExceeded), ErrKindTimeout},
+		{fmt.Errorf("solve: %w and %w", context.DeadlineExceeded, defects.ErrBlocked), ErrKindTimeout},
+		{context.Canceled, ErrKindCanceled},
+		{fmt.Errorf("core: placed tile: %w", defects.ErrBlocked), ErrKindDefectBlocked},
+		{errors.New("nope"), ErrKindError},
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	defer func(rows []opRoute) { opRoutes = rows }(opRoutes)
+	opRoutes = append(opRoutes[:len(opRoutes):len(opRoutes)], opRoute{kind: "fail", batch: true,
+		prepare: func(_ *Server, body []byte) (*preparedOp, error) {
+			i, err := strconv.Atoi(string(body))
+			if err != nil {
+				return nil, err
+			}
+			return &preparedOp{kind: "fail", compute: func(context.Context, *obs.Tracer) (*jobResult, []byte, error) {
+				return nil, nil, errs[i].err
+			}}, nil
+		}})
+	var items []map[string]any
+	for i := range errs {
+		items = append(items, map[string]any{"op": "fail", "request": json.RawMessage(strconv.Itoa(i))})
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/batch", map[string]any{"items": items})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, body)
+	}
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		j, err := q.Submit("fail", 0, func(ctx context.Context) (any, error) { return nil, e.err })
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if got := j.ErrorKind(); got != e.kind {
+			t.Errorf("job failing with %q: error kind = %q, want %q", e.err, got, e.kind)
+		}
+		if it := br.Items[i]; it.Status != "error" || it.ErrorKind != e.kind {
+			t.Errorf("batch item failing with %q: %+v, want error kind %q", e.err, it, e.kind)
 		}
 	}
 }

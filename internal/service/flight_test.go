@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -192,5 +193,23 @@ func TestMetricsExposeSLOAndFlightSeries(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestJobTraceDegraded: a finished degraded job reads degraded in the
+// flight recorder's shape, whether the recorder keeps it or the queue's
+// history serves it.
+func TestJobTraceDegraded(t *testing.T) {
+	q := NewQueue(1, 1, 0, nil, nil)
+	defer q.Drain(context.Background())
+	j, err := q.Submit("simulate", 0, func(context.Context) (any, error) {
+		return &jobResult{degraded: true}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if tr := jobTrace(j); !tr.Degraded || tr.ErrorKind != ErrKindDegraded || tr.State != string(JobDone) {
+		t.Fatalf("trace of a degraded job: %+v", tr)
 	}
 }

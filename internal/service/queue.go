@@ -62,10 +62,17 @@ type PanicError struct {
 // — it goes to the structured log, not to API clients).
 func (p *PanicError) Error() string { return fmt.Sprintf("job panicked: %v", p.Value) }
 
-// newPanicError captures a recovered panic with its stack, for code paths
-// (like single-flight executions) that run outside safeRun's isolation.
-func newPanicError(v any) *PanicError {
-	return &PanicError{Value: v, Stack: debug.Stack()}
+// recoverPanic captures a recovered panic value with its stack, counts it
+// in jobs_panicked_total and logs the stack. Every path that isolates
+// panics calls it from its deferred recover: the queue's workers
+// (safeRun) and the executions that run outside them (safeExec).
+func recoverPanic(v any, panicked *obs.Counter, log *obslog.Logger, fields ...obslog.Field) *PanicError {
+	pe := &PanicError{Value: v, Stack: debug.Stack()}
+	panicked.Inc()
+	log.Error("job_panic", append(fields,
+		obslog.F("panic", fmt.Sprint(v)),
+		obslog.F("stack", string(pe.Stack)))...)
+	return pe
 }
 
 // DegradedResult is implemented by job results that carry a degradation
@@ -363,16 +370,7 @@ func NewQueue(workers, depth int, timeout time.Duration, tr *obs.Tracer, log *ob
 
 // Submit enqueues work. timeout overrides the queue default when positive.
 func (q *Queue) Submit(kind string, timeout time.Duration, fn JobFunc) (*Job, error) {
-	return q.SubmitTraced(kind, "", nil, timeout, fn)
-}
-
-// SubmitTraced enqueues work with its request-log join key and per-job
-// tracer fixed at submission, before any worker can observe the job —
-// attaching them afterwards would race a fast job's finish hook.
-func (q *Queue) SubmitTraced(kind, requestID string, tr *obs.Tracer, timeout time.Duration, fn JobFunc) (*Job, error) {
-	return q.SubmitWith(SubmitOptions{
-		Kind: kind, RequestID: requestID, Tracer: tr, Timeout: timeout,
-	}, fn)
+	return q.SubmitWith(SubmitOptions{Kind: kind, Timeout: timeout}, fn)
 }
 
 // SubmitOptions parameterizes SubmitWith.
@@ -637,43 +635,45 @@ func (q *Queue) run(j *Job) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.result = res
-	var pe *PanicError
-	switch {
-	case err == nil:
+	if err == nil {
 		j.state = JobDone
 		if d, ok := res.(DegradedResult); ok && d.DegradedResult() {
 			j.errKind = ErrKindDegraded
 		}
 		q.completed.Inc()
-	case errors.As(err, &pe):
-		j.state = JobFailed
+	} else {
 		j.err = err.Error()
-		j.errKind = ErrKindPanic
-		q.failed.Inc()
-	case errors.Is(err, context.DeadlineExceeded):
-		j.state = JobCanceled
-		j.err = err.Error()
-		j.errKind = ErrKindTimeout
-		q.canceled.Inc()
-	case errors.Is(err, context.Canceled):
-		j.state = JobCanceled
-		j.err = err.Error()
-		j.errKind = ErrKindCanceled
-		q.canceled.Inc()
-	case errors.Is(err, defects.ErrBlocked):
-		j.state = JobFailed
-		j.err = err.Error()
-		j.errKind = ErrKindDefectBlocked
-		q.failed.Inc()
-	default:
-		j.state = JobFailed
-		j.err = err.Error()
-		j.errKind = ErrKindError
-		q.failed.Inc()
+		j.errKind = errorKind(err)
+		if j.errKind == ErrKindTimeout || j.errKind == ErrKindCanceled {
+			j.state = JobCanceled
+			q.canceled.Inc()
+		} else {
+			j.state = JobFailed
+			q.failed.Inc()
+		}
 	}
 	close(j.done)
 	j.mu.Unlock()
 	q.finishJob(j)
+}
+
+// errorKind classifies a failed job's or batch item's error with the jobs
+// API's taxonomy. The order matters: a panic or a deadline can wrap other
+// errors, so they are tested first.
+func errorKind(err error) string {
+	var pe *PanicError
+	switch {
+	case errors.As(err, &pe):
+		return ErrKindPanic
+	case errors.Is(err, context.DeadlineExceeded):
+		return ErrKindTimeout
+	case errors.Is(err, context.Canceled):
+		return ErrKindCanceled
+	case errors.Is(err, defects.ErrBlocked):
+		return ErrKindDefectBlocked
+	default:
+		return ErrKindError
+	}
 }
 
 // safeRun executes the job function with panic isolation: a panicking job
@@ -683,15 +683,10 @@ func (q *Queue) run(j *Job) {
 func (q *Queue) safeRun(j *Job, ctx context.Context) (res any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			pe := &PanicError{Value: r, Stack: debug.Stack()}
-			res, err = nil, pe
-			q.panicked.Inc()
-			q.log.Error("job_panic",
+			res, err = nil, recoverPanic(r, q.panicked, q.log,
 				obslog.F("job_id", j.ID),
 				obslog.F("kind", j.Kind),
-				obslog.F("request_id", j.requestID),
-				obslog.F("panic", fmt.Sprint(r)),
-				obslog.F("stack", string(pe.Stack)))
+				obslog.F("request_id", j.requestID))
 		}
 	}()
 	// The fault point stands in for any latent bug a request can tickle;

@@ -244,7 +244,9 @@ func New(cfg Config) (*Server, error) {
 	s.admission = newAdmission(s.tr)
 	s.queue = NewQueue(cfg.Workers, cfg.QueueDepth, cfg.JobTimeout, s.tr, s.log)
 	s.queue.OnFinish(func(j *Job) {
-		s.recordFlight(j)
+		// Every terminal job is offered to the flight recorder, which keeps
+		// all error/degraded/slow traces and a sample of fast successes.
+		s.flight.Record(jobTrace(j))
 		s.admission.observe(j.RunSeconds())
 		s.journalFinish(j)
 	})
@@ -511,20 +513,12 @@ func (s *Server) handleOp(rt *opRoute) http.HandlerFunc {
 		if !s.admit(w, rt.class) {
 			return
 		}
-		rid := obs.RequestIDFromContext(r.Context())
-		jtr := s.newJobTracer()
-		j, ok := s.submit(w, op.kind, rid, jtr,
+		j, ok := s.submit(w, r, op.kind,
 			&JobMeta{Path: rt.path, Body: body, Key: string(op.key), IdemKey: ik, TimeoutMS: op.timeoutMS},
-			s.jobFn(op, rid, obs.HopFromContext(r.Context()), jtr))
-		if !ok {
-			return
+			s.opJob(op))
+		if ok {
+			s.reply(w, r, j, op.async)
 		}
-		if op.async {
-			w.Header().Set("Location", "/v1/jobs/"+j.ID)
-			writeJSON(w, http.StatusAccepted, j.Snapshot())
-			return
-		}
-		s.await(w, r, j)
 	}
 }
 
@@ -578,69 +572,90 @@ func (s *Server) execOp(ctx context.Context, op *preparedOp, jtr *obs.Tracer) (*
 	return jr, nil
 }
 
-// jobFn adapts a preparedOp into the queue's JobFunc, threading the
-// request ID and hop marker and routing the execution through the
+// jobRun is the body of a compute job: it runs under the job's context
+// (which carries the request id and hop marker) and records into the job's
+// tracer.
+type jobRun func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error)
+
+// opJob is the job body of one op: it routes the execution through the
 // single-flight group. When the request arrived forwarded from a peer,
-// the job trace opens with a zero-length "hop" marker span naming the
-// forwarding replica, the hop index, and the entry-side span this
-// execution nests under — the stitching anchors for /v1/traces/{id}.
-func (s *Server) jobFn(op *preparedOp, rid string, hop obs.Hop, jtr *obs.Tracer) JobFunc {
-	return func(ctx context.Context) (any, error) {
-		ctx = obs.ContextWithRequestID(ctx, rid)
-		ctx = obs.ContextWithHop(ctx, hop)
-		if hop.Forwarded {
+// the job trace opens with a zero-length "hop" marker span (see
+// setHopAttrs).
+func (s *Server) opJob(op *preparedOp) jobRun {
+	return func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error) {
+		if hop := obs.HopFromContext(ctx); hop.Forwarded {
 			sp := jtr.Start("hop")
-			sp.SetAttr("forwarded", true)
-			sp.SetAttr("peer", hop.Peer)
-			sp.SetAttr("hop", hop.Index)
-			if hop.ParentSpan != "" {
-				sp.SetAttr("parent_span", hop.ParentSpan)
-			}
+			setHopAttrs(sp, hop)
 			sp.End()
 		}
-		jr, err := s.runCoalesced(ctx, op, jtr)
+		return s.runCoalesced(ctx, op, jtr)
+	}
+}
+
+// setHopAttrs marks sp with the forwarding replica, the hop index, and the
+// entry-side span this execution nests under: the stitching anchors for
+// /v1/traces/{id}. It leaves the span of a local request alone.
+func setHopAttrs(sp *obs.Span, hop obs.Hop) {
+	if !hop.Forwarded {
+		return
+	}
+	sp.SetAttr("forwarded", true)
+	sp.SetAttr("peer", hop.Peer)
+	sp.SetAttr("hop", hop.Index)
+	if hop.ParentSpan != "" {
+		sp.SetAttr("parent_span", hop.ParentSpan)
+	}
+}
+
+// jobTimeout is the deadline of a job whose request asked for timeoutMS:
+// the request's own value, clamped to JobTimeout (which also applies when
+// the request names none). Zero means no deadline.
+func (s *Server) jobTimeout(timeoutMS int64) time.Duration {
+	t := time.Duration(timeoutMS) * time.Millisecond
+	if s.cfg.JobTimeout > 0 && (t <= 0 || t > s.cfg.JobTimeout) {
+		t = s.cfg.JobTimeout
+	}
+	return t
+}
+
+// enqueue is the one submission path of every compute job: a request, a
+// batch, or a journaled job resubmitted after a crash. opts names the
+// kind, the request id and the journal payload (Meta, never nil); enqueue
+// clamps the deadline and gives the job its own tracer, whose span sink
+// aggregates every stage duration into the server-wide flow_stage_seconds
+// histograms. The queue hands a job a fresh context, so run's context
+// gets the request id and hop marker back. A successful submission with
+// an Idempotency-Key claims the key, so a client retry reattaches to this
+// job.
+func (s *Server) enqueue(opts SubmitOptions, hop obs.Hop, run jobRun) (*Job, error) {
+	jtr := obs.New()
+	jtr.SetSink(s.stageSink)
+	opts.Tracer = jtr
+	opts.Timeout = s.jobTimeout(opts.Meta.TimeoutMS)
+	j, err := s.queue.SubmitWith(opts, func(ctx context.Context) (any, error) {
+		ctx = obs.ContextWithHop(obs.ContextWithRequestID(ctx, opts.RequestID), hop)
+		jr, err := run(ctx, jtr)
 		if err != nil {
 			// Return an untyped nil: a typed-nil *jobResult inside the any
 			// would pass the job-result type assertions downstream.
 			return nil, err
 		}
 		return jr, nil
+	})
+	if err == nil && opts.Meta.IdemKey != "" {
+		s.idem.claim(opts.Meta.IdemKey, j.ID)
 	}
+	return j, err
 }
 
-// newJobTracer builds the per-job tracer: it records the job's stage
-// spans for GET /v1/jobs/{id}/trace, and its span sink aggregates every
-// stage duration into the server-wide flow_stage_seconds histograms so
-// /metrics exposes per-stage latency distributions (rewrite, P&R, SAT
-// size search, simulation, ...) across all jobs.
-func (s *Server) newJobTracer() *obs.Tracer {
-	jtr := obs.New()
-	jtr.SetSink(s.stageSink)
-	return jtr
-}
-
-// submit enqueues fn, applying queue backpressure to the response. The
-// request id, per-job tracer, and journal payload ride along so they are
-// attached before a worker can pick the job up (see Queue.SubmitWith). A
-// successful submission with an Idempotency-Key claims the key, so a
-// client retry reattaches to this job.
-func (s *Server) submit(w http.ResponseWriter, kind, rid string, jtr *obs.Tracer, meta *JobMeta, fn JobFunc) (*Job, bool) {
-	var timeoutMS int64
-	if meta != nil {
-		timeoutMS = meta.TimeoutMS
-	}
-	timeout := time.Duration(timeoutMS) * time.Millisecond
-	if s.cfg.JobTimeout > 0 && (timeout <= 0 || timeout > s.cfg.JobTimeout) {
-		timeout = s.cfg.JobTimeout
-	}
-	j, err := s.queue.SubmitWith(SubmitOptions{
-		Kind: kind, RequestID: rid, Tracer: jtr, Timeout: timeout, Meta: meta,
-	}, fn)
+// submit enqueues the job of request r, writing the backpressure response
+// itself when the queue refuses it.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, meta *JobMeta, run jobRun) (*Job, bool) {
+	j, err := s.enqueue(SubmitOptions{
+		Kind: kind, RequestID: obs.RequestIDFromContext(r.Context()), Meta: meta,
+	}, obs.HopFromContext(r.Context()), run)
 	switch err {
 	case nil:
-		if meta != nil && meta.IdemKey != "" {
-			s.idem.claim(meta.IdemKey, j.ID)
-		}
 		return j, true
 	case ErrQueueFull:
 		// Same honest estimate as admission control: backlog times the
@@ -651,12 +666,24 @@ func (s *Server) submit(w http.ResponseWriter, kind, rid string, jtr *obs.Tracer
 	case ErrDraining:
 		// The replica is going away; the remainder of the drain grace is
 		// the honest estimate of when its replacement answers.
-		s.retryAfterDrain(w)
+		w.Header().Set("Retry-After", strconv.Itoa(s.drainRetryAfterSeconds()))
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 	default:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 	}
 	return nil, false
+}
+
+// reply answers a submitted (or reattached) job: 202 with the job's
+// snapshot and poll URL for an async request, otherwise the job's own
+// response once it finishes.
+func (s *Server) reply(w http.ResponseWriter, r *http.Request, j *Job, async bool) {
+	if async {
+		w.Header().Set("Location", "/v1/jobs/"+j.ID)
+		writeJSON(w, http.StatusAccepted, j.Snapshot())
+		return
+	}
+	s.await(w, r, j)
 }
 
 // await blocks until the job finishes or the client goes away (which
@@ -820,18 +847,40 @@ type dotRequest struct {
 	Role string `json:"role,omitempty"`
 }
 
-type simulateRequest struct {
-	// Gate names a library tile by variant key (see GET /v1/gates); Dots
-	// gives an explicit layout instead.
-	Gate string       `json:"gate,omitempty"`
-	Dots []dotRequest `json:"dots,omitempty"`
+// solveRequest is the part of a simulate or validate request that picks
+// the physics and the ground-state engine.
+type solveRequest struct {
 	// Params are the physical parameters (default: the paper's Fig. 5).
 	Params *struct {
 		MuMinus  float64 `json:"mu_minus"`
 		EpsR     float64 `json:"eps_r"`
 		LambdaTF float64 `json:"lambda_tf"`
 	} `json:"params,omitempty"`
+	// Solver names the ground-state engine (default: Config.Solver).
 	Solver string `json:"solver,omitempty"`
+}
+
+// solve resolves the request's physical parameters and its solver, which
+// defaults to the server's.
+func (r *solveRequest) solve(s *Server) (sim.Params, string, sim.GroundStateSolver, error) {
+	params := sim.ParamsFig5
+	if r.Params != nil {
+		params = sim.Params{MuMinus: r.Params.MuMinus, EpsR: r.Params.EpsR, LambdaTF: r.Params.LambdaTF}
+	}
+	name := r.Solver
+	if name == "" {
+		name = s.cfg.Solver
+	}
+	solver, err := sim.Lookup(name)
+	return params, name, solver, err
+}
+
+type simulateRequest struct {
+	// Gate names a library tile by variant key (see GET /v1/gates); Dots
+	// gives an explicit layout instead.
+	Gate string       `json:"gate,omitempty"`
+	Dots []dotRequest `json:"dots,omitempty"`
+	solveRequest
 	// Defects adds charged surface defects as fixed perturbers (nil =
 	// pristine surface).
 	Defects   *defectsSpec `json:"defects,omitempty"`
@@ -903,15 +952,7 @@ func (s *Server) prepareSimulate(req *simulateRequest) (*preparedOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := sim.ParamsFig5
-	if req.Params != nil {
-		params = sim.Params{MuMinus: req.Params.MuMinus, EpsR: req.Params.EpsR, LambdaTF: req.Params.LambdaTF}
-	}
-	solverName := req.Solver
-	if solverName == "" {
-		solverName = s.cfg.Solver
-	}
-	inner, err := sim.Lookup(solverName)
+	params, _, inner, err := req.solve(s)
 	if err != nil {
 		return nil, err
 	}
@@ -983,13 +1024,8 @@ func (s *Server) prepareSimulate(req *simulateRequest) (*preparedOp, error) {
 // ---- /v1/gates and /v1/gates/validate ----
 
 type validateRequest struct {
-	Gate   string `json:"gate"`
-	Solver string `json:"solver,omitempty"`
-	Params *struct {
-		MuMinus  float64 `json:"mu_minus"`
-		EpsR     float64 `json:"eps_r"`
-		LambdaTF float64 `json:"lambda_tf"`
-	} `json:"params,omitempty"`
+	Gate string `json:"gate"`
+	solveRequest
 	// Defects places surface defects in tile-local coordinates (the
 	// gate's own frame, matching GET /v1/gates geometry).
 	Defects   *defectsSpec `json:"defects,omitempty"`
@@ -1017,15 +1053,8 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown gate %q (see GET /v1/gates)", req.Gate)
 	}
-	params := sim.ParamsFig5
-	if req.Params != nil {
-		params = sim.Params{MuMinus: req.Params.MuMinus, EpsR: req.Params.EpsR, LambdaTF: req.Params.LambdaTF}
-	}
-	solverName := req.Solver
-	if solverName == "" {
-		solverName = s.cfg.Solver
-	}
-	if _, err := sim.Lookup(solverName); err != nil {
+	params, solverName, _, err := req.solve(s)
+	if err != nil {
 		return nil, err
 	}
 	surf, err := req.Defects.surface()
@@ -1046,7 +1075,7 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 	op := &preparedOp{kind: "validate", key: key, timeoutMS: req.TimeoutMS, span: "validate",
 		attrs: []obs.Attr{{Key: "gate", Value: gate}}}
 	op.compute = func(ctx context.Context, jtr *obs.Tracer) (*jobResult, []byte, error) {
-		v, err := gatelib.ValidateWith(d, truth, params, gatelib.ValidateOptions{Solver: solverName, Surface: surf})
+		v, err := gatelib.ValidateWith(d, truth, params, gatelib.ValidateOptions{Solver: solverName, Surface: surf, Ctx: ctx})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1134,27 +1163,6 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// recordFlight is the queue's OnFinish hook: every terminal job is offered
-// to the flight recorder, which keeps all error/degraded/slow traces and a
-// sample of fast successes (see internal/obs/flight).
-func (s *Server) recordFlight(j *Job) {
-	st := j.Snapshot()
-	t := flight.Trace{
-		ID:        j.ID,
-		Kind:      j.Kind,
-		State:     string(st.State),
-		ErrorKind: st.ErrorKind,
-		Degraded:  st.ErrorKind == ErrKindDegraded,
-		RequestID: j.RequestID(),
-		StartedAt: j.CreatedAt(),
-		Seconds:   j.RunSeconds(),
-	}
-	if jtr := j.Tracer(); jtr != nil {
-		t.Report = jtr.Report(j.ID)
-	}
-	s.flight.Record(t)
-}
-
 // handleFlightRecorder serves the flight-recorder summary: retention
 // counts per class, sampling policy, and the headers of every retained
 // trace (newest first). Full traces are at /v1/traces/{id}.
@@ -1199,23 +1207,25 @@ func (s *Server) localTrace(id string) (flight.Trace, bool) {
 		return t, true
 	}
 	if j, ok := s.queue.Get(id); ok {
-		return liveTrace(j), true
+		return jobTrace(j), true
 	}
 	if j, ok := s.queue.GetByRequestID(id); ok {
-		return liveTrace(j), true
+		return jobTrace(j), true
 	}
 	return flight.Trace{}, false
 }
 
-// liveTrace renders a job still in the queue's history in the flight
-// recorder's Trace shape, so local and federated lookups speak one type.
-func liveTrace(j *Job) flight.Trace {
+// jobTrace renders a job in the flight recorder's Trace shape: the record
+// the recorder keeps of a finished job, and the answer for a job still in
+// the queue's history, so local and federated lookups speak one type.
+func jobTrace(j *Job) flight.Trace {
 	st := j.Snapshot()
 	t := flight.Trace{
 		ID:        j.ID,
 		Kind:      j.Kind,
 		State:     string(st.State),
 		ErrorKind: st.ErrorKind,
+		Degraded:  st.ErrorKind == ErrKindDegraded,
 		RequestID: j.RequestID(),
 		StartedAt: j.CreatedAt(),
 		Seconds:   j.RunSeconds(),

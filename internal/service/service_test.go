@@ -333,6 +333,55 @@ func TestSimulateDegradesUnderDeadline(t *testing.T) {
 	}
 }
 
+// TestValidateHonoursDeadline: an exhaustive validation that takes
+// seconds cold must stop at its deadline with a 504 timeout, and at a
+// DELETE /v1/jobs/{id} with a 504 canceled, instead of holding its worker
+// until every pattern is solved.
+func TestValidateHonoursDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	req := map[string]any{"gate": "crossing:iNW:iNE:oSW:oSE", "solver": "exgs", "timeout_ms": 100}
+	start := time.Now()
+	resp, body := postJSON(t, ts.URL+"/v1/gates/validate", req)
+	if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(body), `"error_kind":"timeout"`) {
+		t.Fatalf("expected 504 timeout, got %d: %s", resp.StatusCode, body)
+	}
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Fatalf("timeout answered after %v; the validation did not stop", elapsed)
+	}
+
+	delete(req, "timeout_ms")
+	type answer struct {
+		code int
+		body []byte
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, body := postJSON(t, ts.URL+"/v1/gates/validate", req)
+		done <- answer{resp.StatusCode, body}
+	}()
+	var j *Job
+	waitForCond(t, func() bool {
+		j, _ = s.queue.Get("j00000002")
+		return j != nil && j.State() == JobRunning
+	})
+	start = time.Now()
+	dreq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+j.ID, nil)
+	dresp, err := http.DefaultClient.Do(dreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	select {
+	case a := <-done:
+		if a.code != http.StatusGatewayTimeout || !strings.Contains(string(a.body), `"error_kind":"canceled"`) {
+			t.Fatalf("expected 504 canceled, got %d: %s", a.code, a.body)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("DELETE did not stop the validation within 3s")
+	}
+	t.Logf("canceled %v after the DELETE", time.Since(start))
+}
+
 func TestAsyncFlowJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, body := postJSON(t, ts.URL+"/v1/flow", map[string]any{

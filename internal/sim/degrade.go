@@ -15,6 +15,27 @@ import (
 // adds headroom for scheduling jitter and larger layouts.
 const DefaultDegradeMargin = 250 * time.Millisecond
 
+// Reserve is the deadline rule of every degradation ladder: the primary
+// (exact) engine runs under a context whose deadline is ctx's minus
+// margin (DefaultDegradeMargin when margin <= 0), so the fallback keeps
+// that margin for itself. skip reports that no more than the margin
+// remains, and the primary must not run at all. Without a deadline the
+// primary runs under ctx. The caller must call cancel.
+func Reserve(ctx context.Context, margin time.Duration) (primary context.Context, cancel context.CancelFunc, skip bool) {
+	if margin <= 0 {
+		margin = DefaultDegradeMargin
+	}
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		return ctx, func() {}, false
+	}
+	if time.Until(deadline) <= margin {
+		return ctx, func() {}, true
+	}
+	primary, cancel = context.WithDeadline(ctx, deadline.Add(-margin))
+	return primary, cancel, false
+}
+
 // Degrading wraps a ground-state solver with a deadline-aware degradation
 // ladder: when the remaining context budget is too small for the exact
 // engine — or the exact engine itself runs out of budget mid-search — the
@@ -57,26 +78,16 @@ func (d *Degrading) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return Solution{}, err // no budget at all: fail honestly
 	}
-	margin := d.Margin
-	if margin <= 0 {
-		margin = DefaultDegradeMargin
-	}
-
 	// The fault point models an exact engine hitting its deadline, so
 	// chaos tests can drive the ladder without real timeout storms.
 	skipExact := faults.Should("sim.solve.exact")
-	if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) <= margin {
-		skipExact = true // budget already below the fallback reserve
-	}
+	innerCtx, cancel, tooLate := Reserve(ctx, d.Margin)
+	defer cancel()
 
-	if !skipExact {
+	if !skipExact && !tooLate {
 		innerOpts := opts
-		var cancel context.CancelFunc = func() {}
-		if deadline, ok := ctx.Deadline(); ok {
-			innerOpts.Ctx, cancel = context.WithDeadline(ctx, deadline.Add(-margin))
-		}
+		innerOpts.Ctx = innerCtx
 		sol, err := d.Inner.Solve(e, innerOpts)
-		cancel()
 		if err == nil {
 			return sol, nil
 		}
