@@ -15,10 +15,12 @@ test:
 # instrumented annealer and SAT race coverage while skipping the hour-long
 # exhaustive sweeps). The next runs are race runs of the fan-outs that share
 # internal/pool: the pool's own tests, the sharded QuickExact search (and
-# the pinned searches of the degeneracy gap, which share its core), the
-# parallel operational-domain sweep (including its re-raised point panic)
-# and the parallel defect sweep, all through their full (non-short) tests,
-# together with concurrent anneals on one shared engine, concurrent exact
+# the pinned searches of the degeneracy gap, one per key), the annealer's
+# parallel restarts (its parent-generated golden, one-vs-two-worker
+# agreement and allocations), the parallel operational-domain sweep
+# (including its re-raised point panic) and the parallel defect sweep, all
+# through their full (non-short) tests, together with concurrent anneals
+# on one shared engine, concurrent exact
 # P&R calls (each reusing one solver across its size search) and the
 # solver's Reset-equals-New test. The last step runs
 # the benchmark module's own tests (cmd/bench is a nested module, so
@@ -35,7 +37,7 @@ check:
 	fi
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pool
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestAnnealConcurrent|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestAnnealConcurrent|TestAnnealGolden|TestAnnealWorkersAgree|TestAnnealParallelAllocs|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
 		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	cd cmd/bench && $(GO) test .

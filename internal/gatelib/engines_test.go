@@ -197,7 +197,7 @@ func TestDegeneracyGapMatchesEnumeration(t *testing.T) {
 				b := out.BDL()
 				interest = append(interest, idx[b.Bit0], idx[b.Bit1])
 			}
-			got, err := eng.DegeneracyGap(interest)
+			got, err := eng.DegeneracyGap(context.Background(), interest)
 			if err != nil {
 				t.Fatalf("%s pattern %d: %v", key, p, err)
 			}

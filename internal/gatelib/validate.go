@@ -2,6 +2,7 @@ package gatelib
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/gates"
@@ -101,8 +102,9 @@ type ValidateOptions struct {
 	// exclusion zones enter the electrostatics as fixed perturbers.
 	Surface *defects.Surface
 	// Ctx interrupts the validation when cancelled or past its deadline:
-	// every solve runs under it, and ValidateWith returns its error instead
-	// of finishing. Nil behaves like context.Background.
+	// every solve and degeneracy-gap search runs under it, and ValidateWith
+	// returns its error instead of finishing. Nil behaves like
+	// context.Background.
 	Ctx context.Context
 }
 
@@ -191,8 +193,12 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 				b := out.BDL()
 				interest = append(interest, idx[b.Bit0], idx[b.Bit1])
 			}
-			if gap, err := eng.DegeneracyGap(interest); err == nil && gap < v.MinGapEV {
+			gap, err := eng.DegeneracyGap(opts.Ctx, interest)
+			switch {
+			case err == nil && gap < v.MinGapEV:
 				v.MinGapEV = gap
+			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+				return Validation{}, fmt.Errorf("gatelib: validate pattern %d: %w", p, err)
 			}
 		}
 	}

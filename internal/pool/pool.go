@@ -1,7 +1,8 @@
 // Package pool runs indexed work items on a bounded set of goroutines with
-// panic isolation. QuickExact's shard search, the operational-domain
-// sweep, the defect-yield sweep and the service's /v1/batch items all fan
-// out through Run.
+// panic isolation. QuickExact's shard search, the annealer's restarts,
+// the degeneracy gap's pinned searches (one per key), the
+// operational-domain sweep, the defect-yield sweep and the service's
+// /v1/batch items all fan out through Run.
 package pool
 
 import (

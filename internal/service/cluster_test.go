@@ -689,8 +689,12 @@ func TestFleetColdStormCollapses(t *testing.T) {
 	// requests for the same key.
 	const clients, rounds = 9, 2
 
-	fleetPhase(t, urls, ops, clients, 1, false)
-	hits, total := fleetPhase(t, urls, ops, clients, rounds, false)
+	// A storm can fill the owner replica's queue just as it fills the
+	// standalone baseline's below (see there): that 429 + Retry-After is
+	// the queue's contract, so the fleet's clients honour it too. Any
+	// other failed request still fails the test.
+	fleetPhase(t, urls, ops, clients, 1, true)
+	hits, total := fleetPhase(t, urls, ops, clients, rounds, true)
 	if t.Failed() {
 		return
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -119,7 +120,7 @@ func TestDegeneracyGapMatchesTwoPass(t *testing.T) {
 		for b := range interest {
 			interest[b] = rng.Intn(len(l.Dots))
 		}
-		got, err := e.DegeneracyGap(interest)
+		got, err := e.DegeneracyGap(context.Background(), interest)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -135,5 +136,16 @@ func TestDegeneracyGapMatchesTwoPass(t *testing.T) {
 		if math.Float64bits(en) != math.Float64bits(groundE) || !slices.Equal(gs, ground) {
 			t.Errorf("seed %d: Exhaustive (%v, %v) != two-pass ground state (%v, %v)", seed, gs, en, ground, groundE)
 		}
+	}
+}
+
+// TestDegeneracyGapCanceled: a gap under an already-cancelled context
+// starts no search and returns an error wrapping context.Canceled.
+func TestDegeneracyGapCanceled(t *testing.T) {
+	e := NewEngine(benchLayout(18, 7, 40), ParamsFig5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.DegeneracyGap(ctx, []int{0, 1, 2, 3}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("gap under a cancelled context: err %v, want context.Canceled", err)
 	}
 }
