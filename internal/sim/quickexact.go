@@ -352,7 +352,9 @@ func searchShards(opts QuickExactOptions, gen *searcher, st *QuickExactStats) ([
 	// searchers[w] is pool worker w's traversal. Each worker allocates its
 	// own on first use: searchers allocated back to back by one goroutine
 	// share cache lines, and the workers' writes to them then slowed
-	// BenchmarkGroundStateQuickExact30 by about 30% on 2 cores.
+	// BenchmarkGroundStateQuickExact30 by about 30% on 2 cores (the
+	// padding newSearcher adds guards the case where two workers allocate
+	// on one P).
 	searchers := make([]*searcher, st.Workers)
 	ctx := gen.ctx
 	if ctx == nil {
@@ -484,15 +486,22 @@ type searcher struct {
 	haveBest   bool
 	bestE      float64
 	bestAssign []int8
+	_          [64]byte // see newSearcher
 }
 
-// newSearcher returns a traversal of the whole tree (cutDepth nu).
+// newSearcher returns a traversal of the whole tree (cutDepth nu). The
+// searcher and its hot slices each end in 64 bytes of padding (the
+// struct's last field, spare slice capacity): pool workers that allocate
+// their searchers on the same P get neighbouring objects of one span, and
+// without the padding their writes share cache lines. Unpadded, a
+// parallel anneal run just before the search left
+// BenchmarkGroundStateQuickExact40 about 30% slower on 2 cores.
 func newSearcher(ctx context.Context, nu int, ons, W []float64, eBase float64, best *atomic.Uint64, budget *int64) *searcher {
 	return &searcher{
 		nu: nu, ons: ons, W: W, eBase: eBase, best: best, budget: budget, ctx: ctx, cutDepth: nu,
-		assign:     make([]int8, nu),
-		pot:        make([]float64, nu),
-		charged:    make([]int, 0, nu),
+		assign:     make([]int8, nu, nu+64),
+		pot:        make([]float64, nu, nu+8),
+		charged:    make([]int, 0, nu+8),
 		energy:     eBase,
 		bestAssign: make([]int8, nu),
 	}
