@@ -168,17 +168,19 @@ func FlowKey(spec *network.XAG, opts core.Options, withSQD, withReport bool) Key
 	hashXAGInto(h, spec)
 	h.u64(uint64(opts.Engine))
 	h.boolByte(opts.SkipRewrite)
-	h.i64(int64(opts.Rewrite.CutSize))
-	h.i64(int64(opts.Rewrite.CutsPerNode))
-	h.i64(int64(opts.Rewrite.MaxIterations))
+	// Retired fields hash as the zero values every caller passed, so
+	// persisted disk-cache and journal keys stay valid and the vectors
+	// pinned in TestDefectKeyGolden do not move: the three rewrite knobs
+	// here, the exact engine's width and height bounds after MaxArea, and
+	// whole-layout cell simulation and its solver after SkipCellLevel.
+	h.i64(0)
+	h.i64(0)
+	h.i64(0)
 	h.i64(int64(opts.Exact.MaxArea))
-	h.i64(int64(opts.Exact.MaxWidth))
-	h.i64(int64(opts.Exact.MaxHeight))
+	h.i64(0)
+	h.i64(0)
 	h.i64(opts.Exact.ConflictBudget)
 	h.boolByte(opts.SkipCellLevel)
-	// Two retired fields (whole-layout cell simulation and its solver)
-	// hash as their zero values, so persisted disk-cache and journal keys
-	// stay valid and the vectors pinned in TestDefectKeyGolden do not move.
 	h.boolByte(false)
 	h.str("")
 	h.boolByte(withSQD)

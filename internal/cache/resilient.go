@@ -46,6 +46,21 @@ func (s BreakerState) String() string {
 	}
 }
 
+// The retry and breaker policy of every Resilient wrapper.
+const (
+	// retryBase is the first backoff delay; each retry doubles it and adds
+	// up to 50% deterministic jitter.
+	retryBase = 2 * time.Millisecond
+	// failThreshold is how many consecutive failed operations (after
+	// retries) trip the breaker open.
+	failThreshold = 5
+	// cooldown is how long the breaker stays open before half-opening to
+	// probe the layer again.
+	cooldown = 5 * time.Second
+	// jitterSeed fixes the jitter sequence.
+	jitterSeed = 1
+)
+
 // ResilientOptions tunes a Resilient wrapper.
 type ResilientOptions struct {
 	// Name labels the wrapped layer in metric families
@@ -56,17 +71,6 @@ type ResilientOptions struct {
 	// failure counts against the breaker (default 2; negative disables
 	// retries).
 	MaxRetries int
-	// RetryBase is the first backoff delay; each retry doubles it and adds
-	// up to 50% deterministic jitter (default 2ms).
-	RetryBase time.Duration
-	// FailThreshold is how many consecutive failed operations (after
-	// retries) trip the breaker open (default 5).
-	FailThreshold int
-	// Cooldown is how long the breaker stays open before half-opening to
-	// probe the disk again (default 5s).
-	Cooldown time.Duration
-	// Seed fixes the jitter sequence (default 1).
-	Seed int64
 	// Tracer receives breaker and retry metrics (nil-safe).
 	Tracer *obs.Tracer
 	// Logger receives structured state-transition logs (nil disables).
@@ -110,25 +114,13 @@ func NewResilient(inner Layer, opts ResilientOptions) *Resilient {
 	if opts.MaxRetries < 0 {
 		opts.MaxRetries = 0
 	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = 2 * time.Millisecond
-	}
-	if opts.FailThreshold <= 0 {
-		opts.FailThreshold = 5
-	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = 5 * time.Second
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	tr := opts.Tracer
 	r := &Resilient{
 		inner:       inner,
 		opts:        opts,
 		now:         time.Now,
 		sleep:       time.Sleep,
-		rng:         rand.New(rand.NewSource(opts.Seed)),
+		rng:         rand.New(rand.NewSource(jitterSeed)),
 		stateGauge:  tr.Gauge("cache/" + opts.Name + "/breaker_state"),
 		trips:       tr.Counter("cache/" + opts.Name + "/breaker_trips_total"),
 		retries:     tr.Counter("cache/" + opts.Name + "/retries_total"),
@@ -157,7 +149,7 @@ func (r *Resilient) allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if r.now().Sub(r.openedAt) < r.opts.Cooldown {
+		if r.now().Sub(r.openedAt) < cooldown {
 			return false
 		}
 		r.setStateLocked(BreakerHalfOpen)
@@ -186,7 +178,7 @@ func (r *Resilient) onResult(failed bool) {
 		return
 	}
 	r.fails++
-	if wasProbe || (r.state == BreakerClosed && r.fails >= r.opts.FailThreshold) {
+	if wasProbe || (r.state == BreakerClosed && r.fails >= failThreshold) {
 		r.openedAt = r.now()
 		if r.state != BreakerOpen {
 			r.trips.Inc()
@@ -209,7 +201,7 @@ func (r *Resilient) setStateLocked(s BreakerState) {
 		r.log.Warn("cache_"+r.opts.Name+"_breaker_open",
 			obslog.F("from", from.String()),
 			obslog.F("consecutive_failures", r.fails),
-			obslog.F("cooldown", r.opts.Cooldown.String()),
+			obslog.F("cooldown", cooldown.String()),
 			obslog.F("effect", "layer bypassed; remaining cache tiers serve"))
 	case BreakerHalfOpen:
 		r.log.Info("cache_"+r.opts.Name+"_breaker_half_open", obslog.F("from", from.String()))
@@ -221,7 +213,7 @@ func (r *Resilient) setStateLocked(s BreakerState) {
 // backoff returns the delay before retry attempt n (0-based): an
 // exponential base with up to 50% deterministic jitter.
 func (r *Resilient) backoff(n int) time.Duration {
-	d := r.opts.RetryBase << uint(n)
+	d := retryBase << uint(n)
 	r.mu.Lock()
 	j := time.Duration(r.rng.Int63n(int64(d)/2 + 1))
 	r.mu.Unlock()

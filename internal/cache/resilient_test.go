@@ -93,20 +93,21 @@ func (f *flakyDisk) Put(ctx context.Context, key Key, val []byte) error {
 func TestBreakerTripHalfOpenClose(t *testing.T) {
 	f := newFakeDisk()
 	f.failing = true
-	r, now := newTestResilient(f, ResilientOptions{
-		MaxRetries:    -1, // no retries: each op is one breaker strike
-		FailThreshold: 3,
-		Cooldown:      10 * time.Second,
-	})
+	// No retries: each op is one breaker strike.
+	r, now := newTestResilient(f, ResilientOptions{MaxRetries: -1})
 
-	// Three consecutive failures trip the breaker open.
-	for i := 0; i < 3; i++ {
+	// Five consecutive failures trip the breaker open; four do not.
+	for i := 1; i <= 5; i++ {
 		if err := r.Put(context.Background(), Key("k"), []byte("v")); err == nil {
 			t.Fatal("Put should fail while the disk is failing")
 		}
-	}
-	if r.State() != BreakerOpen {
-		t.Fatalf("breaker = %v after %d failures, want open", r.State(), 3)
+		want := BreakerClosed
+		if i == 5 {
+			want = BreakerOpen
+		}
+		if r.State() != want {
+			t.Fatalf("breaker = %v after %d failures, want %v", r.State(), i, want)
+		}
 	}
 
 	// Open: operations short-circuit without touching the disk. A Get is a
@@ -122,9 +123,9 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 		t.Fatal("open breaker still reached the disk")
 	}
 
-	// Cooldown elapses; the next operation is a half-open probe. The disk
-	// is still failing, so the probe re-opens the breaker.
-	*now = now.Add(11 * time.Second)
+	// The 5 s cooldown elapses; the next operation is a half-open probe.
+	// The disk is still failing, so the probe re-opens the breaker.
+	*now = now.Add(5 * time.Second)
 	if err := r.Put(context.Background(), Key("k"), []byte("v")); err == nil {
 		t.Fatal("probe should have failed")
 	}
@@ -134,7 +135,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 
 	// Second cooldown; disk recovered; the probe closes the breaker.
 	f.failing = false
-	*now = now.Add(11 * time.Second)
+	*now = now.Add(5 * time.Second)
 	if err := r.Put(context.Background(), Key("k"), []byte("v")); err != nil {
 		t.Fatalf("recovered probe failed: %v", err)
 	}
@@ -149,16 +150,18 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 func TestBreakerHalfOpenAllowsSingleProbe(t *testing.T) {
 	f := newFakeDisk()
 	f.failing = true
-	r, now := newTestResilient(f, ResilientOptions{
-		MaxRetries:    -1,
-		FailThreshold: 1,
-		Cooldown:      time.Second,
-	})
-	_ = r.Put(context.Background(), Key("k"), []byte("v"))
+	r, now := newTestResilient(f, ResilientOptions{MaxRetries: -1})
+	for i := 0; i < 5; i++ {
+		_ = r.Put(context.Background(), Key("k"), []byte("v"))
+	}
 	if r.State() != BreakerOpen {
 		t.Fatalf("breaker = %v, want open", r.State())
 	}
-	*now = now.Add(2 * time.Second)
+	*now = now.Add(5*time.Second - time.Millisecond)
+	if r.allow() {
+		t.Fatal("caller let through before the 5 s cooldown elapsed")
+	}
+	*now = now.Add(time.Millisecond)
 	if !r.allow() { // first caller becomes the probe
 		t.Fatal("first post-cooldown caller should be allowed through")
 	}
@@ -172,7 +175,7 @@ func TestBreakerHalfOpenAllowsSingleProbe(t *testing.T) {
 }
 
 func TestBackoffGrowsExponentially(t *testing.T) {
-	r, _ := newTestResilient(newFakeDisk(), ResilientOptions{RetryBase: 2 * time.Millisecond})
+	r, _ := newTestResilient(newFakeDisk(), ResilientOptions{})
 	for n := 0; n < 4; n++ {
 		d := r.backoff(n)
 		base := 2 * time.Millisecond << uint(n)

@@ -20,11 +20,11 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultMix is the relative abundance of each defect species, loosely
+// speciesMix is the relative abundance of each defect species, loosely
 // after the incidence ranking reported by arXiv 2311.12042: stray DBs and
 // neutral dimer defects dominate, charged dopants and vacancies are rare.
 // The weights are normalized before use, so only ratios matter.
-func DefaultMix() defects.Densities {
+func speciesMix() defects.Densities {
 	return defects.Densities{
 		defects.DB:              4,
 		defects.Siloxane:        2,
@@ -53,6 +53,10 @@ func scaleMix(mix defects.Densities, density float64) defects.Densities {
 	return out
 }
 
+// flowRegionTiles is the edge length, in tiles, of the square region
+// defects are sampled over for flow subjects.
+const flowRegionTiles = 8
+
 // Config tunes a yield sweep.
 type Config struct {
 	// Densities are the total defect densities to sample, in defects per
@@ -70,15 +74,10 @@ type Config struct {
 	Solver string
 	// Params are the physical parameters (zero value = the paper's Fig. 5).
 	Params sim.Params
-	// Mix is the relative per-type abundance (nil = DefaultMix).
-	Mix defects.Densities
 	// FlowBenches optionally adds whole-flow yield subjects: each named
 	// Table 1 benchmark is run through the complete flow (ortho engine)
 	// against each sampled surface.
 	FlowBenches []string
-	// FlowRegionTiles is the edge length, in tiles, of the square region
-	// defects are sampled over for flow subjects (default 8).
-	FlowRegionTiles int
 	// Tracer receives sweep metrics; nil disables them.
 	Tracer *obs.Tracer
 }
@@ -158,12 +157,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if cfg.Params == (sim.Params{}) {
 		cfg.Params = sim.ParamsFig5
-	}
-	if cfg.Mix == nil {
-		cfg.Mix = DefaultMix()
-	}
-	if cfg.FlowRegionTiles <= 0 {
-		cfg.FlowRegionTiles = 8
 	}
 	if _, err := sim.Lookup(cfg.Solver); err != nil {
 		return nil, err
@@ -303,7 +296,7 @@ func evalGate(cfg Config, lib *gatelib.Library, key string, it item) outcome {
 		return outcome{}
 	}
 	region := lattice.Box{MinX: 0, MinY: 0, MaxX: gatelib.TileWidth - 1, MaxY: gatelib.TileHeight - 1}
-	surf := defects.Generate(itemSeed(cfg.Seed, it), region, scaleMix(cfg.Mix, cfg.Densities[it.di]))
+	surf := defects.Generate(itemSeed(cfg.Seed, it), region, scaleMix(speciesMix(), cfg.Densities[it.di]))
 	v, err := gatelib.ValidateWith(d, gatelib.TruthOf(f), cfg.Params,
 		gatelib.ValidateOptions{Solver: cfg.Solver, Surface: surf, Tracer: cfg.Tracer})
 	if err != nil {
@@ -314,15 +307,14 @@ func evalGate(cfg Config, lib *gatelib.Library, key string, it item) outcome {
 
 // evalFlow runs one benchmark through the whole flow (ortho engine, which
 // legalizes around afflicted tiles) against one random surface sampled
-// over a FlowRegionTiles² tile region.
+// over a flowRegionTiles² tile region.
 func evalFlow(ctx context.Context, cfg Config, name string, it item) outcome {
 	spec, err := bench.Load(name)
 	if err != nil {
 		return outcome{}
 	}
-	n := cfg.FlowRegionTiles
-	region := lattice.Box{MinX: 0, MinY: 0, MaxX: n*gatelib.TileWidth - 1, MaxY: n*gatelib.TileHeight - 1}
-	surf := defects.Generate(itemSeed(cfg.Seed, it), region, scaleMix(cfg.Mix, cfg.Densities[it.di]))
+	region := lattice.Box{MinX: 0, MinY: 0, MaxX: flowRegionTiles*gatelib.TileWidth - 1, MaxY: flowRegionTiles*gatelib.TileHeight - 1}
+	surf := defects.Generate(itemSeed(cfg.Seed, it), region, scaleMix(speciesMix(), cfg.Densities[it.di]))
 	_, err = core.RunContext(ctx, spec, core.Options{
 		Engine:  core.EngineOrtho,
 		Surface: surf,

@@ -112,7 +112,7 @@ func TestSweepCancellation(t *testing.T) {
 
 // TestScaleMix: the mix normalizes to the requested total density.
 func TestScaleMix(t *testing.T) {
-	scaled := scaleMix(DefaultMix(), 2.0)
+	scaled := scaleMix(speciesMix(), 2.0)
 	var total float64
 	for _, v := range scaled {
 		total += v
@@ -120,7 +120,7 @@ func TestScaleMix(t *testing.T) {
 	if diff := total - 2.0; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("scaled mix totals %v, want 2.0", total)
 	}
-	if len(scaleMix(DefaultMix(), 0)) != 0 {
+	if len(scaleMix(speciesMix(), 0)) != 0 {
 		t.Fatal("zero density produced a non-empty mix")
 	}
 }

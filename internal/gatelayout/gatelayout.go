@@ -73,9 +73,6 @@ func (l *Layout) At(at hexgrid.Offset) (Tile, bool) {
 	return t, ok
 }
 
-// Clear removes the tile at the coordinate.
-func (l *Layout) Clear(at hexgrid.Offset) { delete(l.tiles, at) }
-
 // Tiles returns all occupied coordinates in row-major order.
 func (l *Layout) Tiles() []hexgrid.Offset {
 	out := make([]hexgrid.Offset, 0, len(l.tiles))

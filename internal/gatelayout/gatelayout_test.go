@@ -42,7 +42,7 @@ func TestWireLayoutCleanAndIdentity(t *testing.T) {
 
 func TestCheckCatchesDanglingInput(t *testing.T) {
 	l := buildWireLayout(t)
-	l.Clear(hexgrid.Offset{X: 0, Y: 0}) // remove the PI driving the wire
+	delete(l.tiles, hexgrid.Offset{X: 0, Y: 0}) // remove the PI driving the wire
 	v := l.Check(nil)
 	if len(v) == 0 {
 		t.Fatal("dangling input not caught")

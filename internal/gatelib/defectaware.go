@@ -40,16 +40,3 @@ func TileBlocker(surf *defects.Surface) func(hexgrid.Offset) bool {
 	}
 	return func(at hexgrid.Offset) bool { return TileAfflicted(surf, at) }
 }
-
-// TileSurface translates the global surface into the tile-local frame of
-// the tile at the offset coordinate, for defect-aware validation of that
-// tile's gate (gate designs use tile-local cell coordinates). Defects far
-// outside the tile are kept — translation is exact and cheap, and the
-// electrostatic engine already discounts distant charges.
-func TileSurface(surf *defects.Surface, at hexgrid.Offset) *defects.Surface {
-	if surf.Empty() {
-		return nil
-	}
-	ox, oy := TileOrigin(at)
-	return surf.Translate(-ox, -oy)
-}

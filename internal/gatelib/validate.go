@@ -95,11 +95,12 @@ type ValidateOptions struct {
 	// Tracer receives concurrency-safe solver metrics; nil disables them.
 	Tracer *obs.Tracer
 	// Surface holds the surface defects in tile-local cell coordinates
-	// (translate a global surface by the negated tile origin first; see
-	// TileSurface). Nil validates on a pristine surface. Any design or
-	// emulation dot inside a defect's exclusion zone fast-rejects the gate
-	// as FailDefectBlocked before any simulation; charged defects outside
-	// exclusion zones enter the electrostatics as fixed perturbers.
+	// (shift a global surface by the negated TileOrigin first, with
+	// defects.Surface.Translate). Nil validates on a pristine surface.
+	// Any design or emulation dot inside a defect's exclusion zone
+	// fast-rejects the gate as FailDefectBlocked before any simulation;
+	// charged defects outside exclusion zones enter the electrostatics as
+	// fixed perturbers.
 	Surface *defects.Surface
 	// Ctx interrupts the validation when cancelled or past its deadline:
 	// every solve and degeneracy-gap search runs under it, and ValidateWith

@@ -160,8 +160,3 @@ func All() []Func {
 	}
 	return out
 }
-
-// TwoInputGates lists the 2-in-1-out Boolean gates of the library.
-func TwoInputGates() []Func {
-	return []Func{And, Or, Nand, Nor, Xor, Xnor}
-}

@@ -8,10 +8,7 @@
 // follow Red Blob Games' hexagonal grid reference, which the paper credits.
 package hexgrid
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Direction identifies one of the six neighbors of a pointy-top hexagon.
 type Direction uint8
@@ -91,7 +88,7 @@ type Offset struct {
 func (o Offset) String() string { return fmt.Sprintf("(%d,%d)", o.X, o.Y) }
 
 // Cube is a position in cube coordinates with the invariant Q+R+S == 0.
-// Cube coordinates make distances and rotations trivial.
+// Cube coordinates make distances trivial.
 type Cube struct {
 	Q, R, S int
 }
@@ -108,12 +105,6 @@ func (o Offset) ToCube() Cube {
 	return Cube{Q: q, R: r, S: -q - r}
 }
 
-// ToAxial converts odd-r offset coordinates to axial coordinates.
-func (o Offset) ToAxial() Axial {
-	c := o.ToCube()
-	return Axial{Q: c.Q, R: c.R}
-}
-
 // ToOffset converts cube coordinates to odd-r offset coordinates.
 func (c Cube) ToOffset() Offset {
 	x := c.Q + (c.R-(c.R&1))/2
@@ -125,9 +116,6 @@ func (a Axial) ToCube() Cube { return Cube{Q: a.Q, R: a.R, S: -a.Q - a.R} }
 
 // ToOffset converts axial coordinates to odd-r offset coordinates.
 func (a Axial) ToOffset() Offset { return a.ToCube().ToOffset() }
-
-// Valid reports whether the cube coordinate satisfies Q+R+S == 0.
-func (c Cube) Valid() bool { return c.Q+c.R+c.S == 0 }
 
 // Add returns the component-wise sum of two cube coordinates.
 func (c Cube) Add(o Cube) Cube { return Cube{c.Q + o.Q, c.R + o.R, c.S + o.S} }
@@ -172,26 +160,6 @@ func (o Offset) Neighbor(d Direction) Offset {
 	}
 }
 
-// Neighbors returns all six neighbors in Directions order.
-func (o Offset) Neighbors() [6]Offset {
-	var n [6]Offset
-	for i, d := range Directions {
-		n[i] = o.Neighbor(d)
-	}
-	return n
-}
-
-// DirectionTo returns the direction from o to the adjacent coordinate to and
-// true, or false if to is not adjacent to o.
-func (o Offset) DirectionTo(to Offset) (Direction, bool) {
-	for _, d := range Directions {
-		if o.Neighbor(d) == to {
-			return d, true
-		}
-	}
-	return 0, false
-}
-
 // abs returns the absolute value of x.
 func abs(x int) int {
 	if x < 0 {
@@ -208,47 +176,6 @@ func (c Cube) Distance(o Cube) int {
 
 // Distance returns the hexagonal distance between two offset coordinates.
 func (o Offset) Distance(b Offset) int { return o.ToCube().Distance(b.ToCube()) }
-
-// Lerp linearly interpolates between two cube coordinates at parameter t and
-// rounds to the nearest hexagon.
-func Lerp(a, b Cube, t float64) Cube {
-	fq := float64(a.Q) + (float64(b.Q)-float64(a.Q))*t
-	fr := float64(a.R) + (float64(b.R)-float64(a.R))*t
-	fs := float64(a.S) + (float64(b.S)-float64(a.S))*t
-	return roundCube(fq, fr, fs)
-}
-
-// roundCube rounds fractional cube coordinates to the nearest valid hexagon.
-func roundCube(fq, fr, fs float64) Cube {
-	q := math.Round(fq)
-	r := math.Round(fr)
-	s := math.Round(fs)
-	dq := math.Abs(q - fq)
-	dr := math.Abs(r - fr)
-	ds := math.Abs(s - fs)
-	switch {
-	case dq > dr && dq > ds:
-		q = -r - s
-	case dr > ds:
-		r = -q - s
-	default:
-		s = -q - r
-	}
-	return Cube{int(q), int(r), int(s)}
-}
-
-// Line returns the hexagons on the straight line from a to b, inclusive.
-func Line(a, b Cube) []Cube {
-	n := a.Distance(b)
-	if n == 0 {
-		return []Cube{a}
-	}
-	line := make([]Cube, 0, n+1)
-	for i := 0; i <= n; i++ {
-		line = append(line, Lerp(a, b, float64(i)/float64(n)))
-	}
-	return line
-}
 
 // Ring returns the hexagons at exactly radius r around center (r ≥ 1).
 // For r == 0 it returns just the center.
@@ -267,35 +194,6 @@ func Ring(center Cube, r int) []Cube {
 		}
 	}
 	return ring
-}
-
-// Spiral returns all hexagons within radius r of center, center first,
-// ordered ring by ring.
-func Spiral(center Cube, r int) []Cube {
-	out := []Cube{center}
-	for k := 1; k <= r; k++ {
-		out = append(out, Ring(center, k)...)
-	}
-	return out
-}
-
-// Rotate60CW rotates the cube vector 60 degrees clockwise about the origin.
-func (c Cube) Rotate60CW() Cube { return Cube{-c.R, -c.S, -c.Q} }
-
-// Rotate60CCW rotates the cube vector 60 degrees counter-clockwise about the
-// origin.
-func (c Cube) Rotate60CCW() Cube { return Cube{-c.S, -c.Q, -c.R} }
-
-// ReflectQ mirrors the cube vector across the Q axis (swap R and S). On the
-// pointy-top layout this is the left-right mirror used to flip gate tiles.
-func (c Cube) ReflectQ() Cube { return Cube{c.Q, c.S, c.R} }
-
-// Center returns the Euclidean center of the hexagon in units of the hexagon
-// size (circumradius 1): pointy-top layout, odd-r offset convention.
-func (o Offset) Center() (x, y float64) {
-	x = math.Sqrt(3) * (float64(o.X) + 0.5*float64(o.Y&1))
-	y = 1.5 * float64(o.Y)
-	return x, y
 }
 
 // Bounds describes a rectangular region of offset coordinates, inclusive of

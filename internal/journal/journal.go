@@ -10,10 +10,10 @@
 // torn tail — the half-written record a crash mid-append leaves behind —
 // is detected and truncated cleanly on the next open instead of poisoning
 // replay. The journal rotates to a fresh segment once the current one
-// exceeds SegmentBytes, and rotation compacts: only jobs still live
-// (queued or running) are carried into the new segment, completed
-// lifecycles are dropped, and older segments are deleted. Steady-state
-// journal size is therefore bounded by the live job set, not by history.
+// exceeds 4 MiB, and rotation compacts: only jobs still live (queued or
+// running) are carried into the new segment, completed lifecycles are
+// dropped, and older segments are deleted. Steady-state journal size is
+// therefore bounded by the live job set, not by history.
 package journal
 
 import (
@@ -95,11 +95,6 @@ func (r *JobRecord) Terminal() bool {
 
 // Options tunes a Journal.
 type Options struct {
-	// SegmentBytes is the rotation threshold (default 4 MiB).
-	SegmentBytes int64
-	// NoSync disables the per-append fsync (tests and benchmarks only —
-	// without it a crash can lose acknowledged events).
-	NoSync bool
 	// Tracer receives journal metrics (nil-safe).
 	Tracer *obs.Tracer
 	// Logger receives structured damage/rotation logs (nil disables).
@@ -109,9 +104,11 @@ type Options struct {
 // Journal is the write-ahead job-lifecycle journal. All methods are safe
 // for concurrent use.
 type Journal struct {
-	dir  string
-	opts Options
-	log  *obslog.Logger
+	dir string
+	log *obslog.Logger
+	// segmentBytes is the rotation threshold, segmentSize outside this
+	// package's tests.
+	segmentBytes int64
 
 	mu     sync.Mutex
 	f      *os.File
@@ -129,9 +126,9 @@ type Journal struct {
 }
 
 const (
-	segPrefix          = "wal-"
-	segSuffix          = ".log"
-	defaultSegmentSize = 4 << 20
+	segPrefix   = "wal-"
+	segSuffix   = ".log"
+	segmentSize = 4 << 20
 )
 
 func segName(n int) string { return fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix) }
@@ -140,17 +137,14 @@ func segName(n int) string { return fmt.Sprintf("%s%08d%s", segPrefix, n, segSuf
 // existing segment into the recovered job table (truncating a torn tail),
 // and readies the newest segment for appends.
 func Open(dir string, opts Options) (*Journal, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentSize
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	tr := opts.Tracer
 	j := &Journal{
 		dir:           dir,
-		opts:          opts,
 		log:           opts.Logger,
+		segmentBytes:  segmentSize,
 		live:          map[string]*JobRecord{},
 		appends:       tr.Counter("journal/appends_total"),
 		rotations:     tr.Counter("journal/rotations_total"),
@@ -338,9 +332,9 @@ func (j *Journal) Recovered() []JobRecord {
 func (j *Journal) Dir() string { return j.dir }
 
 // Append durably records one event: sealed, written, and fsynced before
-// returning (unless Options.NoSync). The journal.append fault point
-// stands in for a full disk or failing device; callers treat append
-// failure as degraded durability, not unavailability.
+// returning. The journal.append fault point stands in for a full disk or
+// failing device; callers treat append failure as degraded durability,
+// not unavailability.
 func (j *Journal) Append(ev Event) error {
 	if err := faults.Fail("journal.append"); err != nil {
 		return err
@@ -362,15 +356,13 @@ func (j *Journal) Append(ev Event) error {
 	if _, err := j.f.Write(rec); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
-		}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("journal: sync: %w", err)
 	}
 	j.size += int64(len(rec))
 	j.appends.Inc()
 	j.applyLiveLocked(&ev)
-	if j.size >= j.opts.SegmentBytes {
+	if j.size >= j.segmentBytes {
 		if err := j.rotateLocked(); err != nil {
 			return err
 		}
@@ -437,11 +429,9 @@ func (j *Journal) rotateLocked() error {
 			size += int64(len(b))
 		}
 	}
-	if !j.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("journal: rotate sync: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("journal: rotate sync: %w", err)
 	}
 	if err := syncDir(j.dir); err != nil {
 		f.Close()
@@ -468,9 +458,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if !j.opts.NoSync {
-		j.f.Sync()
-	}
+	j.f.Sync()
 	return j.f.Close()
 }
 

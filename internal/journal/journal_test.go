@@ -14,7 +14,7 @@ import (
 
 func openT(t *testing.T, dir string) *Journal {
 	t.Helper()
-	j, err := Open(dir, Options{NoSync: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +191,11 @@ func TestCorruptMidFileStopsSegment(t *testing.T) {
 // only the live jobs replay and older segments are gone.
 func TestRotationCompacts(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true, SegmentBytes: 2048})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.segmentBytes = 2048 // rotate many times in a short test
 	// One long-lived running job that every rotation must carry forward.
 	j.Append(Event{Type: EventSubmitted, JobID: "live", Kind: "flow", Body: []byte(`{"bench":"c17"}`)})
 	j.Append(Event{Type: EventStarted, JobID: "live"})
@@ -276,7 +277,7 @@ func TestReplayDeterminism(t *testing.T) {
 		defer faults.Disarm()
 		// Open truncates the torn tail on the first replay; later replays
 		// see the already-clean file. Both must yield the same table.
-		jr, err := Open(dir, Options{NoSync: true})
+		jr, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,10 +334,11 @@ func TestAppendFaultPoint(t *testing.T) {
 // workers and the HTTP submit path interleave in production) under -race.
 func TestConcurrentAppend(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true, SegmentBytes: 8 << 10})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.segmentBytes = 8 << 10 // rotate many times in a short test
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

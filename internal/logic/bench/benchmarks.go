@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/logic/network"
 )
@@ -311,18 +310,4 @@ func ByName(name string) (Benchmark, bool) {
 		}
 	}
 	return Benchmark{}, false
-}
-
-// SuiteNames returns the sorted list of distinct suites.
-func SuiteNames() []string {
-	set := map[string]bool{}
-	for _, b := range Benchmarks {
-		set[b.Suite] = true
-	}
-	var out []string
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

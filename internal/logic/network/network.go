@@ -281,16 +281,6 @@ func (x *XAG) FanIns(n int) (Signal, Signal) {
 	return nd.fi[0], nd.fi[1]
 }
 
-// PIIndex returns the input position of PI node n, or -1.
-func (x *XAG) PIIndex(n int) int {
-	for i, p := range x.pis {
-		if p == n {
-			return i
-		}
-	}
-	return -1
-}
-
 // TopoOrder returns all node indices in a topological order (fan-ins before
 // fan-outs). Constants and PIs come first. Nodes not in the transitive
 // fan-in of any PO are still included.

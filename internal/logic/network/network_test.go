@@ -290,11 +290,8 @@ func TestPIIndex(t *testing.T) {
 	x := New()
 	a := x.NewPI("a")
 	b := x.NewPI("b")
-	if x.PIIndex(a.Node()) != 0 || x.PIIndex(b.Node()) != 1 {
-		t.Error("PIIndex wrong")
-	}
-	if x.PIIndex(0) != -1 {
-		t.Error("PIIndex of constant must be -1")
+	if x.PI(0) != a || x.PI(1) != b {
+		t.Error("PI order wrong")
 	}
 	if x.PIName(0) != "a" || x.PIName(1) != "b" {
 		t.Error("PI names wrong")

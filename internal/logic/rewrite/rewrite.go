@@ -18,34 +18,19 @@ import (
 	"repro/internal/logic/tt"
 )
 
+// The cut parameters match the exact NPN database, which covers every
+// function of up to four inputs.
+const (
+	cutSize       = 4  // maximum number of cut leaves
+	cutsPerNode   = 8  // cuts kept per node
+	maxIterations = 50 // bound on the greedy replacement loop
+)
+
 // Options tunes the rewriting loop.
 type Options struct {
-	// CutSize is the maximum number of cut leaves (default 4).
-	CutSize int
-	// CutsPerNode bounds the cut set kept per node (default 8).
-	CutsPerNode int
-	// MaxIterations bounds the greedy replacement loop (default 50).
-	MaxIterations int
 	// DB is the exact NPN database; nil allocates one over the generated
 	// table (a database only tracks which classes it has served).
 	DB *npn.Database
-}
-
-// withDefaults fills unset option fields.
-func (o Options) withDefaults() Options {
-	if o.CutSize == 0 {
-		o.CutSize = 4
-	}
-	if o.CutsPerNode == 0 {
-		o.CutsPerNode = 8
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 50
-	}
-	if o.DB == nil {
-		o.DB = npn.NewDatabase(nil)
-	}
-	return o
 }
 
 // Rewrite returns a functionally equivalent network with equal or smaller
@@ -60,10 +45,13 @@ func Rewrite(x *network.XAG, opts Options) *network.XAG {
 // and returns the context's error. A nil context behaves like
 // context.Background.
 func RewriteContext(ctx context.Context, x *network.XAG, opts Options) (*network.XAG, error) {
-	o := opts.withDefaults()
+	db := opts.DB
+	if db == nil {
+		db = npn.NewDatabase(nil)
+	}
 	cur := x.Cleanup()
-	for iter := 0; iter < o.MaxIterations; iter++ {
-		improved, next, err := rewriteOnce(ctx, cur, o)
+	for iter := 0; iter < maxIterations; iter++ {
+		improved, next, err := rewriteOnce(ctx, cur, db)
 		if err != nil {
 			return cur, err
 		}
@@ -118,8 +106,8 @@ func dominates(a, b cut) bool {
 	return true
 }
 
-// enumerateCuts computes up to o.CutsPerNode k-feasible cuts per node.
-func enumerateCuts(x *network.XAG, o Options) [][]cut {
+// enumerateCuts computes up to cutsPerNode cutSize-feasible cuts per node.
+func enumerateCuts(x *network.XAG) [][]cut {
 	cuts := make([][]cut, x.NumNodes())
 	cuts[0] = []cut{{0}}
 	for n := 1; n < x.NumNodes(); n++ {
@@ -131,7 +119,7 @@ func enumerateCuts(x *network.XAG, o Options) [][]cut {
 			var set []cut
 			for _, ca := range cuts[a.Node()] {
 				for _, cb := range cuts[b.Node()] {
-					m, ok := mergeCuts(ca, cb, o.CutSize)
+					m, ok := mergeCuts(ca, cb, cutSize)
 					if !ok {
 						continue
 					}
@@ -140,7 +128,7 @@ func enumerateCuts(x *network.XAG, o Options) [][]cut {
 			}
 			// Always include the trivial cut.
 			set = append(set, cut{n})
-			set = filterCuts(set, o.CutsPerNode)
+			set = filterCuts(set, cutsPerNode)
 			cuts[n] = set
 		}
 	}
@@ -269,8 +257,8 @@ type candidate struct {
 
 // rewriteOnce finds the best replacement candidate and applies it by
 // reconstruction. It reports whether the network shrank.
-func rewriteOnce(ctx context.Context, x *network.XAG, o Options) (bool, *network.XAG, error) {
-	cuts := enumerateCuts(x, o)
+func rewriteOnce(ctx context.Context, x *network.XAG, db *npn.Database) (bool, *network.XAG, error) {
+	cuts := enumerateCuts(x)
 	fanout := x.FanoutCounts()
 	poll := ctx != nil && ctx.Done() != nil
 	var best *candidate
@@ -290,7 +278,7 @@ func rewriteOnce(ctx context.Context, x *network.XAG, o Options) (bool, *network
 			if !ok {
 				continue
 			}
-			st, ok := o.DB.Lookup(f)
+			st, ok := db.Lookup(f)
 			if !ok {
 				continue
 			}

@@ -130,12 +130,11 @@ func TestCutEnumerationProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{}.withDefaults()
-	cuts := enumerateCuts(x, o)
+	cuts := enumerateCuts(x)
 	for n := 1; n < x.NumNodes(); n++ {
 		for _, c := range cuts[n] {
-			if len(c) > o.CutSize {
-				t.Fatalf("node %d: cut %v exceeds size %d", n, c, o.CutSize)
+			if len(c) > cutSize {
+				t.Fatalf("node %d: cut %v exceeds size %d", n, c, cutSize)
 			}
 			for i := 1; i < len(c); i++ {
 				if c[i-1] >= c[i] {
@@ -147,7 +146,7 @@ func TestCutEnumerationProperties(t *testing.T) {
 				t.Fatalf("node %d: cut %v is not a valid cut", n, c)
 			}
 		}
-		if len(cuts[n]) > o.CutsPerNode {
+		if len(cuts[n]) > cutsPerNode {
 			t.Fatalf("node %d: %d cuts exceeds limit", n, len(cuts[n]))
 		}
 	}

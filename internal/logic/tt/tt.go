@@ -9,7 +9,6 @@ package tt
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 )
 
@@ -264,15 +263,6 @@ func (t TT) IsConst() (bool, bool) {
 	return false, false
 }
 
-// CountOnes returns the number of minterms of the function.
-func (t TT) CountOnes() int {
-	total := 0
-	for _, w := range t.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
 // Cofactor returns the cofactor of the function with variable v fixed to val.
 // The result keeps the same arity (variable v becomes don't-care).
 func (t TT) Cofactor(v int, val bool) TT {
@@ -309,34 +299,6 @@ func (t TT) Cofactor(v int, val bool) TT {
 // DependsOn reports whether the function depends on variable v.
 func (t TT) DependsOn(v int) bool {
 	return !t.Cofactor(v, false).Equal(t.Cofactor(v, true))
-}
-
-// SupportSize returns the number of variables the function depends on.
-func (t TT) SupportSize() int {
-	n := 0
-	for v := 0; v < t.n; v++ {
-		if t.DependsOn(v) {
-			n++
-		}
-	}
-	return n
-}
-
-// SwapAdjacent returns the table with variables v and v+1 exchanged.
-func (t TT) SwapAdjacent(v int) TT {
-	if v < 0 || v+1 >= t.n {
-		panic(fmt.Sprintf("tt: cannot swap variables %d and %d of %d", v, v+1, t.n))
-	}
-	out := New(t.n)
-	for i := 0; i < t.Bits(); i++ {
-		bi := (i >> v) & 1
-		bj := (i >> (v + 1)) & 1
-		j := i &^ (1<<v | 1<<(v+1))
-		j |= bj << v
-		j |= bi << (v + 1)
-		out.Set(j, t.Get(i))
-	}
-	return out
 }
 
 // Permute returns the table with inputs permuted: new variable i reads the

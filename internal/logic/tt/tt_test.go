@@ -74,9 +74,6 @@ func TestMajority3(t *testing.T) {
 	if maj.Hex() != "e8" {
 		t.Errorf("MAJ3 = %s, want e8", maj.Hex())
 	}
-	if maj.CountOnes() != 4 {
-		t.Errorf("MAJ3 minterms = %d", maj.CountOnes())
-	}
 }
 
 func TestDeMorganProperty(t *testing.T) {
@@ -170,32 +167,6 @@ func TestDependsOnAndSupport(t *testing.T) {
 	if !f.DependsOn(0) || f.DependsOn(1) || !f.DependsOn(2) {
 		t.Error("DependsOn wrong for a xor c")
 	}
-	if f.SupportSize() != 2 {
-		t.Errorf("SupportSize = %d, want 2", f.SupportSize())
-	}
-}
-
-func TestSwapAdjacent(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		n := 3 + rng.Intn(4)
-		f := randomTT(rng, n)
-		for v := 0; v+1 < n; v++ {
-			g := f.SwapAdjacent(v)
-			// Swapping twice is identity.
-			if !g.SwapAdjacent(v).Equal(f) {
-				t.Fatalf("SwapAdjacent not involutive n=%d v=%d", n, v)
-			}
-			// Point check: evaluating g on swapped inputs equals f.
-			for i := 0; i < f.Bits(); i++ {
-				bi, bj := (i>>v)&1, (i>>(v+1))&1
-				j := i&^(1<<v|1<<(v+1)) | bj<<v | bi<<(v+1)
-				if g.Get(j) != f.Get(i) {
-					t.Fatalf("SwapAdjacent semantics broken")
-				}
-			}
-		}
-	}
 }
 
 func TestPermuteIdentityAndInverse(t *testing.T) {
@@ -281,13 +252,6 @@ func TestEval(t *testing.T) {
 		if maj.Eval(in) != want {
 			t.Errorf("MAJ3(%03b) = %v, want %v", in, maj.Eval(in), want)
 		}
-	}
-}
-
-func TestCountOnesMultiWord(t *testing.T) {
-	f := Var(8, 7)
-	if got := f.CountOnes(); got != 128 {
-		t.Errorf("Var(8,7) ones = %d, want 128", got)
 	}
 }
 

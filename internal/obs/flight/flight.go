@@ -6,10 +6,10 @@
 // classifies every finished trace by outcome:
 //
 //   - error: failed, canceled, or degraded work — always admitted;
-//   - slow: successful but at or above the SlowQuantile of recent OK
+//   - slow: successful but at or above the 90th percentile of recent OK
 //     latencies — always admitted;
-//   - sampled: fast and successful — admitted once every SampleEvery
-//     traces (deterministic, not random, so tests and replays agree).
+//   - sampled: fast and successful — admitted once every 16 traces
+//     (deterministic, not random, so tests and replays agree).
 //
 // Each class has its own ring, so a flood of fast-OK traffic can never
 // evict a retained panic trace; a ring only evicts its own oldest entry.
@@ -48,54 +48,25 @@ type Trace struct {
 	Report    *obs.RunReport `json:"trace,omitempty"`
 }
 
-// Options tunes a Recorder. The zero value is usable: every field
-// defaults to the documented value.
-type Options struct {
-	// ErrorCapacity / SlowCapacity / SampleCapacity bound the per-class
-	// rings (defaults 256 / 128 / 64).
-	ErrorCapacity  int
-	SlowCapacity   int
-	SampleCapacity int
-	// SampleEvery admits every Nth fast-OK trace (default 16; 1 keeps all).
-	SampleEvery int
-	// SlowQuantile is the recent-OK-latency quantile at or above which a
-	// successful trace is always retained (default 0.90).
-	SlowQuantile float64
-	// Warmup is the number of OK traces admitted unconditionally before
-	// the slow threshold has enough samples to mean anything (default 16).
-	Warmup int
-	// WindowSize is the number of recent OK latencies the slow threshold
-	// is computed over (default 256).
-	WindowSize int
-	// Tracer receives flight_admitted_total / flight_dropped_total /
-	// flight_evicted_total counters and flight_retained gauges (nil-safe).
-	Tracer *obs.Tracer
-}
-
-func (o Options) withDefaults() Options {
-	if o.ErrorCapacity <= 0 {
-		o.ErrorCapacity = 256
-	}
-	if o.SlowCapacity <= 0 {
-		o.SlowCapacity = 128
-	}
-	if o.SampleCapacity <= 0 {
-		o.SampleCapacity = 64
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 16
-	}
-	if o.SlowQuantile <= 0 || o.SlowQuantile >= 1 {
-		o.SlowQuantile = 0.90
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = 16
-	}
-	if o.WindowSize <= 0 {
-		o.WindowSize = 256
-	}
-	return o
-}
+// Retention policy.
+const (
+	// errorCapacity, slowCapacity and sampleCapacity bound the per-class
+	// rings.
+	errorCapacity  = 256
+	slowCapacity   = 128
+	sampleCapacity = 64
+	// sampleEvery admits every Nth fast-OK trace.
+	sampleEvery = 16
+	// slowQuantile is the recent-OK-latency quantile at or above which a
+	// successful trace is always retained.
+	slowQuantile = 0.90
+	// warmup is the number of OK traces admitted unconditionally before
+	// the slow threshold has enough samples to mean anything.
+	warmup = 16
+	// windowSize is the number of recent OK latencies the slow threshold
+	// is computed over.
+	windowSize = 256
+)
 
 // ring is a fixed-capacity FIFO of traces; pushing over capacity evicts
 // the oldest entry and returns it.
@@ -118,7 +89,7 @@ func (r *ring) push(t *Trace) (evicted *Trace) {
 
 // Recorder is the flight recorder. Safe for concurrent use.
 type Recorder struct {
-	opts Options
+	tr *obs.Tracer
 
 	mu       sync.Mutex
 	rings    map[Class]*ring
@@ -132,19 +103,20 @@ type Recorder struct {
 	evicted  int64
 }
 
-// NewRecorder builds a recorder with the given options.
-func NewRecorder(opts Options) *Recorder {
-	o := opts.withDefaults()
+// NewRecorder builds a recorder. tr receives flight_admitted_total /
+// flight_dropped_total / flight_evicted_total counters and flight_retained
+// gauges; nil disables them.
+func NewRecorder(tr *obs.Tracer) *Recorder {
 	return &Recorder{
-		opts: o,
+		tr: tr,
 		rings: map[Class]*ring{
-			ClassError:   {buf: make([]*Trace, o.ErrorCapacity)},
-			ClassSlow:    {buf: make([]*Trace, o.SlowCapacity)},
-			ClassSampled: {buf: make([]*Trace, o.SampleCapacity)},
+			ClassError:   {buf: make([]*Trace, errorCapacity)},
+			ClassSlow:    {buf: make([]*Trace, slowCapacity)},
+			ClassSampled: {buf: make([]*Trace, sampleCapacity)},
 		},
 		byID:     map[string]*Trace{},
 		byReq:    map[string]*Trace{},
-		okWindow: obs.NewRollingWindow(o.WindowSize),
+		okWindow: obs.NewRollingWindow(windowSize),
 		admitted: map[Class]int64{},
 	}
 }
@@ -156,7 +128,7 @@ func (r *Recorder) Record(t Trace) Class {
 	if r == nil {
 		return ""
 	}
-	tr := r.opts.Tracer
+	tr := r.tr
 	r.mu.Lock()
 	class := r.classifyLocked(&t)
 	if class == "" {
@@ -217,8 +189,8 @@ func (r *Recorder) classifyLocked(t *Trace) Class {
 	}
 	// Threshold from the window as it was BEFORE this trace, so a trace
 	// never competes against itself.
-	threshold := r.okWindow.Quantile(r.opts.SlowQuantile)
-	warm := r.okSeen >= int64(r.opts.Warmup)
+	threshold := r.okWindow.Quantile(slowQuantile)
+	warm := r.okSeen >= warmup
 	r.okWindow.Observe(t.Seconds, false)
 	r.okSeen++
 	if warm && threshold > 0 && t.Seconds >= threshold {
@@ -228,7 +200,7 @@ func (r *Recorder) classifyLocked(t *Trace) Class {
 		return ClassSampled // everything is interesting until we can rank
 	}
 	r.fastSeen++
-	if r.fastSeen%int64(r.opts.SampleEvery) == 0 {
+	if r.fastSeen%sampleEvery == 0 {
 		return ClassSampled
 	}
 	return ""
@@ -304,9 +276,9 @@ func (r *Recorder) Summary() Summary {
 		Admitted:             map[Class]int64{},
 		Dropped:              r.dropped,
 		Evicted:              r.evicted,
-		SampleEvery:          r.opts.SampleEvery,
-		SlowQuantile:         r.opts.SlowQuantile,
-		SlowThresholdSeconds: r.okWindow.Quantile(r.opts.SlowQuantile),
+		SampleEvery:          sampleEvery,
+		SlowQuantile:         slowQuantile,
+		SlowThresholdSeconds: r.okWindow.Quantile(slowQuantile),
 	}
 	for c, rg := range r.rings {
 		s.Retained[c] = rg.size

@@ -22,7 +22,7 @@ func errTrace(id string) Trace {
 // checks that every error trace stays retrievable: error traces live in
 // their own ring and sampled traffic can never evict them.
 func TestErrorsAlwaysKept(t *testing.T) {
-	r := NewRecorder(Options{Tracer: obs.New()})
+	r := NewRecorder(obs.New())
 	errIDs := make([]string, 0, 50)
 	for i := 0; i < 50; i++ {
 		id := fmt.Sprintf("err-%d", i)
@@ -46,7 +46,7 @@ func TestErrorsAlwaysKept(t *testing.T) {
 }
 
 func TestDegradedIsErrorClass(t *testing.T) {
-	r := NewRecorder(Options{})
+	r := NewRecorder(nil)
 	tr := Trace{ID: "deg-1", Kind: "flow", State: "done", Degraded: true, Seconds: 0.5}
 	if got := r.Record(tr); got != ClassError {
 		t.Fatalf("degraded trace class = %q, want error", got)
@@ -54,17 +54,17 @@ func TestDegradedIsErrorClass(t *testing.T) {
 }
 
 // TestSamplingCadence verifies the deterministic fast-OK cadence: after
-// warmup, exactly every SampleEvery-th fast trace is admitted.
+// the 16-trace warmup, exactly every 16th fast trace is admitted.
 func TestSamplingCadence(t *testing.T) {
-	r := NewRecorder(Options{Warmup: 4, SampleEvery: 8, WindowSize: 1024})
+	r := NewRecorder(nil)
 	// Warmup traces are all admitted as sampled.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < warmup; i++ {
 		if got := r.Record(okTrace(fmt.Sprintf("warm-%d", i), 0.001)); got != ClassSampled {
 			t.Fatalf("warmup trace %d class = %q, want sampled", i, got)
 		}
 	}
 	kept := 0
-	for i := 0; i < 80; i++ {
+	for i := 0; i < 160; i++ {
 		// Strictly decreasing latencies: each trace is faster than every
 		// prior one, so it is always below the recent-OK p90 (the slow
 		// comparison is >=, so a constant latency would read as slow once
@@ -77,14 +77,17 @@ func TestSamplingCadence(t *testing.T) {
 		}
 	}
 	if kept != 10 {
-		t.Fatalf("kept %d of 80 fast traces with SampleEvery=8, want 10", kept)
+		t.Fatalf("kept %d of 160 fast traces, want 10 (1 in %d)", kept, sampleEvery)
+	}
+	if s := r.Summary(); s.SampleEvery != 16 || s.SlowQuantile != 0.90 {
+		t.Fatalf("Summary reports sample_every %d, slow_quantile %v; want 16, 0.9", s.SampleEvery, s.SlowQuantile)
 	}
 }
 
 // TestSlowAlwaysKept checks that a trace at or above the recent-OK p90
 // is retained regardless of the sampling cadence.
 func TestSlowAlwaysKept(t *testing.T) {
-	r := NewRecorder(Options{Warmup: 4, SampleEvery: 1000000, WindowSize: 1024})
+	r := NewRecorder(nil)
 	for i := 0; i < 20; i++ {
 		r.Record(okTrace(fmt.Sprintf("base-%d", i), 0.001))
 	}
@@ -96,34 +99,35 @@ func TestSlowAlwaysKept(t *testing.T) {
 	}
 }
 
-// TestEvictionUpdatesByID fills a tiny error ring past capacity and
+// TestEvictionUpdatesByID fills the error ring past its 256 entries and
 // checks evicted ids 404 while the newest stay retrievable.
 func TestEvictionUpdatesByID(t *testing.T) {
-	r := NewRecorder(Options{ErrorCapacity: 4})
-	for i := 0; i < 10; i++ {
+	r := NewRecorder(nil)
+	const n = 262
+	for i := 0; i < n; i++ {
 		r.Record(errTrace(fmt.Sprintf("e-%d", i)))
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < n-256; i++ {
 		if _, ok := r.Get(fmt.Sprintf("e-%d", i)); ok {
 			t.Fatalf("e-%d should have been evicted", i)
 		}
 	}
-	for i := 6; i < 10; i++ {
+	for i := n - 256; i < n; i++ {
 		if _, ok := r.Get(fmt.Sprintf("e-%d", i)); !ok {
 			t.Fatalf("e-%d should be retained", i)
 		}
 	}
 	s := r.Summary()
-	if s.Evicted != 6 {
-		t.Fatalf("Summary.Evicted = %d, want 6", s.Evicted)
+	if s.Evicted != n-256 {
+		t.Fatalf("Summary.Evicted = %d, want %d", s.Evicted, n-256)
 	}
-	if s.Retained[ClassError] != 4 {
-		t.Fatalf("Summary.Retained[error] = %d, want 4", s.Retained[ClassError])
+	if s.Retained[ClassError] != 256 || s.Capacity[ClassError] != 256 {
+		t.Fatalf("Summary error ring = %d of %d, want 256 of 256", s.Retained[ClassError], s.Capacity[ClassError])
 	}
 }
 
 func TestGetReturnsCopy(t *testing.T) {
-	r := NewRecorder(Options{})
+	r := NewRecorder(nil)
 	r.Record(errTrace("orig"))
 	got, ok := r.Get("orig")
 	if !ok {
@@ -137,7 +141,7 @@ func TestGetReturnsCopy(t *testing.T) {
 }
 
 func TestSummaryNewestFirst(t *testing.T) {
-	r := NewRecorder(Options{})
+	r := NewRecorder(nil)
 	base := time.Unix(1700000000, 0)
 	for i := 0; i < 5; i++ {
 		tr := errTrace(fmt.Sprintf("s-%d", i))
@@ -174,7 +178,7 @@ func TestNilRecorderNoOps(t *testing.T) {
 // TestRecorderConcurrent hammers Record/Get/Summary from many
 // goroutines; run under -race it proves the locking.
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(Options{Tracer: obs.New(), ErrorCapacity: 32, SampleCapacity: 16, SlowCapacity: 16})
+	r := NewRecorder(obs.New())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -205,8 +209,8 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	s := r.Summary()
-	if s.Retained[ClassError] != 32 {
-		t.Fatalf("error ring retained %d, want full 32", s.Retained[ClassError])
+	if s.Retained[ClassError] != errorCapacity {
+		t.Fatalf("error ring retained %d, want full %d", s.Retained[ClassError], errorCapacity)
 	}
 	if len(s.Traces) != s.Retained[ClassError]+s.Retained[ClassSlow]+s.Retained[ClassSampled] {
 		t.Fatalf("Summary trace count %d != sum of retained %v", len(s.Traces), s.Retained)

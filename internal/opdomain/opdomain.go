@@ -75,8 +75,6 @@ func (d *Domain) OperationalFraction() float64 {
 
 // Options tunes a sweep evaluation.
 type Options struct {
-	// Workers bounds the evaluation worker pool; <= 0 uses GOMAXPROCS.
-	Workers int
 	// Solver names the sim ground-state solver used per parameter point
 	// ("" = automatic dispatch; see sim.SolverNames).
 	Solver string
@@ -91,7 +89,7 @@ func Analyze(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep) *Domain 
 	return dom
 }
 
-// AnalyzeOpts is Analyze with an explicit worker pool size and solver
+// AnalyzeOpts is Analyze with an explicit solver choice and tracer.
 // choice. Parameter points are evaluated concurrently by a bounded worker
 // pool, but the result ordering is deterministic: points appear in
 // row-major grid order (μ_ outer, ε_r inner) regardless of scheduling. It
@@ -111,11 +109,11 @@ func AnalyzeOpts(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep, opts
 	dom := &Domain{Design: d.Name, Points: make([]Point, len(grid))}
 	// Background is never done, so Run returns nil. A point's panic is
 	// re-raised here, on the caller's goroutine.
-	_ = pool.Run(context.Background(), len(grid), opts.Workers, "opdomain.point.panic", func(_, i int) {
+	_ = pool.Run(context.Background(), len(grid), 0, "opdomain.point.panic", func(_, i int) {
 		dom.Points[i] = evaluatePoint(d, truth, grid[i], opts)
 	})
 	opts.Tracer.Counter("opdomain/points").Add(int64(len(grid)))
-	opts.Tracer.Gauge("opdomain/last_workers").Set(float64(pool.Size(len(grid), opts.Workers)))
+	opts.Tracer.Gauge("opdomain/last_workers").Set(float64(pool.Size(len(grid), 0)))
 	return dom, nil
 }
 

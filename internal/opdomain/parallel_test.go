@@ -2,6 +2,7 @@ package opdomain
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -9,8 +10,8 @@ import (
 )
 
 // TestParallelMatchesSerial pins down the sweep's determinism guarantee:
-// the same grid evaluated by one worker and by many workers must produce
-// byte-identical points in the same row-major order.
+// the same grid evaluated by one worker (GOMAXPROCS 1) and by many workers
+// must produce byte-identical points in the same row-major order.
 func TestParallelMatchesSerial(t *testing.T) {
 	d := wireVariant(t)
 	truth := func(i uint32) uint32 { return i }
@@ -19,17 +20,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 		EpsMin: 5.2, EpsMax: 6.0, EpsSteps: 3,
 		LambdaTF: 5,
 	}
-	serial, err := AnalyzeOpts(d, truth, sweep, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := AnalyzeOpts(d, truth, sweep, Options{Workers: workers})
+	analyze := func(procs int) *Domain {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		dom, err := AnalyzeOpts(d, truth, sweep, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial.Points, par.Points) {
-			t.Errorf("workers=%d: points differ from serial evaluation", workers)
+		return dom
+	}
+	serial := analyze(1)
+	for _, procs := range []int{2, 4, 8} {
+		if par := analyze(procs); !reflect.DeepEqual(serial.Points, par.Points) {
+			t.Errorf("GOMAXPROCS=%d: points differ from serial evaluation", procs)
 		}
 	}
 }
@@ -75,7 +77,7 @@ func TestSweepMetrics(t *testing.T) {
 		EpsMin: 5.5, EpsMax: 5.7, EpsSteps: 2,
 		LambdaTF: 5,
 	}
-	if _, err := AnalyzeOpts(d, func(i uint32) uint32 { return i }, sweep, Options{Workers: 4, Tracer: tr}); err != nil {
+	if _, err := AnalyzeOpts(d, func(i uint32) uint32 { return i }, sweep, Options{Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
 	rep := tr.Report("sweep")
@@ -101,7 +103,7 @@ func TestPointPanicReachesCaller(t *testing.T) {
 	defer faults.Disarm()
 	r := func() (r any) {
 		defer func() { r = recover() }()
-		_, _ = AnalyzeOpts(d, func(i uint32) uint32 { return i }, sweep, Options{Workers: 2})
+		_, _ = AnalyzeOpts(d, func(i uint32) uint32 { return i }, sweep, Options{})
 		return nil
 	}()
 	if r != "injected fault: opdomain.point.panic" {

@@ -22,9 +22,6 @@ type ExactOptions struct {
 	// MaxArea bounds the explored grid areas (w*h tiles); 0 uses a default
 	// derived from the network size.
 	MaxArea int
-	// MaxWidth/MaxHeight bound the aspect ratios; 0 means unbounded (up to
-	// MaxArea).
-	MaxWidth, MaxHeight int
 	// ConflictBudget bounds each SAT call; 0 uses a default. When a call is
 	// cut off the size is skipped, so the result may lose minimality but
 	// stays correct.
@@ -93,18 +90,9 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 	}
 
 	var cands []dims
-	maxW, maxH := o.MaxWidth, o.MaxHeight
-	if maxW == 0 {
-		maxW = o.MaxArea
-	}
-	if maxH == 0 {
-		maxH = o.MaxArea
-	}
-	for w := minW; w <= maxW; w++ {
-		for h := minH; h <= maxH; h++ {
-			if w*h <= o.MaxArea {
-				cands = append(cands, dims{w, h})
-			}
+	for w := minW; w*minH <= o.MaxArea; w++ {
+		for h := minH; w*h <= o.MaxArea; h++ {
+			cands = append(cands, dims{w, h})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/cluster/overview"
 	"repro/internal/obs"
 )
 
@@ -56,14 +57,23 @@ func (a *admission) observe(runSeconds float64) {
 	a.mu.Unlock()
 }
 
-// utilization returns (queued + running) / (queue capacity + workers) —
-// 1.0 means every worker busy and every queue slot full.
-func (s *Server) utilization() float64 {
-	cap := s.cfg.QueueDepth + s.cfg.Workers
-	if cap <= 0 {
-		return 0
+// saturation reads the queue once, so the depth, the running count, the
+// utilization and the shed classes it reports describe the same instant.
+// Utilization is (queued + running) / (queue capacity + workers): 1.0
+// means every worker busy and every queue slot full.
+func (s *Server) saturation() overview.Saturation {
+	sat := overview.Saturation{
+		QueueDepth:    s.queue.Depth(),
+		QueueCapacity: s.cfg.QueueDepth,
+		JobsRunning:   s.queue.Running(),
+		Workers:       s.cfg.Workers,
+		InFlight:      s.inFlight.Load(),
 	}
-	return float64(s.queue.Depth()+s.queue.Running()) / float64(cap)
+	if cap := sat.QueueCapacity + sat.Workers; cap > 0 {
+		sat.Utilization = float64(sat.QueueDepth+sat.JobsRunning) / float64(cap)
+	}
+	sat.Shedding = sheddingClasses(sat.Utilization)
+	return sat
 }
 
 // sheddingClasses lists the cost classes currently being shed at
@@ -119,7 +129,7 @@ func (s *Server) retryAfterSeconds() int {
 // 429, error kind "shed", and an honest Retry-After. Returns false when
 // the request was shed (response already written).
 func (s *Server) admit(w http.ResponseWriter, class string) bool {
-	u := s.utilization()
+	u := s.saturation().Utilization
 	s.admission.util.Set(u)
 	if u < shedThreshold(class) {
 		return true

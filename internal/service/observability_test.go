@@ -232,6 +232,63 @@ func TestHealthzDraining(t *testing.T) {
 	}
 }
 
+// TestHealthzSaturationOneReading parks one running and one queued job
+// and checks that /healthz reports one reading of the queue: the top-level
+// depth and running count equal the saturation block's, and utilization
+// is (depth + running) / (capacity + workers) of that same block.
+func TestHealthzSaturationOneReading(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 3})
+	release := make(chan struct{})
+	defer close(release)
+	j1, err := s.Queue().Submit("park", 0, blockingJob(release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j1, JobRunning)
+	if _, err := s.Queue().Submit("park", 0, blockingJob(release)); err != nil {
+		t.Fatal(err)
+	}
+	waitDepth(t, s, 1)
+	r, b := getURL(t, ts.URL+"/healthz")
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %d %s", r.StatusCode, b)
+	}
+	var hz struct {
+		QueueDepth  int                        `json:"queue_depth"`
+		JobsRunning int                        `json:"jobs_running"`
+		Saturation  map[string]json.RawMessage `json:"saturation"`
+	}
+	if err := json.Unmarshal(b, &hz); err != nil {
+		t.Fatal(err)
+	}
+	num := func(key string) float64 {
+		t.Helper()
+		raw, ok := hz.Saturation[key]
+		if !ok {
+			t.Fatalf("saturation has no %q: %s", key, b)
+		}
+		var v float64
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("saturation %q: %v", key, err)
+		}
+		return v
+	}
+	depth, running := num("queue_depth"), num("jobs_running")
+	if hz.QueueDepth != 1 || hz.JobsRunning != 1 || depth != 1 || running != 1 {
+		t.Fatalf("top level depth/running %d/%d, saturation %v/%v; want 1/1 for both",
+			hz.QueueDepth, hz.JobsRunning, depth, running)
+	}
+	want := (depth + running) / (num("queue_capacity") + num("workers"))
+	if u := num("utilization"); u != want || u != 0.5 {
+		t.Fatalf("utilization %v; want (depth+running)/(capacity+workers) = %v = 0.5", u, want)
+	}
+	for _, key := range []string{"in_flight", "shedding"} {
+		if _, ok := hz.Saturation[key]; !ok {
+			t.Errorf("saturation has no %q: %s", key, b)
+		}
+	}
+}
+
 // TestHealthzLatencySnapshot checks the lifetime and rolling-window
 // latency fields appear once requests have flowed.
 func TestHealthzLatencySnapshot(t *testing.T) {

@@ -198,7 +198,7 @@ func New(cfg Config) (*Server, error) {
 		},
 	}
 	s.slo = slo.New(defaultObjectives(), cfg.SLOWindows...)
-	s.flight = flight.NewRecorder(flight.Options{Tracer: s.tr})
+	s.flight = flight.NewRecorder(s.tr)
 	s.lru.Instrument(s.tr, "cache/mem")
 	s.tiers = &cache.Tiers{Mem: s.lru}
 	if cfg.CacheDir != "" {
@@ -1419,14 +1419,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		obsCount += c
 	}
 	win := s.window.Snapshot()
-	u := s.utilization()
+	sat := s.saturation()
 	out := map[string]any{
 		"ok":             !draining,
 		"draining":       draining,
 		"uptime_seconds": time.Since(s.started).Seconds(),
-		"workers":        s.cfg.Workers,
-		"queue_depth":    s.queue.Depth(),
-		"jobs_running":   s.queue.Running(),
+		"workers":        sat.Workers,
+		"queue_depth":    sat.QueueDepth,
+		"jobs_running":   sat.JobsRunning,
 		"requests": map[string]any{
 			"total":      reqTotal,
 			"errors_5xx": errs5xx,
@@ -1435,14 +1435,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// Saturation is what admission control keys on and what the fleet
 		// bench and load balancers read: how full the queue+workers are
 		// and which cost classes are currently being shed.
+		// The map, not the struct, keeps "shedding" present when empty.
 		"saturation": map[string]any{
-			"queue_depth":    s.queue.Depth(),
-			"queue_capacity": s.cfg.QueueDepth,
-			"jobs_running":   s.queue.Running(),
-			"workers":        s.cfg.Workers,
-			"in_flight":      s.inFlight.Load(),
-			"utilization":    u,
-			"shedding":       sheddingClasses(u),
+			"queue_depth":    sat.QueueDepth,
+			"queue_capacity": sat.QueueCapacity,
+			"jobs_running":   sat.JobsRunning,
+			"workers":        sat.Workers,
+			"in_flight":      sat.InFlight,
+			"utilization":    sat.Utilization,
+			"shedding":       sat.Shedding,
 		},
 		"latency": map[string]any{
 			"count":  obsCount,
@@ -1472,23 +1473,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // the overview plane: everything /healthz and /metrics already expose,
 // but in one cheap authenticated round trip for peers.
 func (s *Server) statsSnapshot() overview.Stats {
-	u := s.utilization()
 	st := overview.Stats{
 		Addr:          "self",
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Draining:      s.queue.Draining(),
-		Saturation: overview.Saturation{
-			QueueDepth:    s.queue.Depth(),
-			QueueCapacity: s.cfg.QueueDepth,
-			JobsRunning:   s.queue.Running(),
-			Workers:       s.cfg.Workers,
-			InFlight:      s.inFlight.Load(),
-			Utilization:   u,
-			Shedding:      sheddingClasses(u),
-		},
-		Cache:       map[string]overview.CacheTier{},
-		SLO:         s.slo.Snapshot(),
-		RingMembers: 1,
+		Saturation:    s.saturation(),
+		Cache:         map[string]overview.CacheTier{},
+		SLO:           s.slo.Snapshot(),
+		RingMembers:   1,
 	}
 	if s.node != nil {
 		st.Addr = s.node.Self()

@@ -128,9 +128,6 @@ type BDLPair struct {
 	Bit0, Bit1 lattice.Site
 }
 
-// SeparationNM returns the intra-pair distance.
-func (p BDLPair) SeparationNM() float64 { return lattice.DistanceNM(p.Bit0, p.Bit1) }
-
 // Translate shifts the pair by (dx, dy) cells.
 func (p BDLPair) Translate(dx, dy int) BDLPair {
 	return BDLPair{Bit0: p.Bit0.Translate(dx, dy), Bit1: p.Bit1.Translate(dx, dy)}

@@ -83,11 +83,12 @@ func TestBDLPairStateMissingDots(t *testing.T) {
 
 func TestPairSeparation(t *testing.T) {
 	p := BDLPair{Bit0: lattice.FromCell(0, 0), Bit1: lattice.FromCell(1, 2)}
-	if d := p.SeparationNM(); d < 0.85 || d > 0.87 {
-		t.Errorf("separation = %v, want ~0.859", d)
+	sep := lattice.DistanceNM(p.Bit0, p.Bit1)
+	if sep < 0.85 || sep > 0.87 {
+		t.Errorf("separation = %v, want ~0.859", sep)
 	}
 	q := p.Translate(3, 4)
-	if d := q.SeparationNM() - p.SeparationNM(); d > 1e-9 || d < -1e-9 {
+	if d := lattice.DistanceNM(q.Bit0, q.Bit1) - sep; d > 1e-9 || d < -1e-9 {
 		t.Error("translation changed separation")
 	}
 }

@@ -78,8 +78,8 @@ func TestChargedDefectPerturbs(t *testing.T) {
 	if ep.V[0][2] >= 0 {
 		t.Fatalf("positive defect repulsive: V=%v", ep.V[0][2])
 	}
-	if ep.ChargeScale(2) != -1 || ep.ChargeScale(0) != 1 {
-		t.Fatalf("charge scales wrong: %v %v", ep.ChargeScale(2), ep.ChargeScale(0))
+	if ep.scale[2] != -1 || ep.scale[0] != 1 {
+		t.Fatalf("charge scales wrong: %v %v", ep.scale[2], ep.scale[0])
 	}
 
 	// Neutral defects carry no field: identical energies, but the surface

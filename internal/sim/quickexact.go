@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -64,9 +65,6 @@ const DefaultNodeBudget = 64 << 20
 
 // QuickExactOptions tune the search.
 type QuickExactOptions struct {
-	// Workers sizes the shard worker pool; <= 0 uses GOMAXPROCS. The
-	// shard depth is the least d with 2^d >= 4·Workers, at most 12.
-	Workers int
 	// NodeBudget caps the total visited nodes across all shards; 0 means
 	// unlimited. An exhausted budget aborts with an error.
 	NodeBudget int64
@@ -328,9 +326,9 @@ func (e *Engine) quickExact(opts QuickExactOptions, pin []int8) ([]bool, float64
 // winning assignment (nil when no shard recorded a leaf), merged
 // deterministically, and fills st's pool and pruning statistics.
 func searchShards(opts QuickExactOptions, gen *searcher, st *QuickExactStats) ([]int8, error) {
-	// The shard depth follows the requested pool size, before Size caps it
-	// at the shard count.
-	workers := pool.Size(math.MaxInt, opts.Workers)
+	// The shard depth is the least d with 2^d >= 4·GOMAXPROCS, at most 12:
+	// it follows the pool size before Size caps that at the shard count.
+	workers := runtime.GOMAXPROCS(0)
 	depth := 0
 	for (1<<depth) < 4*workers && depth < 12 {
 		depth++

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -110,8 +111,10 @@ func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	eng := NewEngine(l, ParamsFig5)
 	var cfgs [][]bool
 	var energies []float64
-	for _, w := range []int{1, 1, 4, 8} {
-		gs, en, _, err := eng.QuickExact(QuickExactOptions{Workers: w})
+	for _, procs := range []int{1, 1, 4, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		gs, en, _, err := eng.QuickExact(QuickExactOptions{})
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}

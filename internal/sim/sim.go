@@ -163,15 +163,6 @@ func (e *Engine) NumLayoutDots() int { return e.nlayout }
 // pristine).
 func (e *Engine) Surface() *defects.Surface { return e.surface }
 
-// ChargeScale returns dot i's charge scale: 1 for layout dots, -q for a
-// defect pseudo-dot of charge q·e.
-func (e *Engine) ChargeScale(i int) float64 {
-	if e.scale == nil {
-		return 1
-	}
-	return e.scale[i]
-}
-
 // IsFixed reports whether dot i is pinned to the negative charge state
 // (a perturber).
 func (e *Engine) IsFixed(i int) bool { return e.fixed[i] }
@@ -255,10 +246,9 @@ func (e *Engine) PopulationStable(charged []bool) bool {
 // ExactLimit free dots, exhaustive enumeration if QuickExact fails there,
 // and simulated annealing with deterministic restarts beyond that.
 func (e *Engine) GroundState() ([]bool, float64) {
-	if sol, err := Auto().Solve(e, SolveOptions{}); err == nil {
-		return sol.Charges, sol.EnergyEV
-	}
-	return e.Anneal(DefaultAnnealConfig())
+	// Without a context Auto cannot fail: ExGS backs QuickExact, anneal fails only on ctx.
+	sol, _ := Auto().Solve(e, SolveOptions{})
+	return sol.Charges, sol.EnergyEV
 }
 
 // ExactLimit is the maximum number of free dots for exhaustive search.

@@ -9,7 +9,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"repro/internal/lattice"
@@ -155,10 +154,4 @@ func Read(r io.Reader) (*sidb.Layout, error) {
 // ParseString parses a .sqd document from a string.
 func ParseString(s string) (*sidb.Layout, error) {
 	return Read(strings.NewReader(s))
-}
-
-// FormatCoord renders a site in SiQAD's textual (n, m, l) convention; used
-// in reports.
-func FormatCoord(s lattice.Site) string {
-	return "(" + strconv.Itoa(s.N) + ", " + strconv.Itoa(s.M) + ", " + strconv.Itoa(s.L) + ")"
 }

@@ -70,9 +70,3 @@ func TestReadRejectsGarbage(t *testing.T) {
 		t.Error("garbage must fail to parse")
 	}
 }
-
-func TestFormatCoord(t *testing.T) {
-	if got := FormatCoord(lattice.Site{N: 1, M: 2, L: 1}); got != "(1, 2, 1)" {
-		t.Errorf("FormatCoord = %q", got)
-	}
-}

@@ -76,16 +76,11 @@ func tseitin(s *sat.Solver, x *network.XAG, piLits []sat.Lit) []sat.Lit {
 	return out
 }
 
-// EquivalentNetworks checks two XAGs for combinational equivalence via a
-// SAT miter. The networks must have identical PI/PO counts; PIs correspond
-// by index.
-func EquivalentNetworks(a, b *network.XAG) (Result, error) {
-	return EquivalentNetworksContext(context.Background(), a, b)
-}
-
-// EquivalentNetworksContext is EquivalentNetworks under a context:
-// cancellation or deadline expiry interrupts the miter solve and returns
-// the context's error. A nil context behaves like context.Background.
+// EquivalentNetworksContext checks two XAGs for combinational
+// equivalence via a SAT miter. The networks must have identical PI/PO
+// counts; PIs correspond by index. Cancellation or deadline expiry of ctx
+// interrupts the miter solve and returns the context's error. A nil
+// context behaves like context.Background.
 func EquivalentNetworksContext(ctx context.Context, a, b *network.XAG) (Result, error) {
 	if a.NumPIs() != b.NumPIs() {
 		return Result{}, fmt.Errorf("verify: PI count mismatch: %d vs %d", a.NumPIs(), b.NumPIs())
@@ -134,16 +129,11 @@ func EquivalentNetworksContext(ctx context.Context, a, b *network.XAG) (Result, 
 	}
 }
 
-// EquivalentLayout checks a gate-level layout against its specification:
-// the layout network is extracted and compared with a SAT miter. PI/PO
-// correspondence is positional (layout pins are ordered row-major, matching
-// the placement order produced by the physical design engines).
-func EquivalentLayout(spec *network.XAG, l *gatelayout.Layout) (Result, error) {
-	return EquivalentLayoutContext(context.Background(), spec, l)
-}
-
-// EquivalentLayoutContext is EquivalentLayout under a context (see
-// EquivalentNetworksContext).
+// EquivalentLayoutContext checks a gate-level layout against its
+// specification: the layout network is extracted and compared with a SAT
+// miter under ctx (see EquivalentNetworksContext). PI/PO correspondence is
+// positional (layout pins are ordered row-major, matching the placement
+// order produced by the physical design engines).
 func EquivalentLayoutContext(ctx context.Context, spec *network.XAG, l *gatelayout.Layout) (Result, error) {
 	extracted, err := l.ExtractNetwork()
 	if err != nil {

@@ -18,7 +18,7 @@ func TestEquivalentIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := bench.Load("c17")
-	res, err := EquivalentNetworks(a, b)
+	res, err := EquivalentNetworksContext(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestEquivalentAfterRewrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := rewrite.Rewrite(a, rewrite.Options{})
-		res, err := EquivalentNetworks(a, b)
+		res, err := EquivalentNetworksContext(context.Background(), a, b)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -51,7 +51,7 @@ func TestNotEquivalentDetected(t *testing.T) {
 	b := network.New()
 	x2, y2 := b.NewPI("x"), b.NewPI("y")
 	b.NewPO(b.Or(x2, y2), "f")
-	res, err := EquivalentNetworks(a, b)
+	res, err := EquivalentNetworksContext(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSubtleDifferenceDetected(t *testing.T) {
 	par := b.Xnor(b.Xor(pis[0], pis[1]), b.Xor(pis[2], pis[3]))
 	m := b.And(b.And(pis[0], pis[1]), b.And(pis[2], pis[3]))
 	b.NewPO(b.Xor(par, m), "err")
-	res, err := EquivalentNetworks(a, b)
+	res, err := EquivalentNetworksContext(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestInterfaceMismatchErrors(t *testing.T) {
 	b.NewPI("x")
 	b.NewPI("y")
 	b.NewPO(b.PI(0), "f")
-	if _, err := EquivalentNetworks(a, b); err == nil {
+	if _, err := EquivalentNetworksContext(context.Background(), a, b); err == nil {
 		t.Error("PI mismatch must error")
 	}
 }
@@ -117,7 +117,7 @@ func TestSATAgreesWithExhaustive(t *testing.T) {
 		if b.NumPIs() != a.NumPIs() || b.NumPOs() != a.NumPOs() {
 			continue
 		}
-		res, err := EquivalentNetworks(a, b)
+		res, err := EquivalentNetworksContext(context.Background(), a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestEquivalentLayoutAllBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := EquivalentLayout(x, l)
+		res, err := EquivalentLayoutContext(context.Background(), x, l)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -221,7 +221,7 @@ func TestEquivalentLayoutCatchesCorruption(t *testing.T) {
 	if !corrupted {
 		t.Skip("no 2-input gate tile found to corrupt")
 	}
-	res, err := EquivalentLayout(x, l)
+	res, err := EquivalentLayoutContext(context.Background(), x, l)
 	if err != nil {
 		t.Fatal(err)
 	}
