@@ -15,9 +15,12 @@ test:
 # instrumented annealer and SAT race coverage while skipping the hour-long
 # exhaustive sweeps). The next runs are race runs of the fan-outs that share
 # internal/pool: the pool's own tests, the sharded QuickExact search (and
-# the pinned searches of the degeneracy gap, one per key), the annealer's
-# parallel restarts (its parent-generated golden, one-vs-two-worker
-# agreement and allocations), the parallel operational-domain sweep
+# the pinned searches of the degeneracy gap, one per key), gate validation
+# (the gap's searches carry out the ground configuration its outputs are
+# read from: the validation golden, the degenerate fallback and a
+# cancelled validation), the annealer's parallel restarts (its
+# parent-generated golden, one-vs-two-worker agreement and allocations),
+# the parallel operational-domain sweep
 # (including its re-raised point panic) and the parallel defect sweep, all
 # through their full (non-short) tests, together with concurrent anneals
 # on one shared engine, concurrent exact
@@ -40,6 +43,7 @@ check:
 	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestAnnealConcurrent|TestAnnealGolden|TestAnnealWorkersAgree|TestAnnealParallelAllocs|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
 		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
+	$(GO) test -race -run 'TestValidateGolden|TestValidateDegenerateFallback|TestValidateCanceled' ./internal/gatelib
 	cd cmd/bench && $(GO) test .
 
 # race runs the complete suite under the race detector (slow).

@@ -197,20 +197,6 @@ func (s *Surface) Charged() []Defect {
 	return out
 }
 
-// Translate returns a copy of the surface shifted by dx cells
-// horizontally and dy sub-rows vertically (the inverse shift maps global
-// defects into a tile-local frame). A nil or empty surface returns nil.
-func (s *Surface) Translate(dx, dy int) *Surface {
-	if s.Len() == 0 {
-		return nil
-	}
-	out := New()
-	for site, t := range s.m {
-		out.m[site.Translate(dx, dy)] = t
-	}
-	return out
-}
-
 // Blocks reports whether fabricating a dot at the site would fall inside
 // some defect's exclusion zone, returning the offending defect.
 func (s *Surface) Blocks(site lattice.Site) (Defect, bool) {

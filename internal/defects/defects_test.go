@@ -69,7 +69,7 @@ func TestJSONRoundTrip(t *testing.T) {
 // TestNilSurface: the nil pointer behaves as a pristine surface.
 func TestNilSurface(t *testing.T) {
 	var s *Surface
-	if !s.Empty() || s.Len() != 0 || s.List() != nil || s.Translate(1, 1) != nil {
+	if !s.Empty() || s.Len() != 0 || s.List() != nil {
 		t.Fatal("nil surface not pristine")
 	}
 	if _, blocked := s.Blocks(lattice.FromCell(0, 0)); blocked {
@@ -92,17 +92,6 @@ func TestBlocksRadius(t *testing.T) {
 	}
 	if _, blocked := s.Blocks(lattice.FromCell(20, 10)); blocked {
 		t.Fatal("site 3.84 nm away blocked by 0.9 nm exclusion")
-	}
-}
-
-// TestTranslate shifts defects with the same cell semantics as
-// lattice.Site.Translate.
-func TestTranslate(t *testing.T) {
-	s := New()
-	s.AddCell(5, 3, Arsenic)
-	got := s.Translate(-5, -3).List()
-	if len(got) != 1 || got[0].Site != lattice.FromCell(0, 0) || got[0].Type != Arsenic {
-		t.Fatalf("translate wrong: %+v", got)
 	}
 }
 

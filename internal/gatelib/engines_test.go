@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/defects"
+	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/sidb"
 	"repro/internal/sim"
@@ -197,12 +198,21 @@ func TestDegeneracyGapMatchesEnumeration(t *testing.T) {
 				b := out.BDL()
 				interest = append(interest, idx[b.Bit0], idx[b.Bit1])
 			}
-			got, err := eng.DegeneracyGap(context.Background(), interest)
+			got, ground, err := eng.DegeneracyGap(context.Background(), interest)
 			if err != nil {
 				t.Fatalf("%s pattern %d: %v", key, p, err)
 			}
 			if want := enumeratedGap(eng, interest); got != want && !(math.Abs(got-want) <= 1e-9) {
 				t.Errorf("%s pattern %d: gap %v, enumeration %v", key, p, got, want)
+			}
+			// ValidateWith reads the outputs from the gap's ground key when
+			// the gap sets it apart: they must be the unpinned search's.
+			gs, _, _, err := eng.QuickExact(sim.QuickExactOptions{})
+			if err != nil {
+				t.Fatalf("%s pattern %d: %v", key, p, err)
+			}
+			if got > degenerateGapEV && !sameOutputs(d, idx, ground, gs) {
+				t.Errorf("%s pattern %d: gap's ground key reads other outputs than QuickExact", key, p)
 			}
 			twoOutputs = twoOutputs || len(d.Outs) == 2
 			limit = limit || xnor && freeDots(l) == sim.ExactLimit
@@ -211,6 +221,19 @@ func TestDegeneracyGapMatchesEnumeration(t *testing.T) {
 	if !twoOutputs || !limit {
 		t.Errorf("coverage: 2-output layout %v, %d-dot xnor pattern %v", twoOutputs, sim.ExactLimit, limit)
 	}
+}
+
+// sameOutputs reports whether two configurations read the same state (or
+// the same error) on every output pair of the design.
+func sameOutputs(d *Design, idx map[lattice.Site]int, a, b []bool) bool {
+	for _, out := range d.Outs {
+		sa, ea := out.BDL().State(idx, a)
+		sb, eb := out.BDL().State(idx, b)
+		if sa != sb || (ea == nil) != (eb == nil) {
+			return false
+		}
+	}
+	return true
 }
 
 // annealReference is the annealer as it was before the potential vector:

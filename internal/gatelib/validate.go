@@ -87,6 +87,13 @@ type Validation struct {
 	DefectBlocked bool `json:",omitempty"`
 }
 
+// degenerateGapEV is the degeneracy gap at or below which ValidateWith
+// does not read the outputs from the gap's ground key: with two keys that
+// close, the ground key (the lowest-index minimum) and the canonical pick
+// of an unpinned solve may read different outputs, so the pattern runs
+// the solver as well.
+const degenerateGapEV = 1e-9
+
 // ValidateOptions tunes ValidateWith.
 type ValidateOptions struct {
 	// Solver names the sim ground-state solver ("" = automatic dispatch;
@@ -94,9 +101,9 @@ type ValidateOptions struct {
 	Solver string
 	// Tracer receives concurrency-safe solver metrics; nil disables them.
 	Tracer *obs.Tracer
-	// Surface holds the surface defects in tile-local cell coordinates
-	// (shift a global surface by the negated TileOrigin first, with
-	// defects.Surface.Translate). Nil validates on a pristine surface.
+	// Surface holds the surface defects in tile-local cell coordinates: a
+	// defect at global cell (x, y) sits at (x-ox, y-oy) for the tile's
+	// TileOrigin (ox, oy). Nil validates on a pristine surface.
 	// Any design or emulation dot inside a defect's exclusion zone
 	// fast-rejects the gate as FailDefectBlocked before any simulation;
 	// charged defects outside exclusion zones enter the electrostatics as
@@ -114,7 +121,10 @@ type ValidateOptions struct {
 // is input i; bit j of the result is output j). It fails only on an
 // unknown solver name or when opts.Ctx ends; a solver that cannot handle
 // an instance (e.g. ExGS beyond its enumeration limit) degrades to
-// annealing for that pattern.
+// annealing for that pattern. On a pattern of at most sim.ExactLimit free
+// dots the degeneracy gap's pinned searches run first; under auto and
+// quickexact the ground key's configuration gives the outputs, and only a
+// gap error or a gap at most degenerateGapEV runs the solver too.
 func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts ValidateOptions) (Validation, error) {
 	solver, err := sim.Lookup(opts.Solver)
 	if err != nil {
@@ -123,6 +133,8 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 	nIn := len(d.Ins)
 	patterns := 1 << nIn
 	v := Validation{OK: true, Outputs: make([]int, patterns), MinGapEV: 1e9}
+	// groundFromGap: the exact engines' outputs are the gap's ground key's.
+	groundFromGap := solver.Name() == "auto" || solver.Name() == "quickexact"
 	// Exclusion-zone fast-reject: a defect too close to any design dot
 	// makes the gate unfabricable — no simulation needed.
 	if !opts.Surface.Empty() {
@@ -154,19 +166,45 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 			}
 		}
 		eng := sim.NewEngineOn(l, params, opts.Surface)
-		var gs []bool
-		sol, serr := solver.Solve(eng, sim.SolveOptions{Tracer: opts.Tracer, Ctx: opts.Ctx})
-		switch {
-		case serr == nil:
-			gs = sol.Charges
-			v.Method = sol.Solver
-		case opts.Ctx != nil && opts.Ctx.Err() != nil:
-			return Validation{}, fmt.Errorf("gatelib: validate pattern %d: %w", p, opts.Ctx.Err())
-		default:
-			gs, _ = eng.Anneal(sim.DefaultAnnealConfig())
-			v.Method = "anneal"
-		}
 		idx := l.SiteIndex()
+		var interest []int
+		for _, out := range d.Outs {
+			b := out.BDL()
+			interest = append(interest, idx[b.Bit0], idx[b.Bit1])
+		}
+		// gapFound marks a degeneracy gap computed for this pattern.
+		var (
+			gs       []bool
+			gap      float64
+			gapFound bool
+		)
+		if free <= sim.ExactLimit {
+			g, ground, err := eng.DegeneracyGap(opts.Ctx, interest)
+			if canceled(err) {
+				return Validation{}, fmt.Errorf("gatelib: validate pattern %d: %w", p, err)
+			}
+			gap, gapFound = g, err == nil
+			// The output pairs are exactly the dots of interest, so a ground
+			// key the gap sets apart reads the outputs of every ground state.
+			if gapFound && groundFromGap && gap > degenerateGapEV {
+				gs = ground
+				v.Method = "quickexact"
+				opts.Tracer.Counter("sim/quickexact/solves").Inc()
+			}
+		}
+		if gs == nil {
+			sol, serr := solver.Solve(eng, sim.SolveOptions{Tracer: opts.Tracer, Ctx: opts.Ctx})
+			switch {
+			case serr == nil:
+				gs = sol.Charges
+				v.Method = sol.Solver
+			case opts.Ctx != nil && opts.Ctx.Err() != nil:
+				return Validation{}, fmt.Errorf("gatelib: validate pattern %d: %w", p, opts.Ctx.Err())
+			default:
+				gs, _ = eng.Anneal(sim.DefaultAnnealConfig())
+				v.Method = "anneal"
+			}
+		}
 		got := 0
 		valid := true
 		for j, out := range d.Outs {
@@ -188,19 +226,8 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 		if uint32(got) != truth(uint32(p)) {
 			v.OK = false
 		}
-		if free <= sim.ExactLimit {
-			var interest []int
-			for _, out := range d.Outs {
-				b := out.BDL()
-				interest = append(interest, idx[b.Bit0], idx[b.Bit1])
-			}
-			gap, err := eng.DegeneracyGap(opts.Ctx, interest)
-			switch {
-			case err == nil && gap < v.MinGapEV:
-				v.MinGapEV = gap
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				return Validation{}, fmt.Errorf("gatelib: validate pattern %d: %w", p, err)
-			}
+		if gapFound && gap < v.MinGapEV {
+			v.MinGapEV = gap
 		}
 	}
 	if v.MinGapEV == 1e9 {
@@ -225,6 +252,11 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 		}
 	}
 	return v, nil
+}
+
+// canceled reports whether err comes from a cancelled or expired context.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // patternLayout is the design's standalone layout for input pattern p

@@ -117,27 +117,8 @@ func (a Axial) ToCube() Cube { return Cube{Q: a.Q, R: a.R, S: -a.Q - a.R} }
 // ToOffset converts axial coordinates to odd-r offset coordinates.
 func (a Axial) ToOffset() Offset { return a.ToCube().ToOffset() }
 
-// Add returns the component-wise sum of two cube coordinates.
-func (c Cube) Add(o Cube) Cube { return Cube{c.Q + o.Q, c.R + o.R, c.S + o.S} }
-
 // Sub returns the component-wise difference of two cube coordinates.
 func (c Cube) Sub(o Cube) Cube { return Cube{c.Q - o.Q, c.R - o.R, c.S - o.S} }
-
-// Scale multiplies all components by k.
-func (c Cube) Scale(k int) Cube { return Cube{c.Q * k, c.R * k, c.S * k} }
-
-// cubeDirections maps Direction to the cube-coordinate unit step.
-var cubeDirections = [numDirections]Cube{
-	NorthWest: {0, -1, 1},
-	NorthEast: {1, -1, 0},
-	SouthWest: {-1, 1, 0},
-	SouthEast: {0, 1, -1},
-	West:      {-1, 0, 1},
-	East:      {1, 0, -1},
-}
-
-// Step returns the cube coordinate one hexagon away in direction d.
-func (c Cube) Step(d Direction) Cube { return c.Add(cubeDirections[d]) }
 
 // Neighbor returns the odd-r offset coordinate of the neighbor in direction d.
 func (o Offset) Neighbor(d Direction) Offset {
@@ -176,25 +157,6 @@ func (c Cube) Distance(o Cube) int {
 
 // Distance returns the hexagonal distance between two offset coordinates.
 func (o Offset) Distance(b Offset) int { return o.ToCube().Distance(b.ToCube()) }
-
-// Ring returns the hexagons at exactly radius r around center (r ≥ 1).
-// For r == 0 it returns just the center.
-func Ring(center Cube, r int) []Cube {
-	if r <= 0 {
-		return []Cube{center}
-	}
-	ring := make([]Cube, 0, 6*r)
-	// Start r steps to the south-west, then walk the six edges.
-	c := center.Add(cubeDirections[SouthWest].Scale(r))
-	walk := [6]Direction{East, NorthEast, NorthWest, West, SouthWest, SouthEast}
-	for _, d := range walk {
-		for i := 0; i < r; i++ {
-			ring = append(ring, c)
-			c = c.Step(d)
-		}
-	}
-	return ring
-}
 
 // Bounds describes a rectangular region of offset coordinates, inclusive of
 // Min and exclusive of Max in both axes.

@@ -35,11 +35,22 @@ func TestAxialRoundTrip(t *testing.T) {
 	}
 }
 
+// cubeSteps maps Direction to the cube-coordinate unit step.
+var cubeSteps = [numDirections]Cube{
+	NorthWest: {0, -1, 1},
+	NorthEast: {1, -1, 0},
+	SouthWest: {-1, 1, 0},
+	SouthEast: {0, 1, -1},
+	West:      {-1, 0, 1},
+	East:      {1, 0, -1},
+}
+
 func TestNeighborMatchesCubeStep(t *testing.T) {
 	for _, o := range []Offset{{0, 0}, {3, 4}, {5, 5}, {-2, 7}, {0, -3}, {1, 1}} {
 		for _, d := range Directions {
 			got := o.Neighbor(d)
-			want := o.ToCube().Step(d).ToOffset()
+			c, s := o.ToCube(), cubeSteps[d]
+			want := Cube{c.Q + s.Q, c.R + s.R, c.S + s.S}.ToOffset()
 			if got != want {
 				t.Errorf("Neighbor(%v, %v) = %v, cube says %v", o, d, got, want)
 			}
@@ -144,29 +155,6 @@ func TestNeighborsAreDistanceOne(t *testing.T) {
 		if n := o.Neighbor(d); o.Distance(n) != 1 {
 			t.Errorf("neighbor %v at distance %d", n, o.Distance(n))
 		}
-	}
-}
-
-func TestRingSizeAndRadius(t *testing.T) {
-	c := Offset{5, 5}.ToCube()
-	for r := 1; r <= 4; r++ {
-		ring := Ring(c, r)
-		if len(ring) != 6*r {
-			t.Fatalf("ring %d has %d hexes, want %d", r, len(ring), 6*r)
-		}
-		seen := map[Cube]bool{}
-		for _, h := range ring {
-			if c.Distance(h) != r {
-				t.Fatalf("ring %d contains %v at distance %d", r, h, c.Distance(h))
-			}
-			if seen[h] {
-				t.Fatalf("ring %d repeats %v", r, h)
-			}
-			seen[h] = true
-		}
-	}
-	if got := Ring(c, 0); len(got) != 1 || got[0] != c {
-		t.Error("ring 0 must be just the center")
 	}
 }
 

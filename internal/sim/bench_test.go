@@ -97,7 +97,7 @@ func BenchmarkDegeneracyGap22(b *testing.B) {
 		b.Run(fmt.Sprintf("interest%d", len(interest)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.DegeneracyGap(context.Background(), interest); err != nil {
+				if _, _, err := eng.DegeneracyGap(context.Background(), interest); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -120,7 +120,7 @@ func TestDegeneracyGapMatchesTwoPass(t *testing.T) {
 		for b := range interest {
 			interest[b] = rng.Intn(len(l.Dots))
 		}
-		got, err := e.DegeneracyGap(context.Background(), interest)
+		got, gotGround, err := e.DegeneracyGap(context.Background(), interest)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -128,6 +128,19 @@ func TestDegeneracyGapMatchesTwoPass(t *testing.T) {
 		// Equal infinities (no configuration reads differently) pass too.
 		if got != want && !(math.Abs(got-want) <= energyTol) {
 			t.Errorf("seed %d (%d free, interest %v): gap %v, two-pass %v", seed, free, interest, got, want)
+		}
+		// The returned configuration is a ground state, and outside a tie
+		// it reads the ground state's key.
+		if en := e.Energy(gotGround); math.Abs(en-groundE) > energyTol {
+			t.Errorf("seed %d: gap's ground configuration at %v eV, ground state %v eV", seed, en, groundE)
+		}
+		if want > energyTol {
+			for _, i := range interest {
+				if gotGround[i] != ground[i] {
+					t.Errorf("seed %d: gap's ground configuration reads dot %d as %v, ground state %v",
+						seed, i, gotGround[i], ground[i])
+				}
+			}
 		}
 		gs, en, err := e.Exhaustive(context.Background())
 		if err != nil {
@@ -145,7 +158,7 @@ func TestDegeneracyGapCanceled(t *testing.T) {
 	e := NewEngine(benchLayout(18, 7, 40), ParamsFig5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.DegeneracyGap(ctx, []int{0, 1, 2, 3}); !errors.Is(err, context.Canceled) {
+	if _, _, err := e.DegeneracyGap(ctx, []int{0, 1, 2, 3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("gap under a cancelled context: err %v, want context.Canceled", err)
 	}
 }

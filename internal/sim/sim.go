@@ -575,27 +575,30 @@ func metropolis(u, x float64) bool {
 
 // DegeneracyGap returns the energy gap between the ground state and the
 // lowest configuration whose charges differ on the given dots of interest
-// (e.g. an output pair read differently). Used to assess how robustly a
-// gate encodes its output. Exact, up to ExactLimit free dots: for every
-// key of the interest dots (bit b set when dot interest[b] is charged) one
-// pinned QuickExact search finds the lowest energy with that key, summed
+// (e.g. an output pair read differently), and the ground key's minimum
+// configuration, a ground state. Used to assess how robustly a gate
+// encodes its output. Exact, up to ExactLimit free dots: for every key of
+// the interest dots (bit b set when dot interest[b] is charged) one pinned
+// QuickExact search finds the lowest energy with that key, summed
 // canonically; a key a perturber or a repeated dot rules out stays +Inf.
 // The keys' searches are independent and run on internal/pool, each from
 // an infinite incumbent; their results combine in key order, so the
-// ground key and the first error are those of a serial loop. The gap is
-// the minimum over the non-ground keys minus the ground key's, equal to
-// the enumerated gap within float rounding. interest names a handful of
-// dots: each adds a factor of 2 to the searches. Once ctx is done no
-// further search starts, the running ones stop, and DegeneracyGap returns
-// an error wrapping the context's. A nil ctx never ends.
-func (e *Engine) DegeneracyGap(ctx context.Context, interest []int) (float64, error) {
+// ground key (the lowest index among tied minima) and the first error are
+// those of a serial loop. The gap is the minimum over the non-ground keys
+// minus the ground key's, equal to the enumerated gap within float
+// rounding. interest names a handful of dots: each adds a factor of 2 to
+// the searches. Once ctx is done no further search starts, the running
+// ones stop, and DegeneracyGap returns an error wrapping the context's. A
+// nil ctx never ends.
+func (e *Engine) DegeneracyGap(ctx context.Context, interest []int) (float64, []bool, error) {
 	if free := len(e.FreeIndices()); free > ExactLimit {
-		return 0, fmt.Errorf("sim: degeneracy gap needs exact search (%d free dots)", free)
+		return 0, nil, fmt.Errorf("sim: degeneracy gap needs exact search (%d free dots)", free)
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	keyMin := make([]float64, 1<<len(interest))
+	cfgs := make([][]bool, len(keyMin))
 	errs := make([]error, len(keyMin))
 	workers := pool.Size(len(keyMin), 0)
 	pins := make([][]int8, workers) // pins[w]: worker w's, allocated by it
@@ -616,15 +619,15 @@ func (e *Engine) DegeneracyGap(ctx context.Context, interest []int) (float64, er
 			}
 			pin[i] = want
 		}
-		_, keyMin[key], _, errs[key] = e.quickExact(QuickExactOptions{Ctx: ctx}, pin)
+		cfgs[key], keyMin[key], _, errs[key] = e.quickExact(QuickExactOptions{Ctx: ctx}, pin)
 	})
 	if err != nil {
-		return 0, fmt.Errorf("sim: degeneracy gap canceled: %w", err)
+		return 0, nil, fmt.Errorf("sim: degeneracy gap canceled: %w", err)
 	}
 	ground := 0
 	for key, m := range keyMin {
 		if errs[key] != nil {
-			return 0, errs[key]
+			return 0, nil, errs[key]
 		}
 		if m < keyMin[ground] {
 			ground = key
@@ -636,5 +639,5 @@ func (e *Engine) DegeneracyGap(ctx context.Context, interest []int) (float64, er
 			other = m
 		}
 	}
-	return other - keyMin[ground], nil
+	return other - keyMin[ground], cfgs[ground], nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/pool"
@@ -237,12 +238,15 @@ func TestDegeneracyGap(t *testing.T) {
 	l.AddCell(0, 0, sidb.RoleNormal)
 	l.AddCell(100, 0, sidb.RoleNormal)
 	e := NewEngine(l, ParamsFig5)
-	gap, err := e.DegeneracyGap(context.Background(), []int{0})
+	gap, ground, err := e.DegeneracyGap(context.Background(), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gap < 0.3 || gap > 0.33 {
 		t.Errorf("gap = %v, want ~|mu|", gap)
+	}
+	if !slices.Equal(ground, []bool{true, true}) {
+		t.Errorf("ground = %v, want both dots charged", ground)
 	}
 }
 
