@@ -1,18 +1,23 @@
-// Command gatedesigner regenerates the Bestagon gate cores: it runs the
-// simulation-driven design search (the paper's RL-agent substitute, see
-// DESIGN.md §4) for a chosen tile function and prints the resulting canvas
-// dot placements as Go literals for internal/gatelib/designs.go.
+// Command gatedesigner searches a Bestagon gate core for a library tile:
+// it strips the variant's canvas dots, enumerates every canvas of at most
+// k dots on the tile's candidate grid (designer.Exhaustive, the paper's
+// RL-agent substitute, see DESIGN.md §4), validates each against the
+// variant's truth table and prints the best canvas as Go literals for
+// internal/gatelib/designs.go.
 //
 // Usage:
 //
-//	gatedesigner -gate XOR -seed 1 -restarts 16 -iterations 300
+//	gatedesigner -gate nand:iNW:iNE:oSE -k 2
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/designer"
 	"repro/internal/gatelib"
@@ -21,90 +26,44 @@ import (
 
 func main() {
 	var (
-		gate       = flag.String("gate", "", "target: AND, OR, NAND, NOR, XOR, XNOR, INV, FANOUT, CROSS, HA")
-		seed       = flag.Int64("seed", 1, "search seed")
-		restarts   = flag.Int("restarts", 16, "search restarts")
-		iterations = flag.Int("iterations", 300, "local moves per restart")
-		maxDots    = flag.Int("max-dots", 4, "maximum canvas dots")
-		mu         = flag.Float64("mu", sim.ParamsFig5.MuMinus, "transition level mu_ in eV")
-		solver     = flag.String("solver", "", "ground-state solver for candidate evaluation: "+strings.Join(sim.SolverNames(), ", ")+" (default auto)")
+		gate = flag.String("gate", "", "library variant key, e.g. nand:iNW:iNE:oSE")
+		k    = flag.Int("k", 2, "most canvas dots to place")
+		mu   = flag.Float64("mu", sim.ParamsFig5.MuMinus, "transition level mu_ in eV")
 	)
 	flag.Parse()
 
 	params := sim.ParamsFig5
 	params.MuMinus = *mu
 
-	d, truth, err := target(*gate)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gatedesigner:", err)
+	lib := gatelib.NewLibrary()
+	d, f, ok := lib.Design(*gate)
+	if !ok {
+		keys := lib.Variants()
+		slices.Sort(keys)
+		fmt.Fprintf(os.Stderr, "gatedesigner: unknown gate %q; variants:\n  %s\n", *gate, strings.Join(keys, "\n  "))
 		os.Exit(2)
 	}
-	if _, err := sim.Lookup(*solver); err != nil {
-		fmt.Fprintln(os.Stderr, "gatedesigner:", err)
-		os.Exit(2)
-	}
-	cands := designer.Grid(20, 12, 40, 32, 2, d.Layout(0, 0).Dots, 0.6)
-	opts := designer.Options{
-		Seed: *seed, Restarts: *restarts, Iterations: *iterations,
-		MaxDots: *maxDots, Solver: *solver,
-	}
-	fmt.Printf("searching %s over %d candidate sites (seed %d) ...\n", *gate, len(cands), *seed)
-	best, err := designer.Search(d, truth, params, cands, opts)
+	skeleton := *d
+	skeleton.Extra = nil
+	sites := designer.Grid(18, 12, 42, 30, 2, skeleton.Layout(0, 0).Dots, 0.6)
+	fmt.Printf("searching %s: canvases of at most %d of %d sites ...\n", *gate, *k, len(sites))
+	start := time.Now()
+	found, err := designer.Exhaustive(context.Background(), &skeleton, gatelib.TruthOf(f), params, sites, *k)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gatedesigner: %v\n", err)
+		fmt.Fprintln(os.Stderr, "gatedesigner:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("found placement: %d/%d patterns, min gap %.4f eV\n", best.Correct, best.Patterns, best.MinGap)
-	fmt.Printf("canvas%s = []lattice.Site{", *gate)
+	fmt.Printf("%d working canvases in %.2f s\n", len(found), time.Since(start).Seconds())
+	if len(found) == 0 {
+		fmt.Fprintln(os.Stderr, "gatedesigner: no working canvas")
+		os.Exit(1)
+	}
+	best := found[0]
+	cells := make([]string, len(best.Canvas))
 	for i, s := range best.Canvas {
-		if i > 0 {
-			fmt.Print(", ")
-		}
 		x, y := s.Cell()
-		fmt.Printf("c(%d, %d)", x, y)
+		cells[i] = fmt.Sprintf("c(%d, %d)", x, y)
 	}
-	fmt.Println("}")
-}
-
-// target returns the short model and truth table of a target gate.
-func target(gate string) (*gatelib.Design, func(uint32) uint32, error) {
-	mk := func(nIn int, outSW, outSE bool, truth func(uint32) uint32) (*gatelib.Design, func(uint32) uint32, error) {
-		return gatelib.ShortModel(nIn, outSW, outSE), truth, nil
-	}
-	switch gate {
-	case "AND":
-		return mk(2, false, true, func(i uint32) uint32 { return i & (i >> 1) & 1 })
-	case "OR":
-		return mk(2, false, true, func(i uint32) uint32 {
-			if i != 0 {
-				return 1
-			}
-			return 0
-		})
-	case "NAND":
-		return mk(2, false, true, func(i uint32) uint32 { return (i & (i >> 1) & 1) ^ 1 })
-	case "NOR":
-		return mk(2, false, true, func(i uint32) uint32 {
-			if i == 0 {
-				return 1
-			}
-			return 0
-		})
-	case "XOR":
-		return mk(2, false, true, func(i uint32) uint32 { return (i ^ i>>1) & 1 })
-	case "XNOR":
-		return mk(2, false, true, func(i uint32) uint32 { return ((i ^ i>>1) & 1) ^ 1 })
-	case "INV":
-		return mk(1, false, true, func(i uint32) uint32 { return i ^ 1 })
-	case "FANOUT":
-		return mk(1, true, true, func(i uint32) uint32 { return i * 3 })
-	case "CROSS":
-		return mk(2, true, true, func(i uint32) uint32 { return (i>>1)&1 | (i&1)<<1 })
-	case "HA":
-		return mk(2, true, true, func(i uint32) uint32 {
-			return (i^i>>1)&1 | (i&(i>>1)&1)<<1
-		})
-	default:
-		return nil, nil, fmt.Errorf("unknown gate %q", gate)
-	}
+	fmt.Printf("best: min gap %.4f meV\n", best.MinGap*1e3)
+	fmt.Printf("[]lattice.Site{%s}\n", strings.Join(cells, ", "))
 }

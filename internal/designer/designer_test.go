@@ -1,10 +1,14 @@
 package designer
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
+	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,10 +38,7 @@ func wireDesign() *gatelib.Design {
 func identity(pat uint32) uint32 { return pat & 1 }
 
 func TestEvaluateCountsPatterns(t *testing.T) {
-	cand, err := Evaluate(wireDesign(), identity, sim.ParamsFig5, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cand := Evaluate(wireDesign(), identity, sim.ParamsFig5, nil)
 	if cand.Patterns != 2 {
 		t.Fatalf("patterns = %d, want 2", cand.Patterns)
 	}
@@ -52,10 +53,7 @@ func TestEvaluateKnownGoodChain(t *testing.T) {
 		lattice.FromCell(19, 7), lattice.FromCell(20, 9),
 		lattice.FromCell(24, 13), lattice.FromCell(25, 15),
 	}
-	cand, err := Evaluate(wireDesign(), identity, sim.ParamsFig5, canvas, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cand := Evaluate(wireDesign(), identity, sim.ParamsFig5, canvas)
 	if !cand.Works() {
 		t.Fatalf("known-good chain rejected: %d/%d", cand.Correct, cand.Patterns)
 	}
@@ -79,46 +77,12 @@ func TestEvaluateUnmeasuredGapIsZero(t *testing.T) {
 		d.Pairs = append(d.Pairs, gatelib.Pair{X: 28 + 4*k, Y: 20 + 7*k, DX: 1})
 	}
 	d.Outs = []gatelib.Pair{d.Pairs[len(d.Pairs)-1]}
-	cand, err := Evaluate(d, identity, sim.ParamsFig5, canvas, "quickexact")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cand := Evaluate(d, identity, sim.ParamsFig5, canvas)
 	if !cand.Works() {
 		t.Fatalf("long wire rejected: %d/%d", cand.Correct, cand.Patterns)
 	}
 	if cand.MinGap != 0 {
 		t.Errorf("unmeasured gap reads %g, want 0", cand.MinGap)
-	}
-}
-
-func TestUnknownSolverIsAnError(t *testing.T) {
-	if _, err := Evaluate(wireDesign(), identity, sim.ParamsFig5, nil, "no-such-solver"); err == nil {
-		t.Error("Evaluate accepted an unknown solver")
-	}
-	opts := Options{Seed: 1, Restarts: 1, Iterations: 1, MaxDots: 1, Solver: "no-such-solver"}
-	if _, err := Search(wireDesign(), identity, sim.ParamsFig5, nil, opts); err == nil {
-		t.Error("Search accepted an unknown solver")
-	}
-}
-
-func TestSearchFindsWire(t *testing.T) {
-	d := wireDesign()
-	cands := Grid(15, 4, 28, 18, 1, d.Layout(0, 0).Dots, 0.5)
-	if len(cands) == 0 {
-		t.Fatal("no candidates")
-	}
-	opts := Options{Seed: 3, Restarts: 8, Iterations: 200, MaxDots: 4}
-	best, err := Search(d, identity, sim.ParamsFig5, cands, opts)
-	if err != nil {
-		t.Fatalf("search failed: %v (best %d/%d)", err, best.Correct, best.Patterns)
-	}
-	// Deterministic: same options give the same result.
-	again, err2 := Search(d, identity, sim.ParamsFig5, cands, opts)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if len(again.Canvas) != len(best.Canvas) {
-		t.Error("search must be deterministic for a fixed seed")
 	}
 }
 
@@ -132,20 +96,132 @@ func TestGridExcludesNearFixed(t *testing.T) {
 	}
 }
 
-func TestSearchReportsFailure(t *testing.T) {
+// TestExhaustiveFindsWire: of the 1,597 canvases of at most 2 dots on a
+// coarse grid between the wire's input and output, exactly one bridges
+// them.
+func TestExhaustiveFindsWire(t *testing.T) {
 	d := wireDesign()
-	// Impossible target: constant 1 regardless of input, with an output
-	// wired to follow the input -> at least one pattern must fail.
-	one := func(pat uint32) uint32 { return 1 }
-	cands := Grid(12, 6, 20, 16, 2, d.Layout(0, 0).Dots, 0.5)
-	opts := Options{Seed: 1, Restarts: 2, Iterations: 40, MaxDots: 2}
-	if _, err := Search(d, one, sim.ParamsFig5, cands, opts); err == nil {
-		t.Skip("search surprisingly satisfied constant-1; acceptable but unexpected")
+	sites := Grid(15, 4, 28, 18, 2, d.Layout(0, 0).Dots, 0.5)
+	got, err := Exhaustive(context.Background(), d, identity, sim.ParamsFig5, sites, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []lattice.Site{lattice.FromCell(19, 10), lattice.FromCell(23, 16)}
+	if len(got) != 1 || !slices.Equal(got[0].Canvas, want) {
+		t.Fatalf("working canvases %v, want only %v", canvases(got), want)
+	}
+	if got[0].MinGap <= 0 {
+		t.Errorf("working canvas has gap %g, want > 0", got[0].MinGap)
 	}
 }
 
-// shortTarget is one cmd/gatedesigner target: the short model's shape and
-// the truth table its canvas must realize.
+// TestExhaustiveReportsFailure: no canvas of at most one dot makes the
+// wire read 1 on both inputs.
+func TestExhaustiveReportsFailure(t *testing.T) {
+	d := wireDesign()
+	one := func(uint32) uint32 { return 1 }
+	sites := Grid(12, 6, 20, 16, 2, d.Layout(0, 0).Dots, 0.5)
+	for k := 0; k <= 1; k++ {
+		got, err := Exhaustive(context.Background(), d, one, sim.ParamsFig5, sites, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 0 {
+			t.Errorf("k=%d: constant 1 satisfied by %v", k, canvases(got))
+		}
+	}
+}
+
+// TestExhaustiveBareDesign: k = 0 validates the design as it is, so the
+// library's wire yields one candidate, its empty canvas with the
+// validation's gap.
+func TestExhaustiveBareDesign(t *testing.T) {
+	d, f, ok := gatelib.NewLibrary().Design("wire:iNW:oSE")
+	if !ok {
+		t.Fatal("wire:iNW:oSE missing from the library")
+	}
+	truth := gatelib.TruthOf(f)
+	sites := Grid(18, 12, 42, 30, 2, d.Layout(0, 0).Dots, 0.6)
+	got, err := Exhaustive(context.Background(), d, truth, sim.ParamsFig5, sites, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := gatelib.ValidateWith(d, truth, sim.ParamsFig5, gatelib.ValidateOptions{Solver: "quickexact"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(got[0].Canvas) != 0 || got[0].MinGap != v.MinGapEV {
+		t.Fatalf("k=0 gave %+v, want one empty canvas with gap %g", got, v.MinGapEV)
+	}
+}
+
+// inhibition is A AND NOT B, the tile examples/customlib designs.
+func inhibition(in uint32) uint32 { return in & 1 &^ (in >> 1) }
+
+// TestExhaustiveInhibition pins examples/customlib's search: of the 6,217
+// canvases of at most 2 dots on the short model's grid, 3 realize
+// inhibition, and the best is (34,16) (40,20).
+func TestExhaustiveInhibition(t *testing.T) {
+	d := gatelib.ShortModel(2, false, true)
+	sites := Grid(20, 12, 40, 32, 2, d.Layout(0, 0).Dots, 0.6)
+	got, err := Exhaustive(context.Background(), d, inhibition, sim.ParamsFig5, sites, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []lattice.Site{lattice.FromCell(34, 16), lattice.FromCell(40, 20)}
+	if len(got) != 3 || !slices.Equal(got[0].Canvas, want) {
+		t.Fatalf("working canvases %v, want 3 led by %v", canvases(got), want)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].MinGap > got[i-1].MinGap {
+			t.Errorf("rank %d gap %g above rank %d gap %g", i, got[i].MinGap, i-1, got[i-1].MinGap)
+		}
+	}
+}
+
+// TestExhaustiveWorkersAgree: the ranked list is the same whether one
+// pool worker or two score the candidates.
+func TestExhaustiveWorkersAgree(t *testing.T) {
+	d := wireDesign()
+	sites := Grid(18, 8, 26, 17, 1, d.Layout(0, 0).Dots, 0.5)
+	run := func(procs int) []Candidate {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		got, err := Exhaustive(context.Background(), d, identity, sim.ParamsFig5, sites, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	one, two := run(1), run(2)
+	if len(one) == 0 {
+		t.Fatal("no working canvas")
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("1 worker: %v\n2 workers: %v", canvases(one), canvases(two))
+	}
+}
+
+func TestExhaustiveCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	d := wireDesign()
+	sites := Grid(15, 4, 28, 18, 2, d.Layout(0, 0).Dots, 0.5)
+	if _, err := Exhaustive(ctx, d, identity, sim.ParamsFig5, sites, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// canvases lists the candidates' canvases for a failure message.
+func canvases(cands []Candidate) [][]lattice.Site {
+	out := make([][]lattice.Site, len(cands))
+	for i, c := range cands {
+		out[i] = c.Canvas
+	}
+	return out
+}
+
+// shortTarget is one target of the evaluation golden: the short model's
+// shape and the truth table its canvas must realize.
 type shortTarget struct {
 	name         string
 	nIn          int
@@ -179,52 +255,72 @@ var shortTargets = []shortTarget{
 	{"HA", 2, true, true, func(i uint32) uint32 { return (i^i>>1)&1 | (i&(i>>1)&1)<<1 }},
 }
 
-// TestEvaluateGolden pins Evaluate's scores on 20 seeded canvases (0 to 4
-// dots) from each gatedesigner target's candidate grid. The values in
-// testdata/evaluate.golden were recorded with the designer's former
-// private simulate-and-read loop, so they also pin that scoring through
-// gatelib.ValidateWith changed no score. Each target's header line pins
-// its candidate count; each score line reads "target index canvas
-// correct patterns mingap", the canvas as x,y cells joined by ';' ("-"
-// when empty).
+// TestEvaluateGolden pins Evaluate's scores on the 20 canvases (0 to 4
+// dots) that testdata/evaluate.golden lists for each short-model target,
+// drawn at random from the target's candidate grid when the golden was
+// recorded. The scores were recorded with the designer's former private
+// simulate-and-read loop under automatic solver dispatch, so they also pin
+// that scoring through gatelib.ValidateWith under QuickExact changed no
+// score. Each target's header line pins its candidate count; each score
+// line reads "target index canvas correct patterns mingap", the canvas as
+// x,y cells joined by ';' ("-" when empty).
 func TestEvaluateGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/evaluate.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	var got []string
-	for ti, st := range shortTargets {
-		d := st.design()
-		cands := Grid(20, 12, 40, 32, 2, d.Layout(0, 0).Dots, 0.6)
-		got = append(got, fmt.Sprintf("# %s candidates=%d", st.name, len(cands)))
-		rng := rand.New(rand.NewSource(int64(ti + 1)))
-		for i := 0; i < 20; i++ {
-			canvas := randomSubset(rng, cands, i%5)
-			cand, err := Evaluate(d, st.truth, sim.ParamsFig5, canvas, "")
+	byName := map[string]shortTarget{}
+	for _, st := range shortTargets {
+		byName[st.name] = st
+	}
+	var st shortTarget
+	headers := 0
+	for i, want := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var got string
+		if header, ok := strings.CutPrefix(want, "# "); ok {
+			name, _, _ := strings.Cut(header, " ")
+			if st, ok = byName[name]; !ok {
+				t.Fatalf("line %d: unknown target %q", i+1, name)
+			}
+			headers++
+			cands := Grid(20, 12, 40, 32, 2, st.design().Layout(0, 0).Dots, 0.6)
+			got = fmt.Sprintf("# %s candidates=%d", name, len(cands))
+		} else {
+			f := strings.Fields(want)
+			if len(f) != 6 || f[0] != st.name {
+				t.Fatalf("line %d: malformed score line %q", i+1, want)
+			}
+			canvas, err := parseCells(f[2])
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("line %d: %v", i+1, err)
 			}
-			cells := make([]string, len(canvas))
-			for j, s := range canvas {
-				x, y := s.Cell()
-				cells[j] = fmt.Sprintf("%d,%d", x, y)
-			}
-			text := strings.Join(cells, ";")
-			if text == "" {
-				text = "-"
-			}
-			got = append(got, fmt.Sprintf("%s %d %s %d %d %.17g", st.name, i, text, cand.Correct, cand.Patterns, cand.MinGap))
+			cand := Evaluate(st.design(), st.truth, sim.ParamsFig5, canvas)
+			got = fmt.Sprintf("%s %s %s %d %d %.17g", f[0], f[1], f[2], cand.Correct, cand.Patterns, cand.MinGap)
+		}
+		if !goldenLineMatches(got, want) {
+			t.Errorf("line %d:\n got %s\nwant %s", i+1, got, want)
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d lines, golden has %d", len(got), len(want))
+	if headers != len(shortTargets) {
+		t.Errorf("golden has %d targets, want %d", headers, len(shortTargets))
 	}
-	for i := range got {
-		if !goldenLineMatches(got[i], want[i]) {
-			t.Errorf("line %d:\n got %s\nwant %s", i+1, got[i], want[i])
+}
+
+// parseCells reads a golden canvas: x,y cells joined by ';', "-" when
+// empty.
+func parseCells(text string) ([]lattice.Site, error) {
+	if text == "-" {
+		return nil, nil
+	}
+	var canvas []lattice.Site
+	for _, cell := range strings.Split(text, ";") {
+		var x, y int
+		if _, err := fmt.Sscanf(cell, "%d,%d", &x, &y); err != nil {
+			return nil, fmt.Errorf("cell %q: %v", cell, err)
 		}
+		canvas = append(canvas, lattice.FromCell(x, y))
 	}
+	return canvas, nil
 }
 
 // goldenLineMatches compares two golden lines field by field, the last

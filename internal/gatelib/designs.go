@@ -10,9 +10,11 @@ import (
 
 // This file holds the concrete Bestagon tile designs. Wire geometry comes
 // from the package's pitch-validation sweep; gate cores (the Extra canvas
-// dots) were produced by internal/designer's stochastic search with
-// deterministic seeds (regenerate with cmd/gatedesigner) and are validated
-// by TestLibraryValidation against the Fig. 5 simulation parameters.
+// dots) came from an earlier seeded stochastic design search and are
+// validated by TestLibraryValidation against the Fig. 5 simulation
+// parameters. cmd/gatedesigner -gate <variant> -k <k> searches a
+// variant's skeleton exhaustively and prints its best canvas as c(x, y)
+// literals for the canvas sets below.
 
 // c is shorthand for a cell-coordinate lattice site.
 func c(x, y int) lattice.Site { return lattice.FromCell(x, y) }
@@ -159,7 +161,8 @@ func poDesign() *Design {
 	return d
 }
 
-// Canvas dot sets found by the design search (internal/designer, seed 1).
+// Canvas dot sets of the gate cores (see the file comment above); a nil
+// set is a tile without canvas dots.
 var (
 	canvasAND    = []lattice.Site{c(20, 14), c(22, 28), c(24, 28)}
 	canvasOR     = []lattice.Site{c(38, 14), c(36, 18), c(20, 22), c(20, 26), c(22, 28)}

@@ -198,7 +198,7 @@ func TestDegeneracyGapMatchesEnumeration(t *testing.T) {
 				b := out.BDL()
 				interest = append(interest, idx[b.Bit0], idx[b.Bit1])
 			}
-			got, ground, err := eng.DegeneracyGap(context.Background(), interest)
+			got, ground, err := eng.DegeneracyGap(context.Background(), interest, nil)
 			if err != nil {
 				t.Fatalf("%s pattern %d: %v", key, p, err)
 			}

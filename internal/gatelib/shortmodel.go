@@ -6,7 +6,7 @@ package gatelib
 // first). Its canvas is empty; a design search sets Extra. ValidateWith
 // adds the same input emulation and read-out perturbers as for a full
 // tile. This is the search space the paper's RL agent explored;
-// internal/designer searches it stochastically.
+// internal/designer enumerates its canvases exhaustively.
 func ShortModel(nIn int, sw, se bool) *Design {
 	d := &Design{Name: "short"}
 	addIn := func(stub []Pair) {

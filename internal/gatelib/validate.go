@@ -179,7 +179,7 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 			gapFound bool
 		)
 		if free <= sim.ExactLimit {
-			g, ground, err := eng.DegeneracyGap(opts.Ctx, interest)
+			g, ground, err := eng.DegeneracyGap(opts.Ctx, interest, opts.Tracer)
 			if canceled(err) {
 				return Validation{}, fmt.Errorf("gatelib: validate pattern %d: %w", p, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/lattice"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -47,7 +48,7 @@ func TestValidateDegenerateFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gap, ground, err := eng.DegeneracyGap(context.Background(), interest)
+		gap, ground, err := eng.DegeneracyGap(context.Background(), interest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,6 +95,28 @@ func TestValidateCanceled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err %v, want context.Canceled", name, err)
 		}
+	}
+}
+
+// TestValidateTracesGapEffort: the degeneracy gap's pinned searches are
+// the only exact searches of a ≤22-dot validation, so a traced validation
+// counts their nodes, and one QuickExact solve per pattern read from the
+// gap's ground key.
+func TestValidateTracesGapEffort(t *testing.T) {
+	d, f, _ := NewLibrary().Design("inv:iNW:oSE")
+	tr := obs.New()
+	v, err := ValidateWith(d, TruthOf(f), sim.ParamsFig5, ValidateOptions{Solver: "auto", Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Method != "quickexact" {
+		t.Fatalf("method %q, want quickexact", v.Method)
+	}
+	if n := tr.Counter("sim/quickexact/nodes").Value(); n <= 0 {
+		t.Errorf("sim/quickexact/nodes = %d, want > 0", n)
+	}
+	if n := tr.Counter("sim/quickexact/solves").Value(); n != int64(len(v.Outputs)) {
+		t.Errorf("sim/quickexact/solves = %d, want one per pattern (%d)", n, len(v.Outputs))
 	}
 }
 

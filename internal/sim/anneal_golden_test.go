@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/gatelib"
 	"repro/internal/obs"
 	"repro/internal/sidb"
 	"repro/internal/sim"
@@ -34,33 +33,44 @@ var goldenConfigs = []struct {
 	{"r5", sim.AnnealConfig{Seed: 5, Restarts: 5, Sweeps: 400, TStart: 0.2, TEnd: 0.002}},
 }
 
-// tilePatternLayout is the standalone layout gatelib.ValidateWith
-// simulates for input pattern p: the tile, the emulation perturbers of
-// every input and one read-out perturber per output.
-func tilePatternLayout(d *gatelib.Design, p int) *sidb.Layout {
-	l := d.Layout(0, 0)
-	for i, in := range d.Ins {
-		for _, site := range gatelib.InputEmulation(in, p>>i&1 == 1) {
-			l.Add(site, sidb.RolePerturber)
-		}
+// annealTile is one library tile instance of the golden: a variant under
+// one input pattern.
+type annealTile struct {
+	name   string // "variant/pPATTERN"
+	layout *sidb.Layout
+}
+
+// annealTiles reads the golden's library tile instances from
+// testdata/anneal_tiles.txt, frozen dot lists of the layouts
+// gatelib.ValidateWith simulates.
+func annealTiles(t *testing.T) []annealTile {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "anneal_tiles.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	have := l.SiteIndex()
-	for j, out := range d.Outs {
-		site := gatelib.OutputPerturber(out)
-		if j < len(d.OutEmu) {
-			site = d.OutEmu[j]
-		}
-		if _, dup := have[site]; dup {
+	var tiles []annealTile
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		l.Add(site, sidb.RolePerturber)
-	}
-	if len(d.OutEmu) > len(d.Outs) {
-		for _, site := range d.OutEmu[len(d.Outs):] {
-			l.Add(site, sidb.RolePerturber)
+		f := strings.Fields(line)
+		tile := annealTile{name: f[0], layout: &sidb.Layout{}}
+		for _, dot := range f[1:] {
+			cell, perturber := strings.CutSuffix(dot, "p")
+			var x, y int
+			if _, err := fmt.Sscanf(cell, "%d,%d", &x, &y); err != nil {
+				t.Fatalf("%s: dot %q: %v", f[0], dot, err)
+			}
+			role := sidb.RoleNormal
+			if perturber {
+				role = sidb.RolePerturber
+			}
+			tile.layout.AddCell(x, y, role)
 		}
+		tiles = append(tiles, tile)
 	}
-	return l
+	return tiles
 }
 
 // goldenRandomLayout is seeded random layout number seed: 2 to 34 dots,
@@ -97,10 +107,10 @@ func goldenRandomLayout(seed int64) *sidb.Layout {
 	return l
 }
 
-// annealGoldenLines anneals every library variant under every input
-// pattern and 60 seeded random layouts under every golden config, one
-// line per run: the case, its charges and the bits of its energy.
-func annealGoldenLines() []string {
+// annealGoldenLines anneals every library tile instance and 60 seeded
+// random layouts under every golden config, one line per run: the case,
+// its charges and the bits of its energy.
+func annealGoldenLines(t *testing.T) []string {
 	line := func(name, cfg string, e *sim.Engine, c sim.AnnealConfig) string {
 		gs, en := e.Anneal(c)
 		var b strings.Builder
@@ -114,16 +124,10 @@ func annealGoldenLines() []string {
 		return fmt.Sprintf("%s %s %s %016x", name, cfg, b.String(), math.Float64bits(en))
 	}
 	var out []string
-	lib := gatelib.NewLibrary()
-	keys := lib.Variants()
-	slices.Sort(keys)
-	for _, key := range keys {
-		d, _, _ := lib.Design(key)
-		for p := 0; p < 1<<len(d.Ins); p++ {
-			e := sim.NewEngine(tilePatternLayout(d, p), sim.ParamsFig5)
-			for _, g := range goldenConfigs {
-				out = append(out, line(fmt.Sprintf("%s/p%d", key, p), g.name, e, g.cfg))
-			}
+	for _, tile := range annealTiles(t) {
+		e := sim.NewEngine(tile.layout, sim.ParamsFig5)
+		for _, g := range goldenConfigs {
+			out = append(out, line(tile.name, g.name, e, g.cfg))
 		}
 	}
 	for seed := int64(0); seed < 60; seed++ {
@@ -145,7 +149,7 @@ func annealGoldenLines() []string {
 // a change that is meant to move the annealer's answers.
 func TestAnnealGolden(t *testing.T) {
 	path := filepath.Join("testdata", "anneal.golden")
-	got := annealGoldenLines()
+	got := annealGoldenLines(t)
 	if *updateAnneal {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -179,14 +183,15 @@ func TestAnnealGolden(t *testing.T) {
 // 2, where two workers split them: charges, energy bits and move counts
 // must be the same.
 func TestAnnealWorkersAgree(t *testing.T) {
-	const key = "crossing:iNW:iNE:oSW:oSE"
-	d, _, ok := gatelib.NewLibrary().Design(key)
-	if !ok {
-		t.Fatal(key + " missing from the library")
+	const key = "crossing:iNW:iNE:oSW:oSE/p1"
+	tiles := annealTiles(t)
+	i := slices.IndexFunc(tiles, func(tile annealTile) bool { return tile.name == key })
+	if i < 0 {
+		t.Fatal(key + " missing from testdata/anneal_tiles.txt")
 	}
-	e := sim.NewEngine(tilePatternLayout(d, 1), sim.ParamsFig5)
+	e := sim.NewEngine(tiles[i].layout, sim.ParamsFig5)
 	if free := len(e.FreeIndices()); free != 24 {
-		t.Fatalf("%s pattern 1 has %d free dots, want 24", key, free)
+		t.Fatalf("%s has %d free dots, want 24", key, free)
 	}
 	type result struct {
 		charges         []bool

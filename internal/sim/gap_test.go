@@ -120,7 +120,7 @@ func TestDegeneracyGapMatchesTwoPass(t *testing.T) {
 		for b := range interest {
 			interest[b] = rng.Intn(len(l.Dots))
 		}
-		got, gotGround, err := e.DegeneracyGap(context.Background(), interest)
+		got, gotGround, err := e.DegeneracyGap(context.Background(), interest, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -158,7 +158,7 @@ func TestDegeneracyGapCanceled(t *testing.T) {
 	e := NewEngine(benchLayout(18, 7, 40), ParamsFig5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.DegeneracyGap(ctx, []int{0, 1, 2, 3}); !errors.Is(err, context.Canceled) {
+	if _, _, err := e.DegeneracyGap(ctx, []int{0, 1, 2, 3}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("gap under a cancelled context: err %v, want context.Canceled", err)
 	}
 }

@@ -456,6 +456,28 @@ func emit(tr *obs.Tracer, st *QuickExactStats) {
 	}
 }
 
+// emitGap adds the effort of one degeneracy gap's pinned searches, summed
+// over its keys, to tr's QuickExact counters. It counts no solve: a caller
+// that reads a ground state from the gap counts that.
+func emitGap(tr *obs.Tracer, stats []QuickExactStats) {
+	if tr == nil {
+		return
+	}
+	var nodes, bound, stability, presolve, shards int64
+	for _, st := range stats {
+		nodes += st.Nodes
+		bound += st.BoundPruned
+		stability += st.StabilityPruned
+		presolve += int64(st.PresolveCharged + st.PresolveNeutral)
+		shards += int64(st.Shards)
+	}
+	tr.Counter("sim/quickexact/nodes").Add(nodes)
+	tr.Counter("sim/quickexact/bound_pruned").Add(bound)
+	tr.Counter("sim/quickexact/stability_pruned").Add(stability)
+	tr.Counter("sim/quickexact/presolve_fixed").Add(presolve)
+	tr.Counter("sim/quickexact/shards").Add(shards)
+}
+
 // searcher is one depth-first branch-and-bound traversal over the reduced
 // (undecided-dot) problem. It is single-goroutine state; the only shared
 // pieces are the atomic incumbent energy and the optional node budget.

@@ -589,8 +589,9 @@ func metropolis(u, x float64) bool {
 // rounding. interest names a handful of dots: each adds a factor of 2 to
 // the searches. Once ctx is done no further search starts, the running
 // ones stop, and DegeneracyGap returns an error wrapping the context's. A
-// nil ctx never ends.
-func (e *Engine) DegeneracyGap(ctx context.Context, interest []int) (float64, []bool, error) {
+// nil ctx never ends. A non-nil tr receives the searches' summed effort
+// once per gap (see emitGap).
+func (e *Engine) DegeneracyGap(ctx context.Context, interest []int, tr *obs.Tracer) (float64, []bool, error) {
 	if free := len(e.FreeIndices()); free > ExactLimit {
 		return 0, nil, fmt.Errorf("sim: degeneracy gap needs exact search (%d free dots)", free)
 	}
@@ -600,6 +601,10 @@ func (e *Engine) DegeneracyGap(ctx context.Context, interest []int) (float64, []
 	keyMin := make([]float64, 1<<len(interest))
 	cfgs := make([][]bool, len(keyMin))
 	errs := make([]error, len(keyMin))
+	var stats []QuickExactStats // per key, kept only for a tracer
+	if tr != nil {
+		stats = make([]QuickExactStats, len(keyMin))
+	}
 	workers := pool.Size(len(keyMin), 0)
 	pins := make([][]int8, workers) // pins[w]: worker w's, allocated by it
 	err := pool.Run(ctx, len(keyMin), workers, "", func(w, key int) {
@@ -619,11 +624,16 @@ func (e *Engine) DegeneracyGap(ctx context.Context, interest []int) (float64, []
 			}
 			pin[i] = want
 		}
-		cfgs[key], keyMin[key], _, errs[key] = e.quickExact(QuickExactOptions{Ctx: ctx}, pin)
+		var st QuickExactStats
+		cfgs[key], keyMin[key], st, errs[key] = e.quickExact(QuickExactOptions{Ctx: ctx}, pin)
+		if stats != nil {
+			stats[key] = st
+		}
 	})
 	if err != nil {
 		return 0, nil, fmt.Errorf("sim: degeneracy gap canceled: %w", err)
 	}
+	emitGap(tr, stats)
 	ground := 0
 	for key, m := range keyMin {
 		if errs[key] != nil {

@@ -238,7 +238,7 @@ func TestDegeneracyGap(t *testing.T) {
 	l.AddCell(0, 0, sidb.RoleNormal)
 	l.AddCell(100, 0, sidb.RoleNormal)
 	e := NewEngine(l, ParamsFig5)
-	gap, ground, err := e.DegeneracyGap(context.Background(), []int{0})
+	gap, ground, err := e.DegeneracyGap(context.Background(), []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
