@@ -3,6 +3,8 @@ package cache
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/logic/network"
@@ -12,7 +14,10 @@ import (
 // FlowArtifact is the serializable outcome of a flow run — the subset of
 // core.Result a service client can use, including the optional SiQAD
 // design file and run report. Its JSON encoding is what the cache tiers
-// store, so a warm request replays the cold run's artifacts byte for byte.
+// store and what a flow response carries: an entry is checked with
+// CheckFlowEntry once, when it enters the process (a disk read, a peer
+// fetch or a peer push), and from then on every hit serves the stored
+// bytes unread. The slice a tier returns is shared, so it is read-only.
 type FlowArtifact struct {
 	Name       string          `json:"name"`
 	EngineUsed string          `json:"engine_used"`
@@ -27,6 +32,20 @@ type FlowArtifact struct {
 	// onto the ortho router. Degraded artifacts are never cached: a retry
 	// with more budget gets the full-quality result.
 	Degraded bool `json:"degraded,omitempty"`
+}
+
+// CheckFlowEntry reports whether entry decodes as a FlowArtifact: a JSON
+// object the artifact's fields accept. An entry that fails is a miss on a
+// tier read and is refused on a peer push.
+func CheckFlowEntry(entry []byte) error {
+	var art *FlowArtifact
+	if err := json.Unmarshal(entry, &art); err != nil {
+		return fmt.Errorf("cache: flow entry: %w", err)
+	}
+	if art == nil {
+		return errors.New("cache: flow entry: not a JSON object")
+	}
+	return nil
 }
 
 // RunFlow executes a cold flow run and packages the requested artifacts.

@@ -61,8 +61,11 @@ func (t *Tiers) stack() []tier {
 }
 
 // Do serves key from the fastest tier holding an entry that use accepts,
-// or computes it. use decodes an entry into the caller's result; an error
-// (a corrupt or incompatible entry) makes that tier a miss. A hit is
+// or computes it. use turns an entry into the caller's result and is told
+// which tier (a Source* value) holds it, so a caller can decode an entry
+// once, when it enters the process from disk or a peer, and serve a
+// memory entry unread; an error (a corrupt or incompatible entry) makes
+// that tier a miss. The entry is shared with the tier: read-only. A hit is
 // promoted into every faster tier. On a full miss compute runs and its
 // entry is written through to every tier; compute returns a nil entry for
 // a result that must not be cached (a degraded one), and errors are never
@@ -70,7 +73,7 @@ func (t *Tiers) stack() []tier {
 // retried, so a failing tier reads as a miss and drops its writes.
 //
 // An empty key bypasses the cache: compute runs and nothing is stored.
-func (t *Tiers) Do(ctx context.Context, key Key, use func(entry []byte) error, compute func() ([]byte, error)) (string, error) {
+func (t *Tiers) Do(ctx context.Context, key Key, use func(source string, entry []byte) error, compute func() ([]byte, error)) (string, error) {
 	if key == "" {
 		_, err := compute()
 		return SourceBypass, err
@@ -78,7 +81,7 @@ func (t *Tiers) Do(ctx context.Context, key Key, use func(entry []byte) error, c
 	stack := t.stack()
 	for i, tr := range stack {
 		b, ok, err := tr.Get(ctx, key)
-		if err != nil || !ok || use(b) != nil {
+		if err != nil || !ok || use(tr.source, b) != nil {
 			continue
 		}
 		for _, faster := range stack[:i] {

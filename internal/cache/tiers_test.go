@@ -9,15 +9,17 @@ import (
 )
 
 // walk runs one Tiers.Do for key with a string-valued result: use accepts
-// any entry except "corrupt", and compute (when called) returns entry.
+// any entry except "corrupt", and compute (when called) returns entry. The
+// tier use is told of must be the source Do reports.
 func walk(t *testing.T, tiers *Tiers, key Key, entry []byte, computeErr error) (got string, source string, computed bool) {
 	t.Helper()
+	used := ""
 	source, err := tiers.Do(context.Background(), key,
-		func(b []byte) error {
+		func(src string, b []byte) error {
 			if string(b) == "corrupt" {
 				return errors.New("undecodable entry")
 			}
-			got = string(b)
+			got, used = string(b), src
 			return nil
 		},
 		func() ([]byte, error) {
@@ -30,6 +32,9 @@ func walk(t *testing.T, tiers *Tiers, key Key, entry []byte, computeErr error) (
 		})
 	if !errors.Is(err, computeErr) {
 		t.Fatalf("Do error = %v, want %v", err, computeErr)
+	}
+	if used != "" && used != source {
+		t.Fatalf("use was told tier %q, Do reports %q", used, source)
 	}
 	return got, source, computed
 }
@@ -142,7 +147,7 @@ func TestTiersRemapsSimCharges(t *testing.T) {
 		key, order := SimKey(e, inner.Name())
 		var sol sim.Solution
 		src, err := tiers.Do(context.Background(), key,
-			func(b []byte) (err error) {
+			func(_ string, b []byte) (err error) {
 				sol, err = DecodeSolution(b, order)
 				return err
 			},

@@ -11,11 +11,16 @@ import (
 // "since process start"; the window answers "right now"). A nil
 // *RollingWindow is a valid no-op; non-nil windows are safe for
 // concurrent use.
+//
+// Beside the ring the window keeps its latencies in sort.Float64s order,
+// so Observe moves one value in and one out and Quantile and Snapshot are
+// lookups, not a copy and a sort per call.
 type RollingWindow struct {
-	mu   sync.Mutex
-	buf  []windowSample
-	next int
-	size int
+	mu     sync.Mutex
+	buf    []windowSample // ring in arrival order; the first len(sorted) are held
+	sorted []float64      // the held latencies, ascending (NaN first)
+	next   int
+	errs   int // held observations flagged as errors
 }
 
 type windowSample struct {
@@ -29,7 +34,7 @@ func NewRollingWindow(n int) *RollingWindow {
 	if n <= 0 {
 		n = 256
 	}
-	return &RollingWindow{buf: make([]windowSample, n)}
+	return &RollingWindow{buf: make([]windowSample, n), sorted: make([]float64, 0, n)}
 }
 
 // Observe records one request outcome, evicting the oldest once full.
@@ -38,12 +43,33 @@ func (w *RollingWindow) Observe(seconds float64, isError bool) {
 		return
 	}
 	w.mu.Lock()
+	if len(w.sorted) == len(w.buf) {
+		old := w.buf[w.next]
+		i := searchSorted(w.sorted, old.seconds)
+		w.sorted = append(w.sorted[:i], w.sorted[i+1:]...)
+		if old.err {
+			w.errs--
+		}
+	}
+	i := searchSorted(w.sorted, seconds)
+	w.sorted = append(w.sorted, 0)
+	copy(w.sorted[i+1:], w.sorted[i:])
+	w.sorted[i] = seconds
+	if isError {
+		w.errs++
+	}
 	w.buf[w.next] = windowSample{seconds: seconds, err: isError}
 	w.next = (w.next + 1) % len(w.buf)
-	if w.size < len(w.buf) {
-		w.size++
-	}
 	w.mu.Unlock()
+}
+
+// searchSorted is the first index of sorted whose value is not below x in
+// sort.Float64s order, where NaN sorts before every number.
+func searchSorted(sorted []float64, x float64) int {
+	return sort.Search(len(sorted), func(j int) bool {
+		a := sorted[j]
+		return !(a < x || (math.IsNaN(a) && !math.IsNaN(x)))
+	})
 }
 
 // WindowSnapshot summarizes the current window contents.
@@ -66,47 +92,30 @@ func (w *RollingWindow) Snapshot() WindowSnapshot {
 		return WindowSnapshot{}
 	}
 	w.mu.Lock()
-	lat := make([]float64, 0, w.size)
-	errs := 0
-	for i := 0; i < w.size; i++ {
-		s := w.buf[i]
-		lat = append(lat, s.seconds)
-		if s.err {
-			errs++
-		}
-	}
-	w.mu.Unlock()
-	snap := WindowSnapshot{Size: len(lat), Errors: errs}
-	if len(lat) == 0 {
+	defer w.mu.Unlock()
+	n := len(w.sorted)
+	snap := WindowSnapshot{Size: n, Errors: w.errs}
+	if n == 0 {
 		return snap
 	}
-	snap.ErrorRate = float64(errs) / float64(len(lat))
-	sort.Float64s(lat)
-	snap.P50 = percentile(lat, 0.50)
-	snap.P90 = percentile(lat, 0.90)
-	snap.P99 = percentile(lat, 0.99)
+	snap.ErrorRate = float64(w.errs) / float64(n)
+	snap.P50 = percentile(w.sorted, 0.50)
+	snap.P90 = percentile(w.sorted, 0.90)
+	snap.P99 = percentile(w.sorted, 0.99)
 	return snap
 }
 
 // Quantile returns the nearest-rank latency quantile (0 < q <= 1) over
-// the window's current contents, 0 when empty. Unlike Snapshot it sorts
-// once for a single quantile, so callers that only need one threshold
-// (e.g. the flight recorder's slow-trace cutoff) avoid the full summary.
+// the window's current contents, 0 when empty. Callers that need one
+// threshold (e.g. the flight recorder's slow-trace cutoff) skip the full
+// summary.
 func (w *RollingWindow) Quantile(q float64) float64 {
 	if w == nil {
 		return 0
 	}
 	w.mu.Lock()
-	lat := make([]float64, 0, w.size)
-	for i := 0; i < w.size; i++ {
-		lat = append(lat, w.buf[i].seconds)
-	}
-	w.mu.Unlock()
-	if len(lat) == 0 {
-		return 0
-	}
-	sort.Float64s(lat)
-	return percentile(lat, q)
+	defer w.mu.Unlock()
+	return percentile(w.sorted, q)
 }
 
 // Len returns the number of observations currently held.
@@ -116,7 +125,7 @@ func (w *RollingWindow) Len() int {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.size
+	return len(w.sorted)
 }
 
 // percentile is the nearest-rank percentile of a sorted slice.

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"math/rand/v2"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -79,5 +82,53 @@ func TestRollingWindowConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := w.Len(); got != 64 {
 		t.Fatalf("Len after concurrent fill = %d, want 64", got)
+	}
+}
+
+// TestRollingWindowMatchesSort is the reference for the sorted shadow:
+// after every Observe, Quantile and Snapshot must equal nearest-rank
+// lookups in a sort.Float64s of the ring's contents. The values repeat
+// (a small grid of latencies, zeros of both signs, NaN) and the ring
+// wraps several times at each size.
+func TestRollingWindowMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	grid := []float64{0, math.Copysign(0, -1), 0.001, 0.002, 0.0025, 0.01, 0.5, 3, math.NaN()}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	qs := []float64{0.001, 0.25, 0.5, 0.9, 0.99, 1}
+	for _, n := range []int{1, 2, 7, 64} {
+		w := NewRollingWindow(n)
+		var held []windowSample // reference ring, oldest first
+		for step := 0; step < 5*n+13; step++ {
+			s := windowSample{seconds: grid[rng.IntN(len(grid))], err: rng.IntN(4) == 0}
+			if rng.IntN(3) == 0 {
+				s.seconds = float64(rng.IntN(5)) / 1000
+			}
+			w.Observe(s.seconds, s.err)
+			if held = append(held, s); len(held) > n {
+				held = held[1:]
+			}
+			lat := make([]float64, len(held))
+			errs := 0
+			for i, h := range held {
+				lat[i] = h.seconds
+				if h.err {
+					errs++
+				}
+			}
+			sort.Float64s(lat)
+			for _, q := range qs {
+				if got, want := w.Quantile(q), percentile(lat, q); !same(got, want) {
+					t.Fatalf("n=%d step %d: Quantile(%v) = %v, sort gives %v (%v)", n, step, q, got, want, lat)
+				}
+			}
+			snap := w.Snapshot()
+			if snap.Size != len(held) || snap.Errors != errs ||
+				snap.ErrorRate != float64(errs)/float64(len(held)) ||
+				!same(snap.P50, percentile(lat, 0.50)) ||
+				!same(snap.P90, percentile(lat, 0.90)) ||
+				!same(snap.P99, percentile(lat, 0.99)) {
+				t.Fatalf("n=%d step %d: Snapshot %+v disagrees with sort %v (%d errors)", n, step, snap, lat, errs)
+			}
+		}
 	}
 }

@@ -217,7 +217,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if okItems > 0 && errItems == 0 && allHits(results) {
 			source = "hit"
 		}
-		return &jobResult{body: append(body, '\n'), source: source, degraded: degraded}, nil
+		return &jobResult{body: body, source: source, degraded: degraded}, nil
 	}
 
 	j, ok := s.submit(w, r, "batch", &JobMeta{Path: "/v1/batch", Body: body, TimeoutMS: req.TimeoutMS}, run)

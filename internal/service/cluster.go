@@ -334,7 +334,9 @@ const maxInternalEntryBytes = 8 << 20
 // handleInternalCachePut stores a pushed cache entry from a peer in the
 // local tiers. Peers only push non-degraded results (the tiers never
 // store degraded ones at the source), so nothing accepted here can serve
-// a reduced-quality answer.
+// a reduced-quality answer. A flow entry is decoded here, once: memory
+// hits serve flow entries unread, so one that is not a FlowArtifact is
+// refused with 400 rather than stored.
 func (s *Server) handleInternalCachePut(w http.ResponseWriter, r *http.Request) {
 	if !s.authorizeInternal(r) {
 		writeErr(w, http.StatusForbidden, "cluster secret required")
@@ -358,6 +360,12 @@ func (s *Server) handleInternalCachePut(w http.ResponseWriter, r *http.Request) 
 		}
 		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
 		return
+	}
+	if strings.HasPrefix(key, "flow:") {
+		if err := cache.CheckFlowEntry(b); err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 	s.tiers.PutLocal(r.Context(), cache.Key(key), b)
 	w.WriteHeader(http.StatusNoContent)

@@ -330,6 +330,10 @@ func (s *Server) Drain(ctx context.Context) error {
 // response body plus where it came from. Serving the stored bytes verbatim
 // is what makes warm responses byte-identical to cold ones.
 type jobResult struct {
+	// body is one JSON value without the response's trailing newline:
+	// await writes it and then '\n', and a batch item or a job snapshot
+	// embeds it. A flow hit's body is the cache tier's own slice, shared
+	// with every concurrent hit, so it is read-only: never append to it.
 	body []byte
 	// source is a cache.Source* tier label, sourceCoalesced, or a batch's
 	// aggregate "hit"/"miss".
@@ -364,7 +368,7 @@ func jsonResult(v any) (*jobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &jobResult{body: append(b, '\n')}, nil
+	return &jobResult{body: b}, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -437,9 +441,11 @@ type preparedOp struct {
 	// compute runs the op cold. It returns the response and the cache
 	// entry to store, nil when the result must not be cached.
 	compute func(ctx context.Context, jtr *obs.Tracer) (*jobResult, []byte, error)
-	// replay renders a cached entry as the response; an error makes the
-	// entry a miss. Keyless ops never replay.
-	replay func(entry []byte) (*jobResult, error)
+	// replay renders a cached entry as the response; source names the
+	// tier that holds it (cache.Source*), and an error makes the entry a
+	// miss. The entry is shared with the tier: read-only. Keyless ops
+	// never replay.
+	replay func(source string, entry []byte) (*jobResult, error)
 }
 
 // opRoute is one compute endpoint: every row of opRoutes is served by
@@ -539,8 +545,8 @@ func (s *Server) execOp(ctx context.Context, op *preparedOp, jtr *obs.Tracer) (*
 	}
 	var jr *jobResult
 	source, err := s.tiers.Do(ctx, op.key,
-		func(entry []byte) (err error) {
-			jr, err = op.replay(entry)
+		func(source string, entry []byte) (err error) {
+			jr, err = op.replay(source, entry)
 			return err
 		},
 		func() ([]byte, error) {
@@ -710,6 +716,7 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, j *Job) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(jr.body)+1))
 		w.Header().Set("X-Job-Id", j.ID)
 		w.Header().Set("X-Cache", jr.cacheHeader())
 		if jr.degraded {
@@ -720,6 +727,7 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, j *Job) {
 		}
 		w.WriteHeader(http.StatusOK)
 		w.Write(jr.body)
+		w.Write(newline)
 	case JobCanceled:
 		w.Header().Set("X-Job-Id", j.ID)
 		writeErrKind(w, http.StatusGatewayTimeout, kind, "job %s canceled: %s", j.ID, errMsg)
@@ -733,6 +741,9 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, j *Job) {
 		writeErrKind(w, code, kind, "job %s failed: %s", j.ID, errMsg)
 	}
 }
+
+// newline ends every job response body (see jobResult.body).
+var newline = []byte{'\n'}
 
 // ---- /v1/flow ----
 
@@ -820,7 +831,7 @@ func (s *Server) prepareFlow(req *flowRequest) (*preparedOp, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		jr := &jobResult{body: append(entry, '\n'), degraded: art.Degraded}
+		jr := &jobResult{body: entry, degraded: art.Degraded}
 		if art.Degraded {
 			// A degraded artifact reflects this request's deadline, not the
 			// problem content; caching it would serve reduced-quality results
@@ -829,12 +840,17 @@ func (s *Server) prepareFlow(req *flowRequest) (*preparedOp, error) {
 		}
 		return jr, entry, nil
 	}
-	op.replay = func(entry []byte) (*jobResult, error) {
-		var art cache.FlowArtifact
-		if err := json.Unmarshal(entry, &art); err != nil {
-			return nil, err
+	// A hit serves the entry's own bytes. A memory entry was checked when
+	// it entered the process (computed here, read from disk or a peer, or
+	// pushed by a peer), so only a disk or peer entry is decoded, and one
+	// that is not a FlowArtifact is a miss.
+	op.replay = func(source string, entry []byte) (*jobResult, error) {
+		if source != cache.SourceMem {
+			if err := cache.CheckFlowEntry(entry); err != nil {
+				return nil, err
+			}
 		}
-		return jsonResult(&art)
+		return &jobResult{body: entry}, nil
 	}
 	return op, nil
 }
@@ -1011,7 +1027,7 @@ func (s *Server) prepareSimulate(req *simulateRequest) (*preparedOp, error) {
 		}
 		return jr, cache.EncodeSolution(sol, order), nil
 	}
-	op.replay = func(entry []byte) (*jobResult, error) {
+	op.replay = func(_ string, entry []byte) (*jobResult, error) {
 		sol, err := cache.DecodeSolution(entry, order)
 		if err != nil {
 			return nil, err
@@ -1088,7 +1104,7 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 		entry, err := json.Marshal(v)
 		return jr, entry, err
 	}
-	op.replay = func(entry []byte) (*jobResult, error) {
+	op.replay = func(_ string, entry []byte) (*jobResult, error) {
 		var v gatelib.Validation
 		if err := json.Unmarshal(entry, &v); err != nil {
 			return nil, err
