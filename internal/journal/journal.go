@@ -40,7 +40,9 @@ const (
 	// restarted daemon needs to re-create it: the canonical request bytes,
 	// the endpoint path, the cache key, and the idempotency key.
 	EventSubmitted = "submitted"
-	// EventStarted records a worker picking the job up.
+	// EventStarted records a worker picking the job up. It is advisory
+	// (recovery treats queued and running jobs alike), so Append writes it
+	// without an fsync of its own.
 	EventStarted = "started"
 	// EventFinished records a terminal success or failure (ErrorKind
 	// carries the failure taxonomy; "" or "degraded" means the job is done
@@ -121,8 +123,8 @@ type Journal struct {
 
 	recovered []JobRecord
 
-	appends, rotations, truncations, replaySkipped *obs.Counter
-	segments                                       *obs.Gauge
+	appends, syncs, rotations, truncations, replaySkipped *obs.Counter
+	segments                                              *obs.Gauge
 }
 
 const (
@@ -147,6 +149,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 		segmentBytes:  segmentSize,
 		live:          map[string]*JobRecord{},
 		appends:       tr.Counter("journal/appends_total"),
+		syncs:         tr.Counter("journal/syncs_total"),
 		rotations:     tr.Counter("journal/rotations_total"),
 		truncations:   tr.Counter("journal/torn_tails_truncated_total"),
 		replaySkipped: tr.Counter("journal/replay_skipped_total"),
@@ -331,10 +334,12 @@ func (j *Journal) Recovered() []JobRecord {
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// Append durably records one event: sealed, written, and fsynced before
-// returning. The journal.append fault point stands in for a full disk or
-// failing device; callers treat append failure as degraded durability,
-// not unavailability.
+// Append records one event: sealed, written, and, unless it is a started
+// event, fsynced before returning. A started event needs no fsync of its
+// own: a killed process loses no written pages, and the next synced
+// append, a rotation or Close makes it durable against power loss too. The journal.append
+// fault point stands in for a full disk or failing device; callers treat
+// append failure as degraded durability, not unavailability.
 func (j *Journal) Append(ev Event) error {
 	if err := faults.Fail("journal.append"); err != nil {
 		return err
@@ -356,8 +361,11 @@ func (j *Journal) Append(ev Event) error {
 	if _, err := j.f.Write(rec); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
+	if ev.Type != EventStarted {
+		if err := j.f.Sync(); err != nil {
+			return fmt.Errorf("journal: sync: %w", err)
+		}
+		j.syncs.Inc()
 	}
 	j.size += int64(len(rec))
 	j.appends.Inc()
@@ -433,6 +441,7 @@ func (j *Journal) rotateLocked() error {
 		f.Close()
 		return fmt.Errorf("journal: rotate sync: %w", err)
 	}
+	j.syncs.Inc()
 	if err := syncDir(j.dir); err != nil {
 		f.Close()
 		return err

@@ -345,3 +345,31 @@ func TestWriteBenchMentionsGates(t *testing.T) {
 		t.Errorf("round trip = %s, want 9", got)
 	}
 }
+
+// TestLoadReturnsIndependentCopies checks that Load, which parses each
+// built-in once, hands every caller its own network: editing one copy
+// leaves the next Load as the netlist's parse.
+func TestLoadReturnsIndependentCopies(t *testing.T) {
+	for _, b := range Benchmarks {
+		want, err := ParseBench(b.Name, b.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := Load(b.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first.Name = "edited"
+		first.NewPO(first.And(first.PI(0), first.PI(first.NumPIs()-1).Not()), "extra")
+		second, err := Load(b.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == second {
+			t.Fatalf("%s: two Loads returned the same network", b.Name)
+		}
+		if second.Name != want.Name || WriteBench(second) != WriteBench(want) {
+			t.Errorf("%s: Load after editing an earlier copy differs from the netlist's parse", b.Name)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/logic/network"
 )
@@ -283,11 +284,24 @@ hit = AND(h0, h1)
 	},
 }
 
-// Load parses the named benchmark into an XAG.
+// parsed holds each built-in netlist's parse, made on its first Load.
+var parsed = make([]struct {
+	once sync.Once
+	x    *network.XAG
+	err  error
+}, len(Benchmarks))
+
+// Load returns the named benchmark as an XAG. Each built-in netlist is
+// parsed once; every call returns its own copy.
 func Load(name string) (*network.XAG, error) {
-	for _, b := range Benchmarks {
+	for i, b := range Benchmarks {
 		if b.Name == name {
-			return ParseBench(b.Name, b.Source)
+			p := &parsed[i]
+			p.once.Do(func() { p.x, p.err = ParseBench(b.Name, b.Source) })
+			if p.err != nil {
+				return nil, p.err
+			}
+			return p.x.Clone(), nil
 		}
 	}
 	return nil, fmt.Errorf("bench: unknown benchmark %q", name)

@@ -52,17 +52,18 @@ func TestReduceDBKeepsReasons(t *testing.T) {
 	}
 	// Five learnt 3-literal clauses with activities 1..5 and one learnt
 	// binary clause, which reduction always keeps.
+	var crefs []int
 	for i := 0; i < 5; i++ {
-		s.newClause([]Lit{v[i], v[i+1], v[i+2]}, true, float64(i+1))
+		crefs = append(crefs, s.newClause([]Lit{v[i], v[i+1], v[i+2]}, true, float64(i+1)))
 	}
 	s.newClause([]Lit{v[6], v[7]}, true, 0)
 	s.m.LearnedDB = 6
 	// The lowest-activity clause is the reason of v[0].
-	s.enqueue(v[0], 0)
+	s.enqueue(v[0], crefs[0])
 	s.reduceDB()
 	var deleted []int
 	for i, c := range s.clauses {
-		if c.deleted {
+		if s.arena[c.cref+hdrLen] == 0 {
 			deleted = append(deleted, i)
 		}
 	}

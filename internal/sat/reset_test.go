@@ -63,7 +63,7 @@ func random3SAT(s *Solver, seed int64, nVars, nClauses int) [][]Lit {
 var resetFormulas = []formula{
 	{"api-error", func(s *Solver) Status {
 		a := s.NewVar()
-		s.AddClause(a, Lit(99))
+		s.AddClause(a, unknownLit(1))
 		return s.Solve()
 	}},
 	{"random-3sat", func(s *Solver) Status {
@@ -200,11 +200,15 @@ func TestAddClauseCopiesLiterals(t *testing.T) {
 // storage it kept allocates nothing.
 func TestAddClauseAllocs(t *testing.T) {
 	const nVars, nClauses = 300, 3000
+	vars := make([]Lit, nVars)
+	for i, ls := 0, New(); i < nVars; i++ {
+		vars[i] = ls.NewVar() // a new solver's i-th variable, as build makes it
+	}
 	rng := rand.New(rand.NewSource(5))
 	cls := make([][3]Lit, nClauses)
 	for i := range cls {
 		for k := range cls[i] {
-			cls[i][k] = Lit(1 + rng.Intn(nVars))
+			cls[i][k] = vars[rng.Intn(nVars)]
 			if rng.Intn(2) == 0 {
 				cls[i][k] = cls[i][k].Neg()
 			}

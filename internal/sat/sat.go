@@ -17,30 +17,34 @@ import (
 	"repro/internal/faults"
 )
 
-// Lit is a literal: variable index (1-based) with sign. Positive values are
-// positive literals, negative values negated ones. 0 is invalid.
+// Lit is a literal of a variable from NewVar: 2v encodes x_v and 2v+1
+// encodes ¬x_v, so negation flips the low bit and a literal is its own
+// index into the solver's value and watch arrays. Variables are numbered
+// from 1; the zero Lit and its negation name no variable and are invalid.
 type Lit int32
 
 // Neg returns the negated literal.
-func (l Lit) Neg() Lit { return -l }
+func (l Lit) Neg() Lit { return l ^ 1 }
 
 // Var returns the 1-based variable index of the literal.
-func (l Lit) Var() int {
-	if l < 0 {
-		return int(-l)
-	}
-	return int(l)
-}
+func (l Lit) Var() int { return int(l >> 1) }
 
 // Sign reports whether the literal is positive.
-func (l Lit) Sign() bool { return l > 0 }
+func (l Lit) Sign() bool { return l&1 == 0 }
 
 // String formats the literal as "x3" or "!x3".
 func (l Lit) String() string {
-	if l < 0 {
-		return fmt.Sprintf("!x%d", -l)
+	if l&1 == 1 {
+		return fmt.Sprintf("!x%d", l>>1)
 	}
-	return fmt.Sprintf("x%d", l)
+	return fmt.Sprintf("x%d", l>>1)
+}
+
+// order is the literal's rank in the order clauses are stored in: -v for
+// ¬x_v and v for x_v, so negative literals come first, by falling index.
+func (l Lit) order() int32 {
+	m := -int32(l & 1) // -1 for a negative literal, else 0
+	return (int32(l>>1) ^ m) - m
 }
 
 // Status is the result of a Solve call.
@@ -74,55 +78,65 @@ const (
 	lFalse
 )
 
-// clause is a disjunction of literals; learnt marks conflict clauses. Its
-// n literals are arena[start:start+n] of the solver that holds it.
+// A clause lives in the solver's arena as a two-entry header followed by
+// its literals: arena[cref] is the clause's index in Solver.clauses,
+// arena[cref+1] its length (0 once reduceDB deletes it), and
+// arena[cref+2:cref+2+n] its literals. Watchers, reasons and conflicts name
+// a clause by its arena offset cref, so propagation reads only the arena.
+const (
+	hdrIdx = 0 // offset of the clause index in the header
+	hdrLen = 1 // offset of the clause length in the header
+	hdrN   = 2 // header entries before the literals
+)
+
+// clause holds what only analyze and reduceDB read of a clause: its arena
+// offset, whether it is learnt, and its activity.
 type clause struct {
-	start, n uint32
+	cref     uint32
 	learnt   bool
-	deleted  bool
 	activity float64
 }
 
 // watcher records a clause watching a literal plus the blocking literal
-// optimization, in 8 bytes: cref is the clause index shifted left by one,
-// with the low bit set for a binary clause. A binary clause's blocker is
-// always its other literal, so propagation settles it without loading the
-// clause.
+// optimization, in 8 bytes: ref is the clause's arena offset shifted left
+// by one, with the low bit set for a binary clause. A binary clause's
+// blocker is always its other literal, so propagation settles it without
+// reading the clause.
 type watcher struct {
-	cref    uint32
+	ref     uint32
 	blocker Lit
 }
 
-// newWatcher returns the watcher of clause idx with the given blocker.
-func newWatcher(idx int, binary bool, blocker Lit) watcher {
-	w := watcher{cref: uint32(idx) << 1, blocker: blocker}
+// newWatcher returns the watcher of the clause at arena offset cref with
+// the given blocker.
+func newWatcher(cref int, binary bool, blocker Lit) watcher {
+	w := watcher{ref: uint32(cref) << 1, blocker: blocker}
 	if binary {
-		w.cref |= 1
+		w.ref |= 1
 	}
 	return w
 }
 
-// clauseIdx returns the index of the watched clause.
-func (w watcher) clauseIdx() int { return int(w.cref >> 1) }
+// cref returns the arena offset of the watched clause.
+func (w watcher) cref() int { return int(w.ref >> 1) }
 
 // binary reports whether the watched clause has two literals.
-func (w watcher) binary() bool { return w.cref&1 == 1 }
+func (w watcher) binary() bool { return w.ref&1 == 1 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; construct with
 // New.
 type Solver struct {
 	numVars  int
 	clauses  []clause
-	arena    []Lit       // every clause's literals, in clause order
+	arena    []Lit       // every clause's header and literals, in clause order
 	nProblem int         // attached problem (non-learnt) clauses
-	scratch  []Lit       // AddClause's normalisation buffer
 	learnt   []Lit       // analyze's learnt-clause buffer
 	toClear  []int       // analyze's seen-variable buffer
-	watches  [][]watcher // indexed by watchIdx(lit)
-	vals     []lbool     // literal values by watchIdx(lit); vals[2v] is variable v's
+	watches  [][]watcher // indexed by literal
+	vals     []lbool     // literal values by literal; vals[2v] is variable v's
 	locked   []bool      // reduceDB's reason-clause marks, by clause index
 	level    []int
-	reason   []int // clause index that implied the variable, or -1
+	reason   []int // arena offset of the clause that implied the variable, or -1
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -232,13 +246,6 @@ func (s *Solver) addWatchSlots() {
 	s.watches[n+1] = s.watches[n+1][:0]
 }
 
-// watchIdx maps a literal to its watch-list and value slot: 2v for the
-// positive literal of variable v, 2v+1 for the negative one.
-func watchIdx(l Lit) int {
-	m := int(l >> 31) // -1 for a negative literal, else 0
-	return (int(l)^m-m)<<1 | m&1
-}
-
 // NewVar allocates a fresh variable and returns its positive literal.
 func (s *Solver) NewVar() Lit {
 	s.numVars++
@@ -250,7 +257,7 @@ func (s *Solver) NewVar() Lit {
 	s.seen = append(s.seen, false)
 	s.addWatchSlots()
 	s.order.push(s.numVars)
-	return Lit(s.numVars)
+	return Lit(2 * s.numVars)
 }
 
 // NumVars returns the number of allocated variables.
@@ -264,7 +271,7 @@ func (s *Solver) NumClauses() int { return s.nProblem }
 func (s *Solver) Metrics() Metrics { return s.m }
 
 // value returns the current assignment of a literal.
-func (s *Solver) value(l Lit) lbool { return s.vals[watchIdx(l)] }
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
 
 // AddClause adds a clause; returns false if the formula became trivially
 // unsatisfiable. Literals must reference variables from NewVar: a clause
@@ -281,22 +288,36 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.apiErr = fmt.Errorf("sat: AddClause called during search")
 		return false
 	}
-	// Normalize in the scratch buffer: sort, dedupe, detect tautology,
-	// drop false literals.
-	s.scratch = append(s.scratch[:0], lits...)
-	ls := s.scratch
-	slices.Sort(ls)
-	out := ls[:0]
-	var prev Lit
-	for _, l := range ls {
-		if l.Var() > s.numVars || l == 0 {
-			s.apiErr = fmt.Errorf("sat: clause references unknown literal %d", l)
+	// Copy the literals behind a new header at the arena's end, sorted
+	// by insertion in Lit.order, then normalize them in place: drop
+	// duplicates and false literals, and give up on a tautology or a
+	// literal already true. A tautology is caught when the two literals
+	// of a variable meet side by side in that order.
+	cref := len(s.arena)
+	at := cref + hdrN
+	arena := append(s.arena, 0, 0)
+	for _, l := range lits {
+		if l < 2 || l.Var() > s.numVars {
+			s.arena = arena[:cref]
+			s.apiErr = fmt.Errorf("sat: clause references unknown literal %v", l)
 			return false
 		}
+		k := l.order()
+		i := len(arena)
+		arena = append(arena, l)
+		for ; i > at && arena[i-1].order() > k; i-- {
+			arena[i] = arena[i-1]
+		}
+		arena[i] = l
+	}
+	s.arena = arena[:cref] // keep the grown backing array, not the clause
+	out := arena[at:at]
+	var prev Lit // the zero Lit is no clause literal nor its negation
+	for _, l := range arena[at:] {
 		if l == prev {
 			continue
 		}
-		if l == prev.Neg() && prev != 0 {
+		if l == prev.Neg() {
 			return true // tautology
 		}
 		switch s.value(l) {
@@ -323,33 +344,43 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	s.newClause(out, false, 0)
+	s.arena = arena[:at+len(out)]
+	s.attach(cref, false, 0)
 	return true
 }
 
-// newClause copies lits (at least two) into the arena, stores the clause
-// and registers it with the watch lists. It returns the clause index.
+// newClause copies lits (at least two) into the arena behind a header and
+// attaches the clause. It returns the clause's arena offset.
 func (s *Solver) newClause(lits []Lit, learnt bool, activity float64) int {
-	idx := len(s.clauses)
-	s.clauses = append(s.clauses, clause{
-		start: uint32(len(s.arena)), n: uint32(len(lits)),
-		learnt: learnt, activity: activity,
-	})
+	cref := len(s.arena)
+	s.arena = append(s.arena, 0, 0)
 	s.arena = append(s.arena, lits...)
+	s.attach(cref, learnt, activity)
+	return cref
+}
+
+// attach stores the clause whose literals end the arena behind the header
+// at cref: it fills the header, records the clause and registers it with
+// the watch lists of its first two literals.
+func (s *Solver) attach(cref int, learnt bool, activity float64) {
+	n := len(s.arena) - cref - hdrN
+	s.arena[cref+hdrIdx], s.arena[cref+hdrLen] = Lit(len(s.clauses)), Lit(n)
+	s.clauses = append(s.clauses, clause{cref: uint32(cref), learnt: learnt, activity: activity})
 	if !learnt {
 		s.nProblem++
 	}
-	binary := len(lits) == 2
-	w0, w1 := watchIdx(lits[0].Neg()), watchIdx(lits[1].Neg())
-	s.watches[w0] = append(s.watches[w0], newWatcher(idx, binary, lits[1]))
-	s.watches[w1] = append(s.watches[w1], newWatcher(idx, binary, lits[0]))
-	return idx
+	l0, l1 := s.arena[cref+hdrN], s.arena[cref+hdrN+1]
+	binary := n == 2
+	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], newWatcher(cref, binary, l1))
+	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], newWatcher(cref, binary, l0))
 }
 
-// lits returns the literals of clause c, which aliases the arena until
-// the next clause is stored.
-func (s *Solver) lits(c *clause) []Lit {
-	return s.arena[c.start : c.start+c.n : c.start+c.n]
+// lits returns the literals of the clause at arena offset cref, which
+// alias the arena until the next clause is stored.
+func (s *Solver) lits(cref int) []Lit {
+	at := cref + hdrN
+	end := at + int(s.arena[cref+hdrLen])
+	return s.arena[at:end:end]
 }
 
 // decisionLevel returns the current decision level.
@@ -364,8 +395,7 @@ func (s *Solver) enqueue(l Lit, reason int) bool {
 		return false
 	}
 	v := l.Var()
-	i := watchIdx(l) // l.Neg() has slot i^1
-	s.vals[i], s.vals[i^1] = lTrue, lFalse
+	s.vals[l], s.vals[l.Neg()] = lTrue, lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = reason
 	s.phase[v] = l.Sign()
@@ -373,61 +403,63 @@ func (s *Solver) enqueue(l Lit, reason int) bool {
 	return true
 }
 
-// propagate performs unit propagation; returns the index of a conflicting
-// clause or -1.
+// propagate performs unit propagation; returns the arena offset of a
+// conflicting clause or -1.
 func (s *Solver) propagate() int {
+	vals, arena := s.vals, s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.m.Propagations++
 		notP := p.Neg()
-		wi := watchIdx(p)
-		ws := s.watches[wi]
+		ws := s.watches[p]
 		kept := ws[:0]
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			bv := vals[w.blocker]
+			if bv == lTrue {
 				kept = append(kept, w)
 				continue
 			}
+			cref := w.cref()
 			if w.binary() {
 				// The blocker is the clause's other literal: the clause
 				// is unit or conflicting.
 				kept = append(kept, w)
-				if s.value(w.blocker) == lFalse {
+				if bv == lFalse {
 					// Write the literals in the order a longer clause's
 					// swap leaves them (the false watch ¬p second), so
 					// analyze visits them in the same order.
-					at := s.clauses[w.clauseIdx()].start
-					s.arena[at], s.arena[at+1] = w.blocker, notP
+					arena[cref+hdrN], arena[cref+hdrN+1] = w.blocker, notP
 					kept = append(kept, ws[i+1:]...)
-					s.watches[wi] = kept
+					s.watches[p] = kept
 					s.qhead = len(s.trail)
-					return w.clauseIdx()
+					return cref
 				}
-				s.enqueue(w.blocker, w.clauseIdx())
+				s.enqueue(w.blocker, cref)
 				continue
 			}
-			c := &s.clauses[w.clauseIdx()]
-			if c.deleted {
+			n := int(arena[cref+hdrLen])
+			if n == 0 {
 				continue // drop watcher of a deleted clause
 			}
-			lits := s.lits(c)
+			lits := arena[cref+hdrN : cref+hdrN+n]
 			// Ensure the false literal is lits[1].
 			if lits[0] == notP {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(lits[0]) == lTrue {
-				kept = append(kept, watcher{w.cref, lits[0]})
+			first := lits[0]
+			if vals[first] == lTrue {
+				kept = append(kept, watcher{w.ref, first})
 				continue
 			}
 			// Look for a new watch.
 			found := false
 			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != lFalse {
+				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					nw := watchIdx(lits[1].Neg())
-					s.watches[nw] = append(s.watches[nw], watcher{w.cref, lits[0]})
+					nw := lits[1].Neg()
+					s.watches[nw] = append(s.watches[nw], watcher{w.ref, first})
 					found = true
 					break
 				}
@@ -437,16 +469,16 @@ func (s *Solver) propagate() int {
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, w)
-			if s.value(lits[0]) == lFalse {
+			if vals[first] == lFalse {
 				// Conflict: restore remaining watchers and report.
 				kept = append(kept, ws[i+1:]...)
-				s.watches[wi] = kept
+				s.watches[p] = kept
 				s.qhead = len(s.trail)
-				return w.clauseIdx()
+				return cref
 			}
-			s.enqueue(lits[0], w.clauseIdx())
+			s.enqueue(first, cref)
 		}
-		s.watches[wi] = kept
+		s.watches[p] = kept
 	}
 	return -1
 }
@@ -472,12 +504,12 @@ func (s *Solver) reduceDB() {
 	clear(locked)
 	for _, l := range s.trail {
 		if r := s.reason[l.Var()]; r >= 0 {
-			locked[r] = true
+			locked[s.arena[r+hdrIdx]] = true
 		}
 	}
 	var cands []int
 	for i, c := range s.clauses {
-		if c.learnt && !c.deleted && c.n > 2 && !locked[i] {
+		if c.learnt && s.arena[c.cref+hdrLen] > 2 && !locked[i] {
 			cands = append(cands, i)
 		}
 	}
@@ -485,7 +517,7 @@ func (s *Solver) reduceDB() {
 		return s.clauses[cands[a]].activity < s.clauses[cands[b]].activity
 	})
 	for _, i := range cands[:len(cands)/2] {
-		s.clauses[i].deleted = true
+		s.arena[s.clauses[i].cref+hdrLen] = 0
 		s.m.LearnedDB--
 		s.m.LearnedDeleted++
 	}
@@ -513,13 +545,13 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 	var p Lit
 	idx := len(s.trail) - 1
 
-	c := &s.clauses[confl]
+	cref := confl
 	toClear := s.toClear[:0]
 	for {
-		if c.learnt {
+		if c := &s.clauses[s.arena[cref+hdrIdx]]; c.learnt {
 			s.bumpClause(c)
 		}
-		for _, q := range s.lits(c) {
+		for _, q := range s.lits(cref) {
 			if q == p {
 				continue
 			}
@@ -547,7 +579,7 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 		if counter == 0 {
 			break
 		}
-		c = &s.clauses[s.reason[p.Var()]]
+		cref = s.reason[p.Var()]
 	}
 	learnt[0] = p.Neg()
 	for _, v := range toClear {
@@ -577,8 +609,9 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.vals[2*v], s.vals[2*v+1] = lUndef, lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l], s.vals[l.Neg()] = lUndef, lUndef
 		s.reason[v] = -1
 		s.order.pushIfAbsent(v)
 	}
@@ -730,7 +763,7 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 			return Unknown
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		l := Lit(v)
+		l := Lit(2 * v)
 		if !s.phase[v] {
 			l = l.Neg()
 		}
@@ -768,7 +801,7 @@ func (s *Solver) pickBranchVar() int {
 
 // Value returns the model value of a literal after Solve returned Sat.
 func (s *Solver) Value(l Lit) bool {
-	if l.Var() >= len(s.model) {
+	if uint(l.Var()) >= uint(len(s.model)) {
 		return false
 	}
 	v := s.model[l.Var()]
@@ -787,7 +820,9 @@ func (s *Solver) Model() []bool {
 	return m
 }
 
-// varHeap is a max-heap over variable activity with lazy deletion.
+// varHeap is a max-heap over variable activity with lazy deletion. It
+// sifts by moving a hole: the entries it passes shift one step and the
+// sifted variable is written once where the hole stops.
 type varHeap struct {
 	solver *Solver
 	heap   []int
@@ -796,43 +831,50 @@ type varHeap struct {
 
 func (h *varHeap) len() int { return len(h.heap) }
 
-func (h *varHeap) less(i, j int) bool {
-	return h.solver.activity[h.heap[i]] > h.solver.activity[h.heap[j]]
+// set places variable v at heap index i.
+func (h *varHeap) set(i, v int) {
+	h.heap[i] = v
+	h.pos[v] = i + 1
 }
 
-func (h *varHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i + 1
-	h.pos[h.heap[j]] = j + 1
-}
-
+// up moves the variable at index i towards the root while its activity is
+// strictly above its parent's.
 func (h *varHeap) up(i int) {
+	act := h.solver.activity
+	v := h.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !(act[v] > act[h.heap[parent]]) {
 			break
 		}
-		h.swap(i, parent)
+		h.set(i, h.heap[parent])
 		i = parent
 	}
+	h.set(i, v)
 }
 
+// down moves the variable at index i towards the leaves while a child's
+// activity is strictly above it, taking the right child only when its
+// activity is strictly above the left one's.
 func (h *varHeap) down(i int) {
+	act := h.solver.activity
+	v := h.heap[i]
+	n := len(h.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.heap) && h.less(l, smallest) {
-			smallest = l
+		best, bestAct := i, act[v]
+		if l := 2*i + 1; l < n && act[h.heap[l]] > bestAct {
+			best, bestAct = l, act[h.heap[l]]
 		}
-		if r < len(h.heap) && h.less(r, smallest) {
-			smallest = r
+		if r := 2*i + 2; r < n && act[h.heap[r]] > bestAct {
+			best = r
 		}
-		if smallest == i {
-			return
+		if best == i {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		h.set(i, h.heap[best])
+		i = best
 	}
+	h.set(i, v)
 }
 
 func (h *varHeap) push(v int) {
@@ -852,11 +894,13 @@ func (h *varHeap) pushIfAbsent(v int) { h.push(v) }
 func (h *varHeap) pop() int {
 	v := h.heap[0]
 	last := len(h.heap) - 1
-	h.swap(0, last)
-	h.heap = h.heap[:last]
 	h.pos[v] = 0
-	if len(h.heap) > 0 {
+	if last > 0 {
+		h.set(0, h.heap[last])
+		h.heap = h.heap[:last]
 		h.down(0)
+	} else {
+		h.heap = h.heap[:0]
 	}
 	return v
 }

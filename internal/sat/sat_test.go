@@ -335,8 +335,12 @@ func TestMaxConflictsBudget(t *testing.T) {
 }
 
 func TestLitAccessors(t *testing.T) {
-	l := Lit(5)
-	if l.Var() != 5 || !l.Sign() || l.Neg() != Lit(-5) || l.Neg().Var() != 5 || l.Neg().Sign() {
+	s := New()
+	var l Lit
+	for i := 0; i < 5; i++ {
+		l = s.NewVar()
+	}
+	if l.Var() != 5 || !l.Sign() || l.Neg() == l || l.Neg().Neg() != l || l.Neg().Var() != 5 || l.Neg().Sign() {
 		t.Error("literal accessors broken")
 	}
 	if l.String() != "x5" || l.Neg().String() != "!x5" {
@@ -450,10 +454,21 @@ func BenchmarkPigeonhole7(b *testing.B) {
 	}
 }
 
+// unknownLit returns a literal of a variable that a solver with n
+// variables has not allocated.
+func unknownLit(n int) Lit {
+	other := New()
+	var l Lit
+	for i := 0; i <= n; i++ {
+		l = other.NewVar()
+	}
+	return l
+}
+
 func TestAddClauseUnknownLiteralIsError(t *testing.T) {
 	s := New()
 	a := s.NewVar()
-	if s.AddClause(a, Lit(99)) {
+	if s.AddClause(a, unknownLit(1)) {
 		t.Error("clause with an unknown literal must be rejected")
 	}
 	if s.Err() == nil {
@@ -470,13 +485,16 @@ func TestAddClauseUnknownLiteralIsError(t *testing.T) {
 }
 
 func TestAddClauseZeroLiteralIsError(t *testing.T) {
-	s := New()
-	s.NewVar()
-	if s.AddClause(Lit(0)) {
-		t.Error("clause with literal 0 must be rejected")
-	}
-	if s.Err() == nil {
-		t.Fatal("literal 0 must record an API error")
+	var zero Lit
+	for _, l := range []Lit{zero, zero.Neg()} {
+		s := New()
+		s.NewVar()
+		if s.AddClause(l) {
+			t.Errorf("clause with the zero literal %v must be rejected", l)
+		}
+		if s.Err() == nil {
+			t.Fatalf("the zero literal %v must record an API error", l)
+		}
 	}
 }
 

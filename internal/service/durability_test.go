@@ -206,6 +206,26 @@ func TestJournalLifecycleAcrossDrain(t *testing.T) {
 	}
 }
 
+// TestJournalSyncsPerJob: a synchronous job journals three events
+// (submitted, started, finished) with two fsyncs, the started event
+// riding on the finished one's.
+func TestJournalSyncsPerJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, JournalDir: t.TempDir()})
+	resp, b := postJSON(t, ts.URL+"/v1/simulate", fourDots())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: %d %s", resp.StatusCode, b)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	appends, syncs := s.tr.Counter("journal/appends_total").Value(), s.tr.Counter("journal/syncs_total").Value()
+	if appends != 3 || syncs != 2 {
+		t.Errorf("one sync job: %d journal appends, %d syncs; want 3, 2", appends, syncs)
+	}
+}
+
 // TestIdempotencyKeyReattach: the same Idempotency-Key returns the same
 // job id and the same bytes, marked as a replay.
 func TestIdempotencyKeyReattach(t *testing.T) {

@@ -1599,7 +1599,8 @@ var metricHelp = map[string]string{
 	"cluster_overview_degraded":          "1 when any replica is dead, draining, shedding, or has an open cache breaker.",
 	"cluster_overview_burn_rate":         "Fleet-wide SLO burn rate per objective and window (raw counts summed across replicas).",
 	"cluster_overview_utilization":       "Queue+worker utilization per replica, from the overview poll.",
-	"journal_appends_total":              "Job lifecycle events durably appended to the write-ahead journal.",
+	"journal_appends_total":              "Job lifecycle events appended to the write-ahead journal.",
+	"journal_syncs_total":                "Journal fsyncs by appends and rotations: submitted, finished and canceled events are synced; a started event rides on the next sync.",
 	"journal_append_errors_total":        "Journal appends that failed (durability degraded; the job still ran).",
 	"journal_rotations_total":            "Journal segment rotations (each compacts completed jobs away).",
 	"journal_torn_tails_truncated_total": "Torn journal tails (half-written final records) truncated on open.",
