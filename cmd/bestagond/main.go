@@ -64,6 +64,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
@@ -76,7 +77,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/obslog"
 	"repro/internal/service"
 	"repro/internal/sim"
 )
@@ -113,14 +113,14 @@ func main() {
 	)
 	flag.Parse()
 
-	level, err := obslog.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		fatal(err)
 	}
 	if *trace {
-		level = obslog.LevelDebug
+		level = slog.LevelDebug
 	}
-	logger := obslog.New(os.Stderr, level).With(obslog.F("service", "bestagond"))
+	logger := obs.NewLogger(os.Stderr, level).With("service", "bestagond")
 
 	tr := obs.New()
 
@@ -135,7 +135,7 @@ func main() {
 			fatal(err)
 		}
 		tr.Gauge("faults/armed").Set(1)
-		logger.Warn("faults_armed", obslog.F("spec", spec), obslog.F("seed", *faultSeed))
+		logger.Warn("faults_armed", "spec", spec, "seed", *faultSeed)
 	}
 
 	// Fleet mode: a static peer list makes this replica part of a cluster
@@ -164,9 +164,9 @@ func main() {
 			ProbeInterval: *probeInterval,
 		}
 		logger.Info("cluster_enabled",
-			obslog.F("self", self),
-			obslog.F("peers", *peers),
-			obslog.F("secured", secret != ""))
+			"self", self,
+			"peers", *peers,
+			"secured", secret != "")
 	}
 
 	srv, err := service.New(service.Config{
@@ -191,7 +191,13 @@ func main() {
 		fatal(err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// net/http's own complaints (a superfluous WriteHeader, a failed TLS
+	// handshake) join the JSON stream at warn instead of plain stderr text.
+	hs := &http.Server{
+		Addr:     *addr,
+		Handler:  srv.Handler(),
+		ErrorLog: slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -200,22 +206,22 @@ func main() {
 	// the pprof handlers never ride on the public API listener.
 	if *pprofAddr != "" {
 		go func() {
-			logger.Info("pprof_listening", obslog.F("addr", *pprofAddr))
+			logger.Info("pprof_listening", "addr", *pprofAddr)
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				logger.Error("pprof_server_failed", obslog.Err(err))
+				logger.Error("pprof_server_failed", "error", err)
 			}
 		}()
 	}
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("listening", obslog.F("addr", *addr), obslog.F("workers", *workers))
+		logger.Info("listening", "addr", *addr, "workers", *workers)
 		errCh <- hs.ListenAndServe()
 	}()
 
 	select {
 	case <-ctx.Done():
-		logger.Info("shutdown_signal", obslog.F("grace", drainGrace.String()))
+		logger.Info("shutdown_signal", "grace", drainGrace.String())
 	case err := <-errCh:
 		fatal(err)
 	}
@@ -225,10 +231,10 @@ func main() {
 	grace, cancel := context.WithTimeout(context.Background(), *drainGrace)
 	defer cancel()
 	if err := hs.Shutdown(grace); err != nil {
-		logger.Warn("http_shutdown", obslog.Err(err))
+		logger.Warn("http_shutdown", "error", err)
 	}
 	if err := srv.Drain(grace); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Warn("drain_failed", obslog.Err(err))
+		logger.Warn("drain_failed", "error", err)
 	} else if errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("drain_grace_expired")
 	}
@@ -243,14 +249,14 @@ func main() {
 		} else if err := os.WriteFile(*report, append(data, '\n'), 0o644); err != nil {
 			fatal(err)
 		} else {
-			logger.Info("report_written", obslog.F("file", *report))
+			logger.Info("report_written", "file", *report)
 		}
 	}
 	st := srv.CacheStats()
 	logger.Info("exit",
-		obslog.F("cache_entries", st.Entries),
-		obslog.F("cache_bytes", st.Bytes),
-		obslog.F("cache_hit_rate", st.HitRate()))
+		"cache_entries", st.Entries,
+		"cache_bytes", st.Bytes,
+		"cache_hit_rate", st.HitRate())
 }
 
 func fatal(err error) {

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +13,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/obs/obslog"
 )
 
 // Disk is the optional persistent tier for every cached result kind: flow
@@ -34,7 +35,7 @@ type Disk struct {
 	dir string
 	// tr receives the corruption counter (nil-safe; see Instrument).
 	tr  *obs.Tracer
-	log *obslog.Logger
+	log *slog.Logger
 }
 
 // NewDisk opens (creating if needed) a disk cache rooted at dir.
@@ -42,14 +43,15 @@ func NewDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: disk: %w", err)
 	}
-	return &Disk{dir: dir}, nil
+	return &Disk{dir: dir, log: obs.Discard}, nil
 }
 
 // Instrument attaches the tracer and logger that receive corruption
-// counts and quarantine logs (both nil-safe). Call before first use.
-func (d *Disk) Instrument(tr *obs.Tracer, log *obslog.Logger) {
+// counts and quarantine logs (a nil logger disables them). Call before
+// first use.
+func (d *Disk) Instrument(tr *obs.Tracer, log *slog.Logger) {
 	d.tr = tr
-	d.log = log
+	d.log = cmp.Or(log, obs.Discard)
 }
 
 // path maps a key to its file. The key's domain tag becomes part of the
@@ -99,8 +101,8 @@ func (d *Disk) quarantine(p string, cause error) {
 		os.Remove(p)
 	}
 	d.log.Warn("cache_disk_entry_quarantined",
-		obslog.F("entry", filepath.Base(p)),
-		obslog.F("error", cause.Error()))
+		"entry", filepath.Base(p),
+		"error", cause)
 }
 
 // Put writes the entry durably: checksummed framing, temp file, fsync,

@@ -1,13 +1,14 @@
 package cache
 
 import (
+	"cmp"
 	"context"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/obslog"
 )
 
 // Layer is the interface every cache tier behind the in-memory LRU
@@ -74,7 +75,7 @@ type ResilientOptions struct {
 	// Tracer receives breaker and retry metrics (nil-safe).
 	Tracer *obs.Tracer
 	// Logger receives structured state-transition logs (nil disables).
-	Logger *obslog.Logger
+	Logger *slog.Logger
 }
 
 // Resilient wraps any Layer with exponential-backoff retries for
@@ -99,7 +100,7 @@ type Resilient struct {
 
 	stateGauge                            *obs.Gauge
 	trips, retries, ioErrors, shortCircts *obs.Counter
-	log                                   *obslog.Logger
+	log                                   *slog.Logger
 }
 
 // NewResilient wraps inner. Metrics are registered immediately so the
@@ -126,7 +127,7 @@ func NewResilient(inner Layer, opts ResilientOptions) *Resilient {
 		retries:     tr.Counter("cache/" + opts.Name + "/retries_total"),
 		ioErrors:    tr.Counter("cache/" + opts.Name + "/io_errors_total"),
 		shortCircts: tr.Counter("cache/" + opts.Name + "/short_circuits_total"),
-		log:         opts.Logger,
+		log:         cmp.Or(opts.Logger, obs.Discard),
 	}
 	r.stateGauge.Set(float64(BreakerClosed))
 	return r
@@ -199,14 +200,14 @@ func (r *Resilient) setStateLocked(s BreakerState) {
 	switch s {
 	case BreakerOpen:
 		r.log.Warn("cache_"+r.opts.Name+"_breaker_open",
-			obslog.F("from", from.String()),
-			obslog.F("consecutive_failures", r.fails),
-			obslog.F("cooldown", cooldown.String()),
-			obslog.F("effect", "layer bypassed; remaining cache tiers serve"))
+			"from", from.String(),
+			"consecutive_failures", r.fails,
+			"cooldown", cooldown.String(),
+			"effect", "layer bypassed; remaining cache tiers serve")
 	case BreakerHalfOpen:
-		r.log.Info("cache_"+r.opts.Name+"_breaker_half_open", obslog.F("from", from.String()))
+		r.log.Info("cache_"+r.opts.Name+"_breaker_half_open", "from", from.String())
 	case BreakerClosed:
-		r.log.Info("cache_"+r.opts.Name+"_breaker_closed", obslog.F("from", from.String()))
+		r.log.Info("cache_"+r.opts.Name+"_breaker_closed", "from", from.String())
 	}
 }
 

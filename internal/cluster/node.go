@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/hex"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -14,7 +16,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/obs"
-	"repro/internal/obs/obslog"
 )
 
 // Protocol headers. SecretHeader authenticates peer-cache and internal
@@ -78,7 +79,7 @@ type Config struct {
 	// Tracer receives cluster metrics (nil-safe).
 	Tracer *obs.Tracer
 	// Logger receives membership-transition logs (nil disables).
-	Logger *obslog.Logger
+	Logger *slog.Logger
 }
 
 // MemberStatus is a serializable liveness snapshot of one member.
@@ -120,7 +121,7 @@ type Node struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	log      *obslog.Logger
+	log      *slog.Logger
 	tr       *obs.Tracer
 	probeErr *obs.Counter
 }
@@ -159,7 +160,7 @@ func NewNode(cfg Config) (*Node, error) {
 		},
 		self:     &member{addr: cfg.Self, alive: true},
 		stop:     make(chan struct{}),
-		log:      cfg.Logger,
+		log:      cmp.Or(cfg.Logger, obs.Discard),
 		tr:       cfg.Tracer,
 		probeErr: cfg.Tracer.Counter("cluster/probe_failures_total"),
 	}
@@ -261,23 +262,23 @@ func (n *Node) probeAll() {
 				p.alive = true
 				changed = true
 				n.log.Info("cluster_peer_up",
-					obslog.F("peer", p.addr),
-					obslog.F("probe_id", probeID))
+					"peer", p.addr,
+					"probe_id", probeID)
 			}
 		} else {
 			p.consecFails++
 			n.probeErr.Inc()
 			n.log.Debug("cluster_probe_failed",
-				obslog.F("peer", p.addr),
-				obslog.F("probe_id", probeID),
-				obslog.F("consecutive_failures", p.consecFails))
+				"peer", p.addr,
+				"probe_id", probeID,
+				"consecutive_failures", p.consecFails)
 			if p.alive && p.consecFails >= n.cfg.FailThreshold {
 				p.alive = false
 				changed = true
 				n.log.Warn("cluster_peer_down",
-					obslog.F("peer", p.addr),
-					obslog.F("probe_id", probeID),
-					obslog.F("consecutive_failures", p.consecFails))
+					"peer", p.addr,
+					"probe_id", probeID,
+					"consecutive_failures", p.consecFails)
 			}
 		}
 		n.mu.Unlock()
@@ -485,7 +486,7 @@ func (n *Node) setIdentity(ctx context.Context, req *http.Request) string {
 func (n *Node) peerOpFailed(op, addr, rid string, err error) {
 	n.countPeerOp(op, "error")
 	n.log.Warn("cluster_peer_"+op+"_failed",
-		obslog.F("peer", addr),
-		obslog.F("request_id", rid),
-		obslog.F("error", err.Error()))
+		"peer", addr,
+		"request_id", rid,
+		"error", err)
 }

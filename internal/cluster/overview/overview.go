@@ -11,17 +11,18 @@
 package overview
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/obs/obslog"
 	"repro/internal/obs/slo"
 )
 
@@ -130,7 +131,7 @@ type Config struct {
 	// Tracer receives cluster_overview_* gauges (nil-safe).
 	Tracer *obs.Tracer
 	// Logger receives poll-failure logs (nil disables).
-	Logger *obslog.Logger
+	Logger *slog.Logger
 }
 
 // Aggregator polls the fleet in the background and caches the merged
@@ -155,6 +156,7 @@ func New(cfg Config) *Aggregator {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 500 * time.Millisecond
 	}
+	cfg.Logger = cmp.Or(cfg.Logger, obs.Discard)
 	a := &Aggregator{cfg: cfg, stop: make(chan struct{})}
 	// Seed with a self-only view so the endpoint is never empty between
 	// Start and the first poll round.
@@ -214,8 +216,8 @@ func (a *Aggregator) poll() {
 			if err != nil {
 				rep.Error = err.Error()
 				a.cfg.Logger.Debug("cluster_overview_poll_failed",
-					obslog.F("peer", m.Addr),
-					obslog.F("error", err.Error()))
+					"peer", m.Addr,
+					"error", err)
 			} else {
 				rep.Stats = st
 			}

@@ -18,9 +18,11 @@ package journal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,7 +33,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/obslog"
 )
 
 // Event types, in lifecycle order.
@@ -100,14 +101,14 @@ type Options struct {
 	// Tracer receives journal metrics (nil-safe).
 	Tracer *obs.Tracer
 	// Logger receives structured damage/rotation logs (nil disables).
-	Logger *obslog.Logger
+	Logger *slog.Logger
 }
 
 // Journal is the write-ahead job-lifecycle journal. All methods are safe
 // for concurrent use.
 type Journal struct {
 	dir string
-	log *obslog.Logger
+	log *slog.Logger
 	// segmentBytes is the rotation threshold, segmentSize outside this
 	// package's tests.
 	segmentBytes int64
@@ -145,7 +146,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	tr := opts.Tracer
 	j := &Journal{
 		dir:           dir,
-		log:           opts.Logger,
+		log:           cmp.Or(opts.Logger, obs.Discard),
 		segmentBytes:  segmentSize,
 		live:          map[string]*JobRecord{},
 		appends:       tr.Counter("journal/appends_total"),
@@ -247,9 +248,9 @@ func (j *Journal) replaySegment(path string, last bool, table map[string]*JobRec
 			}
 			// Damaged record: log, optionally truncate, stop this segment.
 			j.log.Warn("journal_damaged_record",
-				obslog.F("segment", filepath.Base(path)),
-				obslog.F("offset", good),
-				obslog.F("error", err.Error()))
+				"segment", filepath.Base(path),
+				"offset", good,
+				"error", err)
 			if last {
 				if terr := os.Truncate(path, good); terr != nil {
 					return fmt.Errorf("journal: truncating torn tail: %w", terr)
@@ -262,8 +263,8 @@ func (j *Journal) replaySegment(path string, last bool, table map[string]*JobRec
 		if ferr := faults.Fail("journal.replay"); ferr != nil {
 			j.replaySkipped.Inc()
 			j.log.Warn("journal_replay_record_skipped",
-				obslog.F("segment", filepath.Base(path)),
-				obslog.F("error", ferr.Error()))
+				"segment", filepath.Base(path),
+				"error", ferr)
 			continue
 		}
 		var ev Event
@@ -453,9 +454,9 @@ func (j *Journal) rotateLocked() error {
 	syncDir(j.dir)
 	j.rotations.Inc()
 	j.log.Debug("journal_rotated",
-		obslog.F("segment", segName(next)),
-		obslog.F("live_jobs", len(j.liveOrder)),
-		obslog.F("bytes", size))
+		"segment", segName(next),
+		"live_jobs", len(j.liveOrder),
+		"bytes", size)
 	return nil
 }
 

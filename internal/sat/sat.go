@@ -217,7 +217,6 @@ func (s *Solver) Reset() {
 	s.qhead = 0
 	s.varInc, s.claInc = 1.0, 1.0
 	s.order.heap = s.order.heap[:0]
-	s.order.pos = s.order.pos[:0]
 	s.model = s.model[:0]
 	s.ok = true
 	s.apiErr = nil
@@ -231,6 +230,7 @@ func (s *Solver) Reset() {
 	s.activity = append(s.activity[:0], 0)
 	s.phase = append(s.phase[:0], false)
 	s.seen = append(s.seen[:0], false)
+	s.order.pos = append(s.order.pos[:0], 0)
 }
 
 // addWatchSlots appends the two empty watch lists of one literal pair,
@@ -255,6 +255,7 @@ func (s *Solver) NewVar() Lit {
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
+	s.order.pos = append(s.order.pos, 0)
 	s.addWatchSlots()
 	s.order.push(s.numVars)
 	return Lit(2 * s.numVars)
@@ -613,7 +614,7 @@ func (s *Solver) cancelUntil(level int) {
 		v := l.Var()
 		s.vals[l], s.vals[l.Neg()] = lUndef, lUndef
 		s.reason[v] = -1
-		s.order.pushIfAbsent(v)
+		s.order.push(v)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
@@ -826,7 +827,7 @@ func (s *Solver) Model() []bool {
 type varHeap struct {
 	solver *Solver
 	heap   []int
-	pos    []int // variable -> heap index + 1, 0 when absent
+	pos    []int // variable -> heap index + 1, 0 when absent; NewVar grows it
 }
 
 func (h *varHeap) len() int { return len(h.heap) }
@@ -877,10 +878,8 @@ func (h *varHeap) down(i int) {
 	h.set(i, v)
 }
 
+// push inserts variable v unless it is already in the heap.
 func (h *varHeap) push(v int) {
-	for len(h.pos) <= v {
-		h.pos = append(h.pos, 0)
-	}
 	if h.pos[v] != 0 {
 		return
 	}
@@ -888,8 +887,6 @@ func (h *varHeap) push(v int) {
 	h.pos[v] = len(h.heap)
 	h.up(len(h.heap) - 1)
 }
-
-func (h *varHeap) pushIfAbsent(v int) { h.push(v) }
 
 func (h *varHeap) pop() int {
 	v := h.heap[0]
@@ -906,7 +903,7 @@ func (h *varHeap) pop() int {
 }
 
 func (h *varHeap) update(v int) {
-	if v < len(h.pos) && h.pos[v] != 0 {
+	if h.pos[v] != 0 {
 		i := h.pos[v] - 1
 		h.up(i)
 		h.down(h.pos[v] - 1)

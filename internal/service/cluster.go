@@ -15,7 +15,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/obslog"
 )
 
 // clusterPeerHeader tells the client which replica actually served a
@@ -75,7 +74,7 @@ func (s *Server) routeCluster(w http.ResponseWriter, r *http.Request, op *prepar
 	if rid != "" {
 		req.Header.Set(cluster.RequestIDHeader, rid)
 	}
-	if ik := idempotencyKey(r); ik != "" {
+	if ik := clientToken(r, IdempotencyKeyHeader); ik != "" {
 		// The key travels with the forward so the mapping lands on the
 		// key's owner replica — where every retry of this request, from
 		// any entry replica, converges.
@@ -208,8 +207,8 @@ func (s *Server) safeExec(ctx context.Context, op *preparedOp, jtr *obs.Tracer) 
 	defer func() {
 		if r := recover(); r != nil {
 			jr, err = nil, recoverPanic(r, s.tr.Counter("jobs/panicked_total"), s.log,
-				obslog.F("kind", op.kind),
-				obslog.F("request_id", obs.RequestIDFromContext(ctx)))
+				"kind", op.kind,
+				"request_id", obs.RequestIDFromContext(ctx))
 		}
 	}()
 	// Stands in for any latent bug an exec path can tickle; chaos tests

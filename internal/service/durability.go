@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/obs/obslog"
 )
 
 // Recovery modes for jobs the journal shows queued or running at crash.
@@ -31,23 +30,6 @@ const IdempotencyKeyHeader = "Idempotency-Key"
 // idempotentReplayHeader marks a response served by replaying an earlier
 // submission with the same Idempotency-Key.
 const idempotentReplayHeader = "X-Idempotent-Replay"
-
-// idempotencyKey returns the caller's Idempotency-Key when it is safe to
-// use (same bounded length and conservative charset as request ids), "".
-func idempotencyKey(r *http.Request) string {
-	key := r.Header.Get(IdempotencyKeyHeader)
-	if key == "" || len(key) > 64 {
-		return ""
-	}
-	for _, c := range key {
-		ok := c == '-' || c == '_' || c == '.' ||
-			(c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-		if !ok {
-			return ""
-		}
-	}
-	return key
-}
 
 // maxIdemEntries bounds the idempotency-key table; the oldest mappings
 // fall off first (a client retrying that far behind re-solves, it does
@@ -184,9 +166,9 @@ func (s *Server) journalAppend(ev journal.Event) {
 	if err := s.jrnl.Append(ev); err != nil {
 		s.tr.Counter("journal/append_errors_total").Inc()
 		s.log.Warn("journal_append_failed",
-			obslog.F("job_id", ev.JobID),
-			obslog.F("type", ev.Type),
-			obslog.F("error", err.Error()))
+			"job_id", ev.JobID,
+			"type", ev.Type,
+			"error", err)
 	}
 }
 
@@ -208,10 +190,10 @@ func (s *Server) recoverJournal(mode string) {
 		outcome := s.recoverJob(rec, mode)
 		s.tr.Counter(obs.Labeled("journal/recovered_total", "outcome", outcome)).Inc()
 		s.log.Info("journal_job_recovered",
-			obslog.F("job_id", rec.Submitted.JobID),
-			obslog.F("kind", rec.Submitted.Kind),
-			obslog.F("state", rec.State),
-			obslog.F("outcome", outcome))
+			"job_id", rec.Submitted.JobID,
+			"kind", rec.Submitted.Kind,
+			"state", rec.State,
+			"outcome", outcome)
 	}
 }
 
@@ -255,9 +237,9 @@ func (s *Server) resubmitRecovered(rec *journal.JobRecord) bool {
 	}
 	if err != nil {
 		s.log.Warn("journal_resubmit_unpreparable",
-			obslog.F("job_id", sub.JobID),
-			obslog.F("path", sub.Path),
-			obslog.F("error", err.Error()))
+			"job_id", sub.JobID,
+			"path", sub.Path,
+			"error", err)
 		return false
 	}
 	_, err = s.enqueue(SubmitOptions{
@@ -271,8 +253,8 @@ func (s *Server) resubmitRecovered(rec *journal.JobRecord) bool {
 	}, obs.Hop{}, s.opJob(op))
 	if err != nil {
 		s.log.Warn("journal_resubmit_rejected",
-			obslog.F("job_id", sub.JobID),
-			obslog.F("error", err.Error()))
+			"job_id", sub.JobID,
+			"error", err)
 		return false
 	}
 	return true

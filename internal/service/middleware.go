@@ -3,6 +3,7 @@ package service
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -10,7 +11,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/obs/obslog"
 )
 
 // requestIDHeader carries the request ID on both requests (client-chosen,
@@ -91,21 +91,22 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// clientRequestID returns a caller-supplied request ID when it is safe to
-// propagate (bounded length, conservative charset), or "".
-func clientRequestID(r *http.Request) string {
-	id := r.Header.Get(requestIDHeader)
-	if id == "" || len(id) > 64 {
+// clientToken returns the client-chosen token in header (X-Request-Id or
+// Idempotency-Key) when it is safe to propagate and store: at most 64
+// characters of [A-Za-z0-9._-]. Otherwise it returns "".
+func clientToken(r *http.Request, header string) string {
+	tok := r.Header.Get(header)
+	if len(tok) > 64 {
 		return ""
 	}
-	for _, c := range id {
+	for _, c := range tok {
 		ok := c == '-' || c == '_' || c == '.' ||
 			(c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 		if !ok {
 			return ""
 		}
 	}
-	return id
+	return tok
 }
 
 // instrument is the observability middleware: it assigns (or validates
@@ -116,7 +117,7 @@ func clientRequestID(r *http.Request) string {
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rid := clientRequestID(r)
+		rid := clientToken(r, requestIDHeader)
 		if rid == "" {
 			rid = newRequestID()
 		}
@@ -158,23 +159,23 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		s.window.Observe(dur.Seconds(), status >= 500)
 		s.slo.Observe(costClass(route), dur.Seconds(), status >= 500)
 
-		if s.log.Enabled(obslog.LevelInfo) {
-			fields := []obslog.Field{
-				obslog.F("request_id", rid),
-				obslog.F("method", r.Method),
-				obslog.F("path", r.URL.Path),
-				obslog.F("route", route),
-				obslog.F("status", status),
-				obslog.F("bytes", sw.bytes),
-				obslog.F("duration_ms", float64(dur.Microseconds())/1000),
+		if s.log.Enabled(ctx, slog.LevelInfo) {
+			args := []any{
+				"request_id", rid,
+				"method", r.Method,
+				"path", r.URL.Path,
+				"route", route,
+				"status", status,
+				"bytes", sw.bytes,
+				"duration_ms", float64(dur.Microseconds()) / 1000,
 			}
 			if cache := sw.Header().Get("X-Cache"); cache != "" {
-				fields = append(fields, obslog.F("cache", cache))
+				args = append(args, "cache", cache)
 			}
 			if job := sw.Header().Get("X-Job-Id"); job != "" {
-				fields = append(fields, obslog.F("job_id", job))
+				args = append(args, "job_id", job)
 			}
-			s.log.Info("http_request", fields...)
+			s.log.Info("http_request", args...)
 		}
 	})
 }

@@ -1,9 +1,18 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 func TestRouteLabel(t *testing.T) {
@@ -28,25 +37,24 @@ func TestRouteLabel(t *testing.T) {
 }
 
 func TestClientRequestID(t *testing.T) {
-	mk := func(id string) *http.Request {
-		r := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-		if id != "" {
-			r.Header.Set(requestIDHeader, id)
+	long := strings.Repeat("a", 65)
+	for _, h := range []string{requestIDHeader, IdempotencyKeyHeader} {
+		mk := func(tok string) *http.Request {
+			r := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+			if tok != "" {
+				r.Header.Set(h, tok)
+			}
+			return r
 		}
-		return r
-	}
-	for _, ok := range []string{"abc", "a-b_c.9", "ABC123"} {
-		if got := clientRequestID(mk(ok)); got != ok {
-			t.Errorf("clientRequestID(%q) = %q, want accepted", ok, got)
+		for _, ok := range []string{"abc", "a-b_c.9", "ABC123", long[:64]} {
+			if got := clientToken(mk(ok), h); got != ok {
+				t.Errorf("clientToken(%s: %q) = %q, want accepted", h, ok, got)
+			}
 		}
-	}
-	long := make([]byte, 65)
-	for i := range long {
-		long[i] = 'a'
-	}
-	for _, bad := range []string{"", "has space", "semi;colon", "unié", string(long)} {
-		if got := clientRequestID(mk(bad)); got != "" {
-			t.Errorf("clientRequestID(%q) = %q, want rejected", bad, got)
+		for _, bad := range []string{"", "has space", "semi;colon", "unié", long} {
+			if got := clientToken(mk(bad), h); got != "" {
+				t.Errorf("clientToken(%s: %q) = %q, want rejected", h, bad, got)
+			}
 		}
 	}
 }
@@ -78,5 +86,79 @@ func TestStatusWriter(t *testing.T) {
 	sw.Write([]byte("tea"))
 	if sw.status != http.StatusTeapot || sw.bytes != 3 {
 		t.Fatalf("explicit status not kept: status=%d bytes=%d", sw.status, sw.bytes)
+	}
+}
+
+// lockedBuffer is an io.Writer the test can read while the server's
+// handler and queue goroutines write log lines to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRequestLogLines checks what one /v1/flow request logs at info: an
+// http_request line with the client's request id, the route, status,
+// cache tier and job id, and a job_finish line with the same request id.
+func TestRequestLogLines(t *testing.T) {
+	var logs lockedBuffer
+	_, ts := newTestServer(t, Config{Workers: 1, Logger: obs.NewLogger(&logs, slog.LevelInfo)})
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/flow",
+		strings.NewReader(`{"bench":"xor2","engine":"ortho"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(requestIDHeader, "log-test-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Job-Id") == "" {
+		t.Fatalf("flow: %d, X-Job-Id %q", resp.StatusCode, resp.Header.Get("X-Job-Id"))
+	}
+
+	// job_finish is written after the job's done channel closes, so it may
+	// trail the response.
+	lines := map[string]map[string]any{}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+			var m map[string]any
+			if err := json.Unmarshal([]byte(line), &m); err != nil {
+				t.Fatalf("log line is not JSON: %q: %v", line, err)
+			}
+			lines[m["msg"].(string)] = m
+		}
+		if lines["http_request"] != nil && lines["job_finish"] != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("missing http_request or job_finish line:\n%s", logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	hr := lines["http_request"]
+	for k, want := range map[string]any{
+		"request_id": "log-test-1", "route": "/v1/flow", "status": float64(200),
+		"cache": "miss", "job_id": resp.Header.Get("X-Job-Id"),
+	} {
+		if hr[k] != want {
+			t.Errorf("http_request %s = %v, want %v", k, hr[k], want)
+		}
+	}
+	if got := lines["job_finish"]["request_id"]; got != "log-test-1" {
+		t.Errorf("job_finish request_id = %v, want log-test-1", got)
 	}
 }

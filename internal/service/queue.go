@@ -7,9 +7,11 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -18,7 +20,6 @@ import (
 	"repro/internal/defects"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/obslog"
 )
 
 // JobState is the lifecycle state of a queued job.
@@ -66,12 +67,12 @@ func (p *PanicError) Error() string { return fmt.Sprintf("job panicked: %v", p.V
 // in jobs_panicked_total and logs the stack. Every path that isolates
 // panics calls it from its deferred recover: the queue's workers
 // (safeRun) and the executions that run outside them (safeExec).
-func recoverPanic(v any, panicked *obs.Counter, log *obslog.Logger, fields ...obslog.Field) *PanicError {
+func recoverPanic(v any, panicked *obs.Counter, log *slog.Logger, args ...any) *PanicError {
 	pe := &PanicError{Value: v, Stack: debug.Stack()}
 	panicked.Inc()
-	log.Error("job_panic", append(fields,
-		obslog.F("panic", fmt.Sprint(v)),
-		obslog.F("stack", string(pe.Stack)))...)
+	log.Error("job_panic", append(args,
+		"panic", fmt.Sprint(v),
+		"stack", string(pe.Stack))...)
 	return pe
 }
 
@@ -302,7 +303,7 @@ type Queue struct {
 	runningN atomic.Int64
 
 	tr                                               *obs.Tracer
-	log                                              *obslog.Logger
+	log                                              *slog.Logger
 	submitted, completed, failed, canceled, rejected *obs.Counter
 	panicked                                         *obs.Counter
 	depth, running                                   *obs.Gauge
@@ -336,9 +337,9 @@ func (q *Queue) OnStart(fn func(*Job)) { q.onStart = fn }
 
 // NewQueue starts a queue with the given worker count, buffer depth, and
 // default per-job timeout (0 = no deadline). The tracer (nil-safe)
-// receives queue metrics under "queue/"; the logger (nil-safe) receives
-// panic stacks and failure records.
-func NewQueue(workers, depth int, timeout time.Duration, tr *obs.Tracer, log *obslog.Logger) *Queue {
+// receives queue metrics under "queue/"; the logger (nil disables)
+// receives panic stacks and failure records.
+func NewQueue(workers, depth int, timeout time.Duration, tr *obs.Tracer, log *slog.Logger) *Queue {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -350,7 +351,7 @@ func NewQueue(workers, depth int, timeout time.Duration, tr *obs.Tracer, log *ob
 		timeout:   timeout,
 		byID:      make(map[string]*Job),
 		tr:        tr,
-		log:       log,
+		log:       cmp.Or(log, obs.Discard),
 		waitHist:  tr.Histogram("queue/wait_seconds", obs.DefBuckets...),
 		panicked:  tr.Counter("jobs/panicked_total"),
 		submitted: tr.Counter("queue/submitted"),
@@ -440,9 +441,9 @@ func (q *Queue) SubmitWith(opts SubmitOptions, fn JobFunc) (*Job, error) {
 	q.submitted.Inc()
 	q.depth.Set(float64(len(q.ch)))
 	q.log.Debug("job_enqueued",
-		obslog.F("job_id", j.ID),
-		obslog.F("kind", j.Kind),
-		obslog.F("request_id", j.requestID))
+		"job_id", j.ID,
+		"kind", j.Kind,
+		"request_id", j.requestID)
 	return j, nil
 }
 
@@ -508,12 +509,12 @@ func (q *Queue) Restore(id, kind, requestID string, state JobState, errKind, err
 func (q *Queue) finishJob(j *Job) {
 	st := j.Snapshot()
 	q.log.Info("job_finish",
-		obslog.F("job_id", st.ID),
-		obslog.F("kind", st.Kind),
-		obslog.F("request_id", st.RequestID),
-		obslog.F("state", string(st.State)),
-		obslog.F("error_kind", st.ErrorKind),
-		obslog.F("run_ms", st.RunMS))
+		"job_id", st.ID,
+		"kind", st.Kind,
+		"request_id", st.RequestID,
+		"state", string(st.State),
+		"error_kind", st.ErrorKind,
+		"run_ms", st.RunMS)
 	if q.onFinish != nil {
 		q.onFinish(j)
 	}
@@ -621,10 +622,10 @@ func (q *Queue) run(j *Job) {
 		q.onStart(j)
 	}
 	q.log.Debug("job_start",
-		obslog.F("job_id", j.ID),
-		obslog.F("kind", j.Kind),
-		obslog.F("request_id", j.requestID),
-		obslog.F("wait_ms", wait.Milliseconds()))
+		"job_id", j.ID,
+		"kind", j.Kind,
+		"request_id", j.requestID,
+		"wait_ms", wait.Milliseconds())
 
 	res, err := q.safeRun(j, ctx)
 	cancel()
@@ -684,9 +685,9 @@ func (q *Queue) safeRun(j *Job, ctx context.Context) (res any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, recoverPanic(r, q.panicked, q.log,
-				obslog.F("job_id", j.ID),
-				obslog.F("kind", j.Kind),
-				obslog.F("request_id", j.requestID))
+				"job_id", j.ID,
+				"kind", j.Kind,
+				"request_id", j.requestID)
 		}
 	}()
 	// The fault point stands in for any latent bug a request can tickle;

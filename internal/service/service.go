@@ -1,11 +1,13 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -24,7 +26,6 @@ import (
 	"repro/internal/logic/network"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/obslog"
 	"repro/internal/obs/slo"
 	"repro/internal/sidb"
 	"repro/internal/sim"
@@ -57,7 +58,7 @@ type Config struct {
 	// concurrency-safe metric types.
 	Tracer *obs.Tracer
 	// Logger receives structured JSON request/job logs (nil disables).
-	Logger *obslog.Logger
+	Logger *slog.Logger
 	// MaxRetries bounds retries of transient disk-cache I/O failures
 	// (default 2; negative disables). Repeated failures trip a circuit
 	// breaker that degrades the service to memory-only caching.
@@ -108,7 +109,7 @@ func defaultObjectives() []slo.Objective {
 type Server struct {
 	cfg       Config
 	tr        *obs.Tracer
-	log       *obslog.Logger
+	log       *slog.Logger
 	queue     *Queue
 	lru       *cache.LRU
 	tiers     *cache.Tiers
@@ -172,7 +173,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		tr:      cfg.Tracer,
-		log:     cfg.Logger,
+		log:     cmp.Or(cfg.Logger, obs.Discard),
 		lru:     cache.NewLRU(cfg.CacheBytes),
 		lib:     gatelib.NewLibrary(),
 		started: time.Now(),
@@ -218,12 +219,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Cluster != nil {
 		cc := *cfg.Cluster
-		if cc.Tracer == nil {
-			cc.Tracer = s.tr
-		}
-		if cc.Logger == nil {
-			cc.Logger = s.log
-		}
+		cc.Tracer = cmp.Or(cc.Tracer, s.tr)
+		cc.Logger = cmp.Or(cc.Logger, s.log)
 		node, err := cluster.NewNode(cc)
 		if err != nil {
 			return nil, err
@@ -507,7 +504,7 @@ func (s *Server) handleOp(rt *opRoute) http.HandlerFunc {
 		// An Idempotency-Key that matches an earlier submission reattaches to
 		// that job; otherwise a miss forwards WITH the key, so the mapping
 		// lands on the key's owner replica, where every retry converges.
-		ik := idempotencyKey(r)
+		ik := clientToken(r, IdempotencyKeyHeader)
 		if s.idempotentReplay(w, r, ik, op.async) {
 			return
 		}

@@ -52,7 +52,10 @@ func main() {
 		"-cache-dir", filepath.Join(tmp, "cache"),
 		"-report", filepath.Join(tmp, "report.json"),
 	)
-	daemon.Stdout, daemon.Stderr = os.Stderr, os.Stderr
+	// The daemon runs at the default -log-level (info); its stderr is kept
+	// for the log check after shutdown.
+	var daemonLog bytes.Buffer
+	daemon.Stdout, daemon.Stderr = os.Stderr, io.MultiWriter(os.Stderr, &daemonLog)
 	if err := daemon.Start(); err != nil {
 		fatal(err)
 	}
@@ -276,10 +279,29 @@ func main() {
 	if _, err := os.Stat(filepath.Join(tmp, "report.json")); err != nil {
 		fatal(fmt.Errorf("shutdown report not written: %w", err))
 	}
+	step("stderr carries a JSON http_request line for /v1/flow")
+	checkRequestLog(daemonLog.Bytes())
 
 	fleetSmoke(bin)
 
 	fmt.Println("serve-smoke: PASS")
+}
+
+// checkRequestLog requires one line of the daemon's stderr to decode as
+// JSON with a ts, level info, msg http_request and route /v1/flow: the
+// -log-level default and the log format of the built binary.
+func checkRequestLog(stderr []byte) {
+	for _, line := range bytes.Split(stderr, []byte("\n")) {
+		var m map[string]any
+		if json.Unmarshal(line, &m) != nil {
+			continue
+		}
+		if ts, _ := m["ts"].(string); ts != "" && m["level"] == "info" &&
+			m["msg"] == "http_request" && m["route"] == "/v1/flow" {
+			return
+		}
+	}
+	fatal(fmt.Errorf("no info-level http_request line for /v1/flow in the daemon's stderr"))
 }
 
 // freeAddr grabs an ephemeral localhost port for the daemon.
