@@ -21,9 +21,11 @@ import (
 var updateAnneal = flag.Bool("update-anneal", false, "regenerate testdata/anneal.golden")
 
 // goldenConfigs are the annealer settings the golden pins: the default
-// schedule (8 restarts, above the parallel threshold on every tile),
-// QuickExact's incumbent seed (2×150 sweeps, always below it) and a
-// 5-restart schedule with an odd restart count.
+// schedule (8 restarts, above the parallel threshold on every tile), a
+// short 2×150-sweep schedule (always below it; QuickExact seeded its
+// incumbent with it before its searches started from an infinite one, and
+// it stays as an annealer case) and a 5-restart schedule with an odd
+// restart count.
 var goldenConfigs = []struct {
 	name string
 	cfg  sim.AnnealConfig

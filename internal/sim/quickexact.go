@@ -24,8 +24,10 @@ package sim
 //  3. Energy lower bound: any completion costs at least the partial energy
 //     plus Σ_i min(0, μ_ + v_i) over unassigned dots i (cross terms among
 //     unassigned charges are ≥ 0); subtrees whose bound exceeds the best
-//     known configuration are cut. The incumbent is seeded with a short
-//     deterministic anneal so pruning bites from the first node.
+//     known configuration are cut. Every search starts from an infinite
+//     incumbent: the first value-ordered descent (each dot takes the
+//     branch its local potential prefers) reaches a leaf at once, and that
+//     leaf's energy starts the pruning.
 //
 // Dots are ordered by the magnitude of their effective local potential, so
 // the most physically constrained decisions sit near the root of the tree.
@@ -94,8 +96,6 @@ type QuickExactStats struct {
 	// MeanFrontierDepth is the average tree depth at which the bound
 	// prune fired (0 when it never did).
 	MeanFrontierDepth float64
-	// SeedEnergyEV is the annealed incumbent energy that seeded pruning.
-	SeedEnergyEV float64
 	// EnergyEV is the proven ground-state energy.
 	EnergyEV float64
 }
@@ -131,9 +131,8 @@ func (e *Engine) QuickExact(opts QuickExactOptions) ([]bool, float64, QuickExact
 // dots: 1 pins a dot charged (it folds into the on-site terms like a
 // perturber), 0 pins it neutral (it drops out), -1 leaves it to the
 // search. The pruning rules hold for the unpinned dots of a constrained
-// minimum too. A pinned search runs on the calling goroutine from an
-// infinite incumbent: the unconstrained anneal seed could undercut the
-// constrained minimum and prune every leaf.
+// minimum too. A pinned search runs on the calling goroutine, an unpinned
+// one on the shard pool; both start from an infinite incumbent.
 func (e *Engine) quickExact(opts QuickExactOptions, pin []int8) ([]bool, float64, QuickExactStats, error) {
 	n := e.NumDots()
 	// Base configuration: perturbers and charge pins charged, free dots
@@ -267,21 +266,16 @@ func (e *Engine) quickExact(opts QuickExactOptions, pin []int8) ([]bool, float64
 		budget = &b
 	}
 	var best atomic.Uint64
+	best.Store(math.Float64bits(math.Inf(1)))
 	var win []int8 // winning reduced assignment; nil when no leaf was recorded
-	var seedCfg []bool
 	if pin != nil {
-		best.Store(math.Float64bits(math.Inf(1)))
 		s := newSearcher(ctx, nu, ons, WU, eBase, &best, budget)
-		s.dfs(0)
+		s.dfs(0, s.bound(0))
 		st.Nodes, st.BoundPruned, st.StabilityPruned = s.nodes, s.boundPruned, s.stabPruned
 		if s.haveBest {
 			win = s.bestAssign
 		}
 	} else {
-		// Incumbent: a short deterministic anneal seeds the upper bound so
-		// the bound prune bites from the very first node.
-		seedCfg, st.SeedEnergyEV = e.Anneal(AnnealConfig{Seed: 1, Restarts: 2, Sweeps: 150, TStart: 0.3, TEnd: 0.001, Ctx: ctx})
-		best.Store(math.Float64bits(st.SeedEnergyEV))
 		var err error
 		if win, err = searchShards(opts, newSearcher(ctx, nu, ons, WU, eBase, &best, budget), &st); err != nil {
 			return nil, 0, st, err
@@ -301,14 +295,8 @@ func (e *Engine) quickExact(opts QuickExactOptions, pin []int8) ([]bool, float64
 	if win == nil {
 		// Defensive only: subtrees containing a minimum are never pruned
 		// (their lower bound cannot exceed the incumbent), so some leaf is
-		// always recorded. Fall back to the annealed seed; a pinned search
-		// has none.
-		if pin != nil {
-			return nil, 0, st, fmt.Errorf("quickexact: pinned search recorded no configuration (%d free dots)", nf)
-		}
-		copy(full, seedCfg)
-		st.EnergyEV = st.SeedEnergyEV
-		return full, st.SeedEnergyEV, st, nil
+		// always recorded.
+		return nil, 0, st, fmt.Errorf("quickexact: search recorded no configuration (%d free dots)", nf)
 	}
 	for u, k := range order {
 		full[freeIdx[k]] = win[u] == 1
@@ -336,7 +324,7 @@ func searchShards(opts QuickExactOptions, gen *searcher, st *QuickExactStats) ([
 	gen.cutDepth = min(depth, gen.nu)
 	var tasks [][]int8
 	gen.emit = func(prefix []int8) { tasks = append(tasks, prefix) }
-	gen.dfs(0)
+	gen.dfs(0, gen.bound(0))
 	st.Shards = len(tasks)
 	st.Workers = pool.Size(len(tasks), workers)
 
@@ -376,7 +364,7 @@ func searchShards(opts QuickExactOptions, gen *searcher, st *QuickExactStats) ([
 					s.assign[k] = 0
 				}
 			}
-			s.dfs(len(tasks[ti]))
+			s.dfs(len(tasks[ti]), s.bound(len(tasks[ti])))
 			if s.haveBest {
 				results[ti] = shardResult{have: true, energy: s.bestE, assign: append([]int8(nil), s.bestAssign...)}
 				s.haveBest = false
@@ -491,10 +479,17 @@ type searcher struct {
 	cutDepth int
 	emit     func(prefix []int8)
 
-	assign  []int8
-	pot     []float64 // potential from charges assigned in this traversal
-	charged []int
-	energy  float64
+	assign []int8
+	// pots is the potential stack: level c, pots[c*nu:(c+1)*nu], is the
+	// potential of the first c charges on the current path, and energies[c]
+	// its energy (energies holds levels 0..c). Level 0 is never written and
+	// stays zero. A charge writes the next level from the current one;
+	// popping it steps back a level, so the potentials never drift.
+	pots     []float64
+	energies []float64
+	pot      []float64 // the current level of pots
+	charged  []int
+	energy   float64 // energies[len(charged)]
 
 	nodes, boundPruned, stabPruned int64
 	pruneDepthSum, pruneEvents     int64
@@ -513,27 +508,29 @@ type searcher struct {
 // searcher and its hot slices each end in 64 bytes of padding (the
 // struct's last field, spare slice capacity): pool workers that allocate
 // their searchers on the same P get neighbouring objects of one span, and
-// without the padding their writes share cache lines. Unpadded, a
-// parallel anneal run just before the search left
-// BenchmarkGroundStateQuickExact40 about 30% slower on 2 cores.
+// without the padding their writes share cache lines. Unpadded,
+// BenchmarkGroundStateQuickExact40 ran about 30% slower on 2 cores (when a
+// parallel seed anneal still ran just before the search).
 func newSearcher(ctx context.Context, nu int, ons, W []float64, eBase float64, best *atomic.Uint64, budget *int64) *searcher {
+	pots := make([]float64, (nu+1)*nu, (nu+1)*nu+8)
 	return &searcher{
 		nu: nu, ons: ons, W: W, eBase: eBase, best: best, budget: budget, ctx: ctx, cutDepth: nu,
 		assign:     make([]int8, nu, nu+64),
-		pot:        make([]float64, nu, nu+8),
+		pots:       pots,
+		energies:   append(make([]float64, 0, nu+9), eBase),
+		pot:        pots[:nu],
 		charged:    make([]int, 0, nu+8),
 		energy:     eBase,
 		bestAssign: make([]int8, nu),
 	}
 }
 
-// reset rewinds the traversal state for the next shard task.
+// reset rewinds the traversal to level 0 for the next shard task.
 func (s *searcher) reset() {
-	for i := range s.pot {
-		s.pot[i] = 0
-		s.assign[i] = 0
-	}
+	clear(s.assign)
 	s.charged = s.charged[:0]
+	s.pot = s.pots[:s.nu]
+	s.energies = s.energies[:1]
 	s.energy = s.eBase
 }
 
@@ -566,26 +563,47 @@ func (s *searcher) chargeOK(u int) bool {
 	return true
 }
 
-func (s *searcher) pushCharge(u int) {
-	row := s.W[u*s.nu : (u+1)*s.nu]
-	s.energy += s.ons[u] + s.pot[u]
-	for j := 0; j < s.nu; j++ {
-		s.pot[j] += row[j] // row[u] == 0, pot[u] unchanged
+// pushCharge charges dot u at depth u, writing the next level of the
+// potential stack, and returns that level's bound(u+1). The bound is summed
+// in the same loop, over the same terms in the same order as bound, so it
+// has the same bits.
+func (s *searcher) pushCharge(u int) float64 {
+	nu := s.nu
+	c := len(s.charged)
+	cur := s.pot[:nu]
+	next := s.pots[(c+1)*nu : (c+2)*nu]
+	row := s.W[u*nu : (u+1)*nu]
+	ons := s.ons[:nu]
+	s.energy += ons[u] + cur[u]
+	s.energies = append(s.energies, s.energy)
+	for j := 0; j <= u; j++ {
+		next[j] = cur[j] + row[j] // row[u] == 0
 	}
+	b := s.energy
+	for j := u + 1; j < nu; j++ {
+		p := cur[j] + row[j]
+		next[j] = p
+		if d := ons[j] + p; d < 0 {
+			b += d
+		}
+	}
+	s.pot = next
 	s.charged = append(s.charged, u)
 	s.assign[u] = 1
+	return b
 }
 
-func (s *searcher) popCharge(u int) {
-	row := s.W[u*s.nu : (u+1)*s.nu]
-	for j := 0; j < s.nu; j++ {
-		s.pot[j] -= row[j]
-	}
-	s.charged = s.charged[:len(s.charged)-1]
-	s.energy -= s.ons[u] + s.pot[u]
+// popCharge undoes the last pushCharge by stepping back one level.
+func (s *searcher) popCharge() {
+	c := len(s.charged) - 1
+	s.charged = s.charged[:c]
+	s.energies = s.energies[:c+1]
+	s.pot = s.pots[c*s.nu : (c+1)*s.nu]
+	s.energy = s.energies[c]
 }
 
-func (s *searcher) dfs(k int) {
+// dfs searches the subtree below depth k, whose lower bound is b.
+func (s *searcher) dfs(k int, b float64) {
 	if s.budgetExceeded || s.canceled {
 		return
 	}
@@ -600,7 +618,7 @@ func (s *searcher) dfs(k int) {
 			return
 		}
 	}
-	if b := s.bound(k); b > s.globalBest()+pruneEps {
+	if b > s.globalBest()+pruneEps {
 		s.boundPruned++
 		s.pruneDepthSum += int64(k)
 		s.pruneEvents++
@@ -623,12 +641,11 @@ func (s *searcher) dfs(k int) {
 				s.stabPruned++
 				continue
 			}
-			s.pushCharge(k)
-			s.dfs(k + 1)
-			s.popCharge(k)
+			s.dfs(k+1, s.pushCharge(k))
+			s.popCharge()
 		} else {
 			s.assign[k] = 0
-			s.dfs(k + 1)
+			s.dfs(k+1, s.bound(k+1))
 		}
 	}
 }

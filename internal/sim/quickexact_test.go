@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -295,5 +296,95 @@ func TestStatsAndTracerMetrics(t *testing.T) {
 	}
 	if rep.Counter("sim/quickexact/nodes") != st.Nodes {
 		t.Errorf("node counter %d != stats %d", rep.Counter("sim/quickexact/nodes"), st.Nodes)
+	}
+}
+
+// TestSearcherUnwindsExactly: the potential stack returns a searcher to
+// level 0 bit for bit, and the bound pushCharge fuses into its loop equals
+// a fresh bound scan. The searcher runs over the whole layout (no
+// presolve): ons is μ_ and W the interaction matrix.
+func TestSearcherUnwindsExactly(t *testing.T) {
+	for _, tc := range []struct{ n, span int }{{20, 40}, {30, 48}} {
+		eng := NewEngine(benchLayout(tc.n, 7, tc.span), ParamsFig5)
+		nu := eng.NumDots()
+		ons := make([]float64, nu)
+		W := make([]float64, nu*nu)
+		for i := range nu {
+			ons[i] = eng.Params.MuMinus
+			copy(W[i*nu:(i+1)*nu], eng.V[i])
+		}
+		eBase := eng.Energy(make([]bool, nu))
+		atLevel0 := func(s *searcher, when string) {
+			t.Helper()
+			if len(s.charged) != 0 || math.Float64bits(s.energy) != math.Float64bits(eBase) {
+				t.Errorf("%d dots, %s: %d charges, energy %v, want 0 and %v", tc.n, when, len(s.charged), s.energy, eBase)
+			}
+			for j, p := range s.pot {
+				if math.Float64bits(p) != 0 {
+					t.Errorf("%d dots, %s: potential %d = %v, want +0", tc.n, when, j, p)
+					break
+				}
+			}
+		}
+
+		var best atomic.Uint64
+		best.Store(math.Float64bits(math.Inf(1)))
+		s := newSearcher(nil, nu, ons, W, eBase, &best, nil)
+		s.dfs(0, s.bound(0))
+		if !s.haveBest {
+			t.Fatalf("%d dots: full search recorded no leaf", tc.n)
+		}
+		atLevel0(s, "after dfs(0)")
+
+		// Random paths: decide dots in order (charge where stable, else
+		// neutral), backtrack to a random depth now and then.
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		s.reset()
+		var decided []bool // decided[k]: dot k was charged
+		backTo := func(depth int) {
+			for len(decided) > depth {
+				if decided[len(decided)-1] {
+					s.popCharge()
+				}
+				decided = decided[:len(decided)-1]
+			}
+		}
+		for step := 0; step < 4000; step++ {
+			k := len(decided)
+			if k == nu || k > 0 && rng.Intn(4) == 0 {
+				backTo(rng.Intn(k + 1))
+				continue
+			}
+			if rng.Intn(2) == 0 || !s.chargeOK(k) {
+				s.assign[k] = 0
+				decided = append(decided, false)
+				continue
+			}
+			fused := s.pushCharge(k)
+			decided = append(decided, true)
+			if fresh := s.bound(k + 1); math.Float64bits(fused) != math.Float64bits(fresh) {
+				t.Fatalf("%d dots, step %d: fused bound %v != bound(%d) %v", tc.n, step, fused, k+1, fresh)
+			}
+		}
+		backTo(0)
+		atLevel0(s, "after the random paths")
+	}
+}
+
+// TestQuickExactAllocs pins the allocations of an unpinned solve on the
+// 20-dot benchmark layout: the reduced problem, one searcher per worker
+// and the shard prefixes, 52 at GOMAXPROCS 1. The search runs from an
+// infinite incumbent; the 2×150-sweep seed anneal that once ran before it
+// (random sources, walkers, restart state) took the count to 71.
+func TestQuickExactAllocs(t *testing.T) {
+	eng := NewEngine(benchLayout(20, 7, 40), ParamsFig5)
+	const maxAllocs = 56
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, _, err := eng.QuickExact(QuickExactOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("QuickExact on 20 dots allocates %v times, want at most %d", allocs, maxAllocs)
 	}
 }
