@@ -88,6 +88,22 @@ func BenchmarkGroundStateAnneal20(b *testing.B) {
 	}
 }
 
+// The deterministic heuristic at, and beyond, the exact limit.
+
+func BenchmarkGroundStateQuickSim20(b *testing.B) { benchQuickSim(b, 20, 40) }
+func BenchmarkGroundStateQuickSim30(b *testing.B) { benchQuickSim(b, 30, 48) }
+func BenchmarkGroundStateQuickSim50(b *testing.B) { benchQuickSim(b, 50, 64) }
+
+func benchQuickSim(b *testing.B, n, span int) {
+	eng := NewEngine(benchLayout(n, 7, span), ParamsFig5)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := eng.QuickSim(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // The degeneracy gap at the exact limit: one pinned QuickExact search per
 // key of the interest dots (4 keys for one output pair, 16 for two).
 
