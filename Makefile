@@ -12,18 +12,18 @@ test:
 
 # check is the pre-merge gate: static analysis (vet, gofmt, staticcheck)
 # plus the full test suite under the race detector (short mode keeps the
-# instrumented annealer and SAT race coverage while skipping the hour-long
+# instrumented QuickSim and SAT race coverage while skipping the hour-long
 # exhaustive sweeps). The next runs are race runs of the fan-outs that share
 # internal/pool: the pool's own tests, the sharded QuickExact search (and
 # the pinned searches of the degeneracy gap, one per key), gate validation
 # (the gap's searches carry out the ground configuration its outputs are
 # read from: the validation golden, the degenerate fallback and a
-# cancelled validation), the annealer's parallel restarts (its
-# parent-generated golden, one-vs-two-worker agreement and allocations),
+# cancelled validation), QuickSim's parallel starts (its golden at one
+# and two workers, and its allocations on two workers),
 # the parallel operational-domain sweep
 # (including its re-raised point panic) and the parallel defect sweep, all
-# through their full (non-short) tests, together with concurrent anneals
-# on one shared engine, concurrent exact
+# through their full (non-short) tests, together with concurrent QuickSim
+# solves on one shared engine, concurrent exact
 # P&R calls (each reusing one solver across its size search) and the
 # solver's Reset-equals-New test. The last step runs
 # the benchmark module's own tests (cmd/bench is a nested module, so
@@ -40,7 +40,7 @@ check:
 	fi
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pool
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestAnnealConcurrent|TestAnnealGolden|TestAnnealWorkersAgree|TestAnnealParallelAllocs|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestQuickSimGolden|TestQuickSimConcurrent|TestQuickSimParallelAllocs|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
 		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	$(GO) test -race -run 'TestValidateGolden|TestValidateDegenerateFallback|TestValidateCanceled' ./internal/gatelib
@@ -51,9 +51,9 @@ race:
 	$(GO) test -race ./...
 
 # bench-sim compares the ground-state engines (blind ExGS enumeration vs
-# pruned QuickExact branch-and-bound vs annealing), times the pinned-search
-# degeneracy gap and records the raw test2json event stream in
-# BENCH_sim.json.
+# pruned QuickExact branch-and-bound vs the QuickSim heuristic), times
+# the pinned-search degeneracy gap and records the raw test2json event
+# stream in BENCH_sim.json.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'GroundState|DegeneracyGap' -benchmem -json ./internal/sim/... > BENCH_sim.json
 	@grep -o '[^"]* ns/op[^"\\]*' BENCH_sim.json | sed 's/\\t/  /g' || true

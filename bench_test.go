@@ -225,15 +225,14 @@ func BenchmarkAblationXAGvsAIG(b *testing.B) {
 }
 
 // TestInstrumentedPathsRace drives the telemetry-instrumented hot paths
-// (annealer sweeps, SAT search, the full flow) from concurrent goroutines
+// (QuickSim solves, SAT search, the full flow) from concurrent goroutines
 // sharing one tracer. Under `go test -race` this checks that the metric
 // counters and span bookkeeping added for observability are data-race
 // free. It runs in short mode so `go test -race -short ./...` covers it.
 func TestInstrumentedPathsRace(t *testing.T) {
 	tr := obs.New()
 
-	// A small free-dot chain keeps each anneal fast while still exercising
-	// the instrumented flip loop.
+	// A small free-dot chain keeps each solve fast.
 	mkLayout := func() *sidb.Layout {
 		l := &sidb.Layout{}
 		for i := 0; i < 5; i++ {
@@ -242,19 +241,19 @@ func TestInstrumentedPathsRace(t *testing.T) {
 		return l
 	}
 
+	solver, err := sim.Lookup("quicksim")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := sim.DefaultAnnealConfig()
-			cfg.Seed = int64(g + 1)
-			cfg.Restarts = 2
-			cfg.Sweeps = 60
-			cfg.Tracer = tr
 			eng := sim.NewEngine(mkLayout(), sim.ParamsFig5)
-			eng.Anneal(cfg)
+			if _, err := solver.Solve(eng, sim.SolveOptions{Tracer: tr}); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Add(1)
@@ -272,14 +271,8 @@ func TestInstrumentedPathsRace(t *testing.T) {
 	wg.Wait()
 
 	rep := tr.Report("race")
-	if rep.Counter("sim/anneal/flips_tried") == 0 {
-		t.Error("no annealer telemetry recorded")
-	}
-	if rep.Counter("sim/anneal/runs") != 4 {
-		t.Errorf("anneal runs = %d, want 4", rep.Counter("sim/anneal/runs"))
-	}
-	if rep.Counter("sim/anneal/restarts") != 8 {
-		t.Errorf("anneal restarts = %d, want 8", rep.Counter("sim/anneal/restarts"))
+	if n := rep.Counter("sim/quicksim/solves"); n != 4 {
+		t.Errorf("quicksim solves = %d, want 4", n)
 	}
 	if rep.Counter("sat/propagations") == 0 {
 		t.Error("no SAT telemetry recorded")

@@ -46,7 +46,7 @@
 //
 // On SIGINT/SIGTERM the listener stops accepting requests and in-flight
 // jobs are drained; jobs still running when the grace period expires are
-// canceled mid-search (the SAT, branch-and-bound, and annealing loops all
+// canceled mid-search (the SAT, branch-and-bound, and QuickSim loops all
 // honor cancellation).
 //
 // With -journal-dir set, every submission is fsynced to a write-ahead

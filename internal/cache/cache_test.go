@@ -106,7 +106,7 @@ func TestSimKeyPermutationInvariance(t *testing.T) {
 			t.Fatalf("canonical position %d: site %v vs %v", k, sa, sb)
 		}
 	}
-	if kDiff, _ := SimKey(ea, "anneal"); kDiff == ka {
+	if kDiff, _ := SimKey(ea, "quicksim"); kDiff == ka {
 		t.Fatal("solver name not part of the key")
 	}
 	ec := sim.NewEngine(la, sim.ParamsFig1c)

@@ -2,15 +2,11 @@ package gatelib
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"testing"
 
-	"repro/internal/defects"
 	"repro/internal/lattice"
-	"repro/internal/obs"
 	"repro/internal/sidb"
 	"repro/internal/sim"
 )
@@ -29,8 +25,8 @@ func freeDots(l *sidb.Layout) int {
 // TestEnginesAgreeOnLibraryTiles is the golden cross-check of the three
 // ground-state engines: for every tile design of the Bestagon library, the
 // pruned exact search must reproduce the blind-enumeration energy exactly
-// (where enumeration is feasible), and annealing must never find anything
-// below the proven minimum.
+// (where enumeration is feasible), and QuickSim must reach the proven
+// minimum.
 func TestEnginesAgreeOnLibraryTiles(t *testing.T) {
 	lib := NewLibrary()
 	for key, d := range lib.designs {
@@ -56,9 +52,12 @@ func TestEnginesAgreeOnLibraryTiles(t *testing.T) {
 				t.Errorf("%s: quickexact %v != exhaustive %v (stats %+v)", key, qe, ex, st)
 			}
 		}
-		_, an := eng.Anneal(sim.DefaultAnnealConfig())
-		if an < qe-1e-9 {
-			t.Errorf("%s: anneal %v beats quickexact %v — exact search missed the minimum", key, an, qe)
+		_, qs, err := eng.QuickSim(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(qs-qe) > 1e-9 {
+			t.Errorf("%s: quicksim %v, quickexact %v", key, qs, qe)
 		}
 	}
 }
@@ -234,197 +233,4 @@ func sameOutputs(d *Design, idx map[lattice.Site]int, a, b []bool) bool {
 		}
 	}
 	return true
-}
-
-// annealReference is the annealer as it was before the potential vector:
-// every proposal recomputes the flipped dot's local potential from
-// scratch, one fresh RNG serves each restart, and the returned energy is
-// the walk's accumulated sum. It returns the charges, that energy, and the
-// proposal and acceptance counts.
-func annealReference(e *sim.Engine, cfg sim.AnnealConfig) ([]bool, float64, int64, int64) {
-	flipDelta := func(charged []bool, i int) float64 {
-		delta := e.Params.MuMinus + e.LocalPotential(charged, i)
-		if charged[i] {
-			return -delta
-		}
-		return delta
-	}
-	canceled := func() bool { return cfg.Ctx != nil && cfg.Ctx.Err() != nil }
-	var accepted, flipsTried int64
-	freeIdx := e.FreeIndices()
-	fixed := make([]bool, e.NumDots())
-	for i := range fixed {
-		fixed[i] = e.IsFixed(i)
-	}
-	best := append([]bool(nil), fixed...)
-	bestE := e.Energy(best)
-	for restart := 0; restart < cfg.Restarts; restart++ {
-		if canceled() {
-			break
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(restart)*7919))
-		cur := append([]bool(nil), fixed...)
-		for _, i := range freeIdx {
-			cur[i] = rng.Intn(2) == 1
-		}
-		curE := e.Energy(cur)
-		if curE < bestE {
-			bestE = curE
-			copy(best, cur)
-		}
-		if len(freeIdx) == 0 {
-			continue
-		}
-		cool := math.Pow(cfg.TEnd/cfg.TStart, 1/float64(cfg.Sweeps))
-		temp := cfg.TStart
-		for sweep := 0; sweep < cfg.Sweeps; sweep++ {
-			if sweep&15 == 0 && canceled() {
-				break
-			}
-			for range freeIdx {
-				i := freeIdx[rng.Intn(len(freeIdx))]
-				delta := flipDelta(cur, i)
-				flipsTried++
-				if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-					accepted++
-					cur[i] = !cur[i]
-					curE += delta
-					if curE < bestE-1e-15 {
-						bestE = curE
-						copy(best, cur)
-					}
-				}
-			}
-			temp *= cool
-		}
-		improved := true
-		for improved && !canceled() {
-			improved = false
-			for _, i := range freeIdx {
-				if d := flipDelta(cur, i); d < -1e-15 {
-					cur[i] = !cur[i]
-					curE += d
-					improved = true
-				}
-			}
-		}
-		if curE < bestE-1e-15 {
-			bestE = curE
-			copy(best, cur)
-		}
-	}
-	return best, bestE, flipsTried, accepted
-}
-
-// TestAnnealMatchesReference pins the potential-vector annealer to the
-// per-proposal reference walk: the same charges bit for bit, the same
-// proposal and acceptance counts, an energy within 1e-12 eV of the
-// reference's accumulated sum and bitwise equal to Energy of the charges.
-// The corpus is every library variant's bare tile and input pattern under
-// the default, the QuickExact-seed and a sweepless (descent-only)
-// schedule, the patterns again on a
-// surface with charged defects, random layouts with perturbers, and the
-// no-restart, no-free-dot and cancelled-context edge cases. With -short
-// (the race-detector run) the library and defect layouts anneal under the
-// seed schedule only and fewer random layouts run.
-func TestAnnealMatchesReference(t *testing.T) {
-	seedCfg := sim.AnnealConfig{Seed: 1, Restarts: 2, Sweeps: 150, TStart: 0.3, TEnd: 0.001}
-	// quench skips the sweeps: the greedy descent alone walks down from
-	// each random population, so its flips dominate.
-	quench := sim.AnnealConfig{Seed: 1, Restarts: 4, Sweeps: 0, TStart: 0.3, TEnd: 0.001}
-	defectCfg, randomLayouts := sim.DefaultAnnealConfig(), 40
-	if testing.Short() {
-		defectCfg, randomLayouts = seedCfg, 10
-	}
-	check := func(name string, e *sim.Engine, cfg sim.AnnealConfig) {
-		t.Helper()
-		mt := obs.New()
-		cfg.Tracer = mt
-		got, gotE := e.Anneal(cfg)
-		want, wantE, tried, acc := annealReference(e, cfg)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: charges differ from the reference at dot %d", name, i)
-				break
-			}
-		}
-		if n := mt.Counter("sim/anneal/flips_tried").Value(); n != tried {
-			t.Errorf("%s: %d proposals, reference %d", name, n, tried)
-		}
-		if n := mt.Counter("sim/anneal/accepted").Value(); n != acc {
-			t.Errorf("%s: %d accepted, reference %d", name, n, acc)
-		}
-		if math.Abs(gotE-wantE) > 1e-12 {
-			t.Errorf("%s: energy %v, reference %v", name, gotE, wantE)
-		}
-		if c := e.Energy(got); gotE != c {
-			t.Errorf("%s: energy %v is not the canonical %v", name, gotE, c)
-		}
-	}
-
-	surf := defects.New()
-	surf.AddCell(-8, 10, defects.DB)
-	surf.AddCell(TileWidth+6, 20, defects.Arsenic)
-	surf.AddCell(30, TileHeight+8, defects.Vacancy)
-	surf.AddCell(30, -8, defects.Siloxane)
-	lib := NewLibrary()
-	for _, key := range lib.Variants() {
-		d := lib.designs[key]
-		layouts := []*sidb.Layout{d.Layout(0, 0)}
-		for p := 0; p < 1<<len(d.Ins); p++ {
-			layouts = append(layouts, patternLayout(d, p))
-		}
-		for k, l := range layouts {
-			name := fmt.Sprintf("%s layout %d", key, k)
-			e := sim.NewEngine(l, sim.ParamsFig5)
-			check(name+" seed schedule", e, seedCfg)
-			check(name+" quench", e, quench)
-			if !testing.Short() {
-				check(name, e, sim.DefaultAnnealConfig())
-			}
-			if k > 0 {
-				check(name+" on defects", sim.NewEngineOn(l, sim.ParamsFig5, surf), defectCfg)
-			}
-		}
-	}
-
-	rng := rand.New(rand.NewSource(20))
-	for trial := 0; trial < randomLayouts; trial++ {
-		l := &sidb.Layout{}
-		seen := map[[2]int]bool{}
-		for n := 8 + rng.Intn(20); len(l.Dots) < n; {
-			x, y := rng.Intn(30), rng.Intn(30)
-			if seen[[2]int{x, y}] {
-				continue
-			}
-			seen[[2]int{x, y}] = true
-			role := sidb.RoleNormal
-			if rng.Intn(5) == 0 {
-				role = sidb.RolePerturber
-			}
-			l.AddCell(x, y, role)
-		}
-		e := sim.NewEngine(l, sim.ParamsFig1c)
-		for seed := int64(1); seed <= 3; seed++ {
-			cfg := sim.DefaultAnnealConfig()
-			cfg.Seed = seed
-			check(fmt.Sprintf("random %d seed %d", trial, seed), e, cfg)
-			quench.Seed = seed
-			check(fmt.Sprintf("random %d seed %d quench", trial, seed), e, quench)
-		}
-	}
-
-	bare := lib.designs["or:iNW:iNE:oSE"].Layout(0, 0)
-	noRestarts := sim.DefaultAnnealConfig()
-	noRestarts.Restarts = 0
-	check("no restarts", sim.NewEngine(bare, sim.ParamsFig5), noRestarts)
-	pinned := &sidb.Layout{}
-	pinned.AddCell(0, 0, sidb.RolePerturber)
-	pinned.AddCell(6, 0, sidb.RolePerturber)
-	check("no free dots", sim.NewEngine(pinned, sim.ParamsFig5), sim.DefaultAnnealConfig())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	stopped := sim.DefaultAnnealConfig()
-	stopped.Ctx = ctx
-	check("cancelled", sim.NewEngine(bare, sim.ParamsFig5), stopped)
 }

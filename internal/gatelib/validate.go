@@ -77,7 +77,7 @@ type Validation struct {
 	// sim.ExactLimit free dots, by pinned exact search; 0 otherwise).
 	MinGapEV float64
 	// Method names the ground-state solver that produced the outputs
-	// ("exgs", "quickexact", "anneal", ...).
+	// ("exgs", "quickexact", "quicksim").
 	Method string
 	// FailKind classifies a failure ("" when OK): FailDefectBlocked or
 	// FailLogic.
@@ -121,7 +121,7 @@ type ValidateOptions struct {
 // is input i; bit j of the result is output j). It fails only on an
 // unknown solver name or when opts.Ctx ends; a solver that cannot handle
 // an instance (e.g. ExGS beyond its enumeration limit) degrades to
-// annealing for that pattern. On a pattern of at most sim.ExactLimit free
+// QuickSim for that pattern. On a pattern of at most sim.ExactLimit free
 // dots the degeneracy gap's pinned searches run first; under auto and
 // quickexact the ground key's configuration gives the outputs, and only a
 // gap error or a gap at most degenerateGapEV runs the solver too.
@@ -201,8 +201,8 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 			case opts.Ctx != nil && opts.Ctx.Err() != nil:
 				return Validation{}, fmt.Errorf("gatelib: validate pattern %d: %w", p, opts.Ctx.Err())
 			default:
-				gs, _ = eng.Anneal(sim.DefaultAnnealConfig())
-				v.Method = "anneal"
+				gs, _, _ = eng.QuickSim(context.Background())
+				v.Method = "quicksim"
 			}
 		}
 		got := 0

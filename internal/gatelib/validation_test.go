@@ -16,8 +16,6 @@ var validatedVariants = []string{
 	"pi:oSE", "pi:oSW",
 	"po:iNW", "po:iNE",
 	"inv:iNW:oSE", "inv:iNE:oSW",
-	"or:iNW:iNE:oSE", "or:iNW:iNE:oSW",
-	"xor:iNW:iNE:oSE", "xor:iNW:iNE:oSW",
 }
 
 func TestLibraryValidation(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package pool runs indexed work items on a bounded set of goroutines with
-// panic isolation. QuickExact's shard search, the annealer's restarts,
+// panic isolation. QuickExact's shard search, QuickSim's starts,
 // the degeneracy gap's pinned searches (one per key), the
 // operational-domain sweep, the defect-yield sweep and the service's
 // /v1/batch items all fan out through Run.

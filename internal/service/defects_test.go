@@ -137,8 +137,11 @@ func TestFlowDefectsDistinctCache(t *testing.T) {
 }
 
 // TestDefectSweepEndpoint: a small synchronous sweep returns a yield
-// table; an async sweep cancelled mid-run reports error_kind "canceled"
-// and the queue drains (no jobs left running).
+// table; an async sweep cancelled while it runs reports error_kind
+// "canceled" and the queue drains (no jobs left running). The async
+// sweep runs on a second server whose job-start hook holds the job in
+// the running state until the cancel has landed, so the test does not
+// depend on how long the sweep takes.
 func TestDefectSweepEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, Solver: "quickexact"})
 
@@ -162,7 +165,12 @@ func TestDefectSweepEndpoint(t *testing.T) {
 		t.Fatalf("degenerate sweep result: %s", body)
 	}
 
-	// Async sweep big enough to still be running when the cancel lands.
+	s, ts = newTestServer(t, Config{Workers: 2, Solver: "quickexact"})
+	running, release := make(chan struct{}), make(chan struct{})
+	s.queue.OnStart(func(*Job) {
+		close(running)
+		<-release
+	})
 	resp, body = postJSON(t, ts.URL+"/v1/defects/sweep", map[string]any{
 		"densities": []float64{0.5, 1, 2, 4}, "seeds": 8, "async": true,
 	})
@@ -175,11 +183,12 @@ func TestDefectSweepEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil || snap.ID == "" {
 		t.Fatalf("no job id in %s", body)
 	}
-	time.Sleep(100 * time.Millisecond)
+	<-running
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+snap.ID, nil)
 	if _, err := http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
 	}
+	close(release)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		j, ok := s.queue.Get(snap.ID)

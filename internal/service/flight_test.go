@@ -104,7 +104,7 @@ func TestFlightRecorderKeepsErrorTrace(t *testing.T) {
 		}
 	}
 	// Depending on the degrade margin the job either times out (504) or
-	// falls back to the annealer and returns 200 with X-Degraded — both
+	// falls back to QuickSim and returns 200 with X-Degraded — both
 	// outcomes are error-class for the flight recorder.
 	req := map[string]any{"solver": "exgs", "dots": dots, "timeout_ms": 1, "nocache": true}
 	resp, body := postJSON(t, ts.URL+"/v1/simulate", req)

@@ -279,11 +279,21 @@ func TestFlowCancellation(t *testing.T) {
 	}
 }
 
+// TestAnnealSolverRemoved: "anneal" is no longer a solver name, so a
+// request naming it is a 400 that lists the names there are.
+func TestAnnealSolverRemoved(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", map[string]any{"gate": "wire:iNW:oSE", "solver": "anneal"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "quicksim") {
+		t.Fatalf("solver anneal: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestSimulateDegradesUnderDeadline requests an exhaustive enumeration
 // that would otherwise effectively never finish (2^38 configurations)
 // under a deadline too small for it. Instead of burning the budget and
 // answering 504, the degradation ladder must hand the remaining time to
-// the annealer and answer 200 with degraded:true (and never cache it).
+// QuickSim and answer 200 with degraded:true (and never cache it).
 func TestSimulateDegradesUnderDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	var dots []map[string]any
@@ -312,8 +322,8 @@ func TestSimulateDegradesUnderDeadline(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !out.Degraded || out.Solver != "anneal" {
-		t.Fatalf("expected degraded anneal result, got %s", body)
+	if !out.Degraded || out.Solver != "quicksim" {
+		t.Fatalf("expected degraded quicksim result, got %s", body)
 	}
 
 	// A degraded result must not poison the cache: the same request again

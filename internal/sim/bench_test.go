@@ -77,17 +77,6 @@ func BenchmarkGroundStateQuickExact40(b *testing.B) {
 	}
 }
 
-// The heuristic baseline at the same size, for context.
-
-func BenchmarkGroundStateAnneal20(b *testing.B) {
-	eng := NewEngine(benchLayout(20, 7, 40), ParamsFig5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Anneal(DefaultAnnealConfig())
-	}
-}
-
 // The deterministic heuristic at, and beyond, the exact limit.
 
 func BenchmarkGroundStateQuickSim20(b *testing.B) { benchQuickSim(b, 20, 40) }

@@ -96,8 +96,8 @@ func TestChargedDefectPerturbs(t *testing.T) {
 	}
 }
 
-// TestDefectSolverAgreement: exhaustive, anneal, and the auto
-// solver must agree on the defective ground state.
+// TestDefectSolverAgreement: exhaustive, QuickSim and the auto solver
+// must agree on the defective ground state.
 func TestDefectSolverAgreement(t *testing.T) {
 	l := &sidb.Layout{Name: "chain"}
 	for i := 0; i < 5; i++ {
@@ -112,9 +112,12 @@ func TestDefectSolverAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ea := e.Anneal(DefaultAnnealConfig())
-	if math.Abs(ea-ex) > 1e-9 {
-		t.Fatalf("anneal %v vs exhaustive %v", ea, ex)
+	_, eq, err := e.QuickSim(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(eq-ex) > 1e-9 {
+		t.Fatalf("quicksim %v vs exhaustive %v", eq, ex)
 	}
 	sol, err := Auto().Solve(e, SolveOptions{})
 	if err != nil {

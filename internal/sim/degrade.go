@@ -8,11 +8,11 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultDegradeMargin is the budget Degrading reserves for its anneal
-// fallback when no explicit margin is configured. It is calibrated
-// against the default deterministic anneal schedule on library-tile-sized
-// instances (tens of free dots anneal in well under 100ms); the margin
-// adds headroom for scheduling jitter and larger layouts.
+// DefaultDegradeMargin is the budget Degrading reserves for its QuickSim
+// fallback when no explicit margin is configured. QuickSim solves
+// library-tile-sized instances in well under a millisecond and 200 free
+// dots in about 10 ms on two cores; the margin adds headroom for
+// scheduling jitter and larger layouts.
 const DefaultDegradeMargin = 250 * time.Millisecond
 
 // Reserve is the deadline rule of every degradation ladder: the primary
@@ -39,20 +39,19 @@ func Reserve(ctx context.Context, margin time.Duration) (primary context.Context
 // Degrading wraps a ground-state solver with a deadline-aware degradation
 // ladder: when the remaining context budget is too small for the exact
 // engine — or the exact engine itself runs out of budget mid-search — the
-// solve is retried with simulated annealing on the remaining time instead
-// of surfacing a deadline error. The ladder turns "504 with all work
+// solve is retried with QuickSim on the remaining time instead of
+// surfacing a deadline error. The ladder turns "504 with all work
 // thrown away" into "200 with a best-effort result marked degraded:true".
 //
 // Mechanically, the inner solver runs under a sub-deadline that reserves
 // Margin of the caller's budget; if it fails while the caller's context is
-// still alive, the annealer runs on what remains and the solution is
-// marked Degraded (never cached, see cache.Tiers). When the
-// remaining budget is already below Margin the exact attempt is skipped
-// outright. An inner annealer is returned unwrapped — there is no cheaper
-// rung to fall to.
+// still alive, QuickSim runs on what remains and the solution is marked
+// Degraded (never cached, see cache.Tiers). When the remaining budget is
+// already below Margin the exact attempt is skipped outright. An inner
+// QuickSim is returned unwrapped — there is no cheaper rung to fall to.
 type Degrading struct {
 	Inner GroundStateSolver
-	// Margin is the budget reserved for the anneal fallback (default
+	// Margin is the budget reserved for the QuickSim fallback (default
 	// DefaultDegradeMargin).
 	Margin time.Duration
 	// Tracer receives sim_degraded_total{from,to} counters (nil-safe).
@@ -71,7 +70,7 @@ func (d *Degrading) IsExact() bool { return d.Inner.IsExact() }
 
 // Solve runs the ladder.
 func (d *Degrading) Solve(e *Engine, opts SolveOptions) (Solution, error) {
-	if d.Inner.Name() == "anneal" {
+	if d.Inner.Name() == "quicksim" {
 		return d.Inner.Solve(e, opts)
 	}
 	ctx := opts.Context()
@@ -95,18 +94,15 @@ func (d *Degrading) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 			return Solution{}, cerr // whole budget gone: nothing to degrade to
 		}
 		// Inner failed with budget left (sub-deadline expiry, node budget,
-		// injected fault): fall through to the anneal rung.
+		// injected fault): fall through to the QuickSim rung.
 	}
 
-	d.Tracer.Counter(obs.Labeled("sim/degraded_total", "from", d.Inner.Name(), "to", "anneal")).Inc()
+	d.Tracer.Counter(obs.Labeled("sim/degraded_total", "from", d.Inner.Name(), "to", "quicksim")).Inc()
 
-	cfg := DefaultAnnealConfig()
-	cfg.Ctx = ctx
-	cfg.Tracer = opts.Tracer
-	gs, en := e.Anneal(cfg)
-	// Unlike the plain anneal backend, a deadline expiring mid-anneal
+	// Unlike the plain quicksim backend, a deadline expiring mid-solve
 	// still yields the best configuration found so far: the ladder's
 	// whole point is a usable answer instead of a timeout.
-	d.Tracer.Counter("sim/anneal/solves").Inc()
-	return Solution{Charges: gs, EnergyEV: en, Solver: "anneal", Exact: false, Degraded: true}, nil
+	gs, en, _ := e.QuickSim(ctx)
+	d.Tracer.Counter("sim/quicksim/solves").Inc()
+	return Solution{Charges: gs, EnergyEV: en, Solver: "quicksim", Degraded: true}, nil
 }

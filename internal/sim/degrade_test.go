@@ -55,10 +55,10 @@ func TestDegradingFallsBackOnInnerFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ladder should have degraded, not failed: %v", err)
 	}
-	if !sol.Degraded || sol.Solver != "anneal" || sol.Exact {
-		t.Fatalf("expected degraded anneal solution, got %+v", sol)
+	if !sol.Degraded || sol.Solver != "quicksim" || sol.Exact {
+		t.Fatalf("expected degraded quicksim solution, got %+v", sol)
 	}
-	if tr.Counter(obs.Labeled("sim/degraded_total", "from", "failing", "to", "anneal")).Value() != 1 {
+	if tr.Counter(obs.Labeled("sim/degraded_total", "from", "failing", "to", "quicksim")).Value() != 1 {
 		t.Fatal("sim_degraded_total{from,to} not recorded")
 	}
 }
@@ -66,7 +66,7 @@ func TestDegradingFallsBackOnInnerFailure(t *testing.T) {
 func TestDegradingSkipsExactWhenBudgetBelowMargin(t *testing.T) {
 	e := degradeTestEngine()
 	// Remaining budget (1s) is below the margin (1h): the exact engine
-	// must not even start; the annealer answers within the budget.
+	// must not even start; QuickSim answers within the budget.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	d := &Degrading{Inner: neverSolver{}, Margin: time.Hour}
@@ -74,8 +74,25 @@ func TestDegradingSkipsExactWhenBudgetBelowMargin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Degraded || sol.Solver != "anneal" {
+	if !sol.Degraded || sol.Solver != "quicksim" {
 		t.Fatalf("expected pre-emptive degrade, got %+v", sol)
+	}
+}
+
+// TestDegradingDeadlineDuringFallback: a deadline that expires while
+// QuickSim runs still yields a degraded solution over every dot, never a
+// timeout.
+func TestDegradingDeadlineDuringFallback(t *testing.T) {
+	e := NewEngine(benchLayout(200, 1, 133), ParamsFig5)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	d := &Degrading{Inner: neverSolver{}, Margin: time.Hour}
+	sol, err := d.Solve(e, SolveOptions{Ctx: ctx})
+	if err != nil {
+		t.Fatalf("an expiring deadline must degrade, not fail: %v", err)
+	}
+	if !sol.Degraded || sol.Solver != "quicksim" || len(sol.Charges) != e.NumDots() {
+		t.Fatalf("expected a degraded quicksim solution, got %+v", sol)
 	}
 }
 
@@ -98,15 +115,15 @@ func TestDegradingHonorsExpiredContext(t *testing.T) {
 	}
 }
 
-func TestDegradingUnwrapsAnnealer(t *testing.T) {
+func TestDegradingUnwrapsQuickSim(t *testing.T) {
 	e := degradeTestEngine()
-	d := &Degrading{Inner: annealSolver{}}
+	d := &Degrading{Inner: quickSimSolver{}}
 	sol, err := d.Solve(e, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Degraded {
-		t.Fatal("annealing by request is not a degrade")
+		t.Fatal("QuickSim by request is not a degrade")
 	}
 }
 
@@ -122,6 +139,6 @@ func TestDegradingFaultPointForcesLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sol.Degraded {
-		t.Fatal("armed sim.solve.exact fault should force the anneal rung")
+		t.Fatal("armed sim.solve.exact fault should force the QuickSim rung")
 	}
 }

@@ -61,7 +61,7 @@ func TestMatchesExhaustiveRandom(t *testing.T) {
 
 func TestLargeInstanceExact(t *testing.T) {
 	// 32 free dots: infeasible for ExGS (2^32 configurations) but solved
-	// exactly by the pruned search. Annealing must never beat the proven
+	// exactly by the pruned search. QuickSim must never beat the proven
 	// minimum, and the result must be population stable.
 	rng := rand.New(rand.NewSource(42))
 	l := &sidb.Layout{}
@@ -87,9 +87,12 @@ func TestLargeInstanceExact(t *testing.T) {
 	if !eng.PopulationStable(gs) {
 		t.Error("ground state not population stable")
 	}
-	_, annealed := eng.Anneal(DefaultAnnealConfig())
-	if annealed < en-1e-9 {
-		t.Errorf("anneal %v beats quickexact %v — search is not exact", annealed, en)
+	_, heuristic, err := eng.QuickSim(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heuristic < en-1e-9 {
+		t.Errorf("quicksim %v beats quickexact %v — search is not exact", heuristic, en)
 	}
 	t.Logf("32 free dots: E=%.6f eV, %d undecided after presolve, %d nodes, %d bound-pruned, %d stability-pruned",
 		en, st.Undecided, st.Nodes, st.BoundPruned, st.StabilityPruned)

@@ -1,11 +1,10 @@
 package sim
 
-// QuickSim is a deterministic ground-state heuristic after Drewniok et
-// al., "QuickSim: Efficient and Accurate Physical Simulation of Silicon
-// Dangling Bond Logic" (arXiv 2303.03422). It grows charge populations
-// one electron at a time from many starts and keeps the lowest
-// configuration that a greedy relaxation reaches along the way; there is
-// no random number anywhere in it.
+// QuickSim is the deterministic ground-state heuristic of Drewniok et al.,
+// "QuickSim: Efficient and Accurate Physical Simulation of Silicon
+// Dangling Bond Logic" (arXiv 2303.03422): it grows charge populations one
+// electron at a time from many starts and keeps the lowest configuration a
+// greedy relaxation reaches along the way.
 
 import (
 	"context"
@@ -18,17 +17,13 @@ import (
 
 const (
 	// hopNeighbours is the number of nearest free dots a charge may hop
-	// to. Hopping to every free dot made a 200-dot solve about 8× slower
-	// without lowering an energy on the measured layouts.
+	// to. Hopping to every free dot made 24 random 50-dot solves 3× and
+	// two 200-dot solves 24× slower on two cores.
 	hopNeighbours = 8
 	// potScale is QuickSim's fixed-point unit, 2^40 per eV. Integer sums
 	// do not depend on their order, so a walk's potentials and energy are
-	// functions of its charge state, not of the flips that led there, and
-	// two walks that meet continue identically.
+	// functions of its charge state, not of the flips that led there.
 	potScale = 1 << 40
-	// potCap bounds one interaction before it is scaled (coincident dots
-	// have V = +Inf), in eV.
-	potCap = 1e3
 )
 
 // quickSimSolver is the "quicksim" GroundStateSolver.
@@ -47,43 +42,28 @@ func (quickSimSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 }
 
 // QuickSim returns a low-energy, usually ground-state, charge
-// configuration and its canonical Energy. It is deterministic: the same
-// answer, bit for bit, at any worker count.
-//
-// Start 0 has no free dot charged and start s > 0 has free dot s-1
-// charged. Each start then loops: stop if any start already reached this
-// state; relax a copy by single flips and hops (see candidate) and record
-// it as a candidate; charge the neutral free dot of lowest local
-// potential (stop if none is left); hop-relax, applying the best
-// energy-lowering hop of a charge to one of its hopNeighbours nearest free
-// dots until none lowers the energy. A start's continuation depends only
-// on its state, so stopping at a visited state changes no candidate. The
-// answer is the lowest candidate by Energy, ties broken by the charge
-// vector (at the first difference, neutral first).
-//
-// The starts run on internal/pool, start 0 first; each worker owns a walk
-// state whose potentials update in O(n) per flip. Once ctx is done no
-// further start begins and running ones stop between steps: QuickSim then
-// returns the best configuration found so far (the pinned dots alone
-// charged if none was) together with the context's error. A nil ctx never
-// ends. All state is local to the call, so one Engine serves concurrent
-// calls.
+// configuration and its canonical Energy, the same bit for bit at any
+// worker count. Start 0 has no free dot charged, start s > 0 free dot s-1.
+// Each start loops: stop at a state any start already reached (its
+// continuation depends only on the state, so no candidate is lost);
+// record a relaxed copy as a candidate; charge the neutral free dot of
+// lowest potential, or stop if none is left; apply hops (see hop) while
+// one lowers the energy. The answer is the lowest candidate by Energy,
+// ties broken by chargesLess. The starts run on internal/pool, start 0
+// first. Once ctx is done no start begins and running ones stop between
+// steps: QuickSim returns the best configuration found so far (the
+// pinned dots alone charged if none was) with the context's error.
 func (e *Engine) QuickSim(ctx context.Context) ([]bool, float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	p := e.newQuickSim()
 	starts := len(p.free) + 1
-	workers := pool.Size(starts, 0)
-	walks := make([]*qsWalk, workers) // walks[w]: worker w's, allocated by it
-	done := ctx.Done()
-	err := pool.Run(ctx, starts, workers, "", func(w, s int) {
+	walks := make([]*qsWalk, pool.Size(starts, 0)) // walks[w]: worker w's, allocated by it
+	err := pool.Run(ctx, starts, len(walks), "", func(w, s int) {
 		if walks[w] == nil {
 			walks[w] = p.newWalk()
 		}
-		p.start(done, walks[w], s)
+		p.start(ctx, walks[w], s)
 	})
-	best := slices.Clone(e.fixed) // the pinned dots alone
+	best := slices.Clone(e.fixed)
 	bestE, found := e.Energy(best), false
 	for _, w := range walks {
 		if w != nil && w.found && (!found || w.bestE < bestE || w.bestE == bestE && chargesLess(w.best, best)) {
@@ -94,32 +74,28 @@ func (e *Engine) QuickSim(ctx context.Context) ([]bool, float64, error) {
 	return best, bestE, err
 }
 
-// quickSim is what the walks of one QuickSim call share: the free dots,
-// their fixed-point interactions and hop neighbours, read-only, and the
-// registry of visited states.
+// quickSim is what the walks of one QuickSim call share.
 type quickSim struct {
 	e    *Engine
 	free []int   // free dot indices
-	v    []int64 // v[a*nf+b]: V between free dots a and b, in units of 1/potScale eV
+	v    []int64 // v[a*nf+b]: V between free dots a and b
 	base []int64 // base[a]: the pinned dots' potential at free dot a
 	mu   int64   // μ_
 	near []int32 // near[a*k:(a+1)*k]: the k nearest free dots of a, nearest first
 	k    int
-	// tol bounds the rounding error of a fixed-point energy against the
-	// canonical one, in units: a candidate more than tol above a walk's
-	// best cannot beat it, so its canonical Energy is not summed.
-	tol int64
-
+	// tol bounds the rounding error of a fixed-point energy, in units: a
+	// candidate more than tol above a walk's best cannot beat it.
+	tol    int64
 	seenMu sync.Mutex
-	seen   map[string]struct{}
+	seen   map[string]struct{} // charge vectors, one byte per free dot
 }
 
-// fixedPoint scales an energy in eV to QuickSim's integer units.
+// fixedPoint scales an energy in eV to QuickSim's integer units, capped
+// at ±1 keV (coincident dots have V = +Inf).
 func fixedPoint(v float64) int64 {
-	return int64(math.Round(min(max(v, -potCap), potCap) * potScale))
+	return int64(math.Round(min(max(v, -1e3), 1e3) * potScale))
 }
 
-// newQuickSim builds the shared part of a QuickSim call.
 func (e *Engine) newQuickSim() *quickSim {
 	free := e.FreeIndices()
 	nf, n := len(free), e.NumDots()
@@ -132,94 +108,67 @@ func (e *Engine) newQuickSim() *quickSim {
 		tol:  int64(2 * (n*n + n)),
 		seen: map[string]struct{}{},
 	}
-	for a, i := range free {
-		row := e.V[i]
-		for b, j := range free {
-			p.v[a*nf+b] = fixedPoint(row[j])
-		}
-		pinned := 0.0
-		for j, f := range e.fixed {
-			if f {
-				pinned += row[j]
-			}
-		}
-		p.base[a] = fixedPoint(pinned)
-	}
-	// Free dots are layout dots (charge scale 1), so V falls with distance:
-	// the nearest dots have the largest V, ties to the lower index.
 	p.near = make([]int32, nf*p.k)
 	for a, i := range free {
+		row := e.V[i]
+		p.base[a] = fixedPoint(e.LocalPotential(e.fixed, i))
+		// Free dots are layout dots (charge scale 1), so the nearest have
+		// the largest V; ties go to the lower index.
 		near := p.near[a*p.k : a*p.k : (a+1)*p.k]
 		for b, j := range free {
-			if b == a {
-				continue
-			}
+			p.v[a*nf+b] = fixedPoint(row[j])
 			at := len(near)
-			for at > 0 && e.V[i][free[near[at-1]]] < e.V[i][j] {
+			for at > 0 && row[free[near[at-1]]] < row[j] {
 				at--
 			}
-			if at < p.k {
-				if len(near) < p.k {
-					near = append(near, 0)
-				}
-				copy(near[at+1:], near[at:len(near)-1])
-				near[at] = int32(b)
+			if b == a || at == p.k {
+				continue
 			}
+			if len(near) < p.k {
+				near = append(near, 0)
+			}
+			copy(near[at+1:], near[at:])
+			near[at] = int32(b)
 		}
 	}
 	return p
 }
 
-// qsWalk is one worker's state, reused across the starts it runs: the
-// walk's charges, potentials and energy (all over the free dots, energy
-// relative to the pinned dots alone), a scratch copy of them for the
-// candidate relaxation, and the best candidate the worker has recorded.
+// qsWalk is one worker's state: the walk's charges (1 charged),
+// potentials and energy (relative to the pinned dots alone) over the free
+// dots, scratch copies for candidate, and the worker's best candidate.
 type qsWalk struct {
-	q, rq     []bool
-	pot, rpot []int64
-	en        int64
-	key       []byte
-	full      []bool // scratch: a candidate over all dots
-	best      []bool
-	bestE     float64
-	bestQ     int64 // best's fixed-point energy
-	found     bool
+	q, rq      []byte
+	pot, rpot  []int64
+	en         int64
+	full, best []bool // over all dots
+	bestE      float64
+	bestQ      int64 // best's fixed-point energy
+	found      bool
 }
 
 func (p *quickSim) newWalk() *qsWalk {
 	nf, n := len(p.free), p.e.NumDots()
 	return &qsWalk{
-		q: make([]bool, nf), rq: make([]bool, nf),
+		q: make([]byte, nf), rq: make([]byte, nf),
 		pot: make([]int64, nf), rpot: make([]int64, nf),
-		key:  make([]byte, (nf+7)/8),
 		full: make([]bool, n), best: make([]bool, n),
 	}
 }
 
-// start runs start s on w: it registers the walk's state and stops if a
-// walk had reached it, records the state's relaxation as a candidate,
-// charges the neutral free dot of lowest potential and hop-relaxes, until
-// no free dot is neutral or done is closed.
-func (p *quickSim) start(done <-chan struct{}, w *qsWalk, s int) {
+// start runs start s on w (see QuickSim).
+func (p *quickSim) start(ctx context.Context, w *qsWalk, s int) {
 	clear(w.q)
 	copy(w.pot, p.base)
 	w.en = 0
 	if s > 0 {
 		w.en += p.flip(w.q, w.pot, s-1)
 	}
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		if !p.visit(w) {
-			return
-		}
+	for ctx.Err() == nil && p.visit(w.q) {
 		p.candidate(w)
 		next := -1
 		for a, c := range w.q {
-			if !c && (next < 0 || w.pot[a] < w.pot[next]) {
+			if c == 0 && (next < 0 || w.pot[a] < w.pot[next]) {
 				next = a
 			}
 		}
@@ -227,39 +176,28 @@ func (p *quickSim) start(done <-chan struct{}, w *qsWalk, s int) {
 			return
 		}
 		w.en += p.flip(w.q, w.pot, next)
-		for {
-			d, a, b := p.bestHop(w.q, w.pot)
-			if a < 0 {
-				break
-			}
-			p.hop(w.q, w.pot, a, b)
+		for d, ok := p.hop(w.q, w.pot); ok; d, ok = p.hop(w.q, w.pot) {
 			w.en += d
 		}
 	}
 }
 
-// visit registers w's state and reports whether no walk had reached it.
-func (p *quickSim) visit(w *qsWalk) bool {
-	clear(w.key)
-	for a, c := range w.q {
-		if c {
-			w.key[a>>3] |= 1 << (a & 7)
-		}
-	}
+// visit registers the charge vector q and reports whether no walk had
+// reached it.
+func (p *quickSim) visit(q []byte) bool {
 	p.seenMu.Lock()
 	defer p.seenMu.Unlock()
-	if _, ok := p.seen[string(w.key)]; ok {
+	if _, ok := p.seen[string(q)]; ok {
 		return false
 	}
-	p.seen[string(w.key)] = struct{}{}
+	p.seen[string(q)] = struct{}{}
 	return true
 }
 
-// candidate relaxes a copy of w's state and records the result if it
-// beats w's best. The relaxation sweeps the free dots in order, flipping
-// each whose flip lowers the energy, until a sweep flips none; then it
-// applies the best energy-lowering hop and sweeps again, until no hop
-// lowers the energy either.
+// candidate relaxes a copy of w's state and records it if it beats w's
+// best. The relaxation sweeps the free dots in order, flipping each whose
+// flip lowers the energy, until a sweep flips none; then it applies the
+// best energy-lowering hop and sweeps again, until no hop is left.
 func (p *quickSim) candidate(w *qsWalk) {
 	q, pot, en := w.rq, w.rpot, w.en
 	copy(q, w.q)
@@ -267,11 +205,7 @@ func (p *quickSim) candidate(w *qsWalk) {
 	for {
 		flipped := false
 		for i, c := range q {
-			f := p.mu + pot[i]
-			if c {
-				f = -f
-			}
-			if f < 0 {
+			if f := p.mu + pot[i]; c == 0 && f < 0 || c == 1 && f > 0 {
 				en += p.flip(q, pot, i)
 				flipped = true
 			}
@@ -279,11 +213,10 @@ func (p *quickSim) candidate(w *qsWalk) {
 		if flipped {
 			continue
 		}
-		d, a, b := p.bestHop(q, pot)
-		if a < 0 {
+		d, ok := p.hop(q, pot)
+		if !ok {
 			break
 		}
-		p.hop(q, pot, a, b)
 		en += d
 	}
 	if w.found && en > w.bestQ+p.tol {
@@ -291,10 +224,10 @@ func (p *quickSim) candidate(w *qsWalk) {
 	}
 	copy(w.full, p.e.fixed)
 	for a, i := range p.free {
-		w.full[i] = q[a]
+		w.full[i] = q[a] == 1
 	}
 	if w.found && en == w.bestQ && slices.Equal(w.full, w.best) {
-		return // relaxed to the best again
+		return
 	}
 	if E := p.e.Energy(w.full); !w.found || E < w.bestE || E == w.bestE && chargesLess(w.full, w.best) {
 		copy(w.best, w.full)
@@ -303,12 +236,11 @@ func (p *quickSim) candidate(w *qsWalk) {
 }
 
 // flip toggles free dot a and returns the energy change.
-func (p *quickSim) flip(q []bool, pot []int64, a int) int64 {
-	nf := len(q)
-	row := p.v[a*nf : (a+1)*nf]
-	pot = pot[:nf]
-	q[a] = !q[a]
-	if q[a] {
+func (p *quickSim) flip(q []byte, pot []int64, a int) int64 {
+	row := p.v[a*len(q) : (a+1)*len(q)]
+	pot = pot[:len(row)]
+	q[a] ^= 1
+	if q[a] == 1 {
 		for b, x := range row {
 			pot[b] += x
 		}
@@ -320,37 +252,34 @@ func (p *quickSim) flip(q []bool, pot []int64, a int) int64 {
 	return -(p.mu + pot[a])
 }
 
-// bestHop returns the lowest energy change of moving a charge from a free
-// dot a to one of its neutral neighbours b, and the move; d is 0 and a, b
-// are -1 when no hop lowers the energy. Ties go to the first in dot order.
-func (p *quickSim) bestHop(q []bool, pot []int64) (d int64, a, b int) {
-	nf := len(q)
-	a, b = -1, -1
+// hop applies the most energy-lowering move of a charge from a free dot a
+// to a neutral neighbour b (the first in dot order among ties), updating
+// the potentials in one pass, and returns the energy change; ok is false
+// when no hop lowers the energy.
+func (p *quickSim) hop(q []byte, pot []int64) (d int64, ok bool) {
+	a, b := -1, -1
 	for i, c := range q {
-		if !c {
+		if c == 0 {
 			continue
 		}
 		for _, j := range p.near[i*p.k : (i+1)*p.k] {
-			if !q[j] {
-				if h := pot[j] - pot[i] - p.v[i*nf+int(j)]; h < d {
-					d, a, b = h, i, int(j)
-				}
+			if q[j] != 0 {
+				continue
+			}
+			if h := pot[j] - pot[i] - p.v[i*len(q)+int(j)]; h < d {
+				d, a, b = h, i, int(j)
 			}
 		}
 	}
-	return d, a, b
-}
-
-// hop moves the charge of free dot a to free dot b in one pass over the
-// potentials.
-func (p *quickSim) hop(q []bool, pot []int64, a, b int) {
-	nf := len(q)
-	ra, rb := p.v[a*nf:(a+1)*nf], p.v[b*nf:(b+1)*nf]
-	pot = pot[:nf]
-	for c := range pot {
+	if a < 0 {
+		return 0, false
+	}
+	ra, rb := p.v[a*len(q):(a+1)*len(q)], p.v[b*len(q):(b+1)*len(q)]
+	for c := range ra {
 		pot[c] += rb[c] - ra[c]
 	}
-	q[a], q[b] = false, true
+	q[a], q[b] = 0, 1
+	return d, true
 }
 
 // chargesLess orders charge vectors of equal length: at the first

@@ -6,16 +6,89 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/sidb"
 	"repro/internal/sim"
 )
 
 var updateQuickSim = flag.Bool("update-quicksim", false, "regenerate testdata/quicksim.golden")
+
+// libraryTile is one library tile instance: a variant under one input
+// pattern.
+type libraryTile struct {
+	name   string // "variant/pPATTERN"
+	layout *sidb.Layout
+}
+
+// libraryTiles reads the library tile instances from testdata/tiles.txt,
+// frozen dot lists of the layouts gatelib.ValidateWith simulates.
+func libraryTiles(t *testing.T) []libraryTile {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "tiles.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tiles []libraryTile
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		tile := libraryTile{name: f[0], layout: &sidb.Layout{}}
+		for _, dot := range f[1:] {
+			cell, perturber := strings.CutSuffix(dot, "p")
+			var x, y int
+			if _, err := fmt.Sscanf(cell, "%d,%d", &x, &y); err != nil {
+				t.Fatalf("%s: dot %q: %v", f[0], dot, err)
+			}
+			role := sidb.RoleNormal
+			if perturber {
+				role = sidb.RolePerturber
+			}
+			tile.layout.AddCell(x, y, role)
+		}
+		tiles = append(tiles, tile)
+	}
+	return tiles
+}
+
+// goldenRandomLayout is seeded random layout number seed: 2 to 34 dots,
+// every fifth a perturber, on a span that keeps the density tile-like.
+// Even seeds are mirror-symmetric about x = 0, so mirrored configurations
+// tie in energy and the answer rests on QuickSim's tie-break.
+func goldenRandomLayout(seed int64) *sidb.Layout {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(32)
+	span := 8 + 2*n
+	mirror := seed%2 == 0
+	l := &sidb.Layout{}
+	seen := map[[2]int]bool{}
+	for i := 0; len(l.Dots) < n; i++ {
+		role := sidb.RoleNormal
+		if i%5 == 4 {
+			role = sidb.RolePerturber
+		}
+		x, y := rng.Intn(span), rng.Intn(span)
+		if mirror {
+			x = 1 + rng.Intn(span/2)
+		}
+		if seen[[2]int{x, y}] {
+			continue
+		}
+		seen[[2]int{x, y}] = true
+		l.AddCell(x, y, role)
+		if mirror {
+			l.AddCell(-x, y, role)
+		}
+	}
+	return l
+}
 
 // quickSimGoldenLines runs QuickSim on every frozen library tile instance
 // and on 60 seeded random layouts, one line per run: the case, its
@@ -37,7 +110,7 @@ func quickSimGoldenLines(t *testing.T) []string {
 		return fmt.Sprintf("%s %s %016x", name, b.String(), math.Float64bits(en))
 	}
 	var out []string
-	for _, tile := range annealTiles(t) {
+	for _, tile := range libraryTiles(t) {
 		out = append(out, line(tile.name, sim.NewEngine(tile.layout, sim.ParamsFig5)))
 	}
 	for seed := int64(0); seed < 60; seed++ {
@@ -90,7 +163,7 @@ func TestQuickSimGolden(t *testing.T) {
 // TestQuickSimExactOnTiles: on every frozen library tile instance QuickSim
 // reaches QuickExact's ground-state energy, bit for bit.
 func TestQuickSimExactOnTiles(t *testing.T) {
-	for _, tile := range annealTiles(t) {
+	for _, tile := range libraryTiles(t) {
 		e := sim.NewEngine(tile.layout, sim.ParamsFig5)
 		_, qs, err := e.QuickSim(context.Background())
 		if err != nil {

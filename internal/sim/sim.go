@@ -1,9 +1,9 @@
 // Package sim implements physical simulation of SiDB charge configurations
 // with three ground-state engines behind one fixed solver table (see
 // Lookup): an exhaustive finder (SiQAD's ExGS equivalent), a pruned exact
-// branch-and-bound (QuickExact), and a simulated-annealing finder (the
-// SimAnneal engine of [30] that the paper uses to validate the Bestagon
-// library).
+// branch-and-bound (QuickExact), and a deterministic heuristic (QuickSim)
+// that stands in for the SimAnneal engine of [30], which the paper uses to
+// validate the Bestagon library.
 //
 // The model is the established two-state SiDB electrostatics of SiQAD:
 // every dangling bond is either neutral (DB0) or negatively charged (DB-);
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/defects"
 	"repro/internal/lattice"
@@ -66,7 +65,7 @@ func (p Params) Potential(d float64) float64 {
 // Charged surface defects (see NewEngineOn) are represented as extra
 // pinned pseudo-dots appended after the layout's dots, with the pairwise
 // matrix V scaled by each defect's charge. Every solver — exhaustive
-// enumeration, QuickExact and annealing, which all work from IsFixed, V
+// enumeration, QuickExact and QuickSim, which all work from IsFixed, V
 // and Energy — therefore sees the defect
 // perturbation without any defect-specific code, and the free-dot count
 // (the solve cost) is unchanged.
@@ -244,9 +243,9 @@ func (e *Engine) PopulationStable(charged []bool) bool {
 // GroundState finds a minimum-energy configuration. The search is routed
 // through the automatic solver dispatcher (see Auto): QuickExact up to
 // ExactLimit free dots, exhaustive enumeration if QuickExact fails there,
-// and simulated annealing with deterministic restarts beyond that.
+// and QuickSim beyond that.
 func (e *Engine) GroundState() ([]bool, float64) {
-	// Without a context Auto cannot fail: ExGS backs QuickExact, anneal fails only on ctx.
+	// Without a context Auto cannot fail: ExGS backs QuickExact, QuickSim fails only on ctx.
 	sol, _ := Auto().Solve(e, SolveOptions{})
 	return sol.Charges, sol.EnergyEV
 }
@@ -302,275 +301,6 @@ func (e *Engine) flipDelta(charged []bool, i int) float64 {
 		return -delta
 	}
 	return delta
-}
-
-// AnnealConfig tunes the simulated-annealing ground-state search.
-type AnnealConfig struct {
-	Seed     int64
-	Restarts int
-	Sweeps   int     // sweeps per restart
-	TStart   float64 // initial temperature in eV
-	TEnd     float64 // final temperature in eV
-	// Tracer receives the annealing counters, gauges and histograms
-	// (restart/sweep/accepted-move counts, acceptance rate) but no span,
-	// so parallel solver workers can share one tracer; nil disables them
-	// at no cost.
-	Tracer *obs.Tracer
-	// Ctx interrupts the annealing when cancelled: Anneal stops between
-	// sweeps and returns the best configuration found so far. Nil behaves
-	// like context.Background.
-	Ctx context.Context
-}
-
-// DefaultAnnealConfig returns settings calibrated for Bestagon-tile-sized
-// problems (tens of dots).
-func DefaultAnnealConfig() AnnealConfig {
-	return AnnealConfig{Seed: 1, Restarts: 8, Sweeps: 600, TStart: 0.3, TEnd: 0.001}
-}
-
-// Anneal runs simulated annealing over charge configurations and returns
-// the best configuration found. Deterministic for a given config, at any
-// GOMAXPROCS. A cancelled cfg.Ctx stops the search between sweeps and
-// starts no further restart; the best state found so far is returned (use
-// the context's error to detect the early stop). The returned energy is
-// recomputed canonically (Energy of the returned charges), not the walk's
-// accumulated sum, so it does not depend on the order of the flips that
-// reached the configuration.
-//
-// Restart r re-seeds from cfg.Seed + r·7919 and walks from its own random
-// population, so restarts are independent: they run on internal/pool,
-// each worker with its own RNG, walk state and log buffers. The only
-// link between restarts is the best state. Taken restart after restart,
-// it moves to restart r's initial state when that is lower, and to a
-// state of its walk or final descent when that is lower by more than
-// 1e-15. Every state this rule takes is a strict new minimum of its
-// restart, so each restart logs those (see annealWalker.record), and the
-// rule is replayed over the logs in restart order: the answer is that of
-// running the restarts one after another, whatever the worker count.
-//
-// Each restart keeps every dot's local potential in a vector: a proposal
-// costs O(1), and only an accepted flip pays O(n) to move its row of V
-// into or out of the vector. All state is local to the call, so one
-// Engine serves concurrent anneals.
-func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	freeIdx := e.FreeIndices()
-	n := e.NumDots()
-	restarts := max(cfg.Restarts, 0)
-	workers := pool.Size(restarts, 0)
-	// walkers[w] is worker w's state, allocated by that worker (see
-	// searchShards); each appends the states it logs to its own buffers,
-	// and logs[r] says where restart r's are.
-	walkers := make([]*annealWalker, workers)
-	logs := make([]restartLog, restarts)
-	_ = pool.Run(ctx, restarts, workers, "", func(wi, r int) {
-		w := walkers[wi]
-		if w == nil {
-			w = newAnnealWalker(n, restarts)
-			walkers[wi] = w
-		}
-		e.annealRestart(ctx, cfg, freeIdx, w, r)
-		logs[r] = restartLog{wi, w.lo, len(w.minE)}
-	})
-
-	// Replay the rule over the logs in restart order.
-	best := append([]bool(nil), e.fixed...) // perturbers always charged
-	bestE := e.Energy(best)
-	var take []bool
-	for _, lg := range logs {
-		w := walkers[lg.walker]
-		for k := lg.lo; k < lg.hi; k++ {
-			if en := w.minE[k]; k == lg.lo && en < bestE || k > lg.lo && en < bestE-1e-15 {
-				bestE = en
-				take = w.minQ[k*n : (k+1)*n]
-			}
-		}
-	}
-	if take != nil {
-		copy(best, take)
-	}
-	var accepted, flipsTried int64
-	for _, w := range walkers {
-		if w != nil {
-			accepted += w.accepted
-			flipsTried += w.tried
-		}
-	}
-	bestE = e.Energy(best)
-	if tr := cfg.Tracer; tr != nil {
-		tr.Counter("sim/anneal/runs").Inc()
-		tr.Counter("sim/anneal/restarts").Add(int64(cfg.Restarts))
-		tr.Counter("sim/anneal/sweeps").Add(int64(cfg.Restarts * cfg.Sweeps))
-		tr.Counter("sim/anneal/flips_tried").Add(flipsTried)
-		tr.Counter("sim/anneal/accepted").Add(accepted)
-		tr.Gauge("sim/anneal/best_energy").Set(bestE)
-		if flipsTried > 0 {
-			// The schedule's health signal: near 1 the walk is random (too
-			// hot for the instance), near 0 it is frozen (wasted sweeps).
-			tr.Histogram("sim/anneal/acceptance_rate",
-				0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1).Observe(float64(accepted) / float64(flipsTried))
-		}
-	}
-	return best, bestE
-}
-
-// restartLog locates one restart's logged states in its walker's
-// buffers: index lo is its initial state, lo+1 up to hi its retained walk
-// minima in walk order. A restart that never ran (ctx ended first) has
-// lo == hi.
-type restartLog struct {
-	walker, lo, hi int
-}
-
-// annealWalker is one goroutine's annealing state, reused across the
-// restarts it runs: the RNG, the walk's charges and local potentials, the
-// candidate states its restarts logged (minE, minQ: energies and
-// flattened charges) and its move counts.
-type annealWalker struct {
-	rng             *rand.Rand
-	cur             []bool
-	pot             []float64 // pot[j] = LocalPotential(cur, j)
-	lo              int       // index of the running restart's first logged state
-	minE            []float64
-	minQ            []bool
-	accepted, tried int64
-}
-
-// newAnnealWalker allocates a walker over n dots with log room for four
-// states per restart of the call; a restart usually logs two (its initial
-// state and one walk minimum).
-func newAnnealWalker(n, restarts int) *annealWalker {
-	return &annealWalker{
-		rng:  rand.New(rand.NewSource(1)),
-		cur:  make([]bool, n),
-		pot:  make([]float64, n),
-		minE: make([]float64, 0, 4*restarts),
-		minQ: make([]bool, 0, 4*restarts*n),
-	}
-}
-
-// record logs the current state, of energy en: the restart's initial
-// state or a strict new minimum of its walk. It first drops the logged
-// walk state before it if en is more than 1e-15 below that one: if the
-// replay takes the dropped state it takes this one too, and the best
-// after both is the same as after this one alone. Near-tied minima
-// (within 1e-15, e.g. one configuration revisited with a drifted sum)
-// stay side by side, and the initial state is never dropped: its rule
-// has no margin.
-func (w *annealWalker) record(en float64) {
-	n := len(w.cur)
-	for len(w.minE) > w.lo+1 && en < w.minE[len(w.minE)-1]-1e-15 {
-		w.minE = w.minE[:len(w.minE)-1]
-		w.minQ = w.minQ[:len(w.minQ)-n]
-	}
-	w.minE = append(w.minE, en)
-	w.minQ = append(w.minQ, w.cur...)
-}
-
-// annealRestart runs restart r on w: a random population, cfg.Sweeps
-// Metropolis sweeps on a geometric schedule, then a greedy descent to the
-// nearest local minimum. It hands the initial state and every strict new
-// minimum of the restart to w.record and adds its move counts to w's.
-func (e *Engine) annealRestart(ctx context.Context, cfg AnnealConfig, freeIdx []int, w *annealWalker, r int) {
-	rng, cur, pot := w.rng, w.cur, w.pot
-	mu := e.Params.MuMinus
-	// delta is the energy change of flipping dot i (flipDelta from pot).
-	delta := func(i int) float64 {
-		if cur[i] {
-			return -(mu + pot[i])
-		}
-		return mu + pot[i]
-	}
-	// flip toggles dot i and adds its row of V to (now charged) or
-	// subtracts it from (now neutral) every other dot's potential.
-	flip := func(i int) {
-		cur[i] = !cur[i]
-		row := e.V[i]
-		p := pot[:len(row)]
-		own := p[i]
-		if cur[i] {
-			for j, v := range row {
-				p[j] += v
-			}
-		} else {
-			for j, v := range row {
-				p[j] -= v
-			}
-		}
-		p[i] = own
-	}
-	var accepted, tried int64 // locals until the restart ends
-	rng.Seed(cfg.Seed + int64(r)*7919)
-	copy(cur, e.fixed)
-	// Random initial population of free dots.
-	for _, i := range freeIdx {
-		cur[i] = rng.Intn(2) == 1
-	}
-	curE := e.Energy(cur)
-	w.lo = len(w.minE)
-	w.record(curE)
-	lowE := curE
-	if len(freeIdx) == 0 {
-		return
-	}
-	for j := range pot {
-		pot[j] = e.LocalPotential(cur, j)
-	}
-	cool := math.Pow(cfg.TEnd/cfg.TStart, 1/float64(cfg.Sweeps))
-	temp := cfg.TStart
-	for sweep := 0; sweep < cfg.Sweeps; sweep++ {
-		if sweep&15 == 0 && ctx.Err() != nil {
-			break
-		}
-		for range freeIdx {
-			i := freeIdx[rng.Intn(len(freeIdx))]
-			d := delta(i)
-			tried++
-			if d <= 0 || metropolis(rng.Float64(), d/temp) {
-				accepted++
-				flip(i)
-				curE += d
-				if curE < lowE {
-					lowE = curE
-					w.record(curE)
-				}
-			}
-		}
-		temp *= cool
-	}
-	// Greedy descent to the nearest local minimum.
-	improved := true
-	for improved && ctx.Err() == nil {
-		improved = false
-		for _, i := range freeIdx {
-			if d := delta(i); d < -1e-15 {
-				flip(i)
-				curE += d
-				improved = true
-			}
-		}
-	}
-	if curE < lowE {
-		w.record(curE)
-	}
-	w.accepted += accepted
-	w.tried += tried
-}
-
-// metropolis reports whether a uniform draw u in [0, 1) accepts an uphill
-// move of x = delta/temperature > 0, i.e. u < exp(-x). Since exp(x) >=
-// 1+x+x²/2+x³/6 for x >= 0, a draw whose product with that polynomial
-// reaches 1+1e-9 (the margin absorbs its rounding) rejects without calling
-// Exp; every other draw gets the exact comparison, so each decision is the
-// one u < exp(-x) makes.
-func metropolis(u, x float64) bool {
-	if u*(1+x*(1+x*(0.5+x*(1.0/6)))) >= 1+1e-9 {
-		return false
-	}
-	return u < math.Exp(-x)
 }
 
 // DegeneracyGap returns the energy gap between the ground state and the

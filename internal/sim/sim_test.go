@@ -4,11 +4,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
-	"repro/internal/pool"
 	"repro/internal/sidb"
 )
 
@@ -169,51 +167,6 @@ func TestGroundStateIsPopulationStable(t *testing.T) {
 	}
 }
 
-func TestAnnealMatchesExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 6; trial++ {
-		l := &sidb.Layout{}
-		seen := map[[2]int]bool{}
-		for i := 0; i < 12; i++ {
-			for {
-				x, y := rng.Intn(40), rng.Intn(40)
-				if !seen[[2]int{x, y}] {
-					seen[[2]int{x, y}] = true
-					l.AddCell(x, y, sidb.RoleNormal)
-					break
-				}
-			}
-		}
-		e := NewEngine(l, ParamsFig5)
-		_, exact := exhaustive(t, e)
-		_, annealed := e.Anneal(DefaultAnnealConfig())
-		if annealed > exact+1e-9 {
-			t.Errorf("trial %d: anneal %v worse than exact %v", trial, annealed, exact)
-		}
-	}
-}
-
-func TestAnnealDeterministic(t *testing.T) {
-	l := &sidb.Layout{}
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 15; i++ {
-		l.AddCell(rng.Intn(50), rng.Intn(50), sidb.RoleNormal)
-	}
-	e := NewEngine(l, ParamsFig5)
-	cfg := DefaultAnnealConfig()
-	g1, e1 := e.Anneal(cfg)
-	g2, e2 := e.Anneal(cfg)
-	if e1 != e2 {
-		t.Error("anneal must be deterministic for a fixed seed")
-	}
-	for i := range g1 {
-		if g1[i] != g2[i] {
-			t.Error("anneal configurations differ between runs")
-			break
-		}
-	}
-}
-
 func TestGroundStateAutoSelect(t *testing.T) {
 	l := &sidb.Layout{}
 	for i := 0; i < 5; i++ {
@@ -257,86 +210,4 @@ func TestFig1cParams(t *testing.T) {
 	if ParamsFig5.MuMinus != -0.32 {
 		t.Error("Fig 5 parameters wrong")
 	}
-}
-
-// TestAnnealConcurrent anneals one shared Engine from four goroutines at
-// once: every run must return the serial run's charges and energy, so the
-// annealer keeps no state on the Engine.
-func TestAnnealConcurrent(t *testing.T) {
-	l := &sidb.Layout{}
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 18; i++ {
-		role := sidb.RoleNormal
-		if i%6 == 0 {
-			role = sidb.RolePerturber
-		}
-		l.AddCell(rng.Intn(40), rng.Intn(40), role)
-	}
-	e := NewEngine(l, ParamsFig5)
-	cfg := DefaultAnnealConfig()
-	cfg.Restarts = 2
-	want, wantE := e.Anneal(cfg)
-	_ = pool.Run(context.Background(), 4, 4, "", func(_, _ int) {
-		got, gotE := e.Anneal(cfg)
-		if gotE != wantE {
-			t.Errorf("concurrent energy %v, serial %v", gotE, wantE)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("concurrent charges differ from serial at dot %d", i)
-				return
-			}
-		}
-	})
-}
-
-// TestAnnealAllocs: restarts reuse the call's RNG and state vectors, so
-// the allocations of an anneal do not grow with the restart count.
-func TestAnnealAllocs(t *testing.T) {
-	l := &sidb.Layout{}
-	for i := 0; i < 12; i++ {
-		l.AddCell(i*3, i%2*4, sidb.RoleNormal)
-	}
-	e := NewEngine(l, ParamsFig5)
-	allocs := func(restarts int) float64 {
-		cfg := DefaultAnnealConfig()
-		cfg.Restarts, cfg.Sweeps = restarts, 20
-		return testing.AllocsPerRun(20, func() { e.Anneal(cfg) })
-	}
-	if one, eight := allocs(1), allocs(8); eight > one {
-		t.Errorf("anneal allocates %v times with 8 restarts, %v with 1", eight, one)
-	}
-}
-
-// TestAnnealParallelAllocs: each pool worker allocates one walker and
-// sizes its log buffers once for the call, so with two workers the
-// allocations of an anneal grow with the worker count, not the restart
-// count. testing.AllocsPerRun pins GOMAXPROCS to 1 (one worker), so the
-// allocations are counted by hand. At 4 restarts a worker that starts
-// late may run none and allocate no walker, hence one walker of slack.
-func TestAnnealParallelAllocs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	e := NewEngine(benchLayout(24, 7, 44), ParamsFig5)
-	allocs := func(restarts int) float64 {
-		cfg := DefaultAnnealConfig()
-		cfg.Restarts, cfg.Sweeps = restarts, 400
-		return mallocsPerRun(5, func() { e.Anneal(cfg) })
-	}
-	walker := testing.AllocsPerRun(5, func() { newAnnealWalker(e.NumDots(), 16) })
-	if four, sixteen := allocs(4), allocs(16); sixteen > four+walker {
-		t.Errorf("anneal on 2 workers allocates %v times with 16 restarts, %v with 4 (one walker: %v)", sixteen, four, walker)
-	}
-}
-
-// mallocsPerRun is testing.AllocsPerRun at the caller's GOMAXPROCS: the
-// mean heap allocation count of f over runs calls, after one warm-up.
-func mallocsPerRun(runs int, f func()) float64 {
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

@@ -13,7 +13,7 @@ type Solution struct {
 	Charges  []bool
 	EnergyEV float64
 	// Solver names the backend that produced the solution ("exgs",
-	// "quickexact", "anneal", ...).
+	// "quickexact", "quicksim").
 	Solver string
 	// Exact reports whether the energy is provably minimal.
 	Exact bool
@@ -48,7 +48,7 @@ func (o SolveOptions) Context() context.Context {
 // be safe for concurrent use by multiple goroutines and deterministic for a
 // fixed engine and options.
 type GroundStateSolver interface {
-	// Name is the solver's Lookup name ("exgs", "quickexact", "anneal",
+	// Name is the solver's Lookup name ("exgs", "quickexact", "quicksim",
 	// "auto").
 	Name() string
 	// IsExact reports whether the solver proves minimality of its result.
@@ -58,7 +58,7 @@ type GroundStateSolver interface {
 }
 
 // solverNames is the fixed solver table Lookup resolves, sorted.
-var solverNames = []string{"anneal", "auto", "exgs", "quickexact"}
+var solverNames = []string{"auto", "exgs", "quickexact", "quicksim"}
 
 // quickExact is the "quickexact" solver. Its node budget keeps it from
 // hanging on a pathological instance; direct QuickExact calls choose their
@@ -75,8 +75,8 @@ func Lookup(name string) (GroundStateSolver, error) {
 		return exgsSolver{}, nil
 	case "quickexact":
 		return quickExact, nil
-	case "anneal":
-		return annealSolver{}, nil
+	case "quicksim":
+		return quickSimSolver{}, nil
 	}
 	return nil, fmt.Errorf("sim: unknown ground-state solver %q (have %v)", name, solverNames)
 }
@@ -85,12 +85,12 @@ func Lookup(name string) (GroundStateSolver, error) {
 func SolverNames() []string { return append([]string(nil), solverNames...) }
 
 // Auto returns the automatic dispatcher: QuickExact up to ExactLimit free
-// dots, exhaustive enumeration when QuickExact fails there, and annealing
+// dots, exhaustive enumeration when QuickExact fails there, and QuickSim
 // beyond ExactLimit. The pruned engine comfortably solves 30+ free dots —
 // select "quickexact" explicitly to verify larger layouts exactly. Exact
-// results above the boundary can legitimately differ from annealed ones:
-// annealing may settle in a population-stable metastable state above the
-// true ground state.
+// results above the boundary can differ from QuickSim's: the heuristic
+// may settle in a population-stable metastable state above the true
+// ground state.
 func Auto() GroundStateSolver { return autoSolver{} }
 
 // exgsSolver is the brute-force exhaustive backend (SiQAD's ExGS).
@@ -108,25 +108,6 @@ func (exgsSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 	return Solution{Charges: gs, EnergyEV: en, Solver: "exgs", Exact: true}, nil
 }
 
-// annealSolver is the simulated-annealing backend with the default
-// deterministic restart schedule.
-type annealSolver struct{}
-
-func (annealSolver) Name() string  { return "anneal" }
-func (annealSolver) IsExact() bool { return false }
-
-func (annealSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
-	cfg := DefaultAnnealConfig()
-	cfg.Ctx = opts.Ctx
-	cfg.Tracer = opts.Tracer
-	gs, en := e.Anneal(cfg)
-	if err := opts.Context().Err(); err != nil {
-		return Solution{}, fmt.Errorf("sim: anneal canceled: %w", err)
-	}
-	opts.Tracer.Counter("sim/anneal/solves").Inc()
-	return Solution{Charges: gs, EnergyEV: en, Solver: "anneal", Exact: false}, nil
-}
-
 // autoSolver dispatches by instance size.
 type autoSolver struct{}
 
@@ -135,7 +116,7 @@ func (autoSolver) IsExact() bool { return false }
 
 func (autoSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 	if len(e.FreeIndices()) > ExactLimit {
-		return annealSolver{}.Solve(e, opts)
+		return quickSimSolver{}.Solve(e, opts)
 	}
 	if sol, err := quickExact.Solve(e, opts); err == nil {
 		return sol, nil

@@ -20,7 +20,7 @@ func tenDotEngine() *Engine {
 
 func TestSolverNamesResolve(t *testing.T) {
 	names := SolverNames()
-	if want := []string{"anneal", "auto", "exgs", "quickexact"}; !slices.Equal(names, want) {
+	if want := []string{"auto", "exgs", "quickexact", "quicksim"}; !slices.Equal(names, want) {
 		t.Fatalf("SolverNames() = %v, want %v", names, want)
 	}
 	for _, n := range names {
@@ -62,7 +62,7 @@ func TestAutoRoutesToQuickExact(t *testing.T) {
 
 func TestAutoFallsBackToExhaustive(t *testing.T) {
 	// A failing QuickExact (here a panicking shard worker) must degrade to
-	// enumeration with the same ground-state energy, not to annealing.
+	// enumeration with the same ground-state energy, not to QuickSim.
 	e := tenDotEngine()
 	_, want := exhaustive(t, e)
 	if err := faults.Arm("quickexact.shard.panic=always", 1); err != nil {
