@@ -18,7 +18,7 @@ test:
 # the pinned searches of the degeneracy gap, one per key), gate validation
 # (the gap's searches carry out the ground configuration its outputs are
 # read from: the validation golden, the degenerate fallback and a
-# cancelled validation), QuickSim's parallel starts (its golden at one
+# cancelled validation), QuickSim's parallel starts (its golden, every golden case at one
 # and two workers, and its allocations on two workers),
 # the parallel operational-domain sweep
 # (including its re-raised point panic) and the parallel defect sweep, all
@@ -40,7 +40,7 @@ check:
 	fi
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pool
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestQuickSimGolden|TestQuickSimConcurrent|TestQuickSimParallelAllocs|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestQuickSimGolden|TestQuickSimWorkersAgree|TestQuickSimConcurrent|TestQuickSimParallelAllocs|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
 		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	$(GO) test -race -run 'TestValidateGolden|TestValidateDegenerateFallback|TestValidateCanceled' ./internal/gatelib

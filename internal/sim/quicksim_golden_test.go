@@ -123,14 +123,21 @@ func quickSimGoldenLines(t *testing.T) []string {
 	return out
 }
 
+// quickSimGoldenLinesAt is quickSimGoldenLines at GOMAXPROCS procs, the
+// size of QuickSim's worker pool.
+func quickSimGoldenLinesAt(t *testing.T, procs int) []string {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return quickSimGoldenLines(t)
+}
+
 // TestQuickSimGolden pins QuickSim's answers bit for bit, charges and the
-// float bits of the energy, at one pool worker and at two. Run with
-// -update-quicksim to regenerate testdata/quicksim.golden, and only for a
-// change that is meant to move QuickSim's answers.
+// float bits of the energy, at one pool worker. Run with -update-quicksim
+// to regenerate testdata/quicksim.golden, and only for a change that is
+// meant to move QuickSim's answers.
 func TestQuickSimGolden(t *testing.T) {
 	path := filepath.Join("testdata", "quicksim.golden")
+	got := quickSimGoldenLinesAt(t, 1)
 	if *updateQuickSim {
-		got := quickSimGoldenLines(t)
 		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -145,17 +152,27 @@ func TestQuickSimGolden(t *testing.T) {
 	for sc := bufio.NewScanner(f); sc.Scan(); {
 		want = append(want, sc.Text())
 	}
-	for _, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
-		got := quickSimGoldenLines(t)
-		runtime.GOMAXPROCS(prev)
-		if len(got) != len(want) {
-			t.Fatalf("%d workers: %d runs, golden has %d", procs, len(got), len(want))
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("run %d:\n got %s\nwant %s", i, got[i], want[i])
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%d workers, run %d:\n got %s\nwant %s", procs, i, got[i], want[i])
-			}
+	}
+}
+
+// TestQuickSimWorkersAgree runs every golden case at GOMAXPROCS 1, where
+// one pool worker walks every start, and at 2, where two workers split
+// them: charges and energy bits must be the same.
+func TestQuickSimWorkersAgree(t *testing.T) {
+	one, two := quickSimGoldenLinesAt(t, 1), quickSimGoldenLinesAt(t, 2)
+	if len(one) != len(two) {
+		t.Fatalf("1 worker: %d runs, 2 workers: %d", len(one), len(two))
+	}
+	for i := range one {
+		if one[i] != two[i] {
+			t.Errorf("run %d:\n1 worker  %s\n2 workers %s", i, one[i], two[i])
 		}
 	}
 }
