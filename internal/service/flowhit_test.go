@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/gatelib"
 	"repro/internal/obs"
 )
 
@@ -23,11 +24,17 @@ var fullFlow = map[string]any{"bench": "c17", "sqd": true, "report": true}
 // flowKey is the cache key the server gives req.
 func flowKey(t *testing.T, s *Server, req map[string]any) cache.Key {
 	t.Helper()
+	return opKey(t, s, "/v1/flow", req)
+}
+
+// opKey is the cache key the server gives req on the endpoint path.
+func opKey(t *testing.T, s *Server, path string, req map[string]any) cache.Key {
+	t.Helper()
 	raw, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := findRoute(func(rt *opRoute) bool { return rt.path == "/v1/flow" }).prepare(s, raw)
+	op, err := findRoute(func(rt *opRoute) bool { return rt.path == path }).prepare(s, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +202,65 @@ func TestUndecodableDiskFlowEntryIsAMiss(t *testing.T) {
 	_, body := postFlow(t, ts2.URL, "hit")
 	if !bytes.Equal(body, cold) || coldSolves(s2) != 0 {
 		t.Fatalf("replaced entry: body equal %v, %d computed", bytes.Equal(body, cold), coldSolves(s2))
+	}
+}
+
+// TestRetiredEngineEntryIsAMiss: a cached simulate or validate answer
+// whose engine this build no longer has (an annealed `auto` answer on a
+// disk cache written before QuickSim) reads as a miss, and the re-solved
+// answer replaces it on disk.
+func TestRetiredEngineEntryIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	d, err := cache.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// retire renames the engine in a cached entry: EncodeSolution's layout
+	// is energy (8 bytes), exact flag, name length (2 bytes), name,
+	// charges; a validation is its JSON.
+	retireSol := func(b []byte) []byte {
+		n := int(b[9])<<8 | int(b[10])
+		out := append([]byte(nil), b[:8]...)
+		out = append(out, 0, 0, byte(len("anneal")))
+		return append(append(out, "anneal"...), b[11+n:]...)
+	}
+	retireVal := func(b []byte) []byte {
+		var v gatelib.Validation
+		if err := json.Unmarshal(b, &v); err != nil {
+			t.Fatal(err)
+		}
+		v.Method = "anneal"
+		out, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		path   string
+		req    map[string]any
+		retire func([]byte) []byte
+	}{
+		{"/v1/simulate", map[string]any{"gate": "and:iNW:iNE:oSE"}, retireSol},
+		{"/v1/gates/validate", map[string]any{"gate": "wire:iNE:oSW"}, retireVal},
+	} {
+		s, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+		key := opKey(t, s, c.path, c.req)
+		_, cold := postJSON(t, ts.URL+c.path, c.req)
+		b, ok, err := d.Get(context.Background(), key)
+		if err != nil || !ok {
+			t.Fatalf("%s: no disk entry (ok %v, err %v)", c.path, ok, err)
+		}
+		if err := d.Put(context.Background(), key, c.retire(b)); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"miss", "hit"} {
+			_, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+			resp, body := postJSON(t, ts.URL+c.path, c.req)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != want || !bytes.Equal(body, cold) {
+				t.Fatalf("%s: %d X-Cache %q, want 200 %q and the cold body: %s", c.path, resp.StatusCode, resp.Header.Get("X-Cache"), want, body)
+			}
+		}
 	}
 }
 

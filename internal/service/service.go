@@ -1029,6 +1029,9 @@ func (s *Server) prepareSimulate(req *simulateRequest) (*preparedOp, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := knownEngine(sol.Solver); err != nil {
+			return nil, err
+		}
 		return respond(sol)
 	}
 	return op, nil
@@ -1106,9 +1109,22 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 		if err := json.Unmarshal(entry, &v); err != nil {
 			return nil, err
 		}
+		if err := knownEngine(v.Method); err != nil {
+			return nil, err
+		}
 		return respond(v)
 	}
 	return op, nil
+}
+
+// knownEngine rejects a cached answer produced by an engine this build no
+// longer has (an annealed `auto` entry on a disk cache written before
+// QuickSim), so the tier reads as a miss and the re-solved answer
+// replaces it. The cache key names only the requested solver, which is
+// unchanged.
+func knownEngine(name string) error {
+	_, err := sim.Lookup(name)
+	return err
 }
 
 func (s *Server) handleGates(w http.ResponseWriter, r *http.Request) {

@@ -86,7 +86,8 @@ func BenchmarkGroundStateQuickSim50(b *testing.B) { benchQuickSim(b, 50, 64) }
 func benchQuickSim(b *testing.B, n, span int) {
 	eng := NewEngine(benchLayout(n, 7, span), ParamsFig5)
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, _, err := eng.QuickSim(context.Background()); err != nil {
 			b.Fatal(err)
 		}

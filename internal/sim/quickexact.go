@@ -421,7 +421,11 @@ func emit(tr *obs.Tracer, st *QuickExactStats) {
 		return
 	}
 	tr.Counter("sim/quickexact/solves").Inc()
-	emitGap(tr, []QuickExactStats{*st})
+	tr.Counter("sim/quickexact/nodes").Add(st.Nodes)
+	tr.Counter("sim/quickexact/bound_pruned").Add(st.BoundPruned)
+	tr.Counter("sim/quickexact/stability_pruned").Add(st.StabilityPruned)
+	tr.Counter("sim/quickexact/presolve_fixed").Add(int64(st.PresolveCharged + st.PresolveNeutral))
+	tr.Counter("sim/quickexact/shards").Add(int64(st.Shards))
 	tr.Gauge("sim/quickexact/last_free_dots").Set(float64(st.FreeDots))
 	tr.Gauge("sim/quickexact/last_undecided").Set(float64(st.Undecided))
 	tr.Gauge("sim/quickexact/last_frontier_depth").Set(st.MeanFrontierDepth)
@@ -440,10 +444,9 @@ func emit(tr *obs.Tracer, st *QuickExactStats) {
 	}
 }
 
-// emitGap adds the summed effort of QuickExact searches (one degeneracy
-// gap's pinned searches, or one solve's for emit) to tr's counters. It
-// counts no solve: a caller that reads a ground state from a gap counts
-// that.
+// emitGap adds the effort of one degeneracy gap's pinned searches, summed
+// over its keys, to tr's QuickExact counters. It counts no solve: a caller
+// that reads a ground state from the gap counts that.
 func emitGap(tr *obs.Tracer, stats []QuickExactStats) {
 	if tr == nil {
 		return
