@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-sim bench-pnr bench-defects table1 npn-table serve serve-smoke chaos-smoke clean
+.PHONY: all build test check race bench bench-sim bench-defects table1 npn-table serve serve-smoke chaos-smoke clean
 
 all: build
 
@@ -40,7 +40,7 @@ check:
 	fi
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pool
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestQuickSimGolden|TestQuickSimWorkersAgree|TestQuickSimConcurrent|TestQuickSimParallelAllocs|TestParallelMatchesSerial|TestSweepMetrics|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestQuickSimGolden|TestQuickSimWorkersAgree|TestQuickSimConcurrent|TestQuickSimParallelAllocs|TestParallelMatchesSerial|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
 		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	$(GO) test -race -run 'TestValidateGolden|TestValidateDegenerateFallback|TestValidateCanceled' ./internal/gatelib
@@ -61,13 +61,6 @@ bench-sim:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-pnr records the exact P&R engine's per-aspect-ratio SAT solve
-# times (grid dims, SAT/UNSAT, conflicts/propagations/restarts) across the
-# benchmark netlists. Writes BENCH_pnr.json. Narrow with e.g.
-# BENCHPNR_FLAGS="-benches xor2,mux21 -timeout 60s".
-bench-pnr:
-	$(GO) run ./cmd/benchpnr $(BENCHPNR_FLAGS)
 
 # bench-defects runs the defect yield sweep: random surfaces at each
 # density, the full gate library validated against each, plus small

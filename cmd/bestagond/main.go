@@ -94,7 +94,6 @@ func main() {
 		solver     = flag.String("solver", "", "default ground-state solver: "+strings.Join(sim.SolverNames(), ", ")+" (default auto)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "shutdown grace period before in-flight jobs are canceled")
 		logLevel   = flag.String("log-level", "info", "structured log threshold: debug, info, warn, error")
-		trace      = flag.Bool("trace", false, "alias for -log-level debug")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		maxBody    = flag.Int64("max-body", 1, "request body bound in MiB (oversized bodies get 413)")
 		report     = flag.String("report", "", "write a JSON metrics report to FILE on shutdown ('-' for stdout)")
@@ -116,9 +115,6 @@ func main() {
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		fatal(err)
-	}
-	if *trace {
-		level = slog.LevelDebug
 	}
 	logger := obs.NewLogger(os.Stderr, level).With("service", "bestagond")
 

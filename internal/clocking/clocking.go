@@ -10,8 +10,6 @@
 package clocking
 
 import (
-	"fmt"
-
 	"repro/internal/hexgrid"
 	"repro/internal/lattice"
 )
@@ -99,22 +97,6 @@ func mod(a, m int) int {
 		r += m
 	}
 	return r
-}
-
-// ByName returns the scheme with the given name.
-func ByName(name string) (Scheme, error) {
-	switch name {
-	case "row":
-		return RowBased{}, nil
-	case "columnar":
-		return Columnar{}, nil
-	case "2ddwave":
-		return TwoDDWave{}, nil
-	case "use":
-		return USE{}, nil
-	default:
-		return nil, fmt.Errorf("clocking: unknown scheme %q", name)
-	}
 }
 
 // All returns every implemented scheme.

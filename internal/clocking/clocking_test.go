@@ -46,18 +46,6 @@ func TestNegativeCoordinates(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, s := range All() {
-		got, err := ByName(s.Name())
-		if err != nil || got.Name() != s.Name() {
-			t.Errorf("ByName(%q) failed: %v", s.Name(), err)
-		}
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("unknown scheme must error")
-	}
-}
-
 func TestFeedforwardFlags(t *testing.T) {
 	if !(RowBased{}).Feedforward() || !(Columnar{}).Feedforward() || !(TwoDDWave{}).Feedforward() {
 		t.Error("linear schemes are feed-forward")

@@ -293,16 +293,11 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 
 // RunBenchmark loads a named Table 1 benchmark and runs the flow.
 func RunBenchmark(name string, opts Options) (*Result, error) {
-	return RunBenchmarkContext(context.Background(), name, opts)
-}
-
-// RunBenchmarkContext is RunBenchmark under a context (see RunContext).
-func RunBenchmarkContext(ctx context.Context, name string, opts Options) (*Result, error) {
 	x, err := bench.Load(name)
 	if err != nil {
 		return nil, err
 	}
-	return RunContext(ctx, x, opts)
+	return Run(x, opts)
 }
 
 // ExportSQD renders the cell-level layout as a SiQAD design file (flow

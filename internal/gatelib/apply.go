@@ -68,16 +68,6 @@ func mod2(y int) int {
 	return 0
 }
 
-// CountSiDBs returns the number of dots the layout would contain after
-// applying the library, without building the merged layout.
-func CountSiDBs(lib *Library, l *gatelayout.Layout) (int, error) {
-	s, err := Apply(lib, l, nil)
-	if err != nil {
-		return 0, err
-	}
-	return s.NumDots(), nil
-}
-
 // AreaNM2 returns the physical layout area following the paper's Table 1
 // model: the bounding box spans the full w×h tile grid, measured as
 // ((60·w − 1) · 0.384 nm) × ((46·h − 1) · 0.384 nm).

@@ -2,6 +2,7 @@ package gatelib
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/gates"
@@ -43,7 +44,7 @@ func TestSQDRoundTripPreservesGroundState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := sqd.ParseString(doc)
+	back, err := sqd.Read(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,8 @@ type Validation struct {
 	// sim.ExactLimit free dots, by pinned exact search; 0 otherwise).
 	MinGapEV float64
 	// Method names the ground-state solver that produced the outputs
-	// ("exgs", "quickexact", "quicksim").
+	// ("exgs", "quickexact", "quicksim"); "quicksim" once any pattern fell
+	// back to it.
 	Method string
 	// FailKind classifies a failure ("" when OK): FailDefectBlocked or
 	// FailLogic.
@@ -135,15 +136,7 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 	v := Validation{OK: true, Outputs: make([]int, patterns), MinGapEV: 1e9}
 	// groundFromGap: the exact engines' outputs are the gap's ground key's.
 	groundFromGap := solver.Name() == "auto" || solver.Name() == "quickexact"
-	// Exclusion-zone fast-reject: a defect too close to any design dot
-	// makes the gate unfabricable — no simulation needed.
-	if !opts.Surface.Empty() {
-		for _, dot := range d.Layout(0, 0).Dots {
-			if _, blocked := opts.Surface.Blocks(dot.Site); blocked {
-				return blockedValidation(patterns), nil
-			}
-		}
-	}
+	fellBack := false
 	for p := 0; p < patterns; p++ {
 		l := patternLayout(d, p)
 		free := 0
@@ -152,7 +145,8 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 				free++
 			}
 		}
-		// The per-pattern emulation perturbers must be fabricable too.
+		// Exclusion-zone fast-reject: a defect too close to any design or
+		// emulation dot makes the gate unfabricable — no simulation needed.
 		if !opts.Surface.Empty() {
 			blocked := false
 			for _, dot := range l.Dots {
@@ -202,7 +196,7 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 				return Validation{}, fmt.Errorf("gatelib: validate pattern %d: %w", p, opts.Ctx.Err())
 			default:
 				gs, _, _ = eng.QuickSim(context.Background())
-				v.Method = "quicksim"
+				fellBack = true
 			}
 		}
 		got := 0
@@ -232,6 +226,9 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 	}
 	if v.MinGapEV == 1e9 {
 		v.MinGapEV = 0
+	}
+	if fellBack {
+		v.Method = "quicksim"
 	}
 	if !v.OK {
 		v.FailKind = FailLogic

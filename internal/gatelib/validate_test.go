@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -117,6 +118,30 @@ func TestValidateTracesGapEffort(t *testing.T) {
 	}
 	if n := tr.Counter("sim/quickexact/solves").Value(); n != int64(len(v.Outputs)) {
 		t.Errorf("sim/quickexact/solves = %d, want one per pattern (%d)", n, len(v.Outputs))
+	}
+}
+
+// TestValidateMethodAfterFallback: a pattern whose exact solve fails runs
+// QuickSim, and the validation's Method says so even when later patterns
+// solve exactly. The injected shard panic fails only pattern 0's search.
+func TestValidateMethodAfterFallback(t *testing.T) {
+	d, f, _ := NewLibrary().Design("or:iNW:iNE:oSE")
+	if free := freeDots(patternLayout(d, 0)); free <= sim.ExactLimit {
+		t.Fatalf("or:iNW:iNE:oSE pattern 0 has %d free dots, want more than %d", free, sim.ExactLimit)
+	}
+	if err := faults.Arm("quickexact.shard.panic=n:1", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faults.Disarm()
+	v, err := ValidateWith(d, TruthOf(f), sim.ParamsFig5, ValidateOptions{Solver: "quickexact"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := faults.Counts()["quickexact.shard.panic"]; got != 1 {
+		t.Fatalf("shard panic fired %d times, want 1", got)
+	}
+	if v.Method != "quicksim" {
+		t.Errorf("method %q after pattern 0 fell back, want quicksim", v.Method)
 	}
 }
 

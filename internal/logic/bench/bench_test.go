@@ -318,11 +318,8 @@ func TestNamesAndByName(t *testing.T) {
 	if len(names) != len(Benchmarks) || names[0] != "xor2" {
 		t.Errorf("Names() wrong: %v", names)
 	}
-	if _, ok := ByName("c17"); !ok {
-		t.Error("ByName(c17) failed")
-	}
-	if _, ok := ByName("nonesuch"); ok {
-		t.Error("ByName must fail for unknown names")
+	if _, err := Load("c17"); err != nil {
+		t.Errorf("Load(c17): %v", err)
 	}
 	if _, err := Load("nonesuch"); err == nil {
 		t.Error("Load must fail for unknown names")

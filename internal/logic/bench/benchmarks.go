@@ -315,13 +315,3 @@ func Names() []string {
 	}
 	return out
 }
-
-// ByName returns the Benchmark record for name.
-func ByName(name string) (Benchmark, bool) {
-	for _, b := range Benchmarks {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Benchmark{}, false
-}

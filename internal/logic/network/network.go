@@ -522,6 +522,3 @@ func (x *XAG) ToAIG() *XAG {
 	}
 	return c
 }
-
-// IsAIG reports whether the network contains no XOR nodes.
-func (x *XAG) IsAIG() bool { return x.NumXors() == 0 }

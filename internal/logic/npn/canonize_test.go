@@ -110,7 +110,7 @@ func TestCanonizeMatchesReference(t *testing.T) {
 // TestCanonizeAllocs requires a 4-input Canonize to allocate no more than
 // its result.
 func TestCanonizeAllocs(t *testing.T) {
-	f := tt.MustFromHex(4, "cafe")
+	f := hexTT(t, 4, "cafe")
 	if got := testing.AllocsPerRun(20, func() { Canonize(f) }); got > 4 {
 		t.Errorf("Canonize allocates %v times per 4-input call, want at most 4", got)
 	}

@@ -15,6 +15,16 @@ func randTT(rng *rand.Rand, n int) tt.TT {
 	return f
 }
 
+// hexTT parses a truth table written in hex.
+func hexTT(t *testing.T, n int, s string) tt.TT {
+	t.Helper()
+	f, err := tt.FromHex(n, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestTransformInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -109,7 +119,7 @@ func TestSynthesizeTrivial(t *testing.T) {
 func TestSynthesizeTwoInputGates(t *testing.T) {
 	sy := NewSynthesizer()
 	for _, hex := range []string{"8", "6", "e", "7", "1", "9", "2", "4", "b", "d"} {
-		f := tt.MustFromHex(2, hex)
+		f := hexTT(t, 2, hex)
 		st, err := sy.Synthesize(f)
 		if err != nil {
 			t.Fatalf("0x%s: %v", hex, err)
@@ -125,7 +135,7 @@ func TestSynthesizeTwoInputGates(t *testing.T) {
 
 func TestSynthesizeMajority(t *testing.T) {
 	sy := NewSynthesizer()
-	maj := tt.MustFromHex(3, "e8")
+	maj := hexTT(t, 3, "e8")
 	st, err := sy.Synthesize(maj)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +152,7 @@ func TestSynthesizeMajority(t *testing.T) {
 
 func TestSynthesizeXor3AndFullAdder(t *testing.T) {
 	sy := NewSynthesizer()
-	x3 := tt.MustFromHex(3, "96")
+	x3 := hexTT(t, 3, "96")
 	st, err := sy.Synthesize(x3)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +183,7 @@ func TestSynthesizeRandom3Var(t *testing.T) {
 func TestSynthesizeSelected4Var(t *testing.T) {
 	sy := NewSynthesizer()
 	for _, hex := range []string{"6996", "8000", "fffe", "7888", "0660", "cafe"} {
-		f := tt.MustFromHex(4, hex)
+		f := hexTT(t, 4, hex)
 		st, err := sy.Synthesize(f)
 		if err != nil {
 			t.Fatalf("0x%s: %v", hex, err)
@@ -186,7 +196,7 @@ func TestSynthesizeSelected4Var(t *testing.T) {
 
 func TestXor4IsThreeGates(t *testing.T) {
 	sy := NewSynthesizer()
-	f := tt.MustFromHex(4, "6996") // parity of 4 variables
+	f := hexTT(t, 4, "6996") // parity of 4 variables
 	st, err := sy.Synthesize(f)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +230,7 @@ func TestDatabaseCacheSharing(t *testing.T) {
 	// AND and its NPN variants must share one cached class.
 	variants := []string{"8", "4", "2", "1", "e", "7", "b", "d"}
 	for _, hex := range variants {
-		f := tt.MustFromHex(2, hex)
+		f := hexTT(t, 2, hex)
 		st, ok := db.Lookup(f)
 		if !ok || !st.TruthTable().Equal(f) {
 			t.Fatalf("variant 0x%s failed", hex)

@@ -51,7 +51,7 @@ func TestRewriteTable1Golden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y := Rewrite(x, Options{})
+		y := rewriteAll(t, x)
 		fmt.Fprintf(&got, "%s %d %s\n", name, y.NumGates(), digest(y))
 	}
 	if *update {

@@ -33,16 +33,10 @@ type Options struct {
 	DB *npn.Database
 }
 
-// Rewrite returns a functionally equivalent network with equal or smaller
-// gate count, produced by exact-NPN cut rewriting.
-func Rewrite(x *network.XAG, opts Options) *network.XAG {
-	out, _ := RewriteContext(context.Background(), x, opts)
-	return out
-}
-
-// RewriteContext is Rewrite under a context: cancellation or deadline
-// expiry interrupts the greedy loop, which polls the context at every node,
-// and returns the context's error. A nil context behaves like
+// RewriteContext returns a functionally equivalent network with equal or
+// smaller gate count, produced by exact-NPN cut rewriting. Cancellation or
+// deadline expiry interrupts the greedy loop, which polls the context at
+// every node, and returns the context's error. A nil context behaves like
 // context.Background.
 func RewriteContext(ctx context.Context, x *network.XAG, opts Options) (*network.XAG, error) {
 	db := opts.DB

@@ -1,12 +1,23 @@
 package rewrite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/logic/bench"
 	"repro/internal/logic/network"
 )
+
+// rewriteAll rewrites x under a context that never ends.
+func rewriteAll(t *testing.T, x *network.XAG) *network.XAG {
+	t.Helper()
+	y, err := RewriteContext(context.Background(), x, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return y
+}
 
 func checkSameFunction(t *testing.T, a, b *network.XAG) {
 	t.Helper()
@@ -30,7 +41,7 @@ func TestRewriteRedundantMux(t *testing.T) {
 	f := x.Or(t0, t1)
 	x.NewPO(f, "f")
 	before := x.NumGates()
-	y := Rewrite(x, Options{})
+	y := rewriteAll(t, x)
 	checkSameFunction(t, x, y)
 	if y.NumGates() > before {
 		t.Errorf("rewriting grew the network: %d -> %d", before, y.NumGates())
@@ -49,7 +60,7 @@ func TestRewriteCollapsesDuplicatedLogic(t *testing.T) {
 	x.NewPO(x1, "f1")
 	x.NewPO(x2, "f2")
 	before := x.NumGates()
-	y := Rewrite(x, Options{})
+	y := rewriteAll(t, x)
 	checkSameFunction(t, x, y)
 	if y.NumGates() >= before {
 		t.Errorf("expected shrink: %d -> %d", before, y.NumGates())
@@ -62,7 +73,7 @@ func TestRewriteAllBenchmarksPreserveFunction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y := Rewrite(x, Options{})
+		y := rewriteAll(t, x)
 		checkSameFunction(t, x, y)
 		if y.NumGates() > x.NumGates() {
 			t.Errorf("%s: rewriting grew the network %d -> %d", name, x.NumGates(), y.NumGates())
@@ -77,7 +88,7 @@ func TestRewriteXor5MajorityShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := Rewrite(x, Options{})
+	y := rewriteAll(t, x)
 	checkSameFunction(t, x, y)
 	if y.NumGates() > x.NumGates()/2 {
 		t.Errorf("expected strong reduction, got %d -> %d", x.NumGates(), y.NumGates())
@@ -89,8 +100,8 @@ func TestRewriteIdempotentOnOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := Rewrite(x, Options{})
-	z := Rewrite(y, Options{})
+	y := rewriteAll(t, x)
+	z := rewriteAll(t, y)
 	if z.NumGates() != y.NumGates() {
 		t.Errorf("second rewrite changed size: %d -> %d", y.NumGates(), z.NumGates())
 	}
@@ -117,7 +128,7 @@ func TestRewriteRandomNetworks(t *testing.T) {
 		x.NewPO(sigs[len(sigs)-1], "f")
 		x.NewPO(sigs[len(sigs)-2], "g")
 		xc := x.Cleanup()
-		y := Rewrite(xc, Options{})
+		y := rewriteAll(t, xc)
 		checkSameFunction(t, xc, y)
 		if y.NumGates() > xc.NumGates() {
 			t.Errorf("trial %d: grew %d -> %d", trial, xc.NumGates(), y.NumGates())

@@ -75,15 +75,6 @@ func FromHex(n int, s string) (TT, error) {
 	return t, nil
 }
 
-// MustFromHex is FromHex that panics on error; for compile-time constants.
-func MustFromHex(n int, s string) TT {
-	t, err := FromHex(n, s)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Hex returns the hexadecimal string of the table, most significant first.
 func (t TT) Hex() string {
 	digits := (1 << t.n) / 4
@@ -341,24 +332,6 @@ func (t TT) Extend(m int) TT {
 	out := New(m)
 	for i := 0; i < out.Bits(); i++ {
 		out.Set(i, t.Get(i&(t.Bits()-1)))
-	}
-	return out
-}
-
-// Shrink returns the same function expressed over m ≤ n variables; it panics
-// if the function depends on any dropped variable.
-func (t TT) Shrink(m int) TT {
-	if m > t.n {
-		panic("tt: cannot grow with Shrink")
-	}
-	for v := m; v < t.n; v++ {
-		if t.DependsOn(v) {
-			panic(fmt.Sprintf("tt: function depends on dropped variable %d", v))
-		}
-	}
-	out := New(m)
-	for i := 0; i < out.Bits(); i++ {
-		out.Set(i, t.Get(i))
 	}
 	return out
 }

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"repro/internal/gatelib"
-	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/sim"
 )
@@ -73,31 +72,12 @@ func (d *Domain) OperationalFraction() float64 {
 	return float64(ok) / float64(len(d.Points))
 }
 
-// Options tunes a sweep evaluation.
-type Options struct {
-	// Solver names the sim ground-state solver used per parameter point
-	// ("" = automatic dispatch; see sim.SolverNames).
-	Solver string
-	// Tracer receives concurrency-safe sweep metrics; nil disables them.
-	Tracer *obs.Tracer
-}
-
 // Analyze sweeps the parameter grid for a tile design against its truth
-// function, evaluating parameter points in parallel with default options.
+// function under automatic solver dispatch. Parameter points are
+// evaluated concurrently by a bounded worker pool, but the result
+// ordering is deterministic: points appear in row-major grid order (μ_
+// outer, ε_r inner) regardless of scheduling.
 func Analyze(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep) *Domain {
-	dom, _ := AnalyzeOpts(d, truth, sweep, Options{}) // auto always resolves
-	return dom
-}
-
-// AnalyzeOpts is Analyze with an explicit solver choice and tracer.
-// choice. Parameter points are evaluated concurrently by a bounded worker
-// pool, but the result ordering is deterministic: points appear in
-// row-major grid order (μ_ outer, ε_r inner) regardless of scheduling. It
-// fails only on an unknown solver name.
-func AnalyzeOpts(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep, opts Options) (*Domain, error) {
-	if _, err := sim.Lookup(opts.Solver); err != nil {
-		return nil, err
-	}
 	grid := make([]sim.Params, 0, sweep.MuSteps*sweep.EpsSteps)
 	for i := 0; i < sweep.MuSteps; i++ {
 		mu := interp(sweep.MuMin, sweep.MuMax, i, sweep.MuSteps)
@@ -110,17 +90,15 @@ func AnalyzeOpts(d *gatelib.Design, truth func(uint32) uint32, sweep Sweep, opts
 	// Background is never done, so Run returns nil. A point's panic is
 	// re-raised here, on the caller's goroutine.
 	_ = pool.Run(context.Background(), len(grid), 0, "opdomain.point.panic", func(_, i int) {
-		dom.Points[i] = evaluatePoint(d, truth, grid[i], opts)
+		dom.Points[i] = evaluatePoint(d, truth, grid[i])
 	})
-	opts.Tracer.Counter("opdomain/points").Add(int64(len(grid)))
-	opts.Tracer.Gauge("opdomain/last_workers").Set(float64(pool.Size(len(grid), 0)))
-	return dom, nil
+	return dom
 }
 
-// evaluatePoint validates the design at one parameter point. AnalyzeOpts
-// has checked the solver name, the only way ValidateWith fails.
-func evaluatePoint(d *gatelib.Design, truth func(uint32) uint32, params sim.Params, opts Options) Point {
-	v, _ := gatelib.ValidateWith(d, truth, params, gatelib.ValidateOptions{Solver: opts.Solver, Tracer: opts.Tracer})
+// evaluatePoint validates the design at one parameter point. The
+// automatic solver always resolves, the only way ValidateWith fails.
+func evaluatePoint(d *gatelib.Design, truth func(uint32) uint32, params sim.Params) Point {
+	v, _ := gatelib.ValidateWith(d, truth, params, gatelib.ValidateOptions{})
 	correct := 0
 	for p, out := range v.Outputs {
 		if out >= 0 && uint32(out) == truth(uint32(p)) {

@@ -64,7 +64,11 @@ func frontEnd(t testing.TB, name string) *pnr.RGraph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := mapping.Map(rewrite.Rewrite(x, rewrite.Options{}))
+	x, err = rewrite.RewriteContext(context.Background(), x, rewrite.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mapping.Map(x)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -84,11 +88,11 @@ func TestExactTable1Golden(t *testing.T) {
 	var got strings.Builder
 	for _, name := range bench.Names() {
 		l := exactLayout(t, name)
-		sidbs, err := gatelib.CountSiDBs(lib, l)
+		cell, err := gatelib.Apply(lib, l, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fmt.Fprintf(&got, "%s %dx%d %d %s\n", name, l.Width(), l.Height(), sidbs, tileDigest(l))
+		fmt.Fprintf(&got, "%s %dx%d %d %s\n", name, l.Width(), l.Height(), cell.NumDots(), tileDigest(l))
 	}
 	checkGolden(t, goldenPath, got.String(), "exact layouts changed (name, w×h, SiDBs, digest)")
 }

@@ -116,9 +116,13 @@ type outcome struct {
 }
 
 func observe(s *Solver, st Status) outcome {
+	model := make([]bool, s.NumVars()+1)
+	for v := 1; v <= s.NumVars() && v < len(s.model); v++ {
+		model[v] = s.model[v] == lTrue
+	}
 	return outcome{
 		status: st, vars: s.NumVars(), clauses: s.NumClauses(),
-		model: s.Model(), metrics: s.Metrics(), errSet: s.Err() != nil,
+		model: model, metrics: s.Metrics(), errSet: s.Err() != nil,
 	}
 }
 

@@ -812,15 +812,6 @@ func (s *Solver) Value(l Lit) bool {
 	return l.Sign() == (v == lTrue)
 }
 
-// Model returns the model as a slice indexed by variable after Sat.
-func (s *Solver) Model() []bool {
-	m := make([]bool, s.numVars+1)
-	for v := 1; v <= s.numVars && v < len(s.model); v++ {
-		m[v] = s.model[v] == lTrue
-	}
-	return m
-}
-
 // varHeap is a max-heap over variable activity with lazy deletion. It
 // sifts by moving a hole: the entries it passes shift one step and the
 // sifted variable is written once where the hole stops.

@@ -220,13 +220,13 @@ func TestAdmissionShedsByCostClass(t *testing.T) {
 		<-release
 		return nil, nil
 	}
-	if _, err := s.queue.Submit("test", 0, block); err != nil {
+	if _, err := s.queue.SubmitWith(SubmitOptions{Kind: "test"}, block); err != nil {
 		t.Fatal(err)
 	}
 	// The queue slot frees only once a worker picks the job up; wait for
 	// that before filling the slot itself.
 	waitForCond(t, func() bool { return s.queue.Running() == 1 })
-	if _, err := s.queue.Submit("test", 0, block); err != nil {
+	if _, err := s.queue.SubmitWith(SubmitOptions{Kind: "test"}, block); err != nil {
 		t.Fatal(err)
 	}
 	defer close(release)

@@ -25,7 +25,7 @@ func TestJobPanicIsolated(t *testing.T) {
 	q := NewQueue(1, 2, 0, tr, nil)
 	defer q.Drain(context.Background())
 
-	j, err := q.Submit("boom", 0, func(ctx context.Context) (any, error) {
+	j, err := q.SubmitWith(SubmitOptions{Kind: "boom"}, func(ctx context.Context) (any, error) {
 		panic("kaboom")
 	})
 	if err != nil {
@@ -46,7 +46,7 @@ func TestJobPanicIsolated(t *testing.T) {
 	}
 
 	// The single worker survived and still serves jobs.
-	j2, err := q.Submit("ok", 0, func(ctx context.Context) (any, error) {
+	j2, err := q.SubmitWith(SubmitOptions{Kind: "ok"}, func(ctx context.Context) (any, error) {
 		return "fine", nil
 	})
 	if err != nil {
@@ -63,7 +63,7 @@ func TestJobPanicIsolated(t *testing.T) {
 func TestPanicErrorClassification(t *testing.T) {
 	q := NewQueue(1, 1, 0, nil, nil)
 	defer q.Drain(context.Background())
-	j, err := q.Submit("wrapped", 0, func(ctx context.Context) (any, error) {
+	j, err := q.SubmitWith(SubmitOptions{Kind: "wrapped"}, func(ctx context.Context) (any, error) {
 		return nil, fmt.Errorf("inner stage: %w", &PanicError{Value: "x"})
 	})
 	if err != nil {
@@ -93,7 +93,7 @@ func TestErrorKindTaxonomy(t *testing.T) {
 		{"degraded", func(ctx context.Context) (any, error) { return &jobResult{degraded: true}, nil }, ErrKindDegraded},
 	}
 	for _, tc := range cases {
-		j, err := q.Submit(tc.name, 0, tc.fn)
+		j, err := q.SubmitWith(SubmitOptions{Kind: tc.name}, tc.fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestErrorKindTaxonomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range errs {
-		j, err := q.Submit("fail", 0, func(ctx context.Context) (any, error) { return nil, e.err })
+		j, err := q.SubmitWith(SubmitOptions{Kind: "fail"}, func(ctx context.Context) (any, error) { return nil, e.err })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestDrainRacesPanickingJobs(t *testing.T) {
 					return &jobResult{}, nil
 				}
 			}
-			j, err := q.Submit("mix", 50*time.Millisecond, fn)
+			j, err := q.SubmitWith(SubmitOptions{Kind: "mix", Timeout: 50 * time.Millisecond}, fn)
 			if err != nil {
 				return // queue full or draining: fine under this race
 			}

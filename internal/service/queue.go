@@ -369,11 +369,6 @@ func NewQueue(workers, depth int, timeout time.Duration, tr *obs.Tracer, log *sl
 	return q
 }
 
-// Submit enqueues work. timeout overrides the queue default when positive.
-func (q *Queue) Submit(kind string, timeout time.Duration, fn JobFunc) (*Job, error) {
-	return q.SubmitWith(SubmitOptions{Kind: kind, Timeout: timeout}, fn)
-}
-
 // SubmitOptions parameterizes SubmitWith.
 type SubmitOptions struct {
 	Kind      string

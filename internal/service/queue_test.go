@@ -23,17 +23,17 @@ func blockingJob(release <-chan struct{}) JobFunc {
 func TestQueueBackpressure(t *testing.T) {
 	q := NewQueue(1, 1, 0, nil, nil)
 	release := make(chan struct{})
-	j1, err := q.Submit("t", 0, blockingJob(release))
+	j1, err := q.SubmitWith(SubmitOptions{Kind: "t"}, blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Give the single worker time to pick up j1 so j2 occupies the buffer.
 	waitState(t, j1, JobRunning)
-	j2, err := q.Submit("t", 0, blockingJob(release))
+	j2, err := q.SubmitWith(SubmitOptions{Kind: "t"}, blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit("t", 0, blockingJob(release)); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.SubmitWith(SubmitOptions{Kind: "t"}, blockingJob(release)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("expected ErrQueueFull, got %v", err)
 	}
 	close(release)
@@ -48,12 +48,12 @@ func TestQueueCancelQueuedJob(t *testing.T) {
 	q := NewQueue(1, 2, 0, nil, nil)
 	release := make(chan struct{})
 	defer close(release)
-	j1, err := q.Submit("t", 0, blockingJob(release))
+	j1, err := q.SubmitWith(SubmitOptions{Kind: "t"}, blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j1, JobRunning)
-	j2, err := q.Submit("t", 0, blockingJob(release))
+	j2, err := q.SubmitWith(SubmitOptions{Kind: "t"}, blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestQueueCancelQueuedJob(t *testing.T) {
 
 func TestQueueJobTimeout(t *testing.T) {
 	q := NewQueue(1, 2, 0, nil, nil)
-	j, err := q.Submit("t", 20*time.Millisecond, blockingJob(make(chan struct{})))
+	j, err := q.SubmitWith(SubmitOptions{Kind: "t", Timeout: 20 * time.Millisecond}, blockingJob(make(chan struct{})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestQueueDrain(t *testing.T) {
 	release := make(chan struct{})
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
-		j, err := q.Submit("t", 0, blockingJob(release))
+		j, err := q.SubmitWith(SubmitOptions{Kind: "t"}, blockingJob(release))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,14 +105,14 @@ func TestQueueDrain(t *testing.T) {
 			t.Fatalf("in-flight job not drained: %s", j.State())
 		}
 	}
-	if _, err := q.Submit("t", 0, blockingJob(nil)); !errors.Is(err, ErrDraining) {
+	if _, err := q.SubmitWith(SubmitOptions{Kind: "t"}, blockingJob(nil)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("expected ErrDraining, got %v", err)
 	}
 }
 
 func TestQueueDrainForceCancels(t *testing.T) {
 	q := NewQueue(1, 1, 0, nil, nil)
-	j, err := q.Submit("t", 0, blockingJob(make(chan struct{}))) // never released
+	j, err := q.SubmitWith(SubmitOptions{Kind: "t"}, blockingJob(make(chan struct{}))) // never released
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1069,7 +1069,7 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown gate %q (see GET /v1/gates)", req.Gate)
 	}
-	params, solverName, _, err := req.solve(s)
+	params, solverName, solver, err := req.solve(s)
 	if err != nil {
 		return nil, err
 	}
@@ -1096,8 +1096,10 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 			return nil, nil, err
 		}
 		jr, err := respond(v)
-		if err != nil {
-			return nil, nil, err
+		if err != nil || (solver.IsExact() && v.Method != solverName) {
+			// An exact solver that failed on a pattern fell back to
+			// QuickSim: served, never cached under the exact solver's key.
+			return jr, nil, err
 		}
 		// The cached value is the full Validation, including the
 		// per-pattern outputs and the minimum energy gap.

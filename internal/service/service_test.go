@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -343,6 +344,28 @@ func TestSimulateDegradesUnderDeadline(t *testing.T) {
 	}
 }
 
+// TestValidateFallbackIsNotCached: a quickexact validation whose pattern 0
+// fell back to QuickSim (an injected shard panic) is served with method
+// quicksim but not cached, so the repeat solves exactly and is a miss.
+func TestValidateFallbackIsNotCached(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	req := map[string]any{"gate": "or:iNW:iNE:oSE", "solver": "quickexact"}
+	if err := faults.Arm("quickexact.shard.panic=n:1", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faults.Disarm()
+	for _, want := range []string{"quicksim", "quickexact"} {
+		resp, body := postJSON(t, ts.URL+"/v1/gates/validate", req)
+		var v validateResponse
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || v.Method != want || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("%d X-Cache %q method %q, want 200 miss %s: %s", resp.StatusCode, resp.Header.Get("X-Cache"), v.Method, want, body)
+		}
+	}
+}
+
 // TestValidateHonoursDeadline: an exhaustive validation that takes
 // seconds cold must stop at its deadline with a 504 timeout, and at a
 // DELETE /v1/jobs/{id} with a 504 canceled, instead of holding its worker
@@ -483,12 +506,12 @@ func TestBackpressure429(t *testing.T) {
 	// Saturate the single worker and the one queue slot with parked jobs.
 	release := make(chan struct{})
 	defer close(release)
-	j1, err := s.Queue().Submit("park", 0, blockingJob(release))
+	j1, err := s.Queue().SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j1, JobRunning)
-	if _, err := s.Queue().Submit("park", 0, blockingJob(release)); err != nil {
+	if _, err := s.Queue().SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release)); err != nil {
 		t.Fatal(err)
 	}
 	waitDepth(t, s, 1)

@@ -119,7 +119,7 @@ func TestDefectSolverAgreement(t *testing.T) {
 	if math.Abs(eq-ex) > 1e-9 {
 		t.Fatalf("quicksim %v vs exhaustive %v", eq, ex)
 	}
-	sol, err := Auto().Solve(e, SolveOptions{})
+	sol, err := autoSolver{}.Solve(e, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

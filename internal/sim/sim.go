@@ -241,12 +241,12 @@ func (e *Engine) PopulationStable(charged []bool) bool {
 }
 
 // GroundState finds a minimum-energy configuration. The search is routed
-// through the automatic solver dispatcher (see Auto): QuickExact up to
+// through the automatic solver dispatcher (see autoSolver): QuickExact up to
 // ExactLimit free dots, exhaustive enumeration if QuickExact fails there,
 // and QuickSim beyond that.
 func (e *Engine) GroundState() ([]bool, float64) {
 	// Without a context Auto cannot fail: ExGS backs QuickExact, QuickSim fails only on ctx.
-	sol, _ := Auto().Solve(e, SolveOptions{})
+	sol, _ := autoSolver{}.Solve(e, SolveOptions{})
 	return sol.Charges, sol.EnergyEV
 }
 

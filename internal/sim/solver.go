@@ -70,7 +70,7 @@ var quickExact = quickExactSolver{opts: QuickExactOptions{NodeBudget: DefaultNod
 func Lookup(name string) (GroundStateSolver, error) {
 	switch name {
 	case "", "auto":
-		return Auto(), nil
+		return autoSolver{}, nil
 	case "exgs":
 		return exgsSolver{}, nil
 	case "quickexact":
@@ -83,15 +83,6 @@ func Lookup(name string) (GroundStateSolver, error) {
 
 // SolverNames lists the names Lookup resolves, sorted.
 func SolverNames() []string { return append([]string(nil), solverNames...) }
-
-// Auto returns the automatic dispatcher: QuickExact up to ExactLimit free
-// dots, exhaustive enumeration when QuickExact fails there, and QuickSim
-// beyond ExactLimit. The pruned engine comfortably solves 30+ free dots —
-// select "quickexact" explicitly to verify larger layouts exactly. Exact
-// results above the boundary can differ from QuickSim's: the heuristic
-// may settle in a population-stable metastable state above the true
-// ground state.
-func Auto() GroundStateSolver { return autoSolver{} }
 
 // exgsSolver is the brute-force exhaustive backend (SiQAD's ExGS).
 type exgsSolver struct{}
@@ -108,7 +99,13 @@ func (exgsSolver) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 	return Solution{Charges: gs, EnergyEV: en, Solver: "exgs", Exact: true}, nil
 }
 
-// autoSolver dispatches by instance size.
+// autoSolver is the automatic dispatcher: QuickExact up to ExactLimit
+// free dots, exhaustive enumeration when QuickExact fails there, and
+// QuickSim beyond ExactLimit. The pruned engine comfortably solves 30+
+// free dots — select "quickexact" explicitly to verify larger layouts
+// exactly. Exact results above the boundary can differ from QuickSim's:
+// the heuristic may settle in a population-stable metastable state above
+// the true ground state.
 type autoSolver struct{}
 
 func (autoSolver) Name() string  { return "auto" }

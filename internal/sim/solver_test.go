@@ -69,7 +69,7 @@ func TestAutoFallsBackToExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faults.Disarm()
-	sol, err := Auto().Solve(e, SolveOptions{})
+	sol, err := autoSolver{}.Solve(e, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,8 +150,3 @@ func Read(r io.Reader) (*sidb.Layout, error) {
 	}
 	return l, nil
 }
-
-// ParseString parses a .sqd document from a string.
-func ParseString(s string) (*sidb.Layout, error) {
-	return Read(strings.NewReader(s))
-}

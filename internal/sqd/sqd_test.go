@@ -34,7 +34,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseString(s)
+	back, err := Read(strings.NewReader(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPhyslocAngstroms(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := ParseString("this is not xml"); err == nil {
+	if _, err := Read(strings.NewReader("this is not xml")); err == nil {
 		t.Error("garbage must fail to parse")
 	}
 }

@@ -30,7 +30,11 @@ func TestTable1SearchEffortGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := mapping.Map(rewrite.Rewrite(spec, rewrite.Options{}))
+		x, err := rewrite.RewriteContext(context.Background(), spec, rewrite.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := mapping.Map(x)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

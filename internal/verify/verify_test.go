@@ -33,7 +33,10 @@ func TestEquivalentAfterRewrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := rewrite.Rewrite(a, rewrite.Options{})
+		b, err := rewrite.RewriteContext(context.Background(), a, rewrite.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := EquivalentNetworksContext(context.Background(), a, b)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -110,7 +113,7 @@ func TestSATAgreesWithExhaustive(t *testing.T) {
 		a := randomNet(rng)
 		var b *network.XAG
 		if trial%2 == 0 {
-			b = rewrite.Rewrite(a, rewrite.Options{})
+			b, _ = rewrite.RewriteContext(context.Background(), a, rewrite.Options{})
 		} else {
 			b = randomNet(rng)
 		}

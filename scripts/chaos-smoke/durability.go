@@ -235,7 +235,8 @@ func durStop(cmd *exec.Cmd) {
 }
 
 // durSubmitStranded queues async work on a one-worker daemon — a defect
-// sweep big enough to outlive the kill, then flows stuck behind it — and
+// sweep big enough to outlive the kill (exhaustive enumeration; under
+// quickexact it finishes first), then flows stuck behind it — and
 // returns every accepted job id.
 func durSubmitStranded(target string) []string {
 	var ids []string
@@ -245,7 +246,7 @@ func durSubmitStranded(target string) []string {
 	}{
 		{"/v1/defects/sweep", map[string]any{
 			"densities": []float64{0.5, 1, 2, 4}, "seeds": 8, "workers": 2,
-			"solver": "quickexact", "async": true,
+			"solver": "exgs", "async": true,
 		}},
 		{"/v1/flow", map[string]any{"bench": "xor2", "engine": "ortho", "nocache": true, "async": true}},
 		{"/v1/flow", map[string]any{"bench": "mux21", "engine": "ortho", "nocache": true, "async": true}},

@@ -337,14 +337,16 @@ func main() {
 	fmt.Printf("chaos-smoke: defect sweep completed under faults (%d attempts panicked first)\n", sweepPanics)
 
 	// A large async sweep cancelled mid-run must land as error_kind
-	// "canceled". An injected panic can beat the cancel to the job; retry
+	// "canceled". Exhaustive enumeration keeps it running for minutes; the
+	// same sweep under quickexact finishes in under 100 ms, before the
+	// cancel lands. An injected panic can beat the cancel to the job; retry
 	// until the cancel wins.
 	sweepCanceled := false
 	for attempt := 0; attempt < 40 && !sweepCanceled; attempt++ {
 		alive("during sweep cancellation")
 		code, _, body := post("/v1/defects/sweep", map[string]any{
 			"densities": []float64{0.5, 1, 2, 4}, "seeds": 8, "workers": 2,
-			"solver": "quickexact", "async": true,
+			"solver": "exgs", "async": true,
 		})
 		if code == http.StatusTooManyRequests {
 			time.Sleep(100 * time.Millisecond)
