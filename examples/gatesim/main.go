@@ -11,7 +11,6 @@ import (
 	"repro/internal/gatelib"
 	"repro/internal/gates"
 	"repro/internal/hexgrid"
-	"repro/internal/sidb"
 	"repro/internal/sim"
 )
 
@@ -26,18 +25,10 @@ func main() {
 	fmt.Printf("AND tile: %d dots (%d BDL pairs, %d canvas dots)\n\n",
 		design.NumDots(), len(design.Pairs), len(design.Extra))
 
-	for pattern := uint32(0); pattern < 4; pattern++ {
-		// Build the standalone validation layout: the tile plus I/O
-		// perturbers encoding the input pattern (near = 1, far = 0).
-		l := design.Layout(0, 0)
-		for i, in := range design.Ins {
-			for _, site := range gatelib.InputEmulation(in, pattern>>i&1 == 1) {
-				l.Add(site, sidb.RolePerturber)
-			}
-		}
-		for _, out := range design.Outs {
-			l.Add(gatelib.OutputPerturber(out), sidb.RolePerturber)
-		}
+	for pattern := 0; pattern < 4; pattern++ {
+		// The standalone validation layout: the tile plus I/O perturbers
+		// encoding the input pattern (near = 1, far = 0).
+		l := gatelib.PatternLayout(design, pattern)
 
 		eng := sim.NewEngine(l, sim.ParamsFig5)
 		gs, energy := eng.GroundState()

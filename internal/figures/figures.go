@@ -59,15 +59,7 @@ func renderCharges(l *sidb.Layout, charged []bool) string {
 // simulateGate runs a standalone gate simulation for one input pattern and
 // returns the layout, ground state, and output reading.
 func simulateGate(d *gatelib.Design, pattern uint32, params sim.Params) (*sidb.Layout, []bool, []int) {
-	l := d.Layout(0, 0)
-	for i, in := range d.Ins {
-		for _, site := range gatelib.InputEmulation(in, pattern>>i&1 == 1) {
-			l.Add(site, sidb.RolePerturber)
-		}
-	}
-	for _, out := range d.Outs {
-		l.Add(gatelib.OutputPerturber(out), sidb.RolePerturber)
-	}
+	l := gatelib.PatternLayout(d, int(pattern))
 	eng := sim.NewEngine(l, params)
 	gs, _ := eng.GroundState()
 	idx := l.SiteIndex()

@@ -185,7 +185,7 @@ func TestDegeneracyGapMatchesEnumeration(t *testing.T) {
 	for _, key := range lib.Variants() {
 		d := lib.designs[key]
 		for p := 0; p < 1<<len(d.Ins); p++ {
-			l := patternLayout(d, p)
+			l := PatternLayout(d, p)
 			xnor := key == "xnor:iNW:iNE:oSE" && p == 1
 			if freeDots(l) > 18 && !xnor {
 				continue

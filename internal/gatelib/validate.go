@@ -138,7 +138,7 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 	groundFromGap := solver.Name() == "auto" || solver.Name() == "quickexact"
 	fellBack := false
 	for p := 0; p < patterns; p++ {
-		l := patternLayout(d, p)
+		l := PatternLayout(d, p)
 		free := 0
 		for _, dot := range l.Dots {
 			if dot.Role != sidb.RolePerturber {
@@ -256,10 +256,10 @@ func canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// patternLayout is the design's standalone layout for input pattern p
+// PatternLayout is the design's standalone layout for input pattern p
 // (bit i is input i): the emulation perturbers of every input, one
 // read-out perturber per output and any extra downstream-emulation sites.
-func patternLayout(d *Design, p int) *sidb.Layout {
+func PatternLayout(d *Design, p int) *sidb.Layout {
 	l := d.Layout(0, 0)
 	for i, in := range d.Ins {
 		for _, site := range InputEmulation(in, p>>i&1 == 1) {

@@ -17,7 +17,7 @@ import (
 // sub-rows behind its Bit0 dot and four ahead of its Bit1 dot. The layout
 // is point-symmetric about the pair's centre, so the pair holds one
 // electron and Bit0 and Bit1 tie in energy. Its read-out emulation site
-// is its own first perturber, which patternLayout does not add twice, so
+// is its own first perturber, which PatternLayout does not add twice, so
 // nothing biases the read-out.
 func tiedPair() *Design {
 	out := Pair{X: 10, Y: 10, DX: 1}
@@ -32,7 +32,7 @@ func tiedPair() *Design {
 // the gap.
 func TestValidateDegenerateFallback(t *testing.T) {
 	d := tiedPair()
-	l := patternLayout(d, 0)
+	l := PatternLayout(d, 0)
 	if freeDots(l) != 2 || len(l.Dots) != 4 {
 		t.Fatalf("tied pair layout has %d dots (%d free), want 2 free and 2 perturbers", len(l.Dots), freeDots(l))
 	}
@@ -86,7 +86,7 @@ func TestValidateDegenerateFallback(t *testing.T) {
 func TestValidateCanceled(t *testing.T) {
 	lib := NewLibrary()
 	d, f, _ := lib.Design("inv:iNW:oSE")
-	if free := freeDots(patternLayout(d, 0)); free > sim.ExactLimit {
+	if free := freeDots(PatternLayout(d, 0)); free > sim.ExactLimit {
 		t.Fatalf("inv:iNW:oSE pattern 0 has %d free dots, want at most %d", free, sim.ExactLimit)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -126,7 +126,7 @@ func TestValidateTracesGapEffort(t *testing.T) {
 // solve exactly. The injected shard panic fails only pattern 0's search.
 func TestValidateMethodAfterFallback(t *testing.T) {
 	d, f, _ := NewLibrary().Design("or:iNW:iNE:oSE")
-	if free := freeDots(patternLayout(d, 0)); free <= sim.ExactLimit {
+	if free := freeDots(PatternLayout(d, 0)); free <= sim.ExactLimit {
 		t.Fatalf("or:iNW:iNE:oSE pattern 0 has %d free dots, want more than %d", free, sim.ExactLimit)
 	}
 	if err := faults.Arm("quickexact.shard.panic=n:1", 1); err != nil {

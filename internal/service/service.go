@@ -1096,10 +1096,13 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 			return nil, nil, err
 		}
 		jr, err := respond(v)
-		if err != nil || (solver.IsExact() && v.Method != solverName) {
-			// An exact solver that failed on a pattern fell back to
-			// QuickSim: served, never cached under the exact solver's key.
-			return jr, nil, err
+		if err != nil {
+			return nil, nil, err
+		}
+		// An exact solver that failed on a pattern fell back to QuickSim:
+		// served as degraded, never cached under the exact solver's key.
+		if jr.degraded = solver.IsExact() && v.Method != solverName; jr.degraded {
+			return jr, nil, nil
 		}
 		// The cached value is the full Validation, including the
 		// per-pattern outputs and the minimum energy gap.

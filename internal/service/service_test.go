@@ -346,7 +346,8 @@ func TestSimulateDegradesUnderDeadline(t *testing.T) {
 
 // TestValidateFallbackIsNotCached: a quickexact validation whose pattern 0
 // fell back to QuickSim (an injected shard panic) is served with method
-// quicksim but not cached, so the repeat solves exactly and is a miss.
+// quicksim, X-Degraded and job error_kind "degraded" but not cached, so
+// the repeat solves exactly, is a miss and is not marked degraded.
 func TestValidateFallbackIsNotCached(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	req := map[string]any{"gate": "or:iNW:iNE:oSE", "solver": "quickexact"}
@@ -354,14 +355,19 @@ func TestValidateFallbackIsNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faults.Disarm()
-	for _, want := range []string{"quicksim", "quickexact"} {
+	for _, want := range []struct{ method, degraded, kind string }{{"quicksim", "true", ErrKindDegraded}, {"quickexact", "", ""}} {
 		resp, body := postJSON(t, ts.URL+"/v1/gates/validate", req)
 		var v validateResponse
 		if err := json.Unmarshal(body, &v); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK || v.Method != want || resp.Header.Get("X-Cache") != "miss" {
-			t.Fatalf("%d X-Cache %q method %q, want 200 miss %s: %s", resp.StatusCode, resp.Header.Get("X-Cache"), v.Method, want, body)
+		if resp.StatusCode != http.StatusOK || v.Method != want.method || resp.Header.Get("X-Cache") != "miss" ||
+			resp.Header.Get("X-Degraded") != want.degraded {
+			t.Fatalf("%d X-Cache %q X-Degraded %q method %q, want 200 miss %q %s: %s", resp.StatusCode,
+				resp.Header.Get("X-Cache"), resp.Header.Get("X-Degraded"), v.Method, want.degraded, want.method, body)
+		}
+		if st, _ := jobStatus(t, ts.URL, resp.Header.Get("X-Job-Id")); st.ErrorKind != want.kind {
+			t.Fatalf("job %s error_kind %q, want %q", st.ID, st.ErrorKind, want.kind)
 		}
 	}
 }

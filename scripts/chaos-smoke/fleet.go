@@ -1,16 +1,12 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"os/exec"
-	"strings"
 	"sync"
-	"syscall"
 	"time"
+
+	"repro/scripts/internal/smoke"
 )
 
 // fleetScenario is the replica-death chaos test: boot a three-replica
@@ -26,61 +22,30 @@ import (
 //     the dead replica,
 //   - the survivors still drain and exit cleanly on SIGTERM.
 func fleetScenario(bin string) {
-	step("fleet: starting 3 mutually-peered replicas")
-	const secret = "chaos-fleet"
-	addrs := []string{freeAddr(), freeAddr(), freeAddr()}
-	procs := make([]*exec.Cmd, len(addrs))
-	for i, a := range addrs {
-		var peers []string
-		for j, p := range addrs {
-			if j != i {
-				peers = append(peers, p)
-			}
-		}
-		procs[i] = exec.Command(bin,
-			"-addr", a,
-			"-workers", "2",
-			"-peers", strings.Join(peers, ","),
-			"-cluster-secret", secret,
-			"-probe-interval", "200ms",
-			// A short burn window lets the post-storm "burn recovers to
-			// zero" check converge within the smoke-test budget.
-			"-slo-short-window", "3s",
-			"-log-level", "warn",
-		)
-		procs[i].Stdout, procs[i].Stderr = nil, nil
-		if err := procs[i].Start(); err != nil {
-			fatal(err)
-		}
-	}
-	defer func() {
-		for _, p := range procs {
-			if p != nil && p.Process != nil {
-				p.Process.Kill()
-			}
-		}
-	}()
-
-	targets := make([]string, len(addrs))
-	for i, a := range addrs {
-		targets[i] = "http://" + a
-		fleetWaitHealthy(targets[i], 30*time.Second)
-	}
-	fleetWaitFormed(targets, len(targets), 15*time.Second)
+	smoke.Step("fleet: starting 3 mutually-peered replicas")
+	fleet := smoke.StartFleet(bin, 3,
+		"-workers", "2",
+		"-cluster-secret", "chaos-fleet",
+		"-probe-interval", "200ms",
+		// A short burn window lets the post-storm "burn recovers to
+		// zero" check converge within the smoke-test budget.
+		"-slo-short-window", "3s",
+		"-log-level", "warn",
+	)
 
 	var gatesResp struct {
 		Gates []string `json:"gates"`
 	}
-	fleetGetJSON(targets[0], "/v1/gates", &gatesResp)
+	smoke.GetJSON(fleet[0].URL+"/v1/gates", &gatesResp)
 	if len(gatesResp.Gates) == 0 {
-		fatal(fmt.Errorf("fleet: empty gate library"))
+		smoke.Fatalf("fleet: empty gate library")
 	}
 	gates := gatesResp.Gates
 	if len(gates) > 6 {
 		gates = gates[:6]
 	}
 
-	step("fleet: storm with SIGKILL of one replica mid-flight")
+	smoke.Step("fleet: storm with SIGKILL of one replica mid-flight")
 	// The victim is killed -- not drained -- so in-flight forwards to it
 	// fail at the transport layer and survivors must fall back locally.
 	const victim = 2
@@ -101,12 +66,12 @@ func fleetScenario(bin string) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for i, g := range gates {
-					ti := (c + r + i) % len(targets)
+					ti := (c + r + i) % len(fleet)
 					path := "/v1/simulate"
 					if (c+i)%2 == 0 {
 						path = "/v1/gates/validate"
 					}
-					code, err := fleetPost(client, targets[ti], path, map[string]any{"gate": g})
+					code, err := smoke.TryPost(client, fleet[ti].URL+path, map[string]any{"gate": g})
 					mu.Lock()
 					switch {
 					case err == nil && code == http.StatusOK:
@@ -119,7 +84,7 @@ func fleetScenario(bin string) {
 						survivorErrs++
 						if firstSurvivorErr == nil {
 							if err == nil {
-								err = fmt.Errorf("POST %s %s: status %d", targets[ti], path, code)
+								err = fmt.Errorf("POST %s%s: status %d", fleet[ti].URL, path, code)
 							}
 							firstSurvivorErr = err
 						}
@@ -136,135 +101,94 @@ func fleetScenario(bin string) {
 	// and must not be misclassified as survivor errors.
 	time.Sleep(500 * time.Millisecond)
 	close(killed)
-	if err := procs[victim].Process.Signal(syscall.SIGKILL); err != nil {
-		fatal(fmt.Errorf("fleet: SIGKILL: %w", err))
-	}
-	procs[victim].Wait()
+	fleet[victim].Kill()
 	wg.Wait()
 
 	if survivorErrs > 0 {
-		fatal(fmt.Errorf("fleet: %d requests to surviving replicas failed (first: %v); survivors must absorb a dead peer", survivorErrs, firstSurvivorErr))
+		smoke.Fatalf("fleet: %d requests to surviving replicas failed (first: %v); survivors must absorb a dead peer", survivorErrs, firstSurvivorErr)
 	}
 	if ok == 0 {
-		fatal(fmt.Errorf("fleet: storm produced no successful requests"))
+		smoke.Fatalf("fleet: storm produced no successful requests")
 	}
-	fmt.Printf("chaos-smoke: fleet storm: %d ok, %d dead-target errors, 0 survivor errors\n", ok, deadTargetErrs)
+	smoke.Step("fleet storm: %d ok, %d dead-target errors, 0 survivor errors", ok, deadTargetErrs)
 
-	step("fleet: survivors must mark the dead peer down and rebalance")
-	survivors := []string{targets[0], targets[1]}
+	smoke.Step("fleet: survivors must mark the dead peer down and rebalance")
+	survivors, dead := fleet[:victim], fleet[victim].Addr
 	deadline := time.Now().Add(10 * time.Second)
-	for _, t := range survivors {
-		for {
-			var h fleetHealth
-			fleetGetJSON(t, "/healthz", &h)
-			deadSeen := false
+	for _, d := range survivors {
+		smoke.Eventually(time.Until(deadline), 100*time.Millisecond, func() error {
+			var h smoke.Health
+			smoke.GetJSON(d.URL+"/healthz", &h)
 			for _, m := range h.Cluster.Members {
-				if m.Addr == addrs[victim] && !m.Alive {
-					deadSeen = true
+				if m.Addr == dead && !m.Alive && h.Cluster.RingMembers == len(fleet)-1 {
+					return nil
 				}
 			}
-			if deadSeen && h.Cluster.RingMembers == len(targets)-1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				fatal(fmt.Errorf("fleet: %s never marked %s dead (ring_members=%d)", t, addrs[victim], h.Cluster.RingMembers))
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
+			return fmt.Errorf("fleet: %s never marked %s dead (ring_members=%d)", d.URL, dead, h.Cluster.RingMembers)
+		})
 	}
 
-	step("fleet: cluster overview must mark the dead replica within the probe window")
+	smoke.Step("fleet: cluster overview must mark the dead replica within the probe window")
 	// The overview aggregator polls on the probe interval, so the corpse
 	// should show up as a dead replica on any survivor shortly after the
 	// membership layer notices.
 	deadline = time.Now().Add(10 * time.Second)
-	for _, t := range survivors {
-		for {
+	for _, d := range survivors {
+		smoke.Eventually(time.Until(deadline), 100*time.Millisecond, func() error {
 			var ov fleetOverview
-			fleetGetJSON(t, "/v1/cluster/overview", &ov)
-			victimDead := false
+			smoke.GetJSON(d.URL+"/v1/cluster/overview", &ov)
 			for _, rep := range ov.Replicas {
-				if rep.Addr == addrs[victim] && !rep.Alive {
-					victimDead = true
+				if rep.Addr == dead && !rep.Alive && ov.DeadCount >= 1 && ov.Degraded {
+					return nil
 				}
 			}
-			if victimDead && ov.DeadCount >= 1 && ov.Degraded {
-				break
-			}
-			if time.Now().After(deadline) {
-				fatal(fmt.Errorf("fleet: overview at %s never marked %s dead (dead_count=%d degraded=%v)",
-					t, addrs[victim], ov.DeadCount, ov.Degraded))
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
+			return fmt.Errorf("fleet: overview at %s never marked %s dead (dead_count=%d degraded=%v)",
+				d.URL, dead, ov.DeadCount, ov.Degraded)
+		})
 	}
 
-	step("fleet: survivor queues must drain to zero")
+	smoke.Step("fleet: survivor queues must drain to zero")
 	deadline = time.Now().Add(30 * time.Second)
-	for _, t := range survivors {
-		for {
-			var h fleetHealth
-			fleetGetJSON(t, "/healthz", &h)
+	for _, d := range survivors {
+		smoke.Eventually(time.Until(deadline), 200*time.Millisecond, func() error {
+			var h smoke.Health
+			smoke.GetJSON(d.URL+"/healthz", &h)
 			if h.Saturation.QueueDepth == 0 && h.Saturation.JobsRunning == 0 {
-				break
+				return nil
 			}
-			if time.Now().After(deadline) {
-				fatal(fmt.Errorf("fleet: %s still has queue_depth=%d jobs_running=%d; hung jobs after replica death",
-					t, h.Saturation.QueueDepth, h.Saturation.JobsRunning))
-			}
-			time.Sleep(200 * time.Millisecond)
-		}
+			return fmt.Errorf("fleet: %s still has queue_depth=%d jobs_running=%d; hung jobs after replica death",
+				d.URL, h.Saturation.QueueDepth, h.Saturation.JobsRunning)
+		})
 	}
 
 	// Fresh work must still succeed on the rebalanced two-node ring.
-	for _, t := range survivors {
-		code, err := fleetPost(client, t, "/v1/simulate", map[string]any{"gate": gates[0]})
+	for _, d := range survivors {
+		code, err := smoke.TryPost(client, d.URL+"/v1/simulate", map[string]any{"gate": gates[0]})
 		if err != nil || code != http.StatusOK {
-			fatal(fmt.Errorf("fleet: post-death request to %s: code %d err %v", t, code, err))
+			smoke.Fatalf("fleet: post-death request to %s: code %d err %v", d.URL, code, err)
 		}
 	}
 
-	step("fleet: burn rate must recover to zero once the storm is over")
+	smoke.Step("fleet: burn rate must recover to zero once the storm is over")
 	// The replicas run a 3s short SLO window; after the storm goes idle,
 	// any error budget burned during the kill must roll out of the window
 	// and the fleet-wide short-window burn must read zero again.
-	deadline = time.Now().Add(15 * time.Second)
-	for {
+	smoke.Eventually(15*time.Second, 250*time.Millisecond, func() error {
 		var ov fleetOverview
-		fleetGetJSON(survivors[0], "/v1/cluster/overview", &ov)
-		burning := false
+		smoke.GetJSON(survivors[0].URL+"/v1/cluster/overview", &ov)
 		for _, b := range ov.FleetBurn {
 			if b.Window == "3s" && b.BurnRate > 0 {
-				burning = true
+				return fmt.Errorf("fleet: short-window burn never recovered to zero: %+v", ov.FleetBurn)
 			}
 		}
-		if !burning {
-			break
-		}
-		if time.Now().After(deadline) {
-			fatal(fmt.Errorf("fleet: short-window burn never recovered to zero: %+v", ov.FleetBurn))
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
+		return nil
+	})
 
-	step("fleet: SIGTERM survivors; both must drain and exit cleanly")
-	for i, t := range survivors {
-		if err := procs[i].Process.Signal(syscall.SIGTERM); err != nil {
-			fatal(err)
-		}
-		exited := make(chan error, 1)
-		go func(i int) { exited <- procs[i].Wait() }(i)
-		select {
-		case err := <-exited:
-			if err != nil {
-				fatal(fmt.Errorf("fleet: survivor %s exit: %w", t, err))
-			}
-		case <-time.After(30 * time.Second):
-			fatal(fmt.Errorf("fleet: survivor %s did not exit within 30s of SIGTERM", t))
-		}
-		procs[i] = nil
+	smoke.Step("fleet: SIGTERM survivors; both must drain and exit cleanly")
+	for _, d := range survivors {
+		d.Stop()
 	}
-	fmt.Println("chaos-smoke: fleet replica-death scenario passed")
+	smoke.Step("fleet replica-death scenario passed")
 }
 
 type fleetOverview struct {
@@ -281,20 +205,6 @@ type fleetOverview struct {
 	} `json:"fleet_burn"`
 }
 
-type fleetHealth struct {
-	Saturation struct {
-		QueueDepth  int `json:"queue_depth"`
-		JobsRunning int `json:"jobs_running"`
-	} `json:"saturation"`
-	Cluster struct {
-		RingMembers int `json:"ring_members"`
-		Members     []struct {
-			Addr  string `json:"addr"`
-			Alive bool   `json:"alive"`
-		} `json:"members"`
-	} `json:"cluster"`
-}
-
 func isKilled(killed chan struct{}) bool {
 	select {
 	case <-killed:
@@ -302,73 +212,4 @@ func isKilled(killed chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-func fleetPost(client *http.Client, target, path string, payload any) (int, error) {
-	b, _ := json.Marshal(payload)
-	resp, err := client.Post(target+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
-}
-
-func fleetGetJSON(target, path string, v any) {
-	resp, err := http.Get(target + path)
-	if err != nil {
-		fatal(fmt.Errorf("GET %s%s: %w", target, path, err))
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		fatal(fmt.Errorf("GET %s%s: %w", target, path, err))
-	}
-}
-
-func fleetWaitHealthy(target string, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(target + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	fatal(fmt.Errorf("fleet: replica never became healthy at %s", target))
-}
-
-func fleetWaitFormed(targets []string, n int, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		formed := 0
-		for _, t := range targets {
-			var h fleetHealth
-			resp, err := http.Get(t + "/healthz")
-			if err != nil {
-				break
-			}
-			err = json.NewDecoder(resp.Body).Decode(&h)
-			resp.Body.Close()
-			if err != nil || h.Cluster.RingMembers != n {
-				break
-			}
-			alive := true
-			for _, m := range h.Cluster.Members {
-				alive = alive && m.Alive
-			}
-			if !alive {
-				break
-			}
-			formed++
-		}
-		if formed == len(targets) {
-			return
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	fatal(fmt.Errorf("fleet: never formed a full ring of %d within %s", n, timeout))
 }

@@ -40,15 +40,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
+
+	"repro/scripts/internal/smoke"
 )
 
 // faultSpec arms every fault class the PR's failure model covers at 20%.
@@ -56,32 +54,13 @@ const faultSpec = "service.job.panic=p:0.2;cache.disk.read=p:0.2;cache.disk.writ
 
 const storm = 200
 
-var base string
+func main() { smoke.Run("chaos-smoke", run) }
 
-func main() {
-	tmp, err := os.MkdirTemp("", "chaos-smoke-*")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(tmp)
+func run(tmp string) {
+	bin := smoke.Build(tmp, os.Getenv("CHAOS_RACE") == "1")
 
-	bin := filepath.Join(tmp, "bestagond")
-	args := []string{"build", "-o", bin}
-	if os.Getenv("CHAOS_RACE") == "1" {
-		args = append(args, "-race")
-	}
-	step("building bestagond")
-	build := exec.Command("go", append(args, "./cmd/bestagond")...)
-	build.Stdout, build.Stderr = os.Stderr, os.Stderr
-	if err := build.Run(); err != nil {
-		fatal(fmt.Errorf("build: %w", err))
-	}
-
-	addr := freeAddr()
-	base = "http://" + addr
-	step("starting daemon with faults armed: " + faultSpec)
-	daemon := exec.Command(bin,
-		"-addr", addr,
+	smoke.Step("starting daemon with faults armed: %s", faultSpec)
+	daemon := smoke.Start(bin, smoke.FreeAddr(),
 		"-workers", "2",
 		"-cache-dir", filepath.Join(tmp, "cache"),
 		"-faults", faultSpec,
@@ -94,30 +73,21 @@ func main() {
 		"-slo-long-window", "1m",
 		"-log-level", "warn",
 	)
-	daemon.Stdout, daemon.Stderr = os.Stderr, os.Stderr
-	if err := daemon.Start(); err != nil {
-		fatal(err)
-	}
-	defer daemon.Process.Kill()
-	exited := make(chan error, 1)
-	go func() { exited <- daemon.Wait() }()
+	daemon.WaitHealthy(30 * time.Second)
+	base := daemon.URL
 	alive := func(when string) {
-		select {
-		case err := <-exited:
-			fatal(fmt.Errorf("daemon exited %s: %v", when, err))
-		default:
+		if exited, err := daemon.Exited(); exited {
+			smoke.Fatalf("daemon exited %s: %v", when, err)
 		}
 	}
 
-	waitHealthy(30 * time.Second)
-
-	step("priming canonical requests (cold pass under faults)")
+	smoke.Step("priming canonical requests (cold pass under faults)")
 	var gates struct {
 		Gates []string `json:"gates"`
 	}
-	mustGet("/v1/gates", &gates)
+	smoke.GetJSON(base+"/v1/gates", &gates)
 	if len(gates.Gates) == 0 {
-		fatal(fmt.Errorf("empty gate library"))
+		smoke.Fatalf("empty gate library")
 	}
 	canonical := []struct {
 		path string
@@ -135,9 +105,9 @@ func main() {
 		// retry until a clean, cacheable 200 comes back.
 		for attempt := 0; ; attempt++ {
 			if attempt > 50 {
-				fatal(fmt.Errorf("%s: no clean cold response in %d attempts", c.path, attempt))
+				smoke.Fatalf("%s: no clean cold response in %d attempts", c.path, attempt)
 			}
-			code, hdr, body := post(c.path, c.req)
+			code, hdr, body := smoke.Post(base+c.path, c.req)
 			if code == http.StatusOK && hdr.Get("X-Degraded") == "" {
 				c.cold = body
 				break
@@ -145,7 +115,7 @@ func main() {
 		}
 	}
 
-	step(fmt.Sprintf("request storm: %d mixed requests with panics, disk faults, and deadline pressure", storm))
+	smoke.Step("request storm: %d mixed requests with panics, disk faults, and deadline pressure", storm)
 	var codes = map[int]int{}
 	var degraded, cacheHits int
 	// Every error or degraded job must later have a retrievable
@@ -160,29 +130,29 @@ func main() {
 		switch i % 5 {
 		case 0, 1, 2: // canonical requests keep probing cache identity
 			c := &canonical[i%3]
-			code, hdr, body = post(c.path, c.req)
+			code, hdr, body = smoke.Post(base+c.path, c.req)
 			if code == http.StatusOK && hdr.Get("X-Cache") == "hit" {
 				c.hits++
 				cacheHits++
 				if hdr.Get("X-Degraded") != "" {
-					fatal(fmt.Errorf("%s: a degraded response was served from cache", c.path))
+					smoke.Fatalf("%s: a degraded response was served from cache", c.path)
 				}
 				if !bytes.Equal(body, c.cold) {
-					fatal(fmt.Errorf("%s: warm response differs from cold original\ncold: %s\nwarm: %s", c.path, c.cold, body))
+					smoke.Fatalf("%s: warm response differs from cold original\ncold: %s\nwarm: %s", c.path, c.cold, body)
 				}
 			}
 		case 3: // fresh simulate: deadline-pressure fault can degrade it
-			code, hdr, body = post("/v1/simulate", map[string]any{
+			code, hdr, body = smoke.Post(base+"/v1/simulate", map[string]any{
 				"gate": gates.Gates[i%len(gates.Gates)],
 			})
 			if hdr.Get("X-Degraded") == "true" {
 				degraded++
 				if hdr.Get("X-Cache") == "hit" {
-					fatal(fmt.Errorf("degraded simulate served from cache"))
+					smoke.Fatalf("degraded simulate served from cache")
 				}
 			}
 		default: // timeout storm: 1ms deadlines force the canceled path
-			code, hdr, body = post("/v1/flow", map[string]any{
+			code, hdr, body = smoke.Post(base+"/v1/flow", map[string]any{
 				"bench": "mux21", "engine": "ortho", "timeout_ms": 1, "nocache": true,
 			})
 		}
@@ -202,77 +172,77 @@ func main() {
 				Kind string `json:"error_kind"`
 			}
 			if err := json.Unmarshal(body, &e); err != nil || e.Kind == "" {
-				fatal(fmt.Errorf("error response without error_kind: %d %s", code, body))
+				smoke.Fatalf("error response without error_kind: %d %s", code, body)
 			}
 		default:
-			fatal(fmt.Errorf("unexpected status %d: %s", code, body))
+			smoke.Fatalf("unexpected status %d: %s", code, body)
 		}
 		if i%20 == 0 {
-			if code := getCode("/healthz"); code != http.StatusOK {
-				fatal(fmt.Errorf("healthz = %d mid-storm; daemon must stay live", code))
+			if code, _, _ := smoke.Get(base + "/healthz"); code != http.StatusOK {
+				smoke.Fatalf("healthz = %d mid-storm; daemon must stay live", code)
 			}
-			if b := flowBurn("3s"); b > maxBurn {
+			if b := flowBurn(base, "3s"); b > maxBurn {
 				maxBurn = b
 			}
 		}
 	}
 	alive("after the storm")
-	if code := getCode("/healthz"); code != http.StatusOK {
-		fatal(fmt.Errorf("healthz = %d after the storm", code))
+	if code, _, _ := smoke.Get(base + "/healthz"); code != http.StatusOK {
+		smoke.Fatalf("healthz = %d after the storm", code)
 	}
 	for _, c := range canonical {
 		if c.hits == 0 {
-			fatal(fmt.Errorf("%s: storm never observed a cache hit; byte-identity was not exercised", c.path))
+			smoke.Fatalf("%s: storm never observed a cache hit; byte-identity was not exercised", c.path)
 		}
 	}
-	fmt.Printf("chaos-smoke: status codes %v, cache hits %d, degraded %d, bad jobs %d\n",
+	smoke.Step("status codes %v, cache hits %d, degraded %d, bad jobs %d",
 		codes, cacheHits, degraded, len(badJobs))
 
-	step("SLO: error budget must burn under faults and recover after")
-	if b := flowBurn("3s"); b > maxBurn {
+	smoke.Step("SLO: error budget must burn under faults and recover after")
+	if b := flowBurn(base, "3s"); b > maxBurn {
 		maxBurn = b
 	}
 	// 20% injected faults against a 1% error budget: the short-window burn
 	// rate must have exceeded 1 (burning faster than budget) mid-storm.
 	if maxBurn <= 1 {
-		fatal(fmt.Errorf("flow short-window burn rate peaked at %.2f; want > 1 under 20%% faults", maxBurn))
+		smoke.Fatalf("flow short-window burn rate peaked at %.2f; want > 1 under 20%% faults", maxBurn)
 	}
-	fmt.Printf("chaos-smoke: peak flow burn rate %.1f; waiting for the 3s window to drain\n", maxBurn)
+	smoke.Step("peak flow burn rate %.1f; waiting for the 3s window to drain", maxBurn)
 	time.Sleep(4 * time.Second)
-	if b := flowBurn("3s"); b != 0 {
-		fatal(fmt.Errorf("flow short-window burn rate %.2f after idle; want 0 (budget recovered)", b))
+	if b := flowBurn(base, "3s"); b != 0 {
+		smoke.Fatalf("flow short-window burn rate %.2f after idle; want 0 (budget recovered)", b)
 	}
 
-	step("flight recorder: every error/degraded job has a retrievable trace")
+	smoke.Step("flight recorder: every error/degraded job has a retrievable trace")
 	var fr struct {
 		Retained map[string]int `json:"retained"`
 		Traces   []struct {
 			ID string `json:"id"`
 		} `json:"traces"`
 	}
-	mustGet("/debug/flightrecorder", &fr)
+	smoke.GetJSON(base+"/debug/flightrecorder", &fr)
 	retainedIDs := map[string]bool{}
 	for _, t := range fr.Traces {
 		retainedIDs[t.ID] = true
 	}
 	if fr.Retained["error"] == 0 {
-		fatal(fmt.Errorf("flight recorder retained no error-class traces after the storm"))
+		smoke.Fatalf("flight recorder retained no error-class traces after the storm")
 	}
 	if len(badJobs) == 0 {
-		fatal(fmt.Errorf("storm produced no error/degraded jobs; fault injection broken"))
+		smoke.Fatalf("storm produced no error/degraded jobs; fault injection broken")
 	}
 	for id, why := range badJobs {
 		if !retainedIDs[id] {
-			fatal(fmt.Errorf("job %s (%s) not retained by the flight recorder", id, why))
+			smoke.Fatalf("job %s (%s) not retained by the flight recorder", id, why)
 		}
-		if code := getCode("/v1/traces/" + id); code != http.StatusOK {
-			fatal(fmt.Errorf("GET /v1/traces/%s = %d; want 200 for a retained %s job", id, code, why))
+		if code, _, _ := smoke.Get(base + "/v1/traces/" + id); code != http.StatusOK {
+			smoke.Fatalf("GET /v1/traces/%s = %d; want 200 for a retained %s job", id, code, why)
 		}
 	}
-	fmt.Printf("chaos-smoke: all %d error/degraded traces retained and retrievable\n", len(badJobs))
+	smoke.Step("all %d error/degraded traces retained and retrievable", len(badJobs))
 
-	step("metrics: panic, degrade, and breaker series")
-	metrics := rawGet("/metrics")
+	smoke.Step("metrics: panic, degrade, and breaker series")
+	exposition := metrics(daemon)
 	for _, want := range []string{
 		"jobs_panicked_total",
 		"sim_degraded_total",
@@ -282,18 +252,18 @@ func main() {
 		"slo_burn_rate{",
 		"flight_retained{",
 	} {
-		if !strings.Contains(metrics, want) {
-			fatal(fmt.Errorf("metrics missing %q", want))
+		if !strings.Contains(exposition, want) {
+			smoke.Fatalf("metrics missing %q", want)
 		}
 	}
-	if v := metricValue(metrics, "jobs_panicked_total"); v <= 0 {
-		fatal(fmt.Errorf("jobs_panicked_total = %v; the panic fault never fired", v))
+	if v := smoke.MetricValue(exposition, "jobs_panicked_total"); v <= 0 {
+		smoke.Fatalf("jobs_panicked_total = %v; the panic fault never fired", v)
 	}
-	if !strings.Contains(metrics, `sim_degraded_total{`) {
-		fatal(fmt.Errorf("no labeled sim_degraded_total series"))
+	if !strings.Contains(exposition, `sim_degraded_total{`) {
+		smoke.Fatalf("no labeled sim_degraded_total series")
 	}
 
-	step("defect sweep: survives injected worker panics, then cancels cleanly mid-run")
+	smoke.Step("defect sweep: survives injected worker panics, then cancels cleanly mid-run")
 	// Small synchronous sweeps until one completes cleanly. The
 	// defectsweep.item.panic fault (20% per pool worker) can kill an
 	// attempt with error_kind "panic" — the daemon must isolate each one
@@ -302,7 +272,7 @@ func main() {
 	sweepOK := false
 	for attempt := 0; attempt < 40 && !sweepOK; attempt++ {
 		alive("during defect sweeps")
-		code, _, body := post("/v1/defects/sweep", map[string]any{
+		code, _, body := smoke.Post(base+"/v1/defects/sweep", map[string]any{
 			"densities": []float64{0.3}, "seeds": 1, "workers": 2, "solver": "quickexact",
 		})
 		switch code {
@@ -312,7 +282,7 @@ func main() {
 				Points []map[string]any `json:"points"`
 			}
 			if err := json.Unmarshal(body, &res); err != nil || res.Gates == 0 || len(res.Points) != 1 {
-				fatal(fmt.Errorf("degenerate sweep result: %s", body))
+				smoke.Fatalf("degenerate sweep result: %s", body)
 			}
 			sweepOK = true
 		case http.StatusInternalServerError, http.StatusUnprocessableEntity, http.StatusGatewayTimeout:
@@ -320,7 +290,7 @@ func main() {
 				Kind string `json:"error_kind"`
 			}
 			if err := json.Unmarshal(body, &e); err != nil || e.Kind == "" {
-				fatal(fmt.Errorf("sweep error without error_kind: %d %s", code, body))
+				smoke.Fatalf("sweep error without error_kind: %d %s", code, body)
 			}
 			if e.Kind == "panic" {
 				sweepPanics++
@@ -328,13 +298,13 @@ func main() {
 		case http.StatusTooManyRequests:
 			time.Sleep(100 * time.Millisecond)
 		default:
-			fatal(fmt.Errorf("sweep: unexpected status %d: %s", code, body))
+			smoke.Fatalf("sweep: unexpected status %d: %s", code, body)
 		}
 	}
 	if !sweepOK {
-		fatal(fmt.Errorf("no defect sweep completed cleanly in 40 attempts (%d panicked)", sweepPanics))
+		smoke.Fatalf("no defect sweep completed cleanly in 40 attempts (%d panicked)", sweepPanics)
 	}
-	fmt.Printf("chaos-smoke: defect sweep completed under faults (%d attempts panicked first)\n", sweepPanics)
+	smoke.Step("defect sweep completed under faults (%d attempts panicked first)", sweepPanics)
 
 	// A large async sweep cancelled mid-run must land as error_kind
 	// "canceled". Exhaustive enumeration keeps it running for minutes; the
@@ -344,7 +314,7 @@ func main() {
 	sweepCanceled := false
 	for attempt := 0; attempt < 40 && !sweepCanceled; attempt++ {
 		alive("during sweep cancellation")
-		code, _, body := post("/v1/defects/sweep", map[string]any{
+		code, _, body := smoke.Post(base+"/v1/defects/sweep", map[string]any{
 			"densities": []float64{0.5, 1, 2, 4}, "seeds": 8, "workers": 2,
 			"solver": "exgs", "async": true,
 		})
@@ -353,162 +323,54 @@ func main() {
 			continue
 		}
 		if code != http.StatusAccepted {
-			fatal(fmt.Errorf("async sweep: status %d: %s", code, body))
+			smoke.Fatalf("async sweep: status %d: %s", code, body)
 		}
 		var snap struct {
 			ID string `json:"id"`
 		}
 		if err := json.Unmarshal(body, &snap); err != nil || snap.ID == "" {
-			fatal(fmt.Errorf("async sweep: no job id in %s", body))
+			smoke.Fatalf("async sweep: no job id in %s", body)
 		}
 		time.Sleep(150 * time.Millisecond)
-		req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+snap.ID, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			// GET /v1/jobs/{id} nests the status under "job".
-			var st struct {
-				Job struct {
-					State string `json:"state"`
-					Kind  string `json:"error_kind"`
-				} `json:"job"`
+		smoke.Delete(base + "/v1/jobs/" + snap.ID)
+		// A panic or completion can beat the cancel; then try again.
+		if st := smoke.WaitJob(base, snap.ID, 30*time.Second); st.State == "canceled" {
+			if st.ErrorKind != "canceled" {
+				smoke.Fatalf("cancelled sweep: error_kind %q, want \"canceled\"", st.ErrorKind)
 			}
-			mustGet("/v1/jobs/"+snap.ID, &st)
-			if st.Job.State == "canceled" {
-				if st.Job.Kind != "canceled" {
-					fatal(fmt.Errorf("cancelled sweep: error_kind %q, want \"canceled\"", st.Job.Kind))
-				}
-				sweepCanceled = true
-				break
-			}
-			if st.Job.State == "failed" || st.Job.State == "done" {
-				break // a panic or completion beat the cancel; try again
-			}
-			if time.Now().After(deadline) {
-				fatal(fmt.Errorf("sweep %s not terminal after cancel", snap.ID))
-			}
-			time.Sleep(50 * time.Millisecond)
+			sweepCanceled = true
 		}
 	}
 	if !sweepCanceled {
-		fatal(fmt.Errorf("no async sweep observed error_kind \"canceled\" in 40 attempts"))
+		smoke.Fatalf("no async sweep observed error_kind \"canceled\" in 40 attempts")
 	}
 	// No leaked workers: jobs_running must drain to zero.
-	drainDeadline := time.Now().Add(10 * time.Second)
-	for {
-		var hz struct {
-			JobsRunning int `json:"jobs_running"`
+	smoke.Eventually(10*time.Second, 50*time.Millisecond, func() error {
+		var hz smoke.Health
+		smoke.GetJSON(base+"/healthz", &hz)
+		if hz.JobsRunning != 0 {
+			return fmt.Errorf("jobs_running = %d after sweep cancellation; workers leaked", hz.JobsRunning)
 		}
-		mustGet("/healthz", &hz)
-		if hz.JobsRunning == 0 {
-			break
-		}
-		if time.Now().After(drainDeadline) {
-			fatal(fmt.Errorf("jobs_running = %d after sweep cancellation; workers leaked", hz.JobsRunning))
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	fmt.Println("chaos-smoke: mid-sweep cancellation drained cleanly (error_kind canceled, jobs_running 0)")
+		return nil
+	})
+	smoke.Step("mid-sweep cancellation drained cleanly (error_kind canceled, jobs_running 0)")
 
-	step("SIGTERM: graceful drain and clean exit under faults")
-	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
-		fatal(err)
-	}
-	select {
-	case err := <-exited:
-		if err != nil {
-			fatal(fmt.Errorf("daemon exit: %w", err))
-		}
-	case <-time.After(30 * time.Second):
-		fatal(fmt.Errorf("daemon did not exit within 30s of SIGTERM"))
-	}
+	smoke.Step("SIGTERM: graceful drain and clean exit under faults")
+	daemon.Stop()
 
 	// Phase 2: kill -9 a journaled daemon mid-job; restarts must answer
 	// for every pre-crash job id and quarantine corrupted cache entries
 	// (see durability.go).
-	durabilityScenario(bin)
+	durabilityScenario(bin, filepath.Join(tmp, "durability"))
 
 	// Phase 3: a clustered fleet must survive losing a replica mid-storm.
 	fleetScenario(bin)
-
-	fmt.Println("chaos-smoke: PASS")
-}
-
-func freeAddr() string {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
-
-func waitHealthy(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if getCode("/healthz") == http.StatusOK {
-			return
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	fatal(fmt.Errorf("daemon never became healthy"))
-}
-
-func getCode(path string) int {
-	resp, err := http.Get(base + path)
-	if err != nil {
-		return 0
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
-func rawGet(path string) string {
-	resp, err := http.Get(base + path)
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return string(b)
-}
-
-func mustGet(path string, v any) {
-	resp, err := http.Get(base + path)
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("GET %s: status %d", path, resp.StatusCode))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		fatal(fmt.Errorf("GET %s: %w", path, err))
-	}
-}
-
-func post(path string, payload any) (int, http.Header, []byte) {
-	b, _ := json.Marshal(payload)
-	resp, err := http.Post(base+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		fatal(fmt.Errorf("POST %s: %w (daemon gone?)", path, err))
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, resp.Header, body
 }
 
 // flowBurn reads the flow objective's burn rate for the named window from
 // /healthz (0 when the section is missing — callers assert on peaks, so a
 // transiently unreadable sample only loses one data point).
-func flowBurn(window string) float64 {
+func flowBurn(base, window string) float64 {
 	var hz struct {
 		SLO map[string]struct {
 			Windows []struct {
@@ -533,25 +395,8 @@ func flowBurn(window string) float64 {
 	return 0
 }
 
-// metricValue extracts the sample of the first series whose name starts
-// with name (labels allowed), or -1 when absent.
-func metricValue(exposition, name string) float64 {
-	for _, line := range strings.Split(exposition, "\n") {
-		if !strings.HasPrefix(line, name) || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var v float64
-		if i := strings.LastIndexByte(line, ' '); i >= 0 {
-			fmt.Sscanf(line[i+1:], "%g", &v)
-			return v
-		}
-	}
-	return -1
-}
-
-func step(msg string) { fmt.Println("chaos-smoke:", msg) }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "chaos-smoke: FAIL:", err)
-	os.Exit(1)
+// metrics is the daemon's /metrics exposition.
+func metrics(d *smoke.Daemon) string {
+	_, _, body := smoke.Get(d.URL + "/metrics")
+	return string(body)
 }

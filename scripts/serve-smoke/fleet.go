@@ -7,44 +7,23 @@ package main
 // and the cluster overview reporting every live member from any member.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"os/exec"
-	"syscall"
 	"time"
+
+	"repro/scripts/internal/smoke"
 )
 
 func fleetSmoke(bin string) {
-	const secret = "serve-smoke-fleet"
-	addrs := []string{freeAddr(), freeAddr()}
-	targets := []string{"http://" + addrs[0], "http://" + addrs[1]}
-	var procs []*daemonProc
-	for i, a := range addrs {
-		peers := addrs[1-i]
-		procs = append(procs, startFleetReplica(bin,
-			"-addr", a,
-			"-workers", "2",
-			"-peers", peers,
-			"-cluster-secret", secret,
-			"-probe-interval", "200ms",
-			"-log-level", "warn",
-		))
-	}
-	defer func() {
-		for _, p := range procs {
-			p.stop()
-		}
-	}()
-	for _, t := range targets {
-		waitHealthyFleet(t, 30*time.Second)
-	}
-	waitRingFormed(targets, 2, 15*time.Second)
+	fleet := smoke.StartFleet(bin, 2,
+		"-workers", "2",
+		"-cluster-secret", "serve-smoke-fleet",
+		"-probe-interval", "200ms",
+		"-log-level", "warn",
+	)
 
-	step("fleet: X-Cluster-Peer response echoes the caller's X-Request-Id")
+	smoke.Step("fleet: X-Cluster-Peer response echoes the caller's X-Request-Id")
 	// Vary the payload until one is owned by the OTHER replica, so the
 	// request entry[0] receives is forwarded and the response carries
 	// X-Cluster-Peer.
@@ -61,20 +40,20 @@ func fleetSmoke(bin string) {
 				{"x": 3, "y": 4 + 2*i, "role": "perturber"},
 			},
 		}
-		resp := postWithID(targets[0]+"/v1/simulate", rid, payload)
-		if resp.StatusCode != http.StatusOK {
-			fatal(fmt.Errorf("fleet simulate: status %d", resp.StatusCode))
+		code, h, _ := smoke.Post(fleet[0].URL+"/v1/simulate", payload, "X-Request-Id", rid)
+		if code != http.StatusOK {
+			smoke.Fatalf("fleet simulate: status %d", code)
 		}
-		if got := resp.Header.Get("X-Request-Id"); got != rid {
-			fatal(fmt.Errorf("fleet response request id %q; want the client-chosen %q", got, rid))
+		if got := h.Get("X-Request-Id"); got != rid {
+			smoke.Fatalf("fleet response request id %q; want the client-chosen %q", got, rid)
 		}
-		forwarded = resp.Header.Get("X-Cluster-Peer") != ""
+		forwarded = h.Get("X-Cluster-Peer") != ""
 	}
 	if !forwarded {
-		fatal(fmt.Errorf("no payload variant was forwarded in 64 tries"))
+		smoke.Fatalf("no payload variant was forwarded in 64 tries")
 	}
 
-	step("fleet: stitched trace under the original request id")
+	smoke.Step("fleet: stitched trace under the original request id")
 	var st struct {
 		RequestID string `json:"request_id"`
 		Stitched  bool   `json:"stitched"`
@@ -82,173 +61,49 @@ func fleetSmoke(bin string) {
 			Peer string `json:"peer"`
 		} `json:"hops"`
 	}
-	stitchDeadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(targets[0] + "/v1/traces/" + rid)
-		if err != nil {
-			fatal(err)
+	smoke.Eventually(5*time.Second, 100*time.Millisecond, func() error {
+		code, _, body := smoke.Get(fleet[0].URL + "/v1/traces/" + rid)
+		if code == http.StatusOK && json.Unmarshal(body, &st) == nil && st.Stitched && len(st.Hops) == 2 {
+			return nil
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK &&
-			json.Unmarshal(body, &st) == nil && st.Stitched && len(st.Hops) == 2 {
-			break
-		}
-		if time.Now().After(stitchDeadline) {
-			fatal(fmt.Errorf("no stitched 2-hop trace for %s: status %d body %s", rid, resp.StatusCode, body))
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+		return fmt.Errorf("no stitched 2-hop trace for %s: status %d body %s", rid, code, body)
+	})
 	if st.RequestID != rid {
-		fatal(fmt.Errorf("stitched trace request id %q; want %q", st.RequestID, rid))
+		smoke.Fatalf("stitched trace request id %q; want %q", st.RequestID, rid)
 	}
 	hopPeers := map[string]bool{}
 	for _, h := range st.Hops {
 		hopPeers[h.Peer] = true
 	}
-	for _, a := range addrs {
-		if !hopPeers[a] {
-			fatal(fmt.Errorf("stitched trace missing hop for %s: %v", a, hopPeers))
+	for _, d := range fleet {
+		if !hopPeers[d.Addr] {
+			smoke.Fatalf("stitched trace missing hop for %s: %v", d.Addr, hopPeers)
 		}
 	}
 
-	step("fleet: /v1/cluster/overview lists every live replica from any member")
-	for _, t := range targets {
-		var ov struct {
-			AliveCount int `json:"alive_count"`
-			Replicas   []struct {
-				Addr  string          `json:"addr"`
-				Alive bool            `json:"alive"`
-				Stats json.RawMessage `json:"stats"`
-			} `json:"replicas"`
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			resp, err := http.Get(t + "/v1/cluster/overview")
-			if err != nil {
-				fatal(err)
+	smoke.Step("fleet: /v1/cluster/overview lists every live replica from any member")
+	for _, d := range fleet {
+		smoke.Eventually(5*time.Second, 100*time.Millisecond, func() error {
+			var ov struct {
+				AliveCount int `json:"alive_count"`
+				Replicas   []struct {
+					Addr  string          `json:"addr"`
+					Alive bool            `json:"alive"`
+					Stats json.RawMessage `json:"stats"`
+				} `json:"replicas"`
 			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			ov.AliveCount, ov.Replicas = 0, nil
-			if resp.StatusCode == http.StatusOK && json.Unmarshal(body, &ov) == nil &&
+			code, _, body := smoke.Get(d.URL + "/v1/cluster/overview")
+			if code == http.StatusOK && json.Unmarshal(body, &ov) == nil &&
 				ov.AliveCount == 2 && len(ov.Replicas) == 2 &&
 				ov.Replicas[0].Alive && ov.Replicas[1].Alive &&
 				len(ov.Replicas[0].Stats) > 0 && len(ov.Replicas[1].Stats) > 0 {
-				break
+				return nil
 			}
-			if time.Now().After(deadline) {
-				fatal(fmt.Errorf("overview at %s never reported 2 live replicas with stats: %s", t, body))
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
+			return fmt.Errorf("overview at %s never reported 2 live replicas with stats: %s", d.URL, body)
+		})
 	}
-}
 
-// postWithID posts payload with an explicit X-Request-Id and drains the
-// body (the caller only needs headers and status).
-func postWithID(url, rid string, payload any) *http.Response {
-	b, err := json.Marshal(payload)
-	if err != nil {
-		fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(b))
-	if err != nil {
-		fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-Id", rid)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp
-}
-
-// waitHealthyFleet is waitHealthy against an explicit target.
-func waitHealthyFleet(target string, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(target + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	fatal(fmt.Errorf("replica never became healthy at %s", target))
-}
-
-// waitRingFormed blocks until every replica reports a full ring with all
-// members alive.
-func waitRingFormed(targets []string, n int, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		formed := 0
-		for _, t := range targets {
-			resp, err := http.Get(t + "/healthz")
-			if err != nil {
-				break
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			var h struct {
-				Cluster struct {
-					RingMembers int `json:"ring_members"`
-					Members     []struct {
-						Alive bool `json:"alive"`
-					} `json:"members"`
-				} `json:"cluster"`
-			}
-			if json.Unmarshal(body, &h) != nil || h.Cluster.RingMembers != n {
-				break
-			}
-			alive := true
-			for _, m := range h.Cluster.Members {
-				alive = alive && m.Alive
-			}
-			if !alive {
-				break
-			}
-			formed++
-		}
-		if formed == len(targets) {
-			return
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	fatal(fmt.Errorf("fleet never formed a full ring of %d within %s", n, timeout))
-}
-
-// daemonProc wraps one fleet replica process for clean shutdown.
-type daemonProc struct{ cmd *exec.Cmd }
-
-func startFleetReplica(bin string, args ...string) *daemonProc {
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-	if err := cmd.Start(); err != nil {
-		fatal(err)
-	}
-	return &daemonProc{cmd: cmd}
-}
-
-// stop drains the replica with SIGTERM, escalating to SIGKILL if it does
-// not exit within the drain window.
-func (p *daemonProc) stop() {
-	if p.cmd.Process == nil {
-		return
-	}
-	p.cmd.Process.Signal(syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() { p.cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		p.cmd.Process.Kill()
-		<-done
+	for _, d := range fleet {
+		d.Stop()
 	}
 }
