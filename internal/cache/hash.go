@@ -7,6 +7,7 @@ import (
 	"hash"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/defects"
@@ -46,11 +47,40 @@ func (h *hasher) str(s string) {
 	h.h.Write([]byte(s))
 }
 
-// key finalizes the digest under a domain tag. The tag separates key
-// spaces ("sim", "flow", "gate") so equal digests in different domains
-// can never alias.
+// Key tags, one per key space. The tag separates key spaces so equal
+// digests in different domains can never alias.
+const (
+	tagSim  = "sim"
+	tagXAG  = "xag"
+	tagFlow = "flow"
+	tagGate = "gate"
+)
+
+// key finalizes the digest under a domain tag.
 func (h *hasher) key(tag string) Key {
 	return Key(tag + ":" + hex.EncodeToString(h.h.Sum(nil)))
+}
+
+// ValidKey reports whether k has the shape key gives every key: a known
+// tag, a colon and 64 lowercase hex digits. The peer-cache endpoint
+// checks it so it never touches the cache with an attacker-shaped key.
+func ValidKey(k string) bool {
+	tag, digest, ok := strings.Cut(k, ":")
+	if !ok || len(digest) != 2*sha256.Size {
+		return false
+	}
+	switch tag {
+	case tagSim, tagXAG, tagFlow, tagGate:
+	default:
+		return false
+	}
+	for i := 0; i < len(digest); i++ {
+		c := digest[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // SimKey returns the content address of a ground-state simulation problem
@@ -93,7 +123,7 @@ func SimKey(e *sim.Engine, solverName string) (Key, []int) {
 	}
 	h.str(solverName)
 	hashSurface(h, e.Surface())
-	return h.key("sim"), order
+	return h.key(tagSim), order
 }
 
 // hashSurface appends the defect surface's canonical serialization to the
@@ -154,7 +184,7 @@ func hashXAGInto(h *hasher, x *network.XAG) {
 func HashXAG(x *network.XAG) Key {
 	h := newHasher()
 	hashXAGInto(h, x)
-	return h.key("xag")
+	return h.key(tagXAG)
 }
 
 // FlowKey returns the content address of a whole flow run: the
@@ -186,7 +216,7 @@ func FlowKey(spec *network.XAG, opts core.Options, withSQD, withReport bool) Key
 	h.boolByte(withSQD)
 	h.boolByte(withReport)
 	hashSurface(h, opts.Surface)
-	return h.key("flow")
+	return h.key(tagFlow)
 }
 
 // ValidationKey returns the content address of a standalone gate
@@ -240,5 +270,5 @@ func ValidationKey(d *gatelib.Design, truth func(uint32) uint32, params sim.Para
 	h.f64(params.LambdaTF)
 	h.str(solver)
 	hashSurface(h, surf)
-	return h.key("gate")
+	return h.key(tagGate)
 }

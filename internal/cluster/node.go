@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -18,14 +20,15 @@ import (
 	"repro/internal/obs"
 )
 
-// Protocol headers. SecretHeader authenticates peer-cache and internal
-// traffic; ForwardedHeader marks a request already forwarded once so the
-// receiver never re-forwards (no routing loops even when ring views
-// disagree during a membership change). RequestIDHeader carries the
-// originating request id on every intra-fleet hop — forwards, peer-cache
-// operations, probes — so one id names the whole distributed execution;
-// ParentSpanHeader names the span on the forwarding replica that the
-// remote execution nests under, and HopHeader counts fleet hops.
+// Protocol headers. SecretHeader authenticates /internal/* traffic;
+// ForwardedHeader marks a request already forwarded once so the receiver
+// never re-forwards (no routing loops even when ring views disagree
+// during a membership change). RequestIDHeader carries the request id on
+// every request the service answers and on every intra-fleet request —
+// forwards, peer-cache operations, probes, stats and trace lookups — so
+// one id names the whole distributed execution; ParentSpanHeader names
+// the span on the forwarding replica that the remote execution nests
+// under, and HopHeader counts fleet hops.
 const (
 	SecretHeader     = "X-Cluster-Secret"
 	ForwardedHeader  = "X-Cluster-Forwarded"
@@ -33,6 +36,11 @@ const (
 	ParentSpanHeader = "X-Parent-Span"
 	HopHeader        = "X-Cluster-Hop"
 )
+
+// MaxEntryBytes bounds one cache entry on the peer-cache protocol, both
+// fetched and pushed (flow artifacts with embedded SQD files are the
+// largest class; 8 MiB is far above any observed artifact).
+const MaxEntryBytes = 8 << 20
 
 // NewHopID mints a short random id for intra-fleet operations that have
 // no originating HTTP request — liveness probes, background pushes — so
@@ -107,7 +115,9 @@ type member struct {
 
 // Node is one replica's view of the fleet: the static member set with
 // probed liveness, the live consistent-hash ring derived from it, and the
-// HTTP client used for probes, peer-cache operations, and forwarding.
+// client side of the fleet protocol. Every intra-fleet request — probes,
+// peer-cache operations, forwards, stats and trace lookups — is built by
+// send and goes out through the node's one HTTP client.
 type Node struct {
 	cfg    Config
 	client *http.Client
@@ -188,12 +198,12 @@ func normalizeAddr(a string) string {
 // Self returns this replica's advertised address.
 func (n *Node) Self() string { return n.cfg.Self }
 
-// Secret returns the shared cluster secret ("" when unset).
-func (n *Node) Secret() string { return n.cfg.Secret }
+// Config returns the node's configuration with its defaults applied.
+func (n *Node) Config() Config { return n.cfg }
 
-// AuthorizeInternal is the guard behind /internal/cache: with a secret
-// configured the request must present it (constant-time compare); without
-// one, only loopback peers are trusted.
+// AuthorizeInternal is the guard behind every /internal/* route: with a
+// secret configured the request must present it (constant-time compare);
+// without one, only loopback peers are trusted.
 func AuthorizeInternal(r *http.Request, secret string) bool {
 	if secret != "" {
 		got := r.Header.Get(SecretHeader)
@@ -208,8 +218,8 @@ func AuthorizeInternal(r *http.Request, secret string) bool {
 	return host == "127.0.0.1" || host == "::1" || host == "localhost"
 }
 
-// Start begins the background health-probe loop. Idempotent per node;
-// pair with Stop.
+// Start begins the background health-probe loop. It is called once, by
+// service.New; a second call would start a second loop. Pair with Stop.
 func (n *Node) Start() {
 	if len(n.peers) == 0 {
 		return // single-member fleet: nothing to probe
@@ -252,8 +262,8 @@ func (n *Node) probeLoop() {
 func (n *Node) probeAll() {
 	changed := false
 	for _, p := range n.peers {
-		probeID := "probe-" + NewHopID()
-		ok := n.probe(p.addr, probeID)
+		ctx, probeID := withHopID(context.Background(), "probe-")
+		ok := n.probe(ctx, p.addr)
 		n.mu.Lock()
 		p.lastProbe = time.Now()
 		if ok {
@@ -293,17 +303,12 @@ func (n *Node) probeAll() {
 
 // probe reports whether the peer answers /healthz with 200. A draining
 // replica answers 503 and is treated as down — no new work should be
-// routed to it. The probe id rides the request-id header so both ends
-// log the same id for one probe round trip.
-func (n *Node) probe(addr, probeID string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeTimeout)
+// routed to it. The probe id in ctx rides the request-id header so both
+// ends log the same id for one probe round trip.
+func (n *Node) probe(ctx context.Context, addr string) bool {
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	req.Header.Set(RequestIDHeader, probeID)
-	resp, err := n.client.Do(req)
+	resp, err := n.send(ctx, http.MethodGet, addr, "/healthz", nil, nil)
 	if err != nil {
 		return false
 	}
@@ -346,17 +351,17 @@ func (n *Node) Owner(key string) (addr string, self bool) {
 	return o, o == n.self.addr
 }
 
-// Owners returns up to count distinct live members in ring order from the
+// owners returns up to count distinct live members in ring order from the
 // key's owner (see Ring.Owners).
-func (n *Node) Owners(key string, count int) []string {
+func (n *Node) owners(key string, count int) []string {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.ring.Owners(key, count)
 }
 
-// Alive reports the probed liveness of a member address (self is always
+// alive reports the probed liveness of a member address (self is always
 // alive; unknown addresses are dead).
-func (n *Node) Alive(addr string) bool {
+func (n *Node) alive(addr string) bool {
 	if addr == n.cfg.Self {
 		return true
 	}
@@ -369,10 +374,6 @@ func (n *Node) Alive(addr string) bool {
 	}
 	return false
 }
-
-// Client returns the shared intra-fleet HTTP client (probes, peer-cache
-// operations, and request forwarding all pool connections through it).
-func (n *Node) Client() *http.Client { return n.client }
 
 // Status snapshots membership for /healthz.
 func (n *Node) Status() Snapshot {
@@ -390,25 +391,133 @@ func (n *Node) Status() Snapshot {
 	return s
 }
 
-// ---- peer-cache protocol client ----
+// ---- the fleet protocol's client side ----
 
-// peerOp tags the outcome of one peer-cache operation for metrics.
+// withHopID returns ctx with a minted prefix-id request id when it
+// carries none, and the request id it carries after that.
+func withHopID(ctx context.Context, prefix string) (context.Context, string) {
+	if rid := obs.RequestIDFromContext(ctx); rid != "" {
+		return ctx, rid
+	}
+	rid := prefix + NewHopID()
+	return obs.ContextWithRequestID(ctx, rid), rid
+}
+
+// send builds and sends one intra-fleet request to path on addr through
+// the node's client. It sets the caller's headers, the request id ctx
+// carries, and — on /internal/* paths only — the shared secret.
+func (n *Node) send(ctx context.Context, method, addr, path string, body io.Reader, hdr http.Header) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+path, body)
+	if err != nil {
+		return nil, err
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
+	}
+	if rid := obs.RequestIDFromContext(ctx); rid != "" {
+		req.Header.Set(RequestIDHeader, rid)
+	}
+	if n.cfg.Secret != "" && strings.HasPrefix(path, "/internal/") {
+		req.Header.Set(SecretHeader, n.cfg.Secret)
+	}
+	return n.client.Do(req)
+}
+
+// Forward posts body to path on addr, the owner of the request's key,
+// with the caller's forwarding headers, bounded by ctx.
+func (n *Node) Forward(ctx context.Context, addr, path string, body []byte, hdr http.Header) (*http.Response, error) {
+	return n.send(ctx, http.MethodPost, addr, path, bytes.NewReader(body), hdr)
+}
+
+// GetJSON fetches path from addr and decodes the 200 answer, read up to
+// limit bytes, into v; any other status is an error. It sets no deadline
+// of its own: ctx bounds the lookup.
+func (n *Node) GetJSON(ctx context.Context, addr, path string, limit int64, v any) error {
+	resp, err := n.send(ctx, http.MethodGet, addr, path, nil, nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		return fmt.Errorf("cluster: GET %s%s: status %d", addr, path, resp.StatusCode)
+	}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, limit)).Decode(v); err != nil {
+		return fmt.Errorf("cluster: GET %s%s: %w", addr, path, err)
+	}
+	return nil
+}
+
+// The node is the peer tier of the service's cache stack, wrapped in the
+// same resilient breaker that guards the disk.
+var _ cache.Layer = (*Node)(nil)
+
+// Get fetches key from its owner replica(s): up to two ring owners (the
+// owner, then its successor — the member that covered the key while the
+// owner was down), skipping this replica and peers probed dead. A clean
+// miss on one owner falls through to the next; a transport error is
+// returned so the breaker above sees it. The caller's context carries the
+// request id across the wire; each owner attempt is still bounded by
+// PeerTimeout on top of any caller deadline.
+func (n *Node) Get(ctx context.Context, key cache.Key) ([]byte, bool, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var firstErr error
+	for _, o := range n.owners(string(key), 2) {
+		if o == n.cfg.Self || !n.alive(o) {
+			continue
+		}
+		opCtx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
+		b, ok, err := n.cacheGet(opCtx, o, key)
+		cancel()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if ok {
+			return b, true, nil
+		}
+	}
+	return nil, false, firstErr
+}
+
+// Put pushes key's bytes to the first live owner that is not this
+// replica. When this replica comes first it is a no-op: the local layers
+// already hold the entry, and peers fetch it from here on demand.
+func (n *Node) Put(ctx context.Context, key cache.Key, val []byte) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	for _, o := range n.owners(string(key), 2) {
+		if o == n.cfg.Self {
+			return nil // we own it; peers fetch from us
+		}
+		if !n.alive(o) {
+			continue
+		}
+		opCtx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
+		err := n.cachePut(opCtx, o, key, val)
+		cancel()
+		return err
+	}
+	return nil
+}
+
+// countPeerOp tags the outcome of one peer-cache operation for metrics.
 func (n *Node) countPeerOp(op, outcome string) {
 	n.tr.Counter(obs.Labeled("cluster/peer_requests_total", "op", op, "outcome", outcome)).Inc()
 }
 
-// CacheGet fetches the raw cache entry for key from addr's
-// /internal/cache endpoint. A 404 is a clean miss; transport failures and
-// unexpected statuses are errors (the resilient layer above retries them
-// and trips its breaker).
-func (n *Node) CacheGet(ctx context.Context, addr string, key cache.Key) ([]byte, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+addr+"/internal/cache/"+string(key), nil)
-	if err != nil {
-		return nil, false, err
-	}
-	rid := n.setIdentity(ctx, req)
-	resp, err := n.client.Do(req)
+// cacheGet fetches the raw cache entry for key from addr's
+// /internal/cache endpoint. A 404 is a clean miss; transport failures,
+// unexpected statuses and entries over MaxEntryBytes are errors (the
+// resilient layer above retries them and trips its breaker).
+func (n *Node) cacheGet(ctx context.Context, addr string, key cache.Key) ([]byte, bool, error) {
+	ctx, rid := withHopID(ctx, "peer-")
+	resp, err := n.send(ctx, http.MethodGet, addr, "/internal/cache/"+string(key), nil, nil)
 	if err != nil {
 		n.peerOpFailed("get", addr, rid, err)
 		return nil, false, fmt.Errorf("cluster: peer get %s: %w", addr, err)
@@ -416,14 +525,13 @@ func (n *Node) CacheGet(ctx context.Context, addr string, key cache.Key) ([]byte
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerEntryBytes+1))
+		b, err := io.ReadAll(io.LimitReader(resp.Body, MaxEntryBytes+1))
+		if err == nil && len(b) > MaxEntryBytes {
+			err = fmt.Errorf("entry exceeds %d bytes", MaxEntryBytes)
+		}
 		if err != nil {
 			n.peerOpFailed("get", addr, rid, err)
 			return nil, false, fmt.Errorf("cluster: peer get %s: %w", addr, err)
-		}
-		if len(b) > maxPeerEntryBytes {
-			n.peerOpFailed("get", addr, rid, fmt.Errorf("entry exceeds %d bytes", maxPeerEntryBytes))
-			return nil, false, fmt.Errorf("cluster: peer get %s: entry exceeds %d bytes", addr, maxPeerEntryBytes)
 		}
 		n.countPeerOp("get", "hit")
 		return b, true, nil
@@ -436,21 +544,11 @@ func (n *Node) CacheGet(ctx context.Context, addr string, key cache.Key) ([]byte
 	}
 }
 
-// maxPeerEntryBytes bounds one transferred cache entry (flow artifacts
-// with embedded SQD files are the largest class; 8 MiB is far above any
-// observed artifact).
-const maxPeerEntryBytes = 8 << 20
-
-// CachePut pushes a cache entry to addr.
-func (n *Node) CachePut(ctx context.Context, addr string, key cache.Key, val []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		"http://"+addr+"/internal/cache/"+string(key), strings.NewReader(string(val)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	rid := n.setIdentity(ctx, req)
-	resp, err := n.client.Do(req)
+// cachePut pushes a cache entry to addr.
+func (n *Node) cachePut(ctx context.Context, addr string, key cache.Key, val []byte) error {
+	ctx, rid := withHopID(ctx, "peer-")
+	resp, err := n.send(ctx, http.MethodPut, addr, "/internal/cache/"+string(key), bytes.NewReader(val),
+		http.Header{"Content-Type": {"application/octet-stream"}})
 	if err != nil {
 		n.peerOpFailed("put", addr, rid, err)
 		return fmt.Errorf("cluster: peer put %s: %w", addr, err)
@@ -463,21 +561,6 @@ func (n *Node) CachePut(ctx context.Context, addr string, key cache.Key, val []b
 	}
 	n.countPeerOp("put", "ok")
 	return nil
-}
-
-// setIdentity stamps an outgoing internal request with the cluster secret
-// and the originating request id (minted fresh when the context carries
-// none, so every peer operation is correlatable). Returns the id used.
-func (n *Node) setIdentity(ctx context.Context, req *http.Request) string {
-	if n.cfg.Secret != "" {
-		req.Header.Set(SecretHeader, n.cfg.Secret)
-	}
-	rid := obs.RequestIDFromContext(ctx)
-	if rid == "" {
-		rid = "peer-" + NewHopID()
-	}
-	req.Header.Set(RequestIDHeader, rid)
-	return rid
 }
 
 // peerOpFailed counts and logs one failed peer-cache operation with the

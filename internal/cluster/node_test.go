@@ -1,15 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/obs"
 )
 
 // fakePeer is an httptest stand-in for a replica: togglable health and an
@@ -75,14 +79,14 @@ func TestNodeProbeLiveness(t *testing.T) {
 	n.Start()
 	defer n.Stop()
 
-	if !n.Alive(peer.addr()) {
+	if !n.alive(peer.addr()) {
 		t.Fatal("peer must be presumed alive at startup")
 	}
 
 	// Down: after FailThreshold consecutive probe failures the peer is
 	// dead and the ring excludes it.
 	peer.healthy.Store(false)
-	waitFor(t, time.Second, func() bool { return !n.Alive(peer.addr()) })
+	waitFor(t, time.Second, func() bool { return !n.alive(peer.addr()) })
 	if got := n.Status().RingMembers; got != 1 {
 		t.Fatalf("ring members %d after peer death; want 1", got)
 	}
@@ -92,7 +96,7 @@ func TestNodeProbeLiveness(t *testing.T) {
 
 	// Up: one successful probe resurrects it.
 	peer.healthy.Store(true)
-	waitFor(t, time.Second, func() bool { return n.Alive(peer.addr()) })
+	waitFor(t, time.Second, func() bool { return n.alive(peer.addr()) })
 	if got := n.Status().RingMembers; got != 2 {
 		t.Fatalf("ring members %d after recovery; want 2", got)
 	}
@@ -112,7 +116,7 @@ func TestNodeDrainingPeerCountsAsDown(t *testing.T) {
 	}
 	n.Start()
 	defer n.Stop()
-	waitFor(t, time.Second, func() bool { return !n.Alive(peer.addr()) })
+	waitFor(t, time.Second, func() bool { return !n.alive(peer.addr()) })
 }
 
 func TestNodeCacheProtocol(t *testing.T) {
@@ -126,13 +130,13 @@ func TestNodeCacheProtocol(t *testing.T) {
 	key := cache.Key("sim:" + strings.Repeat("ab", 32))
 	ctx := context.Background()
 
-	if _, ok, err := n.CacheGet(ctx, peer.addr(), key); err != nil || ok {
+	if _, ok, err := n.cacheGet(ctx, peer.addr(), key); err != nil || ok {
 		t.Fatalf("miss: ok=%v err=%v", ok, err)
 	}
-	if err := n.CachePut(ctx, peer.addr(), key, []byte("payload")); err != nil {
+	if err := n.cachePut(ctx, peer.addr(), key, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	b, ok, err := n.CacheGet(ctx, peer.addr(), key)
+	b, ok, err := n.cacheGet(ctx, peer.addr(), key)
 	if err != nil || !ok || string(b) != "payload" {
 		t.Fatalf("roundtrip: %q ok=%v err=%v", b, ok, err)
 	}
@@ -145,10 +149,10 @@ func TestNodeCacheSecretRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := cache.Key("sim:" + strings.Repeat("cd", 32))
-	if err := n.CachePut(context.Background(), peer.addr(), key, []byte("x")); err == nil {
+	if err := n.cachePut(context.Background(), peer.addr(), key, []byte("x")); err == nil {
 		t.Fatal("put with wrong secret must fail")
 	}
-	if _, _, err := n.CacheGet(context.Background(), peer.addr(), key); err == nil {
+	if _, _, err := n.cacheGet(context.Background(), peer.addr(), key); err == nil {
 		t.Fatal("get with wrong secret must error, not miss")
 	}
 }
@@ -182,15 +186,15 @@ func TestAuthorizeInternal(t *testing.T) {
 	}
 }
 
-// TestPeerLayer exercises the cache.Layer adapter: owner-directed gets
-// with dead-peer skipping, and puts that no-op when self is the owner.
+// TestPeerLayer exercises the node's cache.Layer methods: owner-directed
+// gets with dead-peer skipping, and puts that no-op when self is the owner.
 func TestPeerLayer(t *testing.T) {
 	peer := newFakePeer(t, "")
 	n, err := NewNode(Config{Self: "127.0.0.1:1", Peers: []string{peer.addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	layer := NewPeerLayer(n)
+	layer := n
 
 	// Probe every tag prefix until we find keys owned by each side.
 	var peerKey, selfKey cache.Key
@@ -227,6 +231,107 @@ func TestPeerLayer(t *testing.T) {
 	n.mu.Unlock()
 	if _, ok, err := layer.Get(context.Background(), peerKey); err != nil || ok {
 		t.Fatalf("dead-fleet get: ok=%v err=%v; want clean miss", ok, err)
+	}
+}
+
+// TestNodeRequestHeaders records every request the node sends to a peer
+// — a probe, a cache get and put, a JSON get and a forward — and checks
+// the fleet protocol's headers: the secret on /internal/* paths only, and
+// a request id on every request (the context's, or a minted one whose
+// prefix names the operation). It also checks the entry cap on a get.
+func TestNodeRequestHeaders(t *testing.T) {
+	const secret = "s3cret"
+	type seen struct{ method, path, secret, rid string }
+	var (
+		mu    sync.Mutex
+		reqs  []seen
+		entry []byte
+	)
+	setEntry := func(b []byte) {
+		mu.Lock()
+		entry = b
+		mu.Unlock()
+	}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		reqs = append(reqs, seen{r.Method, r.URL.Path, r.Header.Get(SecretHeader), r.Header.Get(RequestIDHeader)})
+		body := entry
+		mu.Unlock()
+		io.Copy(io.Discard, r.Body)
+		switch {
+		case r.URL.Path == "/internal/stats":
+			w.Write([]byte(`{"ok":true}`))
+		case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/internal/cache/"):
+			w.Write(body)
+		case r.Method == http.MethodPut:
+			w.WriteHeader(http.StatusNoContent)
+		}
+	}))
+	t.Cleanup(peer.Close)
+	addr := strings.TrimPrefix(peer.URL, "http://")
+	n, err := NewNode(Config{Self: "127.0.0.1:1", Peers: []string{addr}, Secret: secret})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cache.Key("sim:" + strings.Repeat("ef", 32))
+	withID := obs.ContextWithRequestID(context.Background(), "req-7")
+
+	n.probeAll()
+	setEntry([]byte("v"))
+	if _, ok, err := n.cacheGet(context.Background(), addr, key); err != nil || !ok {
+		t.Fatalf("cache get: ok=%v err=%v", ok, err)
+	}
+	if err := n.cachePut(withID, addr, key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	var st struct{ OK bool }
+	if err := n.GetJSON(withID, addr, "/internal/stats", 1<<10, &st); err != nil || !st.OK {
+		t.Fatalf("json get: %+v err=%v", st, err)
+	}
+	resp, err := n.Forward(withID, addr, "/v1/simulate", []byte("{}"), http.Header{"Content-Type": {"application/json"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	want := []struct{ method, path, ridPrefix string }{
+		{http.MethodGet, "/healthz", "probe-"},
+		{http.MethodGet, "/internal/cache/" + string(key), "peer-"},
+		{http.MethodPut, "/internal/cache/" + string(key), "req-7"},
+		{http.MethodGet, "/internal/stats", "req-7"},
+		{http.MethodPost, "/v1/simulate", "req-7"},
+	}
+	mu.Lock()
+	got := reqs
+	mu.Unlock()
+	if len(got) != len(want) {
+		t.Fatalf("peer saw %d requests; want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.method != w.method || g.path != w.path {
+			t.Errorf("request %d: %s %s; want %s %s", i, g.method, g.path, w.method, w.path)
+		}
+		wantSecret := ""
+		if strings.HasPrefix(w.path, "/internal/") {
+			wantSecret = secret
+		}
+		if g.secret != wantSecret {
+			t.Errorf("%s %s: secret %q; want %q", g.method, g.path, g.secret, wantSecret)
+		}
+		if !strings.HasPrefix(g.rid, w.ridPrefix) || (w.ridPrefix != "req-7" && len(g.rid) <= len(w.ridPrefix)) {
+			t.Errorf("%s %s: request id %q; want prefix %q", g.method, g.path, g.rid, w.ridPrefix)
+		}
+	}
+
+	// The entry cap: MaxEntryBytes passes, one byte more is an error.
+	setEntry(bytes.Repeat([]byte("x"), MaxEntryBytes))
+	if b, ok, err := n.cacheGet(context.Background(), addr, key); err != nil || !ok || len(b) != MaxEntryBytes {
+		t.Fatalf("entry at the cap: %d bytes ok=%v err=%v", len(b), ok, err)
+	}
+	setEntry(bytes.Repeat([]byte("x"), MaxEntryBytes+1))
+	if _, ok, err := n.cacheGet(context.Background(), addr, key); err == nil || ok {
+		t.Fatalf("entry over the cap: ok=%v err=%v; want an error", ok, err)
 	}
 }
 

@@ -13,11 +13,8 @@ package overview
 import (
 	"cmp"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"log/slog"
-	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -112,33 +109,14 @@ func Single(st Stats) Overview {
 	return o
 }
 
-// Config wires an Aggregator into its host replica.
-type Config struct {
-	// SelfStats snapshots this replica locally (no HTTP hop). Required.
-	SelfStats func() Stats
-	// Members snapshots fleet membership with probed liveness. Required.
-	Members func() cluster.Snapshot
-	// Client is the intra-fleet HTTP client (connection pooling shared
-	// with probes and forwards). Required.
-	Client *http.Client
-	// Secret authenticates /internal/stats requests ("" = loopback fleet).
-	Secret string
-	// Interval is the poll period (default 1s — the same order as the
-	// liveness probe, so the overview tracks membership changes closely).
-	Interval time.Duration
-	// Timeout bounds one peer stats fetch (default 500ms).
-	Timeout time.Duration
-	// Tracer receives cluster_overview_* gauges (nil-safe).
-	Tracer *obs.Tracer
-	// Logger receives poll-failure logs (nil disables).
-	Logger *slog.Logger
-}
-
 // Aggregator polls the fleet in the background and caches the merged
 // overview, so serving GET /v1/cluster/overview and rendering /metrics
 // never perform network I/O on the request path.
 type Aggregator struct {
-	cfg Config
+	node      *cluster.Node
+	cfg       cluster.Config
+	selfStats func() Stats
+	log       *slog.Logger
 
 	mu   sync.RWMutex
 	last Overview
@@ -148,19 +126,23 @@ type Aggregator struct {
 	wg       sync.WaitGroup
 }
 
-// New builds an aggregator (call Start to begin polling).
-func New(cfg Config) *Aggregator {
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
+// New builds an aggregator over node's members (call Start to begin
+// polling). selfStats snapshots this replica locally, with no HTTP hop.
+// It polls on the node's probe interval, so the overview tracks
+// membership changes closely, bounds each peer's stats fetch by the
+// node's PeerTimeout, and reports to the node's tracer and logger.
+func New(node *cluster.Node, selfStats func() Stats) *Aggregator {
+	cfg := node.Config()
+	a := &Aggregator{
+		node:      node,
+		cfg:       cfg,
+		selfStats: selfStats,
+		log:       cmp.Or(cfg.Logger, obs.Discard),
+		stop:      make(chan struct{}),
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 500 * time.Millisecond
-	}
-	cfg.Logger = cmp.Or(cfg.Logger, obs.Discard)
-	a := &Aggregator{cfg: cfg, stop: make(chan struct{})}
 	// Seed with a self-only view so the endpoint is never empty between
 	// Start and the first poll round.
-	a.last = Single(cfg.SelfStats())
+	a.last = Single(selfStats())
 	return a
 }
 
@@ -178,7 +160,7 @@ func (a *Aggregator) Stop() {
 
 func (a *Aggregator) loop() {
 	defer a.wg.Done()
-	t := time.NewTicker(a.cfg.Interval)
+	t := time.NewTicker(a.cfg.ProbeInterval)
 	defer t.Stop()
 	a.poll()
 	for {
@@ -203,19 +185,19 @@ func (a *Aggregator) Snapshot() Overview {
 
 // poll fetches every member's stats once and swaps in the merged view.
 func (a *Aggregator) poll() {
-	snap := a.cfg.Members()
+	snap := a.node.Status()
 	o := Overview{Self: snap.Self, PolledAt: time.Now()}
 	for _, m := range snap.Members {
 		rep := Replica{Addr: m.Addr, Self: m.Self, Alive: m.Alive}
 		switch {
 		case m.Self:
-			st := a.cfg.SelfStats()
+			st := a.selfStats()
 			rep.Stats = &st
 		case m.Alive:
 			st, err := a.fetch(m.Addr)
 			if err != nil {
 				rep.Error = err.Error()
-				a.cfg.Logger.Debug("cluster_overview_poll_failed",
+				a.log.Debug("cluster_overview_poll_failed",
 					"peer", m.Addr,
 					"error", err)
 			} else {
@@ -245,29 +227,12 @@ func (a *Aggregator) poll() {
 
 // fetch retrieves one peer's /internal/stats snapshot.
 func (a *Aggregator) fetch(addr string) (*Stats, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.PeerTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+addr+"/internal/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	if a.cfg.Secret != "" {
-		req.Header.Set(cluster.SecretHeader, a.cfg.Secret)
-	}
-	req.Header.Set(cluster.RequestIDHeader, "overview-"+cluster.NewHopID())
-	resp, err := a.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("overview: stats %s: status %d", addr, resp.StatusCode)
-	}
+	ctx = obs.ContextWithRequestID(ctx, "overview-"+cluster.NewHopID())
 	var st Stats
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("overview: stats %s: %w", addr, err)
+	if err := a.node.GetJSON(ctx, addr, "/internal/stats", 1<<20, &st); err != nil {
+		return nil, err
 	}
 	return &st, nil
 }
@@ -294,7 +259,6 @@ func fleetBurn(reps []Replica) []FleetBurn {
 	type key struct{ slo, window string }
 	totals := map[key]*FleetBurn{}
 	budgets := map[string]float64{}
-	var order []key
 	for _, rep := range reps {
 		if rep.Stats == nil {
 			continue
@@ -309,36 +273,25 @@ func fleetBurn(reps []Replica) []FleetBurn {
 				if fb == nil {
 					fb = &FleetBurn{SLO: name, Window: wb.Window}
 					totals[k] = fb
-					order = append(order, k)
 				}
 				fb.Total += wb.Total
 				fb.Bad += wb.Bad
 			}
 		}
 	}
-	out := make([]FleetBurn, 0, len(order))
-	for _, k := range order {
-		fb := *totals[k]
+	out := make([]FleetBurn, 0, len(totals))
+	for _, t := range totals {
+		fb := *t
 		if b := budgets[fb.SLO]; b > 0 && fb.Total > 0 {
 			fb.BurnRate = float64(fb.Bad) / float64(fb.Total) / b
 		}
 		out = append(out, fb)
 	}
-	sortBurns(out)
+	// Stable output: by objective, then by window.
+	slices.SortFunc(out, func(a, b FleetBurn) int {
+		return cmp.Or(cmp.Compare(a.SLO, b.SLO), cmp.Compare(a.Window, b.Window))
+	})
 	return out
-}
-
-// sortBurns orders burns by objective then window for stable output.
-func sortBurns(bs []FleetBurn) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := bs[j-1], bs[j]
-			if a.SLO < b.SLO || (a.SLO == b.SLO && a.Window <= b.Window) {
-				break
-			}
-			bs[j-1], bs[j] = b, a
-		}
-	}
 }
 
 // export refreshes the cluster_overview_* gauges from one merged view.

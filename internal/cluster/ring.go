@@ -80,9 +80,6 @@ func NewRing(members []string, replicas int) *Ring {
 	return r
 }
 
-// Members returns the sorted member set.
-func (r *Ring) Members() []string { return r.members }
-
 // Size returns the number of members.
 func (r *Ring) Size() int { return len(r.members) }
 

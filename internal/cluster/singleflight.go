@@ -29,13 +29,6 @@ type call struct {
 	err error
 }
 
-// Result carries a completed call's outcome.
-type Result struct {
-	Val    any
-	Err    error
-	Shared bool // true when this caller joined an execution started by another
-}
-
 // Do executes fn for key, coalescing with any in-flight execution of the
 // same key. It returns fn's result, whether the result was shared with
 // other callers, and an error. If ctx is canceled while waiting, Do
@@ -139,12 +132,4 @@ func (c *call) sharesDeadline(ctx context.Context) bool {
 	}
 	d, _ := ctx.Deadline()
 	return !d.Before(c.deadline)
-}
-
-// InFlight reports whether an execution for key is currently running.
-func (g *Group) InFlight(key string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.m[key]
-	return ok
 }

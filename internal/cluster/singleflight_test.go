@@ -228,10 +228,17 @@ func TestSingleflightDistinctKeys(t *testing.T) {
 	}
 }
 
+// waitInFlight blocks until an execution for key is running.
 func waitInFlight(t *testing.T, g *Group, key string) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for !g.InFlight(key) {
+	for {
+		g.mu.Lock()
+		_, running := g.m[key]
+		g.mu.Unlock()
+		if running {
+			return
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("execution never started")
 		}

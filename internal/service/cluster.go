@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -60,28 +59,22 @@ func (s *Server) routeCluster(w http.ResponseWriter, r *http.Request, op *prepar
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+owner+r.URL.Path, bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
 	rid := obs.RequestIDFromContext(r.Context())
 	fwdSpan := "forward-" + cluster.NewHopID()
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.ForwardedHeader, s.node.Self())
-	req.Header.Set(cluster.ParentSpanHeader, fwdSpan)
-	req.Header.Set(cluster.HopHeader, "1")
-	if rid != "" {
-		req.Header.Set(cluster.RequestIDHeader, rid)
+	hdr := http.Header{
+		"Content-Type":           {"application/json"},
+		cluster.ForwardedHeader:  {s.node.Self()},
+		cluster.ParentSpanHeader: {fwdSpan},
+		cluster.HopHeader:        {"1"},
 	}
 	if ik := clientToken(r, IdempotencyKeyHeader); ik != "" {
 		// The key travels with the forward so the mapping lands on the
 		// key's owner replica — where every retry of this request, from
 		// any entry replica, converges.
-		req.Header.Set(IdempotencyKeyHeader, ik)
+		hdr.Set(IdempotencyKeyHeader, ik)
 	}
 	start := time.Now()
-	resp, err := s.node.Client().Do(req)
+	resp, err := s.node.Forward(ctx, owner, r.URL.Path, body, hdr)
 	if err != nil {
 		outcome := "error"
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -273,47 +266,12 @@ const sourceCoalesced = "coalesced"
 
 // ---- /internal/cache/{key}: the peer-cache protocol endpoint ----
 
-// validCacheKey checks the canonical key shape (tag:hex64) so the
-// internal endpoint never touches the cache with attacker-shaped keys.
-func validCacheKey(k string) bool {
-	tag, hex, ok := strings.Cut(k, ":")
-	if !ok || len(hex) != 64 {
-		return false
-	}
-	switch tag {
-	case "sim", "flow", "gate", "xag":
-	default:
-		return false
-	}
-	for i := 0; i < len(hex); i++ {
-		c := hex[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// authorizeInternal guards the peer-cache endpoint: shared secret when
-// the fleet has one, loopback-only otherwise.
-func (s *Server) authorizeInternal(r *http.Request) bool {
-	secret := ""
-	if s.node != nil {
-		secret = s.node.Secret()
-	}
-	return cluster.AuthorizeInternal(r, secret)
-}
-
 // handleInternalCacheGet serves raw cache entries to peers from the local
 // tiers (see cache.Tiers.Peek): memory without promotion, then disk, so
 // entries that aged out of memory or predate a restart still serve.
 func (s *Server) handleInternalCacheGet(w http.ResponseWriter, r *http.Request) {
-	if !s.authorizeInternal(r) {
-		writeErr(w, http.StatusForbidden, "cluster secret required")
-		return
-	}
 	key := r.PathValue("key")
-	if !validCacheKey(key) {
+	if !cache.ValidKey(key) {
 		writeErr(w, http.StatusBadRequest, "malformed cache key")
 		return
 	}
@@ -327,9 +285,6 @@ func (s *Server) handleInternalCacheGet(w http.ResponseWriter, r *http.Request) 
 	w.Write(b)
 }
 
-// maxInternalEntryBytes bounds one pushed cache entry.
-const maxInternalEntryBytes = 8 << 20
-
 // handleInternalCachePut stores a pushed cache entry from a peer in the
 // local tiers. Peers only push non-degraded results (the tiers never
 // store degraded ones at the source), so nothing accepted here can serve
@@ -337,16 +292,12 @@ const maxInternalEntryBytes = 8 << 20
 // hits serve flow entries unread, so one that is not a FlowArtifact is
 // refused with 400 rather than stored.
 func (s *Server) handleInternalCachePut(w http.ResponseWriter, r *http.Request) {
-	if !s.authorizeInternal(r) {
-		writeErr(w, http.StatusForbidden, "cluster secret required")
-		return
-	}
 	key := r.PathValue("key")
-	if !validCacheKey(key) {
+	if !cache.ValidKey(key) {
 		writeErr(w, http.StatusBadRequest, "malformed cache key")
 		return
 	}
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInternalEntryBytes))
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cluster.MaxEntryBytes))
 	if err != nil {
 		// Only an actual size overrun is a 413; a peer disconnecting or a
 		// transport read error is a plain bad request (mirroring readBody),

@@ -361,35 +361,58 @@ func TestInternalCacheRoundtrip(t *testing.T) {
 	}
 }
 
-// TestInternalCacheSecret: with a fleet secret configured, loopback alone
-// is no longer enough.
+// TestInternalCacheSecret: every /internal/* route sits behind one guard.
+// With a fleet secret configured, loopback alone is no longer enough and
+// the secret authorizes any caller; with none, only loopback callers are
+// trusted.
 func TestInternalCacheSecret(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Cluster: &cluster.Config{
+	fleet, _ := newTestServer(t, Config{Workers: 1, Cluster: &cluster.Config{
 		Self:   "127.0.0.1:1",
 		Secret: "s3cret",
 	}})
-	t.Cleanup(s.node.Stop)
+	t.Cleanup(fleet.node.Stop)
+	single, _ := newTestServer(t, Config{Workers: 1})
 
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/internal/cache/"+testCacheKey, nil)
-	if err != nil {
-		t.Fatal(err)
+	routes := []struct {
+		method, path string
+		body         string
+		authorized   int // the status once the guard lets the request in
+	}{
+		{http.MethodGet, "/internal/cache/" + testCacheKey, "", http.StatusNotFound},
+		{http.MethodPut, "/internal/cache/" + testCacheKey, "payload", http.StatusNoContent},
+		{http.MethodGet, "/internal/trace/no-such-trace", "", http.StatusNotFound},
+		{http.MethodGet, "/internal/stats", "", http.StatusOK},
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	callers := []struct {
+		name   string
+		s      *Server
+		remote string
+		secret string
+		ok     bool
+	}{
+		{"no secret", fleet, "127.0.0.1:9999", "", false},
+		{"wrong secret", fleet, "127.0.0.1:9999", "wrong", false},
+		{"with secret", fleet, "10.0.0.9:9999", "s3cret", true},
+		{"no fleet, remote", single, "10.0.0.9:9999", "", false},
+		{"no fleet, loopback", single, "127.0.0.1:9999", "", true},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("no secret: %d; want 403", resp.StatusCode)
-	}
-	req.Header.Set(cluster.SecretHeader, "s3cret")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("with secret: %d; want 404 (authorized, empty cache)", resp.StatusCode)
+	for _, c := range callers {
+		for _, rt := range routes {
+			req := httptest.NewRequest(rt.method, rt.path, strings.NewReader(rt.body))
+			req.RemoteAddr = c.remote
+			if c.secret != "" {
+				req.Header.Set(cluster.SecretHeader, c.secret)
+			}
+			rec := httptest.NewRecorder()
+			c.s.Handler().ServeHTTP(rec, req)
+			want := http.StatusForbidden
+			if c.ok {
+				want = rt.authorized
+			}
+			if rec.Code != want {
+				t.Errorf("%s: %s %s: %d; want %d", c.name, rt.method, rt.path, rec.Code, want)
+			}
+		}
 	}
 }
 
@@ -814,7 +837,7 @@ func (errorReader) Read([]byte) (int, error) { return 0, errors.New("peer connec
 func TestInternalCachePutErrorClassification(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
 
-	big := bytes.Repeat([]byte("x"), maxInternalEntryBytes+1)
+	big := bytes.Repeat([]byte("x"), cluster.MaxEntryBytes+1)
 	req := httptest.NewRequest(http.MethodPut, "/internal/cache/"+testCacheKey, bytes.NewReader(big))
 	req.RemoteAddr = "127.0.0.1:9999"
 	rec := httptest.NewRecorder()

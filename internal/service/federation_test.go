@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/obs/flight"
 )
@@ -65,7 +66,7 @@ func postWithRID(t *testing.T, url, rid string, payload any) (*http.Response, []
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(requestIDHeader, rid)
+	req.Header.Set(cluster.RequestIDHeader, rid)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestFleetTracePropagationAndStitching(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forwarded simulate: %d %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(requestIDHeader); got != rid {
+	if got := resp.Header.Get(cluster.RequestIDHeader); got != rid {
 		t.Fatalf("response request id = %q; want the client-chosen %q", got, rid)
 	}
 	if got := resp.Header.Get(clusterPeerHeader); got != addrs[ownerIdx] {

@@ -13,10 +13,6 @@ import (
 	"repro/internal/obs"
 )
 
-// requestIDHeader carries the request ID on both requests (client-chosen,
-// validated) and responses (always set).
-const requestIDHeader = "X-Request-Id"
-
 // statusWriter records the response status and body size for metrics and
 // request logs.
 type statusWriter struct {
@@ -117,11 +113,13 @@ func clientToken(r *http.Request, header string) string {
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rid := clientToken(r, requestIDHeader)
+		// The request id is client-chosen and validated on the request,
+		// always set on the response.
+		rid := clientToken(r, cluster.RequestIDHeader)
 		if rid == "" {
 			rid = newRequestID()
 		}
-		w.Header().Set(requestIDHeader, rid)
+		w.Header().Set(cluster.RequestIDHeader, rid)
 		ctx := obs.ContextWithRequestID(r.Context(), rid)
 		// A forwarded intra-fleet request carries the forwarding replica's
 		// hop headers; parsing them into the context here means every span,

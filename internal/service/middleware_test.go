@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -38,7 +39,7 @@ func TestRouteLabel(t *testing.T) {
 
 func TestClientRequestID(t *testing.T) {
 	long := strings.Repeat("a", 65)
-	for _, h := range []string{requestIDHeader, IdempotencyKeyHeader} {
+	for _, h := range []string{cluster.RequestIDHeader, IdempotencyKeyHeader} {
 		mk := func(tok string) *http.Request {
 			r := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 			if tok != "" {
@@ -119,7 +120,7 @@ func TestRequestLogLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(requestIDHeader, "log-test-1")
+	req.Header.Set(cluster.RequestIDHeader, "log-test-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

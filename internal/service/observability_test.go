@@ -240,12 +240,12 @@ func TestHealthzSaturationOneReading(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 3})
 	release := make(chan struct{})
 	defer close(release)
-	j1, err := s.Queue().SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release))
+	j1, err := s.queue.SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j1, JobRunning)
-	if _, err := s.Queue().SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release)); err != nil {
+	if _, err := s.queue.SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release)); err != nil {
 		t.Fatal(err)
 	}
 	waitDepth(t, s, 1)

@@ -230,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 		// no in-layer retries (the probe loop removes dead peers from the
 		// ring within about a second anyway), and repeated failures trip
 		// the breaker so a sick fleet degrades to independent replicas.
-		s.tiers.Peer = cache.NewResilient(cluster.NewPeerLayer(node), cache.ResilientOptions{
+		s.tiers.Peer = cache.NewResilient(node, cache.ResilientOptions{
 			Name:       "peer",
 			MaxRetries: -1,
 			Tracer:     s.tr,
@@ -259,15 +259,7 @@ func New(cfg Config) (*Server, error) {
 	if s.node != nil {
 		// Built after the queue: the aggregator seeds itself with a local
 		// stats snapshot, which reads queue state.
-		s.overview = overview.New(overview.Config{
-			SelfStats: s.statsSnapshot,
-			Members:   s.node.Status,
-			Client:    s.node.Client(),
-			Secret:    s.node.Secret(),
-			Interval:  cfg.Cluster.ProbeInterval,
-			Tracer:    s.tr,
-			Logger:    s.log,
-		})
+		s.overview = overview.New(s.node, s.statsSnapshot)
 		s.overview.Start()
 	}
 
@@ -276,10 +268,25 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("POST "+opRoutes[i].path, s.handleOp(&opRoutes[i]))
 	}
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /internal/cache/{key}", s.handleInternalCacheGet)
-	s.mux.HandleFunc("PUT /internal/cache/{key}", s.handleInternalCachePut)
-	s.mux.HandleFunc("GET /internal/stats", s.handleInternalStats)
-	s.mux.HandleFunc("GET /internal/trace/{id}", s.handleInternalTrace)
+	// The fleet's own routes sit behind one guard: the shared secret when
+	// the fleet has one, loopback callers only otherwise.
+	secret := ""
+	if cfg.Cluster != nil {
+		secret = cfg.Cluster.Secret
+	}
+	internal := func(h http.HandlerFunc) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if !cluster.AuthorizeInternal(r, secret) {
+				writeErr(w, http.StatusForbidden, "cluster secret required")
+				return
+			}
+			h(w, r)
+		}
+	}
+	s.mux.HandleFunc("GET /internal/cache/{key}", internal(s.handleInternalCacheGet))
+	s.mux.HandleFunc("PUT /internal/cache/{key}", internal(s.handleInternalCachePut))
+	s.mux.HandleFunc("GET /internal/stats", internal(s.handleInternalStats))
+	s.mux.HandleFunc("GET /internal/trace/{id}", internal(s.handleInternalTrace))
 	s.mux.HandleFunc("GET /v1/cluster/overview", s.handleClusterOverview)
 	s.mux.HandleFunc("GET /v1/gates", s.handleGates)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -296,9 +303,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP handler (routes wrapped in the observability
 // middleware: request IDs, latency histograms, structured logs).
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Queue exposes the job queue (for tests and the daemon's drain path).
-func (s *Server) Queue() *Queue { return s.queue }
 
 // CacheStats snapshots the in-memory result cache.
 func (s *Server) CacheStats() cache.Stats { return s.lru.Stats() }
@@ -1276,10 +1280,6 @@ func jobTrace(j *Job) flight.Trace {
 // request guard in federateTrace) makes lookup loops structurally
 // impossible.
 func (s *Server) handleInternalTrace(w http.ResponseWriter, r *http.Request) {
-	if !s.authorizeInternal(r) {
-		writeErr(w, http.StatusForbidden, "cluster secret required")
-		return
-	}
 	id := r.PathValue("id")
 	if t, ok := s.localTrace(id); ok {
 		writeJSON(w, http.StatusOK, t)
@@ -1332,11 +1332,11 @@ func (s *Server) federateTrace(r *http.Request, id string, local flight.Trace, h
 		if m.Self || !m.Alive {
 			continue
 		}
-		t, err := s.fetchPeerTrace(ctx, m.Addr, key)
-		if err != nil {
+		var t flight.Trace
+		if err := s.node.GetJSON(ctx, m.Addr, "/internal/trace/"+key, 4<<20, &t); err != nil {
 			continue // miss or dead peer: stitch what the fleet still has
 		}
-		st.Hops = append(st.Hops, stitchedHop{Peer: m.Addr, Trace: *t})
+		st.Hops = append(st.Hops, stitchedHop{Peer: m.Addr, Trace: t})
 		remote++
 	}
 	if remote == 0 {
@@ -1344,38 +1344,6 @@ func (s *Server) federateTrace(r *http.Request, id string, local flight.Trace, h
 	}
 	st.Trace = mergeHops(key, st.Hops)
 	return st, true
-}
-
-// fetchPeerTrace asks one peer for its local view of a trace key, using
-// the same secret authorization as the peer-cache protocol and marking
-// the request forwarded so the peer can never federate further.
-func (s *Server) fetchPeerTrace(ctx context.Context, addr, key string) (*flight.Trace, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+addr+"/internal/trace/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	if sec := s.node.Secret(); sec != "" {
-		req.Header.Set(cluster.SecretHeader, sec)
-	}
-	req.Header.Set(cluster.ForwardedHeader, s.node.Self())
-	if rid := obs.RequestIDFromContext(ctx); rid != "" {
-		req.Header.Set(cluster.RequestIDHeader, rid)
-	}
-	resp, err := s.node.Client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("peer trace %s: status %d", addr, resp.StatusCode)
-	}
-	var t flight.Trace
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&t); err != nil {
-		return nil, err
-	}
-	return &t, nil
 }
 
 // mergeHops folds per-hop traces into one synthetic RunReport: one
@@ -1531,12 +1499,8 @@ func (s *Server) statsSnapshot() overview.Stats {
 }
 
 // handleInternalStats serves the compact stats snapshot to fleet peers
-// (the overview aggregator's poll target), guarded like /internal/cache.
+// (the overview aggregator's poll target).
 func (s *Server) handleInternalStats(w http.ResponseWriter, r *http.Request) {
-	if !s.authorizeInternal(r) {
-		writeErr(w, http.StatusForbidden, "cluster secret required")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
 }
 

@@ -512,12 +512,12 @@ func TestBackpressure429(t *testing.T) {
 	// Saturate the single worker and the one queue slot with parked jobs.
 	release := make(chan struct{})
 	defer close(release)
-	j1, err := s.Queue().SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release))
+	j1, err := s.queue.SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j1, JobRunning)
-	if _, err := s.Queue().SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release)); err != nil {
+	if _, err := s.queue.SubmitWith(SubmitOptions{Kind: "park"}, blockingJob(release)); err != nil {
 		t.Fatal(err)
 	}
 	waitDepth(t, s, 1)
@@ -534,7 +534,7 @@ func waitDepth(t *testing.T, s *Server, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Queue().Depth() == want {
+		if s.queue.Depth() == want {
 			return
 		}
 		time.Sleep(time.Millisecond)
