@@ -98,12 +98,10 @@ func main() {
 		maxBody    = flag.Int64("max-body", 1, "request body bound in MiB (oversized bodies get 413)")
 		report     = flag.String("report", "", "write a JSON metrics report to FILE on shutdown ('-' for stdout)")
 
-		faultSpec     = flag.String("faults", "", "arm fault injection, e.g. 'cache.disk.read=p:0.2;service.job.panic=n:5' (also via BESTAGOND_FAULTS); chaos testing only")
-		faultSeed     = flag.Int64("faults-seed", 1, "seed for probabilistic fault triggers (deterministic replay)")
-		maxRetries    = flag.Int("max-retries", 2, "retries for transient disk-cache I/O failures (negative = none); repeated failures trip the breaker to memory-only caching")
-		degradeMargin = flag.Duration("degrade-margin", sim.DefaultDegradeMargin, "budget reserved for cheaper fallback engines under a job deadline (solver degradation ladder)")
-		sloShort      = flag.Duration("slo-short-window", 5*time.Minute, "short SLO burn-rate window")
-		sloLong       = flag.Duration("slo-long-window", time.Hour, "long SLO burn-rate window")
+		faultSpec = flag.String("faults", "", "arm fault injection, e.g. 'cache.disk.read=p:0.2;service.job.panic=n:5' (also via BESTAGOND_FAULTS); chaos testing only")
+		faultSeed = flag.Int64("faults-seed", 1, "seed for probabilistic fault triggers (deterministic replay)")
+		sloShort  = flag.Duration("slo-short-window", 5*time.Minute, "short SLO burn-rate window")
+		sloLong   = flag.Duration("slo-long-window", time.Hour, "long SLO burn-rate window")
 
 		peers         = flag.String("peers", "", "comma-separated peer addresses (host:port) for fleet mode; empty = single replica")
 		selfAddr      = flag.String("self", "", "this replica's advertised address (default 127.0.0.1<addr> when -addr is :port)")
@@ -166,22 +164,20 @@ func main() {
 	}
 
 	srv, err := service.New(service.Config{
-		Workers:       *workers,
-		QueueDepth:    *queueDepth,
-		JobTimeout:    *jobTimeout,
-		CacheBytes:    *cacheSize << 20,
-		CacheDir:      *cacheDir,
-		Solver:        *solver,
-		Tracer:        tr,
-		Logger:        logger,
-		MaxBodyBytes:  *maxBody << 20,
-		MaxRetries:    *maxRetries,
-		DegradeMargin: *degradeMargin,
-		SLOWindows:    []time.Duration{*sloShort, *sloLong},
-		Cluster:       clusterCfg,
-		JournalDir:    *journalDir,
-		RecoverMode:   *recovMode,
-		DrainGrace:    *drainGrace,
+		Workers:      *workers,
+		QueueDepth:   *queueDepth,
+		JobTimeout:   *jobTimeout,
+		CacheBytes:   *cacheSize << 20,
+		CacheDir:     *cacheDir,
+		Solver:       *solver,
+		Tracer:       tr,
+		Logger:       logger,
+		MaxBodyBytes: *maxBody << 20,
+		SLOWindows:   []time.Duration{*sloShort, *sloLong},
+		Cluster:      clusterCfg,
+		JournalDir:   *journalDir,
+		RecoverMode:  *recovMode,
+		DrainGrace:   *drainGrace,
 	})
 	if err != nil {
 		fatal(err)

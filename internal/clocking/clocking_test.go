@@ -8,64 +8,19 @@ import (
 )
 
 func TestRowBasedZones(t *testing.T) {
-	s := RowBased{}
 	for y := 0; y < 12; y++ {
 		want := y % 4
 		for x := 0; x < 5; x++ {
-			if got := s.Zone(hexgrid.Offset{X: x, Y: y}); got != want {
+			if got := Zone(hexgrid.Offset{X: x, Y: y}); got != want {
 				t.Errorf("zone(%d,%d) = %d, want %d", x, y, got, want)
 			}
 		}
 	}
 }
 
-func TestSchemesFourPhases(t *testing.T) {
-	for _, s := range All() {
-		seen := map[int]bool{}
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				z := s.Zone(hexgrid.Offset{X: x, Y: y})
-				if z < 0 || z >= NumPhases {
-					t.Fatalf("%s: zone %d out of range", s.Name(), z)
-				}
-				seen[z] = true
-			}
-		}
-		if len(seen) != NumPhases {
-			t.Errorf("%s: only %d phases used", s.Name(), len(seen))
-		}
-	}
-}
-
 func TestNegativeCoordinates(t *testing.T) {
-	for _, s := range All() {
-		z := s.Zone(hexgrid.Offset{X: -3, Y: -7})
-		if z < 0 || z >= NumPhases {
-			t.Errorf("%s: negative coords give zone %d", s.Name(), z)
-		}
-	}
-}
-
-func TestFeedforwardFlags(t *testing.T) {
-	if !(RowBased{}).Feedforward() || !(Columnar{}).Feedforward() || !(TwoDDWave{}).Feedforward() {
-		t.Error("linear schemes are feed-forward")
-	}
-	if (USE{}).Feedforward() {
-		t.Error("USE contains loops; not feed-forward")
-	}
-}
-
-func TestUSEPattern(t *testing.T) {
-	// USE repeats with period 4 in both axes.
-	s := USE{}
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			a := s.Zone(hexgrid.Offset{X: x, Y: y})
-			b := s.Zone(hexgrid.Offset{X: x + 4, Y: y + 4})
-			if a != b {
-				t.Fatalf("USE not periodic at (%d,%d)", x, y)
-			}
-		}
+	if z := Zone(hexgrid.Offset{X: -3, Y: -7}); z != 1 {
+		t.Errorf("negative coords give zone %d, want 1", z)
 	}
 }
 
@@ -99,24 +54,5 @@ func TestExpandedZone(t *testing.T) {
 		if got := st.ExpandedZone(hexgrid.Offset{X: 1, Y: y}); got != want {
 			t.Errorf("expanded zone row %d = %d, want %d", y, got, want)
 		}
-	}
-}
-
-func TestValidate(t *testing.T) {
-	s := RowBased{}
-	good := [][2]hexgrid.Offset{
-		{{X: 0, Y: 0}, {X: 0, Y: 1}},
-		{{X: 1, Y: 3}, {X: 1, Y: 4}},
-	}
-	if bad := Validate(s, good); len(bad) != 0 {
-		t.Errorf("valid connections flagged: %v", bad)
-	}
-	mixed := [][2]hexgrid.Offset{
-		{{X: 0, Y: 0}, {X: 0, Y: 1}},
-		{{X: 0, Y: 1}, {X: 0, Y: 0}}, // backwards
-		{{X: 0, Y: 0}, {X: 1, Y: 0}}, // sideways
-	}
-	if bad := Validate(s, mixed); len(bad) != 2 {
-		t.Errorf("expected 2 violations, got %v", bad)
 	}
 }

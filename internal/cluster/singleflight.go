@@ -14,18 +14,18 @@ import (
 // leaves, and the execution keeps running for the remaining waiters. The
 // work context is canceled only when the last participant has left, so
 // nobody pays for an answer nobody wants anymore.
-type Group struct {
+type Group[T any] struct {
 	mu sync.Mutex
-	m  map[string]*call
+	m  map[string]*call[T]
 }
 
-type call struct {
+type call[T any] struct {
 	done     chan struct{} // closed when fn returns
 	cancel   context.CancelFunc
 	deadline time.Time // the run's deadline (the starter's); zero if none
 	waiters  int       // participants still waiting; guarded by Group.mu
 
-	val any
+	val T
 	err error
 }
 
@@ -53,10 +53,10 @@ type call struct {
 //
 // fn must not panic-propagate: it runs on a group-owned goroutine, so a
 // panic there would crash the process. Wrap recovery inside fn.
-func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context) (any, error)) (any, bool, error) {
+func (g *Group[T]) Do(ctx context.Context, key string, fn func(ctx context.Context) (T, error)) (T, bool, error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*call)
+		g.m = make(map[string]*call[T])
 	}
 	c, joined := g.m[key]
 	if !joined {
@@ -73,7 +73,7 @@ func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context)
 		} else {
 			runCtx, cancel = context.WithCancel(parent)
 		}
-		c = &call{done: make(chan struct{}), cancel: cancel, deadline: d}
+		c = &call[T]{done: make(chan struct{}), cancel: cancel, deadline: d}
 		g.m[key] = c
 		go func() {
 			val, err := fn(runCtx)
@@ -116,7 +116,8 @@ func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context)
 		if last {
 			c.cancel()
 		}
-		return nil, joined, ctx.Err()
+		var zero T
+		return zero, joined, ctx.Err()
 	}
 	g.mu.Lock()
 	c.waiters--
@@ -126,7 +127,7 @@ func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context)
 
 // sharesDeadline reports whether ctx ended at a deadline no earlier than
 // the run's, so that the run's context has expired as well.
-func (c *call) sharesDeadline(ctx context.Context) bool {
+func (c *call[T]) sharesDeadline(ctx context.Context) bool {
 	if c.deadline.IsZero() || ctx.Err() != context.DeadlineExceeded {
 		return false
 	}

@@ -13,7 +13,7 @@ import (
 // TestSingleflightDedup: N concurrent callers of the same key trigger
 // exactly one execution, and all receive the identical value.
 func TestSingleflightDedup(t *testing.T) {
-	var g Group
+	var g Group[any]
 	var execs atomic.Int64
 	release := make(chan struct{})
 
@@ -62,7 +62,7 @@ func TestSingleflightDedup(t *testing.T) {
 // TestSingleflightSequential: after an execution completes, the next call
 // runs fresh instead of reusing the stale result.
 func TestSingleflightSequential(t *testing.T) {
-	var g Group
+	var g Group[any]
 	for i := 0; i < 3; i++ {
 		v, shared, err := g.Do(context.Background(), "k", func(context.Context) (any, error) {
 			return i, nil
@@ -77,7 +77,7 @@ func TestSingleflightSequential(t *testing.T) {
 // execution cancels and leaves, but the execution keeps running and the
 // remaining waiter still gets the result.
 func TestSingleflightLeaderCancelHandsOff(t *testing.T) {
-	var g Group
+	var g Group[any]
 	release := make(chan struct{})
 	var execs atomic.Int64
 
@@ -131,7 +131,7 @@ func TestSingleflightLeaderCancelHandsOff(t *testing.T) {
 // context is canceled and the key is unpublished so the next caller
 // starts fresh.
 func TestSingleflightAllCancelAbandons(t *testing.T) {
-	var g Group
+	var g Group[any]
 	started := make(chan struct{})
 	abandoned := make(chan struct{})
 
@@ -168,7 +168,7 @@ func TestSingleflightAllCancelAbandons(t *testing.T) {
 // TestSingleflightPreservesDeadline: the detached work context keeps the
 // starter's deadline — it is a resource bound, not caller interest.
 func TestSingleflightPreservesDeadline(t *testing.T) {
-	var g Group
+	var g Group[any]
 	deadline := time.Now().Add(time.Hour)
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
@@ -191,7 +191,7 @@ func TestSingleflightPreservesDeadline(t *testing.T) {
 // deadline (a degradation ladder's cheap result) reaches the starter,
 // whose deadline the run shares, instead of a DeadlineExceeded.
 func TestSingleflightAnswerAtDeadline(t *testing.T) {
-	var g Group
+	var g Group[any]
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	v, _, err := g.Do(ctx, "k", func(runCtx context.Context) (any, error) {
@@ -206,7 +206,7 @@ func TestSingleflightAnswerAtDeadline(t *testing.T) {
 
 // TestSingleflightDistinctKeys: different keys never coalesce.
 func TestSingleflightDistinctKeys(t *testing.T) {
-	var g Group
+	var g Group[any]
 	var execs atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -229,7 +229,7 @@ func TestSingleflightDistinctKeys(t *testing.T) {
 }
 
 // waitInFlight blocks until an execution for key is running.
-func waitInFlight(t *testing.T, g *Group, key string) {
+func waitInFlight(t *testing.T, g *Group[any], key string) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -247,7 +247,7 @@ func waitInFlight(t *testing.T, g *Group, key string) {
 }
 
 // waitWaiters blocks until n callers are participating in key's call.
-func waitWaiters(t *testing.T, g *Group, key string, n int) {
+func waitWaiters(t *testing.T, g *Group[any], key string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {

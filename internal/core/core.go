@@ -308,10 +308,3 @@ func (r *Result) ExportSQD() (string, error) {
 	}
 	return sqd.WriteString(r.CellLayout)
 }
-
-// Summary renders a one-line Table 1 style row: name, dimensions, area.
-func (r *Result) Summary() string {
-	l := r.Layout
-	return fmt.Sprintf("%-14s %2dx%-2d =%3d  %5d SiDBs  %10.2f nm2  [%s]",
-		r.Spec.Name, l.Width(), l.Height(), l.Area(), r.SiDBs, r.AreaNM2, r.EngineUsed)
-}

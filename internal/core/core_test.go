@@ -183,17 +183,6 @@ func TestExportSQDRequiresCellLevel(t *testing.T) {
 	}
 }
 
-func TestSummaryString(t *testing.T) {
-	res, err := RunBenchmark("xor2", Options{Engine: EngineOrtho})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Summary()
-	if !strings.Contains(s, "xor2") || !strings.Contains(s, "nm2") {
-		t.Errorf("summary malformed: %q", s)
-	}
-}
-
 func TestParseEngine(t *testing.T) {
 	for _, tc := range []struct {
 		name string

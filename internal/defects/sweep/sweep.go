@@ -302,7 +302,7 @@ func evalGate(cfg Config, lib *gatelib.Library, key string, it item) outcome {
 	if err != nil {
 		return outcome{defects: surf.Len()}
 	}
-	return outcome{ok: v.OK, blocked: v.DefectBlocked, defects: surf.Len()}
+	return outcome{ok: v.OK, blocked: v.FailKind == gatelib.FailDefectBlocked, defects: surf.Len()}
 }
 
 // evalFlow runs one benchmark through the whole flow (ortho engine, which

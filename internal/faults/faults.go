@@ -149,9 +149,6 @@ func Disarm() {
 	mu.Unlock()
 }
 
-// Enabled reports whether any fault points are armed.
-func Enabled() bool { return armed.Load() }
-
 // Should reports whether the named fault point fires on this call. It
 // always returns false while the registry is disarmed or when the point
 // was not named in the spec.

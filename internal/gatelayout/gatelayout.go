@@ -38,16 +38,14 @@ type Tile struct {
 type Layout struct {
 	Name   string
 	Bounds hexgrid.Bounds
-	Scheme clocking.Scheme
 	tiles  map[hexgrid.Offset]Tile
 }
 
-// New returns an empty layout with the given dimensions and clocking scheme.
-func New(name string, w, h int, scheme clocking.Scheme) *Layout {
+// New returns an empty row-clocked layout with the given dimensions.
+func New(name string, w, h int) *Layout {
 	return &Layout{
 		Name:   name,
 		Bounds: hexgrid.NewBounds(w, h),
-		Scheme: scheme,
 		tiles:  make(map[hexgrid.Offset]Tile),
 	}
 }
@@ -167,11 +165,9 @@ func (l *Layout) Check(st *clocking.SuperTile) []Violation {
 	add := func(at hexgrid.Offset, format string, args ...interface{}) {
 		out = append(out, Violation{At: at, Message: fmt.Sprintf(format, args...)})
 	}
-	zone := func(at hexgrid.Offset) int {
-		if st != nil {
-			return st.ExpandedZone(at)
-		}
-		return l.Scheme.Zone(at)
+	zone := clocking.Zone
+	if st != nil {
+		zone = st.ExpandedZone
 	}
 	for at, t := range l.tiles {
 		for _, d := range t.Ins {
@@ -440,41 +436,6 @@ func (l *Layout) Render() string {
 
 // String summarizes the layout.
 func (l *Layout) String() string {
-	return fmt.Sprintf("%s: %dx%d = %d tiles, %d occupied (%s clocking)",
-		l.Name, l.Width(), l.Height(), l.Area(), l.NumTiles(), l.Scheme.Name())
-}
-
-// Stats summarizes a layout for reports: tile-type counts, wiring overhead,
-// and grid utilization.
-type Stats struct {
-	Width, Height, Area int
-	Occupied            int
-	Gates               int // logic gates (incl. inverters, half adders)
-	RoutingTiles        int // wires, diagonals, fan-outs, crossings
-	Crossings           int
-	Pins                int // PI + PO tiles
-	Utilization         float64
-}
-
-// Stats computes summary statistics of the layout.
-func (l *Layout) Stats() Stats {
-	s := Stats{Width: l.Width(), Height: l.Height(), Area: l.Area()}
-	for _, t := range l.tiles {
-		s.Occupied++
-		switch {
-		case t.Func.IsGate():
-			s.Gates++
-		case t.Func.IsRouting():
-			s.RoutingTiles++
-			if t.Func == gates.Crossing {
-				s.Crossings++
-			}
-		case t.Func == gates.PI || t.Func == gates.PO:
-			s.Pins++
-		}
-	}
-	if s.Area > 0 {
-		s.Utilization = float64(s.Occupied) / float64(s.Area)
-	}
-	return s
+	return fmt.Sprintf("%s: %dx%d = %d tiles, %d occupied (row clocking)",
+		l.Name, l.Width(), l.Height(), l.Area(), l.NumTiles())
 }

@@ -12,7 +12,7 @@ import (
 // buildWireLayout is a 1x3 layout: PI -> wire -> PO, straight down-right.
 func buildWireLayout(t *testing.T) *Layout {
 	t.Helper()
-	l := New("w", 2, 3, clocking.RowBased{})
+	l := New("w", 2, 3)
 	nw, ne := hexgrid.NorthWest, hexgrid.NorthEast
 	se := hexgrid.SouthEast
 	sw := hexgrid.SouthWest
@@ -52,7 +52,7 @@ func TestCheckCatchesDanglingInput(t *testing.T) {
 func TestCheckCatchesClockingViolation(t *testing.T) {
 	// A connection going upward violates the row-based scheme; build a tile
 	// whose input comes from below by misdeclaring ports.
-	l := New("bad", 2, 2, clocking.RowBased{})
+	l := New("bad", 2, 2)
 	se := hexgrid.SouthEast
 	nw := hexgrid.NorthWest
 	if err := l.Set(hexgrid.Offset{X: 0, Y: 0}, Tile{Func: gates.PI, Outs: []hexgrid.Direction{se}, Name: "a"}); err != nil {
@@ -71,7 +71,7 @@ func TestCheckCatchesClockingViolation(t *testing.T) {
 }
 
 func TestCheckWireGeometry(t *testing.T) {
-	l := New("geo", 2, 3, clocking.RowBased{})
+	l := New("geo", 2, 3)
 	nw := hexgrid.NorthWest
 	sw := hexgrid.SouthWest
 	se := hexgrid.SouthEast
@@ -98,7 +98,7 @@ func TestCheckWireGeometry(t *testing.T) {
 }
 
 func TestSetRejectsOutOfBoundsAndBadPorts(t *testing.T) {
-	l := New("x", 1, 1, clocking.RowBased{})
+	l := New("x", 1, 1)
 	if err := l.Set(hexgrid.Offset{X: 5, Y: 5}, Tile{Func: gates.PI, Outs: []hexgrid.Direction{hexgrid.SouthEast}}); err == nil {
 		t.Error("out-of-bounds Set must fail")
 	}
@@ -127,7 +127,7 @@ func TestRenderAndString(t *testing.T) {
 	if !strings.Contains(r, "[in]") || !strings.Contains(r, "[out]") || !strings.Contains(r, "wire") {
 		t.Errorf("render incomplete:\n%s", r)
 	}
-	if !strings.Contains(l.String(), "2x3") {
+	if !strings.Contains(l.String(), "2x3") || !strings.Contains(l.String(), "(row clocking)") {
 		t.Errorf("String() = %q", l.String())
 	}
 }
@@ -154,16 +154,5 @@ func TestSuperTileCheckAcceptsIntraZoneConnections(t *testing.T) {
 	st := clocking.PlanSuperTiles(clocking.MinMetalPitchNM)
 	if v := l.Check(&st); len(v) != 0 {
 		t.Errorf("super-tile check rejected intra-zone flow: %v", v)
-	}
-}
-
-func TestStats(t *testing.T) {
-	l := buildWireLayout(t)
-	s := l.Stats()
-	if s.Occupied != 3 || s.Pins != 2 || s.RoutingTiles != 1 || s.Gates != 0 {
-		t.Errorf("stats wrong: %+v", s)
-	}
-	if s.Utilization <= 0 || s.Utilization > 1 {
-		t.Errorf("utilization out of range: %v", s.Utilization)
 	}
 }

@@ -72,7 +72,6 @@ func mod2(y int) int {
 // model: the bounding box spans the full w×h tile grid, measured as
 // ((60·w − 1) · 0.384 nm) × ((46·h − 1) · 0.384 nm).
 func AreaNM2(w, h int) float64 {
-	wNM := float64(TileWidth*w-1) * lattice.PitchX
-	hNM := float64(TileHeight*h-1) * (lattice.PitchY / 2)
-	return wNM * hNM
+	b := lattice.Box{MaxX: TileWidth*w - 1, MaxY: TileHeight*h - 1}
+	return b.WidthNM() * b.HeightNM()
 }

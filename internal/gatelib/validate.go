@@ -83,9 +83,6 @@ type Validation struct {
 	// FailKind classifies a failure ("" when OK): FailDefectBlocked or
 	// FailLogic.
 	FailKind string `json:",omitempty"`
-	// DefectBlocked reports the gate failed solely because of surface
-	// defects (FailKind == FailDefectBlocked).
-	DefectBlocked bool `json:",omitempty"`
 }
 
 // degenerateGapEV is the degeneracy gap at or below which ValidateWith
@@ -244,7 +241,6 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 			}
 			if pv.OK {
 				v.FailKind = FailDefectBlocked
-				v.DefectBlocked = true
 			}
 		}
 	}
@@ -291,8 +287,7 @@ func PatternLayout(d *Design, p int) *sidb.Layout {
 // blockedValidation is the result of an exclusion-zone fast-reject: no
 // simulation ran, every output is undefined.
 func blockedValidation(patterns int) Validation {
-	v := Validation{FailKind: FailDefectBlocked, DefectBlocked: true,
-		Outputs: make([]int, patterns)}
+	v := Validation{FailKind: FailDefectBlocked, Outputs: make([]int, patterns)}
 	for i := range v.Outputs {
 		v.Outputs[i] = -1
 	}

@@ -108,16 +108,6 @@ func (f Func) IsGate() bool {
 	}
 }
 
-// IsRouting reports whether the function only moves signals.
-func (f Func) IsRouting() bool {
-	switch f {
-	case Wire, DiagWire, Fanout, Crossing:
-		return true
-	default:
-		return false
-	}
-}
-
 // Eval computes the tile outputs for the given inputs. Inputs and outputs
 // are ordered: input 0 arrives at the NW port, input 1 at NE; output 0
 // leaves at SW, output 1 at SE (single-port tiles use the port their layout

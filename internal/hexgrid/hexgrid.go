@@ -181,14 +181,3 @@ func (b Bounds) Height() int { return b.MaxY - b.MinY }
 
 // Area returns the number of tiles covered.
 func (b Bounds) Area() int { return b.Width() * b.Height() }
-
-// All returns every coordinate inside the bounds in row-major order.
-func (b Bounds) All() []Offset {
-	out := make([]Offset, 0, b.Area())
-	for y := b.MinY; y < b.MaxY; y++ {
-		for x := b.MinX; x < b.MaxX; x++ {
-			out = append(out, Offset{x, y})
-		}
-	}
-	return out
-}

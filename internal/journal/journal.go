@@ -332,9 +332,6 @@ func (j *Journal) Recovered() []JobRecord {
 	return out
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Append records one event: sealed, written, and, unless it is a started
 // event, fsynced before returning. A started event needs no fsync of its
 // own: a killed process loses no written pages, and the next synced

@@ -119,6 +119,3 @@ func (b Box) HeightNM() float64 {
 	}
 	return float64(b.MaxY-b.MinY) * (PitchY / 2)
 }
-
-// AreaNM2 returns the bounding-box area in square nanometers.
-func (b Box) AreaNM2() float64 { return b.WidthNM() * b.HeightNM() }

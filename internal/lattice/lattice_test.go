@@ -81,14 +81,14 @@ func TestBoxExtendAndArea(t *testing.T) {
 		t.Fatal("box must be non-empty after extension")
 	}
 	// Table 1: xor2 is 2x3 tiles = (60*2-1) x (46*3-1) cells = 2403.98 nm^2.
-	if a := b.AreaNM2(); math.Abs(a-2403.98) > 0.01 {
+	if a := b.WidthNM() * b.HeightNM(); math.Abs(a-2403.98) > 0.01 {
 		t.Errorf("xor2 bounding box area = %v, want 2403.98", a)
 	}
 }
 
 func TestBoxSingleSite(t *testing.T) {
 	b := EmptyBox().Extend(FromCell(10, 10))
-	if b.WidthNM() != 0 || b.HeightNM() != 0 || b.AreaNM2() != 0 {
+	if b.WidthNM() != 0 || b.HeightNM() != 0 {
 		t.Error("single-site box must have zero extent under the (n-1) model")
 	}
 }
@@ -106,7 +106,7 @@ func TestTable1AreaModel(t *testing.T) {
 	}
 	for _, r := range rows {
 		b := EmptyBox().Extend(FromCell(0, 0)).Extend(FromCell(60*r.w-1, 46*r.h-1))
-		if got := b.AreaNM2(); math.Abs(got-r.area) > 2.5 {
+		if got := b.WidthNM() * b.HeightNM(); math.Abs(got-r.area) > 2.5 {
 			t.Errorf("area model for %dx%d: got %.2f, want %.2f", r.w, r.h, got, r.area)
 		}
 	}

@@ -202,84 +202,3 @@ func buildGate(x *network.XAG, op string, ins []network.Signal) (network.Signal,
 		return 0, fmt.Errorf("unknown gate type %q", op)
 	}
 }
-
-// WriteBench renders the XAG back into .bench format, expressing AND and XOR
-// nodes directly and inverters as NOT gates.
-func WriteBench(x *network.XAG) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "# %s\n", x.Name)
-	nameOf := make(map[int]string)
-	for i := 0; i < x.NumPIs(); i++ {
-		n := x.PI(i).Node()
-		name := x.PIName(i)
-		if name == "" {
-			name = fmt.Sprintf("pi%d", i)
-		}
-		nameOf[n] = name
-		fmt.Fprintf(&sb, "INPUT(%s)\n", name)
-	}
-	poNames := make([]string, x.NumPOs())
-	for i := 0; i < x.NumPOs(); i++ {
-		name := x.POName(i)
-		if name == "" {
-			name = fmt.Sprintf("po%d", i)
-		}
-		poNames[i] = name
-		fmt.Fprintf(&sb, "OUTPUT(%s)\n", name)
-	}
-	constUsed := false
-	ref := func(s network.Signal) string {
-		if s.Node() == 0 {
-			constUsed = true
-			if s.Neg() {
-				return "const1"
-			}
-			return "const0"
-		}
-		base := nameOf[s.Node()]
-		if s.Neg() {
-			return base + "_n"
-		}
-		return base
-	}
-	var body strings.Builder
-	negEmitted := map[string]bool{}
-	emitNeg := func(s network.Signal) {
-		if !s.Neg() || s.Node() == 0 {
-			return
-		}
-		base := nameOf[s.Node()]
-		if !negEmitted[base] {
-			fmt.Fprintf(&body, "%s_n = NOT(%s)\n", base, base)
-			negEmitted[base] = true
-		}
-	}
-	for _, n := range x.TopoOrder() {
-		k := x.Kind(n)
-		if k != network.KindAnd && k != network.KindXor {
-			continue
-		}
-		a, b := x.FanIns(n)
-		name := fmt.Sprintf("g%d", n)
-		nameOf[n] = name
-		emitNeg(a)
-		emitNeg(b)
-		op := "AND"
-		if k == network.KindXor {
-			op = "XOR"
-		}
-		fmt.Fprintf(&body, "%s = %s(%s, %s)\n", name, op, ref(a), ref(b))
-	}
-	for i := 0; i < x.NumPOs(); i++ {
-		po := x.PO(i)
-		emitNeg(po)
-		if po.Neg() || nameOf[po.Node()] != poNames[i] {
-			fmt.Fprintf(&body, "%s = BUF(%s)\n", poNames[i], ref(po))
-		}
-	}
-	if constUsed {
-		sb.WriteString("const0 = CONST0()\nconst1 = CONST1()\n")
-	}
-	sb.WriteString(body.String())
-	return sb.String()
-}

@@ -2,10 +2,10 @@ package bench
 
 import (
 	"math/bits"
-	"strings"
+	"slices"
 	"testing"
 
-	"repro/internal/logic/network"
+	"repro/internal/logic/tt"
 )
 
 func TestParseBenchSimple(t *testing.T) {
@@ -204,28 +204,6 @@ func TestTAndT5Equivalent(t *testing.T) {
 	}
 }
 
-func TestWriteBenchRoundTrip(t *testing.T) {
-	for _, b := range Benchmarks {
-		x, err := Load(b.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := WriteBench(x)
-		y, err := ParseBench(b.Name, out)
-		if err != nil {
-			t.Fatalf("%s: reparse failed: %v\n%s", b.Name, err, out)
-		}
-		if y.NumPIs() != x.NumPIs() || y.NumPOs() != x.NumPOs() {
-			t.Fatalf("%s: interface changed in round trip", b.Name)
-		}
-		for in := uint32(0); in < 1<<x.NumPIs(); in++ {
-			if x.Simulate(in) != y.Simulate(in) {
-				t.Fatalf("%s: round trip changed function at %b", b.Name, in)
-			}
-		}
-	}
-}
-
 func TestParseVerilog(t *testing.T) {
 	src := `
 // 2:1 mux
@@ -326,23 +304,6 @@ func TestNamesAndByName(t *testing.T) {
 	}
 }
 
-func TestWriteBenchMentionsGates(t *testing.T) {
-	x := network.New()
-	a, b := x.NewPI("a"), x.NewPI("b")
-	x.NewPO(x.Xor(a, b).Not(), "f")
-	out := WriteBench(x)
-	if !strings.Contains(out, "XOR") {
-		t.Errorf("expected XOR in output:\n%s", out)
-	}
-	y, err := ParseBench("xnor", out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := y.TruthTables()[0].Hex(); got != "9" {
-		t.Errorf("round trip = %s, want 9", got)
-	}
-}
-
 // TestLoadReturnsIndependentCopies checks that Load, which parses each
 // built-in once, hands every caller its own network: editing one copy
 // leaves the next Load as the netlist's parse.
@@ -365,7 +326,8 @@ func TestLoadReturnsIndependentCopies(t *testing.T) {
 		if first == second {
 			t.Fatalf("%s: two Loads returned the same network", b.Name)
 		}
-		if second.Name != want.Name || WriteBench(second) != WriteBench(want) {
+		if second.Name != want.Name || second.NumPOs() != want.NumPOs() || second.NumGates() != want.NumGates() ||
+			!slices.EqualFunc(second.TruthTables(), want.TruthTables(), tt.TT.Equal) {
 			t.Errorf("%s: Load after editing an earlier copy differs from the netlist's parse", b.Name)
 		}
 	}

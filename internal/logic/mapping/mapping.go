@@ -67,21 +67,6 @@ func (m *Net) GateCounts() map[gates.Func]int {
 	return h
 }
 
-// FanoutCounts returns, per node, the number of consumers of each output
-// port.
-func (m *Net) FanoutCounts() [][]int {
-	fo := make([][]int, len(m.Nodes))
-	for i, nd := range m.Nodes {
-		fo[i] = make([]int, nd.Func.NumOuts())
-	}
-	for _, nd := range m.Nodes {
-		for _, in := range nd.Ins {
-			fo[in.Node][in.Port]++
-		}
-	}
-	return fo
-}
-
 // Simulate evaluates the mapped net for one input assignment (bit i of
 // input = PI i) and returns the PO values as a bit vector.
 func (m *Net) Simulate(input uint32) uint32 {

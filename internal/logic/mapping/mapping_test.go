@@ -189,29 +189,6 @@ func TestMapRandomNetworks(t *testing.T) {
 	}
 }
 
-func TestFanoutCounts(t *testing.T) {
-	x := network.New()
-	a, b, c := x.NewPI("a"), x.NewPI("b"), x.NewPI("c")
-	g := x.And(a, b)
-	x.NewPO(x.Xor(g, c), "f0")
-	x.NewPO(g, "f1")
-	m := mustMap(t, x)
-	fo := m.FanoutCounts()
-	// Find the AND gate node; its single output feeds two consumers.
-	found := false
-	for _, nd := range m.Nodes {
-		if nd.Func == gates.And {
-			if fo[nd.ID][0] != 2 {
-				t.Errorf("AND fanout = %d, want 2", fo[nd.ID][0])
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no AND gate in mapped net")
-	}
-}
-
 func TestLevelsAndStats(t *testing.T) {
 	x, err := bench.Load("c17")
 	if err != nil {

@@ -111,11 +111,6 @@ func New() *XAG {
 // Const returns the constant signal with value v.
 func (x *XAG) Const(v bool) Signal { return MakeSignal(0, v) }
 
-// IsConst reports whether the signal is one of the two constants, and its value.
-func (x *XAG) IsConst(s Signal) (bool, bool) {
-	return s.Node() == 0, s.Neg()
-}
-
 // NewPI appends a primary input with the given name and returns its signal.
 func (x *XAG) NewPI(name string) Signal {
 	idx := len(x.nodes)

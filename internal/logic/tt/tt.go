@@ -320,22 +320,6 @@ func (t TT) FlipVar(v int) TT {
 	return out
 }
 
-// Extend returns the same function expressed over m ≥ n variables (the new
-// variables are don't-cares).
-func (t TT) Extend(m int) TT {
-	if m < t.n {
-		panic("tt: cannot shrink with Extend")
-	}
-	if m == t.n {
-		return t.Clone()
-	}
-	out := New(m)
-	for i := 0; i < out.Bits(); i++ {
-		out.Set(i, t.Get(i&(t.Bits()-1)))
-	}
-	return out
-}
-
 // Eval evaluates the function for the input assignment given as a bit vector
 // (bit v of input = value of variable v).
 func (t TT) Eval(input uint32) bool { return t.Get(int(input) & (t.Bits() - 1)) }

@@ -224,20 +224,6 @@ func TestFlipVar(t *testing.T) {
 	}
 }
 
-func TestExtendShrink(t *testing.T) {
-	f := Var(2, 0).Xor(Var(2, 1))
-	g := f.Extend(4)
-	if g.NumVars() != 4 || g.DependsOn(2) || g.DependsOn(3) {
-		t.Fatal("Extend added dependencies")
-	}
-	// Restricted to its first two variables, g is f again.
-	for in := uint32(0); in < 16; in++ {
-		if g.Eval(in) != f.Eval(in&3) {
-			t.Fatalf("Extend(f) differs from f at %04b", in)
-		}
-	}
-}
-
 func TestEval(t *testing.T) {
 	maj, err := FromHex(3, "e8")
 	if err != nil {

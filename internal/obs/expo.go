@@ -234,7 +234,8 @@ func escapeHelp(h string) string {
 
 // StageObserver is a span Sink that aggregates span durations into
 // labeled histograms on a (typically process-lifetime) tracer: every
-// ended span observes its duration into Family{stage="<span name>"}.
+// ended span observes its duration into Family{stage="<span name>"}
+// over DefBuckets.
 // Attaching one to short-lived per-job tracers turns each job's stage
 // timeline into service-wide per-stage latency histograms — queue a
 // StageObserver pointed at the server tracer and /metrics exposes
@@ -246,8 +247,6 @@ type StageObserver struct {
 	Tracer *Tracer
 	// Family is the histogram family name, e.g. "flow_stage_seconds".
 	Family string
-	// Bounds are the bucket bounds (nil = DefBuckets).
-	Bounds []float64
 	// Attrs additionally folds numeric span attributes into their own
 	// labeled histograms, turning per-job solver-depth annotations (SAT
 	// conflict and decision counts, ...) into service-wide
@@ -272,11 +271,7 @@ func (o *StageObserver) SpanEnd(s *Span) {
 	if o == nil || o.Tracer == nil || s == nil {
 		return
 	}
-	bounds := o.Bounds
-	if bounds == nil {
-		bounds = DefBuckets
-	}
-	o.Tracer.Histogram(Labeled(o.Family, "stage", s.Name()), bounds...).
+	o.Tracer.Histogram(Labeled(o.Family, "stage", s.Name()), DefBuckets...).
 		Observe(s.Duration().Seconds())
 	for _, ah := range o.Attrs {
 		v, ok := attrFloat(s.Attr(ah.Key))

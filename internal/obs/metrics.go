@@ -214,22 +214,12 @@ func (h *Histogram) sameBounds(bounds []float64) bool {
 	return true
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed
-// distribution from the bucket counts, interpolating linearly within the
-// containing bucket (the Prometheus histogram_quantile estimate). Values
-// in the overflow bucket clamp to the highest bound. Returns 0 when the
-// histogram is empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	bounds, counts := h.Buckets()
-	return QuantileFromBuckets(bounds, counts, q)
-}
-
-// QuantileFromBuckets is Histogram.Quantile over raw bucket data (bounds
-// plus per-bucket counts with one trailing overflow bucket), usable on
-// merged or reported histograms.
+// QuantileFromBuckets estimates the q-quantile (0 ≤ q ≤ 1) of a histogram
+// from its raw bucket data (bounds plus per-bucket counts with one trailing
+// overflow bucket), usable on merged or reported histograms. It
+// interpolates linearly within the containing bucket (the Prometheus
+// histogram_quantile estimate); values in the overflow bucket clamp to the
+// highest bound. Returns 0 when the histogram is empty.
 func QuantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
 	var total int64
 	for _, c := range counts {

@@ -118,16 +118,6 @@ func (w *RollingWindow) Quantile(q float64) float64 {
 	return percentile(w.sorted, q)
 }
 
-// Len returns the number of observations currently held.
-func (w *RollingWindow) Len() int {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.sorted)
-}
-
 // percentile is the nearest-rank percentile of a sorted slice.
 func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {

@@ -13,8 +13,8 @@ func TestRollingWindowQuantile(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		w.Observe(float64(i), false)
 	}
-	if got := w.Len(); got != 100 {
-		t.Fatalf("Len = %d, want 100", got)
+	if got := w.Snapshot().Size; got != 100 {
+		t.Fatalf("Size = %d, want 100", got)
 	}
 	// Nearest rank over 1..100: ceil(q*100).
 	for _, c := range []struct{ q, want float64 }{
@@ -36,8 +36,8 @@ func TestRollingWindowQuantileEviction(t *testing.T) {
 	if got := w.Quantile(0.5); got != 98 {
 		t.Fatalf("Quantile(0.5) after eviction = %v, want 98", got)
 	}
-	if got := w.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
+	if got := w.Snapshot().Size; got != 4 {
+		t.Fatalf("Size = %d, want 4", got)
 	}
 }
 
@@ -46,8 +46,8 @@ func TestRollingWindowQuantileNilAndEmpty(t *testing.T) {
 	if got := nilW.Quantile(0.9); got != 0 {
 		t.Fatalf("nil Quantile = %v, want 0", got)
 	}
-	if got := nilW.Len(); got != 0 {
-		t.Fatalf("nil Len = %v, want 0", got)
+	if got := nilW.Snapshot().Size; got != 0 {
+		t.Fatalf("nil Size = %v, want 0", got)
 	}
 	if got := NewRollingWindow(8).Quantile(0.9); got != 0 {
 		t.Fatalf("empty Quantile = %v, want 0", got)
@@ -75,13 +75,12 @@ func TestRollingWindowConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				_ = w.Quantile(0.9)
 				_ = w.Snapshot()
-				_ = w.Len()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := w.Len(); got != 64 {
-		t.Fatalf("Len after concurrent fill = %d, want 64", got)
+	if got := w.Snapshot().Size; got != 64 {
+		t.Fatalf("Size after concurrent fill = %d, want 64", got)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clocking"
 	"repro/internal/defects"
 	"repro/internal/gatelayout"
 	"repro/internal/gates"
@@ -624,7 +623,7 @@ func (e *exactEncoder) leftOf(a, b []sat.Lit) {
 // only as a straight NW→SE / NE→SW crossing.
 func (e *exactEncoder) decode(val func(sat.Lit) bool) (*gatelayout.Layout, error) {
 	g, nT := e.g, e.nT
-	l := gatelayout.New(g.Name, e.w, e.h, clocking.RowBased{})
+	l := gatelayout.New(g.Name, e.w, e.h)
 
 	// oneOf names the side whose literal alone is true.
 	oneOf := func(what string, eid, t int, d0, d1 hexgrid.Direction, l0, l1 sat.Lit) (hexgrid.Direction, error) {

@@ -75,17 +75,6 @@ func (g *RGraph) addEdge(src, srcPort, dst, dstPort int) int {
 	return id
 }
 
-// NumGates counts logic gates (excluding PI/PO/Fanout).
-func (g *RGraph) NumGates() int {
-	n := 0
-	for _, nd := range g.Nodes {
-		if nd.Func.IsGate() {
-			n++
-		}
-	}
-	return n
-}
-
 // Expand converts a mapped netlist into a routing DAG, inserting balanced
 // binary fan-out trees so that every output port feeds exactly one input.
 func Expand(m *mapping.Net) (*RGraph, error) {

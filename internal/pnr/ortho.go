@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/clocking"
 	"repro/internal/defects"
 	"repro/internal/gatelayout"
 	"repro/internal/gates"
@@ -88,7 +87,7 @@ func Ortho(ctx context.Context, g *RGraph, tr *obs.Tracer, blocked func(hexgrid.
 		if dx == 0 {
 			return l, nil
 		}
-		shifted := gatelayout.New(l.Name, l.Width()+dx, l.Height(), clocking.RowBased{})
+		shifted := gatelayout.New(l.Name, l.Width()+dx, l.Height())
 		for _, at := range tiles {
 			tile, _ := l.At(at)
 			if err := shifted.Set(hexgrid.Offset{X: at.X + dx, Y: at.Y}, tile); err != nil {
@@ -703,7 +702,7 @@ func (r *orthoRouter) materialize() (*gatelayout.Layout, error) {
 	}
 	w := maxX - minX + 1
 	h := len(r.rows)
-	l := gatelayout.New(r.g.Name, w, h, clocking.RowBased{})
+	l := gatelayout.New(r.g.Name, w, h)
 	for _, pl := range all {
 		at := hexgrid.Offset{X: pl.at.X - minX, Y: pl.at.Y}
 		tile := gatelayout.Tile{Func: pl.t.fn, Ins: pl.t.ins, Outs: pl.t.outs, Name: pl.t.name}

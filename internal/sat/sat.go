@@ -179,18 +179,6 @@ type Metrics struct {
 	LearnedDB int64 `json:"learned_db"`
 }
 
-// Add accumulates another metrics snapshot into m (used to total effort
-// across several solver instances).
-func (m *Metrics) Add(o Metrics) {
-	m.Conflicts += o.Conflicts
-	m.Decisions += o.Decisions
-	m.Propagations += o.Propagations
-	m.Restarts += o.Restarts
-	m.Learned += o.Learned
-	m.LearnedDeleted += o.LearnedDeleted
-	m.LearnedDB += o.LearnedDB
-}
-
 // New returns an empty solver.
 func New() *Solver {
 	s := &Solver{}

@@ -404,13 +404,6 @@ func TestMetricsRestartsAndLearnedDB(t *testing.T) {
 	if m.LearnedDB != m.Learned-m.LearnedDeleted {
 		t.Errorf("learned DB accounting broken: %+v", m)
 	}
-	// Metrics accumulation helper.
-	var total Metrics
-	total.Add(m)
-	total.Add(m)
-	if total.Conflicts != 2*m.Conflicts || total.Restarts != 2*m.Restarts {
-		t.Errorf("Metrics.Add broken: %+v", total)
-	}
 }
 
 func TestLevel0UnitPropagationInAddClause(t *testing.T) {

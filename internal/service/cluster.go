@@ -226,28 +226,21 @@ func (s *Server) runCoalesced(ctx context.Context, op *preparedOp, jtr *obs.Trac
 		// goroutines, and one item's panic must not fail its siblings.
 		return s.safeExec(ctx, op, jtr)
 	}
-	fn := func(runCtx context.Context) (any, error) {
-		jr, err := s.safeExec(runCtx, op, jtr)
-		if err != nil {
-			// Untyped nil: a typed-nil *jobResult inside the any would pass
-			// the type assertion below.
-			return nil, err
-		}
-		return jr, nil
+	fn := func(runCtx context.Context) (*jobResult, error) {
+		return s.safeExec(runCtx, op, jtr)
 	}
-	v, shared, err := s.single.Do(ctx, string(op.key), fn)
+	jr, shared, err := s.single.Do(ctx, string(op.key), fn)
 	if err != nil && shared && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
 		// The run this caller joined inherited its starter's deadline,
 		// which may have been shorter than ours: the starter timing out
 		// must not fail a joiner that still has budget. Retry once under
 		// our own deadline (the fresh run may itself be joined by others).
 		s.tr.Counter("cluster/singleflight_rerun_total").Inc()
-		v, shared, err = s.single.Do(ctx, string(op.key), fn)
+		jr, shared, err = s.single.Do(ctx, string(op.key), fn)
 	}
 	if err != nil {
 		return nil, err
 	}
-	jr := v.(*jobResult)
 	if shared {
 		s.tr.Counter("cluster/singleflight_merged_total").Inc()
 		// Same bytes, distinct result struct: the source marker tells the

@@ -216,7 +216,7 @@ func TestAdmissionShedsByCostClass(t *testing.T) {
 	// Fill the worker and the queue slot with blocking jobs: utilization
 	// (1 running + 1 queued) / (1 worker + 1 slot) = 1.0.
 	release := make(chan struct{})
-	block := func(context.Context) (any, error) {
+	block := func(context.Context) (*jobResult, error) {
 		<-release
 		return nil, nil
 	}

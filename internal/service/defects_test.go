@@ -2,10 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // defectList is a small explicit defect surface in request form.
@@ -93,6 +96,40 @@ func TestValidateDefectBlocked(t *testing.T) {
 	}
 	if vr.FailKind != "defect_blocked" || !vr.DefectBlocked {
 		t.Fatalf("fail_kind = %q defect_blocked=%v, want defect_blocked/true", vr.FailKind, vr.DefectBlocked)
+	}
+}
+
+// TestOldDefectBlockedEntryAnswersTheSame: a disk entry written while
+// gatelib.Validation still carried a DefectBlocked field decodes as a hit
+// and answers byte for byte as the same entry without it: the response's
+// defect_blocked is derived from FailKind.
+func TestOldDefectBlockedEntryAnswersTheSame(t *testing.T) {
+	req := map[string]any{
+		"gate":    "wire:iNW:oSE",
+		"defects": defectList(map[string]any{"x": 15, "y": 0, "type": "db"}),
+	}
+	var bodies [][]byte
+	for _, entry := range []string{
+		`{"OK":false,"Outputs":[-1,-1],"MinGapEV":0,"Method":"quickexact","FailKind":"defect_blocked"}`,
+		`{"OK":false,"Outputs":[-1,-1],"MinGapEV":0,"Method":"quickexact","FailKind":"defect_blocked","DefectBlocked":true}`,
+	} {
+		dir := t.TempDir()
+		s, ts := newTestServer(t, Config{Workers: 1, Solver: "quickexact", CacheDir: dir})
+		d, err := cache.NewDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Put(context.Background(), opKey(t, s, "/v1/gates/validate", req), []byte(entry)); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/gates/validate", req)
+		if resp.Header.Get("X-Cache") != "hit" || !bytes.Contains(body, []byte(`"fail_kind":"defect_blocked","defect_blocked":true`)) {
+			t.Fatalf("entry %s: X-Cache %q, answer %s", entry, resp.Header.Get("X-Cache"), body)
+		}
+		bodies = append(bodies, body)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("old entry answers %s, new entry %s", bodies[1], bodies[0])
 	}
 }
 

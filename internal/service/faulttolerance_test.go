@@ -25,7 +25,7 @@ func TestJobPanicIsolated(t *testing.T) {
 	q := NewQueue(1, 2, 0, tr, nil)
 	defer q.Drain(context.Background())
 
-	j, err := q.SubmitWith(SubmitOptions{Kind: "boom"}, func(ctx context.Context) (any, error) {
+	j, err := q.SubmitWith(SubmitOptions{Kind: "boom"}, func(ctx context.Context) (*jobResult, error) {
 		panic("kaboom")
 	})
 	if err != nil {
@@ -46,8 +46,8 @@ func TestJobPanicIsolated(t *testing.T) {
 	}
 
 	// The single worker survived and still serves jobs.
-	j2, err := q.SubmitWith(SubmitOptions{Kind: "ok"}, func(ctx context.Context) (any, error) {
-		return "fine", nil
+	j2, err := q.SubmitWith(SubmitOptions{Kind: "ok"}, func(ctx context.Context) (*jobResult, error) {
+		return &jobResult{body: []byte(`"fine"`)}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestJobPanicIsolated(t *testing.T) {
 func TestPanicErrorClassification(t *testing.T) {
 	q := NewQueue(1, 1, 0, nil, nil)
 	defer q.Drain(context.Background())
-	j, err := q.SubmitWith(SubmitOptions{Kind: "wrapped"}, func(ctx context.Context) (any, error) {
+	j, err := q.SubmitWith(SubmitOptions{Kind: "wrapped"}, func(ctx context.Context) (*jobResult, error) {
 		return nil, fmt.Errorf("inner stage: %w", &PanicError{Value: "x"})
 	})
 	if err != nil {
@@ -86,11 +86,11 @@ func TestErrorKindTaxonomy(t *testing.T) {
 		fn   JobFunc
 		kind string
 	}{
-		{"timeout", func(ctx context.Context) (any, error) { return nil, context.DeadlineExceeded }, ErrKindTimeout},
-		{"canceled", func(ctx context.Context) (any, error) { return nil, context.Canceled }, ErrKindCanceled},
-		{"generic", func(ctx context.Context) (any, error) { return nil, errors.New("nope") }, ErrKindError},
-		{"clean", func(ctx context.Context) (any, error) { return &jobResult{}, nil }, ""},
-		{"degraded", func(ctx context.Context) (any, error) { return &jobResult{degraded: true}, nil }, ErrKindDegraded},
+		{"timeout", func(ctx context.Context) (*jobResult, error) { return nil, context.DeadlineExceeded }, ErrKindTimeout},
+		{"canceled", func(ctx context.Context) (*jobResult, error) { return nil, context.Canceled }, ErrKindCanceled},
+		{"generic", func(ctx context.Context) (*jobResult, error) { return nil, errors.New("nope") }, ErrKindError},
+		{"clean", func(ctx context.Context) (*jobResult, error) { return &jobResult{}, nil }, ""},
+		{"degraded", func(ctx context.Context) (*jobResult, error) { return &jobResult{degraded: true}, nil }, ErrKindDegraded},
 	}
 	for _, tc := range cases {
 		j, err := q.SubmitWith(SubmitOptions{Kind: tc.name}, tc.fn)
@@ -142,7 +142,7 @@ func TestErrorKindTaxonomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range errs {
-		j, err := q.SubmitWith(SubmitOptions{Kind: "fail"}, func(ctx context.Context) (any, error) { return nil, e.err })
+		j, err := q.SubmitWith(SubmitOptions{Kind: "fail"}, func(ctx context.Context) (*jobResult, error) { return nil, e.err })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestDrainRacesPanickingJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fn := func(ctx context.Context) (any, error) {
+			fn := func(ctx context.Context) (*jobResult, error) {
 				switch i % 4 {
 				case 0:
 					return &jobResult{degraded: true}, nil

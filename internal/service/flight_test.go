@@ -202,7 +202,7 @@ func TestMetricsExposeSLOAndFlightSeries(t *testing.T) {
 func TestJobTraceDegraded(t *testing.T) {
 	q := NewQueue(1, 1, 0, nil, nil)
 	defer q.Drain(context.Background())
-	j, err := q.SubmitWith(SubmitOptions{Kind: "simulate"}, func(context.Context) (any, error) {
+	j, err := q.SubmitWith(SubmitOptions{Kind: "simulate"}, func(context.Context) (*jobResult, error) {
 		return &jobResult{degraded: true}, nil
 	})
 	if err != nil {

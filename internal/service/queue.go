@@ -47,7 +47,7 @@ var (
 // JobFunc is the work a job performs. It must honor ctx: cancellation or
 // deadline expiry is expected to abort the computation promptly (every
 // solver underneath the service is context-aware).
-type JobFunc func(ctx context.Context) (any, error)
+type JobFunc func(ctx context.Context) (*jobResult, error)
 
 // PanicError is the error a job fails with when its JobFunc panicked. The
 // worker recovers the panic (keeping the pool alive), captures the stack,
@@ -75,11 +75,6 @@ func recoverPanic(v any, panicked *obs.Counter, log *slog.Logger, args ...any) *
 		"stack", string(pe.Stack))...)
 	return pe
 }
-
-// DegradedResult is implemented by job results that carry a degradation
-// marker (deadline pressure forced a cheaper engine); the queue surfaces
-// it as ErrorKind "degraded" on otherwise-successful jobs.
-type DegradedResult interface{ DegradedResult() bool }
 
 // Error kinds, the machine-readable failure taxonomy of the jobs API.
 const (
@@ -137,7 +132,7 @@ type Job struct {
 	state    JobState
 	err      string
 	errKind  string
-	result   any
+	result   *jobResult
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -193,8 +188,9 @@ func (j *Job) State() JobState {
 }
 
 // Result returns the job outcome once done; before a terminal state it
-// returns (nil, "").
-func (j *Job) Result() (any, string) {
+// returns (nil, ""). A recovered terminal stub is done with a nil result
+// (only the journal survived the crash, not the bytes).
+func (j *Job) Result() (*jobResult, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result, j.err
@@ -633,7 +629,8 @@ func (q *Queue) run(j *Job) {
 	j.result = res
 	if err == nil {
 		j.state = JobDone
-		if d, ok := res.(DegradedResult); ok && d.DegradedResult() {
+		if res != nil && res.degraded {
+			// Deadline pressure forced a cheaper engine.
 			j.errKind = ErrKindDegraded
 		}
 		q.completed.Inc()
@@ -676,7 +673,7 @@ func errorKind(err error) string {
 // is converted into a *PanicError (stack captured for the structured log)
 // instead of tearing down the worker — one poisoned request must not take
 // the pool, and with it the whole daemon, down.
-func (q *Queue) safeRun(j *Job, ctx context.Context) (res any, err error) {
+func (q *Queue) safeRun(j *Job, ctx context.Context) (res *jobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, recoverPanic(r, q.panicked, q.log,

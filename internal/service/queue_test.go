@@ -10,10 +10,10 @@ import (
 // blockingJob returns a JobFunc that parks until released (or its context
 // is canceled).
 func blockingJob(release <-chan struct{}) JobFunc {
-	return func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (*jobResult, error) {
 		select {
 		case <-release:
-			return "done", nil
+			return &jobResult{body: []byte(`"done"`)}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}

@@ -59,14 +59,6 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Logger receives structured JSON request/job logs (nil disables).
 	Logger *slog.Logger
-	// MaxRetries bounds retries of transient disk-cache I/O failures
-	// (default 2; negative disables). Repeated failures trip a circuit
-	// breaker that degrades the service to memory-only caching.
-	MaxRetries int
-	// DegradeMargin is the budget the solver degradation ladder reserves
-	// for its cheaper fallback engines under a job deadline (default
-	// sim.DefaultDegradeMargin; see sim.Degrading).
-	DegradeMargin time.Duration
 	// SLOWindows are the burn-rate evaluation windows (default 5m and 1h).
 	// Chaos tests shrink them so budget burn and recovery are observable
 	// within a smoke run.
@@ -127,7 +119,7 @@ type Server struct {
 	// coalesces identical in-flight executions; admission applies
 	// cost-class load shedding.
 	node      *cluster.Node
-	single    cluster.Group
+	single    cluster.Group[*jobResult]
 	admission *admission
 	// overview aggregates the fleet's /internal/stats snapshots in the
 	// background; nil outside a fleet (GET /v1/cluster/overview then
@@ -208,13 +200,13 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		d.Instrument(s.tr, s.log)
-		// The resilient wrapper retries transient I/O and trips a breaker
-		// to memory-only caching when the disk keeps failing, so cache
-		// storage trouble degrades throughput instead of availability.
+		// The resilient wrapper retries transient I/O (twice, its
+		// default) and trips a breaker to memory-only caching when the
+		// disk keeps failing, so cache storage trouble degrades throughput
+		// instead of availability.
 		s.tiers.Disk = cache.NewResilient(d, cache.ResilientOptions{
-			MaxRetries: cfg.MaxRetries,
-			Tracer:     s.tr,
-			Logger:     s.log,
+			Tracer: s.tr,
+			Logger: s.log,
 		})
 	}
 	if cfg.Cluster != nil {
@@ -341,15 +333,13 @@ type jobResult struct {
 	source string
 	// degraded mirrors the artifact's degraded marker so the queue can
 	// tag the job with ErrorKind "degraded" (the body carries the full
-	// detail; this drives the X-Degraded header and job snapshots).
+	// detail; this drives the X-Degraded header and job snapshots). A
+	// degraded result is never cached (see execOp).
 	degraded bool
 	// solver names the ground-state backend that produced a simulate
 	// result, labeling its sim_solve_seconds observation.
 	solver string
 }
-
-// DegradedResult implements the queue's DegradedResult interface.
-func (r *jobResult) DegradedResult() bool { return r.degraded }
 
 // cacheHeader is the X-Cache value: "miss" when this replica computed the
 // result, "hit" otherwise. A peer hit or a coalesced ride-along did no
@@ -440,7 +430,8 @@ type preparedOp struct {
 	span  string
 	attrs []obs.Attr
 	// compute runs the op cold. It returns the response and the cache
-	// entry to store, nil when the result must not be cached.
+	// entry to store, nil when the result must not be cached. execOp
+	// drops the entry of a degraded response.
 	compute func(ctx context.Context, jtr *obs.Tracer) (*jobResult, []byte, error)
 	// replay renders a cached entry as the response; source names the
 	// tier that holds it (cache.Source*), and an error makes the entry a
@@ -561,6 +552,12 @@ func (s *Server) execOp(ctx context.Context, op *preparedOp, jtr *obs.Tracer) (*
 					Observe(time.Since(start).Seconds())
 			}
 			jr = res
+			if res.degraded {
+				// A degraded answer reflects this request's deadline, not
+				// the problem content: served, never cached, so a
+				// well-budgeted repeat gets the full-quality path.
+				return nil, nil
+			}
 			return entry, nil
 		})
 	if err != nil {
@@ -639,15 +636,8 @@ func (s *Server) enqueue(opts SubmitOptions, hop obs.Hop, run jobRun) (*Job, err
 	jtr.SetSink(s.stageSink)
 	opts.Tracer = jtr
 	opts.Timeout = s.jobTimeout(opts.Meta.TimeoutMS)
-	j, err := s.queue.SubmitWith(opts, func(ctx context.Context) (any, error) {
-		ctx = obs.ContextWithHop(obs.ContextWithRequestID(ctx, opts.RequestID), hop)
-		jr, err := run(ctx, jtr)
-		if err != nil {
-			// Return an untyped nil: a typed-nil *jobResult inside the any
-			// would pass the job-result type assertions downstream.
-			return nil, err
-		}
-		return jr, nil
+	j, err := s.queue.SubmitWith(opts, func(ctx context.Context) (*jobResult, error) {
+		return run(obs.ContextWithHop(obs.ContextWithRequestID(ctx, opts.RequestID), hop), jtr)
 	})
 	if err == nil && opts.Meta.IdemKey != "" {
 		s.idem.claim(opts.Meta.IdemKey, j.ID)
@@ -702,12 +692,11 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, j *Job) {
 		j.Cancel()
 		<-j.Done()
 	}
-	res, errMsg := j.Result()
+	jr, errMsg := j.Result()
 	kind := j.ErrorKind()
 	switch j.State() {
 	case JobDone:
-		jr, ok := res.(*jobResult)
-		if !ok {
+		if jr == nil {
 			// A recovered terminal stub has no result body (only the journal
 			// survived the crash, not the bytes); 410 tells the caller the
 			// job finished but the answer must be re-requested.
@@ -807,11 +796,7 @@ func (s *Server) prepareFlow(req *flowRequest) (*preparedOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseOpts := core.Options{
-		Engine:        engine,
-		DegradeMargin: s.cfg.DegradeMargin,
-		Surface:       surf,
-	}
+	baseOpts := core.Options{Engine: engine, Surface: surf}
 	baseOpts.Exact.MaxArea = req.MaxArea
 	baseOpts.Exact.ConflictBudget = req.ConflictBudget
 
@@ -832,14 +817,7 @@ func (s *Server) prepareFlow(req *flowRequest) (*preparedOp, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		jr := &jobResult{body: entry, degraded: art.Degraded}
-		if art.Degraded {
-			// A degraded artifact reflects this request's deadline, not the
-			// problem content; caching it would serve reduced-quality results
-			// to well-budgeted future requests.
-			return jr, nil, nil
-		}
-		return jr, entry, nil
+		return &jobResult{body: entry, degraded: art.Degraded}, entry, nil
 	}
 	// A hit serves the entry's own bytes. A memory entry was checked when
 	// it entered the process (computed here, read from disk or a peer, or
@@ -980,7 +958,7 @@ func (s *Server) prepareSimulate(req *simulateRequest) (*preparedOp, error) {
 	// Cache outside the ladder: warm hits skip the degradation logic
 	// entirely, and degraded solutions are never stored, so cached entries
 	// are always full-quality.
-	degrading := &sim.Degrading{Inner: inner, Margin: s.cfg.DegradeMargin, Tracer: s.tr}
+	degrading := &sim.Degrading{Inner: inner, Tracer: s.tr}
 	keyEng := sim.NewEngineOn(layout, params, surf)
 	key, order := cache.SimKey(keyEng, degrading.Name())
 	// Report layout dots only: defect pseudo-dots sit past index
@@ -1021,10 +999,8 @@ func (s *Server) prepareSimulate(req *simulateRequest) (*preparedOp, error) {
 			return nil, nil, err
 		}
 		jr, err := respond(sol)
-		if err != nil || sol.Degraded {
-			// A degraded solution reflects this call's deadline pressure, not
-			// the problem content: served, never cached.
-			return jr, nil, err
+		if err != nil {
+			return nil, nil, err
 		}
 		return jr, cache.EncodeSolution(sol, order), nil
 	}
@@ -1088,7 +1064,7 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 		return jsonResult(validateResponse{
 			Gate: gate, OK: v.OK, Outputs: v.Outputs,
 			MinGapEV: v.MinGapEV, Method: v.Method,
-			FailKind: v.FailKind, DefectBlocked: v.DefectBlocked,
+			FailKind: v.FailKind, DefectBlocked: v.FailKind == gatelib.FailDefectBlocked,
 		})
 	}
 
@@ -1105,9 +1081,7 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 		}
 		// An exact solver that failed on a pattern fell back to QuickSim:
 		// served as degraded, never cached under the exact solver's key.
-		if jr.degraded = solver.IsExact() && v.Method != solverName; jr.degraded {
-			return jr, nil, nil
-		}
+		jr.degraded = solver.IsExact() && v.Method != solverName
 		// The cached value is the full Validation, including the
 		// per-pattern outputs and the minimum energy gap.
 		entry, err := json.Marshal(v)
@@ -1152,11 +1126,9 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st := j.Snapshot()
 	out := map[string]any{"job": st}
-	if res, _ := j.Result(); res != nil {
-		if jr, ok := res.(*jobResult); ok {
-			out["cache"] = jr.cacheHeader()
-			out["result"] = json.RawMessage(jr.body)
-		}
+	if jr, _ := j.Result(); jr != nil {
+		out["cache"] = jr.cacheHeader()
+		out["result"] = json.RawMessage(jr.body)
 	}
 	writeJSON(w, http.StatusOK, out)
 }

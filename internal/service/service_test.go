@@ -344,6 +344,32 @@ func TestSimulateDegradesUnderDeadline(t *testing.T) {
 	}
 }
 
+// TestFlowDegradesUnderDeadline: a flow whose deadline is below the
+// degradation margin (sim.DefaultDegradeMargin) skips exact P&R and is
+// placed by the ortho router. The answer is a 200 marked degraded, and it
+// is not cached: the repeat is a miss again.
+func TestFlowDegradesUnderDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	req := map[string]any{"bench": "xor2", "timeout_ms": 240}
+	for i := 0; i < 2; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/flow", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: expected 200 degraded, got %d: %s", i, resp.StatusCode, body)
+		}
+		var out struct {
+			Engine   string `json:"engine_used"`
+			Degraded bool   `json:"degraded"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.Get("X-Degraded") != "true" || resp.Header.Get("X-Cache") != "miss" || !out.Degraded || out.Engine != "ortho" {
+			t.Fatalf("request %d: X-Degraded %q X-Cache %q, want true miss and a degraded ortho layout: %s",
+				i, resp.Header.Get("X-Degraded"), resp.Header.Get("X-Cache"), body)
+		}
+	}
+}
+
 // TestValidateFallbackIsNotCached: a quickexact validation whose pattern 0
 // fell back to QuickSim (an injected shard panic) is served with method
 // quicksim, X-Degraded and job error_kind "degraded" but not cached, so

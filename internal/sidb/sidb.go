@@ -88,15 +88,6 @@ func (l *Layout) BoundingBox() lattice.Box {
 	return b
 }
 
-// Translate returns a copy shifted by (dx, dy) cells.
-func (l *Layout) Translate(dx, dy int) *Layout {
-	out := &Layout{Name: l.Name, Dots: make([]Dot, len(l.Dots))}
-	for i, d := range l.Dots {
-		out.Dots[i] = Dot{Site: d.Site.Translate(dx, dy), Role: d.Role}
-	}
-	return out
-}
-
 // Validate checks minimum-separation design rules: no two dots may share a
 // site, and dots closer than minNM violate fabrication limits (adjacent
 // same-dimer dots are allowed at DimerGap for pair definitions when minNM
@@ -126,11 +117,6 @@ func (l *Layout) Validate(minNM float64) []string {
 // Bit1 for logic 1.
 type BDLPair struct {
 	Bit0, Bit1 lattice.Site
-}
-
-// Translate shifts the pair by (dx, dy) cells.
-func (p BDLPair) Translate(dx, dy int) BDLPair {
-	return BDLPair{Bit0: p.Bit0.Translate(dx, dy), Bit1: p.Bit1.Translate(dx, dy)}
 }
 
 // State reads the pair's logic state from a charge configuration: charged

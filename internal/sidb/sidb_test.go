@@ -19,23 +19,6 @@ func TestLayoutAddAndBoundingBox(t *testing.T) {
 	}
 }
 
-func TestTranslate(t *testing.T) {
-	l := &Layout{}
-	l.AddCell(1, 2, RoleInput)
-	m := l.Translate(10, 20)
-	x, y := m.Dots[0].Site.Cell()
-	if x != 11 || y != 22 {
-		t.Errorf("translate got (%d,%d)", x, y)
-	}
-	if m.Dots[0].Role != RoleInput {
-		t.Error("role lost in translation")
-	}
-	// Original untouched.
-	if x0, _ := l.Dots[0].Site.Cell(); x0 != 1 {
-		t.Error("translate mutated original")
-	}
-}
-
 func TestValidateSpacing(t *testing.T) {
 	l := &Layout{}
 	l.AddCell(0, 0, RoleNormal)
@@ -86,10 +69,6 @@ func TestPairSeparation(t *testing.T) {
 	sep := lattice.DistanceNM(p.Bit0, p.Bit1)
 	if sep < 0.85 || sep > 0.87 {
 		t.Errorf("separation = %v, want ~0.859", sep)
-	}
-	q := p.Translate(3, 4)
-	if d := lattice.DistanceNM(q.Bit0, q.Bit1) - sep; d > 1e-9 || d < -1e-9 {
-		t.Error("translation changed separation")
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // DefaultDegradeMargin is the budget Degrading reserves for its QuickSim
-// fallback when no explicit margin is configured. QuickSim solves
-// library-tile-sized instances in well under a millisecond and 200 free
-// dots in about 10 ms on two cores; the margin adds headroom for
+// fallback, and the default of every other degradation ladder. QuickSim
+// solves library-tile-sized instances in well under a millisecond and 200
+// free dots in about 10 ms on two cores; the margin adds headroom for
 // scheduling jitter and larger layouts.
 const DefaultDegradeMargin = 250 * time.Millisecond
 
@@ -44,16 +44,14 @@ func Reserve(ctx context.Context, margin time.Duration) (primary context.Context
 // thrown away" into "200 with a best-effort result marked degraded:true".
 //
 // Mechanically, the inner solver runs under a sub-deadline that reserves
-// Margin of the caller's budget; if it fails while the caller's context is
-// still alive, QuickSim runs on what remains and the solution is marked
-// Degraded (never cached, see cache.Tiers). When the remaining budget is
-// already below Margin the exact attempt is skipped outright. An inner
-// QuickSim is returned unwrapped — there is no cheaper rung to fall to.
+// DefaultDegradeMargin of the caller's budget; if it fails while the
+// caller's context is still alive, QuickSim runs on what remains and the
+// solution is marked Degraded (the service never caches it). When the
+// remaining budget is already below the margin the exact attempt is
+// skipped outright. An inner QuickSim is returned unwrapped — there is no
+// cheaper rung to fall to.
 type Degrading struct {
 	Inner GroundStateSolver
-	// Margin is the budget reserved for the QuickSim fallback (default
-	// DefaultDegradeMargin).
-	Margin time.Duration
 	// Tracer receives sim_degraded_total{from,to} counters (nil-safe).
 	Tracer *obs.Tracer
 }
@@ -80,7 +78,7 @@ func (d *Degrading) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 	// The fault point models an exact engine hitting its deadline, so
 	// chaos tests can drive the ladder without real timeout storms.
 	skipExact := faults.Should("sim.solve.exact")
-	innerCtx, cancel, tooLate := Reserve(ctx, d.Margin)
+	innerCtx, cancel, tooLate := Reserve(ctx, DefaultDegradeMargin)
 	defer cancel()
 
 	if !skipExact && !tooLate {

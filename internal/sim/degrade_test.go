@@ -65,11 +65,11 @@ func TestDegradingFallsBackOnInnerFailure(t *testing.T) {
 
 func TestDegradingSkipsExactWhenBudgetBelowMargin(t *testing.T) {
 	e := degradeTestEngine()
-	// Remaining budget (1s) is below the margin (1h): the exact engine
-	// must not even start; QuickSim answers within the budget.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	// Remaining budget is below the margin: the exact engine must not
+	// even start; QuickSim answers within the budget.
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultDegradeMargin/2)
 	defer cancel()
-	d := &Degrading{Inner: neverSolver{}, Margin: time.Hour}
+	d := &Degrading{Inner: neverSolver{}}
 	sol, err := d.Solve(e, SolveOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestDegradingDeadlineDuringFallback(t *testing.T) {
 	e := NewEngine(benchLayout(200, 1, 133), ParamsFig5)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	d := &Degrading{Inner: neverSolver{}, Margin: time.Hour}
+	d := &Degrading{Inner: neverSolver{}}
 	sol, err := d.Solve(e, SolveOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatalf("an expiring deadline must degrade, not fail: %v", err)

@@ -65,8 +65,6 @@ func run(tmp string) {
 		"-cache-dir", filepath.Join(tmp, "cache"),
 		"-faults", faultSpec,
 		"-faults-seed", "7",
-		"-max-retries", "2",
-		"-degrade-margin", "250ms",
 		// Short SLO windows so budget burn is visible during the storm and
 		// measurably recovers within the smoke run's few idle seconds.
 		"-slo-short-window", "3s",
