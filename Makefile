@@ -24,9 +24,9 @@ test:
 # (including its re-raised point panic) and the parallel defect sweep, all
 # through their full (non-short) tests, together with concurrent QuickSim
 # solves on one shared engine, concurrent exact
-# P&R calls (each reusing one solver across its size search) and the
-# solver's Reset-equals-New test. The last step runs
-# the benchmark module's own tests (cmd/bench is a nested module, so
+# P&R calls (each reusing one solver across its size search), the size
+# search against an in-order walk and the solver's Reset-equals-New test.
+# The last step runs the benchmark module's own tests (cmd/bench is a nested module, so
 # ./... never reaches it); its toy run boots the service in-process and
 # checks every answer. staticcheck runs when installed (CI installs it;
 # locally: go install honnef.co/go/tools/cmd/staticcheck@latest).
@@ -40,7 +40,7 @@ check:
 	fi
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pool
-	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestQuickSimGolden|TestQuickSimWorkersAgree|TestQuickSimConcurrent|TestQuickSimParallelAllocs|TestParallelMatchesSerial|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel' \
+	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|DegeneracyGap|TestQuickSimGolden|TestQuickSimWorkersAgree|TestQuickSimConcurrent|TestQuickSimParallelAllocs|TestParallelMatchesSerial|TestPointPanicReachesCaller|TestExactConcurrent|TestResetMatchesFresh|TestExactWarmAllocs|TestExactReuseAfterCancel|TestSizeSearchMatchesLinear' \
 		./internal/sim ./internal/opdomain ./internal/pnr ./internal/sat
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
 	$(GO) test -race -run 'TestValidateGolden|TestValidateDegenerateFallback|TestValidateCanceled' ./internal/gatelib

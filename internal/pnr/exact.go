@@ -53,14 +53,27 @@ func (o ExactOptions) withDefaults(g *RGraph) ExactOptions {
 }
 
 // Exact places and routes the graph with minimal tile area by enumerating
-// grid dimensions in order of increasing area and solving each with a SAT
-// encoding of the row-based hexagonal fabric — the paper's flow step (4)
-// following the exact method of [46], adjusted to hexagonal layouts and
-// the Bestagon library. Cancellation or deadline expiry of ctx interrupts
-// the SAT search mid-solve and returns the context's error. One solver
-// and one encoder serve the whole size search: each size resets them and
-// builds its formula in the storage the previous size left. The encoder
-// outlives the call in the idle slot, so the next call starts warm.
+// grid dimensions in order of increasing area (then height) and returning
+// the first that a SAT encoding of the row-based hexagonal fabric
+// satisfies — the paper's flow step (4) following the exact method of
+// [46], adjusted to hexagonal layouts and the Bestagon library.
+//
+// A layout on w×h is also one on (w+1)×h with the new column left empty
+// (the first w columns keep their offsets, neighbours and blocked tiles),
+// so one UNSAT at a wide width refutes every narrower width at its
+// height. The size search solves such a width ahead of its turn once the
+// narrow sizes it may skip have built as many variables as it is
+// estimated to (ski rental, in integers, so the walk is deterministic).
+// A size it skips is one the in-order walk could not have found
+// satisfiable, and each formula is solved on a reset solver, so the
+// result is the in-order walk's to the byte: the same size and the
+// layout decoded from that size's own formula.
+//
+// Cancellation or deadline expiry of ctx interrupts the SAT search
+// mid-solve and returns the context's error. One solver and one encoder
+// serve the whole size search: each size resets them and builds its
+// formula in the storage the previous size left. The encoder outlives the
+// call in the idle slot, so the next call starts warm.
 func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layout, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -70,43 +83,17 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 	sp := tr.Start("pnr/exact")
 	defer sp.End()
 
-	// Lower bounds: every PI sits in row 0, every PO in the last row, and
-	// each edge advances exactly one row, so the height is the longest
-	// node path and the width at least max(#PI, #PO).
 	lv := g.Levels()
-	minH := 0
-	for _, po := range g.POs {
-		if lv[po]+1 > minH {
-			minH = lv[po] + 1
-		}
+	cands, err := candidates(g, lv, o.MaxArea)
+	if err != nil {
+		return nil, err
 	}
-	minW := len(g.PIs)
-	if len(g.POs) > minW {
-		minW = len(g.POs)
-	}
-	if minW == 0 || minH == 0 {
-		return nil, fmt.Errorf("pnr: degenerate graph")
-	}
-
-	var cands []dims
-	for w := minW; w*minH <= o.MaxArea; w++ {
-		for h := minH; w*h <= o.MaxArea; h++ {
-			cands = append(cands, dims{w, h})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].w*cands[i].h != cands[j].w*cands[j].h {
-			return cands[i].w*cands[i].h < cands[j].w*cands[j].h
-		}
-		return cands[i].h < cands[j].h
-	})
 	sp.SetAttr("candidates", len(cands))
 	enc := idle.Swap(nil)
 	if enc == nil { // first call, or another call holds the idle encoder
 		enc = &exactEncoder{s: sat.New()}
 	}
-	enc.g, enc.asap, enc.blocked = g, lv, o.Blocked
-	enc.alap = slices.Grow(enc.alap[:0], len(g.Nodes))[:len(g.Nodes)]
+	enc.bind(g, lv, o.Blocked)
 	// A panic skips the release, so the idle slot never holds an encoder
 	// left in the middle of a formula.
 	l, d, err := enc.search(ctx, cands, o)
@@ -126,6 +113,42 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 	return nil, fmt.Errorf("pnr: no exact layout within area %d for %s", o.MaxArea, g.Name)
 }
 
+// candidates lists the grid sizes up to maxArea tiles that can hold the
+// graph, given its node levels, in the order Exact tries them: by area,
+// then by height. Every PI sits in row 0, every PO in the last row, and
+// each edge advances exactly one row, so the height is at least the
+// longest node path and the width at least max(#PI, #PO).
+func candidates(g *RGraph, lv []int, maxArea int) ([]dims, error) {
+	minH := 0
+	for _, po := range g.POs {
+		minH = max(minH, lv[po]+1)
+	}
+	minW := max(len(g.PIs), len(g.POs))
+	if minW == 0 || minH == 0 {
+		return nil, fmt.Errorf("pnr: degenerate graph")
+	}
+	var cands []dims
+	for w := minW; w*minH <= maxArea; w++ {
+		for h := minH; w*h <= maxArea; h++ {
+			cands = append(cands, dims{w, h})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].w*cands[i].h != cands[j].w*cands[j].h {
+			return cands[i].w*cands[i].h < cands[j].w*cands[j].h
+		}
+		return cands[i].h < cands[j].h
+	})
+	return cands, nil
+}
+
+// bind points the encoder at a graph, its node levels and its blocked
+// tiles for one size search.
+func (e *exactEncoder) bind(g *RGraph, lv []int, blocked func(hexgrid.Offset) bool) {
+	e.g, e.asap, e.blocked = g, lv, blocked
+	e.alap = slices.Grow(e.alap[:0], len(g.Nodes))[:len(g.Nodes)]
+}
+
 // idle keeps the encoder, with its solver, of the last Exact call that
 // returned, so the next call builds its formulas in storage that is
 // already grown. One slot suffices for the common case of one exact
@@ -134,22 +157,99 @@ func Exact(ctx context.Context, g *RGraph, opts ExactOptions) (*gatelayout.Layou
 // garbage collection.
 var idle atomic.Pointer[exactEncoder]
 
-// search tries the candidate sizes in order and returns the first layout
-// and its size. A nil layout with a nil error means no candidate fits.
+// search walks the candidates in order and returns the first satisfiable
+// one with its layout. A nil layout with a nil error means no candidate
+// fits.
+//
+// An UNSAT at (W, h) decides every narrower width at h, an Unknown decides
+// nothing, and a pruned height is pruned at every width (see Exact for
+// why this keeps the in-order walk's answer). The first try at a height
+// solves the current candidate. On a later try there, the walk solves
+// the widest undecided width at that height that precedes the best SAT
+// so far in place of the current candidate once the variables already
+// built at that height reach its estimate: the last variable count there
+// × its width / the last width. A SAT there becomes the new bound, and
+// the walk goes on from the current candidate.
 func (e *exactEncoder) search(ctx context.Context, cands []dims, o ExactOptions) (*gatelayout.Layout, dims, error) {
+	if len(cands) == 0 {
+		return nil, dims{}, nil
+	}
+	// Heights run from the first candidate's up; the scratch is indexed
+	// from there.
+	minH, nH := cands[0].h, 0
 	for _, d := range cands {
-		l, status, err := e.solveSize(ctx, d.w, d.h, o)
+		nH = max(nH, d.h-minH+1)
+	}
+	e.heights = slices.Grow(e.heights[:0], nH)[:nH]
+	clear(e.heights)
+	e.tried = slices.Grow(e.tried[:0], len(cands))[:len(cands)]
+	clear(e.tried)
+
+	var found *gatelayout.Layout
+	best := len(cands) // the first SAT candidate so far
+	for i := 0; i < best; {
+		d := cands[i]
+		r := &e.heights[d.h-minH]
+		if e.tried[i] || r.pruned || d.w <= r.refuted {
+			i++
+			continue
+		}
+		j := i
+		if r.lastW > 0 {
+			if k := e.widest(cands, i, best); r.built >= r.lastVars*cands[k].w/r.lastW {
+				j = k
+			}
+		}
+		l, status, vars, err := e.solveSize(ctx, cands[j].w, cands[j].h, o)
 		if err != nil {
-			return nil, d, fmt.Errorf("pnr: exact %dx%d for %s: %w", d.w, d.h, e.g.Name, err)
+			return nil, cands[j], fmt.Errorf("pnr: exact %dx%d for %s: %w", cands[j].w, cands[j].h, e.g.Name, err)
 		}
-		if status == sat.Sat {
-			return l, d, nil
+		e.tried[j] = true
+		switch {
+		case vars == 0:
+			r.pruned = true
+		case status == sat.Sat:
+			found, best = l, j
+		case status == sat.Unsat:
+			r.refuted = max(r.refuted, cands[j].w)
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, d, fmt.Errorf("pnr: exact search canceled: %w", err)
+		r.built += vars
+		r.lastVars, r.lastW = vars, cands[j].w
+		if status != sat.Sat {
+			if err := ctx.Err(); err != nil {
+				return nil, cands[j], fmt.Errorf("pnr: exact search canceled: %w", err)
+			}
+		}
+		if j == i {
+			i++
 		}
 	}
-	return nil, dims{}, nil
+	if found == nil {
+		return nil, dims{}, nil
+	}
+	return found, cands[best], nil
+}
+
+// widest returns the index of the widest untried candidate at the height
+// of cands[i] that precedes cands[best], or i when there is none. At one
+// height the candidates run in order of width.
+func (e *exactEncoder) widest(cands []dims, i, best int) int {
+	for k := best - 1; k > i; k-- {
+		if cands[k].h == cands[i].h && !e.tried[k] {
+			return k
+		}
+	}
+	return i
+}
+
+// heightState is the size search's record of one grid height.
+type heightState struct {
+	refuted int  // widest width proved UNSAT; every narrower one is too
+	pruned  bool // some node has no row at this height
+	built   int  // variables of every formula built at this height
+	// lastVars and lastW are the variable count and width of the last
+	// formula built at this height; lastW is 0 before the first.
+	lastVars, lastW int
 }
 
 // dims is a candidate grid size.
@@ -181,6 +281,11 @@ type exactEncoder struct {
 	// Scratch for one node's placement window or one tile's node, wire or
 	// side literals, and the at-most-two counter.
 	lits, cnt []sat.Lit
+
+	// The size search's record of each height (indexed from the lowest)
+	// and of each candidate size that has been solved.
+	heights []heightState
+	tried   []bool
 }
 
 // tileIdx flattens offset coordinates.
@@ -242,9 +347,11 @@ func (e *exactEncoder) enter(eid, t int, d hexgrid.Direction) sat.Lit {
 }
 
 // solveSize attempts one grid size, recording the (w, h) attempt and its
-// SAT outcome as a size-search span. A model that does not decode into a
-// legal layout is an encoding bug and comes back as the error.
-func (e *exactEncoder) solveSize(ctx context.Context, w, h int, o ExactOptions) (layout *gatelayout.Layout, status sat.Status, err error) {
+// SAT outcome as a size-search span, and returns the formula's variable
+// count (0 for a pruned size, which builds nothing). A model that does not
+// decode into a legal layout is an encoding bug and comes back as the
+// error.
+func (e *exactEncoder) solveSize(ctx context.Context, w, h int, o ExactOptions) (layout *gatelayout.Layout, status sat.Status, vars int, err error) {
 	s, tr := e.s, o.Tracer
 	sp := tr.Start("pnr/exact/size")
 	defer func() {
@@ -258,14 +365,14 @@ func (e *exactEncoder) solveSize(ctx context.Context, w, h int, o ExactOptions) 
 	if !e.encode(w, h) {
 		tr.Counter("pnr/exact/sizes_pruned").Inc()
 		sp.SetAttr("pruned", true)
-		return nil, sat.Unsat, nil
+		return nil, sat.Unsat, 0, nil
 	}
 	s.MaxConflicts = o.ConflictBudget
 	solveStart := time.Now()
 	status = s.SolveContext(ctx)
 	solveSecs := time.Since(solveStart).Seconds()
-	m := s.Metrics()
-	sp.SetAttr("vars", s.NumVars())
+	m, vars := s.Metrics(), s.NumVars()
+	sp.SetAttr("vars", vars)
 	sp.SetAttr("clauses", s.NumClauses())
 	sp.SetAttr("conflicts", m.Conflicts)
 	sp.SetAttr("decisions", m.Decisions)
@@ -285,13 +392,13 @@ func (e *exactEncoder) solveSize(ctx context.Context, w, h int, o ExactOptions) 
 	tr.Histogram(obs.Labeled("pnr/exact/size_solve_seconds", "status", status.String()),
 		obs.DefBuckets...).Observe(solveSecs)
 	if status != sat.Sat {
-		return nil, status, nil
+		return nil, status, vars, nil
 	}
 	l, err := e.decode(s.Value)
 	if err != nil {
-		return nil, sat.Unknown, err
+		return nil, sat.Unknown, vars, err
 	}
-	return l, sat.Sat, nil
+	return l, sat.Sat, vars, nil
 }
 
 // encode resets the solver and builds the formula of the w×h grid. It

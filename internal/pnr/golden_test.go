@@ -2,8 +2,6 @@ package pnr_test
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -14,8 +12,6 @@ import (
 	"repro/internal/gatelayout"
 	"repro/internal/gatelib"
 	"repro/internal/logic/bench"
-	"repro/internal/logic/mapping"
-	"repro/internal/logic/rewrite"
 	"repro/internal/obs"
 	"repro/internal/pnr"
 )
@@ -26,18 +22,6 @@ const (
 	goldenPath = "testdata/table1.golden"
 	effortPath = "testdata/table1_effort.golden"
 )
-
-// tileDigest hashes every used tile's position, function, port sides and
-// name, in Tiles order. It is the layout hash the benchmark's flow
-// workload reports, so the two can be compared.
-func tileDigest(l *gatelayout.Layout) string {
-	h := sha256.New()
-	for _, at := range l.Tiles() {
-		t, _ := l.At(at)
-		fmt.Fprintf(h, "%v %v %v %v %s;", at, t.Func, t.Ins, t.Outs, t.Name)
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
-}
 
 // exactLayout runs the Table 1 front end (rewrite, map, expand) and the
 // exact engine with default options.
@@ -64,19 +48,7 @@ func frontEnd(t testing.TB, name string) *pnr.RGraph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err = rewrite.RewriteContext(context.Background(), x, rewrite.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := mapping.Map(x)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	g, err := pnr.Expand(m)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	return g
+	return pnr.FlowGraph(t, x)
 }
 
 // TestExactTable1Golden pins the exact layout of every Table 1 circuit:
@@ -92,7 +64,7 @@ func TestExactTable1Golden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fmt.Fprintf(&got, "%s %dx%d %d %s\n", name, l.Width(), l.Height(), cell.NumDots(), tileDigest(l))
+		fmt.Fprintf(&got, "%s %dx%d %d %s\n", name, l.Width(), l.Height(), cell.NumDots(), pnr.TileDigest(l))
 	}
 	checkGolden(t, goldenPath, got.String(), "exact layouts changed (name, w×h, SiDBs, digest)")
 }
@@ -151,9 +123,9 @@ func checkGolden(t *testing.T, path, got, what string) {
 // process; every call must return the same layout.
 func TestExactRepeatable(t *testing.T) {
 	for _, name := range []string{"c17", "mux21"} {
-		first := tileDigest(exactLayout(t, name))
+		first := pnr.TileDigest(exactLayout(t, name))
 		for i := 1; i < 5; i++ {
-			if d := tileDigest(exactLayout(t, name)); d != first {
+			if d := pnr.TileDigest(exactLayout(t, name)); d != first {
 				t.Fatalf("%s: call %d gave layout %s, call 0 gave %s", name, i, d, first)
 			}
 		}
@@ -191,7 +163,7 @@ func TestExactConcurrent(t *testing.T) {
 					t.Errorf("%s: %v", name, err)
 					return
 				}
-				if d := tileDigest(l); d != want[name] {
+				if d := pnr.TileDigest(l); d != want[name] {
 					t.Errorf("%s: concurrent call gave digest %s, table1.golden has %s", name, d, want[name])
 				}
 			}(name)

@@ -66,11 +66,12 @@ func TestExactReuseAfterCancel(t *testing.T) {
 		want[f[0]] = f[len(f)-1]
 	}
 
-	// newtag polls its context 35 times: once per size before solving,
-	// once after each UNSAT size, and every 256 decisions within a solve.
-	// The 33rd poll falls inside the search of its last size, 8x10.
+	// newtag polls its context 26 times over its 11 sizes: once per size
+	// before solving, once after each UNSAT size, and every 256 decisions
+	// within a solve (once in 8x9, four times in 8x10). The 24th poll, at
+	// 512 decisions, falls inside the search of its last size, 8x10.
 	tr := obs.New()
-	ctx := &pollCtx{Context: context.Background(), n: 33, done: make(chan struct{})}
+	ctx := &pollCtx{Context: context.Background(), n: 24, done: make(chan struct{})}
 	if _, err := pnr.Exact(ctx, frontEnd(t, "newtag"), pnr.ExactOptions{Tracer: tr}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled newtag search returned %v, want context.Canceled", err)
 	}
@@ -90,7 +91,7 @@ func TestExactReuseAfterCancel(t *testing.T) {
 	}
 
 	for _, name := range []string{"c17", "newtag"} {
-		if d := tileDigest(exactLayout(t, name)); d != want[name] {
+		if d := pnr.TileDigest(exactLayout(t, name)); d != want[name] {
 			t.Errorf("%s after a cancelled search: digest %s, table1.golden has %s", name, d, want[name])
 		}
 	}

@@ -144,6 +144,7 @@ type Solver struct {
 	activity  []float64
 	varInc    float64
 	order     *varHeap
+	heaped    int     // variables 1..heaped have been handed to order
 	phase     []bool  // saved phases
 	seen      []bool  // scratch for conflict analysis
 	model     []lbool // snapshot of the last satisfying assignment
@@ -205,6 +206,7 @@ func (s *Solver) Reset() {
 	s.qhead = 0
 	s.varInc, s.claInc = 1.0, 1.0
 	s.order.heap = s.order.heap[:0]
+	s.heaped = 0
 	s.model = s.model[:0]
 	s.ok = true
 	s.apiErr = nil
@@ -245,7 +247,6 @@ func (s *Solver) NewVar() Lit {
 	s.seen = append(s.seen, false)
 	s.order.pos = append(s.order.pos, 0)
 	s.addWatchSlots()
-	s.order.push(s.numVars)
 	return Lit(2 * s.numVars)
 }
 
@@ -662,6 +663,14 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 	// Fast path: contexts that can never be cancelled need no polling.
 	poll := ctx.Done() != nil
 	defer s.cancelUntil(0)
+	// Hand the variables added since the last call to the order heap, in
+	// index order. Nothing bumps an activity outside a search, so each
+	// enters at zero activity and stays where it is appended: this is the
+	// heap that pushing each variable in NewVar would have built, filled
+	// in one pass.
+	for ; s.heaped < s.numVars; s.heaped++ {
+		s.order.push(s.heaped + 1)
+	}
 
 	var restarts int64
 	confBudget := int64(100) * luby(restarts)

@@ -99,6 +99,33 @@ func TestValidateDefectBlocked(t *testing.T) {
 	}
 }
 
+// TestDefectBlockedValidationIsNotDegraded: the exclusion-zone fast
+// reject runs no solver, so under an exact solver its answer is complete:
+// no X-Degraded, no degraded job, and the repeat is a cache hit.
+func TestDefectBlockedValidationIsNotDegraded(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, solver := range []string{"quickexact", "exgs"} {
+		req := map[string]any{
+			"gate":    "wire:iNW:oSE",
+			"solver":  solver,
+			"defects": defectList(map[string]any{"x": 15, "y": 0, "type": "db"}),
+		}
+		for _, want := range []string{"miss", "hit"} {
+			resp, body := postJSON(t, ts.URL+"/v1/gates/validate", req)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != want ||
+				resp.Header.Get("X-Degraded") != "" || !bytes.Contains(body, []byte(`"fail_kind":"defect_blocked"`)) {
+				t.Fatalf("%s: %d X-Cache %q X-Degraded %q, want 200 %s and no X-Degraded: %s", solver,
+					resp.StatusCode, resp.Header.Get("X-Cache"), resp.Header.Get("X-Degraded"), want, body)
+			}
+			if want == "miss" {
+				if st, _ := jobStatus(t, ts.URL, resp.Header.Get("X-Job-Id")); st.ErrorKind != "" {
+					t.Fatalf("%s: job %s error_kind %q, want none", solver, st.ID, st.ErrorKind)
+				}
+			}
+		}
+	}
+}
+
 // TestOldDefectBlockedEntryAnswersTheSame: a disk entry written while
 // gatelib.Validation still carried a DefectBlocked field decodes as a hit
 // and answers byte for byte as the same entry without it: the response's

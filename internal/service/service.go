@@ -1081,7 +1081,9 @@ func (s *Server) prepareValidate(req *validateRequest) (*preparedOp, error) {
 		}
 		// An exact solver that failed on a pattern fell back to QuickSim:
 		// served as degraded, never cached under the exact solver's key.
-		jr.degraded = solver.IsExact() && v.Method != solverName
+		// A defect-blocked validation runs no solver and names none; it is
+		// a full answer.
+		jr.degraded = solver.IsExact() && v.Method == "quicksim"
 		// The cached value is the full Validation, including the
 		// per-pattern outputs and the minimum energy gap.
 		entry, err := json.Marshal(v)
