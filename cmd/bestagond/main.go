@@ -22,27 +22,18 @@
 //	POST   /v1/simulate        ground-state simulate a gate tile or dot list
 //	POST   /v1/gates/validate  validate a library tile against its truth table
 //	POST   /v1/batch           canonicalize, deduplicate, and fan out sub-requests in one job
+//	POST   /v1/defects/sweep   defect yield sweep over the library (cancellable job)
 //	GET    /v1/gates           list library variant keys
 //	GET    /v1/jobs/{id}       job status (and result once done)
 //	GET    /v1/jobs/{id}/trace per-job stage timeline (spans + attributes)
 //	DELETE /v1/jobs/{id}       cancel a job
-//	GET    /v1/traces/{id}     retained trace by job or request id (stitched across the fleet)
-//	GET    /v1/cluster/overview  fleet-wide saturation/cache/SLO overview from any member
+//	GET    /v1/traces/{id}     retained trace by job or request id
 //	GET    /debug/flightrecorder  flight-recorder summary (retained trace headers)
-//	GET    /healthz            liveness + saturation/latency/SLO snapshot (and cluster state)
+//	GET    /healthz            liveness + saturation/latency/SLO snapshot
 //	GET    /metrics            Prometheus text exposition
-//	GET/PUT /internal/cache/{key}  peer-cache protocol (fleet mode; secret or loopback only)
-//	GET    /internal/trace/{id}    peer trace lookup for stitching (fleet mode)
-//	GET    /internal/stats         peer stats snapshot for the overview plane (fleet mode)
 //
-// Fleet mode (-peers) turns a set of replicas into a cluster: consistent
-// hashing over the canonical cache keys routes each request to its owner
-// replica, local misses consult the owner's cache before solving, and
-// concurrent identical requests fleet-wide coalesce onto one solve.
-// Request ids and span parents propagate on every intra-fleet hop, so
-// traces stitch across replicas and logs correlate by X-Request-Id:
-//
-//	bestagond -addr :8711 -peers 127.0.0.1:8712,127.0.0.1:8713 -cluster-secret s3cret
+// Concurrent identical requests coalesce onto one solve, and every
+// response carries its X-Request-Id, so logs and traces correlate by it.
 //
 // On SIGINT/SIGTERM the listener stops accepting requests and in-flight
 // jobs are drained; jobs still running when the grace period expires are
@@ -65,7 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
 	"os"
@@ -74,7 +64,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -102,11 +91,6 @@ func main() {
 		faultSeed = flag.Int64("faults-seed", 1, "seed for probabilistic fault triggers (deterministic replay)")
 		sloShort  = flag.Duration("slo-short-window", 5*time.Minute, "short SLO burn-rate window")
 		sloLong   = flag.Duration("slo-long-window", time.Hour, "long SLO burn-rate window")
-
-		peers         = flag.String("peers", "", "comma-separated peer addresses (host:port) for fleet mode; empty = single replica")
-		selfAddr      = flag.String("self", "", "this replica's advertised address (default 127.0.0.1<addr> when -addr is :port)")
-		clusterSecret = flag.String("cluster-secret", "", "shared secret guarding the peer-cache protocol (also via BESTAGOND_CLUSTER_SECRET); empty = loopback peers only")
-		probeInterval = flag.Duration("probe-interval", time.Second, "peer health-probe period in fleet mode")
 	)
 	flag.Parse()
 
@@ -132,37 +116,6 @@ func main() {
 		logger.Warn("faults_armed", "spec", spec, "seed", *faultSeed)
 	}
 
-	// Fleet mode: a static peer list makes this replica part of a cluster
-	// with consistent-hash ownership, a peer cache tier, and fleet-wide
-	// single-flight deduplication (see internal/cluster).
-	var clusterCfg *cluster.Config
-	if *peers != "" {
-		self := *selfAddr
-		if self == "" {
-			if strings.HasPrefix(*addr, ":") {
-				self = "127.0.0.1" + *addr
-			} else if host, _, err := net.SplitHostPort(*addr); err == nil && host != "" && host != "0.0.0.0" && host != "::" {
-				self = *addr
-			} else {
-				fatal(fmt.Errorf("-self is required when -addr (%q) has no concrete host", *addr))
-			}
-		}
-		secret := *clusterSecret
-		if secret == "" {
-			secret = os.Getenv("BESTAGOND_CLUSTER_SECRET")
-		}
-		clusterCfg = &cluster.Config{
-			Self:          self,
-			Peers:         strings.Split(*peers, ","),
-			Secret:        secret,
-			ProbeInterval: *probeInterval,
-		}
-		logger.Info("cluster_enabled",
-			"self", self,
-			"peers", *peers,
-			"secured", secret != "")
-	}
-
 	srv, err := service.New(service.Config{
 		Workers:      *workers,
 		QueueDepth:   *queueDepth,
@@ -174,7 +127,6 @@ func main() {
 		Logger:       logger,
 		MaxBodyBytes: *maxBody << 20,
 		SLOWindows:   []time.Duration{*sloShort, *sloLong},
-		Cluster:      clusterCfg,
 		JournalDir:   *journalDir,
 		RecoverMode:  *recovMode,
 		DrainGrace:   *drainGrace,

@@ -15,9 +15,9 @@ import (
 // core.Result a service client can use, including the optional SiQAD
 // design file and run report. Its JSON encoding is what the cache tiers
 // store and what a flow response carries: an entry is checked with
-// CheckFlowEntry once, when it enters the process (a disk read, a peer
-// fetch or a peer push), and from then on every hit serves the stored
-// bytes unread. The slice a tier returns is shared, so it is read-only.
+// CheckFlowEntry once, when it enters the process from disk, and from
+// then on every hit serves the stored bytes unread. The slice a tier
+// returns is shared, so it is read-only.
 type FlowArtifact struct {
 	Name       string          `json:"name"`
 	EngineUsed string          `json:"engine_used"`
@@ -36,7 +36,7 @@ type FlowArtifact struct {
 
 // CheckFlowEntry reports whether entry decodes as a FlowArtifact: a JSON
 // object the artifact's fields accept. An entry that fails is a miss on a
-// tier read and is refused on a peer push.
+// disk read.
 func CheckFlowEntry(entry []byte) error {
 	var art *FlowArtifact
 	if err := json.Unmarshal(entry, &art); err != nil {

@@ -7,7 +7,6 @@ import (
 	"hash"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/defects"
@@ -59,28 +58,6 @@ const (
 // key finalizes the digest under a domain tag.
 func (h *hasher) key(tag string) Key {
 	return Key(tag + ":" + hex.EncodeToString(h.h.Sum(nil)))
-}
-
-// ValidKey reports whether k has the shape key gives every key: a known
-// tag, a colon and 64 lowercase hex digits. The peer-cache endpoint
-// checks it so it never touches the cache with an attacker-shaped key.
-func ValidKey(k string) bool {
-	tag, digest, ok := strings.Cut(k, ":")
-	if !ok || len(digest) != 2*sha256.Size {
-		return false
-	}
-	switch tag {
-	case tagSim, tagXAG, tagFlow, tagGate:
-	default:
-		return false
-	}
-	for i := 0; i < len(digest); i++ {
-		c := digest[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // SimKey returns the content address of a ground-state simulation problem

@@ -2,8 +2,8 @@
 // Bestagon design service: deterministic canonical hashing of simulation,
 // validation, and whole-flow inputs (hash.go), a sharded byte-bounded
 // in-memory LRU (this file), an optional persistent disk layer (disk.go),
-// and the tier stack that walks memory, disk and fleet peers for every
-// cached result kind (tiers.go).
+// and the tier stack that walks memory and disk for every cached result
+// kind (tiers.go).
 //
 // Keys are content addresses: two requests hash to the same key iff their
 // canonical encodings are identical, independent of insertion order, map
@@ -129,30 +129,6 @@ func (c *LRU) Get(key Key) ([]byte, bool) {
 	c.hits.Inc()
 	c.trHits.Inc()
 	return val, true
-}
-
-// Contains reports whether key is present without promoting the entry or
-// touching the hit/miss counters — used by cluster routing to decide
-// whether a request can be served warm locally.
-func (c *LRU) Contains(key Key) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	_, ok := s.idx[key]
-	s.mu.Unlock()
-	return ok
-}
-
-// Peek returns the cached value without promoting the entry or touching
-// the hit/miss counters — used by the peer-cache endpoint so cross-replica
-// fetches don't distort local hit-rate telemetry.
-func (c *LRU) Peek(key Key) ([]byte, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.idx[key]; ok {
-		return el.Value.(*lruEntry).val, true
-	}
-	return nil, false
 }
 
 // Put stores a copy of val under key, evicting least-recently-used entries

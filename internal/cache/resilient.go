@@ -11,12 +11,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Layer is the interface every cache tier behind the in-memory LRU
-// implements: the raw Disk store, a remote peer layer, or a Resilient
-// wrapper adding retries and a circuit breaker to either. Get reports a
-// clean miss as (nil, false, nil). The context carries the request id
-// (obs.RequestIDFromContext) so remote tiers can propagate it across the
-// wire; local tiers may ignore it.
+// Layer is the interface of the cache tier behind the in-memory LRU: the
+// raw Disk store, or a Resilient wrapper adding retries and a circuit
+// breaker to it. Get reports a clean miss as (nil, false, nil).
 type Layer interface {
 	Get(ctx context.Context, key Key) ([]byte, bool, error)
 	Put(ctx context.Context, key Key, val []byte) error
@@ -47,8 +44,11 @@ func (s BreakerState) String() string {
 	}
 }
 
-// The retry and breaker policy of every Resilient wrapper.
+// The retry and breaker policy of the Resilient wrapper.
 const (
+	// maxRetries is how many times a failed Get/Put is retried before the
+	// failure counts against the breaker.
+	maxRetries = 2
 	// retryBase is the first backoff delay; each retry doubles it and adds
 	// up to 50% deterministic jitter.
 	retryBase = 2 * time.Millisecond
@@ -62,22 +62,6 @@ const (
 	jitterSeed = 1
 )
 
-// ResilientOptions tunes a Resilient wrapper.
-type ResilientOptions struct {
-	// Name labels the wrapped layer in metric families
-	// (cache/<name>/breaker_state, ...) and log events
-	// (cache_<name>_breaker_open, ...). Default "disk".
-	Name string
-	// MaxRetries is how many times a failed Get/Put is retried before the
-	// failure counts against the breaker (default 2; negative disables
-	// retries).
-	MaxRetries int
-	// Tracer receives breaker and retry metrics (nil-safe).
-	Tracer *obs.Tracer
-	// Logger receives structured state-transition logs (nil disables).
-	Logger *slog.Logger
-}
-
 // Resilient wraps any Layer with exponential-backoff retries for
 // transient failures and a circuit breaker that degrades the service to
 // the remaining cache tiers after repeated failures. While the breaker is
@@ -86,7 +70,6 @@ type ResilientOptions struct {
 // success closes it, failure re-opens it for another cooldown.
 type Resilient struct {
 	inner Layer
-	opts  ResilientOptions
 
 	now   func() time.Time      // test hook
 	sleep func(d time.Duration) // test hook
@@ -103,31 +86,22 @@ type Resilient struct {
 	log                                   *slog.Logger
 }
 
-// NewResilient wraps inner. Metrics are registered immediately so the
+// NewResilient wraps the disk layer inner. tr receives breaker and retry
+// metrics (nil-safe) under cache/disk/*, and log the state-transition
+// events (nil disables). Metrics are registered immediately so the
 // breaker gauges are present in /metrics from process start.
-func NewResilient(inner Layer, opts ResilientOptions) *Resilient {
-	if opts.Name == "" {
-		opts.Name = "disk"
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 2
-	}
-	if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	}
-	tr := opts.Tracer
+func NewResilient(inner Layer, tr *obs.Tracer, log *slog.Logger) *Resilient {
 	r := &Resilient{
 		inner:       inner,
-		opts:        opts,
 		now:         time.Now,
 		sleep:       time.Sleep,
 		rng:         rand.New(rand.NewSource(jitterSeed)),
-		stateGauge:  tr.Gauge("cache/" + opts.Name + "/breaker_state"),
-		trips:       tr.Counter("cache/" + opts.Name + "/breaker_trips_total"),
-		retries:     tr.Counter("cache/" + opts.Name + "/retries_total"),
-		ioErrors:    tr.Counter("cache/" + opts.Name + "/io_errors_total"),
-		shortCircts: tr.Counter("cache/" + opts.Name + "/short_circuits_total"),
-		log:         cmp.Or(opts.Logger, obs.Discard),
+		stateGauge:  tr.Gauge("cache/disk/breaker_state"),
+		trips:       tr.Counter("cache/disk/breaker_trips_total"),
+		retries:     tr.Counter("cache/disk/retries_total"),
+		ioErrors:    tr.Counter("cache/disk/io_errors_total"),
+		shortCircts: tr.Counter("cache/disk/short_circuits_total"),
+		log:         cmp.Or(log, obs.Discard),
 	}
 	r.stateGauge.Set(float64(BreakerClosed))
 	return r
@@ -199,15 +173,15 @@ func (r *Resilient) setStateLocked(s BreakerState) {
 	r.stateGauge.Set(float64(s))
 	switch s {
 	case BreakerOpen:
-		r.log.Warn("cache_"+r.opts.Name+"_breaker_open",
+		r.log.Warn("cache_disk_breaker_open",
 			"from", from.String(),
 			"consecutive_failures", r.fails,
 			"cooldown", cooldown.String(),
 			"effect", "layer bypassed; remaining cache tiers serve")
 	case BreakerHalfOpen:
-		r.log.Info("cache_"+r.opts.Name+"_breaker_half_open", "from", from.String())
+		r.log.Info("cache_disk_breaker_half_open", "from", from.String())
 	case BreakerClosed:
-		r.log.Info("cache_"+r.opts.Name+"_breaker_closed", "from", from.String())
+		r.log.Info("cache_disk_breaker_closed", "from", from.String())
 	}
 }
 
@@ -262,7 +236,7 @@ func (r *Resilient) withRetry(op func() error) error {
 			return nil
 		}
 		r.ioErrors.Inc()
-		if attempt >= r.opts.MaxRetries {
+		if attempt >= maxRetries {
 			break
 		}
 		r.retries.Inc()

@@ -40,8 +40,8 @@ func (f *fakeDisk) Put(_ context.Context, key Key, val []byte) error {
 
 // newTestResilient wires a Resilient with instant sleeps and a
 // controllable clock.
-func newTestResilient(inner Layer, opts ResilientOptions) (*Resilient, *time.Time) {
-	r := NewResilient(inner, opts)
+func newTestResilient(inner Layer) (*Resilient, *time.Time) {
+	r := NewResilient(inner, nil, nil)
 	now := time.Unix(1000, 0)
 	r.now = func() time.Time { return now }
 	r.sleep = func(time.Duration) {}
@@ -52,7 +52,7 @@ func TestResilientRetriesTransientFailure(t *testing.T) {
 	f := newFakeDisk()
 	attempts := 0
 	flaky := &flakyDisk{inner: f, failFirst: 2, attempts: &attempts}
-	r, _ := newTestResilient(flaky, ResilientOptions{MaxRetries: 3})
+	r, _ := newTestResilient(flaky)
 	if err := r.Put(context.Background(), Key("k"), []byte("v")); err != nil {
 		t.Fatalf("Put should have succeeded after retries: %v", err)
 	}
@@ -93,13 +93,16 @@ func (f *flakyDisk) Put(ctx context.Context, key Key, val []byte) error {
 func TestBreakerTripHalfOpenClose(t *testing.T) {
 	f := newFakeDisk()
 	f.failing = true
-	// No retries: each op is one breaker strike.
-	r, now := newTestResilient(f, ResilientOptions{MaxRetries: -1})
+	// Each op, its retries included, is one breaker strike.
+	r, now := newTestResilient(f)
 
 	// Five consecutive failures trip the breaker open; four do not.
 	for i := 1; i <= 5; i++ {
 		if err := r.Put(context.Background(), Key("k"), []byte("v")); err == nil {
 			t.Fatal("Put should fail while the disk is failing")
+		}
+		if f.puts != i*(1+maxRetries) {
+			t.Fatalf("disk saw %d puts after %d failed ops, want %d", f.puts, i, i*(1+maxRetries))
 		}
 		want := BreakerClosed
 		if i == 5 {
@@ -150,7 +153,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 func TestBreakerHalfOpenAllowsSingleProbe(t *testing.T) {
 	f := newFakeDisk()
 	f.failing = true
-	r, now := newTestResilient(f, ResilientOptions{MaxRetries: -1})
+	r, now := newTestResilient(f)
 	for i := 0; i < 5; i++ {
 		_ = r.Put(context.Background(), Key("k"), []byte("v"))
 	}
@@ -175,7 +178,7 @@ func TestBreakerHalfOpenAllowsSingleProbe(t *testing.T) {
 }
 
 func TestBackoffGrowsExponentially(t *testing.T) {
-	r, _ := newTestResilient(newFakeDisk(), ResilientOptions{})
+	r, _ := newTestResilient(newFakeDisk())
 	for n := 0; n < 4; n++ {
 		d := r.backoff(n)
 		base := 2 * time.Millisecond << uint(n)

@@ -7,26 +7,20 @@ import "context"
 const (
 	SourceMem    = "mem"
 	SourceDisk   = "disk"
-	SourcePeer   = "peer"
 	SourceMiss   = "miss"
 	SourceBypass = "bypass"
 )
 
 // Tiers is the result cache as one stack, fastest first: the in-memory
-// LRU, an optional persistent disk layer, and an optional fleet peer
-// layer. Every cached result kind (flow artifacts, ground states, gate
-// validations) goes through the same walk, so every kind survives a
-// restart on the disk tier and warms the fleet through the peer tier.
+// LRU and an optional persistent disk layer. Every cached result kind
+// (flow artifacts, ground states, gate validations) goes through the same
+// walk, so every kind survives a restart on the disk tier.
 type Tiers struct {
 	Mem *LRU
 	// Disk is nil when the persistent layer is disabled; the service
 	// installs a Resilient wrapper here so transient I/O errors are retried
-	// and repeated failures degrade to the remaining tiers.
+	// and repeated failures degrade to memory-only caching.
 	Disk Layer
-	// Peer is nil outside a fleet; when set, a local miss consults the
-	// key's owner replica before computing, and cold results are pushed to
-	// the owner. The service wraps it in the same Resilient breaker.
-	Peer Layer
 }
 
 // tier is one named level of the walk.
@@ -54,22 +48,19 @@ func (t *Tiers) stack() []tier {
 	if t.Disk != nil {
 		s = append(s, tier{SourceDisk, t.Disk})
 	}
-	if t.Peer != nil {
-		s = append(s, tier{SourcePeer, t.Peer})
-	}
 	return s
 }
 
 // Do serves key from the fastest tier holding an entry that use accepts,
 // or computes it. use turns an entry into the caller's result and is told
 // which tier (a Source* value) holds it, so a caller can decode an entry
-// once, when it enters the process from disk or a peer, and serve a
-// memory entry unread; an error (a corrupt or incompatible entry) makes
-// that tier a miss. The entry is shared with the tier: read-only. A hit is
+// once, when it enters the process from disk, and serve a memory entry
+// unread; an error (a corrupt or incompatible entry) makes that tier a
+// miss. The entry is shared with the tier: read-only. A hit is
 // promoted into every faster tier. On a full miss compute runs and its
 // entry is written through to every tier; compute returns a nil entry for
 // a result that must not be cached (a degraded one), and errors are never
-// stored. Tier errors are non-fatal: the Resilient wrappers have already
+// stored. Tier errors are non-fatal: the Resilient wrapper has already
 // retried, so a failing tier reads as a miss and drops its writes.
 //
 // An empty key bypasses the cache: compute runs and nothing is stored.
@@ -100,28 +91,4 @@ func (t *Tiers) Do(ctx context.Context, key Key, use func(source string, entry [
 		_ = tr.Put(ctx, key, b)
 	}
 	return SourceMiss, nil
-}
-
-// Peek reads key from the local tiers (memory, then disk) without
-// promoting it or touching the memory hit/miss counters, so a peer's
-// fetch does not distort this replica's cache telemetry.
-func (t *Tiers) Peek(ctx context.Context, key Key) ([]byte, bool) {
-	if b, ok := t.Mem.Peek(key); ok {
-		return b, true
-	}
-	if t.Disk != nil {
-		if b, ok, err := t.Disk.Get(ctx, key); err == nil && ok {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
-// PutLocal stores an entry pushed by a peer in the local tiers (memory
-// and disk), never back out to the fleet.
-func (t *Tiers) PutLocal(ctx context.Context, key Key, val []byte) {
-	t.Mem.Put(key, val)
-	if t.Disk != nil {
-		_ = t.Disk.Put(ctx, key, val)
-	}
 }

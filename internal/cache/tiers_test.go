@@ -45,42 +45,30 @@ func walk(t *testing.T, tiers *Tiers, key Key, entry []byte, computeErr error) (
 // (nil-entry) results.
 func TestTiersWalk(t *testing.T) {
 	const key = Key("sim:k")
-	disk, peer := newFakeDisk(), newFakeDisk()
-	tiers := &Tiers{Mem: NewLRU(1 << 20), Disk: disk, Peer: peer}
+	disk := newFakeDisk()
+	tiers := &Tiers{Mem: NewLRU(1 << 20), Disk: disk}
 
 	if _, src, computed := walk(t, tiers, key, []byte("v"), nil); src != SourceMiss || !computed {
 		t.Fatalf("cold walk: source %q computed %v, want miss and a computation", src, computed)
 	}
-	for name, l := range map[string]*fakeDisk{"disk": disk, "peer": peer} {
-		if string(l.data[key]) != "v" {
-			t.Fatalf("miss did not write through to the %s tier", name)
-		}
+	if string(disk.data[key]) != "v" {
+		t.Fatal("miss did not write through to the disk tier")
 	}
 	if got, src, computed := walk(t, tiers, key, nil, nil); src != SourceMem || computed || got != "v" {
 		t.Fatalf("warm walk: %q from %q (computed %v), want v from mem", got, src, computed)
 	}
 
 	// A restart empties memory: the disk serves and is promoted into memory.
-	restarted := &Tiers{Mem: NewLRU(1 << 20), Disk: disk, Peer: peer}
-	peerGets := peer.gets
+	restarted := &Tiers{Mem: NewLRU(1 << 20), Disk: disk}
+	diskGets := disk.gets
 	if got, src, _ := walk(t, restarted, key, nil, nil); src != SourceDisk || got != "v" {
 		t.Fatalf("after restart: %q from %q, want v from disk", got, src)
 	}
-	if peer.gets != peerGets {
-		t.Fatal("a disk hit still consulted the peer")
+	if got, src, _ := walk(t, restarted, key, nil, nil); src != SourceMem || got != "v" {
+		t.Fatalf("after the disk hit: %q from %q, want v from mem", got, src)
 	}
-	if b, ok := restarted.Mem.Peek(key); !ok || string(b) != "v" {
+	if disk.gets != diskGets+1 {
 		t.Fatal("disk hit not promoted into memory")
-	}
-
-	// Only the peer holds the entry: it serves and is promoted into memory
-	// and disk.
-	fleet := &Tiers{Mem: NewLRU(1 << 20), Disk: newFakeDisk(), Peer: peer}
-	if got, src, _ := walk(t, fleet, key, nil, nil); src != SourcePeer || got != "v" {
-		t.Fatalf("peer walk: %q from %q, want v from peer", got, src)
-	}
-	if _, ok := fleet.Mem.Peek(key); !ok || string(fleet.Disk.(*fakeDisk).data[key]) != "v" {
-		t.Fatal("peer hit not promoted into memory and disk")
 	}
 
 	// An undecodable memory entry is a miss that falls through to the disk.
@@ -105,29 +93,6 @@ func TestTiersWalk(t *testing.T) {
 	}
 	if _, src, computed := walk(t, empty, "", []byte("x"), nil); src != SourceBypass || !computed || empty.Mem.Len() != 0 {
 		t.Fatalf("empty key: source %q computed %v, %d stored; want an uncached computation", src, computed, empty.Mem.Len())
-	}
-}
-
-// TestTiersLocal: the peer-protocol side reads memory without touching
-// its counters, then disk, and stores pushed entries locally only.
-func TestTiersLocal(t *testing.T) {
-	disk, peer := newFakeDisk(), newFakeDisk()
-	tiers := &Tiers{Mem: NewLRU(1 << 20), Disk: disk, Peer: peer}
-	tiers.PutLocal(context.Background(), "gate:a", []byte("a"))
-	if _, ok := tiers.Mem.Peek("gate:a"); !ok || string(disk.data["gate:a"]) != "a" || peer.puts != 0 {
-		t.Fatal("PutLocal must write memory and disk, never the peer")
-	}
-	disk.data["flow:b"] = []byte("b")
-	for key, want := range map[Key]string{"gate:a": "a", "flow:b": "b"} {
-		if b, ok := tiers.Peek(context.Background(), key); !ok || string(b) != want {
-			t.Fatalf("Peek(%s) = %q, %v", key, b, ok)
-		}
-	}
-	if _, ok := tiers.Peek(context.Background(), "sim:absent"); ok {
-		t.Fatal("Peek found an absent key")
-	}
-	if st := tiers.Mem.Stats(); st.Hits+st.Misses != 0 {
-		t.Fatalf("Peek touched the memory hit/miss counters: %+v", st)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // TestCanonicalOrderIndependence: two surfaces with the same defects
 // inserted in different orders must serialize identically (bytes and
-// JSON) — the determinism contract behind fleet-wide cache keys.
+// JSON) — the determinism contract behind content-addressed cache keys.
 func TestCanonicalOrderIndependence(t *testing.T) {
 	a := New()
 	a.AddCell(10, 4, DB)

@@ -174,7 +174,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return
 		}
 		v, verr := gatelib.ValidateWith(d, gatelib.TruthOf(f), cfg.Params,
-			gatelib.ValidateOptions{Solver: cfg.Solver, Tracer: cfg.Tracer})
+			gatelib.ValidateOptions{Solver: cfg.Solver, Tracer: cfg.Tracer, Ctx: ctx})
 		baselineOK[i] = verr == nil && v.OK
 	})
 	if err != nil {
@@ -202,7 +202,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	err = pool.Run(ctx, len(items), cfg.Workers, "defectsweep.item.panic", func(_, i int) {
 		it := items[i]
 		if it.si < len(gateKeys) {
-			results[i] = evalGate(cfg, lib, gateKeys[it.si], it)
+			results[i] = evalGate(ctx, cfg, lib, gateKeys[it.si], it)
 		} else {
 			results[i] = evalFlow(ctx, cfg, cfg.FlowBenches[it.si-len(gateKeys)], it)
 		}
@@ -290,7 +290,7 @@ func itemSeed(base int64, it item) int64 {
 
 // evalGate validates one library gate against one random surface sampled
 // over its own tile.
-func evalGate(cfg Config, lib *gatelib.Library, key string, it item) outcome {
+func evalGate(ctx context.Context, cfg Config, lib *gatelib.Library, key string, it item) outcome {
 	d, f, ok := lib.Design(key)
 	if !ok {
 		return outcome{}
@@ -298,7 +298,7 @@ func evalGate(cfg Config, lib *gatelib.Library, key string, it item) outcome {
 	region := lattice.Box{MinX: 0, MinY: 0, MaxX: gatelib.TileWidth - 1, MaxY: gatelib.TileHeight - 1}
 	surf := defects.Generate(itemSeed(cfg.Seed, it), region, scaleMix(speciesMix(), cfg.Densities[it.di]))
 	v, err := gatelib.ValidateWith(d, gatelib.TruthOf(f), cfg.Params,
-		gatelib.ValidateOptions{Solver: cfg.Solver, Surface: surf, Tracer: cfg.Tracer})
+		gatelib.ValidateOptions{Solver: cfg.Solver, Surface: surf, Tracer: cfg.Tracer, Ctx: ctx})
 	if err != nil {
 		return outcome{defects: surf.Len()}
 	}

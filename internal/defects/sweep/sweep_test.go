@@ -74,40 +74,49 @@ func TestSweepYieldDecays(t *testing.T) {
 }
 
 // TestSweepCancellation: cancelling mid-sweep must return the context
-// error promptly and leave no leaked worker goroutines behind.
+// error promptly and leave no leaked worker goroutines behind. Under exgs
+// the library validations in flight when the cancel lands run for seconds,
+// so the cancel must reach them, not only the items not yet started.
 func TestSweepCancellation(t *testing.T) {
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		// A sweep big enough not to finish before the cancel lands.
-		_, err := Run(ctx, Config{
-			Densities: []float64{0.1, 0.5, 1, 2, 4, 8},
-			Seeds:     20,
-			Workers:   4,
-			Solver:    "quickexact",
+	for _, c := range []struct {
+		solver string
+		limit  time.Duration
+	}{{"quickexact", 30 * time.Second}, {"exgs", 2 * time.Second}} {
+		t.Run(c.solver, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				// A sweep big enough not to finish before the cancel lands.
+				_, err := Run(ctx, Config{
+					Densities: []float64{0.1, 0.5, 1, 2, 4, 8},
+					Seeds:     20,
+					Workers:   4,
+					Solver:    c.solver,
+				})
+				done <- err
+			}()
+			time.Sleep(50 * time.Millisecond)
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			case <-time.After(c.limit):
+				t.Fatalf("sweep did not stop within %v of the cancellation", c.limit)
+			}
+			// Give pool goroutines a beat to exit, then check for leaks.
+			deadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(deadline) {
+				if runtime.NumGoroutine() <= before+2 {
+					return
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+			t.Fatalf("leaked goroutines: %d before, %d after", before, runtime.NumGoroutine())
 		})
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("sweep did not stop after cancellation")
 	}
-	// Give pool goroutines a beat to exit, then check for leaks.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("leaked goroutines: %d before, %d after", before, runtime.NumGoroutine())
 }
 
 // TestScaleMix: the mix normalizes to the requested total density.

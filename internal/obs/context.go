@@ -25,43 +25,3 @@ func RequestIDFromContext(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey).(string)
 	return id
 }
-
-// Hop describes how a request arrived at this replica when it was
-// forwarded over an intra-fleet hop: which peer forwarded it, how many
-// hops deep the request is, and the span on the forwarding replica that
-// is this execution's logical parent. The zero value means "entry
-// replica, not forwarded".
-type Hop struct {
-	// Peer is the advertised address of the replica that forwarded the
-	// request here.
-	Peer string
-	// Index is the 1-based hop count (1 = first forward off the entry
-	// replica).
-	Index int
-	// ParentSpan names the span on the forwarding replica under which the
-	// remote execution logically nests.
-	ParentSpan string
-	// Forwarded is true when the request crossed at least one fleet hop.
-	Forwarded bool
-}
-
-const hopKey ctxKey = iota + 1
-
-// ContextWithHop tags a context with the intra-fleet hop that delivered
-// the request. A zero (non-forwarded) hop returns ctx unchanged.
-func ContextWithHop(ctx context.Context, h Hop) context.Context {
-	if !h.Forwarded {
-		return ctx
-	}
-	return context.WithValue(ctx, hopKey, h)
-}
-
-// HopFromContext returns the hop tagged onto the context; the zero Hop
-// means the request entered the fleet on this replica.
-func HopFromContext(ctx context.Context) Hop {
-	if ctx == nil {
-		return Hop{}
-	}
-	h, _ := ctx.Value(hopKey).(Hop)
-	return h
-}

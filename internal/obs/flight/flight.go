@@ -155,9 +155,8 @@ func (r *Recorder) Record(t Trace) Class {
 	}
 	r.byID[stored.ID] = &stored
 	if stored.RequestID != "" {
-		// A forwarded request records twice on the entry replica (the local
-		// forward stub and, on fallback, the local job); latest wins, which
-		// is also the most complete view.
+		// Latest wins: a client may reuse one request id, which then names
+		// its newest trace.
 		r.byReq[stored.RequestID] = &stored
 	}
 	evictedOne := false
@@ -221,8 +220,7 @@ func (r *Recorder) Get(id string) (Trace, bool) {
 }
 
 // GetByRequestID returns a copy of the most recently retained trace whose
-// originating request carried the given request id. This is the fleet's
-// stitching key: job ids are per-replica, request ids are not.
+// originating request carried the given request id.
 func (r *Recorder) GetByRequestID(rid string) (Trace, bool) {
 	if r == nil || rid == "" {
 		return Trace{}, false

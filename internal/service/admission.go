@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/cluster/overview"
 	"repro/internal/obs"
 )
 
@@ -57,12 +56,24 @@ func (a *admission) observe(runSeconds float64) {
 	a.mu.Unlock()
 }
 
+// Saturation is the server's queue and worker pressure: what admission
+// control keys on and what /healthz reports.
+type Saturation struct {
+	QueueDepth    int
+	QueueCapacity int
+	JobsRunning   int
+	Workers       int
+	InFlight      int64
+	Utilization   float64
+	Shedding      []string
+}
+
 // saturation reads the queue once, so the depth, the running count, the
 // utilization and the shed classes it reports describe the same instant.
 // Utilization is (queued + running) / (queue capacity + workers): 1.0
 // means every worker busy and every queue slot full.
-func (s *Server) saturation() overview.Saturation {
-	sat := overview.Saturation{
+func (s *Server) saturation() Saturation {
+	sat := Saturation{
 		QueueDepth:    s.queue.Depth(),
 		QueueCapacity: s.cfg.QueueDepth,
 		JobsRunning:   s.queue.Running(),

@@ -41,7 +41,7 @@ type batchItemResult struct {
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
 	// Cache is the sub-result's source: the cache tier that served it
-	// (mem, disk, peer), miss (computed and cached), bypass (computed, not
+	// (mem, disk), miss (computed and cached), bypass (computed, not
 	// cacheable), coalesced (shared another request's execution), or dedup
 	// (answered by an identical item in this same batch).
 	Cache    string          `json:"cache,omitempty"`
@@ -78,9 +78,9 @@ func batchClass(ops []*preparedOp) string {
 // handleBatch canonicalizes, deduplicates, and fans out sub-requests
 // inside one job with a shared deadline. Duplicate items (same canonical
 // cache key) execute once and share the result; unique items run on
-// internal/pool (batchConcurrency at a time), each through the fleet
+// internal/pool (batchConcurrency at a time), each through the
 // single-flight group, so a batch coalesces with identical work from other
-// requests and other replicas too.
+// requests too.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.tr.Counter("http/batch").Inc()
 	body, ok := s.readBody(w, r)
@@ -152,7 +152,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sp := jtr.Start("batch")
 		sp.SetAttr("items", n)
 		sp.SetAttr("unique", len(leaders))
-		setHopAttrs(sp, obs.HopFromContext(ctx))
 		defer sp.End()
 
 		type outcome struct {
@@ -235,7 +234,7 @@ func allHits(results []batchItemResult) bool {
 			continue
 		}
 		switch r.Cache {
-		case cache.SourceMem, cache.SourceDisk, cache.SourcePeer, sourceCoalesced, "dedup":
+		case cache.SourceMem, cache.SourceDisk, sourceCoalesced, "dedup":
 		default:
 			return false
 		}

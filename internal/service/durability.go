@@ -250,7 +250,7 @@ func (s *Server) resubmitRecovered(rec *journal.JobRecord) bool {
 			Path: sub.Path, Body: sub.Body, Key: string(op.key),
 			IdemKey: sub.IdemKey, TimeoutMS: sub.TimeoutMS,
 		},
-	}, obs.Hop{}, s.opJob(op))
+	}, s.opJob(op))
 	if err != nil {
 		s.log.Warn("journal_resubmit_rejected",
 			"job_id", sub.JobID,

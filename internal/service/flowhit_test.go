@@ -41,21 +41,6 @@ func opKey(t *testing.T, s *Server, path string, req map[string]any) cache.Key {
 	return op.key
 }
 
-// putEntry pushes a cache entry as a peer would and returns the status.
-func putEntry(t *testing.T, url string, key cache.Key, entry []byte) int {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, url+"/internal/cache/"+string(key), bytes.NewReader(entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
 // postFlow posts a flow request and checks its status and X-Cache.
 func postFlow(t *testing.T, url, wantCache string) (*http.Response, []byte) {
 	t.Helper()
@@ -149,31 +134,42 @@ func TestFlowBodyByteIdentity(t *testing.T) {
 }
 
 // TestFlowEntryDecodedAtTheBoundary: flow entries are decoded once, when
-// they enter the process. A pushed entry that is not a FlowArtifact is
-// refused and never served; a well-formed push is served as sent.
+// they enter the process from disk. A disk entry that is not a
+// FlowArtifact is a miss and never served; a well-formed one is served as
+// written.
 func TestFlowEntryDecodedAtTheBoundary(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	key := flowKey(t, s, fullFlow)
+	ctx := context.Background()
+	var key cache.Key
+	var cold []byte
 	for _, bad := range []string{"not json", "null", "[1,2]", `{"width":"wide"}`, `{"name":"c17"`} {
-		if code := putEntry(t, ts.URL, key, []byte(bad)); code != http.StatusBadRequest {
-			t.Fatalf("push of %q: %d, want 400", bad, code)
+		dir := t.TempDir()
+		s, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+		key = flowKey(t, s, fullFlow)
+		d, err := cache.NewDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Put(ctx, key, []byte(bad)); err != nil {
+			t.Fatal(err)
+		}
+		_, cold = postFlow(t, ts.URL, "miss")
+		if n := coldSolves(s); n != 1 {
+			t.Fatalf("computed %d flows over the disk entry %q, want 1", n, bad)
 		}
 	}
-	if r, _ := getURL(t, ts.URL+"/internal/cache/"+string(key)); r.StatusCode != http.StatusNotFound {
-		t.Fatalf("a refused push is held: GET %d, want 404", r.StatusCode)
-	}
-	_, cold := postFlow(t, ts.URL, "miss")
-	if n := coldSolves(s); n != 1 {
-		t.Fatalf("computed %d flows after refused pushes, want 1", n)
-	}
 
-	s2, ts2 := newTestServer(t, Config{Workers: 1})
-	if code := putEntry(t, ts2.URL, key, cold[:len(cold)-1]); code != http.StatusNoContent {
-		t.Fatalf("push of a flow entry: %d, want 204", code)
+	dir := t.TempDir()
+	d, err := cache.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := d.Put(ctx, key, cold[:len(cold)-1]); err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 	_, body := postFlow(t, ts2.URL, "hit")
 	if !bytes.Equal(body, cold) || coldSolves(s2) != 0 {
-		t.Fatalf("pushed entry: body equal %v, %d computed", bytes.Equal(body, cold), coldSolves(s2))
+		t.Fatalf("disk entry: body equal %v, %d computed", bytes.Equal(body, cold), coldSolves(s2))
 	}
 }
 

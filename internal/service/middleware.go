@@ -9,9 +9,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 )
+
+// RequestIDHeader carries the request id: client-chosen on the request
+// (see clientToken), always set on the response.
+const RequestIDHeader = "X-Request-Id"
 
 // statusWriter records the response status and body size for metrics and
 // request logs.
@@ -42,15 +45,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 func routeLabel(path string) string {
 	switch path {
 	case "/v1/flow", "/v1/simulate", "/v1/gates/validate", "/v1/gates", "/v1/batch",
-		"/v1/defects/sweep", "/v1/cluster/overview", "/internal/stats",
-		"/healthz", "/metrics", "/debug/flightrecorder":
+		"/v1/defects/sweep", "/healthz", "/metrics", "/debug/flightrecorder":
 		return path
-	}
-	if strings.HasPrefix(path, "/internal/cache/") {
-		return "/internal/cache/{key}"
-	}
-	if strings.HasPrefix(path, "/internal/trace/") {
-		return "/internal/trace/{id}"
 	}
 	if strings.HasPrefix(path, "/v1/jobs/") {
 		if strings.HasSuffix(path, "/trace") {
@@ -115,28 +111,12 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		start := time.Now()
 		// The request id is client-chosen and validated on the request,
 		// always set on the response.
-		rid := clientToken(r, cluster.RequestIDHeader)
+		rid := clientToken(r, RequestIDHeader)
 		if rid == "" {
 			rid = newRequestID()
 		}
-		w.Header().Set(cluster.RequestIDHeader, rid)
+		w.Header().Set(RequestIDHeader, rid)
 		ctx := obs.ContextWithRequestID(r.Context(), rid)
-		// A forwarded intra-fleet request carries the forwarding replica's
-		// hop headers; parsing them into the context here means every span,
-		// log line, and flight-recorder entry downstream can mark itself as
-		// the remote half of a distributed execution.
-		if fwd := r.Header.Get(cluster.ForwardedHeader); fwd != "" {
-			hopIdx := 1
-			if n, err := strconv.Atoi(r.Header.Get(cluster.HopHeader)); err == nil && n > 0 {
-				hopIdx = n
-			}
-			ctx = obs.ContextWithHop(ctx, obs.Hop{
-				Peer:       fwd,
-				Index:      hopIdx,
-				ParentSpan: r.Header.Get(cluster.ParentSpanHeader),
-				Forwarded:  true,
-			})
-		}
 		r = r.WithContext(ctx)
 
 		s.tr.Gauge("http/in_flight_requests").Set(float64(s.inFlight.Add(1)))

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -39,7 +38,7 @@ func TestRouteLabel(t *testing.T) {
 
 func TestClientRequestID(t *testing.T) {
 	long := strings.Repeat("a", 65)
-	for _, h := range []string{cluster.RequestIDHeader, IdempotencyKeyHeader} {
+	for _, h := range []string{RequestIDHeader, IdempotencyKeyHeader} {
 		mk := func(tok string) *http.Request {
 			r := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 			if tok != "" {
@@ -120,7 +119,7 @@ func TestRequestLogLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(cluster.RequestIDHeader, "log-test-1")
+	req.Header.Set(RequestIDHeader, "log-test-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -161,5 +160,75 @@ func TestRequestLogLines(t *testing.T) {
 	}
 	if got := lines["job_finish"]["request_id"]; got != "log-test-1" {
 		t.Errorf("job_finish request_id = %v, want log-test-1", got)
+	}
+}
+
+// TestSpoofedFleetHeadersIgnored: a single replica has no fleet, so the
+// headers replicas once exchanged mean nothing from a client. They must
+// not mark the job trace as forwarded, and the fleet's routes must not
+// exist.
+func TestSpoofedFleetHeadersIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	payload, _ := json.Marshal(fourDots())
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/simulate", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Cluster-Forwarded", "evil.example:1")
+	req.Header.Set("X-Cluster-Hop", "3")
+	req.Header.Set("X-Parent-Span", "forward-spoofed")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: %d", resp.StatusCode)
+	}
+
+	r, b := getURL(t, ts.URL+"/v1/jobs/"+resp.Header.Get("X-Job-Id")+"/trace")
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("trace: %d %s", r.StatusCode, b)
+	}
+	var tr struct {
+		Trace obs.RunReport `json:"trace"`
+	}
+	if err := json.Unmarshal(b, &tr); err != nil {
+		t.Fatalf("trace decode: %v: %s", err, b)
+	}
+	var walk func([]*obs.StageReport)
+	walk = func(stages []*obs.StageReport) {
+		for _, st := range stages {
+			if st.Name == "hop" {
+				t.Errorf("job trace has a hop span: %s", b)
+			}
+			for _, k := range []string{"forwarded", "peer", "hop", "parent_span"} {
+				if _, ok := st.Attrs[k]; ok {
+					t.Errorf("span %q has attribute %q: %s", st.Name, k, b)
+				}
+			}
+			walk(st.Children)
+		}
+	}
+	walk(tr.Trace.Stages)
+
+	for _, path := range []string{
+		"/internal/stats",
+		"/internal/cache/sim:" + strings.Repeat("ab", 32),
+		"/v1/cluster/overview",
+	} {
+		if r, _ := getURL(t, ts.URL+path); r.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, r.StatusCode)
+		}
+	}
+
+	_, b = getURL(t, ts.URL+"/healthz")
+	var hz map[string]json.RawMessage
+	if err := json.Unmarshal(b, &hz); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := hz["cluster"]; ok {
+		t.Errorf("/healthz has a cluster key: %s", b)
 	}
 }

@@ -543,8 +543,8 @@ func (q *Queue) Get(id string) (*Job, bool) {
 }
 
 // GetByRequestID returns the most recently submitted job whose submitting
-// request carried the given request id. Job ids are per-replica; the
-// request id is the fleet-wide key trace federation looks up by.
+// request carried the given request id, so GET /v1/traces/{id} answers
+// for either id.
 func (q *Queue) GetByRequestID(rid string) (*Job, bool) {
 	if rid == "" {
 		return nil, false

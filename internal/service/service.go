@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/cluster"
-	"repro/internal/cluster/overview"
 	"repro/internal/core"
 	"repro/internal/gatelib"
 	"repro/internal/journal"
@@ -63,10 +61,6 @@ type Config struct {
 	// Chaos tests shrink them so budget burn and recovery are observable
 	// within a smoke run.
 	SLOWindows []time.Duration
-	// Cluster, when set, makes this replica part of a fleet: peer health
-	// probes, consistent-hash ownership routing, a peer cache tier, and
-	// fleet-wide single-flight deduplication (see internal/cluster).
-	Cluster *cluster.Config
 	// JournalDir, when set, enables the write-ahead job journal: every
 	// submission is fsynced to disk before its id is returned, and on
 	// restart the journal is replayed so pre-crash job ids answer honestly
@@ -115,16 +109,10 @@ type Server struct {
 	slo       *slo.Engine
 	inFlight  atomic.Int64
 
-	// Fleet state: nil node means single-replica operation. single
-	// coalesces identical in-flight executions; admission applies
+	// single coalesces identical in-flight executions; admission applies
 	// cost-class load shedding.
-	node      *cluster.Node
-	single    cluster.Group[*jobResult]
+	single    group[*jobResult]
 	admission *admission
-	// overview aggregates the fleet's /internal/stats snapshots in the
-	// background; nil outside a fleet (GET /v1/cluster/overview then
-	// serves a one-replica view computed on demand).
-	overview *overview.Aggregator
 
 	// jrnl is the write-ahead job journal (nil when JournalDir is unset);
 	// idem maps Idempotency-Key values to job ids so client retries
@@ -200,35 +188,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		d.Instrument(s.tr, s.log)
-		// The resilient wrapper retries transient I/O (twice, its
-		// default) and trips a breaker to memory-only caching when the
-		// disk keeps failing, so cache storage trouble degrades throughput
-		// instead of availability.
-		s.tiers.Disk = cache.NewResilient(d, cache.ResilientOptions{
-			Tracer: s.tr,
-			Logger: s.log,
-		})
-	}
-	if cfg.Cluster != nil {
-		cc := *cfg.Cluster
-		cc.Tracer = cmp.Or(cc.Tracer, s.tr)
-		cc.Logger = cmp.Or(cc.Logger, s.log)
-		node, err := cluster.NewNode(cc)
-		if err != nil {
-			return nil, err
-		}
-		s.node = node
-		// Peer I/O rides behind the same resilient breaker as the disk:
-		// no in-layer retries (the probe loop removes dead peers from the
-		// ring within about a second anyway), and repeated failures trip
-		// the breaker so a sick fleet degrades to independent replicas.
-		s.tiers.Peer = cache.NewResilient(node, cache.ResilientOptions{
-			Name:       "peer",
-			MaxRetries: -1,
-			Tracer:     s.tr,
-			Logger:     s.log,
-		})
-		node.Start()
+		// The resilient wrapper retries transient I/O twice and trips a
+		// breaker to memory-only caching when the disk keeps failing, so
+		// cache storage trouble degrades throughput instead of
+		// availability.
+		s.tiers.Disk = cache.NewResilient(d, s.tr, s.log)
 	}
 	s.admission = newAdmission(s.tr)
 	s.queue = NewQueue(cfg.Workers, cfg.QueueDepth, cfg.JobTimeout, s.tr, s.log)
@@ -248,38 +212,12 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.recoverJournal(cfg.RecoverMode)
 	}
-	if s.node != nil {
-		// Built after the queue: the aggregator seeds itself with a local
-		// stats snapshot, which reads queue state.
-		s.overview = overview.New(s.node, s.statsSnapshot)
-		s.overview.Start()
-	}
 
 	s.mux = http.NewServeMux()
 	for i := range opRoutes {
 		s.mux.HandleFunc("POST "+opRoutes[i].path, s.handleOp(&opRoutes[i]))
 	}
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	// The fleet's own routes sit behind one guard: the shared secret when
-	// the fleet has one, loopback callers only otherwise.
-	secret := ""
-	if cfg.Cluster != nil {
-		secret = cfg.Cluster.Secret
-	}
-	internal := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if !cluster.AuthorizeInternal(r, secret) {
-				writeErr(w, http.StatusForbidden, "cluster secret required")
-				return
-			}
-			h(w, r)
-		}
-	}
-	s.mux.HandleFunc("GET /internal/cache/{key}", internal(s.handleInternalCacheGet))
-	s.mux.HandleFunc("PUT /internal/cache/{key}", internal(s.handleInternalCachePut))
-	s.mux.HandleFunc("GET /internal/stats", internal(s.handleInternalStats))
-	s.mux.HandleFunc("GET /internal/trace/{id}", internal(s.handleInternalTrace))
-	s.mux.HandleFunc("GET /v1/cluster/overview", s.handleClusterOverview)
 	s.mux.HandleFunc("GET /v1/gates", s.handleGates)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
@@ -300,14 +238,8 @@ func (s *Server) Handler() http.Handler { return s.handler }
 func (s *Server) CacheStats() cache.Stats { return s.lru.Stats() }
 
 // Drain stops accepting jobs and waits for in-flight work (see
-// Queue.Drain). In a fleet it also stops the peer probe loop.
+// Queue.Drain).
 func (s *Server) Drain(ctx context.Context) error {
-	if s.overview != nil {
-		s.overview.Stop()
-	}
-	if s.node != nil {
-		s.node.Stop()
-	}
 	err := s.queue.Drain(ctx)
 	if s.jrnl != nil {
 		// After Drain every job has journaled its terminal event; closing
@@ -341,9 +273,9 @@ type jobResult struct {
 	solver string
 }
 
-// cacheHeader is the X-Cache value: "miss" when this replica computed the
-// result, "hit" otherwise. A peer hit or a coalesced ride-along did no
-// local solving; from the client's perspective both are fleet cache hits.
+// cacheHeader is the X-Cache value: "miss" when this request's job
+// computed the result, "hit" otherwise. A coalesced ride-along did no
+// solving of its own; from the client's perspective it is a cache hit.
 func (r *jobResult) cacheHeader() string {
 	switch r.source {
 	case cache.SourceMiss, cache.SourceBypass:
@@ -389,8 +321,8 @@ func writeErrKind(w http.ResponseWriter, code int, kind, format string, args ...
 
 // readBody reads the bounded raw request body. It returns ok=false after
 // writing the error response itself: 413 with a JSON error when the body
-// exceeds the configured bound. The raw bytes are kept because cluster
-// routing forwards them verbatim to the owner replica.
+// exceeds the configured bound. The raw bytes are kept because the
+// journal stores them verbatim.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -417,8 +349,7 @@ func unmarshalBody(w http.ResponseWriter, body []byte, v any) bool {
 
 // preparedOp is a parsed, validated compute request. Its canonical cache
 // key (empty when the request is not content-addressable: nocache, or a
-// sweep) drives cluster routing, single-flight coalescing and the cache
-// tiers. prepare* functions do all request-shape validation up front, so
+// sweep) drives single-flight coalescing and the cache tiers. prepare* functions do all request-shape validation up front, so
 // compute can only fail for compute reasons.
 type preparedOp struct {
 	kind      string // "flow", "simulate", "validate", "sweep"
@@ -482,8 +413,8 @@ func decodeThen[R any](prepare func(*Server, *R) (*preparedOp, error)) func(*Ser
 }
 
 // handleOp serves one compute endpoint: prepare, Idempotency-Key replay,
-// fleet routing, admission, then a queued job (answered when done, or 202
-// for async requests).
+// admission, then a queued job (answered when done, or 202 for async
+// requests).
 func (s *Server) handleOp(rt *opRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.tr.Counter(rt.counter).Inc()
@@ -497,15 +428,9 @@ func (s *Server) handleOp(rt *opRoute) http.HandlerFunc {
 			return
 		}
 		// An Idempotency-Key that matches an earlier submission reattaches to
-		// that job; otherwise a miss forwards WITH the key, so the mapping
-		// lands on the key's owner replica, where every retry converges.
+		// that job.
 		ik := clientToken(r, IdempotencyKeyHeader)
 		if s.idempotentReplay(w, r, ik, op.async) {
-			return
-		}
-		// Async jobs are polled on the replica that accepted them, so they
-		// must run (and be admitted) locally rather than forwarded.
-		if !op.async && s.routeCluster(w, r, op, body) {
 			return
 		}
 		if !s.admit(w, rt.class) {
@@ -567,9 +492,8 @@ func (s *Server) execOp(ctx context.Context, op *preparedOp, jtr *obs.Tracer) (*
 	sp.SetAttr("source", source)
 	sp.End()
 	if source == cache.SourceMiss || source == cache.SourceBypass {
-		// A genuinely local computation (no cache tier and no coalescing
-		// served it): TestFleetColdStormCollapses sums this counter across
-		// replicas to prove fleet-wide single-flight works.
+		// A genuine computation: no cache tier and no coalescing served
+		// it.
 		s.tr.Counter(obs.Labeled("jobs/cold_solves_total", "kind", op.kind)).Inc()
 	}
 	jr.source = source
@@ -577,37 +501,14 @@ func (s *Server) execOp(ctx context.Context, op *preparedOp, jtr *obs.Tracer) (*
 }
 
 // jobRun is the body of a compute job: it runs under the job's context
-// (which carries the request id and hop marker) and records into the job's
-// tracer.
+// (which carries the request id) and records into the job's tracer.
 type jobRun func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error)
 
 // opJob is the job body of one op: it routes the execution through the
-// single-flight group. When the request arrived forwarded from a peer,
-// the job trace opens with a zero-length "hop" marker span (see
-// setHopAttrs).
+// single-flight group.
 func (s *Server) opJob(op *preparedOp) jobRun {
 	return func(ctx context.Context, jtr *obs.Tracer) (*jobResult, error) {
-		if hop := obs.HopFromContext(ctx); hop.Forwarded {
-			sp := jtr.Start("hop")
-			setHopAttrs(sp, hop)
-			sp.End()
-		}
 		return s.runCoalesced(ctx, op, jtr)
-	}
-}
-
-// setHopAttrs marks sp with the forwarding replica, the hop index, and the
-// entry-side span this execution nests under: the stitching anchors for
-// /v1/traces/{id}. It leaves the span of a local request alone.
-func setHopAttrs(sp *obs.Span, hop obs.Hop) {
-	if !hop.Forwarded {
-		return
-	}
-	sp.SetAttr("forwarded", true)
-	sp.SetAttr("peer", hop.Peer)
-	sp.SetAttr("hop", hop.Index)
-	if hop.ParentSpan != "" {
-		sp.SetAttr("parent_span", hop.ParentSpan)
 	}
 }
 
@@ -628,16 +529,16 @@ func (s *Server) jobTimeout(timeoutMS int64) time.Duration {
 // clamps the deadline and gives the job its own tracer, whose span sink
 // aggregates every stage duration into the server-wide flow_stage_seconds
 // histograms. The queue hands a job a fresh context, so run's context
-// gets the request id and hop marker back. A successful submission with
-// an Idempotency-Key claims the key, so a client retry reattaches to this
+// gets the request id back. A successful submission with an
+// Idempotency-Key claims the key, so a client retry reattaches to this
 // job.
-func (s *Server) enqueue(opts SubmitOptions, hop obs.Hop, run jobRun) (*Job, error) {
+func (s *Server) enqueue(opts SubmitOptions, run jobRun) (*Job, error) {
 	jtr := obs.New()
 	jtr.SetSink(s.stageSink)
 	opts.Tracer = jtr
 	opts.Timeout = s.jobTimeout(opts.Meta.TimeoutMS)
 	j, err := s.queue.SubmitWith(opts, func(ctx context.Context) (*jobResult, error) {
-		return run(obs.ContextWithHop(obs.ContextWithRequestID(ctx, opts.RequestID), hop), jtr)
+		return run(obs.ContextWithRequestID(ctx, opts.RequestID), jtr)
 	})
 	if err == nil && opts.Meta.IdemKey != "" {
 		s.idem.claim(opts.Meta.IdemKey, j.ID)
@@ -650,7 +551,7 @@ func (s *Server) enqueue(opts SubmitOptions, hop obs.Hop, run jobRun) (*Job, err
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, meta *JobMeta, run jobRun) (*Job, bool) {
 	j, err := s.enqueue(SubmitOptions{
 		Kind: kind, RequestID: obs.RequestIDFromContext(r.Context()), Meta: meta,
-	}, obs.HopFromContext(r.Context()), run)
+	}, run)
 	switch err {
 	case nil:
 		return j, true
@@ -820,9 +721,8 @@ func (s *Server) prepareFlow(req *flowRequest) (*preparedOp, error) {
 		return &jobResult{body: entry, degraded: art.Degraded}, entry, nil
 	}
 	// A hit serves the entry's own bytes. A memory entry was checked when
-	// it entered the process (computed here, read from disk or a peer, or
-	// pushed by a peer), so only a disk or peer entry is decoded, and one
-	// that is not a FlowArtifact is a miss.
+	// it entered the process (computed here or read from disk), so only a
+	// disk entry is decoded, and one that is not a FlowArtifact is a miss.
 	op.replay = func(source string, entry []byte) (*jobResult, error) {
 		if source != cache.SourceMem {
 			if err := cache.CheckFlowEntry(entry); err != nil {
@@ -1149,18 +1049,9 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 // job's tracer (span tree with durations and attributes, including the
 // request_id of the request that submitted it, plus any solver metrics
 // the stages recorded). A running job reports its elapsed stages so far.
-// Job ids are per-replica, so in a fleet a miss is not final: the
-// X-Job-Id a client got back for a forwarded request names a job on the
-// OWNER replica, and the entry replica resolves it by federating the
-// lookup across live peers.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := s.queue.Get(id)
+	j, ok := s.queue.Get(r.PathValue("id"))
 	if !ok {
-		if st, found := s.federateTrace(r, id, flight.Trace{}, false); found {
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
 		writeErrKind(w, http.StatusNotFound, ErrKindNotFound, "no such job")
 		return
 	}
@@ -1184,24 +1075,10 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 
 // handleTraceGet serves a retained trace by job id OR request id. It
 // prefers the flight recorder (which outlives the job history), then the
-// recorder's request-id index, then live jobs. In a fleet, when the id is
-// unknown locally — or the local record is only the entry replica's
-// forward stub ("fwd-" prefix) — the lookup federates across live peers
-// and returns one stitched multi-hop trace under the original request id.
+// recorder's request-id index, then live jobs.
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	t, ok := s.localTrace(id)
-	if ok && !strings.HasPrefix(t.ID, "fwd-") {
-		writeJSON(w, http.StatusOK, t)
-		return
-	}
-	if st, found := s.federateTrace(r, id, t, ok); found {
-		writeJSON(w, http.StatusOK, st)
-		return
-	}
-	if ok {
-		// Forward stub with no reachable remote half: still the honest
-		// entry-side record (owner died, or its rings evicted the trace).
+	if t, ok := s.localTrace(id); ok {
 		writeJSON(w, http.StatusOK, t)
 		return
 	}
@@ -1229,7 +1106,7 @@ func (s *Server) localTrace(id string) (flight.Trace, bool) {
 
 // jobTrace renders a job in the flight recorder's Trace shape: the record
 // the recorder keeps of a finished job, and the answer for a job still in
-// the queue's history, so local and federated lookups speak one type.
+// the queue's history, so every trace lookup speaks one type.
 func jobTrace(j *Job) flight.Trace {
 	st := j.Snapshot()
 	t := flight.Trace{
@@ -1246,111 +1123,6 @@ func jobTrace(j *Job) flight.Trace {
 		t.Report = jtr.Report(j.ID)
 	}
 	return t
-}
-
-// handleInternalTrace is the fleet's trace-lookup endpoint: a peer asks
-// this replica for its local view of a trace id or request id. It is
-// strictly local — it never federates, which (besides the forwarded-
-// request guard in federateTrace) makes lookup loops structurally
-// impossible.
-func (s *Server) handleInternalTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if t, ok := s.localTrace(id); ok {
-		writeJSON(w, http.StatusOK, t)
-		return
-	}
-	writeErrKind(w, http.StatusNotFound, ErrKindNotFound, "no retained trace for %s", id)
-}
-
-// stitchTimeout bounds one whole federated trace lookup.
-const stitchTimeout = 2 * time.Second
-
-// stitchedTrace is the merged multi-hop view of one distributed request:
-// each hop's own retained trace, plus one synthetic RunReport nesting
-// every hop's stages for tools that expect a single span tree.
-type stitchedTrace struct {
-	RequestID string         `json:"request_id"`
-	Stitched  bool           `json:"stitched"`
-	Hops      []stitchedHop  `json:"hops"`
-	Trace     *obs.RunReport `json:"trace,omitempty"`
-}
-
-type stitchedHop struct {
-	Peer  string       `json:"peer"`
-	Trace flight.Trace `json:"trace"`
-}
-
-// federateTrace queries every live peer for its half of a distributed
-// trace and stitches the answers together with this replica's local view
-// (when it has one). It declines outside a fleet and on requests that
-// themselves arrived forwarded (loop guard); it reports found=false when
-// no peer held anything, so callers fall back to local-only output.
-func (s *Server) federateTrace(r *http.Request, id string, local flight.Trace, haveLocal bool) (*stitchedTrace, bool) {
-	if s.node == nil || r.Header.Get(cluster.ForwardedHeader) != "" {
-		return nil, false
-	}
-	// Prefer the request id as the cross-fleet key: job ids are
-	// per-replica, request ids name the whole distributed execution.
-	key := id
-	if haveLocal && local.RequestID != "" {
-		key = local.RequestID
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), stitchTimeout)
-	defer cancel()
-	st := &stitchedTrace{RequestID: key, Stitched: true}
-	if haveLocal {
-		st.Hops = append(st.Hops, stitchedHop{Peer: s.node.Self(), Trace: local})
-	}
-	remote := 0
-	for _, m := range s.node.Status().Members {
-		if m.Self || !m.Alive {
-			continue
-		}
-		var t flight.Trace
-		if err := s.node.GetJSON(ctx, m.Addr, "/internal/trace/"+key, 4<<20, &t); err != nil {
-			continue // miss or dead peer: stitch what the fleet still has
-		}
-		st.Hops = append(st.Hops, stitchedHop{Peer: m.Addr, Trace: t})
-		remote++
-	}
-	if remote == 0 {
-		return nil, false
-	}
-	st.Trace = mergeHops(key, st.Hops)
-	return st, true
-}
-
-// mergeHops folds per-hop traces into one synthetic RunReport: one
-// "hop:<peer>" stage per hop, its children the hop's own stage tree. The
-// report spans the earliest hop start to the slowest hop duration.
-func mergeHops(key string, hops []stitchedHop) *obs.RunReport {
-	rep := &obs.RunReport{Name: "stitched-" + key}
-	for _, h := range hops {
-		seg := &obs.StageReport{
-			Name:    "hop:" + h.Peer,
-			Seconds: h.Trace.Seconds,
-			Attrs: map[string]any{
-				"peer":   h.Peer,
-				"job_id": h.Trace.ID,
-				"state":  h.Trace.State,
-			},
-		}
-		if h.Trace.ErrorKind != "" {
-			seg.Attrs["error_kind"] = h.Trace.ErrorKind
-		}
-		if h.Trace.Report != nil {
-			seg.Children = h.Trace.Report.Stages
-		}
-		if !h.Trace.StartedAt.IsZero() &&
-			(rep.StartedAt.IsZero() || h.Trace.StartedAt.Before(rep.StartedAt)) {
-			rep.StartedAt = h.Trace.StartedAt
-		}
-		if h.Trace.Seconds > rep.WallSeconds {
-			rep.WallSeconds = h.Trace.Seconds
-		}
-		rep.Stages = append(rep.Stages, seg)
-	}
-	return rep
 }
 
 // handleHealthz reports liveness plus an operational snapshot: queue and
@@ -1408,9 +1180,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"errors_5xx": errs5xx,
 			"in_flight":  s.inFlight.Load(),
 		},
-		// Saturation is what admission control keys on and what the fleet
-		// bench and load balancers read: how full the queue+workers are
-		// and which cost classes are currently being shed.
+		// Saturation is what admission control keys on and what load
+		// balancers read: how full the queue+workers are and which cost
+		// classes are currently being shed.
 		// The map, not the struct, keeps "shedding" present when empty.
 		"saturation": map[string]any{
 			"queue_depth":    sat.QueueDepth,
@@ -1437,57 +1209,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		},
 		"slo": s.slo.Snapshot(),
 	}
-	if s.node != nil {
-		out["cluster"] = s.node.Status()
-	}
 	writeJSON(w, code, out)
-}
-
-// ---- fleet observability plane ----
-
-// statsSnapshot renders this replica's compact operational snapshot for
-// the overview plane: everything /healthz and /metrics already expose,
-// but in one cheap authenticated round trip for peers.
-func (s *Server) statsSnapshot() overview.Stats {
-	st := overview.Stats{
-		Addr:          "self",
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Draining:      s.queue.Draining(),
-		Saturation:    s.saturation(),
-		Cache:         map[string]overview.CacheTier{},
-		SLO:           s.slo.Snapshot(),
-		RingMembers:   1,
-	}
-	if s.node != nil {
-		st.Addr = s.node.Self()
-		st.RingMembers = s.node.Status().RingMembers
-	}
-	st.Cache["mem"] = overview.CacheTier{HitRate: s.lru.Stats().HitRate()}
-	if r, ok := s.tiers.Disk.(*cache.Resilient); ok {
-		st.Cache["disk"] = overview.CacheTier{BreakerState: r.State().String()}
-	}
-	if r, ok := s.tiers.Peer.(*cache.Resilient); ok {
-		st.Cache["peer"] = overview.CacheTier{BreakerState: r.State().String()}
-	}
-	return st
-}
-
-// handleInternalStats serves the compact stats snapshot to fleet peers
-// (the overview aggregator's poll target).
-func (s *Server) handleInternalStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsSnapshot())
-}
-
-// handleClusterOverview serves the merged fleet view: per-replica
-// saturation, cache tier health, SLO burn, ring membership, dead peers,
-// and fleet-wide burn rates — the same payload from any replica. Outside
-// a fleet it degrades to a one-replica view computed on demand.
-func (s *Server) handleClusterOverview(w http.ResponseWriter, r *http.Request) {
-	if s.overview != nil {
-		writeJSON(w, http.StatusOK, s.overview.Snapshot())
-		return
-	}
-	writeJSON(w, http.StatusOK, overview.Single(s.statsSnapshot()))
 }
 
 // metricHelp maps sanitized Prometheus family names to their HELP text.
@@ -1533,11 +1255,6 @@ var metricHelp = map[string]string{
 	"sat_propagations_per_solve":         "SAT solver unit propagations per solve call, by stage.",
 	"sat_restarts_per_solve":             "SAT solver restarts per solve call, by stage.",
 	"pnr_exact_size_solve_seconds":       "Exact P&R per-aspect-ratio SAT solve time, by stage.",
-	"cluster_peer_up":                    "Probed liveness per peer: 1 alive, 0 dead.",
-	"cluster_ring_members":               "Live members in the consistent-hash ring (including self).",
-	"cluster_probe_failures_total":       "Failed peer health probes.",
-	"cluster_peer_requests_total":        "Peer-cache protocol operations by op (get/put) and outcome (hit/miss/ok/error).",
-	"cluster_forwarded_total":            "Requests forwarded to their key's owner replica, by outcome.",
 	"cluster_singleflight_merged_total":  "Executions that coalesced onto another identical in-flight execution.",
 	"cluster_singleflight_rerun_total":   "Coalesced executions retried under the joiner's own deadline after the starter's shorter deadline expired.",
 	"admission_shed_total":               "Requests shed by cost-class admission control, by class.",
@@ -1545,16 +1262,6 @@ var metricHelp = map[string]string{
 	"jobs_cold_solves_total":             "Jobs that performed real local computation (no cache tier or coalescing served them), by kind.",
 	"batch_items_total":                  "Batch sub-requests by outcome (ok/error).",
 	"batch_deduped_total":                "Batch sub-requests answered by another identical item in the same batch.",
-	"cache_peer_breaker_state":           "Peer-cache circuit breaker state: 0 closed, 1 half-open, 2 open (fleet cache bypassed).",
-	"cache_peer_breaker_trips_total":     "Times the peer-cache breaker tripped open.",
-	"cache_peer_retries_total":           "Peer-cache operations retried after a transient failure.",
-	"cache_peer_io_errors_total":         "Peer-cache operation failures (each attempt, before retry).",
-	"cache_peer_short_circuits_total":    "Peer-cache operations skipped because the breaker was open.",
-	"cluster_overview_replicas_alive":    "Fleet members currently probed alive (overview aggregator view).",
-	"cluster_overview_replicas_dead":     "Fleet members currently probed dead (overview aggregator view).",
-	"cluster_overview_degraded":          "1 when any replica is dead, draining, shedding, or has an open cache breaker.",
-	"cluster_overview_burn_rate":         "Fleet-wide SLO burn rate per objective and window (raw counts summed across replicas).",
-	"cluster_overview_utilization":       "Queue+worker utilization per replica, from the overview poll.",
 	"journal_appends_total":              "Job lifecycle events appended to the write-ahead journal.",
 	"journal_syncs_total":                "Journal fsyncs by appends and rotations: submitted, finished and canceled events are synced; a started event rides on the next sync.",
 	"journal_append_errors_total":        "Journal appends that failed (durability degraded; the job still ran).",

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -171,8 +172,8 @@ func TestColdFlowDeterministic(t *testing.T) {
 
 // TestDiskCacheSurvivesRestart: every cached result kind is written
 // through to the disk tier, so a fresh server over the same cache dir
-// serves it warm — to clients, and to fleet peers over the
-// /internal/cache protocol before anything has reloaded it into memory.
+// holds it on disk before anything has reloaded it into memory, and
+// serves it warm.
 func TestDiskCacheSurvivesRestart(t *testing.T) {
 	for _, c := range []struct {
 		kind, path string
@@ -194,15 +195,15 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			entry, ok := s1.lru.Peek(op.key)
+			entry, ok := s1.lru.Get(op.key)
 			if !ok {
 				t.Fatalf("cold result not cached under %s", op.key)
 			}
 
 			s2, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
-			r, b := getURL(t, ts2.URL+"/internal/cache/"+string(op.key))
-			if r.StatusCode != http.StatusOK || !bytes.Equal(b, entry) {
-				t.Fatalf("peer read after restart: %d, entry matches %v", r.StatusCode, bytes.Equal(b, entry))
+			b, ok, err := s2.tiers.Disk.Get(context.Background(), op.key)
+			if err != nil || !ok || !bytes.Equal(b, entry) {
+				t.Fatalf("disk read after restart: ok %v, err %v, entry matches %v", ok, err, bytes.Equal(b, entry))
 			}
 			resp2, body2 := postJSON(t, ts2.URL+c.path, c.req)
 			if got := resp2.Header.Get("X-Cache"); got != "hit" {
@@ -708,4 +709,15 @@ func getURL(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, body
+}
+
+func waitForCond(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never became true")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }

@@ -23,12 +23,6 @@
 // a disk-cache entry corrupted while the daemon was down must quarantine
 // as a clean miss whose re-solve is byte-identical (see durability.go).
 //
-// A third phase boots a three-replica fleet and SIGKILLs one replica in
-// the middle of a request storm: survivors must keep answering (falling
-// back to local solves when the dead owner is unreachable), mark the
-// peer dead within the probe window, rebalance the ring, drain their
-// queues to zero, and still exit cleanly on SIGTERM (see fleet.go).
-//
 // Run from the repository root:
 //
 //	go run ./scripts/chaos-smoke
@@ -360,9 +354,6 @@ func run(tmp string) {
 	// for every pre-crash job id and quarantine corrupted cache entries
 	// (see durability.go).
 	durabilityScenario(bin, filepath.Join(tmp, "durability"))
-
-	// Phase 3: a clustered fleet must survive losing a replica mid-storm.
-	fleetScenario(bin)
 }
 
 // flowBurn reads the flow objective's burn rate for the named window from

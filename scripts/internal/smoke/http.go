@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strings"
 	"time"
 )
@@ -144,50 +143,6 @@ func WaitJob(base, id string, timeout time.Duration) Job {
 // Health is the part of GET /healthz the smoke commands read.
 type Health struct {
 	JobsRunning int `json:"jobs_running"`
-	Saturation  struct {
-		QueueDepth  int `json:"queue_depth"`
-		JobsRunning int `json:"jobs_running"`
-	} `json:"saturation"`
-	Cluster struct {
-		RingMembers int `json:"ring_members"`
-		Members     []struct {
-			Addr  string `json:"addr"`
-			Alive bool   `json:"alive"`
-		} `json:"members"`
-	} `json:"cluster"`
-}
-
-// StartFleet starts n mutually peered replicas of bin with the given
-// flags, and waits until each is healthy (30 s) and every one reports a
-// ring of n live members (15 s).
-func StartFleet(bin string, n int, args ...string) []*Daemon {
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = FreeAddr()
-	}
-	fleet := make([]*Daemon, n)
-	for i, a := range addrs {
-		peers := strings.Join(slices.Delete(slices.Clone(addrs), i, i+1), ",")
-		fleet[i] = Start(bin, a, append([]string{"-peers", peers}, args...)...)
-	}
-	for _, d := range fleet {
-		d.WaitHealthy(30 * time.Second)
-	}
-	Eventually(15*time.Second, 100*time.Millisecond, func() error {
-		for _, d := range fleet {
-			var h Health
-			code, _, body, err := send(http.DefaultClient, http.MethodGet, d.URL+"/healthz", nil, nil)
-			formed := err == nil && code == http.StatusOK && json.Unmarshal(body, &h) == nil && h.Cluster.RingMembers == n
-			for _, m := range h.Cluster.Members {
-				formed = formed && m.Alive
-			}
-			if !formed {
-				return fmt.Errorf("fleet never formed a full ring of %d within 15s", n)
-			}
-		}
-		return nil
-	})
-	return fleet
 }
 
 // MetricValue is the sample of the first series in a Prometheus

@@ -246,8 +246,6 @@ func run(tmp string) {
 	}
 	smoke.Step("stderr carries a JSON http_request line for /v1/flow")
 	checkRequestLog(daemon.Log())
-
-	fleetSmoke(bin)
 }
 
 // checkRequestLog requires one line of the daemon's stderr to decode as
